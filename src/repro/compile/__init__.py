@@ -1,44 +1,37 @@
-"""``repro.compile``: trace-derived plan compiler + compiled executor.
+"""``repro.compile``: capture one eager run, replay it bit-exactly.
 
-Capture -> optimize -> execute (ROADMAP item 1):
+Capture -> plan -> replay:
 
 * :mod:`repro.compile.capture` records one instrumented eager run
   (via the ``op_observer`` dispatcher hook) into a deterministic,
-  serializable :class:`~repro.compile.plan.CompiledPlan`;
-* :mod:`repro.compile.passes` consumes the ranked
-  :mod:`repro.obs.opportune` report to fuse elementwise chains,
-  hoist proven loop-invariant rebuilds, and pre-plan repeated
-  allocations into an arena;
-* :mod:`repro.compile.executor` replays the plan bit-exactly —
-  identical outputs, counter digests, and classified errors — while
-  computing counters analytically in bulk (one flush per group).
+  serializable, positional :class:`~repro.compile.plan.CompiledPlan`;
+* :mod:`repro.compile.executor` opens a plan session in which the
+  dispatcher replays each op against its captured step — divergence
+  checks at every op, the captured counters in place of eager
+  counting — so a replay is bit-exact with eager and measurably
+  cheaper per op.
 
 Import discipline: this package sits *below* ``repro.workloads`` and
-``repro.serve`` (the dispatcher imports ``repro.compile.executor``),
-so nothing imported at module scope here may import those layers.
-The CLI (:mod:`repro.compile.cli`) is the only module that touches
-the workload registry and is imported lazily by ``repro.cli``.
+``repro.serve``, and the tensor runtime does not import it, so nothing
+imported at module scope here may import those layers.  The CLI
+(:mod:`repro.compile.cli`) is the only module that touches the
+workload registry and is imported lazily by ``repro.cli``.
 """
 
-from repro.compile.arena import Arena
 from repro.compile.capture import (CapturedOp, PlanCapturer,
                                    capture_plan, capture_plan_with_trace,
                                    capture_program_plan)
 from repro.compile.executor import (ExecutionStats, PlanSession,
                                     active_session, diff_against_eager,
                                     execute, plan_session, run_compiled)
-from repro.compile.passes import plan_from_trace
-from repro.compile.plan import (COMPILED_FLUSH_NS, COMPILED_STEP_NS,
-                                ArenaBuffer, CompiledPlan,
-                                PlanCaptureError, PlanDivergenceError,
-                                PlanError, PlanGroup, PlanStep)
+from repro.compile.plan import (CompiledPlan, PlanCaptureError,
+                                PlanDivergenceError, PlanError, PlanStep)
 
 __all__ = [
-    "Arena", "ArenaBuffer", "CapturedOp", "CompiledPlan",
-    "COMPILED_FLUSH_NS", "COMPILED_STEP_NS", "ExecutionStats",
+    "CapturedOp", "CompiledPlan", "ExecutionStats",
     "PlanCaptureError", "PlanCapturer", "PlanDivergenceError",
-    "PlanError", "PlanGroup", "PlanSession", "PlanStep",
+    "PlanError", "PlanSession", "PlanStep",
     "active_session", "capture_plan", "capture_plan_with_trace",
     "capture_program_plan", "diff_against_eager", "execute",
-    "plan_from_trace", "plan_session", "run_compiled",
+    "plan_session", "run_compiled",
 ]

@@ -1,16 +1,10 @@
 """Plan capture: one instrumented eager run -> a :class:`CompiledPlan`.
 
 The capturer is an ``op_observer`` (the PR 6 dispatcher hook): it sees
-every dispatched tensor op *with* its raw output array — dtypes and
-values the trace event intentionally omits — and records the two
-facts replay needs on top of the trace:
-
-* the output **dtype** (plan steps verify shape eagerly and carry the
-  dtype for serialization / arena planning);
-* a sha256 **fingerprint** of the output bytes (size-capped), which is
-  what lets the hoist pass prove a repeated op is genuinely
-  loop-invariant — all repeats produced bit-identical outputs in the
-  capture run — before the executor is allowed to skip its kernel.
+every dispatched tensor op *with* its raw output array and records the
+output **dtype**, which the trace event omits.  Observers are notified
+only for dispatcher-routed ops, so the capturer's records also tell op
+steps from ``region`` steps.
 
 Capture is a plain profiled run: ``build()`` stays outside the trace
 (and therefore outside the observer), faults must be absent, and the
@@ -21,26 +15,16 @@ run.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
-from repro.compile.passes import plan_from_trace
-from repro.compile.plan import CompiledPlan, PlanCaptureError
+from repro.compile.plan import CompiledPlan, PlanCaptureError, PlanStep
 from repro.core.profiler import Trace, TraceEvent
 from repro.core.taxonomy import category_for
 from repro.tensor.context import active_fault_hook, op_observer
 
 __all__ = ["CapturedOp", "PlanCapturer", "capture_plan",
-           "capture_plan_with_trace", "capture_program_plan",
-           "FINGERPRINT_LIMIT_BYTES"]
-
-#: Outputs larger than this are not fingerprinted (hashing a huge
-#: activation would dominate the capture run); steps without a
-#: fingerprint are simply never hoisted.
-FINGERPRINT_LIMIT_BYTES = 1 << 24
+           "capture_plan_with_trace", "capture_program_plan"]
 
 
 @dataclass(frozen=True)
@@ -50,11 +34,10 @@ class CapturedOp:
     eid: int
     name: str
     output_dtype: str
-    fingerprint: str       #: sha256 of output bytes; "" when over limit
 
 
 class PlanCapturer:
-    """``op_observer`` recording per-op dtype + output fingerprint.
+    """``op_observer`` recording each dispatched op's output dtype.
 
     Only dispatcher-routed ops notify observers, so events recorded
     via ``record_event`` / ``record_region`` (host-side symbolic
@@ -62,10 +45,8 @@ class PlanCapturer:
     marks them as ``region`` steps in the plan.
     """
 
-    def __init__(self,
-                 fingerprint_limit: int = FINGERPRINT_LIMIT_BYTES):
+    def __init__(self) -> None:
         self.records: Dict[int, CapturedOp] = {}
-        self.fingerprint_limit = fingerprint_limit
 
     def observe_op(self, event: TraceEvent, inputs, output) -> None:
         try:
@@ -75,14 +56,9 @@ class PlanCapturer:
                 f"op {event.name!r} (eid {event.eid}) is not in the "
                 "OP_CATEGORIES registry; refusing to compile an "
                 "unclassified template")
-        out = np.asarray(output)
-        if 0 < out.nbytes <= self.fingerprint_limit:
-            fingerprint = hashlib.sha256(out.tobytes()).hexdigest()
-        else:
-            fingerprint = ""
         self.records[event.eid] = CapturedOp(
             eid=event.eid, name=event.name,
-            output_dtype=str(out.dtype), fingerprint=fingerprint)
+            output_dtype=str(output.dtype))
 
 
 def capture_plan_with_trace(workload) -> Tuple[CompiledPlan, Trace]:
@@ -100,7 +76,7 @@ def capture_plan_with_trace(workload) -> Tuple[CompiledPlan, Trace]:
     capturer = PlanCapturer()
     with op_observer(capturer):
         trace = workload.profile()
-    plan = plan_from_trace(
+    plan = capture_program_plan(
         trace, capturer,
         workload=getattr(getattr(workload, "info", None), "name", "")
         or (trace.workload or ""),
@@ -118,11 +94,37 @@ def capture_program_plan(trace: Trace, capturer: PlanCapturer,
                          workload: str = "",
                          params: Optional[Dict[str, object]] = None
                          ) -> CompiledPlan:
-    """Build a plan from an externally captured trace + capturer.
+    """Build a plan from a captured trace + its capturer.
 
-    Lower-level entry for callers that drive their own profiled run —
-    ``repro.fuzz.oracle`` captures generated programs this way rather
-    than through ``Workload.profile``.
+    One positional step per trace event: events the capturer observed
+    are ``op`` steps, the rest are ``region`` steps.  Callers that
+    drive their own profiled run (``repro.fuzz.oracle`` captures
+    generated programs) use this directly.
     """
-    return plan_from_trace(trace, capturer, workload=workload,
-                           params=dict(params or {}))
+    from repro.obs.runrec import counters_digest  # deferred (cycle)
+    steps: List[PlanStep] = []
+    for index, event in enumerate(trace.events):
+        if event.eid != index:
+            raise PlanCaptureError(
+                f"capture trace is not positional: event {index} "
+                f"carries eid {event.eid}")
+        record = capturer.records.get(event.eid)
+        if record is None:
+            steps.append(PlanStep(eid=event.eid, kind="region",
+                                  name=event.name, event=event))
+            continue
+        if record.name != event.name:  # pragma: no cover - defensive
+            raise PlanCaptureError(
+                f"capture desync at eid {event.eid}: observer saw "
+                f"{record.name!r}, trace has {event.name!r}")
+        steps.append(PlanStep(eid=event.eid, kind="op", name=event.name,
+                              event=event,
+                              output_dtype=record.output_dtype))
+    plan = CompiledPlan(
+        workload=workload or (trace.workload or ""),
+        params=dict(params or {}),
+        steps=steps,
+        peak_live_bytes=int(trace.metadata.get("peak_live_bytes", 0)),
+        counters_digest=counters_digest(trace))
+    plan.validate()
+    return plan

@@ -7,13 +7,15 @@
     repro compile diff prae --seed 0
 
 ``build`` captures one instrumented eager run and writes/prints the
-optimized plan.  ``run`` replays a plan (loading it, or capturing one
-on the spot) and prints the executor's stats.  ``diff`` is the
-bit-exactness gate: one eager run vs one compiled replay, compared on
-counter digests, per-event deterministic fields, and result metadata.
+plan.  ``run`` replays a plan (loading it, or capturing one on the
+spot) and prints the executor's stats.  ``diff`` is the bit-exactness
+gate: one eager run vs one compiled replay, compared on counter
+digests, per-event deterministic fields, and result metadata.
 
-Exit codes: 0 clean; **7** when ``diff`` finds a divergence or a
-replay raises :class:`~repro.compile.plan.PlanDivergenceError`.
+Exit codes: 0 clean; **7** when ``diff`` finds a divergence, or when a
+plan is refused (:class:`~repro.compile.plan.PlanError`: unreadable,
+malformed, another version, or diverging during replay) — reported
+in one line, without a traceback.
 """
 
 from __future__ import annotations
@@ -28,13 +30,13 @@ EXIT_PLAN_DIVERGENCE = 7
 def add_compile_subcommands(sub: "argparse._SubParsersAction") -> None:
     compile_cmd = sub.add_parser(
         "compile",
-        help="trace-derived plan compiler: capture an op graph once, "
-             "replay it bit-exactly with bulk counters")
+        help="capture an op graph once, replay it bit-exactly with "
+             "the captured counters")
     inner = compile_cmd.add_subparsers(dest="compile_command",
                                        required=True)
 
     build = inner.add_parser(
-        "build", help="capture one eager run into an optimized plan")
+        "build", help="capture one eager run into a plan")
     build.add_argument("workload", help="registered workload name")
     build.add_argument("--seed", type=int, default=0)
     build.add_argument("-o", "--output", default=None,
@@ -68,7 +70,16 @@ def _load_or_capture(args: "argparse.Namespace"):
 
 
 def run_compile_command(args: "argparse.Namespace") -> int:
-    from repro.compile.plan import PlanDivergenceError
+    from repro.compile.plan import PlanError
+    try:
+        return _run(args)
+    except PlanError as exc:
+        print(f"repro compile {args.compile_command}: {exc}",
+              file=sys.stderr)
+        return EXIT_PLAN_DIVERGENCE
+
+
+def _run(args: "argparse.Namespace") -> int:
     from repro.workloads import create
 
     if args.compile_command == "build":
@@ -83,34 +94,18 @@ def run_compile_command(args: "argparse.Namespace") -> int:
     if args.compile_command == "run":
         from repro.compile.executor import execute
         plan = _load_or_capture(args)
-        try:
-            trace, stats = execute(
-                create(args.workload, seed=args.seed), plan)
-        except PlanDivergenceError as exc:
-            print(f"plan divergence: {exc}", file=sys.stderr)
-            return EXIT_PLAN_DIVERGENCE
-        payload = stats.to_dict()
+        trace, stats = execute(create(args.workload, seed=args.seed), plan)
         print(f"compiled run: {args.workload} seed {args.seed} — "
-              f"{len(trace.events)} events, "
-              f"{payload['kernels_run']} kernels run, "
-              f"{payload['kernels_skipped']} hoist-skipped, "
-              f"{payload['groups_flushed']} group flushes, "
-              f"{payload['modeled_saved_ns'] / 1e6:.3f} ms modeled "
-              "dispatch savings")
-        print(json.dumps(payload, indent=2, sort_keys=True))
+              f"{len(trace.events)} events, {stats.steps_replayed} "
+              "kernels run against the plan")
+        print(json.dumps(stats.to_dict(), indent=2, sort_keys=True))
         return 0
 
     if args.compile_command == "diff":
         from repro.compile.executor import diff_against_eager, run_compiled
         plan = _load_or_capture(args)
         eager = create(args.workload, seed=args.seed).profile()
-        try:
-            compiled = run_compiled(
-                create(args.workload, seed=args.seed), plan)
-        except PlanDivergenceError as exc:
-            print(f"plan divergence during replay: {exc}",
-                  file=sys.stderr)
-            return EXIT_PLAN_DIVERGENCE
+        compiled = run_compiled(create(args.workload, seed=args.seed), plan)
         comparison = diff_against_eager(eager, compiled)
         if args.json:
             print(json.dumps(comparison, indent=2, sort_keys=True))

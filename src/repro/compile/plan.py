@@ -1,25 +1,16 @@
-"""Compiled-plan IR: steps, groups, arena spec, and the cost model.
+"""Compiled-plan IR: positional steps over one captured trace.
 
 A :class:`CompiledPlan` is the serializable artifact produced by one
-instrumented eager run (``repro.compile.capture``) after the
-optimization passes (``repro.compile.passes``) have annotated it.  It
-is **positional**: step ``i`` describes the ``i``-th trace event the
-workload will emit when re-run, so the executor can index straight
-into ``plan.steps[eid]`` from the dispatcher without any matching
-logic.  That only works because every workload here is seeded and
-deterministic — the plan executor verifies the op name at every step
-and raises :class:`PlanDivergenceError` the moment the replay leaves
-the captured graph.
+instrumented eager run (``repro.compile.capture``).  It is
+**positional**: step ``i`` describes the ``i``-th trace event the
+workload will emit when re-run, so the dispatcher can index straight
+into ``plan.steps[eid]`` without any matching logic.  That only works
+because every workload here is seeded and deterministic — the replay
+verifies the op name at every step and raises
+:class:`PlanDivergenceError` the moment it leaves the captured graph.
 
-The **frozen compiled cost model** mirrors
-:data:`repro.obs.selfprof.MODELED_COMPONENT_NS`: an eager dispatch is
-modeled at :data:`~repro.obs.selfprof.MODELED_OVERHEAD_NS_PER_OP`
-(2000 ns) of non-kernel overhead, while a compiled replay step pays
-:data:`COMPILED_STEP_NS` (index + name check + prototype-event append)
-plus :data:`COMPILED_FLUSH_NS` per group flush (one bulk ledger /
-metrics update instead of per-op updates).  These constants are part
-of the deterministic surface gated by ``repro obs history gate`` —
-change them only with a baseline regeneration.
+Plan files are outside input: :meth:`CompiledPlan.from_dict` loads all
+of a payload or refuses it with :class:`PlanError`.
 """
 
 from __future__ import annotations
@@ -28,26 +19,16 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Union
 
 from repro.core.profiler import TraceEvent
 from repro.core.taxonomy import OpCategory, category_for
-from repro.obs.selfprof import MODELED_OVERHEAD_NS_PER_OP
 
 __all__ = ["PlanError", "PlanCaptureError", "PlanDivergenceError",
-           "PlanStep", "PlanGroup", "ArenaBuffer", "CompiledPlan",
-           "COMPILED_STEP_NS", "COMPILED_FLUSH_NS", "PLAN_VERSION"]
-
-#: Modeled per-step cost of a compiled replay (ns): one plan index,
-#: one name check, one prototype-event append.  Frozen cost model.
-COMPILED_STEP_NS = 250
-
-#: Modeled cost of one bulk group flush (ns): a single aggregated
-#: metrics/ledger update covering every op in the group.
-COMPILED_FLUSH_NS = 100
+           "PlanStep", "CompiledPlan", "PLAN_VERSION"]
 
 #: Bumped whenever the serialized layout changes incompatibly.
-PLAN_VERSION = 1
+PLAN_VERSION = 2
 
 
 class PlanError(RuntimeError):
@@ -74,7 +55,7 @@ class PlanStep:
     """One positional replay step — immutable once the plan is built.
 
     ``kind`` is ``"op"`` for dispatcher-observed tensor ops (replayed
-    through the instrumented kernel closure) and ``"region"`` for
+    with the captured event's counters) and ``"region"`` for
     analytically recorded events (``record_event`` / ``record_region``
     emit those without notifying observers; the replay lets the
     workload re-record them eagerly and only checks alignment).
@@ -83,14 +64,8 @@ class PlanStep:
     eid: int
     kind: str                      #: "op" | "region"
     name: str
-    event: TraceEvent              #: prototype event, replayed verbatim
-    output_shape: Tuple[int, ...] = ()
+    event: TraceEvent              #: captured event (counters only)
     output_dtype: str = ""
-    fingerprint: str = ""          #: sha256 of output bytes ("" = none)
-    reuse_of: int = -1             #: eid of hoist leader (-1 = compute)
-    cache_as: bool = False         #: hoist leader: cache output for reuse
-    group: int = -1                #: PlanGroup index (-1 = region step)
-    flush: bool = False            #: last step of its group: bulk-flush
 
     def deterministic_dict(self) -> Dict[str, object]:
         """Serializable view excluding measured (wall-clock) fields."""
@@ -101,68 +76,21 @@ class PlanStep:
             "stage": e.stage, "flops": e.flops,
             "bytes_read": e.bytes_read, "bytes_written": e.bytes_written,
             "input_shapes": [list(s) for s in e.input_shapes],
-            "output_shape": list(self.output_shape),
+            "output_shape": list(e.output_shape),
             "output_sparsity": e.output_sparsity,
             "parents": list(e.parents),
+            "live_bytes": e.live_bytes,
             "output_dtype": self.output_dtype,
-            "fingerprint": self.fingerprint,
-            "reuse_of": self.reuse_of, "cache_as": self.cache_as,
-            "group": self.group, "flush": self.flush,
         }
-
-
-@dataclass(frozen=True)
-class PlanGroup:
-    """A run of op steps flushed as one bulk counters update.
-
-    ``metric_rows`` pre-aggregates the group per category in trace
-    order — ``(category, count, seconds_total, flops_total,
-    nbytes_total, last_live_bytes, peak_live_bytes)`` — exactly the
-    arguments :func:`repro.obs.metrics.observe_op_group` needs, so the
-    flush does zero per-op work at replay time.
-    """
-
-    index: int
-    kind: str                      #: "fused_chain" | "singleton"
-    eids: Tuple[int, ...]
-    metric_rows: Tuple[Tuple[str, int, float, float, float, int, int],
-                       ...] = ()
-
-    def deterministic_dict(self) -> Dict[str, object]:
-        return {
-            "index": self.index, "kind": self.kind,
-            "eids": list(self.eids),
-            # seconds_total is measured; keep count/flops/bytes only
-            "metric_rows": [[r[0], r[1], r[3], r[4]]
-                            for r in self.metric_rows],
-        }
-
-
-@dataclass(frozen=True)
-class ArenaBuffer:
-    """One pre-planned output buffer (a prealloc opportunity)."""
-
-    eid: int                       #: first event writing this shape
-    shape: Tuple[int, ...]
-    dtype: str
-    nbytes: int
-    sites: int                     #: captured allocation sites served
-
-    def deterministic_dict(self) -> Dict[str, object]:
-        return {"eid": self.eid, "shape": list(self.shape),
-                "dtype": self.dtype, "nbytes": self.nbytes,
-                "sites": self.sites}
 
 
 @dataclass
 class CompiledPlan:
-    """A captured, optimized, serializable replay program."""
+    """A captured, serializable replay program."""
 
     workload: str
     params: Dict[str, object] = field(default_factory=dict)
     steps: List[PlanStep] = field(default_factory=list)
-    groups: List[PlanGroup] = field(default_factory=list)
-    arena: List[ArenaBuffer] = field(default_factory=list)
     peak_live_bytes: int = 0
     counters_digest: str = ""      #: digest of the capture trace
     version: int = PLAN_VERSION
@@ -176,46 +104,10 @@ class CompiledPlan:
     def region_steps(self) -> int:
         return len(self.steps) - self.op_steps
 
-    @property
-    def fused_groups(self) -> int:
-        return sum(1 for g in self.groups if g.kind == "fused_chain")
-
-    @property
-    def hoisted_steps(self) -> int:
-        return sum(1 for s in self.steps if s.reuse_of >= 0)
-
-    # -- frozen cost model ---------------------------------------------------
-    def modeled_eager_dispatch_ns(self) -> int:
-        """Dispatch overhead the eager tier pays for these ops."""
-        return self.op_steps * MODELED_OVERHEAD_NS_PER_OP
-
-    def modeled_compiled_dispatch_ns(self) -> int:
-        """Dispatch overhead the compiled replay pays instead."""
-        return (self.op_steps * COMPILED_STEP_NS
-                + len(self.groups) * COMPILED_FLUSH_NS)
-
-    def modeled_reduction(self) -> float:
-        compiled = self.modeled_compiled_dispatch_ns()
-        if not compiled:
-            return 0.0
-        return self.modeled_eager_dispatch_ns() / compiled
-
-    def stats(self) -> Dict[str, object]:
+    def stats(self) -> Dict[str, int]:
         """Deterministic plan facts (baseline- and history-gated)."""
-        return {
-            "steps": len(self.steps),
-            "op_steps": self.op_steps,
-            "region_steps": self.region_steps,
-            "groups": len(self.groups),
-            "fused_groups": self.fused_groups,
-            "hoisted_steps": self.hoisted_steps,
-            "arena_buffers": len(self.arena),
-            "arena_bytes": sum(b.nbytes for b in self.arena),
-            "modeled_eager_dispatch_ns": self.modeled_eager_dispatch_ns(),
-            "modeled_compiled_dispatch_ns":
-                self.modeled_compiled_dispatch_ns(),
-            "modeled_reduction_x": round(self.modeled_reduction(), 6),
-        }
+        return {"steps": len(self.steps), "op_steps": self.op_steps,
+                "region_steps": self.region_steps}
 
     # -- integrity -----------------------------------------------------------
     def validate(self) -> None:
@@ -226,18 +118,17 @@ class CompiledPlan:
                     f"plan step {index} carries eid {step.eid}; "
                     "steps must be positional")
             if step.kind == "op":
-                # every replayed template must be a registered op —
-                # category_for raises KeyError on unknown names
-                category_for(step.name)
+                # every replayed template must be a registered op
+                try:
+                    category_for(step.name)
+                except KeyError:
+                    raise PlanError(
+                        f"plan step {index} replays op {step.name!r}, "
+                        "which is not in the OP_CATEGORIES registry"
+                    ) from None
             elif step.kind != "region":
                 raise PlanError(f"unknown step kind {step.kind!r} "
                                 f"at eid {step.eid}")
-            if step.reuse_of >= 0:
-                leader = self.steps[step.reuse_of]
-                if not leader.cache_as:
-                    raise PlanError(
-                        f"step {step.eid} reuses eid {step.reuse_of} "
-                        "which is not a hoist leader")
 
     # -- digest --------------------------------------------------------------
     def deterministic_dict(self) -> Dict[str, object]:
@@ -247,15 +138,8 @@ class CompiledPlan:
             "params": {k: repr(v) for k, v in sorted(self.params.items())},
             "counters_digest": self.counters_digest,
             "peak_live_bytes": self.peak_live_bytes,
-            "cost_model": {
-                "eager_ns_per_op": MODELED_OVERHEAD_NS_PER_OP,
-                "compiled_ns_per_step": COMPILED_STEP_NS,
-                "compiled_ns_per_flush": COMPILED_FLUSH_NS,
-            },
             "stats": self.stats(),
             "steps": [s.deterministic_dict() for s in self.steps],
-            "groups": [g.deterministic_dict() for g in self.groups],
-            "arena": [b.deterministic_dict() for b in self.arena],
         }
 
     def digest(self) -> str:
@@ -267,79 +151,50 @@ class CompiledPlan:
     # -- serialization -------------------------------------------------------
     def to_dict(self) -> Dict[str, object]:
         out = self.deterministic_dict()
-        # measured prototype fields ride along so a loaded plan replays
-        # the exact captured events (they are context, not contract)
-        out["measured"] = [
-            {"wall_time": s.event.wall_time, "t_start": s.event.t_start,
-             "live_bytes": s.event.live_bytes, "sid": s.event.sid}
-            for s in self.steps]
-        out["group_seconds"] = [
-            [[r[0], r[2], r[5], r[6]] for r in g.metric_rows]
-            for g in self.groups]
         out["params_values"] = _encode_params(self.params)
         return out
 
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "CompiledPlan":
-        version = int(payload.get("version", -1))
+        """Load a whole serialized plan, or raise :class:`PlanError`."""
+        if not isinstance(payload, dict):
+            raise PlanError("a plan must be a JSON object")
+        version = payload.get("version")
         if version != PLAN_VERSION:
             raise PlanError(f"cannot load plan version {version}; "
                             f"this build reads version {PLAN_VERSION}")
-        measured = payload.get("measured") or []
-        steps: List[PlanStep] = []
-        for raw, extra in zip(payload["steps"], measured):
-            event = TraceEvent(
-                eid=int(raw["eid"]), name=str(raw["name"]),
-                category=OpCategory(raw["category"]),
-                phase=str(raw["phase"]), stage=str(raw["stage"]),
-                flops=float(raw["flops"]),
-                bytes_read=int(raw["bytes_read"]),
-                bytes_written=int(raw["bytes_written"]),
-                input_shapes=tuple(tuple(int(d) for d in s)
-                                   for s in raw["input_shapes"]),
-                output_shape=tuple(int(d) for d in raw["output_shape"]),
-                output_sparsity=float(raw["output_sparsity"]),
-                wall_time=float(extra.get("wall_time", 0.0)),
-                parents=tuple(int(p) for p in raw["parents"]),
-                live_bytes=int(extra.get("live_bytes", 0)),
-                t_start=float(extra.get("t_start", 0.0)),
-                sid=extra.get("sid"))
-            steps.append(PlanStep(
-                eid=int(raw["eid"]), kind=str(raw["kind"]),
-                name=str(raw["name"]), event=event,
-                output_shape=tuple(int(d) for d in raw["output_shape"]),
-                output_dtype=str(raw["output_dtype"]),
-                fingerprint=str(raw["fingerprint"]),
-                reuse_of=int(raw["reuse_of"]),
-                cache_as=bool(raw["cache_as"]),
-                group=int(raw["group"]), flush=bool(raw["flush"])))
-        group_seconds = payload.get("group_seconds") or []
-        groups: List[PlanGroup] = []
-        for raw, seconds in zip(payload["groups"], group_seconds):
-            by_cat = {row[0]: row for row in seconds}
-            rows = tuple(
-                (str(cat), int(count),
-                 float(by_cat[cat][1]) if cat in by_cat else 0.0,
-                 float(flops), float(nbytes),
-                 int(by_cat[cat][2]) if cat in by_cat else 0,
-                 int(by_cat[cat][3]) if cat in by_cat else 0)
-                for cat, count, flops, nbytes in raw["metric_rows"])
-            groups.append(PlanGroup(
-                index=int(raw["index"]), kind=str(raw["kind"]),
-                eids=tuple(int(e) for e in raw["eids"]),
-                metric_rows=rows))
-        arena = [ArenaBuffer(
-            eid=int(raw["eid"]),
-            shape=tuple(int(d) for d in raw["shape"]),
-            dtype=str(raw["dtype"]), nbytes=int(raw["nbytes"]),
-            sites=int(raw["sites"]))
-            for raw in payload["arena"]]
-        plan = cls(workload=str(payload["workload"]),
-                   params=_decode_params(payload.get("params_values", {})),
-                   steps=steps, groups=groups, arena=arena,
-                   peak_live_bytes=int(payload["peak_live_bytes"]),
-                   counters_digest=str(payload["counters_digest"]),
-                   version=version)
+        try:
+            steps = []
+            for raw in payload["steps"]:
+                event = TraceEvent(
+                    eid=int(raw["eid"]), name=str(raw["name"]),
+                    category=OpCategory(raw["category"]),
+                    phase=str(raw["phase"]), stage=str(raw["stage"]),
+                    flops=float(raw["flops"]),
+                    bytes_read=int(raw["bytes_read"]),
+                    bytes_written=int(raw["bytes_written"]),
+                    input_shapes=tuple(tuple(int(d) for d in s)
+                                       for s in raw["input_shapes"]),
+                    output_shape=tuple(int(d)
+                                       for d in raw["output_shape"]),
+                    output_sparsity=float(raw["output_sparsity"]),
+                    parents=tuple(int(p) for p in raw["parents"]),
+                    live_bytes=int(raw["live_bytes"]))
+                steps.append(PlanStep(
+                    eid=event.eid, kind=str(raw["kind"]), name=event.name,
+                    event=event, output_dtype=str(raw["output_dtype"])))
+            declared = int(payload["stats"]["steps"])
+            plan = cls(workload=str(payload["workload"]),
+                       params=dict(payload["params_values"]),
+                       steps=steps,
+                       peak_live_bytes=int(payload["peak_live_bytes"]),
+                       counters_digest=str(payload["counters_digest"]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise PlanError(f"malformed plan: missing or invalid field "
+                            f"{exc}") from None
+        if len(steps) != declared:
+            raise PlanError(f"plan declares {declared} steps but holds "
+                            f"{len(steps)}")
         plan.validate()
         return plan
 
@@ -349,7 +204,12 @@ class CompiledPlan:
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "CompiledPlan":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        """Read a plan file; unreadable or malformed files raise PlanError."""
+        try:
+            payload = json.loads(Path(path).read_text())
+        except (OSError, ValueError) as exc:
+            raise PlanError(f"cannot read plan {path}: {exc}") from None
+        return cls.from_dict(payload)
 
     # -- presentation --------------------------------------------------------
     def render(self) -> str:
@@ -360,9 +220,7 @@ class CompiledPlan:
             ["plan fact", "value"], rows,
             title=f"compiled plan: {self.workload or '<anonymous>'}")
         return (table + f"\ndigest {self.digest()[:16]}… · "
-                f"counters {self.counters_digest[:16]}… · "
-                f"modeled dispatch reduction "
-                f"{self.modeled_reduction():.1f}x")
+                f"counters {self.counters_digest[:16]}…")
 
 
 def _encode_params(params: Dict[str, object]) -> Dict[str, object]:
@@ -374,14 +232,3 @@ def _encode_params(params: Dict[str, object]) -> Dict[str, object]:
         else:
             out[key] = repr(value)
     return out
-
-
-def _decode_params(payload: Dict[str, object]) -> Dict[str, object]:
-    return dict(payload)
-
-
-def steps_for(plan: CompiledPlan,
-              eids: Sequence[int]) -> List[PlanStep]:
-    """The plan steps covering ``eids`` (diagnostics helper)."""
-    return [plan.steps[eid] for eid in eids
-            if 0 <= eid < len(plan.steps)]

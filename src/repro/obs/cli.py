@@ -12,7 +12,6 @@ Wired into the main ``repro`` parser by :func:`add_obs_subcommands`:
     python -m repro report nvsa --device rtx2080ti -o report.html
     python -m repro report nvsa --history benchmarks/history.jsonl
     python -m repro obs selfprof nvsa --json
-    python -m repro obs opportunities nvsa --top 20
     python -m repro obs history record --db benchmarks/history.jsonl
     python -m repro obs history show --db benchmarks/history.jsonl
     python -m repro obs history gate --db benchmarks/history.jsonl
@@ -27,9 +26,8 @@ speedscope.
 
 The ``obs`` group is the dispatch-overhead observatory: ``selfprof``
 prints the per-component dispatch ledger and compiled-tier headroom
-for one workload, ``opportunities`` prints the ranked fusion/hoist/
-prealloc work-list the plan compiler will consume, and ``history``
-maintains the committed longitudinal trajectory
+for one workload, and ``history`` maintains the committed
+longitudinal trajectory
 (``record`` appends a structured entry, ``show`` renders trends +
 change points, ``gate`` exits 6 on a regression beyond per-metric
 thresholds).
@@ -144,7 +142,7 @@ def add_obs_subcommands(sub: "argparse._SubParsersAction") -> None:
     obs = sub.add_parser(
         "obs",
         help="dispatch-overhead observatory: self-profiling ledger, "
-             "fusion-opportunity reports, longitudinal perf history")
+             "longitudinal perf history")
     obs_sub = obs.add_subparsers(dest="obs_command", required=True)
 
     selfprof = obs_sub.add_parser(
@@ -160,21 +158,6 @@ def add_obs_subcommands(sub: "argparse._SubParsersAction") -> None:
                           help="print the full ledger as JSON "
                                "(deterministic + measured splits)")
 
-    opportunities = obs_sub.add_parser(
-        "opportunities",
-        help="scan a workload's trace for fusible chains, "
-             "loop-invariant rebuilds, and repeated allocations — the "
-             "repro.compile work-list")
-    opportunities.add_argument("workload",
-                               help="registered workload name")
-    opportunities.add_argument("--seed", type=int, default=0)
-    opportunities.add_argument("--top", type=int, default=15,
-                               help="rows to print (default 15)")
-    opportunities.add_argument("--json", action="store_true",
-                               help="print the ranked report as JSON")
-    opportunities.add_argument("-o", "--output", default=None,
-                               help="also write the JSON report here")
-
     history = obs_sub.add_parser(
         "history",
         help="longitudinal perf history: record / show / gate")
@@ -184,7 +167,7 @@ def add_obs_subcommands(sub: "argparse._SubParsersAction") -> None:
 
     h_record = history_sub.add_parser(
         "record", help="append a structured perf entry (ledger, "
-                       "headroom, opportunities, bench results)")
+                       "headroom, plan facts, bench results)")
     h_record.add_argument("--db", default=DEFAULT_HISTORY,
                           help=f"history database "
                                f"(default {DEFAULT_HISTORY})")
@@ -379,23 +362,6 @@ def _run_selfprof(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_opportunities(args: argparse.Namespace) -> int:
-    from repro.obs.opportune import analyze_trace
-    trace = _profile(args.workload, args.seed)
-    report = analyze_trace(trace)
-    payload = json.dumps(report.to_dict(), indent=1, sort_keys=True)
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(payload + "\n")
-    if args.json:
-        print(payload)
-    else:
-        print(report.render(top=args.top))
-        print(f"report digest {report.digest()[:16]}"
-              + (f"; wrote {args.output}" if args.output else ""))
-    return 0
-
-
 def _run_history(args: argparse.Namespace) -> int:
     from repro.obs.history import (EXIT_TREND_REGRESSION, append_entry,
                                    detect_regressions, entry_from_sources,
@@ -458,8 +424,6 @@ def _gated(metric: str, overrides) -> bool:
 def _run_obs(args: argparse.Namespace) -> int:
     if args.obs_command == "selfprof":
         return _run_selfprof(args)
-    if args.obs_command == "opportunities":
-        return _run_opportunities(args)
     return _run_history(args)
 
 

@@ -6,8 +6,8 @@ drifts silently between commits.  This module is the durable store
 and the gate:
 
 * a :class:`HistoryEntry` is one structured snapshot — dispatch
-  overhead ledger metrics, compiled-tier headroom, opportunity-report
-  projections, plus whatever the structured benchmark results under
+  overhead ledger metrics, compiled-tier headroom, compiled-plan step
+  counts, plus whatever the structured benchmark results under
   ``benchmarks/results/*.json`` report — appended to a committed
   ``benchmarks/history.jsonl``;
 * :func:`detect_regressions` diffs the newest entry against a robust
@@ -20,8 +20,8 @@ and the gate:
   trend section of the HTML run report (:mod:`repro.obs.report`).
 
 Gated metrics are **deterministic by construction** (modeled ledger
-overhead, analytic headroom, opportunity projections — pure functions
-of the op stream and the frozen cost model), so the gate holds a hard
+overhead, analytic headroom, plan step counts — pure functions of the
+op stream and the frozen cost model), so the gate holds a hard
 line without machine noise.  Measured metrics (benchmark overheads,
 serve throughput) are recorded and trended but ungated by default;
 pass ``--threshold`` to gate them on a dedicated perf host.
@@ -147,18 +147,16 @@ class MetricPolicy:
 
 
 #: longest-prefix-match policy table.  Deterministic dispatch/headroom
-#: /opportunity metrics gate hard (any growth beyond 5% of modeled
-#: overhead is a real dispatcher change, not noise); measured bench
-#: metrics trend but do not gate by default.
+#: metrics gate hard (any growth beyond 5% of modeled overhead is a
+#: real dispatcher change, not noise); measured bench metrics trend
+#: but do not gate by default.
 DEFAULT_POLICIES: Dict[str, MetricPolicy] = {
     "dispatch.": MetricPolicy(threshold=0.05, higher_is_worse=True),
     "headroom.": MetricPolicy(threshold=0.05, higher_is_worse=True),
-    "opportunities.": MetricPolicy(threshold=None),
     "bench.": MetricPolicy(threshold=None),
     "serve.": MetricPolicy(threshold=None, higher_is_worse=False),
-    # compiled-tier facts are deterministic plan properties; a drop in
-    # the modeled dispatch reduction (or in captured step counts) is a
-    # real compiler/capture change, not noise
+    # compiled-plan step counts are deterministic; a drop is a real
+    # capture change, not noise
     "compile.": MetricPolicy(threshold=0.05, higher_is_worse=False),
 }
 
@@ -322,10 +320,6 @@ _RESULT_METRICS: Tuple[Tuple[str, str, Tuple[str, ...]], ...] = (
      ("throughput_rps",)),
     ("dispatch_overhead", "bench.dispatch_on_path_overhead",
      ("on_path_overheads", "nvsa")),
-    ("compile_speedup", "bench.compile_reduction.nvsa",
-     ("reductions", "nvsa")),
-    ("compile_speedup", "bench.compile_reduction.prae",
-     ("reductions", "prae")),
 )
 
 
@@ -371,16 +365,14 @@ def entry_from_sources(workloads: Sequence[str] = ("nvsa", "prae"),
 
     All gated metrics are deterministic: modeled ledger overhead,
     analytic compiled-tier headroom (modeled overhead vs the device
-    model's projected latency), and opportunity-report projections.
+    model's projected latency), and compiled-plan step counts.
     Pass ``created=""``/``sha=""`` to build identity-stable entries
     (tests assert two seeded builds are bit-identical).
     """
-    from repro.compile.capture import PlanCapturer
-    from repro.compile.passes import plan_from_trace
+    from repro.compile.capture import PlanCapturer, capture_program_plan
     from repro.core.analysis import latency_breakdown
     from repro.hwsim.devices import RTX_2080TI
     from repro.obs import selfprof
-    from repro.obs.opportune import analyze_trace
     from repro.obs.runrec import counters_digest, git_sha
     from repro.tensor.context import op_observer
     device = device if device is not None else RTX_2080TI
@@ -397,25 +389,15 @@ def entry_from_sources(workloads: Sequence[str] = ("nvsa", "prae"),
             with op_observer(capturer):
                 trace = create(name, seed=seed).profile()
         projected = latency_breakdown(trace, device).total_time
-        report = analyze_trace(trace)
-        plan = plan_from_trace(trace, capturer, report=report,
-                               workload=name)
+        plan = capture_program_plan(trace, capturer, workload=name)
         metrics[f"dispatch.{name}.ops"] = float(ledger.ops)
         metrics[f"dispatch.{name}.modeled_overhead_ns"] = float(
             ledger.modeled_overhead_ns())
         metrics[f"headroom.{name}.pct"] = round(
             100.0 * ledger.modeled_headroom(projected), 6)
-        metrics[f"opportunities.{name}.count"] = float(
-            len(report.opportunities))
-        metrics[f"opportunities.{name}.projected_saved_ns"] = float(
-            report.total_projected_saved_ns)
         metrics[f"compile.{name}.steps"] = float(len(plan.steps))
-        metrics[f"compile.{name}.groups"] = float(len(plan.groups))
-        metrics[f"compile.{name}.modeled_reduction_x"] = round(
-            plan.modeled_reduction(), 6)
         digests[name] = {
             "ledger": ledger.digest(),
-            "opportunities": report.digest(),
             "counters": counters_digest(trace),
             "plan": plan.digest(),
         }

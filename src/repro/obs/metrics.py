@@ -388,57 +388,6 @@ class RuntimeMetrics:
             if live_bytes > values.get((), float("-inf")):
                 values[()] = live_bytes
 
-    def observe_op_group(self, category: str, count: int,
-                         seconds_total: float, flops_total: float,
-                         nbytes_total: float, live_bytes: float,
-                         peak_live_bytes: float) -> None:
-        """Record ``count`` ops of one category in a single update.
-
-        The compiled execution tier (``repro.compile.executor``)
-        flushes one pre-aggregated row per plan group instead of
-        calling :meth:`observe_op` per op.  Counter totals (ops,
-        flops, bytes), histogram count/sum, and the live-byte gauges
-        land exactly where ``count`` individual calls would put them;
-        the only documented difference is the latency histogram's
-        bucket placement, which files all ``count`` observations at
-        the group's *mean* per-op latency (per-op walls are not
-        replayed individually).  Latency buckets are measured, not
-        part of the deterministic bit-exactness contract.
-        """
-        if count <= 0:
-            return
-        if not (flops_total == flops_total and flops_total > 0.0):
-            flops_total = 0.0
-        if nbytes_total < 0.0:
-            nbytes_total = 0.0
-        mean_seconds = seconds_total / count
-        hist = self.op_latency
-        with self._op_lock:
-            key = self._cat_keys.get(category)
-            if key is None:
-                key = self._cat_keys.setdefault(category, (category,))
-            values = self.ops_total._values
-            values[key] = values.get(key, 0.0) + float(count)
-            values = self.flops_total._values
-            values[()] = values.get((), 0.0) + flops_total
-            values = self.bytes_total._values
-            values[()] = values.get((), 0.0) + nbytes_total
-            counts = hist._counts.get(key)
-            if counts is None:
-                counts = hist._counts.setdefault(
-                    key, [0] * len(hist.buckets))
-            for i, bound in enumerate(hist.buckets):
-                if mean_seconds <= bound:
-                    counts[i] += count
-                    break
-            hist._sums[key] = hist._sums.get(key, 0.0) + seconds_total
-            hist._totals[key] = hist._totals.get(key, 0) + count
-            values = self.live_bytes._values
-            values[()] = live_bytes
-            values = self.peak_live_bytes._values
-            if peak_live_bytes > values.get((), float("-inf")):
-                values[()] = peak_live_bytes
-
 
 #: Process-default runtime (disabled until :func:`enable`).
 _RUNTIME = RuntimeMetrics()
@@ -563,18 +512,6 @@ def observe_op(category: str, seconds: float, flops: float,
     runtime = stack[-1] if stack else _RUNTIME
     if runtime.enabled:
         runtime.observe_op(category, seconds, flops, nbytes, live_bytes)
-
-
-def observe_op_group(category: str, count: int, seconds_total: float,
-                     flops_total: float, nbytes_total: float,
-                     live_bytes: float, peak_live_bytes: float) -> None:
-    """Record a pre-aggregated group of ops (compiled-replay path)."""
-    stack = _runtime_stack()
-    runtime = stack[-1] if stack else _RUNTIME
-    if runtime.enabled:
-        runtime.observe_op_group(category, count, seconds_total,
-                                 flops_total, nbytes_total, live_bytes,
-                                 peak_live_bytes)
 
 
 def observe_fault(kind: str) -> None:

@@ -10,20 +10,20 @@ tier (ROADMAP item 1) can claim to eliminate that overhead, we have
 to be able to *measure* it.
 
 When :data:`ENABLED` is on (off by default; use
-:func:`scoped_ledger`), the dispatcher routes through an instrumented
-path that brackets each named component with paired
-:func:`repro.obs.clock.perf_ns` probes and feeds the integer-ns
-deltas into the active :class:`DispatchLedger`.  Probes are placed at
-*segment boundaries*, so the component times of one op telescope —
-they tile the op's instrumented wall time exactly, by construction
-(asserted in ``tests/test_selfprof.py``).  When the flag is off the
-dispatcher pays one module-attribute load and branch per op; the
-traced events are bit-identical either way (same counters digest).
+:func:`scoped_ledger`), the dispatcher brackets each named component
+with paired :func:`repro.obs.clock.perf_ns` probes and feeds the
+integer-ns deltas into the active :class:`DispatchLedger`.  Probes are
+placed at *segment boundaries*, so the component times of one op
+telescope — they tile the op's instrumented wall time exactly, by
+construction (asserted in ``tests/test_selfprof.py``).  When the flag
+is off each probe point costs one ``None`` test; the traced events are
+bit-identical either way (same counters digest).  Compiled replays
+(:mod:`repro.compile`) go through the same probes.
 
 The ledger rolls up per **operator category** and exposes the
 **compiled-tier headroom** estimate: the fraction of projected
-workload latency a plan that dispatches once per *fused region*
-instead of once per op could reclaim.  Two splits are maintained, in
+workload latency a plan that eliminated per-op dispatch overhead
+could reclaim.  Two splits are maintained, in
 the same deterministic/measured discipline as
 :class:`repro.serve.stats.ServerStats`:
 
@@ -54,20 +54,18 @@ __all__ = [
 #: compute itself; everything else is dispatch overhead a compiled
 #: plan could amortize or eliminate.
 COMPONENTS: Tuple[str, ...] = (
-    "taxonomy",   # category_for() registry lookup
+    "taxonomy",   # thread-state read + category_for() (replay: step check)
     "inputs",     # _split_inputs: coercion, byte counts, parent eids
-    "fault",      # active_context + fault-hook consultation
+    "fault",      # fault-hook consultation
     "kernel",     # the numpy kernel (compute(*arrays) + asarray)
-    "counters",   # flops/bytes/sparsity computation + injection apply
+    "counters",   # flops/bytes/sparsity (replay: captured) + injection
     "span",       # eid allocation + innermost-sid lookup
-    "record",     # TraceEvent construction + ctx.record
+    "record",     # allocation tracking + TraceEvent + ctx.record
     "observer",   # op-observer notification (repro.fuzz harvest)
     "metrics",    # metrics-registry branch (observe_op when enabled)
 )
 
-#: The components a compiled execution tier eliminates (one plan-level
-#: dispatch replaces per-op bookkeeping; counters are computed
-#: analytically in bulk).  Everything except the kernel itself.
+#: Dispatch overhead: every component except the kernel itself.
 OVERHEAD_COMPONENTS: Tuple[str, ...] = tuple(
     c for c in COMPONENTS if c != "kernel")
 
@@ -76,9 +74,9 @@ OVERHEAD_COMPONENTS: Tuple[str, ...] = tuple(
 #: (CPython 3.11, x86-64; see benchmarks/bench_dispatch_overhead.py —
 #: measured values are re-reported there on every run so drift in the
 #: calibration is visible).  The *model* is deliberately frozen: it
-#: makes modeled overhead, headroom, and opportunity projections pure
-#: functions of the op stream, so two seeded runs agree bit-for-bit
-#: and the history gate can hold a hard line on them.
+#: makes modeled overhead and headroom projections pure functions of
+#: the op stream, so two seeded runs agree bit-for-bit and the history
+#: gate can hold a hard line on them.
 MODELED_COMPONENT_NS: Dict[str, int] = {
     "taxonomy": 150,
     "inputs": 450,

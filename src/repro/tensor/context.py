@@ -30,22 +30,31 @@ collector; ``phase()`` and ``stage()`` open child spans.  The
 resulting span tree lands on ``trace.spans`` and gives exporters
 (:mod:`repro.obs`) a hierarchical timeline above the flat op list.
 
-Fault hooks: alongside the profiling-context stack this module keeps a
-thread-local *fault-hook* stack.  A hook (in practice a
+Per-thread dispatch state: the profiling-context stack, the fault-hook
+stack, the op-observer stack and the plan-session stack of a thread
+live in one :class:`DispatchState`, whose attributes mirror each
+stack's top, so the dispatcher reads all four with one thread-local
+lookup per op.
+
+Fault hooks: a hook (in practice a
 :class:`repro.resilience.faults.FaultPlan`) is consulted by the
 dispatcher once per recorded operation and may answer with an injection
 — poisoned counters, simulated latency, an allocation blowup, or a
 raised :class:`InjectedFaultError`.  The tensor layer only defines the
 protocol; all fault policy lives in :mod:`repro.resilience`.
 
-Op observers: a third thread-local stack holds *op observers* —
-objects with an ``observe_op(event, inputs, output)`` method that the
+Op observers: *op observers* are objects with an
+``observe_op(event, inputs, output)`` method that the
 dispatcher calls once per recorded tensor op, passing the freshly
 recorded :class:`~repro.core.profiler.TraceEvent` together with the
 raw input values and output array.  Observers see what the trace
 cannot: dtypes and exact input byte counts.  The fuzzing harvester
 (:mod:`repro.fuzz.harvest`) is the canonical observer; install one
 with the :func:`op_observer` context manager.
+
+Plan sessions: :func:`repro.compile.executor.plan_session` pushes a
+session; while it is open the dispatcher replays each op against the
+session's compiled plan.
 """
 
 from __future__ import annotations
@@ -53,24 +62,62 @@ from __future__ import annotations
 import threading
 import weakref
 from contextlib import contextmanager
-from typing import Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 from repro.core.profiler import Trace, TraceEvent
 from repro.obs import spans as _spans
 
-_state = threading.local()
+
+class DispatchState:
+    """What the dispatcher consults on every op, for one thread.
+
+    The innermost profiling context, fault hook, op observer and plan
+    session (``None`` when absent) are kept as plain attributes, so the
+    dispatcher reads them all through one thread-local lookup per op.
+    Each slot is a stack: :meth:`push` and :meth:`pop` keep the
+    attribute equal to its top.
+    """
+
+    __slots__ = ("context", "fault_hook", "observer", "session",
+                 "_stacks")
+
+    def __init__(self) -> None:
+        self.context: Optional[ProfileContext] = None
+        self.fault_hook: Optional[object] = None
+        self.observer: Optional[object] = None
+        #: a :class:`repro.compile.executor.PlanSession`; the dispatcher
+        #: replays ops against it while it is open
+        self.session: Optional[object] = None
+        self._stacks: Dict[str, List[object]] = {
+            slot: [] for slot in ("context", "fault_hook", "observer",
+                                  "session")}
+
+    def push(self, slot: str, value: object) -> None:
+        """Make ``value`` the innermost entry of ``slot``."""
+        self._stacks[slot].append(value)
+        setattr(self, slot, value)
+
+    def pop(self, slot: str, value: object) -> None:
+        """Remove ``value``; it must be the innermost entry of ``slot``."""
+        stack = self._stacks[slot]
+        if not stack or stack[-1] is not value:
+            raise RuntimeError(f"{slot} entries exited out of order")
+        stack.pop()
+        setattr(self, slot, stack[-1] if stack else None)
 
 
-def _ctx_stack() -> List["ProfileContext"]:
-    if not hasattr(_state, "stack"):
-        _state.stack = []
-    return _state.stack
+class _ThreadLocal(threading.local):
+    def __init__(self) -> None:
+        self.dispatch = DispatchState()
+
+
+#: ``thread_local.dispatch`` is the calling thread's :class:`DispatchState`.
+thread_local = _ThreadLocal()
 
 
 def active_context() -> Optional["ProfileContext"]:
     """The innermost active profiling context, or ``None``."""
-    stack = _ctx_stack()
-    return stack[-1] if stack else None
+    return thread_local.dispatch.context
 
 
 class InjectedFaultError(RuntimeError):
@@ -89,12 +136,6 @@ class InjectedFaultError(RuntimeError):
         self.transient = transient
 
 
-def _fault_stack() -> List[object]:
-    if not hasattr(_state, "fault_stack"):
-        _state.fault_stack = []
-    return _state.fault_stack
-
-
 def active_fault_hook() -> Optional[object]:
     """The innermost installed fault hook, or ``None``.
 
@@ -103,28 +144,17 @@ def active_fault_hook() -> Optional[object]:
     (``raises``/``poison``/``extra_latency``/``blocking``/
     ``extra_live_bytes`` attributes).
     """
-    stack = _fault_stack()
-    return stack[-1] if stack else None
+    return thread_local.dispatch.fault_hook
 
 
 def push_fault_hook(hook: object) -> None:
     """Install ``hook`` as the active fault hook for this thread."""
-    _fault_stack().append(hook)
+    thread_local.dispatch.push("fault_hook", hook)
 
 
 def pop_fault_hook(hook: object) -> None:
     """Remove ``hook``; it must be the innermost installed hook."""
-    stack = _fault_stack()
-    if stack and stack[-1] is hook:
-        stack.pop()
-    else:  # pragma: no cover - misuse guard
-        raise RuntimeError("fault hooks exited out of order")
-
-
-def _observer_stack() -> List[object]:
-    if not hasattr(_state, "observer_stack"):
-        _state.observer_stack = []
-    return _state.observer_stack
+    thread_local.dispatch.pop("fault_hook", hook)
 
 
 def active_op_observer() -> Optional[object]:
@@ -136,22 +166,17 @@ def active_op_observer() -> Optional[object]:
     call order) and ``output`` the raw output array.  Observers must
     not mutate any of the three.
     """
-    stack = _observer_stack()
-    return stack[-1] if stack else None
+    return thread_local.dispatch.observer
 
 
 def push_op_observer(observer: object) -> None:
     """Install ``observer`` as the active op observer for this thread."""
-    _observer_stack().append(observer)
+    thread_local.dispatch.push("observer", observer)
 
 
 def pop_op_observer(observer: object) -> None:
     """Remove ``observer``; it must be the innermost installed one."""
-    stack = _observer_stack()
-    if stack and stack[-1] is observer:
-        stack.pop()
-    else:  # pragma: no cover - misuse guard
-        raise RuntimeError("op observers exited out of order")
+    thread_local.dispatch.pop("observer", observer)
 
 
 @contextmanager
@@ -189,6 +214,11 @@ class ProfileContext:
         self._next_eid += 1
         return eid
 
+    @property
+    def pending_eid(self) -> int:
+        """The eid the next recorded event will get."""
+        return self._next_eid
+
     def record(self, event: TraceEvent) -> None:
         self.trace.append(event)
 
@@ -216,9 +246,9 @@ class ProfileContext:
 
     # -- context-manager protocol ---------------------------------------------
     def __enter__(self) -> "ProfileContext":
-        stack = _ctx_stack()
-        self._parent = stack[-1] if stack else None
-        stack.append(self)
+        state = thread_local.dispatch
+        self._parent = state.context
+        state.push("context", self)
         _spans.install_collector(self.trace.spans)
         self._span = _spans.push_span(
             "profile:" + (self.trace.workload or "untitled"),
@@ -226,11 +256,7 @@ class ProfileContext:
         return self
 
     def __exit__(self, *exc_info: object) -> None:
-        stack = _ctx_stack()
-        if stack and stack[-1] is self:
-            stack.pop()
-        else:  # pragma: no cover - misuse guard
-            raise RuntimeError("profile contexts exited out of order")
+        thread_local.dispatch.pop("context", self)
         if self._span is not None:
             _spans.pop_span(self._span)
             self._span = None

@@ -17,6 +17,11 @@ code (rule search loops, theorem-prover traversals) that does not map
 onto a single tensor kernel: it wraps a Python block, measures its wall
 time, and records one aggregate event — mirroring how the paper's
 "Others" operator category captures fuzzy-logic and logic-rule work.
+
+All three entry points build their event in one place (:func:`_record`)
+and read the thread's context, fault hook, observer and plan session
+from one :class:`~repro.tensor.context.DispatchState`.  Compiled replay
+and self-profiling are branches of :func:`run_op`, not separate paths.
 """
 
 from __future__ import annotations
@@ -34,15 +39,9 @@ from repro.obs import selfprof as _selfprof
 from repro.obs.clock import perf_ns as _perf_ns
 from repro.obs.spans import current_span as _current_span
 from repro.obs.spans import now as _now
-from repro.tensor.context import (InjectedFaultError, ProfileContext,
-                                  active_context, active_fault_hook,
-                                  active_op_observer)
+from repro.tensor.context import InjectedFaultError, ProfileContext
+from repro.tensor.context import thread_local as _thread_local
 from repro.tensor.tensor import Tensor
-
-# imported last: repro.compile.executor reaches back into the two
-# tensor modules above, and this ordering keeps the cycle resolvable
-# from either import direction
-import repro.compile.executor as _planexec  # noqa: E402
 
 #: Arrays larger than this skip sparsity measurement (keeps dispatch cheap).
 _SPARSITY_MEASURE_LIMIT = 1 << 26
@@ -95,17 +94,14 @@ def _injection_kind(injection: object) -> str:
     return "other"
 
 
-def _consider_fault(name: str) -> Optional[object]:
-    """Ask the active fault hook about this op; raise if it says so.
+def _consider_fault(hook: object, ctx: Optional[ProfileContext],
+                    name: str) -> Optional[object]:
+    """Ask the fault hook about this op; raise if it says so.
 
     Returns the injection object (or ``None``) so the caller can apply
     the non-raising effects: counter poisoning, simulated latency, and
     allocation blowups.
     """
-    hook = active_fault_hook()
-    if hook is None:
-        return None
-    ctx = active_context()
     phase = ctx.current_phase if ctx is not None else ""
     stage = ctx.current_stage if ctx is not None else ""
     injection = hook.consider(name, phase, stage)
@@ -164,6 +160,36 @@ def _measure_sparsity(arr: np.ndarray) -> float:
     return 1.0 - np.count_nonzero(arr) / arr.size
 
 
+def _record(ctx: ProfileContext, eid: int, sid: Optional[int], name: str,
+            category: OpCategory, flops: float, bytes_read: int,
+            bytes_written: int, wall_time: float, t_start: float,
+            live_bytes: int, parents: Tuple[int, ...] = (),
+            input_shapes: Tuple[Tuple[int, ...], ...] = (),
+            output_shape: Tuple[int, ...] = (),
+            output_sparsity: float = 0.0) -> TraceEvent:
+    """Build one trace event and append it to ``ctx``.
+
+    The only place an op or a region becomes a
+    :class:`~repro.core.profiler.TraceEvent`; phase and stage are read
+    from ``ctx`` here, so every event is labelled the same way.
+    """
+    # positional, in field order: keyword construction costs about
+    # three times as much, on every op
+    event = TraceEvent(eid, name, category, ctx.current_phase,
+                       ctx.current_stage, float(flops), bytes_read,
+                       bytes_written, input_shapes, output_shape,
+                       output_sparsity, wall_time, parents, live_bytes,
+                       t_start, sid)
+    ctx.record(event)
+    return event
+
+
+def _observe_metrics(event: TraceEvent) -> None:
+    _metrics.observe_op(event.category.value, event.wall_time, event.flops,
+                        event.bytes_read + event.bytes_written,
+                        event.live_bytes)
+
+
 def run_op(name: str,
            category: Optional[OpCategory] = None,
            compute: Callable[..., np.ndarray] = None,  # type: ignore[assignment]
@@ -193,178 +219,112 @@ def run_op(name: str,
         tables touched inside the kernel).
     bytes_written:
         Override for written bytes; defaults to the output's nbytes.
+
+    With a plan session open on this thread (compiled replay,
+    :mod:`repro.compile.executor`), the op must be the one the plan
+    captured at this eid; the captured event's counters (category,
+    FLOPs, bytes, shapes, sparsity, parents, live bytes) stand in for
+    counting and allocation tracking.  Everything else — kernel, eid,
+    phase/stage, span id, timing, observer, metrics, ledger — is the
+    eager path.
+
+    With self-profiling on (:func:`repro.obs.selfprof.scoped_ledger`),
+    ten :func:`repro.obs.clock.perf_ns` probes at shared segment
+    boundaries split the op into the nine
+    :data:`~repro.obs.selfprof.COMPONENTS`, whose integer-ns deltas
+    telescope to the op's instrumented wall time; the parts go to the
+    active :class:`~repro.obs.selfprof.DispatchLedger`.
     """
-    if _planexec.ENABLED:
-        # compiled tier: a thread with an open plan session replays
-        # this op against its positional plan (bit-exact contract);
-        # other threads fall through to eager dispatch
-        session = _planexec.active_session()
-        if session is not None:
-            return session.replay_op(name, compute, inputs)
-    if _selfprof.ENABLED:
-        # self-profiling path: identical semantics, with paired
-        # perf_ns probes bracketing each dispatch component
-        return _run_op_ledgered(
-            name, category, compute, inputs, flops=flops,
-            flop_factor=flop_factor, extra_bytes_read=extra_bytes_read,
-            bytes_written=bytes_written,
-            measure_sparsity=measure_sparsity)
-    if category is None:
+    ledger = _selfprof.active_ledger() if _selfprof.ENABLED else None
+    if ledger is not None:
+        p0 = _perf_ns()
+    state = _thread_local.dispatch
+    ctx = state.context
+    captured = None
+    if ctx is not None and state.session is not None:
+        captured = state.session.expect(ctx.pending_eid, name)
+        category = captured.category
+    elif category is None:
         category = category_for(name)
-    arrays, bytes_read, shapes, parents = _split_inputs(inputs)
-    ctx = active_context()
-    injection = _consider_fault(name)
-    if ctx is None:
-        out = compute(*arrays)
-        out_arr = np.asarray(out)
-        _, poison, _ = _apply_injection(injection, 0.0)
-        if poison is not None:
-            out_arr = _poison_array(out_arr, poison)
-        return Tensor(out_arr)
-
-    t_start = _now()
-    out = compute(*arrays)
-    elapsed = _now() - t_start
-    out_arr = np.asarray(out)
-    elapsed, poison, extra_live = _apply_injection(injection, elapsed)
-    if poison is not None:
-        out_arr = _poison_array(out_arr, poison)
-
-    if flops is None:
-        flops = flop_factor * out_arr.size
-    written = out_arr.nbytes if bytes_written is None else bytes_written
-    sparsity = _measure_sparsity(out_arr) if measure_sparsity else 0.0
-    if poison is not None:
-        flops = poison
-        sparsity = poison
-
-    eid = ctx.next_eid()
-    result = Tensor(out_arr, producer=eid)
-    live_bytes = ctx.live_bytes + extra_live
-    event = TraceEvent(
-        eid=eid,
-        name=name,
-        category=category,
-        phase=ctx.current_phase,
-        stage=ctx.current_stage,
-        flops=float(flops),
-        bytes_read=bytes_read + extra_bytes_read,
-        bytes_written=written,
-        input_shapes=shapes,
-        output_shape=out_arr.shape,
-        output_sparsity=sparsity,
-        wall_time=elapsed,
-        parents=parents,
-        live_bytes=live_bytes,
-        t_start=t_start,
-        sid=_current_sid(),
-    )
-    ctx.record(event)
-    observer = active_op_observer()
-    if observer is not None:
-        # observers see dtypes and exact input values, which the trace
-        # event intentionally omits (repro.fuzz.harvest relies on this)
-        observer.observe_op(event, arrays, out_arr)
-    if _metrics.ENABLED:
-        _metrics.observe_op(category.value, elapsed, float(flops),
-                            bytes_read + extra_bytes_read + written,
-                            live_bytes)
-    return result
-
-
-def _run_op_ledgered(name: str,
-                     category: Optional[OpCategory],
-                     compute: Callable[..., np.ndarray],
-                     inputs: Sequence[InputLike],
-                     *,
-                     flops: Optional[float],
-                     flop_factor: float,
-                     extra_bytes_read: int,
-                     bytes_written: Optional[int],
-                     measure_sparsity: bool) -> Tensor:
-    """:func:`run_op` with dispatch-overhead self-profiling.
-
-    Semantically identical to the plain path — it must produce the
-    same trace event, counters, and output tensor (asserted by
-    counter-digest equality in ``tests/test_selfprof.py``) — but each
-    component of the dispatch is bracketed by
-    :func:`repro.obs.clock.perf_ns` probes placed at *shared segment
-    boundaries*: consecutive integer-ns deltas telescope, so the
-    component times of one op sum exactly to its instrumented wall
-    time.  The deltas feed the active
-    :class:`repro.obs.selfprof.DispatchLedger`.
-    """
-    ledger = _selfprof.active_ledger()
-    p0 = _perf_ns()
-    if category is None:
-        category = category_for(name)
-    p1 = _perf_ns()                                # taxonomy
-    arrays, bytes_read, shapes, parents = _split_inputs(inputs)
-    p2 = _perf_ns()                                # inputs
-    ctx = active_context()
-    injection = _consider_fault(name)
-    p3 = _perf_ns()                                # fault
+    if ledger is not None:
+        p1 = _perf_ns()                                # taxonomy
+    if captured is None:
+        arrays, bytes_read, shapes, parents = _split_inputs(inputs)
+    else:
+        arrays = []
+        for value in inputs:
+            arrays.append(value.data if isinstance(value, Tensor) else value)
+    if ledger is not None:
+        p2 = _perf_ns()                                # inputs
+    hook = state.fault_hook
+    injection = None if hook is None else _consider_fault(hook, ctx, name)
+    if ledger is not None:
+        p3 = _perf_ns()                                # fault
     if ctx is None:
         # untraced dispatch records no event, so there is nothing to
-        # attribute — mirror the plain untraced path, skip the ledger
-        out = compute(*arrays)
-        out_arr = np.asarray(out)
+        # attribute: compute, apply the injection, skip the ledger
+        out_arr = np.asarray(compute(*arrays))
         _, poison, _ = _apply_injection(injection, 0.0)
         if poison is not None:
             out_arr = _poison_array(out_arr, poison)
-        return Tensor(out_arr)
+        return Tensor(out_arr, _track=False)
 
     t_start = _now()
     out = compute(*arrays)
     elapsed = _now() - t_start
     out_arr = np.asarray(out)
-    p4 = _perf_ns()                                # kernel
-    elapsed, poison, extra_live = _apply_injection(injection, elapsed)
-    if poison is not None:
-        out_arr = _poison_array(out_arr, poison)
-    if flops is None:
-        flops = flop_factor * out_arr.size
-    written = out_arr.nbytes if bytes_written is None else bytes_written
-    sparsity = _measure_sparsity(out_arr) if measure_sparsity else 0.0
+    if ledger is not None:
+        p4 = _perf_ns()                                # kernel
+    poison, extra_live = None, 0
+    if injection is not None:
+        elapsed, poison, extra_live = _apply_injection(injection, elapsed)
+        if poison is not None:
+            out_arr = _poison_array(out_arr, poison)
+    if captured is None:
+        if flops is None:
+            flops = flop_factor * out_arr.size
+        bytes_read += extra_bytes_read
+        written = out_arr.nbytes if bytes_written is None else bytes_written
+        sparsity = _measure_sparsity(out_arr) if measure_sparsity else 0.0
+    else:
+        if out_arr.shape != captured.output_shape:
+            state.session.diverged(captured, out_arr.shape)
+        flops = captured.flops
+        bytes_read = captured.bytes_read
+        written = captured.bytes_written
+        sparsity = captured.output_sparsity
+        shapes = captured.input_shapes
+        parents = captured.parents
     if poison is not None:
         flops = poison
         sparsity = poison
-    p5 = _perf_ns()                                # counters
+    if ledger is not None:
+        p5 = _perf_ns()                                # counters
     eid = ctx.next_eid()
     sid = _current_sid()
-    p6 = _perf_ns()                                # span
-    result = Tensor(out_arr, producer=eid)
-    live_bytes = ctx.live_bytes + extra_live
-    event = TraceEvent(
-        eid=eid,
-        name=name,
-        category=category,
-        phase=ctx.current_phase,
-        stage=ctx.current_stage,
-        flops=float(flops),
-        bytes_read=bytes_read + extra_bytes_read,
-        bytes_written=written,
-        input_shapes=shapes,
-        output_shape=out_arr.shape,
-        output_sparsity=sparsity,
-        wall_time=elapsed,
-        parents=parents,
-        live_bytes=live_bytes,
-        t_start=t_start,
-        sid=sid,
-    )
-    ctx.record(event)
-    p7 = _perf_ns()                                # record
-    observer = active_op_observer()
-    if observer is not None:
-        observer.observe_op(event, arrays, out_arr)
-    p8 = _perf_ns()                                # observer
-    if _metrics.ENABLED:
-        _metrics.observe_op(category.value, elapsed, float(flops),
-                            bytes_read + extra_bytes_read + written,
-                            live_bytes)
-    p9 = _perf_ns()                                # metrics
     if ledger is not None:
+        p6 = _perf_ns()                                # span
+    result = Tensor(out_arr, eid, False)    # untracked; tracked here
+    if captured is None:
+        ctx.track_allocation(result, out_arr.nbytes)
+        live_bytes = ctx.live_bytes + extra_live
+    else:
+        live_bytes = captured.live_bytes + extra_live
+    event = _record(ctx, eid, sid, name, category, flops, bytes_read,
+                    written, elapsed, t_start, live_bytes, parents,
+                    shapes, out_arr.shape, sparsity)
+    if ledger is not None:
+        p7 = _perf_ns()                                # record
+    if state.observer is not None:
+        # observers see dtypes and exact input values, which the trace
+        # event intentionally omits (repro.fuzz.harvest relies on this)
+        state.observer.observe_op(event, arrays, out_arr)
+    if ledger is not None:
+        p8 = _perf_ns()                                # observer
+    if _metrics.ENABLED:
+        _observe_metrics(event)
+    if ledger is not None:
+        p9 = _perf_ns()                                # metrics
         ledger.record(category.value, {
             "taxonomy": p1 - p0,
             "inputs": p2 - p1,
@@ -391,31 +351,27 @@ def record_event(name: str,
                  output_shape: Tuple[int, ...] = (),
                  output_sparsity: float = 0.0) -> Optional[int]:
     """Record a standalone event (no tensor output); returns its eid."""
-    ctx = active_context()
+    state = _thread_local.dispatch
+    ctx = state.context
     if ctx is None:
         return None
-    injection = _consider_fault(name)
+    hook = state.fault_hook
+    injection = None if hook is None else _consider_fault(hook, ctx, name)
     wall_time, poison, extra_live = _apply_injection(injection, wall_time)
     if poison is not None:
         flops = poison
         output_sparsity = poison
-    eid = ctx.next_eid()
-    live_bytes = ctx.live_bytes + extra_live
-    ctx.record(TraceEvent(
-        eid=eid, name=name, category=category,
-        phase=ctx.current_phase, stage=ctx.current_stage,
-        flops=float(flops), bytes_read=bytes_read,
-        bytes_written=bytes_written, wall_time=wall_time,
-        parents=parents, input_shapes=input_shapes,
-        output_shape=output_shape, output_sparsity=output_sparsity,
-        live_bytes=live_bytes,
-        t_start=_now() - wall_time,
-        sid=_current_sid(),
-    ))
+    event = _record(ctx, ctx.next_eid(), _current_sid(), name, category,
+                    flops=flops, bytes_read=bytes_read,
+                    bytes_written=bytes_written, wall_time=wall_time,
+                    t_start=_now() - wall_time,
+                    live_bytes=ctx.live_bytes + extra_live,
+                    parents=parents, input_shapes=input_shapes,
+                    output_shape=output_shape,
+                    output_sparsity=output_sparsity)
     if _metrics.ENABLED:
-        _metrics.observe_op(category.value, wall_time, float(flops),
-                            bytes_read + bytes_written, live_bytes)
-    return eid
+        _observe_metrics(event)
+    return event.eid
 
 
 @contextmanager
@@ -432,29 +388,27 @@ def record_region(name: str,
     the region; wall time is measured.  Use for symbolic computations
     that execute as host-side control flow rather than tensor kernels.
     """
-    ctx = active_context()
+    state = _thread_local.dispatch
+    ctx = state.context
     if ctx is None:
         yield
         return
-    injection = _consider_fault(name)  # raising faults abort the region
+    # a raising fault aborts the region before its body runs
+    hook = state.fault_hook
+    injection = None if hook is None else _consider_fault(hook, ctx, name)
     t_start = _now()
     try:
         yield
     finally:
         elapsed = _now() - t_start
         elapsed, poison, extra_live = _apply_injection(injection, elapsed)
-        region_flops = float(flops) if poison is None else poison
-        eid = ctx.next_eid()
-        live_bytes = ctx.live_bytes + extra_live
-        ctx.record(TraceEvent(
-            eid=eid, name=name, category=category,
-            phase=ctx.current_phase, stage=ctx.current_stage,
-            flops=region_flops, bytes_read=bytes_read,
-            bytes_written=bytes_written, wall_time=elapsed,
-            parents=parents, live_bytes=live_bytes,
-            t_start=t_start,
-            sid=_current_sid(),
-        ))
+        event = _record(ctx, ctx.next_eid(), _current_sid(), name,
+                        category,
+                        flops=flops if poison is None else poison,
+                        bytes_read=bytes_read,
+                        bytes_written=bytes_written, wall_time=elapsed,
+                        t_start=t_start,
+                        live_bytes=ctx.live_bytes + extra_live,
+                        parents=parents)
         if _metrics.ENABLED:
-            _metrics.observe_op(category.value, elapsed, region_flops,
-                                bytes_read + bytes_written, live_bytes)
+            _observe_metrics(event)

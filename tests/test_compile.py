@@ -1,11 +1,11 @@
-"""repro.compile: capture, passes, executor, cache tier, CLI, RL108.
+"""repro.compile: capture, executor, cache tier, CLI, RL108.
 
 The load-bearing assertion is **bit-exactness**: for every roster
 workload the compiled replay must produce the same outputs, the same
 counter digest, and the same classified errors as eager execution.
-Everything else — fusion bookkeeping, hoist kernel-skips, the arena,
-serialization, the serve/resilience integration — is scaffolding for
-that contract and is tested against it.
+Everything else — serialization, fresh per-replay stamps, the
+serve/resilience integration — is scaffolding for that contract and
+is tested against it.
 """
 
 import json
@@ -15,15 +15,14 @@ import pytest
 
 from tests.conftest import cached_trace
 from repro.cli import main
-from repro.compile import (COMPILED_FLUSH_NS, COMPILED_STEP_NS,
-                           CompiledPlan, PlanCaptureError,
+from repro.compile import (CompiledPlan, PlanCaptureError,
                            PlanDivergenceError, PlanError,
                            active_session, capture_plan,
-                           capture_plan_with_trace, diff_against_eager,
-                           execute, plan_session, run_compiled)
+                           diff_against_eager, execute, plan_session,
+                           run_compiled)
 from repro.obs import metrics as obs_metrics
+from repro.obs import selfprof
 from repro.obs.runrec import counters_digest
-from repro.obs.selfprof import MODELED_OVERHEAD_NS_PER_OP
 from repro.resilience.runner import (DETERMINISTIC, ResilientRunner,
                                      classify_error)
 from repro.serve.cache import ArtifactCache, ArtifactKey
@@ -64,59 +63,13 @@ class TestBitExactness:
         assert compiled.metadata["peak_live_bytes"] == \
             eager.metadata["peak_live_bytes"]
 
-    @pytest.mark.parametrize("name", ("nvsa", "prae"))
-    def test_modeled_dispatch_reduction_floor(self, name):
-        plan = cached_plan(name)
-        assert plan.modeled_reduction() >= 5.0
-        # the model is exactly the frozen constants over plan facts
-        eager_ns = plan.op_steps * MODELED_OVERHEAD_NS_PER_OP
-        compiled_ns = (plan.op_steps * COMPILED_STEP_NS
-                       + len(plan.groups) * COMPILED_FLUSH_NS)
-        assert plan.modeled_eager_dispatch_ns() == eager_ns
-        assert plan.modeled_compiled_dispatch_ns() == compiled_ns
-
 
 # ---------------------------------------------------------------------------
-# passes: fusion, hoisting, arena
+# plan construction
 # ---------------------------------------------------------------------------
 
 class TestOptimizationPasses:
-    def test_fusion_agrees_with_opportune_report(self):
-        from repro.obs.opportune import analyze_trace
-        plan, trace = capture_plan_with_trace(create("nvsa", seed=0))
-        report = analyze_trace(trace)
-        fuse_chains = [o for o in report.opportunities
-                       if o.kind == "fuse_chain"]
-        assert plan.fused_groups > 0
-        assert plan.fused_groups <= len(fuse_chains)
-        # every fused group replays its chain as one metrics flush
-        for group in plan.groups:
-            if group.kind != "fused_chain":
-                continue
-            assert len(group.eids) >= 3
-            flushers = [plan.steps[eid] for eid in group.eids
-                        if plan.steps[eid].flush]
-            assert [s.eid for s in flushers] == [group.eids[-1]]
-
-    def test_hoisted_repeats_skip_kernels_bit_exactly(self):
-        # the LNN rebuilds rule tensors across reasoning passes; the
-        # hoist pass must prove them invariant and skip the re-runs
-        plan = cached_plan("lnn")
-        assert plan.hoisted_steps > 0
-        trace, stats = execute(create("lnn", seed=0), plan)
-        assert stats.kernels_skipped == plan.hoisted_steps
-        assert stats.kernels_run == plan.op_steps - plan.hoisted_steps
-        assert counters_digest(trace) == plan.counters_digest
-
-    def test_hoist_leaders_feed_arena(self):
-        plan = cached_plan("lnn")
-        leaders = [s for s in plan.steps if s.cache_as]
-        assert leaders
-        arena_eids = {buffer.eid for buffer in plan.arena}
-        assert {s.eid for s in leaders} <= arena_eids
-        _, stats = execute(create("lnn", seed=0), plan)
-        assert stats.arena["reuses"] == plan.hoisted_steps
-        assert stats.arena["placements"] == len(leaders)
+    """The positional step layout capture builds: one step per event."""
 
     def test_region_steps_replay_in_position(self):
         # MCTS records host-side symbolic regions between dispatched
@@ -148,6 +101,22 @@ class TestPlanSerialization:
         doc["steps"][0]["name"] = "not_a_registered_op"
         with pytest.raises((PlanError, KeyError)):
             CompiledPlan.from_dict(doc).validate()
+
+    def test_version_one_payload_is_refused(self):
+        doc = cached_plan("abl").to_dict()
+        doc["version"] = 1
+        with pytest.raises(PlanError, match=r"version 1.*version 2"):
+            CompiledPlan.from_dict(doc)
+
+    def test_truncated_payload_is_refused(self):
+        doc = cached_plan("lnn").to_dict()
+        doc["steps"] = doc["steps"][:10]
+        with pytest.raises(PlanError, match="declares 319 steps"):
+            CompiledPlan.from_dict(doc)
+        doc = cached_plan("lnn").to_dict()
+        del doc["steps"][5]["live_bytes"]
+        with pytest.raises(PlanError, match="live_bytes"):
+            CompiledPlan.from_dict(doc)
 
     def test_capture_refuses_fault_hooks(self):
         from repro.resilience.faults import FaultPlan, FaultSpec
@@ -196,6 +165,44 @@ class TestExecutorSessions:
             with pytest.raises(PlanError):
                 with plan_session(plan):
                     pass  # pragma: no cover
+
+    def test_concurrent_replays_stamp_their_own_spans(self):
+        # every replayed event carries a span id of its own trace and a
+        # start time inside that trace's profile: root span
+        plan = cached_plan("nlm")
+        traces = [None, None]
+        barrier = threading.Barrier(2)
+
+        def replay(slot):
+            workload = create("nlm", seed=0)
+            workload.build()
+            barrier.wait(timeout=60)
+            traces[slot] = run_compiled(workload, plan)
+
+        threads = [threading.Thread(target=replay, args=(slot,))
+                   for slot in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+        for trace in traces:
+            assert len(trace.events) == len(plan.steps)
+            sids = {span.sid for span in trace.spans}
+            root = next(span for span in trace.spans
+                        if span.name.startswith("profile:"))
+            assert [e.eid for e in trace.events if e.sid not in sids] == []
+            assert [e.eid for e in trace.events
+                    if not root.start <= e.t_start <= root.end] == []
+
+    def test_replayed_ops_reach_the_ledger(self):
+        plan = cached_plan("abl")
+        with selfprof.scoped_ledger() as eager_ledger:
+            create("abl", seed=0).profile()
+        with selfprof.scoped_ledger() as compiled_ledger:
+            execute(create("abl", seed=0), plan)
+        assert compiled_ledger.ops_by_category() == \
+            eager_ledger.ops_by_category()
 
     def test_bulk_metrics_match_eager_totals(self):
         plan = cached_plan("abl")
@@ -312,6 +319,19 @@ class TestCompileCLI:
         assert doc["bit_exact"] is True
         assert doc["mismatches"] == []
 
+    def test_refused_plan_exits_cleanly(self, tmp_path, capsys):
+        doc = cached_plan("abl").to_dict()
+        doc["version"] = 1
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(doc))
+        for command in ("run", "diff"):
+            assert main(["compile", command, "abl", "--plan",
+                         str(path)]) == 7
+            err = capsys.readouterr().err
+            assert "version 1" in err and "version 2" in err
+            assert "Traceback" not in err
+            assert len(err.strip().splitlines()) == 1
+
     def test_diff_exit_code_on_divergence(self, tmp_path):
         plan = cached_plan("abl")
         doc = plan.to_dict()
@@ -378,49 +398,3 @@ class TestRL108Gate:
         assert [f for f in result.findings
                 if f.check_id == "RL108"] == []
         assert "RL108" in result.checks_run
-
-
-# ---------------------------------------------------------------------------
-# opportune regression: broadcast-compatible fusion
-# ---------------------------------------------------------------------------
-
-class TestBroadcastFusion:
-    def _event(self, eid, shape, parents=(), category=None, sid=1):
-        from repro.core.profiler import TraceEvent
-        from repro.core.taxonomy import OpCategory
-        return TraceEvent(
-            eid=eid, name="multiply", phase="neural", stage="test",
-            category=category or OpCategory.ELEMENTWISE,
-            flops=10, bytes_read=80, bytes_written=80,
-            output_shape=tuple(shape), parents=tuple(parents),
-            sid=sid)
-
-    def test_broadcast_compatible_shapes_link(self):
-        from repro.obs.opportune import fusible_link
-        a = self._event(0, (4, 8))
-        b = self._event(1, (1, 8), parents=(0,))
-        c = self._event(2, (4, 1), parents=(1,))
-        assert fusible_link(a, b)       # (4,8) vs (1,8) broadcasts
-        assert fusible_link(b, c)       # (1,8) vs (4,1) broadcasts
-
-    def test_incompatible_shapes_break_the_chain(self):
-        from repro.obs.opportune import fusible_link
-        a = self._event(0, (4, 8))
-        b = self._event(1, (3, 7), parents=(0,))
-        assert not fusible_link(a, b)
-
-    def test_broadcast_chain_reported_and_fused(self):
-        from repro.core.profiler import Trace
-        from repro.obs.opportune import analyze_trace
-        events = [self._event(0, (4, 8))]
-        # a 4-op chain alternating broadcast-compatible shapes — the
-        # pre-fix analyzer required nothing, the fixed one requires
-        # broadcastability; these must still fuse
-        for eid, shape in ((1, (1, 8)), (2, (4, 8)), (3, (4, 1))):
-            events.append(self._event(eid, shape, parents=(eid - 1,)))
-        trace = Trace(workload="synthetic", events=events)
-        report = analyze_trace(trace)
-        chains = [o for o in report.opportunities
-                  if o.kind == "fuse_chain"]
-        assert len(chains) == 1
-        assert chains[0].eids == (0, 1, 2, 3)

@@ -3,7 +3,7 @@
 Covers the ISSUE-9 acceptance criteria end to end: a synthetic 10%
 dispatch-overhead regression makes ``repro obs history gate`` exit 6,
 while two identical seeded runs produce bit-identical history entries
-(created/sha pinned), ledgers, and opportunity reports.
+(created/sha pinned) and ledgers.
 """
 
 from __future__ import annotations
@@ -162,15 +162,10 @@ class TestEntryFromSources:
         for metric in ("dispatch.lnn.ops",
                        "dispatch.lnn.modeled_overhead_ns",
                        "headroom.lnn.pct",
-                       "opportunities.lnn.count",
-                       "opportunities.lnn.projected_saved_ns",
-                       "compile.lnn.steps",
-                       "compile.lnn.groups",
-                       "compile.lnn.modeled_reduction_x"):
+                       "compile.lnn.steps"):
             assert metric in entry.metrics, metric
         digests = entry.meta["digests"]["lnn"]
-        assert set(digests) == {"ledger", "opportunities", "counters",
-                                "plan"}
+        assert set(digests) == {"ledger", "counters", "plan"}
         assert 0.0 < entry.metrics["headroom.lnn.pct"] < 100.0
 
     def test_ingest_results(self, tmp_path):
@@ -253,8 +248,7 @@ class TestCli:
         assert cli_main(["obs", "history", "show", "--db", db]) == 0
         assert "dispatch.lnn.ops" in capsys.readouterr().out
 
-    def test_selfprof_and_opportunities_commands(self, tmp_path,
-                                                 capsys):
+    def test_selfprof_and_opportunities_commands(self, capsys):
         assert cli_main(["obs", "selfprof", "lnn"]) == 0
         out = capsys.readouterr().out
         assert "dispatch-overhead ledger" in out
@@ -263,13 +257,9 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert doc["deterministic"]["ops"] > 0
         assert "measured" in doc
-
-        output = str(tmp_path / "opps.json")
-        assert cli_main(["obs", "opportunities", "lnn",
-                         "-o", output]) == 0
+        with pytest.raises(SystemExit):
+            cli_main(["obs", "opportunities", "lnn"])
         capsys.readouterr()
-        saved = json.loads(open(output).read())
-        assert saved["total_projected_saved_ns"] >= 0
 
     def test_report_with_history_renders_trends(self, tmp_path,
                                                 capsys):

@@ -1,5 +1,5 @@
-"""Self-profiling ledger, opportunity analyzer, and the RL107 clock
-lint: the dispatch-overhead observatory's invariants.
+"""Self-profiling ledger and the RL107 clock lint: the
+dispatch-overhead observatory's invariants.
 
 * attribution exactness — the ledgered dispatcher places probes at
   shared segment boundaries, so one op's component deltas telescope:
@@ -8,8 +8,8 @@ lint: the dispatch-overhead observatory's invariants.
 * zero interference — the traced events are bit-identical with and
   without the ledger (counters digest equality), and the scoped flag
   always restores;
-* determinism — the deterministic ledger view, its digest, and the
-  opportunity report are bit-identical across two seeded runs;
+* determinism — the deterministic ledger view and its digest are
+  bit-identical across two seeded runs;
 * RL107 — raw ``time.*`` clock reads are banned from the shipped
   tree (zero pragmas) and the seeded mutant fixture keeps tripping.
 """
@@ -21,10 +21,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.taxonomy import OpCategory
 from repro.lint.engine import LintConfig, default_scan_root, run_lint
 from repro.obs import selfprof
-from repro.obs.opportune import analyze_trace
 from repro.obs.runrec import counters_digest
 from repro.tensor import dispatch
 from repro.workloads import create
@@ -141,40 +139,9 @@ class TestDeterminism:
         assert first.deterministic_dict() == second.deterministic_dict()
         assert first.digest() == second.digest()
 
-    def test_opportunity_report_bit_identical_across_runs(self):
-        first = analyze_trace(create("nvsa", seed=0).profile())
-        second = analyze_trace(create("nvsa", seed=0).profile())
-        assert first.to_dict(deterministic_only=True) \
-            == second.to_dict(deterministic_only=True)
-        assert first.digest() == second.digest()
-
-    def test_opportunities_ranked_and_typed(self):
-        report = analyze_trace(create("nvsa", seed=0).profile())
-        assert report.opportunities
-        kinds = {o.kind for o in report.opportunities}
-        assert kinds <= {"fuse_chain", "hoist_invariant", "prealloc"}
-        savings = [o.projected_saved_ns for o in report.opportunities]
-        assert savings == sorted(savings, reverse=True)
-        assert report.total_projected_saved_ns == sum(savings)
-
-    def test_fusible_chains_are_linked_elementwise(self):
-        trace = create("nvsa", seed=0).profile()
-        report = analyze_trace(trace)
-        by_eid = {e.eid: e for e in trace.events}
-        chains = [o for o in report.opportunities
-                  if o.kind == "fuse_chain"]
-        assert chains
-        for chain in chains[:10]:
-            events = [by_eid[eid] for eid in chain.eids]
-            assert all(e.category is OpCategory.ELEMENTWISE
-                       for e in events)
-            for producer, consumer in zip(events, events[1:]):
-                assert producer.eid in consumer.parents
-
     def test_render_smoke(self):
-        trace, ledger = _profile_with_ledger("nvsa")
+        _, ledger = _profile_with_ledger("nvsa")
         assert "dispatch-overhead ledger" in ledger.render()
-        assert "opportunities" in analyze_trace(trace).render()
 
 
 class TestLintRL107:
