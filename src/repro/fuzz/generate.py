@@ -261,8 +261,7 @@ TEMPLATES: Dict[str, Template] = {}
 KNOWN_UNGENERATED: Dict[str, str] = {
     "linear": "nn-layer wrapper over matmul+add; constituents generated",
     "batchnorm2d": "nn-layer wrapper; constituents generated",
-    "maxpool2d": "nn-layer wrapper with im2col internals",
-    "avgpool2d": "nn-layer wrapper with im2col internals",
+    "avgpool2d": "nn-layer wrapper over a window mean; no roster caller",
     "global_avgpool": "nn-layer wrapper over mean",
     "spmm": "CSRMatrix calling convention (not a dense-tensor op)",
     "sddmm": "CSRMatrix calling convention",
@@ -457,6 +456,35 @@ def _t_conv2d(rng: np.random.Generator, b: ProgramBuilder) -> Optional[Entry]:
         inputs.append(b.leaf((c_out,)))
         params["bias"] = True
     return b.emit("conv2d", inputs, params, (n, c_out, h_out, w_out),
+                  x.dtype)
+
+
+@_template("maxpool2d")
+def _t_maxpool2d(rng: np.random.Generator,
+                 b: ProgramBuilder) -> Optional[Entry]:
+    x = _pick(rng, b.entries,
+              lambda e: _is_float(e.dtype) and len(e.shape) == 4)
+    if x is None or rng.random() < 0.5:
+        n = int(rng.choice((0, 1, 2), p=(0.1, 0.5, 0.4)))
+        x = b.leaf((n, int(rng.integers(1, 4)), int(rng.integers(1, 8)),
+                    int(rng.integers(1, 8))))
+    h, w = x.shape[2], x.shape[3]
+    mode = rng.random()
+    if mode < 0.1:
+        k = s = max(h, w) + 1                     # window larger than input
+    elif mode < 0.4:
+        k, s = 3, 2                               # overlapping windows
+    else:
+        k = int(rng.integers(1, 4))
+        s = int(rng.integers(1, k + 1))
+    if k > h or k > w:
+        if mode >= 0.1 and rng.random() < 0.8:
+            return None        # mostly avoid the classified stop
+        # the layer refuses the window with a TensorOpError
+        return b.emit("maxpool2d", [x], {"kernel_size": k, "stride": s},
+                      None, None)
+    out = (x.shape[0], x.shape[1], (h - k) // s + 1, (w - k) // s + 1)
+    return b.emit("maxpool2d", [x], {"kernel_size": k, "stride": s}, out,
                   x.dtype)
 
 

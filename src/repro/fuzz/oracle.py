@@ -2,7 +2,7 @@
 
 Each generated :class:`~repro.fuzz.generate.OpProgram` is executed
 **twice**, eagerly, under profiling plus the op-observer hook.  The
-oracle then cross-checks four independent sources of truth:
+oracle then cross-checks five independent sources of truth:
 
 1. **template predictions** — every node carries the expected output
    shape/dtype from its generation template; the realized tensor must
@@ -15,7 +15,11 @@ oracle then cross-checks four independent sources of truth:
    :func:`repro.core.validate.validate_trace` (finite, non-negative,
    causally ordered counters);
 4. **determinism** — both runs must produce byte-identical counter
-   digests and identical terminal states.
+   digests and identical terminal states;
+5. **reference kernels** — every realized ``conv2d`` and ``maxpool2d``
+   output must agree with the retained plain-numpy kernel in
+   :mod:`repro.tensor.reference`: within its summation-order bound
+   for conv2d, bit-identical for max-pool (``reference_mismatch``).
 
 A :class:`TensorOpError` raised mid-program is a *classified stop*
 (the runtime refused degenerate input with a typed error): the program
@@ -41,6 +45,8 @@ from repro.fuzz.harvest import (DEFAULT_HARVEST, OpInstanceRecorder,
                                 harvest_roster)
 from repro.fuzz.records import OpInstance, filter_instances
 from repro.fuzz.rules import RuleSet, infer_rules
+from repro.nn import MaxPool2d
+from repro.tensor import reference
 from repro.tensor.context import op_observer
 from repro.tensor.errors import TensorOpError
 
@@ -94,6 +100,9 @@ def _apply_node(node, values: Dict[int, "T.Tensor"]) -> Optional["T.Tensor"]:
         return T.conv2d(ins[0], ins[1], bias=bias,
                         stride=int(params["stride"]),
                         padding=int(params["padding"]))
+    if node.op == "maxpool2d":
+        return MaxPool2d(int(params["kernel_size"]),
+                         int(params["stride"]))(ins[0])
     fn = getattr(T, node.op)
     return fn(*ins, **params)
 
@@ -105,6 +114,8 @@ class ExecutionResult:
     program: OpProgram
     instances: List[OpInstance] = field(default_factory=list)
     realized: Dict[int, Tuple[Shape, str]] = field(default_factory=dict)
+    #: nid -> realized array, leaves included
+    values: Dict[int, np.ndarray] = field(default_factory=dict)
     status: str = "ok"                 # ok | classified | crash
     error: str = ""
     error_op: str = ""
@@ -144,6 +155,7 @@ def _run_program(program: OpProgram, result: ExecutionResult,
         values[node.nid] = out
         result.realized[node.nid] = (
             tuple(out.shape), str(out.dtype))
+    result.values = {nid: value.data for nid, value in values.items()}
 
 
 def execute_program(program: OpProgram) -> ExecutionResult:
@@ -224,7 +236,7 @@ class Divergence:
 
     kind: str      # crash | shape_mismatch | dtype_mismatch |
                    # rule_violation | trace_invalid | nondeterminism |
-                   # compiled_divergence
+                   # reference_mismatch | compiled_divergence
     op: str        # op involved ("" for whole-program kinds)
     detail: str
 
@@ -307,6 +319,8 @@ def check_program(program: OpProgram,
                 detail=f"template predicted {node.out_dtype}, "
                        f"eager produced {got_dtype}"))
 
+    divergences.extend(_reference_divergences(program, first))
+
     if rules is not None:
         for inst in first.instances:
             if inst.name not in rules:
@@ -328,6 +342,35 @@ def check_program(program: OpProgram,
                        divergences=divergences, digest=digest_one,
                        ops_executed=len(first.instances),
                        classified_error=first.error)
+
+
+def _reference_divergences(program: OpProgram,
+                           run: ExecutionResult) -> List[Divergence]:
+    """Every realized conv2d and maxpool2d against its reference kernel.
+
+    conv2d must stay within the summation-order bound of
+    :func:`repro.tensor.reference.conv2d_bound`; maxpool2d must be
+    bit-identical to :func:`repro.tensor.reference.maxpool2d`.
+    """
+    out: List[Divergence] = []
+    for node in program.nodes:
+        got = run.values.get(node.nid)
+        if got is None or node.op not in ("conv2d", "maxpool2d"):
+            continue
+        ins = [run.values[nid] for nid in node.inputs]
+        params = node.param_dict()
+        if node.op == "conv2d":
+            args = (ins[0], ins[1], ins[2] if params.get("bias") else None,
+                    int(params["stride"]), int(params["padding"]))
+            problem = reference.mismatch(got, reference.conv2d(*args),
+                                       reference.conv2d_bound(*args))
+        else:
+            problem = reference.mismatch(got, reference.maxpool2d(
+                ins[0], int(params["kernel_size"]), int(params["stride"])))
+        if problem is not None:
+            out.append(Divergence(kind="reference_mismatch", op=node.op,
+                                  detail=f"node {node.nid}: {problem}"))
+    return out
 
 
 def _compiled_differential(program: OpProgram,

@@ -18,6 +18,7 @@ from repro import tensor as T
 from repro.core.taxonomy import OpCategory
 from repro.nn.init import kaiming, rng_for, xavier
 from repro.tensor.dispatch import run_op
+from repro.tensor.errors import TensorOpError
 from repro.tensor.tensor import Tensor
 
 
@@ -154,29 +155,57 @@ class BatchNorm2d(Module):
         shift = (self.beta - self.running_mean * scale.reshape(c)).reshape(1, c, 1, 1)
 
         def _compute(a: np.ndarray) -> np.ndarray:
-            return a * scale + shift
+            out = a * scale
+            out += shift
+            return out
 
         return run_op("batchnorm2d", OpCategory.ELEMENTWISE, _compute, [x],
                       flop_factor=2.0, extra_bytes_read=scale.nbytes + shift.nbytes)
 
 
+def _pool_output_hw(op: str, x: Tensor, k: int, s: int) -> Tuple[int, int]:
+    """Validated output height and width of a k x k, stride-s pooling."""
+    if k < 1 or s < 1:
+        raise TensorOpError(
+            f"{op}: kernel size and stride must be >= 1, got {k} and {s}",
+            op_name=op)
+    if x.ndim != 4:
+        raise TensorOpError(
+            f"{op}: expected an NCHW input, got rank {x.ndim}", op_name=op)
+    h, w = x.shape[2], x.shape[3]
+    if k > h or k > w:
+        raise TensorOpError(
+            f"{op}: {k}x{k} window is larger than the {h}x{w} input",
+            op_name=op)
+    return (h - k) // s + 1, (w - k) // s + 1
+
+
 class MaxPool2d(Module):
-    """Max pooling over NCHW inputs (a strided window reduction)."""
+    """Max pooling over NCHW inputs (a strided window reduction).
+
+    A running maximum over the k*k strided slices of the input,
+    bit-identical to :func:`repro.tensor.reference.maxpool2d`.
+    """
 
     def __init__(self, kernel_size: int, stride: Optional[int] = None):
         self.kernel_size = kernel_size
-        self.stride = stride or kernel_size
+        self.stride = kernel_size if stride is None else stride
 
     def forward(self, x: Tensor) -> Tensor:
         k, s = self.kernel_size, self.stride
+        ho, wo = _pool_output_hw("maxpool2d", x, k, s)
+        span_h, span_w = s * (ho - 1) + 1, s * (wo - 1) + 1
 
         def _compute(a: np.ndarray) -> np.ndarray:
-            windows = np.lib.stride_tricks.sliding_window_view(
-                a, (k, k), axis=(2, 3))[:, :, ::s, ::s]
-            return windows.max(axis=(-2, -1))
+            out = a[:, :, :span_h:s, :span_w:s].copy()
+            for i in range(k):
+                for j in range(k):
+                    if i or j:
+                        np.maximum(out, a[:, :, i:i + span_h:s, j:j + span_w:s],
+                                   out=out)
+            return out
 
-        n, c, h, w = x.shape
-        out_elems = n * c * ((h - k) // s + 1) * ((w - k) // s + 1)
+        out_elems = x.shape[0] * x.shape[1] * ho * wo
         return run_op("maxpool2d", OpCategory.ELEMENTWISE, _compute, [x],
                       flops=float(out_elems * k * k))
 
@@ -186,18 +215,18 @@ class AvgPool2d(Module):
 
     def __init__(self, kernel_size: int, stride: Optional[int] = None):
         self.kernel_size = kernel_size
-        self.stride = stride or kernel_size
+        self.stride = kernel_size if stride is None else stride
 
     def forward(self, x: Tensor) -> Tensor:
         k, s = self.kernel_size, self.stride
+        ho, wo = _pool_output_hw("avgpool2d", x, k, s)
 
         def _compute(a: np.ndarray) -> np.ndarray:
             windows = np.lib.stride_tricks.sliding_window_view(
                 a, (k, k), axis=(2, 3))[:, :, ::s, ::s]
             return windows.mean(axis=(-2, -1))
 
-        n, c, h, w = x.shape
-        out_elems = n * c * ((h - k) // s + 1) * ((w - k) // s + 1)
+        out_elems = x.shape[0] * x.shape[1] * ho * wo
         return run_op("avgpool2d", OpCategory.ELEMENTWISE, _compute, [x],
                       flops=float(out_elems * k * k))
 

@@ -41,8 +41,9 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
+from collections import deque
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Deque, Dict, Iterator, List, Optional, Tuple
 
 __all__ = [
     "COMPONENTS", "OVERHEAD_COMPONENTS", "MODELED_COMPONENT_NS",
@@ -92,11 +93,20 @@ MODELED_COMPONENT_NS: Dict[str, int] = {
 MODELED_OVERHEAD_NS_PER_OP: int = sum(MODELED_COMPONENT_NS.values())
 
 
+#: Ops a ledger queues before the recording thread folds them in.
+#: Each queued op holds two collector-tracked objects (its tuple and
+#: parts dict); 2 x 256 stays under the collector's first-generation
+#: threshold (700), so queueing triggers no garbage collections.
+_FOLD_BACKLOG = 256
+
+
 class DispatchLedger:
     """Per-category attribution of dispatch wall time into components.
 
     Thread-safe: serve worker threads dispatching concurrently feed
-    one ledger.  All accumulators are integer nanoseconds.
+    one ledger.  All accumulators are integer nanoseconds.  Recording
+    only queues the op; the queue is folded into the totals in batches,
+    by a reader or once :data:`_FOLD_BACKLOG` ops are waiting.
     """
 
     def __init__(self) -> None:
@@ -105,29 +115,51 @@ class DispatchLedger:
         self._ns: Dict[str, Dict[str, int]] = {}
         #: category -> op count
         self._ops: Dict[str, int] = {}
+        #: (category, parts) of ops not yet folded; deque appends and
+        #: pops are atomic, so recording takes no lock
+        self._pending: Deque[Tuple[str, Dict[str, int]]] = deque()
 
     # -- recording (dispatcher-facing) ----------------------------------------
     def record(self, category: str, parts: Dict[str, int]) -> None:
-        """Fold one op's component-ns map into the ledger."""
-        with self._lock:
-            self._ops[category] = self._ops.get(category, 0) + 1
+        """Queue one op's component-ns map for folding into the ledger."""
+        pending = self._pending
+        pending.append((category, parts))
+        if len(pending) >= _FOLD_BACKLOG:
+            with self._lock:
+                self._fold()
+
+    def _fold(self) -> None:
+        """Fold the queued ops into the totals; caller holds the lock.
+
+        Ops are grouped by category and component keys, so each group
+        is summed column by column instead of op by op.
+        """
+        pending = self._pending
+        groups: Dict[Tuple[str, Tuple[str, ...]], List[Dict[str, int]]] = {}
+        for _ in range(len(pending)):
+            category, parts = pending.popleft()
+            groups.setdefault((category, tuple(parts)), []).append(parts)
+        for (category, components), rows in groups.items():
+            self._ops[category] = self._ops.get(category, 0) + len(rows)
             bucket = self._ns.setdefault(category, {})
-            for component, ns in parts.items():
-                bucket[component] = bucket.get(component, 0) + ns
+            columns = zip(*map(dict.values, rows))
+            for component, column in zip(components, columns):
+                bucket[component] = bucket.get(component, 0) + sum(column)
 
     # -- totals ---------------------------------------------------------------
     @property
     def ops(self) -> int:
-        with self._lock:
-            return sum(self._ops.values())
+        return sum(self.ops_by_category().values())
 
     def ops_by_category(self) -> Dict[str, int]:
         with self._lock:
+            self._fold()
             return dict(self._ops)
 
     def component_ns(self, category: Optional[str] = None) -> Dict[str, int]:
         """Accumulated ns per component (one category, or all)."""
         with self._lock:
+            self._fold()
             if category is not None:
                 return dict(self._ns.get(category, {}))
             out: Dict[str, int] = {}
@@ -191,6 +223,7 @@ class DispatchLedger:
     def measured_dict(self) -> Dict[str, object]:
         """The probe-accumulated, machine-dependent view."""
         with self._lock:
+            self._fold()
             per_category = {
                 category: {c: bucket.get(c, 0) for c in COMPONENTS
                            if c in bucket}
@@ -219,16 +252,17 @@ class DispatchLedger:
     def render(self) -> str:
         """Text rollup: per-category component shares + headroom."""
         from repro.core.report import render_table  # deferred (cycle)
+        ops = self.ops_by_category()
         totals = self.component_ns()
         total = max(self.total_ns, 1)
         rows: List[List[object]] = []
-        for category in sorted(self._ns):
+        for category in sorted(ops):
             bucket = self.component_ns(category)
             cat_total = max(sum(bucket.values()), 1)
             cat_overhead = sum(ns for c, ns in bucket.items()
                                if c != "kernel")
             rows.append([
-                category, self._ops.get(category, 0),
+                category, ops[category],
                 f"{cat_total / 1e6:.3f}",
                 f"{100.0 * cat_overhead / cat_total:.1f}%",
                 " ".join(f"{c}={100.0 * bucket.get(c, 0) / cat_total:.0f}%"

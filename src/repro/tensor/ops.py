@@ -216,15 +216,29 @@ def conv2d(x: object, weight: object, bias: Optional[object] = None,
 
     def _compute(xa: np.ndarray, wa: np.ndarray,
                  ba: Optional[np.ndarray] = None) -> np.ndarray:
-        cols = _im2col(xa, kh, kw, stride, padding)      # (n, c*kh*kw, L)
-        wmat = wa.reshape(c_out, -1)                     # (c_out, c*kh*kw)
-        out = np.einsum("ok,nkl->nol", wmat, cols)
-        out = out.reshape(n, c_out, h_out, w_out)
-        if ba is not None:
-            out = out + ba.reshape(1, c_out, 1, 1)
-        return out.astype(xa.dtype, copy=False)
+        out = _conv2d_gemm(xa, wa, ba, stride, padding)
+        return out.reshape(n, c_out, h_out, w_out).astype(xa.dtype, copy=False)
 
     return run_op("conv2d", _CV, _compute, inputs, flops=flops)
+
+
+def _conv2d_gemm(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray],
+                 stride: int, padding: int) -> np.ndarray:
+    """(n, c_out, L) convolution: im2col columns contracted by one BLAS
+    GEMM, bias added in place.
+
+    Agrees with :func:`repro.tensor.reference.conv2d` within the
+    summation-order bound documented there.
+    """
+    c_out, _, kh, kw = w.shape
+    out = np.matmul(w.reshape(c_out, -1), _im2col(x, kh, kw, stride, padding))
+    if b is not None:
+        bias = b.reshape(1, c_out, 1)
+        if np.result_type(out, bias) == out.dtype:
+            out += bias
+        else:                    # a wider bias widens the sum, as before
+            out = out + bias
+    return out
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int,

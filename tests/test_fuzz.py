@@ -10,6 +10,7 @@ expensive part, ~10s); every property test reuses it.
 import json
 import math
 
+import numpy as np
 import pytest
 
 from repro.cli import main as cli_main
@@ -140,6 +141,96 @@ class TestDivergenceDetection:
             if "rule_violation" in kinds:
                 break
         assert "rule_violation" in kinds
+
+
+def _conv_program():
+    """One 3x3 convolution: a spatially flipped kernel changes it."""
+    b = ProgramBuilder(seed=3)
+    x = b.leaf((1, 2, 5, 5))
+    weight = b.leaf((3, 2, 3, 3))
+    b.emit("conv2d", [x, weight], {"stride": 1, "padding": 1},
+           (1, 3, 5, 5), "float32")
+    return b.program
+
+
+def _flip_conv_weights(monkeypatch):
+    """Swap in a wrong conv kernel: weights flipped spatially."""
+    import repro.tensor.ops as ops
+    gemm = ops._conv2d_gemm
+    monkeypatch.setattr(
+        ops, "_conv2d_gemm",
+        lambda x, w, b, stride, padding: gemm(x, w[:, :, ::-1, ::-1], b,
+                                              stride, padding))
+
+
+class TestReferenceCheck:
+    """check_program compares every realized conv2d and maxpool2d with
+    the retained reference kernels (repro.tensor.reference)."""
+
+    def test_fast_kernels_agree_with_the_reference(self, rules):
+        assert check_program(_conv_program(), rules).ok
+
+    def test_wrong_conv_kernel_is_a_reference_mismatch(self, rules,
+                                                       monkeypatch):
+        _flip_conv_weights(monkeypatch)
+        result = check_program(_conv_program(), rules)
+        assert result.status == "divergent"
+        assert ("reference_mismatch", "conv2d") in {
+            (d.kind, d.op) for d in result.divergences}
+
+    def test_maxpool_is_checked_bit_for_bit(self, rules, monkeypatch):
+        from repro.tensor import reference
+        b = ProgramBuilder(seed=4)
+        x = b.leaf((2, 3, 6, 6))
+        b.emit("maxpool2d", [x], {"kernel_size": 3, "stride": 2},
+               (2, 3, 2, 2), "float32")
+        assert check_program(b.program, rules).ok
+        maxpool = reference.maxpool2d
+        monkeypatch.setattr(reference, "maxpool2d",
+                            lambda a, k, s: np.nextafter(maxpool(a, k, s),
+                                                         np.inf))
+        result = check_program(b.program, rules)
+        assert [(d.kind, d.op) for d in result.divergences] == [
+            ("reference_mismatch", "maxpool2d")]
+
+    def test_replay_rechecks_reference_mismatch_entries(
+            self, rules, tmp_path, monkeypatch, capsys):
+        rules_path = str(tmp_path / "rules.json")
+        rules.save(rules_path)
+        path = str(tmp_path / "corpus.jsonl")
+        _flip_conv_weights(monkeypatch)
+        entry = entry_for_program(check_program(_conv_program(), rules),
+                                  rules, minimize=False)
+        assert "reference_mismatch" in {d.kind for d in entry.divergences}
+        save_corpus([entry], path)
+        assert cli_main(["fuzz", "replay", path,
+                         "--rules", rules_path]) == 0
+        assert "REPRODUCED" in capsys.readouterr().out
+        monkeypatch.undo()     # the kernel is fixed: the entry goes stale
+        assert cli_main(["fuzz", "replay", path,
+                         "--rules", rules_path]) == 1
+
+
+class TestMaxPoolTemplate:
+    def test_overlapping_and_oversized_windows_are_generated(self):
+        geometries, stops = set(), 0
+        for seed in range(40):
+            program = single_op_program(seed, "maxpool2d")
+            for node in program.nodes:
+                params = node.param_dict()
+                geometries.add((params["kernel_size"], params["stride"]))
+                stops += node.out_shape is None
+        assert (3, 2) in geometries
+        assert stops > 0
+
+    def test_oversized_window_is_a_classified_stop(self, rules):
+        b = ProgramBuilder(seed=5)
+        x = b.leaf((1, 1, 2, 2))
+        b.emit("maxpool2d", [x], {"kernel_size": 3, "stride": 3},
+               None, None)
+        result = check_program(b.program, rules)
+        assert result.status == "classified"
+        assert "larger than" in result.classified_error
 
 
 class TestChaos:

@@ -8,6 +8,7 @@ from repro.core.taxonomy import OpCategory
 from repro.nn import (MLP, AvgPool2d, BatchNorm2d, Conv2d, Flatten,
                       GlobalAvgPool, Linear, MaxPool2d, ReLU, Residual,
                       Sequential, Softmax, conv_block, small_convnet)
+from repro.tensor.errors import TensorOpError
 
 
 class TestLinear:
@@ -63,6 +64,49 @@ class TestConvAndPool:
         layer = BatchNorm2d(3, seed=0)
         out = layer(T.tensor(np.ones((2, 3, 4, 4), dtype=np.float32)))
         assert out.shape == (2, 3, 4, 4)
+
+    def test_overlapping_maxpool(self):
+        x = np.arange(25, dtype=np.float32).reshape(1, 1, 5, 5)
+        out = MaxPool2d(3, stride=2)(T.tensor(x))
+        np.testing.assert_array_equal(out.numpy()[0, 0],
+                                      [[12, 14], [22, 24]])
+
+    def test_maxpool_of_empty_batch(self):
+        out = MaxPool2d(2)(T.tensor(np.zeros((0, 3, 4, 4), np.float32)))
+        assert out.shape == (0, 3, 2, 2)
+
+
+class TestPoolValidation:
+    """Bad pooling geometry is refused with a classified TensorOpError
+    (never numpy's raw ``ValueError``), by the same helper for both
+    pool layers."""
+
+    @pytest.mark.parametrize("layer", [MaxPool2d, AvgPool2d])
+    @pytest.mark.parametrize("shape, k", [((1, 1, 2, 2), 3),
+                                          ((1, 1, 1, 5), 2),
+                                          ((2, 3, 4, 0), 1)])
+    def test_window_larger_than_input(self, layer, shape, k):
+        x = T.tensor(np.zeros(shape, np.float32))
+        with pytest.raises(TensorOpError, match="larger than"):
+            layer(k)(x)
+
+    @pytest.mark.parametrize("layer", [MaxPool2d, AvgPool2d])
+    @pytest.mark.parametrize("k, s", [(0, 1), (2, 0), (2, -1)])
+    def test_kernel_and_stride_must_be_positive(self, layer, k, s):
+        x = T.tensor(np.zeros((1, 1, 4, 4), np.float32))
+        with pytest.raises(TensorOpError, match=">= 1"):
+            layer(k, stride=s)(x)
+
+    @pytest.mark.parametrize("layer", [MaxPool2d, AvgPool2d])
+    def test_input_must_be_nchw(self, layer):
+        with pytest.raises(TensorOpError, match="NCHW"):
+            layer(2)(T.tensor(np.zeros((4, 4), np.float32)))
+
+    def test_refusal_records_no_event(self):
+        with T.profile("t") as prof:
+            with pytest.raises(TensorOpError):
+                MaxPool2d(3)(T.tensor(np.zeros((1, 1, 2, 2), np.float32)))
+        assert not prof.trace.events
 
 
 class TestComposites:

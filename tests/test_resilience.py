@@ -9,6 +9,7 @@ bugfixes (roster abort, non-finite validation, zero-latency render).
 from __future__ import annotations
 
 import math
+import threading
 import time
 from typing import Any, Dict
 
@@ -294,6 +295,13 @@ def test_runner_times_out_hung_workloads():
     assert outcome.error_type == "WorkloadTimeout"
     assert outcome.error_class == "transient"
     assert classify_error(WorkloadTimeout("x")) == "transient"
+    # the abandoned attempt wakes up after the timeout and dispatches
+    # ops; let it finish here, not inside a later test's profiling or
+    # self-profiling scope
+    for thread in threading.enumerate():
+        if thread.name.startswith("resilient-hang"):
+            thread.join(timeout=5.0)
+            assert not thread.is_alive()
 
 
 def test_runner_breaker_opens_and_short_circuits():

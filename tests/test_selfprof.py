@@ -17,6 +17,8 @@ dispatch-overhead observatory's invariants.
 from __future__ import annotations
 
 import itertools
+import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -93,6 +95,48 @@ class TestLedgerAttribution:
         assert ledger.modeled_headroom(0.0) == 1.0
         assert ledger.modeled_overhead_ns() == \
             ledger.ops * selfprof.MODELED_OVERHEAD_NS_PER_OP
+
+
+    def test_concurrent_records_and_folds_lose_nothing(self):
+        """Recording queues without a lock and folds in batches: with
+        more threads than cores, a tiny switch interval and a reader
+        folding concurrently, every op and every ns still lands, for
+        dicts whose keys come in different orders and subsets."""
+        ledger = selfprof.DispatchLedger()
+        shapes = ({"kernel": 1, "record": 2}, {"record": 2, "kernel": 1},
+                  {"kernel": 1})
+        per_thread, writers = 3000, 6
+        done = threading.Event()
+
+        def write(offset):
+            for i in range(per_thread):
+                ledger.record("elementwise", dict(shapes[(i + offset) % 3]))
+
+        def read():
+            while not done.is_set():
+                ledger.ops_by_category()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            reader = threading.Thread(target=read)
+            reader.start()
+            threads = [threading.Thread(target=write, args=(n,))
+                       for n in range(writers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            done.set()
+            reader.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not reader.is_alive()
+        assert not any(thread.is_alive() for thread in threads)
+        ops = per_thread * writers
+        assert ledger.ops == ops
+        assert ledger.component_ns() == {"kernel": ops,
+                                         "record": 2 * ops * 2 // 3}
 
 
 class TestZeroInterference:
