@@ -10,19 +10,16 @@ time and the saving.  Every run's counters digest must equal the
 capture's, so both tiers did the same work.  The savings are reported,
 not asserted: on a shared host their run-to-run spread is a few points.
 
-Determinism rides along: each workload's plan step counts and plan
-digest must match ``baselines/compile_speedup_baseline.json``, and
-the ``compile.*.steps`` metrics land in ``benchmarks/history.jsonl``
-where ``repro obs history gate`` watches them.
+Plan facts are not checked here: each workload's plan digest (which
+covers its steps) is a pin in ``benchmarks/history.jsonl``, compared
+exactly by ``repro obs history gate``.
 """
 
 from __future__ import annotations
 
 import copy
-import json
 import statistics
 import time
-from pathlib import Path
 
 from repro.compile import capture_plan, execute
 from repro.core.report import format_time, render_table
@@ -33,14 +30,6 @@ from conftest import emit
 
 WORKLOADS = ("nvsa", "prae", "lnn", "nlm", "ltn", "mcts")
 ROUNDS = 15
-
-BASELINE = Path(__file__).parent / "baselines" \
-    / "compile_speedup_baseline.json"
-
-
-def plan_facts(plan) -> dict:
-    """The deterministic plan surface the baseline pins."""
-    return {"digest": plan.digest(), **plan.stats()}
 
 
 def _timed(run, built, expected_digest: str) -> float:
@@ -94,14 +83,3 @@ def test_compile_speedup(benchmark):
                  "saving"],
         meta={"rounds": ROUNDS, "medians": medians, "savings": savings})
 
-
-def test_compile_plan_baseline():
-    """Seeded plan facts match the committed baseline bit-for-bit."""
-    current = {name: plan_facts(capture_plan(create(name, seed=0)))
-               for name in WORKLOADS}
-    committed = json.loads(BASELINE.read_text())
-    assert current == committed, (
-        "deterministic compiled-plan facts drifted from "
-        "baselines/compile_speedup_baseline.json — if the capture "
-        "pipeline changed intentionally, regenerate the baseline and "
-        "record the change in a history entry")

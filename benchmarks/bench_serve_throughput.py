@@ -1,70 +1,38 @@
-"""Serving throughput benchmark with a committed determinism baseline.
+"""Serving throughput benchmark over the pinned serve schedule.
 
-Serves a seeded open-loop mix (NVSA-heavy, the paper's flagship
-workload, cut with LNN) through the full stack — admission, dynamic
-batching, pooled execution, virtual dispatch — and emits throughput,
-tail latency, and the batch-size histogram to
-``results/serve_throughput.json``.
+Serves :data:`repro.obs.history.PINNED_SERVE` — a seeded open-loop
+mix (NVSA-heavy, the paper's flagship workload, cut with LNN) —
+through the full stack: admission, dynamic batching, pooled
+execution, virtual dispatch.  It emits throughput, tail latency, and
+the batch-size histogram to ``results/serve_throughput.json``.
 
-Two assertions gate the run:
-
-* the ``deterministic`` stats section must match
-  ``baselines/serve_throughput_baseline.json`` exactly — batching,
-  admission, and modeled latency are pure functions of the seeded
-  schedule, so any drift is a behaviour change, not noise (regenerate
-  the baseline with ``python benchmarks/bench_serve_throughput.py``
-  after an intentional change);
-* measured throughput must clear ``MIN_THROUGHPUT_RPS`` — far below
-  what this stack does on any CI-grade machine, so it only fires on
-  real regressions (e.g. batching silently disabled).
+Batching, admission, and modeled latency are pure functions of the
+seeded schedule, so its ``deterministic`` stats section is not
+checked here: its digest is the ``serve`` pin in
+``benchmarks/history.jsonl``, compared exactly by ``repro obs history
+gate``.  This benchmark asserts only that measured throughput clears
+``MIN_THROUGHPUT_RPS`` — far below what this stack does on any
+CI-grade machine, so it only fires on real regressions (e.g. batching
+silently disabled).
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 from repro.core.report import format_time, render_table
-from repro.serve import (BatchPolicy, InferenceServer, LoadSpec,
-                         ServeConfig, open_loop, parse_mix)
-from repro.hwsim import get_device
+from repro.obs.history import PINNED_SERVE, run_pinned_serve
 
 from conftest import emit
 
-MIX = "nvsa=3,lnn=1"
-RATE = 80.0
-DURATION = 3.0
-SEED = 0
-WORKERS = 2
-MAX_BATCH = 32
-MAX_WAIT = 0.25
 MIN_THROUGHPUT_RPS = 50.0
-
-BASELINE = Path(__file__).parent / "baselines" / \
-    "serve_throughput_baseline.json"
-
-
-def run_bench():
-    spec = LoadSpec.make(parse_mix(MIX), rate=RATE, duration=DURATION,
-                         seed=SEED)
-    schedule = open_loop(spec)
-    config = ServeConfig(workers=WORKERS,
-                         devices=(get_device("xeon"),),
-                         batch=BatchPolicy(max_batch_size=MAX_BATCH,
-                                           max_wait=MAX_WAIT))
-    server = InferenceServer(config)
-    report = server.run_schedule(schedule)
-    return report, len(schedule)
 
 
 def test_serve_throughput(benchmark):
-    report, submitted = benchmark.pedantic(run_bench, rounds=1,
-                                           iterations=1)
+    report = benchmark.pedantic(run_pinned_serve, rounds=1, iterations=1)
     summary = report.summary()
     det, meas = summary["deterministic"], summary["measured"]
 
     rows = [
-        ["submitted", submitted],
+        ["submitted", det["requests"]],
         ["served ok", det["statuses"]["ok"]],
         ["batches", det["batches"]],
         ["mean batch", f"{det['mean_batch_size']:.2f}"],
@@ -75,31 +43,17 @@ def test_serve_throughput(benchmark):
     ]
     emit("serve_throughput", render_table(
         ["metric", "value"], rows,
-        title=f"serving throughput ({MIX} @ {RATE:g}/s for "
-              f"{DURATION:g}s virtual, {WORKERS} workers)"),
+        title=f"serving throughput ({PINNED_SERVE['mix']} @ "
+              f"{PINNED_SERVE['rate']:g}/s for "
+              f"{PINNED_SERVE['duration']:g}s virtual, "
+              f"{PINNED_SERVE['workers']} workers)"),
         rows=rows, columns=["metric", "value"],
-        meta={"mix": MIX, "rate": RATE, "duration": DURATION,
-              "seed": SEED, "workers": WORKERS,
-              "max_batch": MAX_BATCH, "max_wait": MAX_WAIT,
+        meta={**PINNED_SERVE,
               "batch_size_hist": det["batch_size_hist"],
               "throughput_rps": meas["throughput_rps"],
               "p99_latency": det["latency"]["p99"],
               "deterministic": det})
 
-    baseline = json.loads(BASELINE.read_text())
-    assert det == baseline, (
-        "deterministic serving stats drifted from the committed "
-        "baseline; regenerate benchmarks/baselines/"
-        "serve_throughput_baseline.json if the change is intentional")
     assert meas["throughput_rps"] >= MIN_THROUGHPUT_RPS, (
         f"throughput {meas['throughput_rps']:.1f} req/s below the "
         f"{MIN_THROUGHPUT_RPS:g} req/s floor")
-
-
-if __name__ == "__main__":
-    # regenerate the committed determinism baseline
-    report, _ = run_bench()
-    det = report.summary()["deterministic"]
-    BASELINE.write_text(json.dumps(det, indent=1, sort_keys=True) + "\n")
-    print(f"baseline -> {BASELINE}")
-    print(report.render())

@@ -14,9 +14,9 @@ Usage (``python -m repro ...``):
     python -m repro trace export nvsa --format chrome -o nvsa.json
     python -m repro trace export nvsa --format flame --weight flops
     python -m repro metrics nvsa --format prom
-    python -m repro record nvsa --db runs.jsonl
-    python -m repro compare baseline.json candidate.json
     python -m repro report nvsa --device rtx2080ti -o report.html
+    python -m repro obs history record --label local
+    python -m repro obs history gate
     python -m repro serve bench --workers 2 --mix nvsa=3,lnn=1 --duration 10
     python -m repro serve replay sched.jsonl --device rtx,xeon
     python -m repro fuzz run --seed 0 --count 50 --chaos 3 --corpus crashes.jsonl
@@ -25,8 +25,9 @@ Usage (``python -m repro ...``):
 
 Everything routes through the same public API the benchmarks use.
 ``faults`` runs an injection experiment and exits nonzero (2 degraded,
-3 failed) with a quarantine report instead of a traceback; ``compare``
-exits 4 when the candidate run regressed beyond thresholds.
+3 failed) with a quarantine report instead of a traceback; ``obs
+history gate`` exits 6 when the newest history entry's pins differ
+from the previous pinned entry's.
 """
 
 from __future__ import annotations

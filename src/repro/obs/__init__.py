@@ -1,4 +1,4 @@
-"""Observability layer: spans, metrics, exporters, run records.
+"""Observability layer: spans, metrics, exporters, perf history.
 
 Three altitudes of visibility over the characterization suite:
 
@@ -8,9 +8,11 @@ Three altitudes of visibility over the characterization suite:
 * **across components** — :mod:`repro.obs.metrics` keeps a
   process-wide Prometheus-style instrument registry the dispatcher
   and resilient runner update (rendered by :mod:`repro.obs.prom`);
-* **between runs** — :mod:`repro.obs.runrec` appends one durable
-  :class:`~repro.obs.runrec.RunRecord` per run into ``runs.jsonl``,
-  and :mod:`repro.obs.compare` diffs records to gate regressions.
+* **between runs** — :mod:`repro.obs.history` appends one entry per
+  recording into the committed ``benchmarks/history.jsonl``: exact
+  pins (counters, ledger, plan and device-model digests of a fixed
+  roster, plus the pinned serve schedule's stats) that ``repro obs
+  history gate`` compares, and trend-only metrics.
 
 Two cross-cutting additions serve the serving layer:
 :mod:`repro.obs.tracectx` mints picklable request-scoped
@@ -34,8 +36,6 @@ off by default and adds <5% overhead when enabled
 
 from repro.obs.chrome import (CATEGORY_COLORS, export_chrome,
                               trace_to_chrome, trace_to_chrome_events)
-from repro.obs.compare import (DEFAULT_THRESHOLDS, ComparisonReport,
-                               MetricDelta, compare_records)
 from repro.obs.flame import (FLAME_WEIGHTS, collapsed_stacks,
                              trace_to_flame, write_flame)
 from repro.obs.jsonl import (read_jsonl, trace_from_jsonl_lines,
@@ -54,9 +54,7 @@ from repro.obs.metrics import (Counter, Gauge, Histogram,
                                enable, scoped_runtime)
 from repro.obs.prom import render_registry, render_runtime
 from repro.obs.report import render_report, write_report
-from repro.obs.runrec import (RunRecord, append_record, counters_digest,
-                              load_record, load_records,
-                              record_from_trace, save_record)
+from repro.obs.runrec import counters_digest
 from repro.obs.spans import (SpanCollector, SpanRecord, children_of,
                              current_span, now, render_spans, span,
                              span_roots, tracing_active)
@@ -65,21 +63,18 @@ from repro.obs.tracectx import (TraceContext, current_trace_context,
                                 mint_trace_context, trace_scope)
 
 __all__ = [
-    "BurnRateMonitor", "CATEGORY_COLORS", "CATEGORY_MIX",
-    "ComparisonReport", "Counter", "DEFAULT_THRESHOLDS",
+    "BurnRateMonitor", "CATEGORY_COLORS", "CATEGORY_MIX", "Counter",
     "FLAME_WEIGHTS", "Gauge", "Histogram", "KernelStats",
-    "LiveTelemetry", "MetricDelta", "MetricsRegistry", "RingBufferBus",
-    "RunRecord", "RuntimeMetrics", "SLOPolicy", "SnapshotAggregator",
+    "LiveTelemetry", "MetricsRegistry", "RingBufferBus",
+    "RuntimeMetrics", "SLOPolicy", "SnapshotAggregator",
     "SpanCollector", "SpanRecord", "Subscriber", "TailSamplingPolicy",
-    "TraceContext", "active_runtime", "append_record",
-    "archetype_kstats", "bind_runtime", "children_of",
-    "collapsed_stacks", "compare_records", "counters_digest",
-    "current_span", "current_trace_context", "disable", "enable",
-    "export_chrome", "kstats_by_category", "kstats_by_span",
-    "load_record", "load_records", "mint_batch_trace_id",
-    "mint_trace_context", "now", "read_jsonl", "record_from_trace",
-    "render_kstats", "render_registry", "render_report",
-    "render_runtime", "render_spans", "save_record", "scoped_runtime",
+    "TraceContext", "active_runtime", "archetype_kstats",
+    "bind_runtime", "children_of", "collapsed_stacks",
+    "counters_digest", "current_span", "current_trace_context",
+    "disable", "enable", "export_chrome", "kstats_by_category",
+    "kstats_by_span", "mint_batch_trace_id", "mint_trace_context",
+    "now", "read_jsonl", "render_kstats", "render_registry",
+    "render_report", "render_runtime", "render_spans", "scoped_runtime",
     "span", "span_roots", "synthesize_kstats", "trace_from_jsonl_lines",
     "trace_scope", "trace_to_chrome", "trace_to_chrome_events",
     "trace_to_flame", "trace_to_jsonl", "tracing_active", "write_flame",

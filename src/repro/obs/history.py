@@ -1,75 +1,102 @@
-"""Longitudinal perf history: trend the suite's own performance.
+"""Longitudinal perf history: the one regression store and its gate.
 
-The BENCH trajectory problem: every PR lands with fresh benchmark
-numbers, but nothing remembers the *previous* numbers, so performance
-drifts silently between commits.  This module is the durable store
-and the gate:
+Every figure and table this suite reproduces is a pure function of
+per-op counters and the device model, so "did it drift?" has an exact
+answer.  This module is the durable store and the only gate:
 
-* a :class:`HistoryEntry` is one structured snapshot — dispatch
-  overhead ledger metrics, compiled-tier headroom, compiled-plan step
-  counts, plus whatever the structured benchmark results under
-  ``benchmarks/results/*.json`` report — appended to a committed
-  ``benchmarks/history.jsonl``;
-* :func:`detect_regressions` diffs the newest entry against a robust
-  baseline (median of the previous window) under per-metric
-  direction-aware thresholds — ``repro obs history gate`` exits
-  :data:`EXIT_TREND_REGRESSION` when any gated metric regresses;
+* a :class:`HistoryEntry` is one snapshot appended to the committed
+  ``benchmarks/history.jsonl``.  Its ``pins`` are exact-match digests
+  taken at one fixed roster (:data:`PIN_ROSTER` at seed
+  :data:`PIN_SEED` on the RTX 2080 Ti model): per workload the
+  counters digest, the dispatch ledger's deterministic digest, the
+  digest of the plan ``repro compile build`` writes, and a
+  device-model digest (projected total and per-phase latency, peak
+  live bytes, per-category kernel counters); plus one digest of the
+  pinned serve schedule's ``deterministic`` stats section
+  (:data:`PINNED_SERVE`).  Its ``metrics`` (ledger op counts,
+  headroom, plan step counts, and whatever the structured benchmark
+  results under ``benchmarks/results/*.json`` report) are trend-only;
+* :func:`check_pins` compares the newest entry's pins with the
+  previous pinned entry — ``repro obs history gate`` prints each
+  mismatch as ``old → new`` and exits :data:`EXIT_PIN_MISMATCH`.  An
+  intentional change is accepted by appending one entry;
 * :func:`detect_change_points` runs deterministic binary segmentation
-  over each metric's full series, so a slow drift that never trips a
-  single-step threshold still surfaces in ``history show`` and in the
+  over each metric's series, annotating ``history show`` and the
   trend section of the HTML run report (:mod:`repro.obs.report`).
-
-Gated metrics are **deterministic by construction** (modeled ledger
-overhead, analytic headroom, plan step counts — pure functions of the
-op stream and the frozen cost model), so the gate holds a hard
-line without machine noise.  Measured metrics (benchmark overheads,
-serve throughput) are recorded and trended but ungated by default;
-pass ``--threshold`` to gate them on a dedicated perf host.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import statistics
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
-    "HISTORY_VERSION", "DEFAULT_HISTORY", "EXIT_TREND_REGRESSION",
-    "HistoryEntry", "append_entry", "load_history",
-    "MetricPolicy", "DEFAULT_POLICIES", "policy_for",
-    "TrendRegression", "detect_regressions", "detect_change_points",
-    "entry_from_sources", "render_history", "sparkline_svg",
-    "metric_series",
+    "HISTORY_VERSION", "DEFAULT_HISTORY", "EXIT_PIN_MISMATCH",
+    "PIN_ROSTER", "PIN_SEED", "PINNED_SERVE", "KSTATS_FIELDS",
+    "HistoryEntry", "HistoryError", "append_entry", "load_history",
+    "PinVerdict", "check_pins", "detect_change_points",
+    "model_facts", "pin_workload", "run_pinned_serve", "serve_pin",
+    "entry_from_sources", "ingest_results", "render_history",
+    "sparkline_svg", "metric_series",
 ]
 
-#: bump when the entry layout changes
-HISTORY_VERSION = 1
+#: bump when the entry layout changes (2 adds ``pins``)
+HISTORY_VERSION = 2
 
 #: the committed trajectory database
 DEFAULT_HISTORY = "benchmarks/history.jsonl"
 
-#: ``repro obs history gate`` exit code on a trend regression
-#: (2/3 = faults, 4 = compare, 5 = fuzz divergence)
-EXIT_TREND_REGRESSION = 6
+#: ``repro obs history gate`` exit code on a pin mismatch
+#: (2/3 = faults, 5 = fuzz divergence, 7 = compiled divergence)
+EXIT_PIN_MISMATCH = 6
 
-#: baseline window: the candidate is compared against the median of
-#: up to this many immediately preceding entries
-BASELINE_WINDOW = 5
+#: the workloads pinned per entry, each at :data:`PIN_SEED` on the
+#: RTX 2080 Ti model; pins only compare at this one roster
+PIN_ROSTER: Tuple[str, ...] = ("nvsa", "prae", "lnn", "nlm", "ltn", "mcts")
+PIN_SEED = 0
+
+#: the seeded serve schedule whose ``deterministic`` stats are pinned:
+#: an NVSA-heavy open-loop mix cut with LNN through admission, dynamic
+#: batching, pooled execution and virtual dispatch on the Xeon model.
+#: ``benchmarks/bench_serve_throughput.py`` serves the same schedule.
+PINNED_SERVE: Dict[str, Any] = {
+    "mix": "nvsa=3,lnn=1", "rate": 80.0, "duration": 3.0,
+    "seed": PIN_SEED, "workers": 2, "device": "xeon",
+    "max_batch": 32, "max_wait": 0.25,
+}
+
+#: the synthesized per-category kernel counters the ``model`` pin
+#: covers, as :class:`repro.hwsim.kernels.KernelCounters` field names
+KSTATS_FIELDS = (
+    "compute_throughput_pct", "alu_utilization_pct",
+    "l1_throughput_pct", "l2_throughput_pct",
+    "l1_hit_rate_pct", "l2_hit_rate_pct",
+    "dram_bw_utilization_pct")
+
+#: how a pin missing from one side of a comparison prints
+_ABSENT = "(absent)"
+
+
+class HistoryError(ValueError):
+    """A history line that is not a well-formed entry (names file:line)."""
 
 
 @dataclass
 class HistoryEntry:
-    """One structured perf snapshot on the longitudinal trajectory."""
+    """One snapshot on the longitudinal trajectory."""
 
     created: str = ""
     git_sha: str = ""
     label: str = "local"
+    #: trend-only figures (never gated)
     metrics: Dict[str, float] = field(default_factory=dict)
-    #: digests and provenance (never compared numerically)
+    #: exact-match digests (``<workload>.<kind>`` and ``serve``)
+    pins: Dict[str, str] = field(default_factory=dict)
+    #: provenance (never compared)
     meta: Dict[str, object] = field(default_factory=dict)
     version: int = HISTORY_VERSION
 
@@ -80,6 +107,7 @@ class HistoryEntry:
             "git_sha": self.git_sha,
             "label": self.label,
             "metrics": {k: self.metrics[k] for k in sorted(self.metrics)},
+            "pins": {k: self.pins[k] for k in sorted(self.pins)},
             "meta": {k: self.meta[k] for k in sorted(self.meta)},
         }
 
@@ -91,17 +119,26 @@ class HistoryEntry:
             label=str(raw.get("label", "local")),
             metrics={str(k): float(v) for k, v in
                      dict(raw.get("metrics", {})).items()},  # type: ignore[arg-type]
+            pins={str(k): str(v) for k, v in
+                  dict(raw.get("pins", {})).items()},  # type: ignore[arg-type]
             meta=dict(raw.get("meta", {})),  # type: ignore[arg-type]
             version=int(raw.get("version", HISTORY_VERSION)),  # type: ignore[arg-type]
         )
 
     def digest(self) -> str:
-        """sha256 over metrics+meta (identity excludes created/sha)."""
-        canonical = json.dumps(
-            {"metrics": {k: self.metrics[k] for k in sorted(self.metrics)},
-             "meta": {k: self.meta[k] for k in sorted(self.meta)}},
-            sort_keys=True, separators=(",", ":"), default=str)
-        return hashlib.sha256(canonical.encode()).hexdigest()
+        """sha256 over metrics+pins+meta (identity excludes created/sha)."""
+        return _sha256({"metrics": self.metrics, "pins": self.pins,
+                        "meta": self.meta})
+
+    def describe(self) -> str:
+        sha = f"@{self.git_sha}" if self.git_sha else ""
+        return f"'{self.label}'{sha} ({self.created or 'undated'})"
+
+
+def _sha256(doc: object) -> str:
+    canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"),
+                           default=str)
+    return hashlib.sha256(canonical.encode()).hexdigest()
 
 
 def append_entry(entry: HistoryEntry,
@@ -112,13 +149,26 @@ def append_entry(entry: HistoryEntry,
 
 
 def load_history(path: str = DEFAULT_HISTORY) -> List[HistoryEntry]:
-    """All entries, oldest first."""
+    """All entries, oldest first.
+
+    Raises :class:`HistoryError` naming the file and line when a line
+    is not JSON, not an object, or holds a malformed field.
+    """
     entries: List[HistoryEntry] = []
     with open(path) as handle:
-        for line in handle:
+        for lineno, line in enumerate(handle, start=1):
             line = line.strip()
-            if line:
-                entries.append(HistoryEntry.from_dict(json.loads(line)))
+            if not line:
+                continue
+            try:
+                raw = json.loads(line)
+                if not isinstance(raw, dict):
+                    raise ValueError("not a JSON object")
+                entries.append(HistoryEntry.from_dict(raw))
+            except (TypeError, ValueError) as exc:
+                raise HistoryError(
+                    f"{path}:{lineno}: malformed history entry: {exc}"
+                ) from None
     return entries
 
 
@@ -129,138 +179,62 @@ def metric_series(entries: Sequence[HistoryEntry],
 
 
 # ---------------------------------------------------------------------------
-# per-metric gating policy
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MetricPolicy:
-    """How one metric (or metric-name prefix) is gated.
-
-    ``threshold`` is the relative change that counts as a regression
-    in the *worse* direction (``None`` = trend only, never gate);
-    ``higher_is_worse`` orients it.
-    """
-
-    threshold: Optional[float]
-    higher_is_worse: bool = True
-
-
-#: longest-prefix-match policy table.  Deterministic dispatch/headroom
-#: metrics gate hard (any growth beyond 5% of modeled overhead is a
-#: real dispatcher change, not noise); measured bench metrics trend
-#: but do not gate by default.
-DEFAULT_POLICIES: Dict[str, MetricPolicy] = {
-    "dispatch.": MetricPolicy(threshold=0.05, higher_is_worse=True),
-    "headroom.": MetricPolicy(threshold=0.05, higher_is_worse=True),
-    "bench.": MetricPolicy(threshold=None),
-    "serve.": MetricPolicy(threshold=None, higher_is_worse=False),
-    # compiled-plan step counts are deterministic; a drop is a real
-    # capture change, not noise
-    "compile.": MetricPolicy(threshold=0.05, higher_is_worse=False),
-}
-
-
-def policy_for(metric: str,
-               overrides: Optional[Dict[str, MetricPolicy]] = None
-               ) -> MetricPolicy:
-    """Longest-prefix-match lookup (overrides shadow the defaults)."""
-    table = dict(DEFAULT_POLICIES)
-    if overrides:
-        table.update(overrides)
-    best: Optional[Tuple[str, MetricPolicy]] = None
-    for prefix, policy in table.items():
-        if metric == prefix or metric.startswith(prefix):
-            if best is None or len(prefix) > len(best[0]):
-                best = (prefix, policy)
-    return best[1] if best else MetricPolicy(threshold=None)
-
-
-def parse_policy_overrides(specs: Sequence[str]
-                           ) -> Dict[str, MetricPolicy]:
-    """``metric=0.1`` / ``metric=-0.1`` (negative: lower is worse) /
-    ``metric=off`` CLI overrides."""
-    out: Dict[str, MetricPolicy] = {}
-    for spec in specs:
-        if "=" not in spec:
-            raise ValueError(
-                f"bad threshold {spec!r}; expected METRIC=FRACTION "
-                "(negative fraction: lower is worse) or METRIC=off")
-        metric, _, value = spec.partition("=")
-        if value.strip().lower() in ("off", "none"):
-            out[metric.strip()] = MetricPolicy(threshold=None)
-            continue
-        fraction = float(value)
-        out[metric.strip()] = MetricPolicy(
-            threshold=abs(fraction), higher_is_worse=fraction >= 0)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# regression + change-point detection
+# the gate: exact pins
 # ---------------------------------------------------------------------------
 
 
 @dataclass
-class TrendRegression:
-    """One gated metric that moved the wrong way."""
+class PinVerdict:
+    """The newest entry's pins against the previous pinned entry."""
 
-    metric: str
-    baseline: float
-    candidate: float
-    rel_change: float       #: signed, positive = metric went up
-    threshold: float
-    higher_is_worse: bool
+    candidate: Optional[HistoryEntry]
+    #: the previous pinned entry (``None``: nothing to compare against)
+    baseline: Optional[HistoryEntry]
+    #: ``(pin, old, new)`` for every pin that differs
+    mismatches: List[Tuple[str, str, str]] = field(default_factory=list)
+
+    @property
+    def ok(self) -> bool:
+        return not self.mismatches
 
     def render(self) -> str:
-        arrow = "^" if self.rel_change >= 0 else "v"
-        return (f"REGRESSION {self.metric}: {self.baseline:.6g} -> "
-                f"{self.candidate:.6g} ({arrow}{abs(self.rel_change):.1%}"
-                f" vs +/-{self.threshold:.0%} budget, "
-                f"{'higher' if self.higher_is_worse else 'lower'}"
-                f"-is-worse)")
+        if self.candidate is None or self.baseline is None:
+            return ("history gate: no earlier pinned entry; nothing to "
+                    "compare against")
+        pinned = len(set(self.baseline.pins) | set(self.candidate.pins))
+        lines = [f"PIN {pin}: {old} → {new}"
+                 for pin, old, new in self.mismatches]
+        if self.ok:
+            lines.append(f"history gate: OK — {pinned} pins match "
+                         f"{self.baseline.describe()}")
+        else:
+            lines.append(
+                f"history gate: {len(self.mismatches)} of {pinned} pins "
+                f"changed since {self.baseline.describe()}; if the "
+                "change is intended, accept it by appending an entry "
+                "(repro obs history record)")
+        return "\n".join(lines)
 
 
-def _rel_change(baseline: float, candidate: float) -> float:
-    if baseline == 0.0:
-        return 0.0 if candidate == 0.0 else float("inf")
-    return (candidate - baseline) / abs(baseline)
+def check_pins(entries: Sequence[HistoryEntry]) -> PinVerdict:
+    """Compare the newest entry's pins with the previous pinned entry.
 
-
-def detect_regressions(entries: Sequence[HistoryEntry],
-                       overrides: Optional[Dict[str, MetricPolicy]] = None,
-                       window: int = BASELINE_WINDOW
-                       ) -> List[TrendRegression]:
-    """Gate the newest entry against the preceding window's median.
-
-    The median baseline makes the gate robust to one outlier entry:
-    a single bad historical record cannot mask (or fake) a
-    regression.  Metrics absent from the history (first appearance)
-    pass — there is nothing to regress against.
+    A pin present on one side only is a mismatch.  Metrics are never
+    compared: measured figures are trend-only.
     """
-    if len(entries) < 2:
-        return []
+    if not entries:
+        return PinVerdict(candidate=None, baseline=None)
     candidate = entries[-1]
-    regressions: List[TrendRegression] = []
-    for metric in sorted(candidate.metrics):
-        policy = policy_for(metric, overrides)
-        if policy.threshold is None:
-            continue
-        previous = metric_series(entries[:-1], metric)[-window:]
-        if not previous:
-            continue
-        baseline = statistics.median(previous)
-        change = _rel_change(baseline, candidate.metrics[metric])
-        worse = change > policy.threshold if policy.higher_is_worse \
-            else change < -policy.threshold
-        if worse:
-            regressions.append(TrendRegression(
-                metric=metric, baseline=baseline,
-                candidate=candidate.metrics[metric],
-                rel_change=(0.0 if change == float("inf") else change),
-                threshold=policy.threshold,
-                higher_is_worse=policy.higher_is_worse))
-    return regressions
+    baseline = next((e for e in reversed(entries[:-1]) if e.pins), None)
+    if baseline is None:
+        return PinVerdict(candidate=candidate, baseline=None)
+    mismatches = [
+        (pin, baseline.pins.get(pin, _ABSENT),
+         candidate.pins.get(pin, _ABSENT))
+        for pin in sorted(set(baseline.pins) | set(candidate.pins))
+        if baseline.pins.get(pin) != candidate.pins.get(pin)]
+    return PinVerdict(candidate=candidate, baseline=baseline,
+                      mismatches=mismatches)
 
 
 def detect_change_points(values: Sequence[float],
@@ -353,62 +327,108 @@ def ingest_results(results_dir: str) -> Dict[str, float]:
     return out
 
 
-def entry_from_sources(workloads: Sequence[str] = ("nvsa", "prae"),
-                       results_dir: Optional[str] = None,
-                       device: Optional[object] = None,
-                       seed: int = 0,
+def model_facts(trace, device) -> Dict[str, Any]:
+    """The device-model view of one trace that the ``model`` pin digests."""
+    from repro.core.analysis import latency_breakdown  # deferred (cycle)
+    from repro.obs.kstats import kstats_by_category  # deferred (cycle)
+    breakdown = latency_breakdown(trace, device)
+    peak = trace.metadata.get("peak_live_bytes", trace.peak_live_bytes)
+    return {
+        "projected_latency_s": float(breakdown.total_time),
+        "phase_latency_s": {phase or "untagged": float(seconds)
+                            for phase, seconds
+                            in breakdown.phase_times.items()},
+        "peak_live_bytes": float(peak),
+        "category_kstats": {
+            stats.label: {name: float(getattr(stats.counters, name))
+                          for name in KSTATS_FIELDS}
+            for stats in kstats_by_category(trace, device)},
+    }
+
+
+def pin_workload(name: str) -> Tuple[Dict[str, str], Dict[str, float]]:
+    """Capture ``name`` once at :data:`PIN_SEED` under the dispatch
+    ledger; its four pins and its trend metrics.
+
+    The capture is the one ``repro compile build`` performs, so the
+    ``plan`` pin is the digest of the plan that command writes.
+    """
+    from repro.compile.capture import capture_plan_with_trace
+    from repro.hwsim.devices import RTX_2080TI
+    from repro.obs import selfprof
+    from repro.obs.runrec import counters_digest
+    from repro.workloads import create
+    with selfprof.scoped_ledger() as ledger:
+        plan, trace = capture_plan_with_trace(create(name, seed=PIN_SEED))
+    facts = model_facts(trace, RTX_2080TI)
+    projected = facts["projected_latency_s"]
+    pins = {
+        f"{name}.counters": counters_digest(trace),
+        f"{name}.ledger": ledger.digest(),
+        f"{name}.plan": plan.digest(),
+        f"{name}.model": _sha256(facts),
+    }
+    metrics = {
+        f"dispatch.{name}.ops": float(ledger.ops),
+        f"dispatch.{name}.modeled_overhead_ns": float(
+            ledger.modeled_overhead_ns()),
+        f"headroom.{name}.pct": round(
+            100.0 * ledger.modeled_headroom(projected), 6),
+        f"compile.{name}.steps": float(len(plan.steps)),
+    }
+    return pins, metrics
+
+
+def run_pinned_serve():
+    """Serve :data:`PINNED_SERVE` once; the :class:`ServeReport`."""
+    from repro.hwsim.devices import get_device
+    from repro.serve import (BatchPolicy, InferenceServer, LoadSpec,
+                             ServeConfig, open_loop, parse_mix)
+    spec = LoadSpec.make(parse_mix(PINNED_SERVE["mix"]),
+                         rate=PINNED_SERVE["rate"],
+                         duration=PINNED_SERVE["duration"],
+                         seed=PINNED_SERVE["seed"])
+    config = ServeConfig(
+        workers=PINNED_SERVE["workers"],
+        devices=(get_device(PINNED_SERVE["device"]),),
+        batch=BatchPolicy(max_batch_size=PINNED_SERVE["max_batch"],
+                          max_wait=PINNED_SERVE["max_wait"]))
+    return InferenceServer(config).run_schedule(open_loop(spec))
+
+
+def serve_pin() -> str:
+    """Digest of the pinned serve schedule's ``deterministic`` stats."""
+    return _sha256(run_pinned_serve().summary()["deterministic"])
+
+
+def entry_from_sources(results_dir: Optional[str] = None,
                        label: str = "local",
                        created: Optional[str] = None,
                        sha: Optional[str] = None) -> HistoryEntry:
-    """Profile ``workloads`` under the self-profiling ledger and build
-    one history entry.
+    """Pin the full roster and the serve schedule into one entry.
 
-    All gated metrics are deterministic: modeled ledger overhead,
-    analytic compiled-tier headroom (modeled overhead vs the device
-    model's projected latency), and compiled-plan step counts.
-    Pass ``created=""``/``sha=""`` to build identity-stable entries
-    (tests assert two seeded builds are bit-identical).
+    Trend metrics come from the same captures, plus the structured
+    benchmark results under ``results_dir`` when given.  Pass
+    ``created=""``/``sha=""`` to build identity-stable entries (tests
+    assert two builds are bit-identical).
     """
-    from repro.compile.capture import PlanCapturer, capture_program_plan
-    from repro.core.analysis import latency_breakdown
     from repro.hwsim.devices import RTX_2080TI
-    from repro.obs import selfprof
-    from repro.obs.runrec import counters_digest, git_sha
-    from repro.tensor.context import op_observer
-    device = device if device is not None else RTX_2080TI
+    from repro.obs.runrec import git_sha
+    pins: Dict[str, str] = {}
     metrics: Dict[str, float] = {}
-    meta: Dict[str, object] = {"seed": seed,
-                               "device": getattr(device, "name", "")}
-    digests: Dict[str, Dict[str, str]] = {}
-    from repro.workloads import create
-    for name in workloads:
-        # the plan capturer rides the same ledgered run: observers see
-        # every dispatched op, so one profile yields ledger + plan
-        capturer = PlanCapturer()
-        with selfprof.scoped_ledger() as ledger:
-            with op_observer(capturer):
-                trace = create(name, seed=seed).profile()
-        projected = latency_breakdown(trace, device).total_time
-        plan = capture_program_plan(trace, capturer, workload=name)
-        metrics[f"dispatch.{name}.ops"] = float(ledger.ops)
-        metrics[f"dispatch.{name}.modeled_overhead_ns"] = float(
-            ledger.modeled_overhead_ns())
-        metrics[f"headroom.{name}.pct"] = round(
-            100.0 * ledger.modeled_headroom(projected), 6)
-        metrics[f"compile.{name}.steps"] = float(len(plan.steps))
-        digests[name] = {
-            "ledger": ledger.digest(),
-            "counters": counters_digest(trace),
-            "plan": plan.digest(),
-        }
-    meta["digests"] = digests
+    for name in PIN_ROSTER:
+        workload_pins, workload_metrics = pin_workload(name)
+        pins.update(workload_pins)
+        metrics.update(workload_metrics)
+    pins["serve"] = serve_pin()
     if results_dir is not None:
         metrics.update(ingest_results(results_dir))
     return HistoryEntry(
         created=(datetime.now(timezone.utc).isoformat(timespec="seconds")
                  if created is None else created),
         git_sha=git_sha() if sha is None else sha,
-        label=label, metrics=metrics, meta=meta)
+        label=label, metrics=metrics, pins=pins,
+        meta={"seed": PIN_SEED, "device": RTX_2080TI.name})
 
 
 # ---------------------------------------------------------------------------
@@ -429,6 +449,12 @@ def _ascii_spark(values: Sequence[float]) -> str:
                    for v in values)
 
 
+def _rel_change(baseline: float, candidate: float) -> float:
+    if baseline == 0.0:
+        return 0.0 if candidate == 0.0 else float("inf")
+    return (candidate - baseline) / abs(baseline)
+
+
 def render_history(entries: Sequence[HistoryEntry],
                    metrics: Optional[Sequence[str]] = None) -> str:
     """Text trend table: per metric, series sparkline + change points."""
@@ -442,7 +468,6 @@ def render_history(entries: Sequence[HistoryEntry],
         series = metric_series(entries, metric)
         if not series:
             continue
-        policy = policy_for(metric)
         shifts = detect_change_points(series)
         delta = _rel_change(series[-2], series[-1]) \
             if len(series) >= 2 else 0.0
@@ -451,14 +476,12 @@ def render_history(entries: Sequence[HistoryEntry],
             (f"{delta:+.1%}" if abs(delta) != float("inf") else "new"),
             _ascii_spark(series[-24:]),
             ",".join(map(str, shifts)) or "-",
-            ("-" if policy.threshold is None
-             else f"{policy.threshold:.0%}"),
         ])
     header = (f"{len(entries)} entries "
               f"({entries[0].created or '?'} .. "
               f"{entries[-1].created or '?'})")
     return render_table(
-        ["metric", "n", "last", "delta", "trend", "shifts@", "gate"],
+        ["metric", "n", "last", "delta", "trend", "shifts@"],
         rows, title=f"perf history — {header}")
 
 

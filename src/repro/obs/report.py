@@ -21,13 +21,13 @@ Sections (each an anchor-linkable ``<section>``):
 4. **roofline** — the device roof with per-phase and per-span points
    (Fig. 3c), log-log, as inline SVG;
 5. **sparsity** — per-stage output-sparsity statistics (Fig. 5 lens);
-6. **baseline diff** — optional: the
-   :func:`repro.obs.compare.compare_records` table against a stored
-   :class:`~repro.obs.runrec.RunRecord`.
+6. **perf trends** — optional: the history gate's pin verdict and one
+   sparkline row per trend metric of a
+   :mod:`repro.obs.history` store.
 
-With ``baseline=None`` the document is deterministic for a fixed
-trace (no timestamps, no hostnames), so report bytes can be diffed
-across commits like any other artifact.
+The document is deterministic for a fixed trace and history (no
+timestamps, no hostnames), so report bytes can be diffed across
+commits like any other artifact.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from repro.hwsim.roofline import (RooflinePoint, roofline_curve,
                                   roofline_points)
 from repro.obs.kstats import (KernelStats, kstats_by_category,
                               kstats_by_span)
-from repro.obs.runrec import RunRecord, record_from_trace
 from repro.obs.spans import SpanRecord
 
 #: colors cycled over span names / roofline points (hex, no external
@@ -416,19 +415,9 @@ def _section_sparsity(trace: Trace) -> str:
             f"<tbody>{body}</tbody></table>")
 
 
-def _section_baseline(trace: Trace, device: DeviceSpec,
-                      baseline: Optional[RunRecord]) -> str:
-    if baseline is None:
-        return ""
-    from repro.obs.compare import compare_records
-    candidate = record_from_trace(trace, device=device)
-    comparison = compare_records(baseline, candidate)
-    return ("<h2 id=baseline>baseline comparison</h2>"
-            f"<pre>{escape(comparison.render())}</pre>")
-
-
 def _section_trends(history: Optional[Sequence[object]]) -> str:
-    """Longitudinal perf trends: one sparkline row per history metric.
+    """Longitudinal perf trends: the gate's pin verdict, then one
+    sparkline row per history metric.
 
     ``history`` is a list of :class:`repro.obs.history.HistoryEntry`
     (kept untyped here so the report module imports nothing from the
@@ -436,11 +425,10 @@ def _section_trends(history: Optional[Sequence[object]]) -> str:
     """
     if not history:
         return ""
-    from repro.obs.history import (detect_change_points, metric_series,
-                                   policy_for, sparkline_svg)
+    from repro.obs.history import (check_pins, detect_change_points,
+                                   metric_series, sparkline_svg)
+    verdict = check_pins(history)  # type: ignore[arg-type]
     names = sorted({m for e in history for m in e.metrics})  # type: ignore[attr-defined]
-    if not names:
-        return ""
     rows: List[str] = []
     for metric in names:
         series = metric_series(history, metric)  # type: ignore[arg-type]
@@ -451,9 +439,6 @@ def _section_trends(history: Optional[Sequence[object]]) -> str:
         if len(series) >= 2 and series[-2] != 0:
             rel = (series[-1] - series[-2]) / abs(series[-2])
             delta = f"{rel:+.1%}"
-        policy = policy_for(metric)
-        gate = ("-" if policy.threshold is None
-                else f"{policy.threshold:.0%}")
         spark = sparkline_svg(series[-48:],
                               change_points=[s - max(0, len(series) - 48)
                                              for s in shifts])
@@ -463,8 +448,7 @@ def _section_trends(history: Optional[Sequence[object]]) -> str:
             f"<td>{series[-1]:.6g}</td>"
             f"<td>{escape(delta) or '-'}</td>"
             f"<td>{spark}</td>"
-            f"<td>{escape(','.join(map(str, shifts)) or '-')}</td>"
-            f"<td>{escape(gate)}</td></tr>")
+            f"<td>{escape(','.join(map(str, shifts)) or '-')}</td></tr>")
     first = history[0]
     last = history[-1]
     window = (f"{len(history)} entries "
@@ -472,12 +456,12 @@ def _section_trends(history: Optional[Sequence[object]]) -> str:
               f"{getattr(last, 'created', '') or '?'})")
     return ("<h2 id=trends>perf trends "
             "<span class=meta>(longitudinal history)</span></h2>"
-            f"<p class=meta>{escape(window)}; red dashes mark "
-            "detected change points (binary segmentation); gated "
-            "metrics regress CI at the listed budget.</p>"
+            f"<pre>{escape(verdict.render())}</pre>"
+            f"<p class=meta>{escape(window)}; metrics are trend-only "
+            "(the gate compares pins); red dashes mark detected change "
+            "points (binary segmentation).</p>"
             "<table><thead><tr><th>metric</th><th>n</th><th>last</th>"
-            "<th>delta</th><th>trend</th><th>shifts@</th>"
-            "<th>gate</th></tr></thead>"
+            "<th>delta</th><th>trend</th><th>shifts@</th></tr></thead>"
             f"<tbody>{''.join(rows)}</tbody></table>")
 
 
@@ -486,13 +470,12 @@ def _section_trends(history: Optional[Sequence[object]]) -> str:
 
 
 def render_report(trace: Trace, device: DeviceSpec = RTX_2080TI,
-                  baseline: Optional[RunRecord] = None,
                   history: Optional[Sequence[object]] = None) -> str:
     """The full single-file HTML report for ``trace`` on ``device``.
 
     ``history`` (a list of :class:`repro.obs.history.HistoryEntry`)
-    adds the longitudinal perf-trend section — per-metric sparklines
-    with change-point markers.
+    adds the longitudinal perf-trend section — the gate's pin verdict
+    and per-metric sparklines with change-point markers.
     """
     sections = [
         _section_header(trace, device),
@@ -502,7 +485,6 @@ def render_report(trace: Trace, device: DeviceSpec = RTX_2080TI,
         _section_roofline(trace, device),
         _section_sparsity(trace),
         _section_trends(history),
-        _section_baseline(trace, device, baseline),
     ]
     title = escape(f"run report: {trace.workload or 'trace'}")
     return ("<!DOCTYPE html>\n"
@@ -515,9 +497,7 @@ def render_report(trace: Trace, device: DeviceSpec = RTX_2080TI,
 
 def write_report(trace: Trace, path: str,
                  device: DeviceSpec = RTX_2080TI,
-                 baseline: Optional[RunRecord] = None,
                  history: Optional[Sequence[object]] = None) -> None:
     """Write the HTML run report to ``path``."""
     with open(path, "w") as handle:
-        handle.write(render_report(trace, device, baseline=baseline,
-                                   history=history))
+        handle.write(render_report(trace, device, history=history))

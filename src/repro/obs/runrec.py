@@ -1,15 +1,10 @@
-"""Run manifests: one durable record per profiled run.
+"""Run identity helpers: the counters digest and the git sha.
 
-A :class:`RunRecord` is the between-runs unit of observability: a
-compact, append-only summary (workload, params, seed, git sha, a
-digest of the per-phase/per-category counters, projected per-phase
-latency, peak memory) written into a ``runs.jsonl`` database.
-:mod:`repro.obs.compare` diffs records to flag drift and regressions.
-
-The gating metrics are *analytic* — counters and device-model
-projections, not wall clock — so two runs of the same code at the
-same seed produce identical records (up to timestamp/host fields,
-which are informational and never compared).
+:func:`counters_digest` is the contract every figure rests on: two
+traces with the same digest produce identical characterization
+results.  The compiled tier checks replays against it, the perf
+benchmark checks its runs against it, and :mod:`repro.obs.history`
+pins it per workload.
 """
 
 from __future__ import annotations
@@ -17,31 +12,9 @@ from __future__ import annotations
 import hashlib
 import json
 import subprocess
-from dataclasses import dataclass, field
-from datetime import datetime, timezone
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.core.profiler import Trace
-from repro.core.serialize import safe_json_value
-from repro.core.taxonomy import CATEGORY_ORDER
-from repro.hwsim.device import DeviceSpec
-from repro.hwsim.devices import RTX_2080TI
-
-#: bump when the record layout changes.  Version 2 adds
-#: ``category_kstats`` (per-category analytic kernel counters from
-#: :mod:`repro.obs.kstats`); version-1 records load with an empty map.
-RECORD_VERSION = 2
-
-#: the synthesized counters gated by drift checks, as
-#: :class:`repro.hwsim.kernels.KernelCounters` field names
-KSTATS_COUNTER_FIELDS = (
-    "compute_throughput_pct", "alu_utilization_pct",
-    "l1_throughput_pct", "l2_throughput_pct",
-    "l1_hit_rate_pct", "l2_hit_rate_pct",
-    "dram_bw_utilization_pct")
-
-#: default run database filename
-DEFAULT_DB = "runs.jsonl"
 
 
 def git_sha(short: bool = True) -> str:
@@ -73,173 +46,3 @@ def counters_digest(trace: Trace) -> str:
         {key: buckets[key] for key in sorted(buckets)},
         separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
-
-
-@dataclass
-class RunRecord:
-    """Summary of one profiled run, durable across processes."""
-
-    workload: str
-    seed: Optional[int] = None
-    params: Dict[str, object] = field(default_factory=dict)
-    created: str = ""
-    git_sha: str = ""
-    device: str = ""
-    events: int = 0
-    total_flops: float = 0.0
-    total_bytes: float = 0.0
-    wall_time_s: float = 0.0
-    peak_live_bytes: float = 0.0
-    projected_latency_s: float = 0.0
-    phase_latency_s: Dict[str, float] = field(default_factory=dict)
-    #: per-category analytic kernel counters
-    #: (``category -> counter field -> percent``), synthesized by
-    #: :func:`repro.obs.kstats.kstats_by_category`; deterministic per
-    #: seed, so drift checks can gate on them.  Empty for v1 records.
-    category_kstats: Dict[str, Dict[str, float]] = field(
-        default_factory=dict)
-    counters_digest: str = ""
-    version: int = RECORD_VERSION
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "version": self.version,
-            "workload": self.workload,
-            "seed": self.seed,
-            "params": {k: safe_json_value(v)
-                       for k, v in self.params.items()},
-            "created": self.created,
-            "git_sha": self.git_sha,
-            "device": self.device,
-            "events": self.events,
-            "total_flops": self.total_flops,
-            "total_bytes": self.total_bytes,
-            "wall_time_s": self.wall_time_s,
-            "peak_live_bytes": self.peak_live_bytes,
-            "projected_latency_s": self.projected_latency_s,
-            "phase_latency_s": dict(self.phase_latency_s),
-            "category_kstats": {cat: dict(counters) for cat, counters
-                                in self.category_kstats.items()},
-            "counters_digest": self.counters_digest,
-        }
-
-    @classmethod
-    def from_dict(cls, raw: Dict[str, object]) -> "RunRecord":
-        return cls(
-            workload=str(raw.get("workload", "")),
-            seed=raw.get("seed"),  # type: ignore[arg-type]
-            params=dict(raw.get("params", {})),  # type: ignore[arg-type]
-            created=str(raw.get("created", "")),
-            git_sha=str(raw.get("git_sha", "")),
-            device=str(raw.get("device", "")),
-            events=int(raw.get("events", 0)),  # type: ignore[arg-type]
-            total_flops=float(raw.get("total_flops", 0.0)),  # type: ignore[arg-type]
-            total_bytes=float(raw.get("total_bytes", 0.0)),  # type: ignore[arg-type]
-            wall_time_s=float(raw.get("wall_time_s", 0.0)),  # type: ignore[arg-type]
-            peak_live_bytes=float(raw.get("peak_live_bytes", 0.0)),  # type: ignore[arg-type]
-            projected_latency_s=float(
-                raw.get("projected_latency_s", 0.0)),  # type: ignore[arg-type]
-            phase_latency_s={str(k): float(v) for k, v in
-                             dict(raw.get("phase_latency_s", {})).items()},  # type: ignore[arg-type]
-            category_kstats={
-                str(cat): {str(k): float(v)
-                           for k, v in dict(counters).items()}
-                for cat, counters
-                in dict(raw.get("category_kstats", {})).items()},  # type: ignore[arg-type]
-            counters_digest=str(raw.get("counters_digest", "")),
-            version=int(raw.get("version", RECORD_VERSION)),  # type: ignore[arg-type]
-        )
-
-    def label(self) -> str:
-        sha = f"@{self.git_sha}" if self.git_sha else ""
-        return f"{self.workload}{sha} ({self.created or 'undated'})"
-
-
-def record_from_trace(trace: Trace,
-                      device: DeviceSpec = RTX_2080TI,
-                      sha: Optional[str] = None) -> RunRecord:
-    """Build the :class:`RunRecord` for one profiled trace."""
-    from repro.core.analysis import latency_breakdown  # deferred (cycle)
-    from repro.obs.kstats import kstats_by_category  # deferred (cycle)
-    breakdown = latency_breakdown(trace, device)
-    category_kstats = {
-        stats.label: {name: float(getattr(stats.counters, name))
-                      for name in KSTATS_COUNTER_FIELDS}
-        for stats in kstats_by_category(trace, device)}
-    metadata = trace.metadata
-    seed = metadata.get("seed")
-    params = {key: value for key, value in metadata.items()
-              if key not in ("result",)}
-    peak = metadata.get("peak_live_bytes", trace.peak_live_bytes)
-    return RunRecord(
-        workload=trace.workload,
-        seed=seed if isinstance(seed, int) else None,
-        params=params,
-        created=datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        git_sha=sha if sha is not None else git_sha(),
-        device=device.name,
-        events=len(trace.events),
-        total_flops=float(trace.total_flops),
-        total_bytes=float(trace.total_bytes),
-        wall_time_s=float(trace.total_wall_time),
-        peak_live_bytes=float(peak),  # type: ignore[arg-type]
-        projected_latency_s=float(breakdown.total_time),
-        phase_latency_s={phase or "untagged": float(seconds)
-                         for phase, seconds
-                         in breakdown.phase_times.items()},
-        category_kstats=category_kstats,
-        counters_digest=counters_digest(trace),
-    )
-
-
-def append_record(record: RunRecord, path: str = DEFAULT_DB) -> None:
-    """Append ``record`` to the run database at ``path``."""
-    with open(path, "a") as handle:
-        handle.write(json.dumps(record.to_dict()) + "\n")
-
-
-def load_records(path: str) -> List[RunRecord]:
-    """All records in a ``runs.jsonl`` database, oldest first."""
-    records: List[RunRecord] = []
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                records.append(RunRecord.from_dict(json.loads(line)))
-    return records
-
-
-def load_record(path: str) -> RunRecord:
-    """One record: a single-record ``.json`` file or the newest entry
-    of a ``runs.jsonl`` database."""
-    with open(path) as handle:
-        content = handle.read().strip()
-    if not content:
-        raise ValueError(f"{path}: empty run-record file")
-    try:  # a single (possibly pretty-printed) JSON document
-        return RunRecord.from_dict(json.loads(content))
-    except json.JSONDecodeError:
-        pass
-    lines = [line for line in content.splitlines() if line.strip()]
-    return RunRecord.from_dict(json.loads(lines[-1]))
-
-
-def save_record(record: RunRecord, path: str) -> None:
-    """Write one record as a standalone JSON file (CI baselines)."""
-    with open(path, "w") as handle:
-        json.dump(record.to_dict(), handle, indent=1, sort_keys=True)
-        handle.write("\n")
-
-
-def category_totals(trace: Trace) -> Dict[str, Dict[str, float]]:
-    """Per-category event/FLOP/byte totals (BENCH-trajectory helper)."""
-    out: Dict[str, Dict[str, float]] = {}
-    for category in CATEGORY_ORDER:
-        sub = trace.by_category(category)
-        if len(sub):
-            out[category.value] = {
-                "events": float(len(sub)),
-                "flops": float(sub.total_flops),
-                "bytes": float(sub.total_bytes),
-            }
-    return out

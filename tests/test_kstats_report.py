@@ -3,7 +3,6 @@ synthesized kernel statistics (obs.kstats), collapsed-stack
 flamegraphs (obs.flame), the HTML run report (obs.report), the
 trace-level Table IV bridge, and the new CLI subcommands."""
 
-import json
 import re
 
 import numpy as np
@@ -22,10 +21,6 @@ from repro.obs.kstats import (CATEGORY_MIX, archetype_kstats,
                               kstats_by_category, kstats_by_span,
                               render_kstats, synthesize_kstats)
 from repro.obs.report import render_report
-from repro.obs.runrec import (KSTATS_COUNTER_FIELDS, RunRecord,
-                              record_from_trace, save_record)
-from repro.obs.compare import compare_records
-from tests.conftest import cached_trace
 
 #: one collapsed-stack line: frames joined by ';', integer weight
 _FLAME_LINE = re.compile(r"[^ ]+(;[^ ]+)* \d+")
@@ -260,60 +255,10 @@ class TestReport:
     def test_deterministic_without_baseline(self, nvsa_trace):
         assert render_report(nvsa_trace) == render_report(nvsa_trace)
 
-    def test_baseline_section(self, nvsa_trace):
-        record = record_from_trace(nvsa_trace)
-        html = render_report(nvsa_trace, baseline=record)
-        assert "id=baseline" in html
-        assert "run comparison" in html
-        assert "id=baseline" not in render_report(nvsa_trace)
-
     def test_degrades_on_legacy_trace(self):
         html = render_report(_legacy_trace())
         assert "no spans collected" in html
         assert "<svg" in html  # roofline still renders from events
-
-
-# ---------------------------------------------------------------------------
-# run-record category counters + drift gating
-# ---------------------------------------------------------------------------
-
-class TestCategoryKstatsRecord:
-    def test_record_carries_category_counters(self, nvsa_trace):
-        record = record_from_trace(nvsa_trace)
-        assert record.category_kstats
-        assert set(record.category_kstats) <= \
-            {c.value for c in OpCategory}
-        for counters in record.category_kstats.values():
-            assert set(counters) == set(KSTATS_COUNTER_FIELDS)
-        rebuilt = RunRecord.from_dict(
-            json.loads(json.dumps(record.to_dict())))
-        assert rebuilt.category_kstats == record.category_kstats
-
-    def test_v1_record_dict_loads_without_kstats(self, nvsa_trace):
-        payload = record_from_trace(nvsa_trace).to_dict()
-        del payload["category_kstats"]
-        assert RunRecord.from_dict(payload).category_kstats == {}
-
-    def test_drift_flagged_in_both_directions(self, nvsa_trace):
-        base = record_from_trace(nvsa_trace)
-        for factor in (1.05, 0.95):  # hit rate dropping is drift too
-            cand = RunRecord.from_dict(base.to_dict())
-            cand.category_kstats["matmul"]["l1_hit_rate_pct"] *= factor
-            report = compare_records(base, cand)
-            assert {d.metric for d in report.regressions} == {
-                "category_kstats[matmul.l1_hit_rate_pct]"}
-
-    def test_within_band_is_ok_and_v1_skipped(self, nvsa_trace):
-        base = record_from_trace(nvsa_trace)
-        cand = RunRecord.from_dict(base.to_dict())
-        cand.category_kstats["matmul"]["l1_hit_rate_pct"] *= 1.01
-        assert compare_records(base, cand).ok
-        # a v1 baseline (no kstats) never produces kstats deltas
-        v1 = RunRecord.from_dict(base.to_dict())
-        v1.category_kstats = {}
-        report = compare_records(v1, base)
-        assert not any(d.metric.startswith("category_kstats")
-                       for d in report.deltas)
 
 
 # ---------------------------------------------------------------------------
@@ -339,11 +284,12 @@ class TestReportCli:
         assert not re.search(r"\b(?:src|href)\s*=|https?://", html)
         assert "self-contained" in capsys.readouterr().out
 
-    def test_report_with_baseline(self, tmp_path):
-        baseline = tmp_path / "base.json"
-        save_record(record_from_trace(cached_trace("lnn", seed=0)),
-                    str(baseline))
-        out = tmp_path / "report.html"
-        assert cli_main(["report", "lnn", "--baseline", str(baseline),
-                         "-o", str(out)]) == 0
-        assert "id=baseline" in out.read_text()
+    def test_report_with_baseline(self, tmp_path, capsys):
+        # drift is the history gate's job (``report --history``
+        # shows its verdict), so the report takes no baseline
+        with pytest.raises(SystemExit) as info:
+            cli_main(["report", "lnn", "--baseline", "base.json",
+                      "-o", str(tmp_path / "report.html")])
+        assert info.value.code == 2     # argparse usage error
+        assert not (tmp_path / "report.html").exists()
+        capsys.readouterr()

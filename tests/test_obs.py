@@ -1,5 +1,5 @@
 """Tests for the observability layer: spans, metrics, exporters
-(Chrome / JSONL / Prometheus), run records, and run comparison."""
+(Chrome / JSONL / Prometheus), and the counters digest."""
 
 import dataclasses
 import gc
@@ -16,12 +16,8 @@ from repro.core.profiler import Trace
 from repro.core.taxonomy import CATEGORY_ORDER, NSParadigm
 from repro.obs import metrics as obs_metrics
 from repro.obs.chrome import CATEGORY_COLORS
-from repro.obs.cli import EXIT_REGRESSION
-from repro.obs.compare import compare_records
 from repro.obs.prom import render_runtime
-from repro.obs.runrec import (RunRecord, append_record, counters_digest,
-                              load_record, load_records,
-                              record_from_trace, save_record)
+from repro.obs.runrec import counters_digest
 from repro.obs.spans import (SpanCollector, span, span_roots,
                              tracing_active)
 from repro.resilience.runner import ResilientRunner, RetryPolicy
@@ -479,23 +475,10 @@ class TestJsonlExport:
 
 
 # ---------------------------------------------------------------------------
-# run records + comparison
+# counters digest
 # ---------------------------------------------------------------------------
 
-class TestRunRecords:
-    def test_record_fields(self, nvsa_trace):
-        record = record_from_trace(nvsa_trace, sha="abc1234")
-        assert record.workload == "nvsa"
-        assert record.seed == 0
-        assert record.git_sha == "abc1234"
-        assert record.events == len(nvsa_trace.events)
-        assert record.total_flops == pytest.approx(
-            nvsa_trace.total_flops)
-        assert record.projected_latency_s > 0
-        assert set(record.phase_latency_s) == set(nvsa_trace.phases())
-        assert record.counters_digest
-        assert record.created
-
+class TestCountersDigest:
     def test_digest_stable_across_reruns(self):
         from repro.workloads import create
         first = counters_digest(create("lnn", seed=0).profile())
@@ -503,80 +486,6 @@ class TestRunRecords:
         assert first == second
         third = counters_digest(create("ltn", seed=0).profile())
         assert first != third  # different workload, different op stream
-
-    def test_dict_roundtrip(self, nvsa_trace):
-        record = record_from_trace(nvsa_trace)
-        rebuilt = RunRecord.from_dict(
-            json.loads(json.dumps(record.to_dict())))
-        assert rebuilt == record
-
-    def test_append_and_load(self, tmp_path, nvsa_trace):
-        db = str(tmp_path / "runs.jsonl")
-        record = record_from_trace(nvsa_trace)
-        append_record(record, db)
-        append_record(record, db)
-        assert len(load_records(db)) == 2
-        assert load_record(db) == record  # newest entry
-
-    def test_save_and_load_standalone(self, tmp_path, nvsa_trace):
-        path = str(tmp_path / "baseline.json")
-        record = record_from_trace(nvsa_trace)
-        save_record(record, path)  # pretty-printed, multi-line
-        assert load_record(path) == record
-
-
-class TestCompare:
-    def _record(self, **overrides) -> RunRecord:
-        base = dict(workload="nvsa", seed=0, events=100,
-                    total_flops=1e8, total_bytes=1e7,
-                    peak_live_bytes=1e6, projected_latency_s=0.01,
-                    phase_latency_s={"neural": 0.004,
-                                     "symbolic": 0.006},
-                    counters_digest="d1")
-        base.update(overrides)
-        return RunRecord(**base)
-
-    def test_identical_records_ok(self):
-        report = compare_records(self._record(), self._record())
-        assert report.ok
-        assert report.digest_match is True
-        assert all(d.status == "ok" for d in report.deltas)
-
-    def test_regression_flagged(self):
-        cand = self._record(projected_latency_s=0.012,
-                            counters_digest="d2")
-        report = compare_records(self._record(), cand)
-        assert not report.ok
-        regressed = {d.metric for d in report.regressions}
-        assert "projected_latency_s" in regressed
-        assert report.digest_match is False
-        assert "REGRESSION" in report.render()
-
-    def test_improvement_not_a_regression(self):
-        cand = self._record(projected_latency_s=0.005)
-        report = compare_records(self._record(), cand)
-        assert report.ok
-        statuses = {d.metric: d.status for d in report.deltas}
-        assert statuses["projected_latency_s"] == "improved"
-
-    def test_threshold_overrides(self):
-        cand = self._record(peak_live_bytes=1.05e6)
-        assert compare_records(self._record(), cand).ok
-        report = compare_records(self._record(), cand,
-                                 {"peak_live_bytes": 0.01})
-        assert not report.ok
-
-    def test_event_count_has_zero_tolerance(self):
-        report = compare_records(self._record(),
-                                 self._record(events=101))
-        assert {d.metric for d in report.regressions} == {"events"}
-
-    def test_phase_latency_compared_per_phase(self):
-        cand = self._record(phase_latency_s={"neural": 0.004,
-                                             "symbolic": 0.008})
-        report = compare_records(self._record(), cand)
-        assert {d.metric for d in report.regressions} == {
-            "phase_latency_s[symbolic]"}
 
 
 # ---------------------------------------------------------------------------
@@ -713,55 +622,6 @@ class TestObsCli:
         assert cli_main(["metrics", "lnn", "--format", "json"]) == 0
         snapshot = json.loads(capsys.readouterr().out)
         assert "repro_ops_total" in snapshot
-
-    def test_record_and_compare_ok(self, tmp_path, capsys):
-        db = str(tmp_path / "runs.jsonl")
-        assert cli_main(["record", "lnn", "--db", db]) == 0
-        assert cli_main(["record", "lnn", "--db", db]) == 0
-        assert cli_main(["compare", db]) == 0
-        assert "run comparison: OK" in capsys.readouterr().out
-
-    def test_compare_exits_nonzero_on_regression(self, tmp_path,
-                                                 capsys):
-        base = record_from_trace(cached_trace("lnn", seed=0))
-        regressed = RunRecord.from_dict(base.to_dict())
-        regressed.projected_latency_s *= 1.5
-        regressed.total_flops *= 1.1
-        base_path = tmp_path / "base.json"
-        cand_path = tmp_path / "cand.json"
-        save_record(base, str(base_path))
-        save_record(regressed, str(cand_path))
-        code = cli_main(["compare", str(base_path), str(cand_path)])
-        assert code == EXIT_REGRESSION
-        out = capsys.readouterr().out
-        assert "regressed" in out
-        # warn-only reports but exits clean for noisy CI lanes
-        assert cli_main(["compare", str(base_path), str(cand_path),
-                         "--warn-only"]) == 0
-
-    def test_compare_threshold_override(self, tmp_path):
-        base = record_from_trace(cached_trace("lnn", seed=0))
-        cand = RunRecord.from_dict(base.to_dict())
-        cand.peak_live_bytes *= 1.05
-        base_path, cand_path = (tmp_path / "a.json",
-                                tmp_path / "b.json")
-        save_record(base, str(base_path))
-        save_record(cand, str(cand_path))
-        assert cli_main(["compare", str(base_path),
-                         str(cand_path)]) == 0
-        assert cli_main(["compare", str(base_path), str(cand_path),
-                         "--threshold", "peak_live_bytes=0.01"]
-                        ) == EXIT_REGRESSION
-
-    def test_record_writes_standalone_baseline(self, tmp_path):
-        out = tmp_path / "baseline.json"
-        assert cli_main(["record", "lnn", "-o", str(out)]) == 0
-        record = load_record(str(out))
-        assert record.workload == "lnn"
-
-    def test_compare_rejects_bad_threshold(self, tmp_path):
-        with pytest.raises(SystemExit, match="unknown metric"):
-            cli_main(["compare", "--threshold", "bogus=1"])
 
 
 def test_paper_order_unchanged():

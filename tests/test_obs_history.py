@@ -1,45 +1,91 @@
-"""Longitudinal perf history: store, change points, gate, CLI, report.
+"""Longitudinal perf history: store, change points, pin gate, CLI, report.
 
-Covers the ISSUE-9 acceptance criteria end to end: a synthetic 10%
-dispatch-overhead regression makes ``repro obs history gate`` exit 6,
-while two identical seeded runs produce bit-identical history entries
-(created/sha pinned) and ledgers.
+The gate compares exact pins: a changed pin makes ``repro obs history
+gate`` exit 6 and print it as ``old → new``, each pin moves under its
+own perturbation, two seeded builds of the full-roster entry are
+bit-identical, and the committed ``benchmarks/history.jsonl`` is
+current for this tree.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import os
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main as cli_main
-from repro.obs.history import (BASELINE_WINDOW, DEFAULT_POLICIES,
-                               EXIT_TREND_REGRESSION, HistoryEntry,
-                               MetricPolicy, append_entry,
-                               detect_change_points, detect_regressions,
-                               entry_from_sources, ingest_results,
-                               load_history, metric_series,
-                               parse_policy_overrides, policy_for,
-                               render_history, sparkline_svg)
+from repro.compile import capture_plan
+from repro.core.taxonomy import OpCategory
+from repro.hwsim.devices import RTX_2080TI
+from repro.obs import kstats, selfprof
+from repro.obs import history
+from repro.obs.history import (EXIT_PIN_MISMATCH, PIN_ROSTER,
+                               PINNED_SERVE, HistoryEntry, HistoryError,
+                               append_entry, check_pins,
+                               detect_change_points, entry_from_sources,
+                               ingest_results, load_history,
+                               metric_series, model_facts, pin_workload,
+                               render_history, serve_pin, sparkline_svg)
+from repro.tensor import ops
+from repro.workloads import create
+
+COMMITTED_HISTORY = Path(__file__).resolve().parents[1] \
+    / "benchmarks" / "history.jsonl"
+
+PIN_KINDS = ("counters", "ledger", "plan", "model")
 
 
-def _entry(label: str, **metrics: float) -> HistoryEntry:
+@pytest.fixture(scope="module")
+def pinned_entry() -> HistoryEntry:
+    """The full-roster entry, built once (six captures + the serve
+    schedule, a few seconds)."""
+    return entry_from_sources(created="", sha="")
+
+
+def _entry(label: str, pins=None, **metrics: float) -> HistoryEntry:
     return HistoryEntry(created="2026-01-01T00:00:00+00:00",
                         git_sha="0" * 12, label=label,
-                        metrics=dict(metrics))
+                        metrics=dict(metrics), pins=dict(pins or {}))
+
+
+def _gate(tmp_path, capsys, *entries: HistoryEntry):
+    db = str(tmp_path / "history.jsonl")
+    for entry in entries:
+        append_entry(entry, db)
+    code = cli_main(["obs", "history", "gate", "--db", db])
+    return code, capsys.readouterr().out
+
+
+def _assert_moved(tmp_path, capsys, baseline: HistoryEntry,
+                  fresh: dict, moved: set) -> None:
+    """Exactly ``moved`` of the ``fresh`` pins differ from
+    ``baseline``'s, and the gate exits 6 printing each as old → new."""
+    assert {pin for pin in fresh
+            if fresh[pin] != baseline.pins[pin]} == moved
+    code, out = _gate(tmp_path, capsys, baseline,
+                      _entry("candidate", {**baseline.pins, **fresh}))
+    assert code == EXIT_PIN_MISMATCH
+    for pin in moved:
+        assert f"PIN {pin}: {baseline.pins[pin]} → {fresh[pin]}" in out
+    assert out.count("PIN ") == len(moved)
 
 
 class TestStore:
     def test_append_load_round_trip(self, tmp_path):
         db = str(tmp_path / "history.jsonl")
         first = _entry("a", **{"dispatch.nvsa.ops": 793.0})
-        second = _entry("b", **{"dispatch.nvsa.ops": 793.0,
-                                "headroom.nvsa.pct": 26.9})
+        second = _entry("b", {"nvsa.counters": "c" * 64},
+                        **{"dispatch.nvsa.ops": 793.0,
+                           "headroom.nvsa.pct": 26.9})
         append_entry(first, db)
         append_entry(second, db)
         loaded = load_history(db)
         assert [e.label for e in loaded] == ["a", "b"]
         assert loaded[0].to_dict() == first.to_dict()
+        assert loaded[1].pins == {"nvsa.counters": "c" * 64}
         assert metric_series(loaded, "headroom.nvsa.pct") == [26.9]
 
     def test_digest_excludes_provenance(self):
@@ -50,6 +96,22 @@ class TestStore:
         assert base.digest() == other.digest()
         assert base.digest() != _entry(
             "x", **{"dispatch.nvsa.ops": 2.0}).digest()
+        assert base.digest() != _entry(
+            "x", {"serve": "0"}, **{"dispatch.nvsa.ops": 1.0}).digest()
+
+    @pytest.mark.parametrize("bad_line", [
+        '{"created": "x", "metrics": {"a": 1',     # truncated write
+        '{"metrics": {"dispatch.nvsa.ops": "fast"}}',
+        '["not", "an", "entry"]',
+    ])
+    def test_malformed_line_names_file_and_line(self, tmp_path,
+                                                bad_line):
+        db = tmp_path / "history.jsonl"
+        append_entry(_entry("good"), str(db))
+        with open(db, "a") as handle:
+            handle.write(bad_line + "\n")
+        with pytest.raises(HistoryError, match=f"{db}:2: malformed"):
+            load_history(str(db))
 
 
 class TestChangePoints:
@@ -77,96 +139,137 @@ class TestChangePoints:
             == detect_change_points(list(series))
 
 
-class TestPolicies:
-    def test_longest_prefix_wins(self):
-        overrides = {"dispatch.nvsa.": MetricPolicy(threshold=0.5)}
-        assert policy_for("dispatch.nvsa.ops", overrides).threshold == 0.5
-        assert policy_for("dispatch.prae.ops", overrides).threshold \
-            == DEFAULT_POLICIES["dispatch."].threshold
-        assert policy_for("unknown.metric").threshold is None
-
-    def test_parse_overrides(self):
-        parsed = parse_policy_overrides(
-            ["dispatch.=0.2", "serve.throughput_rps=-0.1", "bench.=off"])
-        assert parsed["dispatch."] == MetricPolicy(0.2, True)
-        assert parsed["serve.throughput_rps"] == MetricPolicy(0.1, False)
-        assert parsed["bench."].threshold is None
-        with pytest.raises(ValueError):
-            parse_policy_overrides(["nonsense"])
-
-    def test_serve_metrics_lower_is_worse(self):
-        assert DEFAULT_POLICIES["serve."].higher_is_worse is False
-
-
 class TestRegressionGate:
-    def test_ten_percent_dispatch_regression_detected(self):
-        entries = [_entry(f"e{i}",
-                          **{"dispatch.nvsa.modeled_overhead_ns": 1e6})
-                   for i in range(4)]
-        entries.append(_entry(
-            "bad", **{"dispatch.nvsa.modeled_overhead_ns": 1.1e6}))
-        regressions = detect_regressions(entries)
-        assert len(regressions) == 1
-        regression = regressions[0]
-        assert regression.metric == "dispatch.nvsa.modeled_overhead_ns"
-        assert regression.rel_change == pytest.approx(0.10)
-        assert "REGRESSION" in regression.render()
-
-    def test_within_budget_passes(self):
-        entries = [_entry("a", **{"headroom.nvsa.pct": 25.0}),
-                   _entry("b", **{"headroom.nvsa.pct": 25.9})]
-        assert detect_regressions(entries) == []
-
-    def test_median_baseline_defeats_single_outlier(self):
-        values = [1e6, 1e6, 5e6, 1e6, 1e6]  # one bad historical entry
-        entries = [_entry(f"e{i}",
-                          **{"dispatch.nvsa.modeled_overhead_ns": v})
-                   for i, v in enumerate(values)]
-        entries.append(_entry(
-            "cand", **{"dispatch.nvsa.modeled_overhead_ns": 1.2e6}))
-        assert len(detect_regressions(entries,
-                                      window=BASELINE_WINDOW)) == 1
+    def test_first_appearance_passes(self):
+        # entries from before pins existed carry none: the first pinned
+        # entry has nothing to compare against
+        verdict = check_pins([_entry("legacy", **{"x": 1.0}),
+                              _entry("first", {"serve": "a"})])
+        assert verdict.ok and verdict.baseline is None
+        assert "nothing to compare" in verdict.render()
+        assert check_pins([]).ok
 
     def test_ungated_metric_never_regresses(self):
-        entries = [_entry("a", **{"opportunities.nvsa.count": 100.0}),
-                   _entry("b", **{"opportunities.nvsa.count": 900.0})]
-        assert detect_regressions(entries) == []
+        # measured metrics are trend-only: only pins are compared
+        pins = {"nvsa.counters": "a", "serve": "b"}
+        verdict = check_pins([
+            _entry("a", pins, **{"serve.throughput_rps": 150.0}),
+            _entry("b", pins, **{"serve.throughput_rps": 15.0,
+                                 "bench.obs_overhead.nvsa": 9.0})])
+        assert verdict.ok
+        assert "OK — 2 pins match 'a'" in verdict.render()
 
-    def test_lower_is_worse_direction(self):
-        entries = [_entry("a", **{"serve.throughput_rps": 100.0}),
-                   _entry("b", **{"serve.throughput_rps": 80.0})]
-        overrides = parse_policy_overrides(["serve.=-0.1"])
-        regressions = detect_regressions(entries, overrides)
-        assert len(regressions) == 1
-        assert regressions[0].rel_change == pytest.approx(-0.2)
+    def test_mismatch_renders_old_to_new_and_absent_pins(self):
+        verdict = check_pins([
+            _entry("old", {"a": "1", "b": "2", "gone": "3"}),
+            _entry("new", {"a": "1", "b": "20", "added": "4"})])
+        assert verdict.mismatches == [("added", "(absent)", "4"),
+                                      ("b", "2", "20"),
+                                      ("gone", "3", "(absent)")]
+        text = verdict.render()
+        assert "PIN b: 2 → 20" in text
+        assert "PIN added: (absent) → 4" in text
+        assert "3 of 4 pins changed since 'old'" in text
 
-    def test_first_appearance_passes(self):
-        entries = [_entry("a", **{"dispatch.nvsa.ops": 1.0}),
-                   _entry("b", **{"dispatch.nvsa.ops": 1.0,
-                                  "dispatch.prae.ops": 999.0})]
-        assert detect_regressions(entries) == []
+    def test_compares_with_the_previous_pinned_entry(self):
+        changed = _entry("changed", {"a": "2"})
+        # an accepted change: the newest entry matches the one before
+        assert check_pins([_entry("orig", {"a": "1"}), changed,
+                           _entry("ci", {"a": "2"})]).ok
+        # unpinned entries in between are skipped
+        assert check_pins([changed, _entry("legacy"),
+                           _entry("ci", {"a": "2"})]).ok
+        # a newest entry without pins drops every pin
+        verdict = check_pins([changed, _entry("bare")])
+        assert verdict.mismatches == [("a", "2", "(absent)")]
+
+    def test_ten_percent_dispatch_regression_detected(
+            self, pinned_entry, monkeypatch, tmp_path, capsys):
+        # a 10% costlier modeled dispatcher moves the ledger pin only
+        for component, ns in list(selfprof.MODELED_COMPONENT_NS.items()):
+            monkeypatch.setitem(selfprof.MODELED_COMPONENT_NS,
+                                component, round(ns * 1.1))
+        monkeypatch.setattr(selfprof, "MODELED_OVERHEAD_NS_PER_OP",
+                            sum(selfprof.MODELED_COMPONENT_NS.values()))
+        fresh, _ = pin_workload("lnn")
+        _assert_moved(tmp_path, capsys, pinned_entry, fresh,
+                      {"lnn.ledger"})
+
+
+class TestPinSensitivity:
+    def test_device_model_constant_moves_model_only(
+            self, pinned_entry, monkeypatch, tmp_path, capsys):
+        efficiency = RTX_2080TI.category_efficiency
+        monkeypatch.setitem(efficiency, OpCategory.ELEMENTWISE,
+                            efficiency[OpCategory.ELEMENTWISE] * 0.5)
+        fresh, _ = pin_workload("lnn")
+        _assert_moved(tmp_path, capsys, pinned_entry, fresh,
+                      {"lnn.model"})
+
+    def test_kernel_counter_model_moves_model_only(
+            self, pinned_entry, monkeypatch, tmp_path, capsys):
+        # only the synthesized L1 hit rate moves: latency, peak and
+        # the op stream are untouched, so the kstats alone move the pin
+        mix = kstats.CATEGORY_MIX["elementwise"]
+        monkeypatch.setitem(kstats.CATEGORY_MIX, "elementwise",
+                            dataclasses.replace(
+                                mix, l1_line_reuse=mix.l1_line_reuse
+                                * 0.9))
+        fresh, _ = pin_workload("lnn")
+        _assert_moved(tmp_path, capsys, pinned_entry, fresh,
+                      {"lnn.model"})
+
+    def test_flop_formula_moves_counters_plan_and_model(
+            self, pinned_entry, monkeypatch, tmp_path, capsys):
+        # LTN's sigmoid and pow are costed in transcendental FLOPs
+        monkeypatch.setattr(ops, "_TRANSCENDENTAL_COST", 5.0)
+        fresh, _ = pin_workload("ltn")
+        _assert_moved(tmp_path, capsys, pinned_entry, fresh,
+                      {"ltn.counters", "ltn.plan", "ltn.model"})
+
+    def test_max_batch_size_moves_serve(self, pinned_entry, monkeypatch,
+                                        tmp_path, capsys):
+        monkeypatch.setitem(PINNED_SERVE, "max_batch", 16)
+        _assert_moved(tmp_path, capsys, pinned_entry,
+                      {"serve": serve_pin()}, {"serve"})
+
+    def test_model_facts_cover_latency_peak_and_kstats(self, nvsa_trace):
+        facts = model_facts(nvsa_trace, RTX_2080TI)
+        assert facts["projected_latency_s"] > 0
+        assert set(facts["phase_latency_s"]) == set(nvsa_trace.phases())
+        assert facts["peak_live_bytes"] > 0
+        assert sum(len(counters) for counters
+                   in facts["category_kstats"].values()) == 35
+        assert set(facts["category_kstats"]) <= \
+            {c.value for c in OpCategory}
 
 
 class TestEntryFromSources:
-    def test_two_seeded_builds_bit_identical(self):
-        first = entry_from_sources(workloads=("lnn",), created="",
-                                   sha="", seed=0)
-        second = entry_from_sources(workloads=("lnn",), created="",
-                                    sha="", seed=0)
-        assert first.to_dict() == second.to_dict()
-        assert first.digest() == second.digest()
+    def test_two_seeded_builds_bit_identical(self, pinned_entry):
+        second = entry_from_sources(created="", sha="")
+        assert pinned_entry.to_dict() == second.to_dict()
+        assert pinned_entry.digest() == second.digest()
 
-    def test_entry_carries_observatory_metrics_and_digests(self):
-        entry = entry_from_sources(workloads=("lnn",), created="",
-                                   sha="", seed=0)
-        for metric in ("dispatch.lnn.ops",
-                       "dispatch.lnn.modeled_overhead_ns",
-                       "headroom.lnn.pct",
-                       "compile.lnn.steps"):
-            assert metric in entry.metrics, metric
-        digests = entry.meta["digests"]["lnn"]
-        assert set(digests) == {"ledger", "counters", "plan"}
-        assert 0.0 < entry.metrics["headroom.lnn.pct"] < 100.0
+    def test_entry_carries_observatory_metrics_and_digests(
+            self, pinned_entry):
+        assert set(pinned_entry.pins) == {
+            f"{name}.{kind}" for name in PIN_ROSTER
+            for kind in PIN_KINDS} | {"serve"}
+        for name in PIN_ROSTER:
+            for metric in (f"dispatch.{name}.ops",
+                           f"dispatch.{name}.modeled_overhead_ns",
+                           f"headroom.{name}.pct",
+                           f"compile.{name}.steps"):
+                assert metric in pinned_entry.metrics, metric
+            assert 0.0 < pinned_entry.metrics[f"headroom.{name}.pct"] \
+                < 100.0
+        assert pinned_entry.meta == {"seed": 0,
+                                     "device": RTX_2080TI.name}
+
+    def test_pinned_plan_is_the_compile_build_plan(self, pinned_entry):
+        for name in PIN_ROSTER:
+            assert pinned_entry.pins[f"{name}.plan"] \
+                == capture_plan(create(name, seed=0)).digest(), name
 
     def test_ingest_results(self, tmp_path):
         (tmp_path / "obs_overhead.json").write_text(json.dumps(
@@ -180,6 +283,19 @@ class TestEntryFromSources:
         assert harvested["bench.obs_overhead.prae"] == 0.02
         assert harvested["serve.throughput_rps"] == 123.0
         assert ingest_results(str(tmp_path / "missing")) == {}
+
+
+class TestCommittedHistory:
+    def test_committed_history_is_current(self, pinned_entry):
+        committed = load_history(str(COMMITTED_HISTORY))
+        verdict = check_pins(committed + [pinned_entry])
+        assert verdict.baseline is not None, \
+            "benchmarks/history.jsonl holds no pinned entry"
+        assert verdict.ok, (
+            "this tree's pins differ from the newest pinned entry of "
+            "benchmarks/history.jsonl; if the change is intended, "
+            "append an entry (repro obs history record):\n"
+            + verdict.render())
 
 
 class TestRendering:
@@ -200,51 +316,98 @@ class TestRendering:
 
 
 class TestCli:
-    def _seed_db(self, tmp_path, bump: float = 1.0) -> str:
+    def _seed_db(self, tmp_path, base: HistoryEntry,
+                 changed_pin: str = "") -> str:
         db = str(tmp_path / "history.jsonl")
-        base = entry_from_sources(workloads=("lnn",), created="",
-                                  sha="", seed=0)
         for label in ("a", "b", "c"):
-            base.label = label
-            append_entry(base, db)
-        candidate = HistoryEntry(
-            created="", git_sha="", label="cand",
-            metrics={k: (v * bump if k.startswith("dispatch.") else v)
-                     for k, v in base.metrics.items()},
-            meta=dict(base.meta))
-        append_entry(candidate, db)
+            append_entry(dataclasses.replace(base, label=label), db)
+        pins = dict(base.pins)
+        if changed_pin:
+            pins[changed_pin] = "0" * 64
+        append_entry(dataclasses.replace(base, label="cand", pins=pins),
+                     db)
         return db
 
-    def test_gate_exits_six_on_synthetic_regression(self, tmp_path,
-                                                    capsys):
-        db = self._seed_db(tmp_path, bump=1.10)
+    def test_gate_exits_six_on_synthetic_regression(
+            self, tmp_path, capsys, pinned_entry):
+        db = self._seed_db(tmp_path, pinned_entry,
+                           changed_pin="nvsa.ledger")
         assert cli_main(["obs", "history", "gate", "--db", db]) \
-            == EXIT_TREND_REGRESSION
+            == EXIT_PIN_MISMATCH
         out = capsys.readouterr().out
-        assert "REGRESSION" in out
+        assert (f"PIN nvsa.ledger: {pinned_entry.pins['nvsa.ledger']} "
+                f"→ {'0' * 64}") in out
+        assert "1 of 25 pins changed since 'c'" in out
 
-    def test_gate_passes_on_identical_runs(self, tmp_path, capsys):
-        db = self._seed_db(tmp_path, bump=1.0)
+    def test_gate_passes_on_identical_runs(self, tmp_path, capsys,
+                                           pinned_entry):
+        db = self._seed_db(tmp_path, pinned_entry)
         assert cli_main(["obs", "history", "gate", "--db", db]) == 0
-        assert "OK" in capsys.readouterr().out
+        assert "OK — 25 pins match 'c'" in capsys.readouterr().out
 
-    def test_gate_warn_only_and_thresholds(self, tmp_path, capsys):
-        db = self._seed_db(tmp_path, bump=1.10)
-        assert cli_main(["obs", "history", "gate", "--db", db,
-                         "--warn-only"]) == 0
-        assert cli_main(["obs", "history", "gate", "--db", db,
-                         "--threshold", "dispatch.=0.25"]) == 0
+    def test_gate_warn_only_and_thresholds(self, tmp_path, capsys,
+                                           pinned_entry):
+        # pins are exact: the gate takes no thresholds and never
+        # downgrades a mismatch to a warning
+        db = self._seed_db(tmp_path, pinned_entry, changed_pin="serve")
+        for option in (["--warn-only"], ["--threshold", "serve=1"]):
+            with pytest.raises(SystemExit) as info:
+                cli_main(["obs", "history", "gate", "--db", db]
+                         + option)
+            assert info.value.code == 2     # argparse usage error
         capsys.readouterr()
 
-    def test_record_and_show(self, tmp_path, capsys):
+    @pytest.mark.parametrize("argv", [
+        ["record", "nvsa"],
+        ["compare", "a.json", "b.json"],
+        ["obs", "history", "record", "--workloads", "lnn"],
+        ["obs", "history", "record", "--device", "rtx"],
+        ["obs", "history", "record", "--seed", "1"],
+    ])
+    def test_removed_commands_and_options_rejected(self, argv, capsys):
+        # pins compare at one roster, seed and device
+        with pytest.raises(SystemExit) as info:
+            cli_main(argv)
+        assert info.value.code == 2     # argparse usage error
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("command", [
+        ["obs", "history", "show", "--db"],
+        ["obs", "history", "gate", "--db"],
+        ["report", "lnn", "-o", os.devnull, "--history"],
+    ])
+    @pytest.mark.parametrize("bad_line", [
+        '{"created": "x", "metrics": {"a": 1',
+        '{"metrics": {"dispatch.nvsa.ops": "fast"}}',
+    ])
+    def test_malformed_history_exits_with_one_line(self, tmp_path,
+                                                   command, bad_line):
+        db = tmp_path / "history.jsonl"
+        append_entry(_entry("good"), str(db))
+        with open(db, "a") as handle:
+            handle.write(bad_line + "\n")
+        with pytest.raises(SystemExit) as info:
+            cli_main(command + [str(db)])
+        message = info.value.code
+        # a string code: printed to stderr, process exit status 1
+        assert isinstance(message, str)
+        assert f"{db}:2: malformed history entry" in message
+        assert "\n" not in message
+
+    def test_record_and_show(self, tmp_path, capsys, monkeypatch):
+        # one workload and a stub serve pin keep this CLI test quick;
+        # the full roster is built by the ``pinned_entry`` fixture
+        monkeypatch.setattr(history, "PIN_ROSTER", ("lnn",))
+        monkeypatch.setattr(history, "serve_pin", lambda: "s" * 64)
         db = str(tmp_path / "history.jsonl")
         assert cli_main(["obs", "history", "record", "--db", db,
-                         "--workloads", "lnn", "--results", "",
-                         "--label", "test"]) == 0
+                         "--results", "", "--label", "test"]) == 0
         entries = load_history(db)
         assert len(entries) == 1
         assert entries[0].label == "test"
         assert entries[0].created and entries[0].git_sha is not None
+        assert set(entries[0].pins) == {
+            f"lnn.{kind}" for kind in PIN_KINDS} | {"serve"}
         assert cli_main(["obs", "history", "show", "--db", db]) == 0
         assert "dispatch.lnn.ops" in capsys.readouterr().out
 
@@ -262,8 +425,9 @@ class TestCli:
         capsys.readouterr()
 
     def test_report_with_history_renders_trends(self, tmp_path,
-                                                capsys):
-        db = self._seed_db(tmp_path, bump=1.0)
+                                                capsys, pinned_entry):
+        db = self._seed_db(tmp_path, pinned_entry,
+                           changed_pin="serve")
         output = str(tmp_path / "report.html")
         assert cli_main(["report", "lnn", "--history", db,
                          "-o", output]) == 0
@@ -271,4 +435,7 @@ class TestCli:
         html = open(output).read()
         assert "perf trends" in html
         assert "dispatch.lnn.ops" in html
+        # the gate's verdict, as ``obs history gate`` prints it
+        assert f"PIN serve: {pinned_entry.pins['serve']} → " in html
+        assert "1 of 25 pins changed since" in html
         assert html.count("<svg") >= 2   # roofline + >=1 sparkline
