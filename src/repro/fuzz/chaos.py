@@ -237,8 +237,9 @@ def run_live_chaos(config: ChaosConfig,
 
     Submits a burst (stale deadlines included), stops the server, and
     asserts every pending future resolved to a classified terminal
-    state — the guarantee :meth:`InferenceServer.stop` now provides
-    even for requests caught between queue and batcher at shutdown.
+    state — the guarantee :meth:`InferenceServer.stop` provides even
+    for requests still queued at shutdown (served with ``drain``,
+    shed as ``shutdown`` rejections without it).
     """
     rng = np.random.default_rng(config.seed + 7)
     _, plans = build_chaos_schedule(config)

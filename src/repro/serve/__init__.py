@@ -7,13 +7,20 @@ the deployment regime the source paper's cognitive-system framing
 points at.  The pipeline:
 
 ``Request`` → :class:`~repro.serve.queue.RequestQueue` (bounded,
-admission-controlled, classified rejections) →
-:mod:`~repro.serve.batcher` (dynamic batching: coalesce same-key
-requests, execute once) → :class:`~repro.serve.pool.WorkerPool`
-(threads, per-worker :class:`~repro.hwsim.device.DeviceSpec` binding
-and :class:`~repro.resilience.runner.ResilientRunner`) →
+admission-controlled, classified rejections) → dynamic batching
+(same-key requests coalesce and execute once) →
+:class:`~repro.serve.pool.WorkerPool` (threads, per-worker
+:class:`~repro.hwsim.device.DeviceSpec` binding and
+:class:`~repro.resilience.runner.ResilientRunner`) →
 :class:`~repro.serve.stats.ServerStats` (p50/p95/p99, queue wait vs
 service, throughput, shed load, SLO misses).
+
+Batches form in one of two ways.  The deterministic schedule mode
+plans them in virtual time (:func:`~repro.serve.batcher.plan_batches`,
+closing on ``max_batch_size`` or ``max_wait``).  The live server is
+work-conserving: an idle worker takes the head request and its queued
+same-key followers straight from the queue
+(:meth:`~repro.serve.queue.RequestQueue.take_batch`).
 
 Symbolic setup is amortized by the
 :class:`~repro.serve.cache.ArtifactCache` (keyed LRU of built
@@ -24,8 +31,7 @@ a ``measured`` section for wall-clock figures.  CLI:
 ``repro serve bench`` / ``repro serve replay``.
 """
 
-from repro.serve.batcher import (Batch, BatchPolicy, LiveBatcher,
-                                 plan_batches)
+from repro.serve.batcher import Batch, BatchPolicy, plan_batches
 from repro.serve.cache import ArtifactCache, ArtifactKey
 from repro.serve.loadgen import (ClosedLoopReport, LoadSpec, load_schedule,
                                  open_loop, parse_mix, run_closed_loop,
@@ -51,7 +57,7 @@ from repro.serve.tracing import (REQUEST_SPAN_NAMES, batch_trace_context,
 __all__ = [
     "AdmissionPolicy", "ArtifactCache", "ArtifactKey", "Batch",
     "BatchKey", "BatchPolicy", "BatchResult", "ClosedLoopReport",
-    "InferenceServer", "LiveBatcher", "LoadSpec", "PendingResponse",
+    "InferenceServer", "LoadSpec", "PendingResponse",
     "REJECT_QUEUE_FULL", "REJECT_REASONS", "REJECT_SHUTDOWN",
     "REJECT_STALE_DEADLINE", "REQUEST_SPAN_NAMES", "REQUEST_STATUSES",
     "Request", "RequestQueue", "Response", "SERVE_LATENCY_BUCKETS",

@@ -7,33 +7,34 @@ an identical batch key (workload + config + seed) are coalesced and
 the pipeline executes **once per batch**, amortizing both setup (via
 :mod:`repro.serve.cache`) and inference across every rider.
 
-A batch closes when it reaches ``max_batch_size`` or when
-``max_wait`` seconds have passed since it opened — the classic
-latency/throughput dial.
+This module holds the policy and the **virtual-time** planner,
+:func:`plan_batches`: a deterministic simulation over a timestamped
+arrival schedule in which a batch closes when it reaches
+``max_batch_size`` or ``max_wait`` seconds after it opened — the
+classic latency/throughput dial.  Admission (queue-depth
+load-shedding) and batch composition depend only on the schedule,
+never on thread scheduling, so a seeded benchmark produces
+bit-identical batch plans across runs (the property ``repro serve
+bench`` asserts).
 
-Two consumption modes share the policy:
-
-* :func:`plan_batches` — a **deterministic virtual-time simulation**
-  over a timestamped arrival schedule.  Admission (queue-depth
-  load-shedding) and batch composition depend only on the schedule,
-  never on thread scheduling, so a seeded benchmark produces
-  bit-identical batch plans across runs (the property
-  ``repro serve bench`` asserts);
-* :class:`LiveBatcher` — a wall-clock loop over a
-  :class:`~repro.serve.queue.RequestQueue` for real-time serving
-  (``repro serve replay --realtime`` and closed-loop load), with
-  timeout-bounded waits so shutdown can never deadlock it.
+The live server does not hold batches open: an idle worker takes the
+head request and its queued same-key followers straight from the
+:class:`~repro.serve.queue.RequestQueue`
+(:meth:`~repro.serve.queue.RequestQueue.take_batch`), so batches
+coalesce exactly while every worker is busy, and only
+``max_batch_size`` applies.  The planner keeps the timer because
+virtual time has no signal for when a worker is free before the
+batches execute.
 """
 
 from __future__ import annotations
 
 import heapq
-import threading
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.serve.queue import (AdmissionPolicy, REJECT_QUEUE_FULL,
-                               REJECT_STALE_DEADLINE, RequestQueue)
+                               REJECT_STALE_DEADLINE)
 from repro.serve.request import BatchKey, Request
 
 
@@ -42,7 +43,7 @@ class BatchPolicy:
     """When an open batch must close."""
 
     max_batch_size: int = 16
-    max_wait: float = 0.05   # seconds a batch may linger open
+    max_wait: float = 0.05   # seconds a planned batch may linger open
 
     def __post_init__(self) -> None:
         if self.max_batch_size < 1:
@@ -78,7 +79,7 @@ class Batch:
         return len(self.requests)
 
     def queue_wait(self, request: Request) -> float:
-        """Virtual time ``request`` spent queued in this batch."""
+        """Time ``request`` spent queued before this batch closed."""
         return max(0.0, self.close_time - request.arrival)
 
 
@@ -165,82 +166,3 @@ def plan_batches(
     fire_due_closes(float("inf"))
     assert not open_groups and depth == 0
     return batches, rejections
-
-
-class LiveBatcher:
-    """Wall-clock batching thread over a :class:`RequestQueue`.
-
-    Pulls admitted requests, forms per-key groups under the same
-    close rules as :func:`plan_batches` (size cap or ``max_wait`` on
-    the service clock), and hands each closed :class:`Batch` to
-    ``emit``.  Every wait is timeout-bounded and the loop exits once
-    the queue is closed and fully drained, so shutdown is
-    deadlock-free.
-    """
-
-    def __init__(self, queue: RequestQueue, policy: BatchPolicy,
-                 emit: Callable[[Batch], None],
-                 clock: Callable[[], float]):
-        self._queue = queue
-        self._policy = policy
-        self._emit = emit
-        self._clock = clock
-        self._groups: Dict[BatchKey, _OpenGroup] = {}
-        self._next_gid = 0
-        self._emitted = 0
-        self._lock = threading.Lock()
-        self._thread: Optional[threading.Thread] = None
-
-    # -- lifecycle -----------------------------------------------------------
-    def start(self) -> None:
-        self._thread = threading.Thread(target=self.run,
-                                        name="serve-batcher", daemon=True)
-        self._thread.start()
-
-    def join(self, timeout: Optional[float] = None) -> None:
-        if self._thread is not None:
-            self._thread.join(timeout)
-
-    @property
-    def emitted(self) -> int:
-        with self._lock:
-            return self._emitted
-
-    # -- core loop -----------------------------------------------------------
-    def _close(self, key: BatchKey, at: float) -> None:
-        group = self._groups.pop(key)
-        with self._lock:
-            bid = self._emitted
-            self._emitted += 1
-        self._emit(Batch(bid=bid, key=key, requests=group.requests,
-                         open_time=group.open_time, close_time=at))
-
-    def _close_expired(self, now: float) -> None:
-        for key in [k for k, g in self._groups.items()
-                    if g.close_at <= now]:
-            self._close(key, now)
-
-    def run(self) -> None:
-        """Consume until the queue is closed and drained (thread body)."""
-        while True:
-            if self._groups:
-                next_close = min(g.close_at for g in self._groups.values())
-                timeout = max(0.0, min(0.05, next_close - self._clock()))
-            else:
-                timeout = 0.05
-            request = self._queue.poll(timeout=timeout)
-            now = self._clock()
-            if request is not None:
-                group = self._groups.get(request.key)
-                if group is None:
-                    group = _OpenGroup(self._next_gid, now,
-                                       now + self._policy.max_wait)
-                    self._next_gid += 1
-                    self._groups[request.key] = group
-                group.requests.append(request)
-                if len(group.requests) >= self._policy.max_batch_size:
-                    self._close(request.key, now)
-            self._close_expired(now)
-            if (request is None and self._queue.closed
-                    and len(self._queue) == 0 and not self._groups):
-                return

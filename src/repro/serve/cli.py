@@ -51,7 +51,11 @@ def _add_server_flags(cmd: "argparse.ArgumentParser") -> None:
     cmd.add_argument("--max-batch", type=int, default=16,
                      help="dynamic batching size cap (default 16)")
     cmd.add_argument("--max-wait-ms", type=float, default=50.0,
-                     help="max ms a batch stays open (default 50)")
+                     help="max ms a planned batch stays open (default "
+                          "50); virtual-time planning only (bench "
+                          "--loop open, replay without --realtime): "
+                          "live workers batch whatever is queued "
+                          "when they go idle")
     cmd.add_argument("--queue-depth", type=int, default=256,
                      help="admission bound; excess load is shed "
                           "(default 256)")
@@ -223,10 +227,12 @@ def run_serve_command(args: "argparse.Namespace") -> Optional[int]:
                 server.attach_telemetry(telemetry)
             server.start()
             t0 = perf_s()
-            report = run_closed_loop(
-                server, spec, clients=args.clients,
-                requests_per_client=args.requests_per_client)
-            server.stop(drain=True)
+            try:
+                report = run_closed_loop(
+                    server, spec, clients=args.clients,
+                    requests_per_client=args.requests_per_client)
+            finally:
+                server.stop(drain=True)
             elapsed = perf_s() - t0
             print(f"closed loop: {report.issued} issued, "
                   f"{report.completed} completed "

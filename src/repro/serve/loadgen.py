@@ -12,7 +12,7 @@ Closed-loop load (:func:`run_closed_loop`) instead runs live client
 threads against a started server, each issuing its next request only
 after the previous response lands.  Being wall-clock driven it is
 *not* deterministic; it exists to exercise the real concurrent stack
-(queue backpressure, live batcher, worker threads) end to end.
+(queue backpressure, live batching, worker threads) end to end.
 """
 
 from __future__ import annotations
@@ -153,29 +153,35 @@ def run_closed_loop(server: "object", spec: LoadSpec,
     Each client issues its next request only after the previous
     response resolves (closed loop).  Wall-clock driven and therefore
     non-deterministic — use :func:`open_loop` + the server's
-    deterministic schedule mode for reproducible figures.
+    deterministic schedule mode for reproducible figures.  An
+    exception in a client thread is re-raised here after the join.
     """
     report = ClosedLoopReport()
     lock = threading.Lock()
+    errors: List[Exception] = []
     names = [name for name, _ in spec.mix]
     weights = [weight for _, weight in spec.mix]
 
     def client(cid: int) -> None:
-        rng = random.Random((spec.seed, cid))
-        for _ in range(requests_per_client):
-            workload = rng.choices(names, weights=weights, k=1)[0]
-            seed = spec.base_seed + rng.randrange(spec.seed_pool)
-            pending = server.submit(workload, seed=seed,
-                                    deadline=spec.deadline)
+        rng = random.Random(f"{spec.seed}:{cid}")
+        try:
+            for _ in range(requests_per_client):
+                workload = rng.choices(names, weights=weights, k=1)[0]
+                seed = spec.base_seed + rng.randrange(spec.seed_pool)
+                pending = server.submit(workload, seed=seed,
+                                        deadline=spec.deadline)
+                with lock:
+                    report.issued += 1
+                response = pending.result()
+                with lock:
+                    report.completed += 1
+                    report.statuses[response.status] = \
+                        report.statuses.get(response.status, 0) + 1
+                    if response.reject_reason is not None:
+                        report.rejected += 1
+        except Exception as exc:   # re-raised below, after the join
             with lock:
-                report.issued += 1
-            response = pending.result()
-            with lock:
-                report.completed += 1
-                report.statuses[response.status] = \
-                    report.statuses.get(response.status, 0) + 1
-                if response.reject_reason is not None:
-                    report.rejected += 1
+                errors.append(exc)
 
     threads = [threading.Thread(target=client, args=(cid,),
                                 name=f"serve-client-{cid}", daemon=True)
@@ -184,4 +190,6 @@ def run_closed_loop(server: "object", spec: LoadSpec,
         thread.start()
     for thread in threads:
         thread.join()
+    if errors:
+        raise errors[0]
     return report

@@ -19,17 +19,18 @@ this for external callers.
 
 :meth:`WorkerPool.execute` is the batch-mode entry (a fixed batch
 plan, results keyed by bid); :meth:`WorkerPool.execute_live` serves
-an ongoing stream from a callback-driven channel for the live server.
+the live server, each idle worker pulling its next batch through a
+shared ``take`` callable.  Both run the same worker loop.
 """
 
 from __future__ import annotations
 
 import contextlib
 import copy
-import queue as _stdqueue
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence)
 
 from repro.hwsim.device import DeviceSpec
 from repro.obs import metrics as _metrics
@@ -170,7 +171,7 @@ class Worker:
 
 
 class WorkerPool:
-    """Fixed set of worker threads draining a shared batch channel."""
+    """Fixed set of worker threads, each running one batch at a time."""
 
     def __init__(self, workers: Sequence[Worker],
                  runtime: Optional[_metrics.RuntimeMetrics] = None):
@@ -179,18 +180,15 @@ class WorkerPool:
         self.workers = list(workers)
         self.runtime = runtime
 
-    def _drain(self, worker: Worker,
-               channel: "_stdqueue.Queue[Optional[Batch]]",
+    def _serve(self, worker: Worker, batches: Iterable[Batch],
                sink: Callable[[BatchResult], None]) -> None:
+        """Execute each of ``batches`` on ``worker``, in turn (thread body)."""
         # Re-bind the caller's metrics runtime: scoped_runtime state is
         # thread-local and would not reach this pool thread otherwise.
         binder = (_metrics.bind_runtime(self.runtime)
                   if self.runtime is not None else contextlib.nullcontext())
         with binder:
-            while True:
-                batch = channel.get()
-                if batch is None:
-                    return
+            for batch in batches:
                 try:
                     sink(worker.execute_batch(batch))
                 except Exception as exc:  # belt-and-braces: never die
@@ -203,8 +201,8 @@ class WorkerPool:
     def execute(self, batches: Sequence[Batch]) -> Dict[int, BatchResult]:
         """Execute a fixed batch plan; returns results keyed by bid.
 
-        Batches are partitioned round-robin instead of drained from a
-        shared channel: each worker's batch sequence — and therefore
+        Batches are partitioned round-robin instead of pulled from a
+        shared source: each worker's batch sequence — and therefore
         the evolution of its runner's circuit breakers — is a pure
         function of the plan, keeping schedule-mode outcomes (status,
         attempts) bit-identical across runs.  Work-stealing would
@@ -218,18 +216,11 @@ class WorkerPool:
             with lock:
                 results[result.batch.bid] = result
 
-        def run_assigned(worker: Worker, assigned: List[Batch]) -> None:
-            channel: "_stdqueue.Queue[Optional[Batch]]" = _stdqueue.Queue()
-            for batch in assigned:
-                channel.put(batch)
-            channel.put(None)
-            self._drain(worker, channel, sink)
-
         assignments: List[List[Batch]] = [[] for _ in self.workers]
         for index, batch in enumerate(batches):
             assignments[index % len(self.workers)].append(batch)
-        threads = [threading.Thread(target=run_assigned,
-                                    args=(w, assigned),
+        threads = [threading.Thread(target=self._serve,
+                                    args=(w, assigned, sink),
                                     name=f"serve-{w.name}", daemon=True)
                    for w, assigned in zip(self.workers, assignments)]
         for thread in threads:
@@ -238,15 +229,16 @@ class WorkerPool:
             thread.join()
         return results
 
-    def execute_live(self, channel: "_stdqueue.Queue[Optional[Batch]]",
+    def execute_live(self, take: Callable[[], Optional[Batch]],
                      sink: Callable[[BatchResult], None]) -> List[threading.Thread]:
-        """Start workers draining ``channel`` until a per-worker sentinel.
+        """Start workers that each pull batches from ``take``.
 
-        Returns the (already started) threads; the caller owns the
-        sentinels and the join.
+        A worker calls ``take`` whenever it is idle and exits once it
+        returns ``None``.  Returns the (already started) threads; the
+        caller owns the join.
         """
-        threads = [threading.Thread(target=self._drain,
-                                    args=(w, channel, sink),
+        threads = [threading.Thread(target=self._serve,
+                                    args=(w, iter(take, None), sink),
                                     name=f"serve-{w.name}", daemon=True)
                    for w in self.workers]
         for thread in threads:

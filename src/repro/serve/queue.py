@@ -8,12 +8,14 @@ whose SLO budget is already spent at admission, ``shutdown`` once the
 queue is closed).  Every rejection is counted per reason — load is
 never dropped silently.
 
-Consumers use :meth:`poll` (timeout-bounded, never an indefinite
-wait), receiving requests in ``(priority, arrival, rid)`` order so
-urgent traffic overtakes bulk traffic under backlog.  ``close()``
+Consumers use :meth:`take_batch`, which hands out the head request
+by ``(priority, arrival, rid)`` — so urgent traffic overtakes bulk
+traffic under backlog — together with every queued request sharing
+its batch key, up to a size cap.  Requests stay queued (and count
+against the depth bound) until a consumer takes them.  ``close()``
 wakes every waiting consumer, which makes shutdown deadlock-free by
 construction: producers get ``shutdown`` rejections, consumers drain
-the remaining backlog and then observe ``closed``.
+the remaining backlog and then observe the queue closed and empty.
 """
 
 from __future__ import annotations
@@ -91,20 +93,33 @@ class RequestQueue:
         return None
 
     # -- consumer side -------------------------------------------------------
-    def poll(self, timeout: Optional[float] = 0.05) -> Optional[Request]:
-        """Next request by priority, or ``None`` on timeout/empty-close.
+    def take_batch(self, max_size: int,
+                   timeout: Optional[float] = 0.05) -> List[Request]:
+        """The head request plus its queued same-key followers.
 
-        Waits at most ``timeout`` seconds (``None`` waits only while
-        the queue is open, re-checking on every close/offer wakeup),
-        so a consumer loop can always interleave housekeeping and
-        never deadlocks on shutdown.
+        Atomically removes the head by ``(priority, arrival, rid)`` and,
+        in that order, every other queued request with the head's batch
+        key, up to ``max_size`` in all; requests of other keys keep
+        their place.  Waits at most ``timeout`` seconds for a request
+        (``None`` waits until one arrives or the queue closes) and
+        returns ``[]`` on timeout or once the queue is closed and empty.
         """
         with self._not_empty:
-            if not self._heap and not self._closed:
-                self._not_empty.wait(timeout)
+            self._not_empty.wait_for(lambda: self._heap or self._closed,
+                                     timeout)
             if not self._heap:
-                return None
-            return heapq.heappop(self._heap)[-1]
+                return []
+            entries = sorted(self._heap)
+            key = entries[0][-1].key
+            batch: List[Request] = []
+            rest: List[tuple] = []
+            for entry in entries:
+                if entry[-1].key == key and len(batch) < max_size:
+                    batch.append(entry[-1])
+                else:
+                    rest.append(entry)
+            self._heap = rest   # a sorted list is a valid heap
+            return batch
 
     def drain(self) -> List[Request]:
         """Remove and return the entire backlog in priority order."""

@@ -20,17 +20,20 @@ execution still exercises real threads:
   :func:`repro.core.analysis.latency_breakdown`, producing
   deterministic queue waits, completions, and deadline verdicts.
 
-**Live mode** (:meth:`start` / :meth:`submit` / :meth:`stop`) wires
-the same queue, batcher, and pool together on the wall clock for
-real concurrent serving — used by closed-loop load and
-``repro serve replay --realtime``.  Live figures are measured, not
-deterministic.
+**Live mode** (:meth:`start` / :meth:`submit` / :meth:`stop`) serves
+on the wall clock — used by closed-loop load and
+``repro serve replay --realtime``.  Batching there is
+work-conserving: requests wait in the bounded queue only while every
+worker is busy, and an idle worker takes the head request together
+with its queued same-key followers (up to ``max_batch_size``) and
+runs them at once; ``max_wait`` plays no part.  Live figures are
+measured, not deterministic.
 """
 
 from __future__ import annotations
 
 import copy
-import queue as _stdqueue
+import functools
 import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -43,7 +46,7 @@ from repro.obs.metrics import RuntimeMetrics
 from repro.resilience.faults import FaultPlan
 from repro.resilience.runner import (STATUS_DEGRADED, STATUS_OK,
                                      RetryPolicy)
-from repro.serve.batcher import Batch, BatchPolicy, LiveBatcher, plan_batches
+from repro.serve.batcher import Batch, BatchPolicy, plan_batches
 from repro.serve.cache import ArtifactCache
 from repro.serve.pool import BatchResult, Worker, WorkerPool
 from repro.serve.queue import (REJECT_SHUTDOWN, AdmissionPolicy,
@@ -177,12 +180,11 @@ class InferenceServer:
         self._modeled_lock = threading.Lock()
         # live-mode machinery (built by start())
         self._queue: Optional[RequestQueue] = None
-        self._batcher: Optional[LiveBatcher] = None
-        self._channel: Optional["_stdqueue.Queue[Optional[Batch]]"] = None
         self._threads: List[threading.Thread] = []
         self._pending: Dict[int, PendingResponse] = {}
-        self._pending_lock = threading.Lock()
+        self._pending_lock = threading.Lock()   # also guards the id counters
         self._rid = 0
+        self._bid = 0
         self._epoch = 0.0
         # live telemetry sink (off by default; attach_telemetry wires it)
         self._telemetry = None
@@ -344,18 +346,33 @@ class InferenceServer:
         return perf_s() - self._epoch
 
     def start(self) -> None:
-        """Bring up the live queue → batcher → pool pipeline."""
+        """Bring up the live queue → pool pipeline."""
         if self._threads:
             raise RuntimeError("server already started")
         self._epoch = perf_s()
         self._queue = RequestQueue(self.config.admission)
-        self._channel = _stdqueue.Queue()
-        self._batcher = LiveBatcher(self._queue, self.config.batch,
-                                    emit=self._channel.put,
-                                    clock=self.clock)
-        self._batcher.start()
-        self._threads = self.pool.execute_live(self._channel,
-                                               self._on_batch_result)
+        self._threads = self.pool.execute_live(
+            functools.partial(self._take_batch, self._queue),
+            self._on_batch_result)
+
+    def _take_batch(self, queue: RequestQueue) -> Optional[Batch]:
+        """An idle worker's next batch; ``None`` once ``queue`` drained.
+
+        Blocks until a request is queued or the queue closes.  The
+        batch opens at its earliest member's arrival and closes when
+        taken, so ``queue_wait`` is each member's time in the queue.
+        """
+        requests = queue.take_batch(self.config.batch.max_batch_size,
+                                    timeout=None)
+        if not requests:
+            return None
+        taken = self.clock()
+        with self._pending_lock:
+            bid = self._bid
+            self._bid += 1
+        return Batch(bid=bid, key=requests[0].key, requests=requests,
+                     open_time=min(r.arrival for r in requests),
+                     close_time=taken)
 
     def submit(self, workload: str, *, seed: int = 0,
                params: Optional[Dict[str, object]] = None,
@@ -438,16 +455,13 @@ class InferenceServer:
                 self._publish(response)
                 if pending is not None:
                     pending.resolve(response)
+        # workers finish the backlog, then see the queue closed and empty
         self._queue.close()
-        assert self._batcher is not None and self._channel is not None
-        self._batcher.join(timeout=30.0)
-        for _ in self._threads:
-            self._channel.put(None)
         for thread in self._threads:
             thread.join(timeout=30.0)
         # every submit() must resolve: anything still pending after the
-        # pipeline drained (e.g. dropped between queue and batcher at
-        # close) is classified as a shutdown rejection, never left as a
+        # join (a batch still running past the join timeout) is
+        # classified as a shutdown rejection, never left as a
         # silently-unresolved future
         with self._pending_lock:
             leftovers = [self._pending[rid] for rid in sorted(self._pending)]
@@ -463,6 +477,4 @@ class InferenceServer:
         self.stats.record_cache(self.cache.stats())
         self.stats.wall_elapsed = self.clock()
         self._queue = None
-        self._batcher = None
-        self._channel = None
         self._threads = []

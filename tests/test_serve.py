@@ -1,6 +1,7 @@
-"""Serving layer: queue, batcher, cache, server, stats, CLI."""
+"""Serving layer: queue, batching, cache, server, stats, CLI."""
 
 import json
+import sys
 import threading
 import time
 
@@ -14,7 +15,7 @@ from repro.serve import (AdmissionPolicy, ArtifactCache, ArtifactKey,
                          REJECT_STALE_DEADLINE, Request, RequestQueue,
                          Response, ServeConfig, ServerStats, load_schedule,
                          make_request, open_loop, parse_mix, plan_batches,
-                         rejection, save_schedule)
+                         rejection, run_closed_loop, save_schedule)
 from repro.serve.pool import current_worker
 
 
@@ -55,7 +56,30 @@ class TestRequestQueue:
         queue.offer(make_request(0, "lnn", arrival=0.0, priority=2))
         queue.offer(make_request(1, "lnn", arrival=0.1, priority=0))
         queue.offer(make_request(2, "lnn", arrival=0.2, priority=0))
-        assert [queue.poll().rid for _ in range(3)] == [1, 2, 0]
+        assert [queue.take_batch(1)[0].rid for _ in range(3)] == [1, 2, 0]
+
+    def test_take_batch_head_then_same_key_riders(self):
+        queue = RequestQueue()
+        for request in (make_request(0, "lnn", arrival=0.0),
+                        make_request(1, "nvsa", arrival=0.1),
+                        make_request(2, "lnn", arrival=0.2),
+                        make_request(3, "lnn", arrival=0.3, priority=0),
+                        make_request(4, "lnn", arrival=0.4),
+                        make_request(5, "nvsa", arrival=0.5),
+                        make_request(6, "lnn", arrival=0.6, seed=1)):
+            queue.offer(request)
+
+        def take():
+            return [r.rid for r in queue.take_batch(3, timeout=0.0)]
+
+        # the urgent head brings its key's riders in queue order, capped
+        assert take() == [3, 0, 2]
+        assert len(queue) == 4
+        # other keys kept their place: nvsa (0.1) now leads lnn (0.4)
+        assert take() == [1, 5]
+        assert take() == [4]
+        assert take() == [6]       # another seed is another key
+        assert take() == []
 
     def test_classified_rejections_never_silent(self):
         queue = RequestQueue(AdmissionPolicy(max_depth=2))
@@ -75,49 +99,56 @@ class TestRequestQueue:
 
     def test_close_wakes_blocked_consumers(self):
         queue = RequestQueue()
-        done = threading.Event()
+        taken = []
 
         def consume():
-            queue.poll(timeout=None)
-            done.set()
+            taken.append(queue.take_batch(4, timeout=None))
 
         thread = threading.Thread(target=consume, daemon=True)
         thread.start()
         time.sleep(0.05)
         queue.close()
-        assert done.wait(2.0), "close() must wake waiting consumers"
         thread.join(2.0)
+        assert not thread.is_alive(), "close() must wake waiting consumers"
+        assert taken == [[]]
 
     def test_concurrent_producers_consumers(self):
         queue = RequestQueue(AdmissionPolicy(max_depth=10_000))
-        seen = []
+        taken = []
         lock = threading.Lock()
 
         def produce(base):
             for i in range(50):
-                queue.offer(make_request(base + i, "lnn"))
+                queue.offer(make_request(base + i, "lnn", seed=i % 3))
 
         def consume():
             while True:
-                request = queue.poll(timeout=0.05)
-                if request is not None:
-                    with lock:
-                        seen.append(request.rid)
-                elif queue.closed and len(queue) == 0:
+                batch = queue.take_batch(4, timeout=None)
+                if not batch:
                     return
+                with lock:
+                    taken.append(batch)
 
         producers = [threading.Thread(target=produce, args=(b,))
                      for b in (0, 1000)]
         consumers = [threading.Thread(target=consume) for _ in range(3)]
-        for t in producers + consumers:
-            t.start()
-        for t in producers:
-            t.join(5.0)
-        queue.close()
-        for t in consumers:
-            t.join(5.0)
-        assert sorted(seen) == sorted(list(range(50))
-                                      + list(range(1000, 1050)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)   # force interleavings
+        try:
+            for t in producers + consumers:
+                t.start()
+            for t in producers:
+                t.join(5.0)
+            queue.close()
+            for t in consumers:
+                t.join(5.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in producers + consumers)
+        assert all(len({r.key for r in batch}) == 1 for batch in taken)
+        # no rid lost, none taken twice
+        assert sorted(r.rid for batch in taken for r in batch) == \
+            list(range(50)) + list(range(1000, 1050))
 
 
 class TestPlanBatches:
@@ -345,8 +376,8 @@ class TestLiveServer:
 
     @pytest.mark.parametrize("drain", [True, False])
     def test_stop_classifies_every_pending_request(self, drain):
-        # requests caught between queue and batcher at shutdown must
-        # still resolve to a classified terminal state
+        # requests still queued at shutdown must still resolve to a
+        # classified terminal state
         from repro.serve.queue import REJECT_REASONS
         from repro.serve.request import (REQUEST_STATUSES,
                                          STATUS_REJECTED)
@@ -368,6 +399,66 @@ class TestLiveServer:
             assert all(p.result(timeout=0.0).status == "ok"
                        for p in pending)
         assert not server._pending
+
+    def test_idle_worker_takes_a_lone_request_at_once(self):
+        # max_wait only shapes virtual-time plans: an idle live worker
+        # runs a lone request straight away instead of holding it
+        server = InferenceServer(
+            ServeConfig(workers=1, batch=BatchPolicy(max_wait=2.0)))
+        server.start()
+        try:
+            server.submit("lnn", seed=0).result(timeout=60.0)   # warm
+            response = server.submit("lnn", seed=0).result(timeout=60.0)
+        finally:
+            server.stop(drain=True)
+        assert response.ok
+        assert response.queue_wait < 0.05
+
+    def test_live_admission_is_bounded(self):
+        # while the only worker is held inside a batch, admitted
+        # requests wait in the bounded queue, so its depth bound sheds
+        # the excess; the backlog then runs in size-capped batches
+        entered, release = threading.Event(), threading.Event()
+
+        class Gated:
+            def __init__(self, name):
+                self.name = name
+
+            def build(self):
+                if self.name == "blocker":
+                    entered.set()
+                    release.wait(30.0)
+                return self
+
+            def profile(self):
+                from repro.workloads import create
+                return create("lnn", seed=0).profile()
+
+        server = InferenceServer(ServeConfig(
+            workers=1, admission=AdmissionPolicy(max_depth=4),
+            batch=BatchPolicy(max_batch_size=3, max_wait=0.01)))
+        server.cache._builder = lambda n, seed=0, **kw: Gated(n)
+        server.start()
+        try:
+            blocker = server.submit("blocker")
+            assert entered.wait(30.0)
+            pending = []
+            for _ in range(6):
+                pending.append(server.submit("probe"))
+                time.sleep(0.03)
+            release.set()
+            responses = [p.result(timeout=60.0) for p in pending]
+            assert blocker.result(timeout=60.0).ok
+        finally:
+            release.set()
+            server.stop(drain=True)
+        assert [r.status for r in responses] == ["ok"] * 4 + ["rejected"] * 2
+        assert [r.reject_reason for r in responses[4:]] == \
+            [REJECT_QUEUE_FULL] * 2
+        assert [r.batch_size for r in responses[:4]] == [3, 3, 3, 1]
+        det = server.stats.summary()["deterministic"]
+        assert det["queue_depth_peak"] == 4
+        assert det["batch_size_hist"] == {"1": 2, "3": 1}
 
     def test_worker_context_visible_inside_batch(self):
         seen = []
@@ -450,6 +541,24 @@ class TestLoadgenAndCli:
         with pytest.raises(ValueError):
             parse_mix("lnn=0")
         assert parse_mix("lnn,nvsa") == {"lnn": 1.0, "nvsa": 1.0}
+
+    def test_closed_loop_counts_every_request(self):
+        server = InferenceServer(ServeConfig(workers=2))
+        server.start()
+        try:
+            report = run_closed_loop(server, LoadSpec.make({"lnn": 1.0}),
+                                     clients=2, requests_per_client=2)
+        finally:
+            server.stop(drain=True)
+        assert report.issued == report.completed == 4
+        assert report.statuses == {"ok": 4}
+        assert server.stats.summary()["deterministic"]["requests"] == 4
+
+    def test_closed_loop_surfaces_client_errors(self):
+        server = InferenceServer()   # never started: submit() raises
+        with pytest.raises(RuntimeError, match="not started"):
+            run_closed_loop(server, LoadSpec.make({"lnn": 1.0}),
+                            clients=2, requests_per_client=1)
 
     def test_bench_deterministic_and_replayable(self, tmp_path, capsys):
         out1 = tmp_path / "one.json"
