@@ -14,8 +14,9 @@ session for the step at each op's eid:
    stand in for taxonomy lookup, byte counting, FLOP math, the
    sparsity scan and allocation tracking;
 3. eid, phase/stage, span id and timing are taken fresh, and the op
-   goes through the same record, observer, metrics and ledger code
-   as an eager op.
+   goes through the same record, observer and ledger code as an
+   eager op (its event reaches the runtime metrics when the replay's
+   profile closes, as an eager one does).
 
 The bit-exactness contract (asserted across the full workload roster
 in ``tests/test_compile.py``): identical outputs, identical counter

@@ -6,12 +6,13 @@ Three altitudes of visibility over the characterization suite:
   span timeline (profile / phase / stage / runner attempts) on top of
   the flat op trace;
 * **across components** — :mod:`repro.obs.metrics` keeps a
-  process-wide Prometheus-style instrument registry the dispatcher
-  and resilient runner update (rendered by :mod:`repro.obs.prom`);
+  process-wide Prometheus-style instrument registry that closing
+  profiles, the fault layer and the resilient runner update (rendered
+  by :mod:`repro.obs.prom`);
 * **between runs** — :mod:`repro.obs.history` appends one entry per
   recording into the committed ``benchmarks/history.jsonl``: exact
-  pins (counters, ledger, plan and device-model digests of a fixed
-  roster, plus the pinned serve schedule's stats) that ``repro obs
+  pins (counters, plan and device-model digests of a fixed roster,
+  plus the pinned serve schedule's stats) that ``repro obs
   history gate`` compares, and trend-only metrics.
 
 Two cross-cutting additions serve the serving layer:
@@ -50,8 +51,8 @@ from repro.obs.kstats import (CATEGORY_MIX, KernelStats,
                               synthesize_kstats)
 from repro.obs.metrics import (Counter, Gauge, Histogram,
                                MetricsRegistry, RuntimeMetrics,
-                               active_runtime, bind_runtime, disable,
-                               enable, scoped_runtime)
+                               active_runtime, disable, enable,
+                               scoped_runtime)
 from repro.obs.prom import render_registry, render_runtime
 from repro.obs.report import render_report, write_report
 from repro.obs.runrec import counters_digest
@@ -69,7 +70,7 @@ __all__ = [
     "RuntimeMetrics", "SLOPolicy", "SnapshotAggregator",
     "SpanCollector", "SpanRecord", "Subscriber", "TailSamplingPolicy",
     "TraceContext", "active_runtime", "archetype_kstats",
-    "bind_runtime", "children_of", "collapsed_stacks",
+    "children_of", "collapsed_stacks",
     "counters_digest", "current_span", "current_trace_context",
     "disable", "enable", "export_chrome", "kstats_by_category",
     "kstats_by_span", "mint_batch_trace_id", "mint_trace_context",

@@ -20,8 +20,8 @@ export --format flame`` writes collapsed stacks for flamegraph.pl /
 speedscope.
 
 The ``obs`` group is the dispatch-overhead observatory: ``selfprof``
-prints the per-component dispatch ledger and compiled-tier headroom
-for one workload, and ``history`` maintains the committed regression
+prints the measured per-component dispatch ledger of one workload,
+and ``history`` maintains the committed regression
 store (``record`` appends an entry of exact pins and trend metrics,
 ``show`` renders trends + change points, ``gate`` exits 6 when the
 newest entry's pins differ from the previous pinned entry's).  A
@@ -106,9 +106,6 @@ def add_obs_subcommands(sub: "argparse._SubParsersAction") -> None:
         help="profile a workload under the self-profiling ledger and "
              "print the per-component dispatch-overhead rollup")
     selfprof.add_argument("workload", help="registered workload name")
-    selfprof.add_argument("--device", default="rtx",
-                          help="device for the analytic headroom "
-                               "estimate (default rtx)")
     selfprof.add_argument("--seed", type=int, default=0)
     selfprof.add_argument("--json", action="store_true",
                           help="print the full ledger as JSON "
@@ -124,7 +121,7 @@ def add_obs_subcommands(sub: "argparse._SubParsersAction") -> None:
     h_record = history_sub.add_parser(
         "record", help="append an entry: exact pins of the fixed "
                        "roster and serve schedule, plus trend metrics "
-                       "(ledger, headroom, plan steps, bench results)")
+                       "(op counts, plan steps, bench results)")
     h_record.add_argument("--db", default=DEFAULT_HISTORY,
                           help=f"history database "
                                f"(default {DEFAULT_HISTORY})")
@@ -226,26 +223,13 @@ def _run_metrics(args: argparse.Namespace) -> int:
 
 
 def _run_selfprof(args: argparse.Namespace) -> int:
-    from repro.core.analysis import latency_breakdown
-    from repro.hwsim.devices import get_device
     from repro.obs import selfprof
-    device = get_device(args.device)
     with selfprof.scoped_ledger() as ledger:
-        trace = _profile(args.workload, args.seed)
-    projected = latency_breakdown(trace, device).total_time
+        _profile(args.workload, args.seed)
     if args.json:
-        doc = ledger.to_dict()
-        doc["deterministic"]["modeled_headroom_pct"] = round(  # type: ignore[index]
-            100.0 * ledger.modeled_headroom(projected), 6)
-        doc["digest"] = ledger.digest()
-        print(json.dumps(doc, indent=1, sort_keys=True))
+        print(json.dumps(ledger.to_dict(), indent=1, sort_keys=True))
     else:
         print(ledger.render())
-        print(f"compiled-tier headroom "
-              f"{100.0 * ledger.modeled_headroom(projected):.1f}% of "
-              f"projected {device.name} latency (modeled overhead vs "
-              f"analytic kernel projection; deterministic)")
-        print(f"ledger digest {ledger.digest()[:16]}")
     return 0
 
 

@@ -8,13 +8,12 @@ answer.  This module is the durable store and the only gate:
   ``benchmarks/history.jsonl``.  Its ``pins`` are exact-match digests
   taken at one fixed roster (:data:`PIN_ROSTER` at seed
   :data:`PIN_SEED` on the RTX 2080 Ti model): per workload the
-  counters digest, the dispatch ledger's deterministic digest, the
-  digest of the plan ``repro compile build`` writes, and a
-  device-model digest (projected total and per-phase latency, peak
-  live bytes, per-category kernel counters); plus one digest of the
-  pinned serve schedule's ``deterministic`` stats section
-  (:data:`PINNED_SERVE`).  Its ``metrics`` (ledger op counts,
-  headroom, plan step counts, and whatever the structured benchmark
+  counters digest, the digest of the plan ``repro compile build``
+  writes, and a device-model digest (projected total and per-phase
+  latency, peak live bytes, per-category kernel counters); plus one
+  digest of the pinned serve schedule's ``deterministic`` stats
+  section (:data:`PINNED_SERVE`).  Its ``metrics`` (dispatched op
+  counts, plan step counts, and whatever the structured benchmark
   results under ``benchmarks/results/*.json`` report) are trend-only;
 * :func:`check_pins` compares the newest entry's pins with the
   previous pinned entry — ``repro obs history gate`` prints each
@@ -348,7 +347,7 @@ def model_facts(trace, device) -> Dict[str, Any]:
 
 def pin_workload(name: str) -> Tuple[Dict[str, str], Dict[str, float]]:
     """Capture ``name`` once at :data:`PIN_SEED` under the dispatch
-    ledger; its four pins and its trend metrics.
+    ledger; its three pins and its trend metrics.
 
     The capture is the one ``repro compile build`` performs, so the
     ``plan`` pin is the digest of the plan that command writes.
@@ -360,20 +359,13 @@ def pin_workload(name: str) -> Tuple[Dict[str, str], Dict[str, float]]:
     from repro.workloads import create
     with selfprof.scoped_ledger() as ledger:
         plan, trace = capture_plan_with_trace(create(name, seed=PIN_SEED))
-    facts = model_facts(trace, RTX_2080TI)
-    projected = facts["projected_latency_s"]
     pins = {
         f"{name}.counters": counters_digest(trace),
-        f"{name}.ledger": ledger.digest(),
         f"{name}.plan": plan.digest(),
-        f"{name}.model": _sha256(facts),
+        f"{name}.model": _sha256(model_facts(trace, RTX_2080TI)),
     }
     metrics = {
         f"dispatch.{name}.ops": float(ledger.ops),
-        f"dispatch.{name}.modeled_overhead_ns": float(
-            ledger.modeled_overhead_ns()),
-        f"headroom.{name}.pct": round(
-            100.0 * ledger.modeled_headroom(projected), 6),
         f"compile.{name}.steps": float(len(plan.steps)),
     }
     return pins, metrics

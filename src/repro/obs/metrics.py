@@ -3,20 +3,20 @@
 A Prometheus-flavoured instrument set the runtime layers update as
 they execute:
 
-* the tensor dispatcher reports every recorded op
-  (:func:`observe_op` -> ``repro_ops_total``, ``repro_flops_total``,
-  ``repro_bytes_total``, per-category latency histograms, live-byte
-  gauges);
+* a profiling context folds its trace into the op instruments when it
+  closes (:func:`observe_trace` -> ``repro_ops_total``,
+  ``repro_flops_total``, ``repro_bytes_total``, per-category latency
+  histograms, live-byte gauges), so they are a view of the trace, not
+  a second copy of it kept op by op;
 * the fault layer reports injections (:func:`observe_fault` ->
   ``repro_faults_injected_total``);
 * the resilient runner reports attempts, retries, and outcomes
   (:func:`observe_attempt` / :func:`observe_retry` /
   :func:`observe_run`).
 
-Collection is **off by default**: the hot-path helpers check the
-module-level :data:`ENABLED` flag and return immediately, so the
-healthy profiling path pays one attribute load + branch per op
-(measured <5% in ``benchmarks/bench_obs_overhead.py``).  Enable with
+Collection is **off by default**: callers check the module-level
+:data:`ENABLED` flag first, so a disabled run pays one attribute load
+and branch per closing profile, not per op.  Enable with
 :func:`enable` (process-wide) or :func:`scoped_runtime` (isolated
 registry for one block — what tests and the CLI use).
 
@@ -29,8 +29,11 @@ unbalanced stack silently re-routes every later observation.
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+
+from repro.core.profiler import TraceEvent
 
 LabelKey = Tuple[str, ...]
 
@@ -338,63 +341,62 @@ class RuntimeMetrics:
         self.runs_total = reg.counter(
             "repro_runs_total", "resilient-runner outcomes",
             ("workload", "status"))
-        # per-category label keys, interned once (hot-path allocation)
-        self._cat_keys: Dict[str, LabelKey] = {}
-        # one lock for the whole per-op update: six separate instrument
-        # locks cost ~3x more than the arithmetic they protect
-        self._op_lock = threading.Lock()
+        # one lock for a whole fold: per-instrument locks would cost
+        # more than the arithmetic they protect
+        self._fold_lock = threading.Lock()
 
-    def observe_op(self, category: str, seconds: float, flops: float,
-                   nbytes: float, live_bytes: float) -> None:
-        """Record one dispatched op (dispatcher hot path).
+    def observe_trace(self, events: Sequence[TraceEvent]) -> None:
+        """Fold a closed profile's events into the op instruments.
 
-        Updates the op-derived instruments' storage directly under a
-        single runtime-level lock — one interned key tuple per
-        category, no kwargs, no label validation, one lock round-trip
-        — so enabling collection stays inside the <5% overhead budget
-        (``benchmarks/bench_obs_overhead.py``).  This method is the
-        sole hot-path writer of these instruments; everything else
-        (runner counters, user code) goes through the validated APIs.
+        One pass in event order under one lock, so totals continue
+        left to right from earlier folds.  Poisoned counters (NaN or
+        negative) count as zero.  The live-byte gauge ends at the last
+        event's snapshot; the peak gauge keeps the highest one seen.
         """
-        # poisoned counters can be NaN/negative; clamp off-trace
-        if not (flops == flops and flops > 0.0):
-            flops = 0.0
-        if nbytes < 0.0:
-            nbytes = 0.0
-        hist = self.op_latency
-        with self._op_lock:
-            key = self._cat_keys.get(category)
-            if key is None:
-                key = self._cat_keys.setdefault(category, (category,))
-            values = self.ops_total._values
-            values[key] = values.get(key, 0.0) + 1.0
-            values = self.flops_total._values
-            values[()] = values.get((), 0.0) + flops
-            values = self.bytes_total._values
-            values[()] = values.get((), 0.0) + nbytes
-            counts = hist._counts.get(key)
-            if counts is None:
-                counts = hist._counts.setdefault(
-                    key, [0] * len(hist.buckets))
-            for i, bound in enumerate(hist.buckets):
-                if seconds <= bound:
-                    counts[i] += 1
-                    break
-            hist._sums[key] = hist._sums.get(key, 0.0) + seconds
-            hist._totals[key] = hist._totals.get(key, 0) + 1
-            values = self.live_bytes._values
-            values[()] = live_bytes
-            values = self.peak_live_bytes._values
-            if live_bytes > values.get((), float("-inf")):
-                values[()] = live_bytes
+        if not events:
+            return
+        buckets = self.op_latency.buckets
+        ops = self.ops_total._values
+        counts = self.op_latency._counts
+        sums = self.op_latency._sums
+        totals = self.op_latency._totals
+        live = self.live_bytes._values
+        peak = self.peak_live_bytes._values
+        with self._fold_lock:
+            flops = self.flops_total._values.get((), 0.0)
+            nbytes = self.bytes_total._values.get((), 0.0)
+            for event in events:
+                key = (event.category.value,)
+                ops[key] = ops.get(key, 0.0) + 1.0
+                if event.flops == event.flops and event.flops > 0.0:
+                    flops += event.flops
+                moved = event.bytes_read + event.bytes_written
+                if moved > 0:
+                    nbytes += moved
+                seconds = event.wall_time
+                row = counts.get(key)
+                if row is None:
+                    row = counts[key] = [0] * len(buckets)
+                # first bucket whose bound is >= seconds; past the last
+                # one only _count and _sum see it
+                slot = bisect_left(buckets, seconds)
+                if slot < len(buckets):
+                    row[slot] += 1
+                sums[key] = sums.get(key, 0.0) + seconds
+                totals[key] = totals.get(key, 0) + 1
+                live[()] = event.live_bytes
+                if event.live_bytes > peak.get((), float("-inf")):
+                    peak[()] = event.live_bytes
+            self.flops_total._values[()] = flops
+            self.bytes_total._values[()] = nbytes
 
 
 #: Process-default runtime (disabled until :func:`enable`).
 _RUNTIME = RuntimeMetrics()
 
-#: Fast-path flag consulted by the dispatcher before any function
-#: call into this module's bookkeeping.  True whenever *any* runtime
-#: (default or scoped) is currently enabled.
+#: Flag callers check before any call into this module's bookkeeping
+#: (a closing profile, an injected fault, the resilient runner).  True
+#: whenever *any* runtime (default or scoped) is currently enabled.
 ENABLED = False
 
 _enabled_count = 0
@@ -466,10 +468,8 @@ def scoped_runtime(enabled: bool = True) -> Iterator[RuntimeMetrics]:
     another (or into the process-default registry).
 
     Isolation is **thread-local**: a worker thread spawned inside the
-    scope does not inherit the override, so its observations fall
-    through to the process default.  Worker pools (``repro.serve``)
-    must re-install the owning scope's runtime on each worker thread
-    with :func:`bind_runtime`.
+    scope does not inherit the override, so the profiles it closes
+    fold into the process default.
     """
     runtime = RuntimeMetrics()
     runtime.enabled = enabled
@@ -480,38 +480,13 @@ def scoped_runtime(enabled: bool = True) -> Iterator[RuntimeMetrics]:
         pop_runtime(runtime)
 
 
-@contextmanager
-def bind_runtime(runtime: RuntimeMetrics) -> Iterator[RuntimeMetrics]:
-    """Install an *existing* runtime as this thread's override.
+# -- observation helpers (called by runtime layers) -------------------------
 
-    The multi-thread companion of :func:`scoped_runtime`: the runtime
-    override stack is thread-local, so a worker thread created inside
-    a scoped block would otherwise report to the process default and
-    the scope's registry would silently miss every op the worker
-    dispatched.  A pool worker wraps its run loop::
-
-        with metrics.bind_runtime(shared_runtime):
-            ... execute requests ...
-
-    Instrument updates are lock-protected, so any number of workers
-    may bind the same runtime concurrently.
-    """
-    push_runtime(runtime)
-    try:
-        yield runtime
-    finally:
-        pop_runtime(runtime)
-
-
-# -- hot-path observation helpers (called by runtime layers) ----------------
-
-def observe_op(category: str, seconds: float, flops: float,
-               nbytes: float, live_bytes: float) -> None:
-    """Record one dispatched op (dispatcher hot path)."""
-    stack = _runtime_stack()
-    runtime = stack[-1] if stack else _RUNTIME
+def observe_trace(events: Sequence[TraceEvent]) -> None:
+    """Fold a closed profile's events into this thread's runtime."""
+    runtime = active_runtime()
     if runtime.enabled:
-        runtime.observe_op(category, seconds, flops, nbytes, live_bytes)
+        runtime.observe_trace(events)
 
 
 def observe_fault(kind: str) -> None:

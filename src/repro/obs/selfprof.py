@@ -4,10 +4,8 @@ The paper's central finding is that neuro-symbolic workloads lose
 time to *framework overhead*, not raw FLOPs.  This suite's dispatcher
 (:func:`repro.tensor.dispatch.run_op`) is itself a framework: every
 op pays for taxonomy lookup, input splitting, fault-hook
-consultation, counter recording, span/observer bookkeeping, and
-metrics — on top of the numpy kernel.  Before the compiled execution
-tier (ROADMAP item 1) can claim to eliminate that overhead, we have
-to be able to *measure* it.
+consultation, counter recording, and span/observer bookkeeping — on
+top of the numpy kernel.  The ledger measures that overhead.
 
 When :data:`ENABLED` is on (off by default; use
 :func:`scoped_ledger`), the dispatcher brackets each named component
@@ -20,34 +18,25 @@ is off each probe point costs one ``None`` test; the traced events are
 bit-identical either way (same counters digest).  Compiled replays
 (:mod:`repro.compile`) go through the same probes.
 
-The ledger rolls up per **operator category** and exposes the
-**compiled-tier headroom** estimate: the fraction of projected
-workload latency a plan that eliminated per-op dispatch overhead
-could reclaim.  Two splits are maintained, in
-the same deterministic/measured discipline as
-:class:`repro.serve.stats.ServerStats`:
+The ledger rolls up per **operator category**, in two views:
 
-* ``deterministic`` — per-category op counts and the *modeled*
-  overhead (op count x :data:`MODELED_COMPONENT_NS`), bit-identical
-  across two seeded runs and therefore gateable by
-  :mod:`repro.obs.history`;
-* ``measured`` — the probe-accumulated ns, machine-dependent,
-  reported for context and benched in
-  ``benchmarks/bench_dispatch_overhead.py``.
+* ``deterministic`` — per-category op counts, bit-identical across
+  two seeded runs;
+* ``measured`` — the probe-accumulated ns and the measured share of
+  dispatch time that is overhead, machine-dependent; the per-layer
+  benchmark (``benchmarks/perf``) and
+  ``benchmarks/bench_dispatch_overhead.py`` read it.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import threading
 from collections import deque
 from contextlib import contextmanager
 from typing import Deque, Dict, Iterator, List, Optional, Tuple
 
 __all__ = [
-    "COMPONENTS", "OVERHEAD_COMPONENTS", "MODELED_COMPONENT_NS",
-    "MODELED_OVERHEAD_NS_PER_OP", "DispatchLedger", "ENABLED",
+    "COMPONENTS", "DispatchLedger", "ENABLED",
     "scoped_ledger", "active_ledger",
 ]
 
@@ -63,35 +52,7 @@ COMPONENTS: Tuple[str, ...] = (
     "span",       # eid allocation + innermost-sid lookup
     "record",     # allocation tracking + TraceEvent + ctx.record
     "observer",   # op-observer notification (repro.fuzz harvest)
-    "metrics",    # metrics-registry branch (observe_op when enabled)
 )
-
-#: Dispatch overhead: every component except the kernel itself.
-OVERHEAD_COMPONENTS: Tuple[str, ...] = tuple(
-    c for c in COMPONENTS if c != "kernel")
-
-#: Canonical per-component dispatch cost model, in nanoseconds per op.
-#: Calibrated once from the measured ledger on the reference machine
-#: (CPython 3.11, x86-64; see benchmarks/bench_dispatch_overhead.py —
-#: measured values are re-reported there on every run so drift in the
-#: calibration is visible).  The *model* is deliberately frozen: it
-#: makes modeled overhead and headroom projections pure functions of
-#: the op stream, so two seeded runs agree bit-for-bit and the history
-#: gate can hold a hard line on them.
-MODELED_COMPONENT_NS: Dict[str, int] = {
-    "taxonomy": 150,
-    "inputs": 450,
-    "fault": 120,
-    "counters": 400,
-    "span": 150,
-    "record": 600,
-    "observer": 60,
-    "metrics": 70,
-}
-
-#: Modeled dispatch overhead of one eager op, ns (sum of the model).
-MODELED_OVERHEAD_NS_PER_OP: int = sum(MODELED_COMPONENT_NS.values())
-
 
 #: Ops a ledger queues before the recording thread folds them in.
 #: Each queued op holds two collector-tracked objects (its tuple and
@@ -188,36 +149,13 @@ class DispatchLedger:
         total = self.total_ns
         return self.overhead_ns / total if total else 0.0
 
-    # -- deterministic model --------------------------------------------------
-    def modeled_overhead_ns(self) -> int:
-        """Modeled dispatch overhead of the whole run (deterministic)."""
-        return self.ops * MODELED_OVERHEAD_NS_PER_OP
-
-    def modeled_headroom(self, projected_kernel_s: float) -> float:
-        """Compiled-tier headroom against an analytic kernel latency.
-
-        ``projected_kernel_s`` is the device-model projection of the
-        kernel work itself (e.g. ``latency_breakdown(...).total_time``)
-        — deterministic per seed — so the returned fraction is too:
-        ``overhead / (overhead + kernel)``, the share of end-to-end
-        time a compiled plan that eliminates per-op dispatch could
-        reclaim on a host whose dispatch costs match the model.
-        """
-        overhead_s = self.modeled_overhead_ns() * 1e-9
-        denominator = overhead_s + max(projected_kernel_s, 0.0)
-        return overhead_s / denominator if denominator else 0.0
-
     # -- serialization --------------------------------------------------------
     def deterministic_dict(self) -> Dict[str, object]:
-        """The gateable, bit-identical-across-seeded-runs view."""
+        """Op counts per category: bit-identical across seeded runs."""
         ops = self.ops_by_category()
         return {
             "ops": sum(ops.values()),
             "ops_by_category": {k: ops[k] for k in sorted(ops)},
-            "modeled_component_ns": dict(
-                sorted(MODELED_COMPONENT_NS.items())),
-            "modeled_overhead_ns_per_op": MODELED_OVERHEAD_NS_PER_OP,
-            "modeled_overhead_ns": self.modeled_overhead_ns(),
         }
 
     def measured_dict(self) -> Dict[str, object]:
@@ -242,15 +180,9 @@ class DispatchLedger:
         return {"deterministic": self.deterministic_dict(),
                 "measured": self.measured_dict()}
 
-    def digest(self) -> str:
-        """sha256 over the deterministic view (history/baseline key)."""
-        canonical = json.dumps(self.deterministic_dict(), sort_keys=True,
-                               separators=(",", ":"))
-        return hashlib.sha256(canonical.encode()).hexdigest()
-
     # -- rendering ------------------------------------------------------------
     def render(self) -> str:
-        """Text rollup: per-category component shares + headroom."""
+        """Text rollup: per-category component shares, measured."""
         from repro.core.report import render_table  # deferred (cycle)
         ops = self.ops_by_category()
         totals = self.component_ns()
@@ -274,9 +206,7 @@ class DispatchLedger:
         summary = (
             f"\ntotal {total / 1e6:.3f} ms over {self.ops} ops: "
             f"kernel {100.0 * totals.get('kernel', 0) / total:.1f}%, "
-            f"overhead {100.0 * self.measured_headroom:.1f}% measured "
-            f"({self.modeled_overhead_ns() / 1e6:.3f} ms modeled at "
-            f"{MODELED_OVERHEAD_NS_PER_OP} ns/op)")
+            f"overhead {100.0 * self.measured_headroom:.1f}%")
         return table + summary
 
 

@@ -33,7 +33,6 @@ from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
                     Sequence)
 
 from repro.hwsim.device import DeviceSpec
-from repro.obs import metrics as _metrics
 from repro.obs.clock import perf_s
 from repro.obs.spans import SpanCollector, SpanRecord
 from repro.obs.spans import span as _span
@@ -173,30 +172,23 @@ class Worker:
 class WorkerPool:
     """Fixed set of worker threads, each running one batch at a time."""
 
-    def __init__(self, workers: Sequence[Worker],
-                 runtime: Optional[_metrics.RuntimeMetrics] = None):
+    def __init__(self, workers: Sequence[Worker]):
         if not workers:
             raise ValueError("worker pool needs at least one worker")
         self.workers = list(workers)
-        self.runtime = runtime
 
     def _serve(self, worker: Worker, batches: Iterable[Batch],
                sink: Callable[[BatchResult], None]) -> None:
         """Execute each of ``batches`` on ``worker``, in turn (thread body)."""
-        # Re-bind the caller's metrics runtime: scoped_runtime state is
-        # thread-local and would not reach this pool thread otherwise.
-        binder = (_metrics.bind_runtime(self.runtime)
-                  if self.runtime is not None else contextlib.nullcontext())
-        with binder:
-            for batch in batches:
-                try:
-                    sink(worker.execute_batch(batch))
-                except Exception as exc:  # belt-and-braces: never die
-                    sink(BatchResult(batch=batch, status=STATUS_FAILED,
-                                     worker=worker.name,
-                                     device=worker.device.name,
-                                     error=str(exc),
-                                     error_type=type(exc).__name__))
+        for batch in batches:
+            try:
+                sink(worker.execute_batch(batch))
+            except Exception as exc:  # belt-and-braces: never die
+                sink(BatchResult(batch=batch, status=STATUS_FAILED,
+                                 worker=worker.name,
+                                 device=worker.device.name,
+                                 error=str(exc),
+                                 error_type=type(exc).__name__))
 
     def execute(self, batches: Sequence[Batch]) -> Dict[int, BatchResult]:
         """Execute a fixed batch plan; returns results keyed by bid.

@@ -42,7 +42,6 @@ from repro.core.analysis import latency_breakdown
 from repro.hwsim.device import DeviceSpec
 from repro.hwsim.devices import RTX_2080TI
 from repro.obs.clock import perf_s
-from repro.obs.metrics import RuntimeMetrics
 from repro.resilience.faults import FaultPlan
 from repro.resilience.runner import (STATUS_DEGRADED, STATUS_OK,
                                      RetryPolicy)
@@ -71,7 +70,6 @@ class ServeConfig:
     timeout: Optional[float] = None   # per-attempt wall budget
     max_retries: int = 1
     compiled: bool = False            # workers replay compiled plans
-    runtime: Optional[RuntimeMetrics] = None
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -175,7 +173,7 @@ class InferenceServer:
                    compiled=self.config.compiled)
             for i in range(self.config.workers)
         ]
-        self.pool = WorkerPool(self.workers, runtime=self.config.runtime)
+        self.pool = WorkerPool(self.workers)
         self._modeled: Dict[Tuple[object, str], float] = {}
         self._modeled_lock = threading.Lock()
         # live-mode machinery (built by start())

@@ -24,6 +24,10 @@ free deltas propagate up the whole context stack: an outer
 in its own ``live_bytes``/``peak_live_bytes``, so nested profiling
 never under-reports memory.
 
+Runtime metrics: when collection is on (:mod:`repro.obs.metrics`),
+a closing context folds its events into the runtime active on its
+thread, so the op metrics are read off the trace.
+
 Span tracing: entering a :class:`ProfileContext` opens a root
 ``profile:<workload>`` span and installs the trace as a span
 collector; ``phase()`` and ``stage()`` open child spans.  The
@@ -65,6 +69,7 @@ from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional
 
 from repro.core.profiler import Trace, TraceEvent
+from repro.obs import metrics as _metrics
 from repro.obs import spans as _spans
 
 
@@ -262,6 +267,8 @@ class ProfileContext:
             self._span = None
         _spans.uninstall_collector(self.trace.spans)
         self._parent = None
+        if _metrics.ENABLED:
+            _metrics.observe_trace(self.trace.events)
 
 
 def profile(workload: str = "") -> ProfileContext:

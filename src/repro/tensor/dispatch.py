@@ -184,12 +184,6 @@ def _record(ctx: ProfileContext, eid: int, sid: Optional[int], name: str,
     return event
 
 
-def _observe_metrics(event: TraceEvent) -> None:
-    _metrics.observe_op(event.category.value, event.wall_time, event.flops,
-                        event.bytes_read + event.bytes_written,
-                        event.live_bytes)
-
-
 def run_op(name: str,
            category: Optional[OpCategory] = None,
            compute: Callable[..., np.ndarray] = None,  # type: ignore[assignment]
@@ -225,12 +219,11 @@ def run_op(name: str,
     captured at this eid; the captured event's counters (category,
     FLOPs, bytes, shapes, sparsity, parents, live bytes) stand in for
     counting and allocation tracking.  Everything else — kernel, eid,
-    phase/stage, span id, timing, observer, metrics, ledger — is the
-    eager path.
+    phase/stage, span id, timing, observer, ledger — is the eager path.
 
     With self-profiling on (:func:`repro.obs.selfprof.scoped_ledger`),
-    ten :func:`repro.obs.clock.perf_ns` probes at shared segment
-    boundaries split the op into the nine
+    nine :func:`repro.obs.clock.perf_ns` probes at shared segment
+    boundaries split the op into the eight
     :data:`~repro.obs.selfprof.COMPONENTS`, whose integer-ns deltas
     telescope to the op's instrumented wall time; the parts go to the
     active :class:`~repro.obs.selfprof.DispatchLedger`.
@@ -321,10 +314,6 @@ def run_op(name: str,
         state.observer.observe_op(event, arrays, out_arr)
     if ledger is not None:
         p8 = _perf_ns()                                # observer
-    if _metrics.ENABLED:
-        _observe_metrics(event)
-    if ledger is not None:
-        p9 = _perf_ns()                                # metrics
         ledger.record(category.value, {
             "taxonomy": p1 - p0,
             "inputs": p2 - p1,
@@ -334,7 +323,6 @@ def run_op(name: str,
             "span": p6 - p5,
             "record": p7 - p6,
             "observer": p8 - p7,
-            "metrics": p9 - p8,
         })
     return result
 
@@ -369,9 +357,22 @@ def record_event(name: str,
                     parents=parents, input_shapes=input_shapes,
                     output_shape=output_shape,
                     output_sparsity=output_sparsity)
-    if _metrics.ENABLED:
-        _observe_metrics(event)
     return event.eid
+
+
+class RegionCounters:
+    """The work counters of one :func:`record_region` event.
+
+    The region's body may overwrite them once it knows how much work
+    it did; they are read when the region closes.
+    """
+
+    __slots__ = ("flops", "bytes_read", "bytes_written")
+
+    def __init__(self, flops: float, bytes_read: int, bytes_written: int):
+        self.flops = flops
+        self.bytes_read = bytes_read
+        self.bytes_written = bytes_written
 
 
 @contextmanager
@@ -381,34 +382,33 @@ def record_region(name: str,
                   flops: float = 0.0,
                   bytes_read: int = 0,
                   bytes_written: int = 0,
-                  parents: Tuple[int, ...] = ()) -> Iterator[None]:
+                  parents: Tuple[int, ...] = ()) -> Iterator[RegionCounters]:
     """Record a Python region (e.g. a logic-rule search loop) as one event.
 
     The supplied ``flops``/``bytes`` describe the aggregate work done by
     the region; wall time is measured.  Use for symbolic computations
     that execute as host-side control flow rather than tensor kernels.
+    The block receives the region's :class:`RegionCounters` and may set
+    them; a poisoning fault still overrides the FLOPs.
     """
+    counters = RegionCounters(flops, bytes_read, bytes_written)
     state = _thread_local.dispatch
     ctx = state.context
     if ctx is None:
-        yield
+        yield counters
         return
     # a raising fault aborts the region before its body runs
     hook = state.fault_hook
     injection = None if hook is None else _consider_fault(hook, ctx, name)
     t_start = _now()
     try:
-        yield
+        yield counters
     finally:
         elapsed = _now() - t_start
         elapsed, poison, extra_live = _apply_injection(injection, elapsed)
-        event = _record(ctx, ctx.next_eid(), _current_sid(), name,
-                        category,
-                        flops=flops if poison is None else poison,
-                        bytes_read=bytes_read,
-                        bytes_written=bytes_written, wall_time=elapsed,
-                        t_start=t_start,
-                        live_bytes=ctx.live_bytes + extra_live,
-                        parents=parents)
-        if _metrics.ENABLED:
-            _observe_metrics(event)
+        _record(ctx, ctx.next_eid(), _current_sid(), name, category,
+                flops=counters.flops if poison is None else poison,
+                bytes_read=counters.bytes_read,
+                bytes_written=counters.bytes_written, wall_time=elapsed,
+                t_start=t_start, live_bytes=ctx.live_bytes + extra_live,
+                parents=parents)

@@ -338,17 +338,10 @@ class LNNWorkload(Workload):
                     with record_region("kb_forward_chain",
                                        OpCategory.OTHER) as region:
                         stats = self.kb.forward_chain(max_iterations=3)
-                    # annotate the recorded region with the engine's
-                    # actual work counters
-                    region_event = None
-                    ctx_trace = T.active_context()
-                    if ctx_trace is not None and ctx_trace.trace.events:
-                        region_event = ctx_trace.trace.events[-1]
-                    if region_event is not None and \
-                            region_event.name == "kb_forward_chain":
-                        region_event.flops = float(stats.total_work)
-                        region_event.bytes_read = stats.bindings_tried * 24
-                        region_event.bytes_written = stats.facts_derived * 24
+                        # the engine's actual work counters
+                        region.flops = float(stats.total_work)
+                        region.bytes_read = stats.bindings_tried * 24
+                        region.bytes_written = stats.facts_derived * 24
             if delta < 1e-6 and pass_idx > 0:
                 converged_at = pass_idx + 1
                 break

@@ -1,19 +1,21 @@
 """Regression tests for the races the RL100 analyzer surfaced.
 
-Each test hammers one of the four fixed sites (`ServerStats`
-aggregation counters, `InferenceServer._modeled` memo,
-`RuntimeMetrics._cat_keys` interning, `MetricsRegistry` registration)
-from many threads and asserts exact totals — the lost-update symptom
-each fix removed.  A barrier lines the threads up so the window is as
-hot as a unit test can make it; the static analyzer, not this timing,
-is the soundness guarantee.
+Each test hammers one of the fixed sites (`ServerStats` aggregation
+counters, `InferenceServer._modeled` memo, `RuntimeMetrics` trace
+folds, `MetricsRegistry` registration) from many threads and asserts
+exact totals — the lost-update symptom each fix removed.  A barrier
+lines the threads up so the window is as hot as a unit test can make
+it; the static analyzer, not this timing, is the soundness guarantee.
 """
 
+import sys
 import threading
 from types import SimpleNamespace
 
 import pytest
 
+from repro.core.profiler import TraceEvent
+from repro.core.taxonomy import OpCategory
 from repro.obs.metrics import Counter, MetricsRegistry, RuntimeMetrics
 from repro.serve.batcher import Batch
 from repro.serve.pool import BatchResult
@@ -114,35 +116,38 @@ class TestModeledLatencyMemo:
         assert len(server._modeled) == 1
 
 
-class TestRuntimeMetricsHotPath:
-    def test_concurrent_observe_op_totals_are_exact(self):
+class TestRuntimeMetricsFold:
+    def test_concurrent_folds_totals_are_exact(self):
         metrics = RuntimeMetrics()
-        categories = ("matmul", "elementwise", "reduce")
+        categories = (OpCategory.MATMUL, OpCategory.ELEMENTWISE,
+                      OpCategory.TRANSFORM)
+        events = [TraceEvent(eid, "op", categories[eid % 3], flops=2.0,
+                             bytes_read=8, bytes_written=4,
+                             wall_time=1e-4, live_bytes=64 * (eid % 7))
+                  for eid in range(30)]
+        folds = ROUNDS // 10
 
         def worker(index):
-            for i in range(ROUNDS):
-                metrics.observe_op(categories[i % 3], 1e-4,
-                                   flops=2.0, nbytes=8.0,
-                                   live_bytes=64.0)
+            for _ in range(folds):
+                metrics.observe_trace(events)
 
-        hammer(worker)
-        assert metrics.ops_total.total() == THREADS * ROUNDS
-        assert metrics.flops_total.total() == 2.0 * THREADS * ROUNDS
-        # interning stays one key per category (no torn dict state)
-        assert sorted(metrics._cat_keys) == sorted(categories)
-
-    def test_interned_keys_are_stable_identities(self):
-        metrics = RuntimeMetrics()
-        seen = {}
-
-        def worker(index):
-            for _ in range(ROUNDS):
-                metrics.observe_op("matmul", 1e-4, 1.0, 1.0, 0.0)
-                seen[index] = metrics._cat_keys["matmul"]
-
-        hammer(worker)
-        identities = {id(key) for key in seen.values()}
-        assert len(identities) == 1
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            hammer(worker)
+        finally:
+            sys.setswitchinterval(interval)
+        total = THREADS * folds * len(events)
+        assert metrics.ops_total.total() == total
+        assert metrics.flops_total.value() == 2.0 * total
+        assert metrics.bytes_total.value() == 12.0 * total
+        assert metrics.live_bytes.value() == events[-1].live_bytes
+        assert metrics.peak_live_bytes.value() == 64 * 6
+        for category in categories:
+            assert metrics.ops_total.value(category=category.value) \
+                == total // 3
+            assert metrics.op_latency.count(category=category.value) \
+                == total // 3
 
 
 class TestRegistryRegistration:

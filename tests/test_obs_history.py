@@ -20,7 +20,7 @@ from repro.cli import main as cli_main
 from repro.compile import capture_plan
 from repro.core.taxonomy import OpCategory
 from repro.hwsim.devices import RTX_2080TI
-from repro.obs import kstats, selfprof
+from repro.obs import kstats
 from repro.obs import history
 from repro.obs.history import (EXIT_PIN_MISMATCH, PIN_ROSTER,
                                PINNED_SERVE, HistoryEntry, HistoryError,
@@ -35,7 +35,7 @@ from repro.workloads import create
 COMMITTED_HISTORY = Path(__file__).resolve().parents[1] \
     / "benchmarks" / "history.jsonl"
 
-PIN_KINDS = ("counters", "ledger", "plan", "model")
+PIN_KINDS = ("counters", "plan", "model")
 
 
 @pytest.fixture(scope="module")
@@ -79,14 +79,14 @@ class TestStore:
         first = _entry("a", **{"dispatch.nvsa.ops": 793.0})
         second = _entry("b", {"nvsa.counters": "c" * 64},
                         **{"dispatch.nvsa.ops": 793.0,
-                           "headroom.nvsa.pct": 26.9})
+                           "compile.nvsa.steps": 802.0})
         append_entry(first, db)
         append_entry(second, db)
         loaded = load_history(db)
         assert [e.label for e in loaded] == ["a", "b"]
         assert loaded[0].to_dict() == first.to_dict()
         assert loaded[1].pins == {"nvsa.counters": "c" * 64}
-        assert metric_series(loaded, "headroom.nvsa.pct") == [26.9]
+        assert metric_series(loaded, "compile.nvsa.steps") == [802.0]
 
     def test_digest_excludes_provenance(self):
         base = _entry("x", **{"dispatch.nvsa.ops": 1.0})
@@ -183,18 +183,6 @@ class TestRegressionGate:
         verdict = check_pins([changed, _entry("bare")])
         assert verdict.mismatches == [("a", "2", "(absent)")]
 
-    def test_ten_percent_dispatch_regression_detected(
-            self, pinned_entry, monkeypatch, tmp_path, capsys):
-        # a 10% costlier modeled dispatcher moves the ledger pin only
-        for component, ns in list(selfprof.MODELED_COMPONENT_NS.items()):
-            monkeypatch.setitem(selfprof.MODELED_COMPONENT_NS,
-                                component, round(ns * 1.1))
-        monkeypatch.setattr(selfprof, "MODELED_OVERHEAD_NS_PER_OP",
-                            sum(selfprof.MODELED_COMPONENT_NS.values()))
-        fresh, _ = pin_workload("lnn")
-        _assert_moved(tmp_path, capsys, pinned_entry, fresh,
-                      {"lnn.ledger"})
-
 
 class TestPinSensitivity:
     def test_device_model_constant_moves_model_only(
@@ -255,14 +243,10 @@ class TestEntryFromSources:
         assert set(pinned_entry.pins) == {
             f"{name}.{kind}" for name in PIN_ROSTER
             for kind in PIN_KINDS} | {"serve"}
-        for name in PIN_ROSTER:
-            for metric in (f"dispatch.{name}.ops",
-                           f"dispatch.{name}.modeled_overhead_ns",
-                           f"headroom.{name}.pct",
-                           f"compile.{name}.steps"):
-                assert metric in pinned_entry.metrics, metric
-            assert 0.0 < pinned_entry.metrics[f"headroom.{name}.pct"] \
-                < 100.0
+        assert set(pinned_entry.metrics) == {
+            f"{family}.{name}.{field}" for name in PIN_ROSTER
+            for family, field in (("dispatch", "ops"),
+                                  ("compile", "steps"))}
         assert pinned_entry.meta == {"seed": 0,
                                      "device": RTX_2080TI.name}
 
@@ -331,19 +315,19 @@ class TestCli:
     def test_gate_exits_six_on_synthetic_regression(
             self, tmp_path, capsys, pinned_entry):
         db = self._seed_db(tmp_path, pinned_entry,
-                           changed_pin="nvsa.ledger")
+                           changed_pin="nvsa.plan")
         assert cli_main(["obs", "history", "gate", "--db", db]) \
             == EXIT_PIN_MISMATCH
         out = capsys.readouterr().out
-        assert (f"PIN nvsa.ledger: {pinned_entry.pins['nvsa.ledger']} "
+        assert (f"PIN nvsa.plan: {pinned_entry.pins['nvsa.plan']} "
                 f"→ {'0' * 64}") in out
-        assert "1 of 25 pins changed since 'c'" in out
+        assert "1 of 19 pins changed since 'c'" in out
 
     def test_gate_passes_on_identical_runs(self, tmp_path, capsys,
                                            pinned_entry):
         db = self._seed_db(tmp_path, pinned_entry)
         assert cli_main(["obs", "history", "gate", "--db", db]) == 0
-        assert "OK — 25 pins match 'c'" in capsys.readouterr().out
+        assert "OK — 19 pins match 'c'" in capsys.readouterr().out
 
     def test_gate_warn_only_and_thresholds(self, tmp_path, capsys,
                                            pinned_entry):
@@ -415,13 +399,17 @@ class TestCli:
         assert cli_main(["obs", "selfprof", "lnn"]) == 0
         out = capsys.readouterr().out
         assert "dispatch-overhead ledger" in out
-        assert "compiled-tier headroom" in out
+        assert "modeled" not in out
         assert cli_main(["obs", "selfprof", "lnn", "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
+        assert set(doc) == {"deterministic", "measured"}
+        assert set(doc["deterministic"]) == {"ops", "ops_by_category"}
         assert doc["deterministic"]["ops"] > 0
-        assert "measured" in doc
-        with pytest.raises(SystemExit):
-            cli_main(["obs", "opportunities", "lnn"])
+        # measured components only: nothing left to project a device on
+        for argv in (["obs", "opportunities", "lnn"],
+                     ["obs", "selfprof", "lnn", "--device", "rtx"]):
+            with pytest.raises(SystemExit):
+                cli_main(argv)
         capsys.readouterr()
 
     def test_report_with_history_renders_trends(self, tmp_path,
@@ -437,5 +425,5 @@ class TestCli:
         assert "dispatch.lnn.ops" in html
         # the gate's verdict, as ``obs history gate`` prints it
         assert f"PIN serve: {pinned_entry.pins['serve']} → " in html
-        assert "1 of 25 pins changed since" in html
+        assert "1 of 19 pins changed since" in html
         assert html.count("<svg") >= 2   # roofline + >=1 sparkline

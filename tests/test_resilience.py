@@ -30,6 +30,7 @@ from repro.resilience import (FAULT_ALLOC, FAULT_INF, FAULT_LATENCY,
                               check_trace_health, classify_error,
                               run_roster)
 from repro.resilience.runner import WorkloadTimeout
+from repro.workloads import create
 from repro.workloads.base import Workload, WorkloadInfo
 
 
@@ -185,6 +186,18 @@ def test_inf_fault_detected_by_health():
     trace = _profiled_matmul(FaultPlan.single(FAULT_INF))
     health = check_trace_health(trace)
     assert "finite_counters" in health.failing()
+
+
+def test_nan_fault_on_an_annotated_region_is_not_masked():
+    # LNN sets its kb_forward_chain region's work counters from inside
+    # the region; an injected poison must still reach the event
+    plan = FaultPlan([FaultSpec(kind=FAULT_NAN,
+                                op_name="kb_forward_chain")])
+    with plan:
+        trace = create("lnn", seed=0).profile()
+    assert [(name, kind) for _, name, kind in plan.schedule()] \
+        == [("kb_forward_chain", FAULT_NAN)]
+    assert "finite_counters" in check_trace_health(trace).failing()
 
 
 def test_raise_fault_propagates_with_metadata():

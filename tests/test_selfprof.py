@@ -8,8 +8,8 @@ dispatch-overhead observatory's invariants.
 * zero interference — the traced events are bit-identical with and
   without the ledger (counters digest equality), and the scoped flag
   always restores;
-* determinism — the deterministic ledger view and its digest are
-  bit-identical across two seeded runs;
+* determinism — the deterministic ledger view (op counts per
+  category) is bit-identical across two seeded runs;
 * RL107 — raw ``time.*`` clock reads are banned from the shipped
   tree (zero pragmas) and the seeded mutant fixture keeps tripping.
 """
@@ -56,10 +56,10 @@ class TestLedgerAttribution:
                             capturing_record)
         trace, ledger = _profile_with_ledger()
         assert per_op_sums
-        # ten probes, step 7: the telescoped deltas must sum to
-        # exactly p9 - p0 = 9 * 7 for every single op
-        assert set(per_op_sums) == {9 * 7}
-        assert ledger.total_ns == len(per_op_sums) * 9 * 7
+        # nine probes, step 7: the telescoped deltas must sum to
+        # exactly p8 - p0 = 8 * 7 for every single op
+        assert set(per_op_sums) == {8 * 7}
+        assert ledger.total_ns == len(per_op_sums) * 8 * 7
 
     def test_measured_totals_tile_by_construction(self):
         _, ledger = _profile_with_ledger()
@@ -91,11 +91,7 @@ class TestLedgerAttribution:
     def test_headroom_bounds(self):
         _, ledger = _profile_with_ledger()
         assert 0.0 < ledger.measured_headroom < 1.0
-        assert 0.0 < ledger.modeled_headroom(1e-3) < 1.0
-        assert ledger.modeled_headroom(0.0) == 1.0
-        assert ledger.modeled_overhead_ns() == \
-            ledger.ops * selfprof.MODELED_OVERHEAD_NS_PER_OP
-
+        assert set(ledger.component_ns()) == set(selfprof.COMPONENTS)
 
     def test_concurrent_records_and_folds_lose_nothing(self):
         """Recording queues without a lock and folds in batches: with
@@ -181,7 +177,6 @@ class TestDeterminism:
         _, first = _profile_with_ledger("nvsa")
         _, second = _profile_with_ledger("nvsa")
         assert first.deterministic_dict() == second.deterministic_dict()
-        assert first.digest() == second.digest()
 
     def test_render_smoke(self):
         _, ledger = _profile_with_ledger("nvsa")

@@ -88,9 +88,18 @@ class TestRecordRegion:
         assert event.bytes_read == 456
         assert event.wall_time > 0
 
+    def test_region_counters_set_by_the_body_are_recorded(self):
+        with T.profile("w") as prof:
+            with T.record_region("logic_loop", flops=1.0) as region:
+                region.flops = 7.0
+                region.bytes_written = 24
+        event = prof.trace.events[0]
+        assert (event.flops, event.bytes_read, event.bytes_written) \
+            == (7.0, 0, 24)
+
     def test_region_without_context(self):
-        with T.record_region("x"):
-            pass  # must not raise
+        with T.record_region("x") as region:
+            region.flops = 1.0  # must not raise
 
     def test_record_event_returns_eid(self):
         with T.profile("w") as prof:
