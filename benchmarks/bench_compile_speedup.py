@@ -1,18 +1,19 @@
-"""Compiled-tier speedup, measured: eager vs compiled ``profile()`` wall.
+"""Replay speedup, measured: eager vs replayed ``profile()`` wall.
 
 For each workload one instance is built, and every timed run gets a
 fresh deep copy of it (workloads mutate state while profiling, so
 copies make every run start from identical state, as
-``ArtifactCache.checkout`` does).  Eager ``profile()`` and compiled
-``execute()`` runs are interleaved for ``ROUNDS`` rounds, alternating
-which tier goes first, and the table reports each tier's median wall
-time and the saving.  Every run's counters digest must equal the
-capture's, so both tiers did the same work.  The savings are reported,
-not asserted: on a shared host their run-to-run spread is a few points.
+``ArtifactCache.checkout`` does).  The plan is the trace of one eager
+run, as a repeated serve key keeps it.  Eager ``profile()`` and
+``replay()`` against that trace are interleaved for ``ROUNDS`` rounds,
+alternating which goes first, and the table reports each one's median
+wall time and the saving.  Every run's counters digest must equal the
+plan's, so both did the same work.  The savings are reported, not
+asserted: on a shared host their run-to-run spread is a few points.
 
-Plan facts are not checked here: each workload's plan digest (which
-covers its steps) is a pin in ``benchmarks/history.jsonl``, compared
-exactly by ``repro obs history gate``.
+Event facts are not checked here: each workload's events digest is a
+pin in ``benchmarks/history.jsonl``, compared exactly by
+``repro obs history gate``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import copy
 import statistics
 import time
 
-from repro.compile import capture_plan, execute
+from repro.compile import replay
 from repro.core.report import format_time, render_table
 from repro.obs.runrec import counters_digest
 from repro.workloads import create
@@ -48,24 +49,24 @@ def measure_compile_speedup():
     for name in WORKLOADS:
         built = create(name, seed=0)
         built.build()
-        plan = capture_plan(copy.deepcopy(built))  # also warms caches
-        tiers = {
+        plan = copy.deepcopy(built).profile()  # also warms caches
+        expected = counters_digest(plan)
+        modes = {
             "eager": lambda w: w.profile(),
-            "compiled": lambda w: execute(w, plan)[0],
+            "replay": lambda w: replay(w, plan),
         }
-        walls = {tier: [] for tier in tiers}
+        walls = {mode: [] for mode in modes}
         for round_index in range(ROUNDS):
-            order = ("eager", "compiled") if round_index % 2 == 0 \
-                else ("compiled", "eager")
-            for tier in order:
-                walls[tier].append(
-                    _timed(tiers[tier], built, plan.counters_digest))
+            order = ("eager", "replay") if round_index % 2 == 0 \
+                else ("replay", "eager")
+            for mode in order:
+                walls[mode].append(_timed(modes[mode], built, expected))
         eager = statistics.median(walls["eager"])
-        compiled = statistics.median(walls["compiled"])
-        medians[name] = {"eager_s": eager, "compiled_s": compiled}
-        savings[name] = 1.0 - compiled / eager
-        rows.append([name.upper(), len(plan.steps), format_time(eager),
-                     format_time(compiled), f"{savings[name] * 100:.1f}%"])
+        replayed = statistics.median(walls["replay"])
+        medians[name] = {"eager_s": eager, "replay_s": replayed}
+        savings[name] = 1.0 - replayed / eager
+        rows.append([name.upper(), len(plan.events), format_time(eager),
+                     format_time(replayed), f"{savings[name] * 100:.1f}%"])
     return rows, medians, savings
 
 
@@ -73,13 +74,12 @@ def test_compile_speedup(benchmark):
     rows, medians, savings = benchmark.pedantic(
         measure_compile_speedup, rounds=1, iterations=1)
     emit("compile_speedup", render_table(
-        ["workload", "steps", "eager median", "compiled median",
+        ["workload", "events", "eager median", "replay median",
          "saving"], rows,
-        title="compiled tier vs eager: profile() wall time "
+        title="replay of the eager trace vs eager: profile() wall time "
               f"(median of {ROUNDS} interleaved rounds, fresh deep "
               "copy per run)"),
         rows=rows,
-        columns=["workload", "steps", "eager_median", "compiled_median",
+        columns=["workload", "events", "eager_median", "replay_median",
                  "saving"],
         meta={"rounds": ROUNDS, "medians": medians, "savings": savings})
-

@@ -1,15 +1,12 @@
-"""``repro.compile``: capture one eager run, replay it bit-exactly.
+"""``repro.compile``: replay a workload against its own eager trace.
 
-Capture -> plan -> replay:
-
-* :mod:`repro.compile.capture` records one instrumented eager run
-  (via the ``op_observer`` dispatcher hook) into a deterministic,
-  serializable, positional :class:`~repro.compile.plan.CompiledPlan`;
-* :mod:`repro.compile.executor` opens a plan session in which the
-  dispatcher replays each op against its captured step — divergence
-  checks at every op, the captured counters in place of eager
-  counting — so a replay is bit-exact with eager and measurably
-  cheaper per op.
+A workload's earlier eager :class:`~repro.core.profiler.Trace` is its
+plan: :mod:`repro.compile.executor` opens a plan session in which the
+dispatcher replays each op against the plan's event at the same eid —
+divergence checks at every op, the recorded counters in place of eager
+counting — so a replay is bit-exact with eager and measurably cheaper
+per op.  The serving workers replay a batch key once it has kept a
+plan (:class:`~repro.serve.cache.ArtifactCache`).
 
 Import discipline: this package sits *below* ``repro.workloads`` and
 ``repro.serve``, and the tensor runtime does not import it, so nothing
@@ -18,20 +15,12 @@ imported at module scope here may import those layers.  The CLI
 workload registry and is imported lazily by ``repro.cli``.
 """
 
-from repro.compile.capture import (CapturedOp, PlanCapturer,
-                                   capture_plan, capture_plan_with_trace,
-                                   capture_program_plan)
-from repro.compile.executor import (ExecutionStats, PlanSession,
-                                    active_session, diff_against_eager,
-                                    execute, plan_session, run_compiled)
-from repro.compile.plan import (CompiledPlan, PlanCaptureError,
-                                PlanDivergenceError, PlanError, PlanStep)
+from repro.compile.executor import (PlanSession, active_session,
+                                    diff_against_eager, plan_session,
+                                    replay)
+from repro.compile.plan import PlanDivergenceError, PlanError
 
 __all__ = [
-    "CapturedOp", "CompiledPlan", "ExecutionStats",
-    "PlanCaptureError", "PlanCapturer", "PlanDivergenceError",
-    "PlanError", "PlanSession", "PlanStep",
-    "active_session", "capture_plan", "capture_plan_with_trace",
-    "capture_program_plan", "diff_against_eager", "execute",
-    "plan_session", "run_compiled",
+    "PlanDivergenceError", "PlanError", "PlanSession",
+    "active_session", "diff_against_eager", "plan_session", "replay",
 ]

@@ -38,6 +38,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import tensor as T
+from repro.core.profiler import Trace
 from repro.core.validate import validate_trace
 from repro.fuzz.generate import (LeafSpec, OpProgram, calibration_programs,
                                  op_universe)
@@ -120,6 +121,7 @@ class ExecutionResult:
     error: str = ""
     error_op: str = ""
     trace_errors: List[str] = field(default_factory=list)
+    trace: Optional[Trace] = None
 
 
 def _run_program(program: OpProgram, result: ExecutionResult,
@@ -127,7 +129,7 @@ def _run_program(program: OpProgram, result: ExecutionResult,
     """Execute a program's nodes, recording terminal state on ``result``.
 
     ``divergence_types`` names exception classes that mark a *replay
-    divergence* rather than a crash (the compiled differential passes
+    divergence* rather than a crash (the replay differential passes
     :class:`~repro.compile.plan.PlanDivergenceError` here).
     """
     values: Dict[int, T.Tensor] = {}
@@ -166,35 +168,25 @@ def execute_program(program: OpProgram) -> ExecutionResult:
         with op_observer(recorder):
             _run_program(program, result)
     result.instances = recorder.instances
+    result.trace = prof.trace
     if recorder.instances:     # empty programs have nothing to validate
         result.trace_errors = validate_trace(
             prof.trace, require_flops=False).errors
     return result
 
 
-def execute_program_compiled(program: OpProgram) -> ExecutionResult:
-    """Capture a plan from one eager run, then replay it compiled.
+def execute_program_compiled(program: OpProgram,
+                             plan: Trace) -> ExecutionResult:
+    """Replay a program against ``plan``, the trace of its eager run.
 
-    The capture run executes the program eagerly under a
-    :class:`~repro.compile.capture.PlanCapturer`; the replay runs the
-    *same program source* through a plan session, so every dispatched
-    op is served positionally from the plan.  A classified stop is
-    reproduced at the same node by construction (identical inputs);
-    a replay that walks off the plan surfaces as status
-    ``plan_divergence``.  Raises
-    :class:`~repro.compile.plan.PlanCaptureError` when the capture run
-    itself cannot be planned.
+    The replay runs the *same program source* through a plan session,
+    so every dispatched op is served positionally from the plan.  A
+    classified stop is reproduced at the same node by construction
+    (identical inputs); a replay that walks off the plan surfaces as
+    status ``plan_divergence``.
     """
-    from repro.compile.capture import PlanCapturer, capture_program_plan
     from repro.compile.executor import plan_session
     from repro.compile.plan import PlanDivergenceError
-
-    capture_result = ExecutionResult(program=program)
-    capturer = PlanCapturer()
-    with T.profile("fuzz") as prof:
-        with op_observer(capturer):
-            _run_program(program, capture_result)
-    plan = capture_program_plan(prof.trace, capturer, workload="fuzz")
 
     result = ExecutionResult(program=program)
     recorder = OpInstanceRecorder(workload="fuzz")
@@ -270,11 +262,11 @@ def check_program(program: OpProgram,
                   compiled: bool = False) -> CheckResult:
     """Execute twice and cross-check all oracle invariants.
 
-    ``compiled=True`` adds the eager-vs-compiled differential: a third
-    eager run captures a :class:`~repro.compile.plan.CompiledPlan` and
-    the program is replayed through it — identical counter digests,
-    realized shapes/dtypes, and terminal (classified) state are
-    required, mirroring the subsystem's bit-exactness contract.
+    ``compiled=True`` adds the eager-vs-replay differential: the
+    program is replayed against the first eager run's own trace —
+    identical counter digests, realized shapes/dtypes, and terminal
+    (classified) state are required, mirroring the bit-exactness
+    contract of :mod:`repro.compile`.
     """
     first = execute_program(program)
     second = execute_program(program)
@@ -375,20 +367,14 @@ def _reference_divergences(program: OpProgram,
 
 def _compiled_differential(program: OpProgram,
                            eager: ExecutionResult) -> List[Divergence]:
-    """Eager-vs-compiled cross-check for one program.
+    """Eager-vs-replay cross-check for one program.
 
-    Compares the replay against the eager reference on the full
-    bit-exactness surface: counter digests over the observed op
-    instances, realized shape/dtype of every node, and the terminal
-    (classified-stop) state.
+    Replays the program against the eager run's own trace and compares
+    the two on the full bit-exactness surface: counter digests over
+    the observed op instances, realized shape/dtype of every node, and
+    the terminal (classified-stop) state.
     """
-    from repro.compile.plan import PlanError
-    try:
-        replay = execute_program_compiled(program)
-    except PlanError as exc:
-        return [Divergence(
-            kind="compiled_divergence", op="",
-            detail=f"plan capture/replay machinery failed: {exc}")]
+    replay = execute_program_compiled(program, eager.trace)
     out: List[Divergence] = []
     eager_digest = counter_digest(eager.instances)
     replay_digest = counter_digest(replay.instances)

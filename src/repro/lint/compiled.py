@@ -1,15 +1,15 @@
 """RL108: compiled-executor soundness (``repro.compile`` path).
 
-The compiled tier's bit-exactness contract rests on two invariants
-that are easy to erode one edit at a time:
+Replay's bit-exactness contract rests on two invariants that are easy
+to erode one edit at a time:
 
-1. **no raw-numpy bypass** — every kernel a compiled replay runs must
-   be the *instrumented closure* the op was captured with.  A module
-   on the compile path that calls numpy compute directly (the same
-   :data:`repro.lint.checks._NUMPY_COMPUTE` surface RL001 polices in
-   the workload zones) produces outputs whose FLOPs/bytes never hit
-   the plan's bulk counters, silently breaking counter-digest
-   equality with eager;
+1. **no raw-numpy bypass** — every kernel a replay runs must be the
+   *instrumented closure* the dispatcher recorded the plan's event
+   for.  A module on the compile path that calls numpy compute
+   directly (the same :data:`repro.lint.checks._NUMPY_COMPUTE`
+   surface RL001 polices in the workload zones) produces outputs
+   whose FLOPs/bytes never reach the trace, silently breaking
+   counter-digest equality with eager;
 2. **no unclassified templates** — every replayed op name must map
    into the ``OP_CATEGORIES`` taxonomy.  The registry lookup
    (``category_for``) raises ``KeyError`` on unknown names; a
@@ -85,10 +85,9 @@ class _CompiledVisitor(ast.NodeVisitor):
                 self.check, self.module.relpath, node.lineno,
                 node.col_offset,
                 f"raw numpy compute np.{dotted} on the compile path "
-                f"bypasses the captured instrumented kernels; its "
-                f"FLOPs/bytes never reach the plan's bulk counters, "
-                f"breaking the compiled tier's counter-digest equality "
-                f"with eager")
+                f"bypasses the instrumented kernels; its FLOPs/bytes "
+                f"never reach the trace, breaking replay's "
+                f"counter-digest equality with eager")
         self.generic_visit(node)
 
     def visit_Try(self, node: ast.Try) -> None:
@@ -101,9 +100,9 @@ class _CompiledVisitor(ast.NodeVisitor):
                         handler.lineno, handler.col_offset,
                         "except clause swallows the KeyError from "
                         "category_for(); an op template missing from "
-                        "OP_CATEGORIES must abort plan capture/replay "
+                        "OP_CATEGORIES must abort replay "
                         "(re-raise a classified PlanError), not slip "
-                        "into a plan the characterization tables "
+                        "into a trace the characterization tables "
                         "cannot account for")
         self.generic_visit(node)
 
@@ -123,8 +122,8 @@ class CompiledExecutorSoundness(LintCheck):
         "    category_for(step.name)\n"
         "except KeyError:\n"
         "    pass                             # RL108: swallowed\n"
-        "# fix: run the captured compute closure, and re-raise\n"
-        "# unknown templates as PlanCaptureError\n")
+        "# fix: run the instrumented compute closure, and re-raise\n"
+        "# unknown templates as PlanError\n")
 
     def visit_module(self, module: ModuleSource, ctx: LintContext) -> None:
         if not _on_compile_path(module.relpath):

@@ -8,13 +8,14 @@ answer.  This module is the durable store and the only gate:
   ``benchmarks/history.jsonl``.  Its ``pins`` are exact-match digests
   taken at one fixed roster (:data:`PIN_ROSTER` at seed
   :data:`PIN_SEED` on the RTX 2080 Ti model): per workload the
-  counters digest, the digest of the plan ``repro compile build``
-  writes, and a device-model digest (projected total and per-phase
-  latency, peak live bytes, per-category kernel counters); plus one
-  digest of the pinned serve schedule's ``deterministic`` stats
-  section (:data:`PINNED_SERVE`).  Its ``metrics`` (dispatched op
-  counts, plan step counts, and whatever the structured benchmark
-  results under ``benchmarks/results/*.json`` report) are trend-only;
+  counters digest, an events digest (every event's deterministic
+  fields, which is what a replay reproduces) and a device-model
+  digest (projected total and per-phase latency, peak live bytes,
+  per-category kernel counters); plus one digest of the pinned serve
+  schedule's ``deterministic`` stats section (:data:`PINNED_SERVE`).
+  Its ``metrics`` (dispatched op counts, and whatever the structured
+  benchmark results under ``benchmarks/results/*.json`` report) are
+  trend-only;
 * :func:`check_pins` compares the newest entry's pins with the
   previous pinned entry — ``repro obs history gate`` prints each
   mismatch as ``old → new`` and exits :data:`EXIT_PIN_MISMATCH`.  An
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -37,7 +38,7 @@ __all__ = [
     "HISTORY_VERSION", "DEFAULT_HISTORY", "EXIT_PIN_MISMATCH",
     "PIN_ROSTER", "PIN_SEED", "PINNED_SERVE", "KSTATS_FIELDS",
     "HistoryEntry", "HistoryError", "append_entry", "load_history",
-    "PinVerdict", "check_pins", "detect_change_points",
+    "PinVerdict", "check_pins", "detect_change_points", "event_facts",
     "model_facts", "pin_workload", "run_pinned_serve", "serve_pin",
     "entry_from_sources", "ingest_results", "render_history",
     "sparkline_svg", "metric_series",
@@ -50,7 +51,7 @@ HISTORY_VERSION = 2
 DEFAULT_HISTORY = "benchmarks/history.jsonl"
 
 #: ``repro obs history gate`` exit code on a pin mismatch
-#: (2/3 = faults, 5 = fuzz divergence, 7 = compiled divergence)
+#: (2/3 = faults, 5 = fuzz divergence, 7 = replay divergence)
 EXIT_PIN_MISMATCH = 6
 
 #: the workloads pinned per entry, each at :data:`PIN_SEED` on the
@@ -326,6 +327,24 @@ def ingest_results(results_dir: str) -> Dict[str, float]:
     return out
 
 
+#: trace-event fields the ``events`` pin leaves out: measured times and
+#: the run-local span id
+_UNPINNED_EVENT_FIELDS = ("wall_time", "t_start", "sid")
+
+
+def event_facts(trace) -> Dict[str, Any]:
+    """The per-event view of one trace that the ``events`` pin digests."""
+    events = []
+    for event in trace.events:
+        fields = asdict(event)
+        for name in _UNPINNED_EVENT_FIELDS:
+            del fields[name]
+        fields["category"] = event.category.value
+        events.append(fields)
+    return {"events": events,
+            "peak_live_bytes": trace.metadata["peak_live_bytes"]}
+
+
 def model_facts(trace, device) -> Dict[str, Any]:
     """The device-model view of one trace that the ``model`` pin digests."""
     from repro.core.analysis import latency_breakdown  # deferred (cycle)
@@ -346,29 +365,20 @@ def model_facts(trace, device) -> Dict[str, Any]:
 
 
 def pin_workload(name: str) -> Tuple[Dict[str, str], Dict[str, float]]:
-    """Capture ``name`` once at :data:`PIN_SEED` under the dispatch
-    ledger; its three pins and its trend metrics.
-
-    The capture is the one ``repro compile build`` performs, so the
-    ``plan`` pin is the digest of the plan that command writes.
-    """
-    from repro.compile.capture import capture_plan_with_trace
+    """Profile ``name`` once at :data:`PIN_SEED` under the dispatch
+    ledger; its three pins and its trend metric."""
     from repro.hwsim.devices import RTX_2080TI
     from repro.obs import selfprof
     from repro.obs.runrec import counters_digest
     from repro.workloads import create
     with selfprof.scoped_ledger() as ledger:
-        plan, trace = capture_plan_with_trace(create(name, seed=PIN_SEED))
+        trace = create(name, seed=PIN_SEED).profile()
     pins = {
         f"{name}.counters": counters_digest(trace),
-        f"{name}.plan": plan.digest(),
+        f"{name}.events": _sha256(event_facts(trace)),
         f"{name}.model": _sha256(model_facts(trace, RTX_2080TI)),
     }
-    metrics = {
-        f"dispatch.{name}.ops": float(ledger.ops),
-        f"compile.{name}.steps": float(len(plan.steps)),
-    }
-    return pins, metrics
+    return pins, {f"dispatch.{name}.ops": float(ledger.ops)}
 
 
 def run_pinned_serve():

@@ -2,9 +2,9 @@
 
 :func:`counters_digest` is the contract every figure rests on: two
 traces with the same digest produce identical characterization
-results.  The compiled tier checks replays against it, the perf
-benchmark checks its runs against it, and :mod:`repro.obs.history`
-pins it per workload.
+results.  ``repro compile diff`` checks a replay against it, the
+perf benchmark checks its runs against it, and
+:mod:`repro.obs.history` pins it per workload.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ placed at *segment boundaries*, so the component times of one op
 telescope — they tile the op's instrumented wall time exactly, by
 construction (asserted in ``tests/test_selfprof.py``).  When the flag
 is off each probe point costs one ``None`` test; the traced events are
-bit-identical either way (same counters digest).  Compiled replays
+bit-identical either way (same counters digest).  Replays
 (:mod:`repro.compile`) go through the same probes.
 
 The ledger rolls up per **operator category**, in two views:
@@ -41,8 +41,8 @@ __all__ = [
 ]
 
 #: Dispatch components in probe order.  ``kernel`` is the numpy
-#: compute itself; everything else is dispatch overhead a compiled
-#: plan could amortize or eliminate.
+#: compute itself; everything else is dispatch overhead a replay
+#: could amortize or eliminate.
 COMPONENTS: Tuple[str, ...] = (
     "taxonomy",   # thread-state read + category_for() (replay: step check)
     "inputs",     # _split_inputs: coercion, byte counts, parent eids

@@ -30,6 +30,13 @@ collects a span timeline (``run:<name>`` / ``attempt#N`` /
 metrics collection is enabled, bumps the ``repro_attempts_total`` /
 ``repro_retries_total`` / ``repro_runs_total`` counters
 (:mod:`repro.obs.metrics`).
+
+A caller holding a *plan*, an earlier eager trace of the same run
+(:mod:`repro.compile`), passes it to
+:meth:`ResilientRunner.run_workload`: the first attempt of a
+fault-free run replays it, and falls back to eager on the same
+attempt if the plan diverges.  :attr:`WorkloadOutcome.replay` says
+which happened.
 """
 
 from __future__ import annotations
@@ -39,8 +46,10 @@ import random
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.compile.executor import replay as _replay
+from repro.compile.plan import PlanError
 from repro.core.profiler import PHASE_NEURAL, PHASE_SYMBOLIC, Trace
 from repro.core.report import format_time, render_table
 from repro.core.suite import WorkloadReport, characterize_trace
@@ -59,6 +68,11 @@ STATUS_FAILED = "failed"
 
 TRANSIENT = "transient"
 DETERMINISTIC = "deterministic"
+
+#: what the first attempt did with an offered plan
+#: (:attr:`WorkloadOutcome.replay`)
+REPLAYED = "replayed"
+FALLBACK = "fallback"
 
 #: Exception types retrying can plausibly fix: resource pressure and
 #: anything timeout-shaped.  Everything else is assumed reproducible.
@@ -170,6 +184,10 @@ class WorkloadOutcome:
     attempts: int = 0
     elapsed: float = 0.0
     spans: List[SpanRecord] = field(default_factory=list)
+    #: :data:`REPLAYED` when the first attempt completed against the
+    #: offered plan, :data:`FALLBACK` when the plan diverged and that
+    #: attempt completed eager instead; ``None`` otherwise
+    replay: Optional[str] = None
 
     @property
     def ok(self) -> bool:
@@ -234,13 +252,6 @@ class ResilientRunner:
 
     ``sleep`` and ``clock`` are injectable for tests; ``factory``
     defaults to the workload registry's ``create``.
-
-    ``compiled=True`` routes fault-free attempts through the
-    :mod:`repro.compile` plan tier — ``plan_provider`` resolves plans
-    (e.g. :meth:`~repro.serve.cache.ArtifactCache.plan_factory`),
-    defaulting to a local capture-once cache — and falls back to a
-    fresh eager attempt on plan divergence.  Fault-injection attempts
-    always run eager.
     """
 
     def __init__(self,
@@ -253,8 +264,6 @@ class ResilientRunner:
                  expected_phases: Sequence[str] = (PHASE_NEURAL,
                                                    PHASE_SYMBOLIC),
                  factory: Optional[Callable[..., object]] = None,
-                 compiled: bool = False,
-                 plan_provider: Optional[Callable[..., object]] = None,
                  sleep: Callable[[float], None] = time.sleep,
                  clock: Callable[[], float] = time.monotonic):
         if factory is None:
@@ -267,12 +276,8 @@ class ResilientRunner:
         self.rotate_seed = rotate_seed
         self.expected_phases = tuple(expected_phases)
         self.factory = factory
-        self.compiled = compiled
-        self.plan_provider = plan_provider
         self.sleep = sleep
         self.clock = clock
-        self._plans: Dict[object, object] = {}
-        self._plans_lock = threading.Lock()
         self._breakers: Dict[str, CircuitBreaker] = {}
         # the serving worker pool shares one runner across threads;
         # lazy breaker creation must not race
@@ -290,18 +295,24 @@ class ResilientRunner:
     # -- single workload -----------------------------------------------------
     def run_workload(self, name: str, seed: int = 0,
                      fault_plan: Optional[FaultPlan] = None,
+                     plan: Optional[Trace] = None,
                      **params: object) -> WorkloadOutcome:
         """Profile + characterize ``name`` under full protection.
 
         Never raises for workload misbehaviour: every path ends in an
         ``ok`` / ``degraded`` / ``failed`` outcome carrying the span
         timeline of the run (attempts, backoffs, health checks).
+
+        ``plan`` is an earlier eager trace of this exact run (name,
+        seed, params).  Only the first attempt of a run without a
+        ``fault_plan`` replays it; retries and fault-injection runs
+        are always eager.
         """
         collector = SpanCollector()
         with collector:
             with _span(f"run:{name}", workload=name, seed=seed) as run_span:
                 outcome = self._run_protected(name, seed, fault_plan,
-                                              params)
+                                              plan, params)
                 if run_span is not None:
                     run_span.attrs["status"] = outcome.status
                     run_span.attrs["attempts"] = outcome.attempts
@@ -312,12 +323,14 @@ class ResilientRunner:
 
     def _run_protected(self, name: str, seed: int,
                        fault_plan: Optional[FaultPlan],
+                       plan: Optional[Trace],
                        params: Dict[str, object]) -> WorkloadOutcome:
         breaker = self.breaker(name)
         rng = random.Random(seed)
         started = self.clock()
         last_error: Optional[BaseException] = None
         attempts = 0
+        replay: Optional[str] = None
 
         for attempt in range(self.retry.max_attempts):
             if not breaker.allow():
@@ -333,8 +346,9 @@ class ResilientRunner:
             error: Optional[BaseException] = None
             with _span(f"attempt#{attempts}", seed=run_seed) as att_span:
                 try:
-                    trace = self._attempt(name, run_seed, fault_plan,
-                                          params)
+                    trace, replay = self._attempt(
+                        name, run_seed, fault_plan, params,
+                        plan if attempt == 0 else None)
                 except BaseException as exc:  # noqa: BLE001 - boundary by design
                     error = exc
                     if att_span is not None:
@@ -366,7 +380,7 @@ class ResilientRunner:
                 return WorkloadOutcome(
                     name=name, status=STATUS_OK, report=report,
                     health=health, attempts=attempts,
-                    elapsed=self.clock() - started)
+                    elapsed=self.clock() - started, replay=replay)
             # Ran to completion but is not trustworthy: quarantine it.
             # No retry — with a deterministic workload + plan the rerun
             # would reproduce the same poisoned trace.
@@ -374,7 +388,7 @@ class ResilientRunner:
             return WorkloadOutcome(
                 name=name, status=STATUS_DEGRADED, report=report,
                 health=health, attempts=attempts,
-                elapsed=self.clock() - started)
+                elapsed=self.clock() - started, replay=replay)
 
         assert last_error is not None
         return WorkloadOutcome(
@@ -387,27 +401,35 @@ class ResilientRunner:
     # -- internals -----------------------------------------------------------
     def _attempt(self, name: str, seed: int,
                  fault_plan: Optional[FaultPlan],
-                 params: Dict[str, object]) -> Trace:
+                 params: Dict[str, object],
+                 plan: Optional[Trace]) -> Tuple[Trace, Optional[str]]:
         """One profiling attempt, bounded by the wall-clock budget.
 
-        The fault plan is installed *inside* the worker callable: the
-        fault-hook stack is thread-local, and the attempt may run on a
-        pool thread.
+        Returns the trace and what became of ``plan``
+        (:attr:`WorkloadOutcome.replay`).  The fault plan is installed
+        *inside* the worker callable: the fault-hook stack is
+        thread-local, and the attempt may run on a pool thread.
+
+        With a ``plan`` the attempt replays it.  Only replay errors
+        (:class:`~repro.compile.plan.PlanError`, which includes
+        divergence) fall back to eager, on a fresh instance, since a
+        diverged replay may have mutated its own; a workload error
+        raised during replay propagates and classifies exactly as it
+        would have eagerly.
         """
-        def work() -> Trace:
-            if fault_plan is None:
-                if self.compiled:
-                    trace = self._compiled_attempt(name, seed, params)
-                    if trace is not None:
-                        return trace
-                return self.factory(name, seed=seed, **params).profile()
-            # fault-injection attempts always run eager: fault plans
-            # count op indices by consulting every dispatch, which the
-            # compiled tier deliberately does not do
+        def work() -> Tuple[Trace, Optional[str]]:
             workload = self.factory(name, seed=seed, **params)
-            fault_plan.reset()
-            with fault_plan:
-                return workload.profile()
+            if fault_plan is not None:
+                fault_plan.reset()
+                with fault_plan:
+                    return workload.profile(), None
+            if plan is None:
+                return workload.profile(), None
+            try:
+                return _replay(workload, plan), REPLAYED
+            except PlanError:
+                workload = self.factory(name, seed=seed, **params)
+                return workload.profile(), FALLBACK
 
         if self.timeout is None:
             return work()
@@ -426,42 +448,6 @@ class ResilientRunner:
                 f"budget") from None
         pool.shutdown(wait=True)
         return result
-
-    def _compiled_attempt(self, name: str, seed: int,
-                          params: Dict[str, object]) -> Optional[Trace]:
-        """One compiled replay; ``None`` means fall back to eager.
-
-        Error classification is unchanged from eager: a workload error
-        raised during replay (or during the capture run that builds
-        the plan) propagates and classifies exactly as it would have
-        eagerly — only plan-machinery errors
-        (:class:`~repro.compile.plan.PlanError`, which includes
-        divergence) are swallowed, because re-running eagerly fixes
-        them while retrying compiled never would.
-        """
-        from repro.compile.executor import run_compiled
-        from repro.compile.plan import PlanError
-        try:
-            plan = self._plan_for(name, seed, params)
-            workload = self.factory(name, seed=seed, **params)
-            return run_compiled(workload, plan)
-        except PlanError:
-            return None
-
-    def _plan_for(self, name: str, seed: int,
-                  params: Dict[str, object]) -> object:
-        if self.plan_provider is not None:
-            return self.plan_provider(name, seed=seed, **params)
-        key = (name, seed, tuple(sorted(params.items())))
-        with self._plans_lock:
-            plan = self._plans.get(key)
-        if plan is not None:
-            return plan
-        from repro.compile.capture import capture_plan  # deferred (layer)
-        plan = capture_plan(self.factory(name, seed=seed, **params))
-        with self._plans_lock:
-            # a racer may have captured concurrently; keep the first
-            return self._plans.setdefault(key, plan)
 
     def _safe_characterize(self, trace: Trace) -> Optional[WorkloadReport]:
         """Analyses on a possibly-poisoned trace; ``None`` if they die."""

@@ -20,14 +20,12 @@ Hit/miss/eviction accounting is deterministic under concurrency: a
 per-key build gate ensures exactly one thread builds on a cold key
 (counted as the sole miss) while racers block and count hits.
 
-The cache also carries a **compiled-plan tier** (ISSUE 10): a
-:class:`~repro.compile.plan.CompiledPlan` captured once per key and
-handed out *without* copying — plans are immutable once built, so
-:meth:`checkout_plan` is deepcopy-free, which is exactly the economy
-that makes the compiled serving path worth it.  Plan accounting
-(``plan_hits`` / ``plan_misses`` / ``plan_builds``) is split from the
-eager artifact counters; note a plan build consumes one eager
-checkout internally (the capture run needs a pristine instance).
+Each entry also keeps its key's **plan** once the key repeats: the
+trace of an eager run of the key, which later runs of the key replay
+(:mod:`repro.compile`).  Workers hand traces back through
+:meth:`ArtifactCache.offer`; a key's first offer only marks it as
+having run, so a key that never repeats never holds a trace it would
+not use.  The plan is evicted with its entry.
 """
 
 from __future__ import annotations
@@ -38,6 +36,8 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
+from repro.core.profiler import Trace
+
 
 @dataclass(frozen=True)
 class ArtifactKey:
@@ -46,6 +46,17 @@ class ArtifactKey:
     workload: str
     seed: int
     params: Tuple[Tuple[str, object], ...] = ()
+
+
+class _Entry:
+    """One key's pristine build and, once the key repeats, its plan."""
+
+    __slots__ = ("master", "ran", "plan")
+
+    def __init__(self, master: object):
+        self.master = master
+        self.ran = False
+        self.plan: Optional[Trace] = None
 
 
 class ArtifactCache:
@@ -60,18 +71,12 @@ class ArtifactCache:
         self.capacity = capacity
         self._builder = builder
         self._lock = threading.Lock()
-        self._entries: "OrderedDict[ArtifactKey, object]" = OrderedDict()
+        self._entries: "OrderedDict[ArtifactKey, _Entry]" = OrderedDict()
         self._gates: Dict[ArtifactKey, threading.Lock] = {}
-        self._plans: "OrderedDict[ArtifactKey, object]" = OrderedDict()
-        self._plan_gates: Dict[ArtifactKey, threading.Lock] = {}
         self.hits = 0
         self.misses = 0
         self.evictions = 0
         self.build_errors = 0
-        self.plan_hits = 0
-        self.plan_misses = 0
-        self.plan_builds = 0
-        self.plan_evictions = 0
 
     # -- core ----------------------------------------------------------------
     def checkout(self, key: ArtifactKey) -> object:
@@ -83,24 +88,24 @@ class ArtifactCache:
         instance is never executed, only copied.
         """
         with self._lock:
-            master = self._entries.get(key)
-            if master is not None:
+            entry = self._entries.get(key)
+            if entry is not None:
                 self._entries.move_to_end(key)
                 self.hits += 1
             else:
                 gate = self._gates.get(key)
                 if gate is None:
                     gate = self._gates[key] = threading.Lock()
-        if master is not None:
-            return copy.deepcopy(master)
+        if entry is not None:
+            return copy.deepcopy(entry.master)
 
         with gate:
             with self._lock:
-                master = self._entries.get(key)
-                if master is not None:       # a racer built it first
+                entry = self._entries.get(key)
+                if entry is not None:        # a racer built it first
                     self._entries.move_to_end(key)
                     self.hits += 1
-            if master is None:
+            if entry is None:
                 try:
                     built = self._build(key)
                 except BaseException:
@@ -112,68 +117,41 @@ class ArtifactCache:
                         self.build_errors += 1
                         self._gates.pop(key, None)
                     raise
+                entry = _Entry(built)
                 with self._lock:
                     self.misses += 1
-                    self._entries[key] = built
+                    self._entries[key] = entry
                     self._entries.move_to_end(key)
                     while len(self._entries) > self.capacity:
                         self._entries.popitem(last=False)
                         self.evictions += 1
                     self._gates.pop(key, None)
-                master = built
-        return copy.deepcopy(master)
+        return copy.deepcopy(entry.master)
 
-    def checkout_plan(self, key: ArtifactKey) -> object:
-        """The :class:`CompiledPlan` for ``key`` — built once, shared.
+    def plan(self, key: ArtifactKey) -> Optional[Trace]:
+        """The plan ``key`` kept, if it has one (shared, never copied)."""
+        with self._lock:
+            entry = self._entries.get(key)
+            return None if entry is None else entry.plan
 
-        Unlike :meth:`checkout`, the returned plan is **not** copied:
-        plans are immutable once assembled, so every worker replays
-        the same object.  A cold key captures the plan from one fresh
-        eager checkout under a per-key gate (exactly one capture run
-        per key, counted as the sole plan miss).
+    def offer(self, key: ArtifactKey, trace: Trace) -> bool:
+        """Offer an eager run's trace as ``key``'s plan; ``True`` if kept.
+
+        Offer only the trace of a fault-free run that succeeded on its
+        first attempt.  The key's first offer marks it as having run
+        and drops the trace; every later offer keeps its trace,
+        replacing an earlier plan (a fallback's trace replaces the
+        plan that diverged).  An evicted key starts over.
         """
         with self._lock:
-            plan = self._plans.get(key)
-            if plan is not None:
-                self._plans.move_to_end(key)
-                self.plan_hits += 1
-                return plan
-            gate = self._plan_gates.get(key)
-            if gate is None:
-                gate = self._plan_gates[key] = threading.Lock()
-
-        with gate:
-            with self._lock:
-                plan = self._plans.get(key)
-                if plan is not None:             # a racer captured first
-                    self._plans.move_to_end(key)
-                    self.plan_hits += 1
-                    return plan
-            try:
-                plan = self._capture_plan(key)
-            except BaseException:
-                # same non-poisoning contract as the eager tier: drop
-                # the gate so the next checkout retries the capture
-                with self._lock:
-                    self.build_errors += 1
-                    self._plan_gates.pop(key, None)
-                raise
-            with self._lock:
-                self.plan_misses += 1
-                self.plan_builds += 1
-                self._plans[key] = plan
-                self._plans.move_to_end(key)
-                while len(self._plans) > self.capacity:
-                    self._plans.popitem(last=False)
-                    self.plan_evictions += 1
-                self._plan_gates.pop(key, None)
-        return plan
-
-    def _capture_plan(self, key: ArtifactKey) -> object:
-        from repro.compile.capture import capture_plan  # deferred (layer)
-        # the capture run consumes one eager checkout — a pristine
-        # deep copy, so the cached master stays executable-once clean
-        return capture_plan(self.checkout(key))
+            entry = self._entries.get(key)
+            if entry is None:
+                return False
+            if not entry.ran:
+                entry.ran = True
+                return False
+            entry.plan = trace
+            return True
 
     def _build(self, key: ArtifactKey) -> object:
         workload = self._builder(key.workload, seed=key.seed,
@@ -198,19 +176,6 @@ class ArtifactCache:
                 params=tuple(sorted(params.items()))))
         return make
 
-    def plan_factory(self) -> Callable[..., object]:
-        """Like :meth:`factory` but resolving compiled plans.
-
-        Drop-in for :class:`~repro.resilience.runner.ResilientRunner`'s
-        ``plan_provider`` argument: ``plan_for(name, seed=0, **params)``
-        returns the shared immutable plan for the key.
-        """
-        def plan_for(name: str, seed: int = 0, **params: object) -> object:
-            return self.checkout_plan(ArtifactKey(
-                workload=name, seed=seed,
-                params=tuple(sorted(params.items()))))
-        return plan_for
-
     # -- accounting ----------------------------------------------------------
     def __len__(self) -> int:
         with self._lock:
@@ -222,9 +187,4 @@ class ArtifactCache:
                     "evictions": self.evictions,
                     "build_errors": self.build_errors,
                     "size": len(self._entries),
-                    "capacity": self.capacity,
-                    "plan_hits": self.plan_hits,
-                    "plan_misses": self.plan_misses,
-                    "plan_builds": self.plan_builds,
-                    "plan_evictions": self.plan_evictions,
-                    "plan_size": len(self._plans)}
+                    "capacity": self.capacity}

@@ -67,9 +67,6 @@ def _add_server_flags(cmd: "argparse.ArgumentParser") -> None:
     cmd.add_argument("--max-retries", type=int, default=1,
                      help="retries per batch on transient errors "
                           "(default 1)")
-    cmd.add_argument("--compiled", action="store_true",
-                     help="execute batches through the compiled-plan "
-                          "tier (bit-exact; plans cached per batch key)")
     cmd.add_argument("-o", "--output", default=None,
                      help="write the stats summary JSON here")
     cmd.add_argument("--report", default=None,
@@ -146,7 +143,6 @@ def _config_from_args(args: "argparse.Namespace") -> ServeConfig:
         cache_capacity=args.cache_capacity,
         timeout=args.timeout,
         max_retries=args.max_retries,
-        compiled=getattr(args, "compiled", False),
     )
 
 

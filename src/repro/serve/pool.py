@@ -9,6 +9,12 @@ server's dispatch simulation.  Faults degrade individual batches
 (the runner's contract) instead of killing the worker thread, so the
 pool survives hostile load.
 
+A worker replays a batch key that has kept a plan, an earlier eager
+trace of the key (:meth:`~repro.serve.cache.ArtifactCache.plan`), and
+offers the cache the trace of each fault-free eager run that succeeded
+on its first attempt (:meth:`~repro.serve.cache.ArtifactCache.offer`).
+Fault-plan batches neither replay nor offer.
+
 Workers announce themselves on a thread-local context stack
 (:func:`push_worker` / :func:`pop_worker`, normally entered through
 the :func:`bind_worker` context manager) so code running inside a
@@ -37,10 +43,11 @@ from repro.obs.clock import perf_s
 from repro.obs.spans import SpanCollector, SpanRecord
 from repro.obs.spans import span as _span
 from repro.resilience.faults import FaultPlan
-from repro.resilience.runner import (STATUS_FAILED, ResilientRunner,
-                                     RetryPolicy, WorkloadOutcome)
+from repro.resilience.runner import (REPLAYED, STATUS_FAILED,
+                                     ResilientRunner, RetryPolicy,
+                                     WorkloadOutcome)
 from repro.serve.batcher import Batch
-from repro.serve.cache import ArtifactCache
+from repro.serve.cache import ArtifactCache, ArtifactKey
 from repro.serve.tracing import batch_trace_context
 
 _state = threading.local()
@@ -94,6 +101,8 @@ class BatchResult:
     error_type: Optional[str] = None
     outcome: Optional[WorkloadOutcome] = None
     spans: List[SpanRecord] = field(default_factory=list)
+    #: the run's trace became its key's plan
+    kept_plan: bool = False
 
     @property
     def trace(self):
@@ -109,22 +118,18 @@ class Worker:
                  cache: ArtifactCache,
                  timeout: Optional[float] = None,
                  retry: Optional[RetryPolicy] = None,
-                 fault_plans: Optional[Dict[str, FaultPlan]] = None,
-                 compiled: bool = False):
+                 fault_plans: Optional[Dict[str, FaultPlan]] = None):
         self.index = index
         self.name = f"worker-{index}"
         self.device = device
         self.cache = cache
         self.fault_plans = fault_plans or {}
-        self.compiled = compiled
         # timeout=None keeps attempts on this thread, which preserves
         # thread-local metric/span bindings for the whole batch.
         self.runner = ResilientRunner(
             timeout=timeout,
             retry=retry or RetryPolicy(max_retries=1),
             factory=cache.factory(),
-            compiled=compiled,
-            plan_provider=cache.plan_factory() if compiled else None,
         )
         self.batches_executed = 0
 
@@ -135,12 +140,13 @@ class Worker:
         status — they never propagate out of this method, so one bad
         batch cannot take the worker thread down with it.
         """
-        plan = self.fault_plans.get(batch.workload)
-        if plan is not None:
+        fault_plan = self.fault_plans.get(batch.workload)
+        if fault_plan is not None:
             # The runner resets the plan before every attempt, so two
             # workers sharing one plan object would rewind each other's
             # op counters mid-run; each batch gets a private copy.
-            plan = copy.deepcopy(plan)
+            fault_plan = copy.deepcopy(fault_plan)
+        key = ArtifactKey(*batch.key)
         collector = SpanCollector()
         start = perf_s()
         # the batch's trace context becomes ambient for the whole
@@ -158,15 +164,19 @@ class Worker:
                                    if r.trace is not None]):
                     outcome = self.runner.run_workload(
                         batch.workload, seed=batch.seed,
-                        fault_plan=plan, **batch.params)
+                        fault_plan=fault_plan, plan=self.cache.plan(key),
+                        **batch.params)
         wall = perf_s() - start
+        kept = (fault_plan is None and outcome.ok
+                and outcome.attempts == 1 and outcome.replay != REPLAYED
+                and self.cache.offer(key, outcome.report.trace))
         self.batches_executed += 1
         return BatchResult(
             batch=batch, status=outcome.status, worker=self.name,
             device=self.device.name, attempts=outcome.attempts,
             wall=wall, error=outcome.error,
             error_type=outcome.error_type, outcome=outcome,
-            spans=collector.spans)
+            spans=collector.spans, kept_plan=kept)
 
 
 class WorkerPool:

@@ -69,7 +69,6 @@ class ServeConfig:
     cache_capacity: int = 32
     timeout: Optional[float] = None   # per-attempt wall budget
     max_retries: int = 1
-    compiled: bool = False            # workers replay compiled plans
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -169,8 +168,7 @@ class InferenceServer:
                    retry=retry,
                    # each worker gets private plan copies: FaultPlan is
                    # stateful and must not be shared across threads
-                   fault_plans=copy.deepcopy(fault_plans or {}),
-                   compiled=self.config.compiled)
+                   fault_plans=copy.deepcopy(fault_plans or {}))
             for i in range(self.config.workers)
         ]
         self.pool = WorkerPool(self.workers)

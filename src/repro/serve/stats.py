@@ -12,7 +12,10 @@ into two strictly separated sections:
   ``repro serve bench`` determinism check diffs;
 * ``measured`` — wall-clock figures (batch execution walls, total
   elapsed, achieved throughput) that vary run to run and are
-  excluded from determinism comparisons.
+  excluded from determinism comparisons.  The ``replay`` counts live
+  here too: whether a key's batch replays depends on whether an
+  earlier batch of the key, perhaps still running on another worker,
+  has already kept its plan.
 
 Latency histograms use quarter-decade buckets from 10 µs to ~100 s so
 p50/p95/p99 interpolation stays tight across the whole range a
@@ -27,6 +30,7 @@ from typing import Dict, List, Optional
 from repro.core.report import format_time, render_table
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.prom import render_registry
+from repro.resilience.runner import FALLBACK, REPLAYED
 from repro.serve.pool import BatchResult
 from repro.serve.queue import REJECT_REASONS
 from repro.serve.request import (REQUEST_STATUSES, STATUS_REJECTED,
@@ -91,12 +95,10 @@ class ServerStats:
             "repro_serve_cache_misses", "artifact cache misses")
         self.cache_evictions = reg.gauge(
             "repro_serve_cache_evictions", "artifact cache evictions")
-        self.cache_plan_hits = reg.gauge(
-            "repro_serve_cache_plan_hits", "compiled-plan tier hits")
-        self.cache_plan_misses = reg.gauge(
-            "repro_serve_cache_plan_misses", "compiled-plan tier misses")
-        self.cache_plan_builds = reg.gauge(
-            "repro_serve_cache_plan_builds", "compiled-plan captures")
+        self.plan_batches = reg.counter(
+            "repro_serve_plan_batches_total",
+            "batches that replayed their key's plan, fell back to eager "
+            "from it, or kept their trace as it (measured)", ("event",))
         # plain counters shared between worker threads (record_*) and
         # the main thread (summary); metric instruments lock internally
         self._agg_lock = threading.Lock()
@@ -134,6 +136,11 @@ class ServerStats:
             self._batch_sizes[batch.size] = \
                 self._batch_sizes.get(batch.size, 0) + 1
         self.execute_wall.observe(result.wall, workload=batch.workload)
+        replay = result.outcome.replay if result.outcome else None
+        if replay is not None:
+            self.plan_batches.inc(event=replay)
+        if result.kept_plan:
+            self.plan_batches.inc(event="kept")
 
     def record_queue(self, peak_depth: int) -> None:
         self.queue_peak.set_max(float(peak_depth))
@@ -142,11 +149,6 @@ class ServerStats:
         self.cache_hits.set(float(cache_stats.get("hits", 0)))
         self.cache_misses.set(float(cache_stats.get("misses", 0)))
         self.cache_evictions.set(float(cache_stats.get("evictions", 0)))
-        self.cache_plan_hits.set(float(cache_stats.get("plan_hits", 0)))
-        self.cache_plan_misses.set(
-            float(cache_stats.get("plan_misses", 0)))
-        self.cache_plan_builds.set(
-            float(cache_stats.get("plan_builds", 0)))
 
     # -- derived figures -----------------------------------------------------
     def _status_counts(self) -> Dict[str, int]:
@@ -219,10 +221,7 @@ class ServerStats:
             },
             "cache": {"hits": int(self.cache_hits.value()),
                       "misses": int(self.cache_misses.value()),
-                      "evictions": int(self.cache_evictions.value()),
-                      "plan_hits": int(self.cache_plan_hits.value()),
-                      "plan_misses": int(self.cache_plan_misses.value()),
-                      "plan_builds": int(self.cache_plan_builds.value())},
+                      "evictions": int(self.cache_evictions.value())},
             "per_workload": {
                 w: {
                     "requests": sum(
@@ -240,6 +239,11 @@ class ServerStats:
             "throughput_rps": (processed / self.wall_elapsed
                                if self.wall_elapsed > 0 else 0.0),
             "execute_wall": self._quantile_block(self.execute_wall),
+            "replay": {
+                "replays": int(self.plan_batches.value(event=REPLAYED)),
+                "fallbacks": int(self.plan_batches.value(event=FALLBACK)),
+                "plans_kept": int(self.plan_batches.value(event="kept")),
+            },
         }
         return {"deterministic": deterministic, "measured": measured}
 
@@ -277,20 +281,17 @@ class ServerStats:
             ["workload", "requests", "batches", "p99", "deadline miss"],
             wl_rows, title="Per-workload"))
         cache = det["cache"]  # type: ignore[index]
-        plan_note = ""
-        if cache["plan_hits"] or cache["plan_misses"]:
-            plan_note = (f" plan_hits={cache['plan_hits']} "
-                         f"plan_misses={cache['plan_misses']}")
         lines.append(
             f"batches={det['batches']} mean_batch={det['mean_batch_size']:.2f} "
             f"queue_peak={det['queue_depth_peak']} "
-            f"cache_hits={cache['hits']} cache_misses={cache['misses']}"
-            f"{plan_note} "
+            f"cache_hits={cache['hits']} cache_misses={cache['misses']} "
             f"rejection_rate={det['rejection_rate']:.1%}")
-        if meas["wall_elapsed"]:
-            lines.append(
-                f"measured: {meas['wall_elapsed']:.2f}s wall, "
-                f"{meas['throughput_rps']:.1f} req/s")
+        replay = meas["replay"]  # type: ignore[index]
+        lines.append(
+            f"measured: {meas['wall_elapsed']:.2f}s wall, "
+            f"{meas['throughput_rps']:.1f} req/s, "
+            f"replays={replay['replays']} fallbacks={replay['fallbacks']} "
+            f"plans_kept={replay['plans_kept']}")
         return "\n\n".join(lines)
 
     def render_prometheus(self) -> str:

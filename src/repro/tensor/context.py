@@ -58,7 +58,7 @@ with the :func:`op_observer` context manager.
 
 Plan sessions: :func:`repro.compile.executor.plan_session` pushes a
 session; while it is open the dispatcher replays each op against the
-session's compiled plan.
+event an earlier eager trace of the same workload recorded at its eid.
 """
 
 from __future__ import annotations

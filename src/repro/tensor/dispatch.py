@@ -20,7 +20,7 @@ time, and records one aggregate event — mirroring how the paper's
 
 All three entry points build their event in one place (:func:`_record`)
 and read the thread's context, fault hook, observer and plan session
-from one :class:`~repro.tensor.context.DispatchState`.  Compiled replay
+from one :class:`~repro.tensor.context.DispatchState`.  Replay
 and self-profiling are branches of :func:`run_op`, not separate paths.
 """
 
@@ -160,6 +160,17 @@ def _measure_sparsity(arr: np.ndarray) -> float:
     return 1.0 - np.count_nonzero(arr) / arr.size
 
 
+def _live_bytes(state, ctx: ProfileContext, eid: int) -> int:
+    """Live bytes after event ``eid`` of an event the caller records.
+
+    Replayed ops skip allocation tracking, so under a plan session the
+    context's count is stale and the plan's recorded value stands in.
+    """
+    if state.session is None:
+        return ctx.live_bytes
+    return state.session.live_bytes(eid)
+
+
 def _record(ctx: ProfileContext, eid: int, sid: Optional[int], name: str,
             category: OpCategory, flops: float, bytes_read: int,
             bytes_written: int, wall_time: float, t_start: float,
@@ -214,9 +225,9 @@ def run_op(name: str,
     bytes_written:
         Override for written bytes; defaults to the output's nbytes.
 
-    With a plan session open on this thread (compiled replay,
+    With a plan session open on this thread (replay,
     :mod:`repro.compile.executor`), the op must be the one the plan
-    captured at this eid; the captured event's counters (category,
+    trace recorded at this eid; that event's counters (category,
     FLOPs, bytes, shapes, sparsity, parents, live bytes) stand in for
     counting and allocation tracking.  Everything else — kernel, eid,
     phase/stage, span id, timing, observer, ledger — is the eager path.
@@ -233,15 +244,15 @@ def run_op(name: str,
         p0 = _perf_ns()
     state = _thread_local.dispatch
     ctx = state.context
-    captured = None
+    recorded = None
     if ctx is not None and state.session is not None:
-        captured = state.session.expect(ctx.pending_eid, name)
-        category = captured.category
+        recorded = state.session.expect(ctx.pending_eid, name)
+        category = recorded.category
     elif category is None:
         category = category_for(name)
     if ledger is not None:
         p1 = _perf_ns()                                # taxonomy
-    if captured is None:
+    if recorded is None:
         arrays, bytes_read, shapes, parents = _split_inputs(inputs)
     else:
         arrays = []
@@ -273,21 +284,21 @@ def run_op(name: str,
         elapsed, poison, extra_live = _apply_injection(injection, elapsed)
         if poison is not None:
             out_arr = _poison_array(out_arr, poison)
-    if captured is None:
+    if recorded is None:
         if flops is None:
             flops = flop_factor * out_arr.size
         bytes_read += extra_bytes_read
         written = out_arr.nbytes if bytes_written is None else bytes_written
         sparsity = _measure_sparsity(out_arr) if measure_sparsity else 0.0
     else:
-        if out_arr.shape != captured.output_shape:
-            state.session.diverged(captured, out_arr.shape)
-        flops = captured.flops
-        bytes_read = captured.bytes_read
-        written = captured.bytes_written
-        sparsity = captured.output_sparsity
-        shapes = captured.input_shapes
-        parents = captured.parents
+        if out_arr.shape != recorded.output_shape:
+            state.session.diverged(recorded, out_arr.shape)
+        flops = recorded.flops
+        bytes_read = recorded.bytes_read
+        written = recorded.bytes_written
+        sparsity = recorded.output_sparsity
+        shapes = recorded.input_shapes
+        parents = recorded.parents
     if poison is not None:
         flops = poison
         sparsity = poison
@@ -298,11 +309,11 @@ def run_op(name: str,
     if ledger is not None:
         p6 = _perf_ns()                                # span
     result = Tensor(out_arr, eid, False)    # untracked; tracked here
-    if captured is None:
+    if recorded is None:
         ctx.track_allocation(result, out_arr.nbytes)
         live_bytes = ctx.live_bytes + extra_live
     else:
-        live_bytes = captured.live_bytes + extra_live
+        live_bytes = recorded.live_bytes + extra_live
     event = _record(ctx, eid, sid, name, category, flops, bytes_read,
                     written, elapsed, t_start, live_bytes, parents,
                     shapes, out_arr.shape, sparsity)
@@ -349,11 +360,12 @@ def record_event(name: str,
     if poison is not None:
         flops = poison
         output_sparsity = poison
-    event = _record(ctx, ctx.next_eid(), _current_sid(), name, category,
+    eid = ctx.next_eid()
+    event = _record(ctx, eid, _current_sid(), name, category,
                     flops=flops, bytes_read=bytes_read,
                     bytes_written=bytes_written, wall_time=wall_time,
                     t_start=_now() - wall_time,
-                    live_bytes=ctx.live_bytes + extra_live,
+                    live_bytes=_live_bytes(state, ctx, eid) + extra_live,
                     parents=parents, input_shapes=input_shapes,
                     output_shape=output_shape,
                     output_sparsity=output_sparsity)
@@ -406,9 +418,11 @@ def record_region(name: str,
     finally:
         elapsed = _now() - t_start
         elapsed, poison, extra_live = _apply_injection(injection, elapsed)
-        _record(ctx, ctx.next_eid(), _current_sid(), name, category,
+        eid = ctx.next_eid()
+        _record(ctx, eid, _current_sid(), name, category,
                 flops=counters.flops if poison is None else poison,
                 bytes_read=counters.bytes_read,
                 bytes_written=counters.bytes_written, wall_time=elapsed,
-                t_start=t_start, live_bytes=ctx.live_bytes + extra_live,
+                t_start=t_start,
+                live_bytes=_live_bytes(state, ctx, eid) + extra_live,
                 parents=parents)

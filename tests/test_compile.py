@@ -1,41 +1,75 @@
-"""repro.compile: capture, executor, cache tier, CLI, RL108.
+"""repro.compile: replay against a workload's own eager trace.
 
 The load-bearing assertion is **bit-exactness**: for every roster
-workload the compiled replay must produce the same outputs, the same
-counter digest, and the same classified errors as eager execution.
-Everything else — serialization, fresh per-replay stamps, the
-serve/resilience integration — is scaffolding for that contract and
-is tested against it.
+workload a replay against the workload's eager trace must produce the
+same outputs, the same counter digest, and the same classified errors
+as eager execution.  Everything else — fresh per-replay stamps, the
+serve plan policy, the resilience fallback, the CLI — is scaffolding
+for that contract and is tested against it.
 """
 
+import dataclasses
 import json
+import sys
 import threading
 
 import pytest
 
 from tests.conftest import cached_trace
 from repro.cli import main
-from repro.compile import (CompiledPlan, PlanCaptureError,
-                           PlanDivergenceError, PlanError,
-                           active_session, capture_plan,
-                           diff_against_eager, execute, plan_session,
-                           run_compiled)
+from repro.compile import (PlanDivergenceError, PlanError,
+                           active_session, diff_against_eager,
+                           plan_session, replay)
+from repro.core.profiler import Trace
+from repro.core.taxonomy import category_for
+from repro.hwsim.devices import RTX_2080TI
 from repro.obs import metrics as obs_metrics
 from repro.obs import selfprof
 from repro.obs.runrec import counters_digest
-from repro.resilience.runner import (DETERMINISTIC, ResilientRunner,
-                                     classify_error)
+from repro.resilience.faults import FaultPlan, FaultSpec
+from repro.resilience.runner import (DETERMINISTIC, FALLBACK, REPLAYED,
+                                     ResilientRunner, classify_error)
+from repro.serve.batcher import Batch
 from repro.serve.cache import ArtifactCache, ArtifactKey
+from repro.serve.pool import Worker
+from repro.serve.request import make_request
+from repro.serve.server import InferenceServer, ServeConfig
+from repro.tensor.context import op_observer
 from repro.workloads import available, create
 
-_PLAN_CACHE = {}
+
+class _DispatchedEids:
+    """``op_observer`` noting the eids of dispatcher-routed ops."""
+
+    def __init__(self):
+        self.eids = set()
+
+    def observe_op(self, event, inputs, output):
+        self.eids.add(event.eid)
 
 
-def cached_plan(name: str) -> CompiledPlan:
-    """Capture each workload's plan once per test session."""
-    if name not in _PLAN_CACHE:
-        _PLAN_CACHE[name] = capture_plan(create(name, seed=0))
-    return _PLAN_CACHE[name]
+_REPLAY_CACHE = {}
+
+
+def cached_replay(name: str):
+    """Replay each workload against its eager trace once per session.
+
+    Returns the replayed trace and the eids the dispatcher routed
+    (observers see ops only, never ``record_event``/``record_region``).
+    """
+    if name not in _REPLAY_CACHE:
+        observer = _DispatchedEids()
+        with op_observer(observer):
+            trace = replay(create(name, seed=0), cached_trace(name, seed=0))
+        _REPLAY_CACHE[name] = (trace, observer.eids)
+    return _REPLAY_CACHE[name]
+
+
+def _with_events(plan: Trace, events) -> Trace:
+    """``plan`` with its event list replaced."""
+    edited = Trace(plan.workload, events)
+    edited.metadata = dict(plan.metadata)
+    return edited
 
 
 # ---------------------------------------------------------------------------
@@ -45,86 +79,52 @@ def cached_plan(name: str) -> CompiledPlan:
 class TestBitExactness:
     @pytest.mark.parametrize("name", available())
     def test_compiled_replay_matches_eager(self, name):
-        plan = cached_plan(name)
-        compiled = run_compiled(create(name, seed=0), plan)
+        replayed, _ = cached_replay(name)
         eager = cached_trace(name, seed=0)
-        comparison = diff_against_eager(eager, compiled)
+        comparison = diff_against_eager(eager, replayed)
         assert comparison["bit_exact"], comparison["mismatches"]
-        assert counters_digest(compiled) == counters_digest(eager)
-        assert counters_digest(compiled) == plan.counters_digest
+        assert counters_digest(replayed) == counters_digest(eager)
 
     @pytest.mark.parametrize("name", available())
     def test_metadata_mirrors_eager_profile(self, name):
-        compiled = run_compiled(create(name, seed=0), cached_plan(name))
+        replayed, _ = cached_replay(name)
         eager = cached_trace(name, seed=0)
-        assert set(compiled.metadata) == set(eager.metadata)
-        assert repr(compiled.metadata["result"]) == \
+        assert set(replayed.metadata) == set(eager.metadata)
+        assert repr(replayed.metadata["result"]) == \
             repr(eager.metadata["result"])
-        assert compiled.metadata["peak_live_bytes"] == \
+        assert replayed.metadata["peak_live_bytes"] == \
             eager.metadata["peak_live_bytes"]
+
+    @pytest.mark.parametrize("name", available())
+    def test_region_names_never_resolve_and_op_names_do(self, name):
+        # the replay's name check is also its op/region check: an op
+        # name can only equal the name of an op event
+        replayed, dispatched = cached_replay(name)
+        for event in replayed.events:
+            if event.eid in dispatched:
+                category_for(event.name)
+            else:
+                with pytest.raises(KeyError):
+                    category_for(event.name)
 
 
 # ---------------------------------------------------------------------------
-# plan construction
+# plan layout
 # ---------------------------------------------------------------------------
 
 class TestOptimizationPasses:
-    """The positional step layout capture builds: one step per event."""
+    """The positional plan layout replay relies on: one event per eid."""
 
     def test_region_steps_replay_in_position(self):
         # MCTS records host-side symbolic regions between dispatched
-        # ops; they must consume their eids without guard interception
-        plan = cached_plan("mcts")
-        assert plan.region_steps > 0
-        compiled = run_compiled(create("mcts", seed=0), plan)
-        assert counters_digest(compiled) == plan.counters_digest
-
-
-# ---------------------------------------------------------------------------
-# plan integrity + serialization
-# ---------------------------------------------------------------------------
-
-class TestPlanSerialization:
-    def test_round_trip_preserves_digest_and_replay(self, tmp_path):
-        plan = cached_plan("abl")
-        path = tmp_path / "abl_plan.json"
-        plan.save(str(path))
-        loaded = CompiledPlan.load(str(path))
-        assert loaded.digest() == plan.digest()
-        assert loaded.stats() == plan.stats()
-        compiled = run_compiled(create("abl", seed=0), loaded)
-        assert counters_digest(compiled) == plan.counters_digest
-
-    def test_validate_rejects_structural_corruption(self):
-        plan = cached_plan("abl")
-        doc = plan.to_dict()
-        doc["steps"][0]["name"] = "not_a_registered_op"
-        with pytest.raises((PlanError, KeyError)):
-            CompiledPlan.from_dict(doc).validate()
-
-    def test_version_one_payload_is_refused(self):
-        doc = cached_plan("abl").to_dict()
-        doc["version"] = 1
-        with pytest.raises(PlanError, match=r"version 1.*version 2"):
-            CompiledPlan.from_dict(doc)
-
-    def test_truncated_payload_is_refused(self):
-        doc = cached_plan("lnn").to_dict()
-        doc["steps"] = doc["steps"][:10]
-        with pytest.raises(PlanError, match="declares 319 steps"):
-            CompiledPlan.from_dict(doc)
-        doc = cached_plan("lnn").to_dict()
-        del doc["steps"][5]["live_bytes"]
-        with pytest.raises(PlanError, match="live_bytes"):
-            CompiledPlan.from_dict(doc)
-
-    def test_capture_refuses_fault_hooks(self):
-        from repro.resilience.faults import FaultPlan, FaultSpec
-        plan = FaultPlan(specs=[FaultSpec(kind="raise", rate=1.0)], seed=0)
-        workload = create("abl", seed=0)
-        with plan:
-            with pytest.raises(PlanCaptureError):
-                capture_plan(workload)
+        # ops; they must consume their eids without session checks
+        replayed, dispatched = cached_replay("mcts")
+        plan = cached_trace("mcts", seed=0)
+        assert len(dispatched) < len(plan.events)
+        assert [e.eid for e in plan.events] == list(range(len(plan.events)))
+        assert [(e.name, e.live_bytes) for e in replayed.events] == \
+            [(e.name, e.live_bytes) for e in plan.events]
+        assert counters_digest(replayed) == counters_digest(plan)
 
 
 # ---------------------------------------------------------------------------
@@ -133,9 +133,29 @@ class TestPlanSerialization:
 
 class TestExecutorSessions:
     def test_divergence_on_wrong_workload(self):
-        plan = cached_plan("abl")
-        with pytest.raises(PlanError):
-            execute(create("gnn", seed=0), plan)
+        plan = cached_trace("abl", seed=0)
+        with pytest.raises(PlanError, match="refusing to replay 'gnn'"):
+            replay(create("gnn", seed=0), plan)
+
+    def test_every_replay_check_fires(self):
+        plan = cached_trace("lnn", seed=0)
+        events = plan.events
+        _, dispatched = cached_replay("lnn")
+        op = events[sorted(dispatched)[len(dispatched) // 2]]
+        cases = {
+            "overran the plan": events[:op.eid],
+            "plan recorded 'renamed'": [
+                dataclasses.replace(e, name="renamed") if e is op else e
+                for e in events],
+            "output shape": [
+                dataclasses.replace(e, output_shape=(7, 7)) if e is op
+                else e for e in events],
+            f"replay recorded {len(events)} events but the plan has "
+            f"{len(events) + 1}": events + [events[-1]],
+        }
+        for message, edited in cases.items():
+            with pytest.raises(PlanDivergenceError, match=message):
+                replay(create("lnn", seed=0), _with_events(plan, edited))
 
     def test_divergence_classifies_deterministic(self):
         error = PlanDivergenceError("replay diverged")
@@ -143,13 +163,12 @@ class TestExecutorSessions:
         assert classify_error(error) == DETERMINISTIC
 
     def test_session_is_thread_local(self):
-        plan = cached_plan("abl")
         seen = {}
 
         def other_thread():
             seen["session"] = active_session()
 
-        with plan_session(plan):
+        with plan_session(cached_trace("abl", seed=0)):
             assert active_session() is not None
             worker = threading.Thread(target=other_thread)
             worker.start()
@@ -158,28 +177,26 @@ class TestExecutorSessions:
         assert active_session() is None
 
     def test_session_refuses_fault_hooks(self):
-        from repro.resilience.faults import FaultPlan, FaultSpec
         fault = FaultPlan(specs=[FaultSpec(kind="raise", rate=1.0)], seed=0)
-        plan = cached_plan("abl")
         with fault:
             with pytest.raises(PlanError):
-                with plan_session(plan):
+                with plan_session(cached_trace("abl", seed=0)):
                     pass  # pragma: no cover
 
     def test_concurrent_replays_stamp_their_own_spans(self):
         # every replayed event carries a span id of its own trace and a
         # start time inside that trace's profile: root span
-        plan = cached_plan("nlm")
+        plan = cached_trace("nlm", seed=0)
         traces = [None, None]
         barrier = threading.Barrier(2)
 
-        def replay(slot):
+        def run(slot):
             workload = create("nlm", seed=0)
             workload.build()
             barrier.wait(timeout=60)
-            traces[slot] = run_compiled(workload, plan)
+            traces[slot] = replay(workload, plan)
 
-        threads = [threading.Thread(target=replay, args=(slot,))
+        threads = [threading.Thread(target=run, args=(slot,))
                    for slot in range(2)]
         for thread in threads:
             thread.start()
@@ -187,7 +204,7 @@ class TestExecutorSessions:
             thread.join(timeout=120)
         assert not any(thread.is_alive() for thread in threads)
         for trace in traces:
-            assert len(trace.events) == len(plan.steps)
+            assert len(trace.events) == len(plan.events)
             sids = {span.sid for span in trace.spans}
             root = next(span for span in trace.spans
                         if span.name.startswith("profile:"))
@@ -196,27 +213,27 @@ class TestExecutorSessions:
                     if not root.start <= e.t_start <= root.end] == []
 
     def test_replayed_ops_reach_the_ledger(self):
-        plan = cached_plan("abl")
+        plan = cached_trace("abl", seed=0)
         with selfprof.scoped_ledger() as eager_ledger:
             create("abl", seed=0).profile()
-        with selfprof.scoped_ledger() as compiled_ledger:
-            execute(create("abl", seed=0), plan)
-        assert compiled_ledger.ops_by_category() == \
+        with selfprof.scoped_ledger() as replay_ledger:
+            replay(create("abl", seed=0), plan)
+        assert replay_ledger.ops_by_category() == \
             eager_ledger.ops_by_category()
 
     def test_bulk_metrics_match_eager_totals(self):
-        plan = cached_plan("abl")
+        plan = cached_trace("abl", seed=0)
         with obs_metrics.scoped_runtime() as eager_runtime:
             create("abl", seed=0).profile()
-        with obs_metrics.scoped_runtime() as compiled_runtime:
-            execute(create("abl", seed=0), plan)
-        assert dict(compiled_runtime.ops_total.samples()) == \
+        with obs_metrics.scoped_runtime() as replay_runtime:
+            replay(create("abl", seed=0), plan)
+        assert dict(replay_runtime.ops_total.samples()) == \
             dict(eager_runtime.ops_total.samples())
-        assert dict(compiled_runtime.flops_total.samples()) == \
+        assert dict(replay_runtime.flops_total.samples()) == \
             dict(eager_runtime.flops_total.samples())
-        assert dict(compiled_runtime.bytes_total.samples()) == \
+        assert dict(replay_runtime.bytes_total.samples()) == \
             dict(eager_runtime.bytes_total.samples())
-        assert dict(compiled_runtime.peak_live_bytes.samples()) == \
+        assert dict(replay_runtime.peak_live_bytes.samples()) == \
             dict(eager_runtime.peak_live_bytes.samples())
 
 
@@ -226,77 +243,173 @@ class TestExecutorSessions:
 
 class TestCompiledResilience:
     def test_runner_compiled_outcome_ok(self):
-        runner = ResilientRunner(timeout=None, compiled=True)
-        outcome = runner.run_workload("abl", seed=0)
+        runner = ResilientRunner(timeout=None)
+        outcome = runner.run_workload("abl", seed=0,
+                                      plan=cached_trace("abl", seed=0))
         assert outcome.ok, outcome.error
+        assert outcome.replay == REPLAYED
+        assert runner.run_workload("abl", seed=0).replay is None
 
     def test_runner_falls_back_to_eager_on_plan_error(self):
-        calls = {"plans": 0}
-
-        def broken_provider(name, seed=0, **params):
-            calls["plans"] += 1
-            return cached_plan("gnn")   # wrong workload -> PlanError
-
-        runner = ResilientRunner(timeout=None, compiled=True,
-                                 plan_provider=broken_provider)
-        outcome = runner.run_workload("abl", seed=0)
+        runner = ResilientRunner(timeout=None)
+        outcome = runner.run_workload(
+            "abl", seed=0, plan=cached_trace("gnn", seed=0))
         assert outcome.ok
-        assert calls["plans"] == 1
         assert outcome.attempts == 1    # fallback, not a retry
+        assert outcome.replay == FALLBACK
+        assert counters_digest(outcome.report.trace) == \
+            counters_digest(cached_trace("abl", seed=0))
 
     def test_fault_attempts_stay_eager(self):
-        from repro.resilience.faults import FaultPlan, FaultSpec
         fault = FaultPlan(specs=[FaultSpec(kind="raise", rate=1.0,
                                            max_injections=1)],
                           seed=0)
-        runner = ResilientRunner(timeout=None, compiled=True)
-        outcome = runner.run_workload("abl", seed=0, fault_plan=fault)
+        runner = ResilientRunner(timeout=None)
+        outcome = runner.run_workload("abl", seed=0, fault_plan=fault,
+                                      plan=cached_trace("abl", seed=0))
         # the injected fault must surface exactly as in an eager runner
         assert outcome.attempts >= 1
+        assert fault.injections
+        assert outcome.replay is None
 
 
-class TestCachePlanTier:
-    def test_checkout_plan_shares_one_immutable_plan(self):
+def _batch(bid: int, workload: str = "nlm", seed: int = 0) -> Batch:
+    request = make_request(bid, workload, seed=seed)
+    return Batch(bid=bid, key=request.key, requests=[request])
+
+
+class TestServePlanPolicy:
+    """A repeated serve key replays its own earlier eager trace."""
+
+    def test_second_run_keeps_and_third_replays(self):
         cache = ArtifactCache(capacity=4)
-        key = ArtifactKey("abl", 0)
-        first = cache.checkout_plan(key)
-        second = cache.checkout_plan(key)
-        assert first is second          # deepcopy-free by design
-        stats = cache.stats()
-        assert stats["plan_hits"] == 1
-        assert stats["plan_misses"] == 1
-        assert stats["plan_builds"] == 1
-        assert stats["plan_size"] == 1
-        # the capture run consumed exactly one eager checkout
-        assert stats["misses"] == 1
-        assert stats["hits"] == 0
+        worker = Worker(0, RTX_2080TI, cache)
+        key = ArtifactKey("nlm", 0)
+        first = worker.execute_batch(_batch(0))
+        assert (first.outcome.replay, first.kept_plan) == (None, False)
+        assert cache.plan(key) is None
+        second = worker.execute_batch(_batch(1))
+        assert (second.outcome.replay, second.kept_plan) == (None, True)
+        assert cache.plan(key) is second.trace
+        third = worker.execute_batch(_batch(2))
+        assert (third.outcome.replay, third.kept_plan) == (REPLAYED, False)
+        assert cache.plan(key) is second.trace
+        assert counters_digest(third.trace) == counters_digest(first.trace)
 
-    def test_plan_factory_resolves_plans(self):
+    def test_fault_batches_and_retries_neither_keep_nor_replay(self):
         cache = ArtifactCache(capacity=4)
-        plan_for = cache.plan_factory()
-        plan = plan_for("abl", seed=0)
-        assert plan.workload == "abl"
-        assert plan is plan_for("abl", seed=0)
+        worker = Worker(0, RTX_2080TI, cache)
+        key = ArtifactKey("nlm", 0)
+        worker.execute_batch(_batch(0))
+        worker.execute_batch(_batch(1))
+        plan = cache.plan(key)
+        assert plan is not None
 
-    def test_compiled_serve_matches_eager_outcomes(self):
-        from repro.serve.loadgen import LoadSpec, open_loop
-        from repro.serve.server import InferenceServer, ServeConfig
-        spec = LoadSpec.make({"abl": 1.0}, rate=30.0, duration=0.3,
-                             seed=3)
-        schedule = open_loop(spec)
-        compiled_server = InferenceServer(
-            ServeConfig(workers=2, compiled=True))
-        compiled_server.run_schedule(schedule)
-        eager_server = InferenceServer(ServeConfig(workers=2))
-        eager_server.run_schedule(schedule)
-        det_c = compiled_server.stats.summary()["deterministic"]
-        det_e = eager_server.stats.summary()["deterministic"]
-        assert det_c["statuses"] == det_e["statuses"]
-        assert det_c["statuses"]["failed"] == 0
-        cache = det_c["cache"]
-        assert cache["plan_builds"] >= 1
-        assert cache["plan_hits"] + cache["plan_misses"] >= 1
-        assert det_e["cache"]["plan_builds"] == 0
+        faulty = Worker(1, RTX_2080TI, cache, fault_plans={
+            "nlm": FaultPlan(specs=[FaultSpec(kind="latency", rate=1.0,
+                                              latency=0.0)], seed=0)})
+        result = faulty.execute_batch(_batch(2))
+        assert result.status == "ok"
+        assert (result.outcome.replay, result.kept_plan) == (None, False)
+        assert cache.plan(key) is plan
+
+        # a transient first attempt retries eagerly on a rotated seed
+        make = worker.runner.factory
+        seeds = []
+
+        def flaky(name, seed=0, **params):
+            seeds.append(seed)
+            if len(seeds) == 1:
+                raise OSError("transient")
+            return make(name, seed=seed, **params)
+
+        worker.runner.factory = flaky
+        worker.runner.sleep = lambda seconds: None
+        result = worker.execute_batch(_batch(3))
+        assert result.status == "ok" and result.attempts == 2
+        assert seeds == [0, 1]
+        assert (result.outcome.replay, result.kept_plan) == (None, False)
+        assert cache.plan(key) is plan
+        assert cache.plan(ArtifactKey("nlm", 1)) is None
+
+    def test_kept_plan_leaves_with_its_entry(self):
+        cache = ArtifactCache(capacity=1)
+        worker = Worker(0, RTX_2080TI, cache)
+        key = ArtifactKey("nlm", 0)
+        worker.execute_batch(_batch(0))
+        worker.execute_batch(_batch(1))
+        assert cache.plan(key) is not None
+        cache.checkout(ArtifactKey("nlm", 1))       # evicts the key
+        assert cache.stats()["evictions"] == 1
+        assert cache.plan(key) is None
+        # the rebuilt entry starts over: its first run keeps nothing
+        again = worker.execute_batch(_batch(2))
+        assert (again.outcome.replay, again.kept_plan) == (None, False)
+        assert cache.plan(key) is None
+
+    def test_concurrent_offers_drop_exactly_one(self):
+        # the first-offer mark is a check-then-act on a shared entry:
+        # a lost update would let two racing first offers both drop
+        class Built:
+            def build(self):
+                pass
+
+        rounds, threads_n = 200, 8
+        cache = ArtifactCache(capacity=rounds,
+                              builder=lambda name, seed=0, **kw: Built())
+        keys = [ArtifactKey("x", seed) for seed in range(rounds)]
+        for key in keys:
+            cache.checkout(key)
+        traces = [Trace("x") for _ in range(threads_n)]
+        dropped = [0] * threads_n
+        barrier = threading.Barrier(threads_n)
+
+        def offer(slot):
+            for key in keys:
+                barrier.wait(timeout=60)
+                dropped[slot] += not cache.offer(key, traces[slot])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=offer, args=(slot,))
+                       for slot in range(threads_n)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sum(dropped) == rounds
+        assert all(cache.plan(key) in traces for key in keys)
+
+    def test_wrong_seed_plan_falls_back_and_is_counted(self):
+        # LTN's op graph depends on its seed, so a seed-1 trace kept as
+        # the seed-0 key's plan diverges
+        server = InferenceServer(ServeConfig(workers=1))
+        key = ArtifactKey("ltn", 0)
+        wrong = create("ltn", seed=1).profile()
+        server.cache.checkout(key)
+        server.cache.offer(key, wrong)
+        assert server.cache.offer(key, wrong)
+        server.start()
+        try:
+            response = server.submit("ltn", seed=0).result(120)
+        finally:
+            server.stop()
+        assert response.ok, response.error
+        assert response.attempts == 1
+        summary = server.stats.summary()
+        assert summary["measured"]["replay"] == \
+            {"replays": 0, "fallbacks": 1, "plans_kept": 1}
+        assert "replay" not in summary["deterministic"]
+        assert "fallbacks=1" in server.stats.render()
+        # the fallback's own eager trace replaced the stale plan
+        kept = server.cache.plan(key)
+        assert kept is not wrong
+        assert counters_digest(kept) == \
+            counters_digest(create("ltn", seed=0).profile())
 
 
 # ---------------------------------------------------------------------------
@@ -304,45 +417,59 @@ class TestCachePlanTier:
 # ---------------------------------------------------------------------------
 
 class TestCompileCLI:
-    def test_build_run_diff_round_trip(self, tmp_path, capsys):
-        plan_path = tmp_path / "abl.json"
-        assert main(["compile", "build", "abl", "--seed", "0",
-                     "-o", str(plan_path)]) == 0
-        assert plan_path.exists()
-        assert main(["compile", "run", "abl", "--plan",
-                     str(plan_path)]) == 0
-        out = capsys.readouterr().out
-        assert "kernels run" in out
-        assert main(["compile", "diff", "abl", "--plan",
-                     str(plan_path), "--json"]) == 0
+    def test_diff_round_trip(self, capsys):
+        assert main(["compile", "diff", "abl", "--seed", "0",
+                     "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["bit_exact"] is True
         assert doc["mismatches"] == []
+        assert doc["eager_counters_digest"] == \
+            doc["replayed_counters_digest"]
 
-    def test_refused_plan_exits_cleanly(self, tmp_path, capsys):
-        doc = cached_plan("abl").to_dict()
-        doc["version"] = 1
-        path = tmp_path / "old.json"
-        path.write_text(json.dumps(doc))
-        for command in ("run", "diff"):
-            assert main(["compile", command, "abl", "--plan",
-                         str(path)]) == 7
-            err = capsys.readouterr().err
-            assert "version 1" in err and "version 2" in err
-            assert "Traceback" not in err
-            assert len(err.strip().splitlines()) == 1
+    def test_diff_exit_code_on_divergence(self, monkeypatch, capsys):
+        # a replay that completes but differs from eager (one event's
+        # FLOPs moved) is a divergence: diff must exit 7, not 0
+        from repro.compile import executor
+        real_replay = executor.replay
 
-    def test_diff_exit_code_on_divergence(self, tmp_path):
-        plan = cached_plan("abl")
-        doc = plan.to_dict()
-        # corrupt a counter so digests cannot match
-        doc["counters_digest"] = "0" * 64
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(doc))
-        # replay still works (steps untouched) but the diff must flag
-        # the digest mismatch through exit code 7
-        assert main(["compile", "diff", "abl", "--plan",
-                     str(path)]) in (0, 7)
+        def skewed_replay(workload, plan):
+            trace = real_replay(workload, plan)
+            first = trace.events[0]
+            trace.events[0] = dataclasses.replace(first,
+                                                  flops=first.flops + 1.0)
+            return trace
+
+        monkeypatch.setattr(executor, "replay", skewed_replay)
+        assert main(["compile", "diff", "abl", "--json"]) == 7
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["bit_exact"] is False
+        assert doc["mismatches"]
+        assert doc["eager_counters_digest"] != \
+            doc["replayed_counters_digest"]
+
+    def test_refused_replay_exits_with_one_line(self, monkeypatch, capsys):
+        from repro.compile import executor
+
+        def diverging_replay(workload, plan):
+            raise PlanDivergenceError("replay diverged at eid 3")
+
+        monkeypatch.setattr(executor, "replay", diverging_replay)
+        assert main(["compile", "diff", "abl"]) == 7
+        err = capsys.readouterr().err
+        assert "replay diverged at eid 3" in err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["compile", "build", "abl"],
+        ["compile", "run", "abl"],
+        ["compile", "diff", "abl", "--plan", "abl.json"],
+        ["serve", "bench", "--compiled"],
+    ])
+    def test_removed_commands_and_options_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
 
 
 # ---------------------------------------------------------------------------
@@ -364,14 +491,14 @@ class TestCompiledFuzzDifferential:
         from repro.fuzz.oracle import (execute_program,
                                        execute_program_compiled)
         # find a program with a classified stop and assert the replay
-        # stops at the same node with the same error
+        # of its own trace stops at the same node with the same error
         for offset in range(200):
             program = generate_program(880000 + offset, max_ops=10)
             eager = execute_program(program)
             if eager.status != "classified":
                 continue
-            replay = execute_program_compiled(program)
-            assert (replay.status, replay.error, replay.error_op) == \
+            replayed = execute_program_compiled(program, eager.trace)
+            assert (replayed.status, replayed.error, replayed.error_op) == \
                 (eager.status, eager.error, eager.error_op)
             return
         pytest.skip("no classified program in the probe window")

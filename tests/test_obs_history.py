@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main as cli_main
-from repro.compile import capture_plan
+from repro.compile import replay
 from repro.core.taxonomy import OpCategory
 from repro.hwsim.devices import RTX_2080TI
 from repro.obs import kstats
@@ -26,21 +26,21 @@ from repro.obs.history import (EXIT_PIN_MISMATCH, PIN_ROSTER,
                                PINNED_SERVE, HistoryEntry, HistoryError,
                                append_entry, check_pins,
                                detect_change_points, entry_from_sources,
-                               ingest_results, load_history,
+                               event_facts, ingest_results, load_history,
                                metric_series, model_facts, pin_workload,
                                render_history, serve_pin, sparkline_svg)
-from repro.tensor import ops
+from repro.tensor import dispatch, ops
 from repro.workloads import create
 
 COMMITTED_HISTORY = Path(__file__).resolve().parents[1] \
     / "benchmarks" / "history.jsonl"
 
-PIN_KINDS = ("counters", "plan", "model")
+PIN_KINDS = ("counters", "events", "model")
 
 
 @pytest.fixture(scope="module")
 def pinned_entry() -> HistoryEntry:
-    """The full-roster entry, built once (six captures + the serve
+    """The full-roster entry, built once (six profiles + the serve
     schedule, a few seconds)."""
     return entry_from_sources(created="", sha="")
 
@@ -207,13 +207,23 @@ class TestPinSensitivity:
         _assert_moved(tmp_path, capsys, pinned_entry, fresh,
                       {"lnn.model"})
 
-    def test_flop_formula_moves_counters_plan_and_model(
+    def test_flop_formula_moves_counters_events_and_model(
             self, pinned_entry, monkeypatch, tmp_path, capsys):
         # LTN's sigmoid and pow are costed in transcendental FLOPs
         monkeypatch.setattr(ops, "_TRANSCENDENTAL_COST", 5.0)
         fresh, _ = pin_workload("ltn")
         _assert_moved(tmp_path, capsys, pinned_entry, fresh,
-                      {"ltn.counters", "ltn.plan", "ltn.model"})
+                      {"ltn.counters", "ltn.events", "ltn.model"})
+
+    def test_sparsity_only_change_moves_events_only(
+            self, pinned_entry, monkeypatch, tmp_path, capsys):
+        # per-event sparsity is in no aggregate the counters pin covers
+        measure = dispatch._measure_sparsity
+        monkeypatch.setattr(dispatch, "_measure_sparsity",
+                            lambda arr: 1.0 - measure(arr))
+        fresh, _ = pin_workload("lnn")
+        _assert_moved(tmp_path, capsys, pinned_entry, fresh,
+                      {"lnn.events"})
 
     def test_max_batch_size_moves_serve(self, pinned_entry, monkeypatch,
                                         tmp_path, capsys):
@@ -244,16 +254,18 @@ class TestEntryFromSources:
             f"{name}.{kind}" for name in PIN_ROSTER
             for kind in PIN_KINDS} | {"serve"}
         assert set(pinned_entry.metrics) == {
-            f"{family}.{name}.{field}" for name in PIN_ROSTER
-            for family, field in (("dispatch", "ops"),
-                                  ("compile", "steps"))}
+            f"dispatch.{name}.ops" for name in PIN_ROSTER}
         assert pinned_entry.meta == {"seed": 0,
                                      "device": RTX_2080TI.name}
 
-    def test_pinned_plan_is_the_compile_build_plan(self, pinned_entry):
+    def test_pinned_events_are_the_replayed_events(self, pinned_entry):
+        # a replay against the workload's own eager trace reproduces
+        # every event field the pin covers
         for name in PIN_ROSTER:
-            assert pinned_entry.pins[f"{name}.plan"] \
-                == capture_plan(create(name, seed=0)).digest(), name
+            eager = create(name, seed=0).profile()
+            replayed = replay(create(name, seed=0), eager)
+            assert pinned_entry.pins[f"{name}.events"] \
+                == history._sha256(event_facts(replayed)), name
 
     def test_ingest_results(self, tmp_path):
         (tmp_path / "obs_overhead.json").write_text(json.dumps(
@@ -315,11 +327,11 @@ class TestCli:
     def test_gate_exits_six_on_synthetic_regression(
             self, tmp_path, capsys, pinned_entry):
         db = self._seed_db(tmp_path, pinned_entry,
-                           changed_pin="nvsa.plan")
+                           changed_pin="nvsa.events")
         assert cli_main(["obs", "history", "gate", "--db", db]) \
             == EXIT_PIN_MISMATCH
         out = capsys.readouterr().out
-        assert (f"PIN nvsa.plan: {pinned_entry.pins['nvsa.plan']} "
+        assert (f"PIN nvsa.events: {pinned_entry.pins['nvsa.events']} "
                 f"→ {'0' * 64}") in out
         assert "1 of 19 pins changed since 'c'" in out
 

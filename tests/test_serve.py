@@ -229,10 +229,7 @@ class TestArtifactCache:
         cache.checkout(k1)                    # rebuild
         stats = cache.stats()
         assert stats == {"hits": 1, "misses": 4, "evictions": 2,
-                         "build_errors": 0, "size": 2, "capacity": 2,
-                         "plan_hits": 0, "plan_misses": 0,
-                         "plan_builds": 0, "plan_evictions": 0,
-                         "plan_size": 0}
+                         "build_errors": 0, "size": 2, "capacity": 2}
         assert built == ["a", "b", "c", "a"]
 
     def test_checkout_returns_fresh_copies(self):
