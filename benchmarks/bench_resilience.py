@@ -22,7 +22,7 @@ import time
 from repro.core.report import format_time, render_table
 from repro.core.suite import characterize
 from repro.hwsim import RTX_2080TI
-from repro.resilience.runner import ResilientRunner, RetryPolicy
+from repro.resilience.runner import ResilientRunner
 from repro.workloads import create
 
 from conftest import emit
@@ -40,7 +40,7 @@ def _timed(fn) -> float:
 
 def measure_overhead():
     runner = ResilientRunner(device=RTX_2080TI, timeout=300.0,
-                             retry=RetryPolicy(max_retries=0))
+                             max_retries=0)
     rows = []
     overheads = {}
     for name in WORKLOADS:

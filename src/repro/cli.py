@@ -211,7 +211,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.command == "faults":
         _require_workload(args.workload)
-        from repro.resilience.runner import ResilientRunner, RetryPolicy
+        from repro.resilience.runner import ResilientRunner
         device = get_device(args.device)
         try:
             plan = FaultPlan([FaultSpec(
@@ -221,9 +221,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             )], seed=args.seed)
         except ValueError as exc:
             raise SystemExit(f"repro faults: {exc}")
-        runner = ResilientRunner(
-            device=device, timeout=args.timeout,
-            retry=RetryPolicy(max_retries=args.max_retries))
+        runner = ResilientRunner(device=device, timeout=args.timeout,
+                                 max_retries=args.max_retries)
         outcome = runner.run_workload(args.workload, seed=args.seed,
                                       fault_plan=plan)
         print(f"fault-injection experiment: {args.workload} "
@@ -245,12 +244,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     if args.command == "roster" and args.resilient:
-        from repro.resilience.runner import (ResilientRunner, RetryPolicy,
-                                             run_roster)
+        from repro.resilience.runner import ResilientRunner, run_roster
         device = get_device(args.device)
-        runner = ResilientRunner(
-            device=device, timeout=args.timeout,
-            retry=RetryPolicy(max_retries=args.max_retries))
+        runner = ResilientRunner(device=device, timeout=args.timeout,
+                                 max_retries=args.max_retries)
         report = run_roster(names=PAPER_ORDER, runner=runner,
                             seed=args.seed)
         print(report.render())

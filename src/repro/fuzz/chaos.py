@@ -30,8 +30,8 @@ import numpy as np
 from repro.resilience.faults import (FAULT_ALLOC, FAULT_INF, FAULT_LATENCY,
                                      FAULT_NAN, FAULT_RAISE, FaultPlan,
                                      FaultSpec)
-from repro.serve import (AdmissionPolicy, BatchPolicy, InferenceServer,
-                         REJECT_REASONS, REQUEST_STATUSES, Request, Response,
+from repro.serve import (BatchPolicy, InferenceServer, REJECT_REASONS,
+                         REQUEST_STATUSES, Request, Response,
                          STATUS_REJECTED, ServeConfig, make_request)
 from repro.serve.tracing import (request_span_trees, span_tree_digest,
                                  verify_span_trees)
@@ -110,7 +110,7 @@ def _server(config: ChaosConfig,
             plans: Dict[str, FaultPlan]) -> InferenceServer:
     serve_config = ServeConfig(
         workers=config.workers,
-        admission=AdmissionPolicy(max_depth=config.max_depth),
+        max_depth=config.max_depth,
         batch=BatchPolicy(max_batch_size=4, max_wait=0.005),
         timeout=config.timeout,
         max_retries=config.max_retries)

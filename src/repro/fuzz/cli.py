@@ -51,9 +51,6 @@ def add_fuzz_subcommands(sub: "argparse._SubParsersAction") -> None:
                      help="write failing cases to this JSONL path")
     run.add_argument("--no-minimize", action="store_true",
                      help="skip crash minimization")
-    run.add_argument("--compiled", action="store_true",
-                     help="add the eager-vs-compiled differential to "
-                          "every program check (repro.compile)")
 
     replay = fsub.add_parser(
         "replay", help="re-execute corpus entries; do they still fail?")
@@ -90,8 +87,7 @@ def run_fuzz_command(args: "argparse.Namespace") -> int:
             seed=args.seed, count=args.count, max_ops=args.max_ops,
             harvest=_parse_harvest(args.harvest), chaos=args.chaos,
             configs=args.configs, rules=rules,
-            minimize=not args.no_minimize,
-            compiled=getattr(args, "compiled", False))
+            minimize=not args.no_minimize)
         print(report.render())
         if args.corpus and report.entries:
             save_corpus(report.entries, args.corpus)

@@ -95,10 +95,9 @@ def _prune_leaves(program: OpProgram) -> OpProgram:
 
 def minimize_program(program: OpProgram,
                      rules: Optional[RuleSet] = None,
-                     max_rounds: int = 8,
-                     compiled: bool = False) -> OpProgram:
+                     max_rounds: int = 8) -> OpProgram:
     """Greedy 1-node reduction preserving at least one divergence."""
-    baseline = check_program(program, rules, compiled=compiled)
+    baseline = check_program(program, rules)
     if baseline.ok:
         return program
     current = program
@@ -113,8 +112,7 @@ def minimize_program(program: OpProgram,
             candidate = _prune_leaves(OpProgram(
                 seed=current.seed, leaves=list(current.leaves),
                 nodes=list(candidate_nodes)))
-            if not check_program(candidate, rules,
-                                 compiled=compiled).ok:
+            if not check_program(candidate, rules).ok:
                 current = candidate
                 shrunk = True
         if not shrunk:
@@ -124,17 +122,16 @@ def minimize_program(program: OpProgram,
 
 def entry_for_program(result: CheckResult,
                       rules: Optional[RuleSet] = None,
-                      minimize: bool = True,
-                      compiled: bool = False) -> CrashEntry:
+                      minimize: bool = True) -> CrashEntry:
     """Build the corpus entry for a divergent program check."""
     program = result.program
     minimized = False
     if minimize:
-        reduced = minimize_program(program, rules, compiled=compiled)
+        reduced = minimize_program(program, rules)
         minimized = len(reduced.nodes) < len(program.nodes)
         program = reduced
         if minimized:
-            result = check_program(program, rules, compiled=compiled)
+            result = check_program(program, rules)
     return CrashEntry(kind=KIND_PROGRAM, seed=program.seed,
                       payload=program.to_dict(),
                       divergences=list(result.divergences),
@@ -178,16 +175,11 @@ class ReplayResult:
 
 
 def replay_entry(entry: CrashEntry,
-                 rules: Optional[RuleSet] = None,
-                 compiled: bool = False) -> ReplayResult:
+                 rules: Optional[RuleSet] = None) -> ReplayResult:
     """Re-execute a corpus entry; reproduced = still failing."""
     if entry.kind == KIND_PROGRAM:
         program = OpProgram.from_dict(entry.payload)  # type: ignore[arg-type]
-        # entries carrying a compiled divergence need the compiled
-        # differential re-run to reproduce
-        compiled = compiled or any(
-            d.kind == "compiled_divergence" for d in entry.divergences)
-        result = check_program(program, rules, compiled=compiled)
+        result = check_program(program, rules)
         detail = "; ".join(
             f"{d.kind}:{d.op}" for d in result.divergences) or "clean"
         return ReplayResult(entry=entry,

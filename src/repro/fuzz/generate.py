@@ -151,9 +151,14 @@ class OpProgram:
 # ---------------------------------------------------------------------------
 
 class ProgramBuilder:
-    """Accumulates leaves/nodes and tracks reusable typed entries."""
+    """Accumulates leaves/nodes and tracks reusable typed entries.
 
-    def __init__(self, seed: int):
+    Float leaves are drawn in ``float_dtype`` unless a template asks
+    for another dtype.
+    """
+
+    def __init__(self, seed: int, float_dtype: str = "float32"):
+        self.float_dtype = float_dtype
         self.program = OpProgram(seed=seed)
         self.entries: List[Entry] = []
         self._next_nid = 0
@@ -164,9 +169,10 @@ class ProgramBuilder:
         return nid
 
     def leaf(self, shape: Sequence[int], dist: str = "normal",
-             dtype: str = "float32", high: int = 0) -> Entry:
+             dtype: Optional[str] = None, high: int = 0) -> Entry:
         spec = LeafSpec(nid=self._nid(), shape=tuple(int(d) for d in shape),
-                        dtype=dtype, dist=dist, high=high)
+                        dtype=dtype or self.float_dtype, dist=dist,
+                        high=high)
         self.program.leaves.append(spec)
         entry = Entry(spec.nid, spec.shape, spec.dtype)
         self.entries.append(entry)
@@ -789,17 +795,18 @@ def generate_program(seed: int, max_ops: int = 12,
     return builder.program
 
 
-def single_op_program(seed: int, key: str,
-                      emissions: int = 4) -> OpProgram:
+def single_op_program(seed: int, key: str, emissions: int = 4,
+                      float_dtype: str = "float32") -> OpProgram:
     """A small program exercising one template several times.
 
     Multiple emissions per program matter: templates draw structural
     modes (full vs. axis reduction, bias vs. no bias, ...) at random,
     and rule inference must see every mode or it fits relations that
-    are merely coincidences of one mode.
+    are merely coincidences of one mode.  Float leaves are
+    ``float_dtype``.
     """
     rng = np.random.default_rng(seed)
-    builder = ProgramBuilder(seed)
+    builder = ProgramBuilder(seed, float_dtype)
     for _ in range(emissions * 4):
         if len(builder.program.nodes) >= emissions:
             break
@@ -807,24 +814,29 @@ def single_op_program(seed: int, key: str,
     return builder.program
 
 
-def calibration_programs(seed: int, per_op: int = 6,
+def calibration_programs(seed: int, per_op: int = 12,
                          chained: int = 8,
                          ops: Optional[Sequence[str]] = None
                          ) -> List[OpProgram]:
     """Programs that stretch every template across diverse shapes.
 
     Rule inference runs over harvest **plus** these, so a rule must
-    survive the generator's own shape distribution before the oracle
-    enforces it on fresh programs — this is what keeps statistically
-    overfit relations (true for one workload's shapes only) from
-    producing false divergences later.
+    survive the generator's own shape and dtype distribution before
+    the oracle enforces it on fresh programs — this is what keeps
+    statistically overfit relations (true for one workload's shapes
+    only) from producing false divergences later.  Rounds alternate
+    float32 and float64 leaves (programs reach float64 through
+    ``astype``), and twelve per op let rare template modes — a
+    vector-vector ``matmul``, a flattening ``reshape`` — show up at
+    every seed.
     """
     base = 1_000_000_007 + seed * 9_973
     programs: List[OpProgram] = []
     for index, key in enumerate(sorted(ops if ops else TEMPLATES)):
         for round_no in range(per_op):
             programs.append(single_op_program(
-                base + index * 101 + round_no, key))
+                base + index * 101 + round_no, key,
+                float_dtype=_FLOAT_DTYPES[round_no % 2]))
     for round_no in range(chained):
         programs.append(generate_program(base + 50_021 + round_no,
                                          max_ops=10, ops=ops))

@@ -1,8 +1,9 @@
 """Differential execution oracle for generated op programs.
 
 Each generated :class:`~repro.fuzz.generate.OpProgram` is executed
-**twice**, eagerly, under profiling plus the op-observer hook.  The
-oracle then cross-checks five independent sources of truth:
+**twice**, eagerly, under profiling plus the op-observer hook, and
+then replayed against its first eager run's own trace.  The oracle
+cross-checks six independent sources of truth:
 
 1. **template predictions** — every node carries the expected output
    shape/dtype from its generation template; the realized tensor must
@@ -19,7 +20,11 @@ oracle then cross-checks five independent sources of truth:
 5. **reference kernels** — every realized ``conv2d`` and ``maxpool2d``
    output must agree with the retained plain-numpy kernel in
    :mod:`repro.tensor.reference`: within its summation-order bound
-   for conv2d, bit-identical for max-pool (``reference_mismatch``).
+   for conv2d, bit-identical for max-pool (``reference_mismatch``);
+6. **replay** — the replay must reproduce the eager run's counter
+   digest, realized shapes/dtypes and terminal state, as a server's
+   repeated batch key does when it replays its kept trace
+   (``compiled_divergence``).
 
 A :class:`TensorOpError` raised mid-program is a *classified stop*
 (the runtime refused degenerate input with a typed error): the program
@@ -40,8 +45,7 @@ import numpy as np
 from repro import tensor as T
 from repro.core.profiler import Trace
 from repro.core.validate import validate_trace
-from repro.fuzz.generate import (LeafSpec, OpProgram, calibration_programs,
-                                 op_universe)
+from repro.fuzz.generate import LeafSpec, OpProgram, calibration_programs
 from repro.fuzz.harvest import (DEFAULT_HARVEST, OpInstanceRecorder,
                                 harvest_roster)
 from repro.fuzz.records import OpInstance, filter_instances
@@ -258,15 +262,13 @@ class CheckResult:
 
 
 def check_program(program: OpProgram,
-                  rules: Optional[RuleSet] = None,
-                  compiled: bool = False) -> CheckResult:
-    """Execute twice and cross-check all oracle invariants.
+                  rules: Optional[RuleSet] = None) -> CheckResult:
+    """Execute twice, replay once, and cross-check all oracle invariants.
 
-    ``compiled=True`` adds the eager-vs-replay differential: the
-    program is replayed against the first eager run's own trace —
-    identical counter digests, realized shapes/dtypes, and terminal
-    (classified) state are required, mirroring the bit-exactness
-    contract of :mod:`repro.compile`.
+    The eager-vs-replay differential replays the program against the
+    first eager run's own trace — identical counter digests, realized
+    shapes/dtypes, and terminal (classified) state are required,
+    mirroring the bit-exactness contract of :mod:`repro.compile`.
     """
     first = execute_program(program)
     second = execute_program(program)
@@ -321,7 +323,7 @@ def check_program(program: OpProgram,
                 divergences.append(Divergence(
                     kind="rule_violation", op=inst.name, detail=issue))
 
-    if compiled and first.status != "crash":
+    if first.status != "crash":
         divergences.extend(_compiled_differential(program, first))
 
     if divergences:
@@ -426,8 +428,3 @@ def build_ruleset(harvest: Optional[Sequence[str]] = None,
             instances.extend(run.instances)
     kept, stats = filter_instances(instances)
     return infer_rules(kept, stats)
-
-
-def harvested_universe(rules: RuleSet) -> List[str]:
-    """Generatable registry keys backed by at least one inferred rule."""
-    return op_universe(sorted(rules.rules))

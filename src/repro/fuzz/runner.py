@@ -3,7 +3,8 @@
 One :func:`fuzz_run` call is a complete campaign:
 
 1. infer (or load) the transfer-rule set — harvest + calibration;
-2. generate and differentially check ``count`` seeded op programs;
+2. generate and differentially check ``count`` seeded op programs,
+   each run twice eagerly and replayed once against its own trace;
 3. run ``chaos`` seeded fault/rejection schedules through the server;
 4. harvest ``configs`` boundary workload configurations.
 
@@ -78,13 +79,8 @@ def fuzz_run(seed: int = 0, count: int = 50, max_ops: int = 12,
              harvest: Optional[Sequence[str]] = None,
              chaos: int = 0, configs: int = 0,
              rules: Optional[RuleSet] = None,
-             minimize: bool = True,
-             compiled: bool = False) -> FuzzReport:
-    """Run a full campaign; see the module docstring for the stages.
-
-    ``compiled=True`` adds the eager-vs-compiled differential to every
-    program check (:func:`repro.fuzz.oracle.check_program`).
-    """
+             minimize: bool = True) -> FuzzReport:
+    """Run a full campaign; see the module docstring for the stages."""
     ruleset = rules if rules is not None else build_ruleset(
         harvest, seed=seed)
     report = FuzzReport(seed=seed, rules=ruleset)
@@ -92,15 +88,14 @@ def fuzz_run(seed: int = 0, count: int = 50, max_ops: int = 12,
     base = seed * _PROGRAM_SEED_STRIDE
     for index in range(count):
         program = generate_program(base + index, max_ops=max_ops)
-        result = check_program(program, ruleset, compiled=compiled)
+        result = check_program(program, ruleset)
         report.checked += 1
         report.statuses[result.status] = (
             report.statuses.get(result.status, 0) + 1)
         if not result.ok:
             report.divergent.append(result)
             report.entries.append(
-                entry_for_program(result, ruleset, minimize=minimize,
-                                  compiled=compiled))
+                entry_for_program(result, ruleset, minimize=minimize))
 
     if chaos:
         for chaos_report in fuzz_chaos(seed, chaos):

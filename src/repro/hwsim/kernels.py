@@ -60,6 +60,8 @@ Stream = Tuple[np.ndarray, np.ndarray]  # (line addresses, is_write flags)
 #: sustained fractions of peak for the pipe-time deratings
 _FMA_SUSTAIN = 0.95
 _DRAM_SUSTAIN = 0.90
+#: warp schedulers per SM, each issuing one warp instruction per clock
+_SCHEDULERS_PER_CORE = 4
 
 
 @dataclass
@@ -310,8 +312,57 @@ def _per_core_l1(device: DeviceSpec) -> CacheSpec:
                      bandwidth=device.l1.bandwidth)
 
 
-def simulate_kernel(profile: KernelProfile, device: DeviceSpec,
-                    schedulers_per_core: int = 4) -> KernelCounters:
+def pipe_counters(name: str, kind: str, device: DeviceSpec, *,
+                  warp_insts: float, flops: float, fp_share: float,
+                  l1_bytes: float, l2_bytes: float, dram_bytes: float,
+                  l1_hit_rate_pct: float, l2_hit_rate_pct: float,
+                  overhead: float = 0.0, fused_epilogue: bool = False
+                  ) -> Optional[Tuple[KernelCounters, float]]:
+    """The analytic pipe-timing model: counters and elapsed seconds.
+
+    Elapsed time is the slowest pipe (instruction issue, FMA, L1, L2,
+    DRAM, with sustained-efficiency deratings) plus ``overhead``;
+    the throughput counters are pipe-time over elapsed-time ratios,
+    and ALU utilization is compute throughput weighted by
+    ``fp_share``.  ``fused_epilogue`` models a kernel that runs fused
+    with its producer (see the module docstring).  ``None`` when the
+    elapsed time is not positive.
+    """
+    issue_bw = device.num_cores * _SCHEDULERS_PER_CORE * device.clock_hz
+    t_issue_ideal = warp_insts / issue_bw
+    t_fma_ideal = flops / device.peak_flops
+    t_fma = t_fma_ideal / _FMA_SUSTAIN
+    t_l1 = l1_bytes / device.l1.bandwidth
+    t_l2 = l2_bytes / device.l2.bandwidth
+    t_dram = dram_bytes / (device.dram_bandwidth * _DRAM_SUSTAIN)
+    t_total = max(t_issue_ideal, t_fma, t_l1, t_l2, t_dram) + overhead
+    if t_total <= 0.0:
+        return None
+
+    if fused_epilogue:
+        # SM activity inherited from the producing kernel's pipeline,
+        # derated by any DRAM stall this kernel itself exposes
+        exposed = max(0.0, t_dram - max(t_issue_ideal, t_fma, t_l1, t_l2))
+        compute_pct = 95.0 * (1.0 - exposed / t_total)
+    else:
+        compute_pct = 100.0 * max(t_issue_ideal, t_fma_ideal) / t_total
+    counters = KernelCounters(
+        name=name,
+        kind=kind,
+        compute_throughput_pct=min(100.0, compute_pct),
+        alu_utilization_pct=min(100.0, fp_share * compute_pct),
+        l1_throughput_pct=min(100.0, 100.0 * t_l1 / t_total),
+        l2_throughput_pct=min(100.0, 100.0 * t_l2 / t_total),
+        l1_hit_rate_pct=l1_hit_rate_pct,
+        l2_hit_rate_pct=l2_hit_rate_pct,
+        dram_bw_utilization_pct=min(
+            100.0, 100.0 * (dram_bytes / device.dram_bandwidth) / t_total),
+    )
+    return counters, t_total
+
+
+def simulate_kernel(profile: KernelProfile,
+                    device: DeviceSpec) -> KernelCounters:
     """Replay the kernel's stream through the cache hierarchy and apply
     the analytic pipe-timing model; returns one Table IV column."""
     hierarchy = CacheHierarchy(_per_core_l1(device), device.l2)
@@ -330,35 +381,14 @@ def simulate_kernel(profile: KernelProfile, device: DeviceSpec,
     l2_bytes = profile.global_bytes * (stats.l2_bytes / max(stats.l1_bytes, 1))
     dram_bytes = max(stats.dram_bytes * dram_scale, profile.compulsory_bytes)
 
-    issue_bw = device.num_cores * schedulers_per_core * device.clock_hz
-    t_issue_ideal = profile.warp_insts / issue_bw
-    t_fma_ideal = profile.flops / device.peak_flops
-    t_fma = t_fma_ideal / _FMA_SUSTAIN
-    t_l1 = profile.l1_bytes / device.l1.bandwidth
-    t_l2 = l2_bytes / device.l2.bandwidth
-    t_dram = dram_bytes / (device.dram_bandwidth * _DRAM_SUSTAIN)
-    t_total = max(t_issue_ideal, t_fma, t_l1, t_l2, t_dram)
-
-    if profile.fused_epilogue:
-        # SM activity inherited from the producing kernel's pipeline,
-        # derated by any DRAM stall this kernel itself exposes
-        exposed = max(0.0, t_dram - max(t_issue_ideal, t_fma, t_l1, t_l2))
-        compute_pct = 95.0 * (1.0 - exposed / t_total)
-    else:
-        compute_pct = 100.0 * max(t_issue_ideal, t_fma_ideal) / t_total
-    alu_pct = profile.fp_inst_share * compute_pct
-    l1_pct = 100.0 * t_l1 / t_total
-    l2_pct = 100.0 * t_l2 / t_total
-    dram_pct = 100.0 * (dram_bytes / device.dram_bandwidth) / t_total
-
-    return KernelCounters(
-        name=profile.name,
-        kind=profile.kind,
-        compute_throughput_pct=min(100.0, compute_pct),
-        alu_utilization_pct=min(100.0, alu_pct),
-        l1_throughput_pct=min(100.0, l1_pct),
-        l2_throughput_pct=min(100.0, l2_pct),
+    modeled = pipe_counters(
+        profile.name, profile.kind, device,
+        warp_insts=profile.warp_insts, flops=profile.flops,
+        fp_share=profile.fp_inst_share, l1_bytes=profile.l1_bytes,
+        l2_bytes=l2_bytes, dram_bytes=dram_bytes,
         l1_hit_rate_pct=100.0 * stats.l1.hit_rate,
         l2_hit_rate_pct=100.0 * stats.l2.hit_rate,
-        dram_bw_utilization_pct=min(100.0, dram_pct),
-    )
+        fused_epilogue=profile.fused_epilogue)
+    if modeled is None:
+        raise ValueError(f"kernel {profile.name!r} models no work")
+    return modeled[0]

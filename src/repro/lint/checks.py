@@ -18,11 +18,10 @@ counters can silently go wrong:
   non-reproducible / non-monotonic; use ``np.random.default_rng`` and
   ``time.perf_counter``.
 * **RL005** — mutating the thread-local profile/fault-hook stacks —
-  or the observability layer's span/collector/metrics-runtime stacks,
-  or the serving pool's worker-context stack — outside the approved
-  context managers corrupts phase labels, span parent links, and hook
-  pairing for every event that follows; on the serving worker path an
-  unbalanced enter/exit additionally mislabels every later batch.
+  or the observability layer's span/collector/metrics-runtime/
+  trace-context stacks — outside the approved context managers
+  corrupts phase labels, span parent links, and hook pairing for
+  every event that follows.
 """
 
 from __future__ import annotations
@@ -494,23 +493,21 @@ class Determinism(LintCheck):
 _PRIVATE_CONTEXT_NAMES: Set[str] = {"_ctx_stack", "_fault_stack",
                                     "_observer_stack",
                                     "_span_stack", "_collector_stack",
-                                    "_runtime_stack", "_worker_stack",
-                                    "_trace_stack"}
+                                    "_runtime_stack", "_trace_stack"}
 #: modules that legitimately own a thread-local stack (exempt)
 _CONTEXT_MODULES: Tuple[str, ...] = ("tensor/context.py",
                                      "obs/spans.py", "obs/metrics.py",
-                                     "obs/tracectx.py", "serve/pool.py")
+                                     "obs/tracectx.py")
 #: ``from <module ending here> import _private`` is also a violation
 _PRIVATE_IMPORT_SOURCES: Tuple[str, ...] = ("tensor.context",
                                             "obs.spans", "obs.metrics",
-                                            "obs.tracectx", "serve.pool")
+                                            "obs.tracectx")
 _PHASE_ATTRS: Set[str] = {"current_phase", "current_stage"}
 _HOOK_FUNCS: Set[str] = {"push_fault_hook", "pop_fault_hook",
                          "push_op_observer", "pop_op_observer",
                          "push_span", "pop_span",
                          "install_collector", "uninstall_collector",
                          "push_runtime", "pop_runtime",
-                         "push_worker", "pop_worker",
                          "push_trace_context", "pop_trace_context"}
 
 

@@ -51,8 +51,6 @@ _WARP = 32.0
 #: hit rates are capped here — even perfectly resident working sets
 #: pay compulsory misses
 _MAX_HIT = 0.98
-#: warp schedulers per SM (matches ``hwsim.kernels.simulate_kernel``)
-_SCHEDULERS_PER_CORE = 4
 
 
 @dataclass(frozen=True)
@@ -163,13 +161,13 @@ def synthesize_kstats(label: str, events: Sequence[TraceEvent],
                       kind: Optional[str] = None) -> Optional[KernelStats]:
     """Fold ``events`` through the device model into one counter row.
 
-    Returns ``None`` for empty groups.  The pipe-time model mirrors
-    :func:`repro.hwsim.kernels.simulate_kernel` (same sustained-
-    efficiency deratings); hit rates come from the per-category
-    locality model, traffic-weighted across the group's events.
-    Per-event kernel-launch overhead is added to the elapsed time, so
-    a span of many tiny symbolic kernels shows the launch-bound idle
-    ALUs the paper characterizes.
+    Returns ``None`` for empty groups.  The pipe-time model is
+    :func:`repro.hwsim.kernels.pipe_counters`, the one
+    :func:`~repro.hwsim.kernels.simulate_kernel` applies; hit rates
+    come from the per-category locality model, traffic-weighted across
+    the group's events.  Per-event kernel-launch overhead is added to
+    the elapsed time, so a span of many tiny symbolic kernels shows
+    the launch-bound idle ALUs the paper characterizes.
     """
     events = list(events)
     if not events:
@@ -211,37 +209,19 @@ def synthesize_kstats(label: str, events: Sequence[TraceEvent],
         l2_bytes += to_l2
         dram_bytes += to_l2 * (1.0 - l2_hit)
 
-    issue_bw = (device.num_cores * _SCHEDULERS_PER_CORE
-                * device.clock_hz)
-    t_issue_ideal = warp_insts / issue_bw
-    t_fma_ideal = flops / device.peak_flops
-    t_fma = t_fma_ideal / _kernels._FMA_SUSTAIN
-    t_l1 = l1_bytes / device.l1.bandwidth
-    t_l2 = l2_bytes / device.l2.bandwidth
-    t_dram = dram_bytes / (device.dram_bandwidth
-                           * _kernels._DRAM_SUSTAIN)
-    launch = len(events) * device.kernel_launch_overhead
-    t_total = max(t_issue_ideal, t_fma, t_l1, t_l2, t_dram) + launch
-    if t_total <= 0.0:
-        return None
-
-    compute_pct = 100.0 * max(t_issue_ideal, t_fma_ideal) / t_total
-    fp_share = fp_insts / warp_insts if warp_insts > 0 else 0.0
-    counters = KernelCounters(
-        name=label,
-        kind=kind if kind is not None else _group_kind(events),
-        compute_throughput_pct=min(100.0, compute_pct),
-        alu_utilization_pct=min(100.0, fp_share * compute_pct),
-        l1_throughput_pct=min(100.0, 100.0 * t_l1 / t_total),
-        l2_throughput_pct=min(100.0, 100.0 * t_l2 / t_total),
+    modeled = _kernels.pipe_counters(
+        label, kind if kind is not None else _group_kind(events), device,
+        warp_insts=warp_insts, flops=flops,
+        fp_share=fp_insts / warp_insts if warp_insts > 0 else 0.0,
+        l1_bytes=l1_bytes, l2_bytes=l2_bytes, dram_bytes=dram_bytes,
         l1_hit_rate_pct=(100.0 * l1_hit_weighted / gbytes
                          if gbytes > 0 else 0.0),
         l2_hit_rate_pct=(100.0 * l2_hit_weighted / l2_bytes
                          if l2_bytes > 0 else 0.0),
-        dram_bw_utilization_pct=min(
-            100.0, 100.0 * (dram_bytes / device.dram_bandwidth)
-            / t_total),
-    )
+        overhead=len(events) * device.kernel_launch_overhead)
+    if modeled is None:
+        return None
+    counters, t_total = modeled
 
     roofline: Optional[RooflinePoint] = None
     if gbytes > 0 and flops > 0:

@@ -206,16 +206,7 @@ class Histogram(Metric):
             counts = list(self._counts.get(key, ()))
         if total <= 0:
             return 0.0
-        target = q / 100.0 * total
-        running, prev_bound = 0, 0.0
-        for bound, count in zip(self.buckets, counts):
-            if count and running + count >= target:
-                frac = (target - running) / count
-                return prev_bound + (bound - prev_bound) * frac
-            running += count
-            prev_bound = bound
-        # rank falls above the last finite bucket (overflow region)
-        return float("inf")
+        return _interpolate(self.buckets, counts, total, q)
 
     def summary(self, quantiles: Sequence[float] = (50.0, 95.0, 99.0),
                 **labels: object) -> Dict[str, float]:
@@ -230,6 +221,29 @@ class Histogram(Metric):
         }
         for q in quantiles:
             out[f"p{q:g}"] = self.percentile_key(key, q)
+        return out
+
+    def merged_summary(self, quantiles: Sequence[float] = (50.0, 95.0, 99.0)
+                       ) -> Dict[str, float]:
+        """:meth:`summary` over every label set at once.
+
+        Counts and sums add up across label sets (sums in label order);
+        percentiles interpolate over the bucket counts summed the same
+        way.
+        """
+        with self._lock:
+            keys = sorted(self._totals)
+            count = sum(self._totals[key] for key in keys)
+            total = sum(self._sums[key] for key in keys)
+            counts = [sum(column) for column in zip(*self._counts.values())]
+        out: Dict[str, float] = {
+            "count": float(count),
+            "sum": total,
+            "mean": total / count if count else 0.0,
+        }
+        for q in quantiles:
+            out[f"p{q:g}"] = (_interpolate(self.buckets, counts, count, q)
+                              if count else 0.0)
         return out
 
     def sum(self, **labels: object) -> float:
@@ -253,6 +267,24 @@ class Histogram(Metric):
             self._counts.clear()
             self._sums.clear()
             self._totals.clear()
+
+
+def _interpolate(buckets: Sequence[float], counts: Sequence[int],
+                 total: int, q: float) -> float:
+    """The ``q``-th percentile of ``total`` bucketed observations.
+
+    Linear interpolation inside the bucket the target rank falls into;
+    ``+inf`` when it lands above the last finite bucket.
+    """
+    target = q / 100.0 * total
+    running, prev_bound = 0, 0.0
+    for bound, count in zip(buckets, counts):
+        if count and running + count >= target:
+            frac = (target - running) / count
+            return prev_bound + (bound - prev_bound) * frac
+        running += count
+        prev_bound = bound
+    return float("inf")
 
 
 class MetricsRegistry:

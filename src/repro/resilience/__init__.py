@@ -23,9 +23,9 @@ from repro.resilience.faults import (FAULT_ALLOC, FAULT_INF, FAULT_KINDS,
 from repro.resilience.health import (HealthCheck, HealthReport,
                                      check_trace_health)
 from repro.resilience.runner import (CircuitBreaker, CircuitOpenError,
-                                     ResilientRunner, RetryPolicy,
-                                     RosterReport, WorkloadOutcome,
-                                     WorkloadTimeout, classify_error,
+                                     ResilientRunner, RosterReport,
+                                     WorkloadOutcome, WorkloadTimeout,
+                                     backoff_delay, classify_error,
                                      run_roster)
 from repro.tensor.context import InjectedFaultError
 
@@ -34,6 +34,6 @@ __all__ = [
     "FAULT_NAN", "FAULT_RAISE", "FaultPlan", "FaultSpec", "Injection",
     "HealthCheck", "HealthReport", "check_trace_health",
     "CircuitBreaker", "CircuitOpenError", "ResilientRunner",
-    "RetryPolicy", "RosterReport", "WorkloadOutcome", "WorkloadTimeout",
-    "classify_error", "run_roster", "InjectedFaultError",
+    "RosterReport", "WorkloadOutcome", "WorkloadTimeout",
+    "backoff_delay", "classify_error", "run_roster", "InjectedFaultError",
 ]

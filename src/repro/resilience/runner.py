@@ -8,13 +8,15 @@ service needs:
   hung workload is abandoned (the thread cannot be killed, but the
   roster moves on) and reported as :class:`WorkloadTimeout`;
 * **classified retries** — transient errors (timeouts, memory/OS
-  pressure, faults marked transient) are retried with exponential
-  backoff, deterministic jitter, and seed rotation; deterministic
+  pressure, faults marked transient) are retried, up to
+  ``max_retries`` times, with exponential backoff, deterministic
+  jitter, and seed rotation (:func:`backoff_delay`); deterministic
   errors fail fast because re-running reproducible bugs wastes time;
-* **per-workload circuit breakers** — repeated failures open the
-  breaker so a service does not keep burning cycles on a broken
-  workload; after a cooldown one half-open trial run decides whether
-  to close it again;
+* **per-workload circuit breakers** — :data:`BREAKER_THRESHOLD`
+  consecutive failures open the breaker so a service does not keep
+  burning cycles on a broken workload; after
+  :data:`BREAKER_COOLDOWN` seconds one half-open trial run decides
+  whether to close it again;
 * **health-gated reporting** — a profile that completes but fails
   health checks (:mod:`repro.resilience.health`) is *quarantined*: its
   report is kept and flagged ``degraded`` instead of poisoning the
@@ -79,6 +81,22 @@ FALLBACK = "fallback"
 TRANSIENT_ERROR_TYPES = (TimeoutError, MemoryError, ConnectionError,
                          OSError)
 
+#: backoff before retry *i* (0-based): ``min(BACKOFF_BASE *
+#: BACKOFF_FACTOR**i, BACKOFF_MAX)`` seconds, stretched by up to
+#: ``BACKOFF_JITTER`` (see :func:`backoff_delay`)
+BACKOFF_BASE = 0.1
+BACKOFF_FACTOR = 2.0
+BACKOFF_MAX = 5.0
+BACKOFF_JITTER = 0.1
+
+#: consecutive failures that open a workload's circuit breaker, and
+#: the seconds it stays open before one half-open trial
+BREAKER_THRESHOLD = 3
+BREAKER_COOLDOWN = 30.0
+
+#: phases a healthy trace must have recorded
+EXPECTED_PHASES = (PHASE_NEURAL, PHASE_SYMBOLIC)
+
 
 class WorkloadTimeout(TimeoutError):
     """An attempt exceeded the runner's wall-clock budget."""
@@ -97,53 +115,32 @@ def classify_error(exc: BaseException) -> str:
     return DETERMINISTIC
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Exponential backoff with deterministic jitter.
+def backoff_delay(attempt: int, rng: random.Random) -> float:
+    """Seconds to sleep after failed attempt ``attempt`` (0-based).
 
-    Attempt *i* (0-based) that fails transiently sleeps
-    ``min(base * factor**i, max_delay) * (1 + jitter * u)`` where
-    ``u`` is drawn from a ``Random(seed)`` stream — deterministic for
-    tests, decorrelated across workloads via per-workload seeds.
+    Exponential in ``attempt`` up to :data:`BACKOFF_MAX`, times
+    ``1 + BACKOFF_JITTER * u`` where ``u`` is the next draw of
+    ``rng`` — the runner seeds it per run, so the schedule is
+    deterministic for tests and decorrelated across workloads.
     """
-
-    max_retries: int = 2
-    base_delay: float = 0.1
-    factor: float = 2.0
-    max_delay: float = 5.0
-    jitter: float = 0.1
-
-    @property
-    def max_attempts(self) -> int:
-        return self.max_retries + 1
-
-    def delay(self, attempt: int, rng: random.Random) -> float:
-        base = min(self.base_delay * self.factor ** attempt,
-                   self.max_delay)
-        return base * (1.0 + self.jitter * rng.random())
-
-    def schedule(self, seed: int = 0) -> List[float]:
-        """The full backoff schedule this policy would sleep through."""
-        rng = random.Random(seed)
-        return [self.delay(i, rng) for i in range(self.max_retries)]
+    base = min(BACKOFF_BASE * BACKOFF_FACTOR ** attempt, BACKOFF_MAX)
+    return base * (1.0 + BACKOFF_JITTER * rng.random())
 
 
 class CircuitBreaker:
     """Classic closed / open / half-open breaker for one workload.
 
-    ``failure_threshold`` consecutive failures open the breaker; after
-    ``cooldown`` seconds a single half-open trial is allowed — success
-    closes the breaker, failure re-opens it immediately.
+    :data:`BREAKER_THRESHOLD` consecutive failures open the breaker;
+    after :data:`BREAKER_COOLDOWN` seconds on ``clock`` a single
+    half-open trial is allowed — success closes the breaker, failure
+    re-opens it immediately.
     """
 
     CLOSED = "closed"
     OPEN = "open"
     HALF_OPEN = "half_open"
 
-    def __init__(self, failure_threshold: int = 3, cooldown: float = 30.0,
-                 clock: Callable[[], float] = time.monotonic):
-        self.failure_threshold = failure_threshold
-        self.cooldown = cooldown
+    def __init__(self, clock: Callable[[], float] = time.monotonic):
         self._clock = clock
         self.state = self.CLOSED
         self.consecutive_failures = 0
@@ -152,7 +149,7 @@ class CircuitBreaker:
     def allow(self) -> bool:
         """May an attempt run now?  Transitions open → half-open."""
         if self.state == self.OPEN:
-            if self._clock() - self._opened_at >= self.cooldown:
+            if self._clock() - self._opened_at >= BREAKER_COOLDOWN:
                 self.state = self.HALF_OPEN
                 return True
             return False
@@ -165,7 +162,7 @@ class CircuitBreaker:
     def record_failure(self) -> None:
         self.consecutive_failures += 1
         if (self.state == self.HALF_OPEN
-                or self.consecutive_failures >= self.failure_threshold):
+                or self.consecutive_failures >= BREAKER_THRESHOLD):
             self.state = self.OPEN
             self._opened_at = self._clock()
 
@@ -199,9 +196,6 @@ class RosterReport:
     """Outcome of a resilient roster run; never partially lost."""
 
     outcomes: List[WorkloadOutcome] = field(default_factory=list)
-
-    def by_status(self, status: str) -> List[WorkloadOutcome]:
-        return [o for o in self.outcomes if o.status == status]
 
     @property
     def healthy(self) -> bool:
@@ -250,19 +244,16 @@ class RosterReport:
 class ResilientRunner:
     """Executes workloads with timeouts, retries, and circuit breaking.
 
-    ``sleep`` and ``clock`` are injectable for tests; ``factory``
-    defaults to the workload registry's ``create``.
+    Each run makes at most ``max_retries + 1`` attempts; retry *i*
+    runs with seed ``seed + i``.  ``sleep`` and ``clock`` are
+    injectable for tests; ``factory`` defaults to the workload
+    registry's ``create``.
     """
 
     def __init__(self,
                  device: DeviceSpec = RTX_2080TI,
                  timeout: Optional[float] = 120.0,
-                 retry: Optional[RetryPolicy] = None,
-                 breaker_threshold: int = 3,
-                 breaker_cooldown: float = 30.0,
-                 rotate_seed: bool = True,
-                 expected_phases: Sequence[str] = (PHASE_NEURAL,
-                                                   PHASE_SYMBOLIC),
+                 max_retries: int = 2,
                  factory: Optional[Callable[..., object]] = None,
                  sleep: Callable[[float], None] = time.sleep,
                  clock: Callable[[], float] = time.monotonic):
@@ -270,11 +261,7 @@ class ResilientRunner:
             from repro.workloads import create as factory  # deferred (cycle)
         self.device = device
         self.timeout = timeout
-        self.retry = retry if retry is not None else RetryPolicy()
-        self.breaker_threshold = breaker_threshold
-        self.breaker_cooldown = breaker_cooldown
-        self.rotate_seed = rotate_seed
-        self.expected_phases = tuple(expected_phases)
+        self.max_retries = max_retries
         self.factory = factory
         self.sleep = sleep
         self.clock = clock
@@ -287,9 +274,7 @@ class ResilientRunner:
         """The (lazily created) circuit breaker for ``name``."""
         with self._breakers_lock:
             if name not in self._breakers:
-                self._breakers[name] = CircuitBreaker(
-                    failure_threshold=self.breaker_threshold,
-                    cooldown=self.breaker_cooldown, clock=self.clock)
+                self._breakers[name] = CircuitBreaker(clock=self.clock)
             return self._breakers[name]
 
     # -- single workload -----------------------------------------------------
@@ -331,8 +316,9 @@ class ResilientRunner:
         last_error: Optional[BaseException] = None
         attempts = 0
         replay: Optional[str] = None
+        max_attempts = self.max_retries + 1
 
-        for attempt in range(self.retry.max_attempts):
+        for attempt in range(max_attempts):
             if not breaker.allow():
                 last_error = CircuitOpenError(
                     f"circuit for {name!r} is open "
@@ -342,7 +328,7 @@ class ResilientRunner:
             attempts += 1
             if _metrics.ENABLED:
                 _metrics.observe_attempt(name)
-            run_seed = seed + attempt if self.rotate_seed else seed
+            run_seed = seed + attempt
             error: Optional[BaseException] = None
             with _span(f"attempt#{attempts}", seed=run_seed) as att_span:
                 try:
@@ -361,17 +347,17 @@ class ResilientRunner:
                 breaker.record_failure()
                 last_error = error
                 if (classify_error(error) == DETERMINISTIC
-                        or attempt + 1 >= self.retry.max_attempts):
+                        or attempt + 1 >= max_attempts):
                     break
                 if _metrics.ENABLED:
                     _metrics.observe_retry(name)
                 with _span("backoff", attempt=attempt):
-                    self.sleep(self.retry.delay(attempt, rng))
+                    self.sleep(backoff_delay(attempt, rng))
                 continue
 
             with _span("health_check", workload=name) as hc_span:
                 health = check_trace_health(
-                    trace, expected_phases=self.expected_phases)
+                    trace, expected_phases=EXPECTED_PHASES)
                 if hc_span is not None:
                     hc_span.attrs["ok"] = health.ok
             report = self._safe_characterize(trace)

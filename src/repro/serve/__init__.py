@@ -8,7 +8,9 @@ points at.  The pipeline:
 
 ``Request`` → :class:`~repro.serve.queue.RequestQueue` (bounded,
 admission-controlled, classified rejections) → dynamic batching
-(same-key requests coalesce and execute once) →
+(requests with the same batch key, the ``(workload, seed, params)``
+tuple :attr:`~repro.serve.request.Request.key`, coalesce and execute
+once) →
 :class:`~repro.serve.pool.WorkerPool` (threads, per-worker
 :class:`~repro.hwsim.device.DeviceSpec` binding and
 :class:`~repro.resilience.runner.ResilientRunner`) →
@@ -23,8 +25,8 @@ same-key followers straight from the queue
 (:meth:`~repro.serve.queue.RequestQueue.take_batch`).
 
 Symbolic setup is amortized by the
-:class:`~repro.serve.cache.ArtifactCache` (keyed LRU of built
-workloads, deep-copied per execution).  Statistics are split into a
+:class:`~repro.serve.cache.ArtifactCache` (an LRU of built workloads
+keyed by the same batch key, deep-copied per execution).  Statistics are split into a
 ``deterministic`` section — reproducible bit-for-bit for a seeded
 schedule, via virtual-time planning + modeled device latencies — and
 a ``measured`` section for wall-clock figures.  CLI:
@@ -32,15 +34,14 @@ a ``measured`` section for wall-clock figures.  CLI:
 """
 
 from repro.serve.batcher import Batch, BatchPolicy, plan_batches
-from repro.serve.cache import ArtifactCache, ArtifactKey
+from repro.serve.cache import ArtifactCache
 from repro.serve.loadgen import (ClosedLoopReport, LoadSpec, load_schedule,
                                  open_loop, parse_mix, run_closed_loop,
                                  save_schedule)
-from repro.serve.pool import (BatchResult, Worker, WorkerPool, bind_worker,
-                              current_worker)
-from repro.serve.queue import (AdmissionPolicy, REJECT_QUEUE_FULL,
-                               REJECT_REASONS, REJECT_SHUTDOWN,
-                               REJECT_STALE_DEADLINE, RequestQueue)
+from repro.serve.pool import BatchResult, Worker, WorkerPool
+from repro.serve.queue import (REJECT_QUEUE_FULL, REJECT_REASONS,
+                               REJECT_SHUTDOWN, REJECT_STALE_DEADLINE,
+                               RequestQueue, admission_reason)
 from repro.serve.request import (REQUEST_STATUSES, STATUS_REJECTED,
                                  BatchKey, Request, Response,
                                  freeze_params, make_request, rejection)
@@ -55,15 +56,14 @@ from repro.serve.tracing import (REQUEST_SPAN_NAMES, batch_trace_context,
                                  verify_span_trees)
 
 __all__ = [
-    "AdmissionPolicy", "ArtifactCache", "ArtifactKey", "Batch",
-    "BatchKey", "BatchPolicy", "BatchResult", "ClosedLoopReport",
-    "InferenceServer", "LoadSpec", "PendingResponse",
+    "ArtifactCache", "Batch", "BatchKey", "BatchPolicy", "BatchResult",
+    "ClosedLoopReport", "InferenceServer", "LoadSpec", "PendingResponse",
     "REJECT_QUEUE_FULL", "REJECT_REASONS", "REJECT_SHUTDOWN",
     "REJECT_STALE_DEADLINE", "REQUEST_SPAN_NAMES", "REQUEST_STATUSES",
     "Request", "RequestQueue", "Response", "SERVE_LATENCY_BUCKETS",
     "STATUS_REJECTED", "ServeConfig", "ServeReport", "ServerStats",
-    "Worker", "WorkerPool", "batch_trace_context", "bind_worker",
-    "current_worker", "freeze_params", "load_schedule", "make_request",
+    "Worker", "WorkerPool", "admission_reason", "batch_trace_context",
+    "freeze_params", "load_schedule", "make_request",
     "mint_request_trace", "mint_schedule", "open_loop", "parse_mix",
     "plan_batches", "rejection", "request_span_trees",
     "run_closed_loop", "save_schedule", "serve_trace",

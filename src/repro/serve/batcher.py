@@ -11,11 +11,12 @@ This module holds the policy and the **virtual-time** planner,
 :func:`plan_batches`: a deterministic simulation over a timestamped
 arrival schedule in which a batch closes when it reaches
 ``max_batch_size`` or ``max_wait`` seconds after it opened — the
-classic latency/throughput dial.  Admission (queue-depth
-load-shedding) and batch composition depend only on the schedule,
-never on thread scheduling, so a seeded benchmark produces
-bit-identical batch plans across runs (the property ``repro serve
-bench`` asserts).
+classic latency/throughput dial.  Admission
+(:func:`~repro.serve.queue.admission_reason`, the live queue's rule:
+stale deadlines, then the ``max_depth`` bound) and batch composition
+depend only on the schedule, never on thread scheduling, so a seeded
+benchmark produces bit-identical batch plans across runs (the
+property ``repro serve bench`` asserts).
 
 The live server does not hold batches open: an idle worker takes the
 head request and its queued same-key followers straight from the
@@ -33,8 +34,7 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.serve.queue import (AdmissionPolicy, REJECT_QUEUE_FULL,
-                               REJECT_STALE_DEADLINE)
+from repro.serve.queue import admission_reason
 from repro.serve.request import BatchKey, Request
 
 
@@ -98,7 +98,7 @@ class _OpenGroup:
 def plan_batches(
     schedule: Sequence[Request],
     policy: Optional[BatchPolicy] = None,
-    admission: Optional[AdmissionPolicy] = None,
+    max_depth: int = 256,
 ) -> Tuple[List[Batch], List[Tuple[Request, str]]]:
     """Deterministically batch a timestamped arrival schedule.
 
@@ -106,10 +106,11 @@ def plan_batches(
     processed in ``(arrival, rid)`` order; a request joins the open
     group for its key (opening one if needed, planned to close
     ``max_wait`` after it opened) and a group closes early the moment
-    it fills.  When ``admission`` is given, queue depth is tracked —
-    requests occupy the queue from arrival until their batch closes —
-    and arrivals beyond ``max_depth`` are shed with classified
-    reasons, exactly mirroring :class:`RequestQueue` semantics.
+    it fills.  Queue depth is tracked — requests occupy the queue
+    from arrival until their batch closes — and each arrival passes
+    the live queue's admission rule against it, so stale deadlines
+    and arrivals beyond ``max_depth`` are shed with the same
+    classified reasons :class:`~repro.serve.queue.RequestQueue` gives.
 
     Returns ``(batches, rejections)``; batches carry close-order bids.
     The output depends only on the schedule and policies, making batch
@@ -142,14 +143,10 @@ def plan_batches(
 
     for request in arrivals:
         fire_due_closes(request.arrival)
-        if admission is not None:
-            if (admission.reject_stale and request.deadline is not None
-                    and request.deadline <= 0):
-                rejections.append((request, REJECT_STALE_DEADLINE))
-                continue
-            if depth >= admission.max_depth:
-                rejections.append((request, REJECT_QUEUE_FULL))
-                continue
+        reason = admission_reason(request, depth, max_depth)
+        if reason is not None:
+            rejections.append((request, reason))
+            continue
         depth += 1
         group = open_groups.get(request.key)
         if group is None:

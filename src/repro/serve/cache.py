@@ -16,9 +16,13 @@ deep-copying a built workload is 5-10x cheaper than rebuilding it,
 and every checkout starts from identical state, which is what makes
 repeated ``repro serve bench`` runs bit-identical.
 
-Hit/miss/eviction accounting is deterministic under concurrency: a
-per-key build gate ensures exactly one thread builds on a cold key
-(counted as the sole miss) while racers block and count hits.
+Entries are keyed by the request's batch key, the
+``(workload, seed, params)`` tuple of
+:attr:`~repro.serve.request.Request.key`, so a batch's key is its
+cache key.  Hit/miss/eviction accounting is deterministic under
+concurrency: a per-key build gate ensures exactly one thread builds
+on a cold key (counted as the sole miss) while racers block and
+count hits.
 
 Each entry also keeps its key's **plan** once the key repeats: the
 trace of an eager run of the key, which later runs of the key replay
@@ -33,19 +37,10 @@ from __future__ import annotations
 import copy
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 from repro.core.profiler import Trace
-
-
-@dataclass(frozen=True)
-class ArtifactKey:
-    """Identity of a cached build: workload + seed + frozen params."""
-
-    workload: str
-    seed: int
-    params: Tuple[Tuple[str, object], ...] = ()
+from repro.serve.request import BatchKey, freeze_params
 
 
 class _Entry:
@@ -71,15 +66,15 @@ class ArtifactCache:
         self.capacity = capacity
         self._builder = builder
         self._lock = threading.Lock()
-        self._entries: "OrderedDict[ArtifactKey, _Entry]" = OrderedDict()
-        self._gates: Dict[ArtifactKey, threading.Lock] = {}
+        self._entries: "OrderedDict[BatchKey, _Entry]" = OrderedDict()
+        self._gates: Dict[BatchKey, threading.Lock] = {}
         self.hits = 0
         self.misses = 0
         self.evictions = 0
         self.build_errors = 0
 
     # -- core ----------------------------------------------------------------
-    def checkout(self, key: ArtifactKey) -> object:
+    def checkout(self, key: BatchKey) -> object:
         """A fresh deep copy of the built workload for ``key``.
 
         Cold keys are built under a per-key gate: exactly one thread
@@ -128,13 +123,13 @@ class ArtifactCache:
                     self._gates.pop(key, None)
         return copy.deepcopy(entry.master)
 
-    def plan(self, key: ArtifactKey) -> Optional[Trace]:
+    def plan(self, key: BatchKey) -> Optional[Trace]:
         """The plan ``key`` kept, if it has one (shared, never copied)."""
         with self._lock:
             entry = self._entries.get(key)
             return None if entry is None else entry.plan
 
-    def offer(self, key: ArtifactKey, trace: Trace) -> bool:
+    def offer(self, key: BatchKey, trace: Trace) -> bool:
         """Offer an eager run's trace as ``key``'s plan; ``True`` if kept.
 
         Offer only the trace of a fault-free run that succeeded on its
@@ -153,9 +148,9 @@ class ArtifactCache:
             entry.plan = trace
             return True
 
-    def _build(self, key: ArtifactKey) -> object:
-        workload = self._builder(key.workload, seed=key.seed,
-                                 **dict(key.params))
+    def _build(self, key: BatchKey) -> object:
+        name, seed, params = key
+        workload = self._builder(name, seed=seed, **dict(params))
         build = getattr(workload, "build", None)
         if callable(build):
             build()
@@ -171,9 +166,7 @@ class ArtifactCache:
         simply miss to a new key.
         """
         def make(name: str, seed: int = 0, **params: object) -> object:
-            return self.checkout(ArtifactKey(
-                workload=name, seed=seed,
-                params=tuple(sorted(params.items()))))
+            return self.checkout((name, seed, freeze_params(params)))
         return make
 
     # -- accounting ----------------------------------------------------------

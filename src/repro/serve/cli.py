@@ -34,7 +34,6 @@ from repro.serve.batcher import BatchPolicy
 from repro.serve.loadgen import (LoadSpec, load_schedule, open_loop,
                                  parse_mix, run_closed_loop,
                                  save_schedule)
-from repro.serve.queue import AdmissionPolicy
 from repro.serve.request import STATUS_FAILED
 from repro.serve.server import InferenceServer, ServeConfig
 from repro.serve.stats import ServerStats
@@ -137,7 +136,7 @@ def _config_from_args(args: "argparse.Namespace") -> ServeConfig:
     return ServeConfig(
         workers=args.workers,
         devices=tuple(parse_device_list(args.device)),
-        admission=AdmissionPolicy(max_depth=args.queue_depth),
+        max_depth=args.queue_depth,
         batch=BatchPolicy(max_batch_size=args.max_batch,
                           max_wait=args.max_wait_ms / 1000.0),
         cache_capacity=args.cache_capacity,

@@ -61,8 +61,7 @@ class LoadSpec:
     duration: float = 10.0     #: schedule horizon, virtual seconds
     seed: int = 0              #: arrival-process seed
     deadline: Optional[float] = None  #: per-request SLO budget
-    seed_pool: int = 1         #: distinct workload seeds (batch keys/workload)
-    base_seed: int = 0         #: first workload seed in the pool
+    seed_pool: int = 1         #: workload seeds 0..seed_pool-1 (batch keys)
 
     def __post_init__(self) -> None:
         if self.rate <= 0:
@@ -95,7 +94,7 @@ def open_loop(spec: LoadSpec) -> List[Request]:
         if clock >= spec.duration:
             break
         workload = rng.choices(names, weights=weights, k=1)[0]
-        seed = spec.base_seed + rng.randrange(spec.seed_pool)
+        seed = rng.randrange(spec.seed_pool)
         schedule.append(make_request(
             rid, workload, arrival=clock, seed=seed,
             deadline=spec.deadline))
@@ -167,7 +166,7 @@ def run_closed_loop(server: "object", spec: LoadSpec,
         try:
             for _ in range(requests_per_client):
                 workload = rng.choices(names, weights=weights, k=1)[0]
-                seed = spec.base_seed + rng.randrange(spec.seed_pool)
+                seed = rng.randrange(spec.seed_pool)
                 pending = server.submit(workload, seed=seed,
                                         deadline=spec.deadline)
                 with lock:

@@ -1,27 +1,20 @@
 """Worker pool: threads executing batches on bound devices.
 
-Each :class:`Worker` owns a :class:`~repro.resilience.runner.
-ResilientRunner` whose factory is the shared
-:class:`~repro.serve.cache.ArtifactCache`, and binds one
-:class:`~repro.hwsim.device.DeviceSpec` — the device is what turns a
-measured batch execution into a *modeled* per-device latency in the
-server's dispatch simulation.  Faults degrade individual batches
-(the runner's contract) instead of killing the worker thread, so the
-pool survives hostile load.
+Each :class:`Worker` binds one :class:`~repro.hwsim.device.DeviceSpec`
+and owns a :class:`~repro.resilience.runner.ResilientRunner` on that
+device, whose factory is the shared
+:class:`~repro.serve.cache.ArtifactCache`: the runner characterizes
+each batch's trace on the worker's device, and the server turns the
+trace into a *modeled* per-device latency on it.  A batch's key is
+its cache key.  Faults degrade individual batches (the runner's
+contract) instead of killing the worker thread, so the pool survives
+hostile load.
 
 A worker replays a batch key that has kept a plan, an earlier eager
 trace of the key (:meth:`~repro.serve.cache.ArtifactCache.plan`), and
 offers the cache the trace of each fault-free eager run that succeeded
 on its first attempt (:meth:`~repro.serve.cache.ArtifactCache.offer`).
 Fault-plan batches neither replay nor offer.
-
-Workers announce themselves on a thread-local context stack
-(:func:`push_worker` / :func:`pop_worker`, normally entered through
-the :func:`bind_worker` context manager) so code running inside a
-batch — fault hooks, metrics, diagnostics — can ask
-:func:`current_worker` where it is.  The enter/exit pair on the
-worker path must stay balanced; ``repro.lint`` rule RL005 enforces
-this for external callers.
 
 :meth:`WorkerPool.execute` is the batch-mode entry (a fixed batch
 plan, results keyed by bid); :meth:`WorkerPool.execute_live` serves
@@ -31,12 +24,10 @@ shared ``take`` callable.  Both run the same worker loop.
 
 from __future__ import annotations
 
-import contextlib
 import copy
 import threading
 from dataclasses import dataclass, field
-from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
-                    Sequence)
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.hwsim.device import DeviceSpec
 from repro.obs.clock import perf_s
@@ -44,48 +35,10 @@ from repro.obs.spans import SpanCollector, SpanRecord
 from repro.obs.spans import span as _span
 from repro.resilience.faults import FaultPlan
 from repro.resilience.runner import (REPLAYED, STATUS_FAILED,
-                                     ResilientRunner, RetryPolicy,
-                                     WorkloadOutcome)
+                                     ResilientRunner, WorkloadOutcome)
 from repro.serve.batcher import Batch
-from repro.serve.cache import ArtifactCache, ArtifactKey
+from repro.serve.cache import ArtifactCache
 from repro.serve.tracing import batch_trace_context
-
-_state = threading.local()
-
-
-def _worker_stack() -> List["Worker"]:
-    if not hasattr(_state, "workers"):
-        _state.workers = []
-    return _state.workers
-
-
-def push_worker(worker: "Worker") -> None:
-    """Enter ``worker``'s context on this thread (pair with pop)."""
-    _worker_stack().append(worker)
-
-
-def pop_worker() -> None:
-    """Leave the innermost worker context on this thread."""
-    stack = _worker_stack()
-    if stack:
-        stack.pop()
-
-
-def current_worker() -> Optional["Worker"]:
-    """The worker executing on this thread, if any."""
-    stack = _worker_stack()
-    return stack[-1] if stack else None
-
-
-@contextlib.contextmanager
-def bind_worker(worker: "Worker") -> Iterator["Worker"]:
-    """Scoped worker context; the only sanctioned enter/exit pairing."""
-    push_worker(worker)
-    try:
-        yield worker
-    finally:
-        pop_worker()
-
 
 @dataclass
 class BatchResult:
@@ -117,7 +70,7 @@ class Worker:
     def __init__(self, index: int, device: DeviceSpec,
                  cache: ArtifactCache,
                  timeout: Optional[float] = None,
-                 retry: Optional[RetryPolicy] = None,
+                 max_retries: int = 1,
                  fault_plans: Optional[Dict[str, FaultPlan]] = None):
         self.index = index
         self.name = f"worker-{index}"
@@ -127,11 +80,8 @@ class Worker:
         # timeout=None keeps attempts on this thread, which preserves
         # thread-local metric/span bindings for the whole batch.
         self.runner = ResilientRunner(
-            timeout=timeout,
-            retry=retry or RetryPolicy(max_retries=1),
-            factory=cache.factory(),
-        )
-        self.batches_executed = 0
+            device=device, timeout=timeout, max_retries=max_retries,
+            factory=cache.factory())
 
     def execute_batch(self, batch: Batch) -> BatchResult:
         """Run ``batch``'s workload once under full protection.
@@ -146,31 +96,28 @@ class Worker:
             # workers sharing one plan object would rewind each other's
             # op counters mid-run; each batch gets a private copy.
             fault_plan = copy.deepcopy(fault_plan)
-        key = ArtifactKey(*batch.key)
         collector = SpanCollector()
         start = perf_s()
         # the batch's trace context becomes ambient for the whole
         # execution, so runner attempts and profile spans all carry
         # the batch trace id and stay linkable to the member requests
         ctx = batch_trace_context(batch)
-        with bind_worker(self):
-            with collector:
-                with _span("serve:batch", ctx=ctx, bid=batch.bid,
-                           workload=batch.workload, size=batch.size,
-                           worker=self.name, device=self.device.name,
-                           rids=[r.rid for r in batch.requests],
-                           traces=[r.trace.trace_id
-                                   for r in batch.requests
-                                   if r.trace is not None]):
-                    outcome = self.runner.run_workload(
-                        batch.workload, seed=batch.seed,
-                        fault_plan=fault_plan, plan=self.cache.plan(key),
-                        **batch.params)
+        with collector:
+            with _span("serve:batch", ctx=ctx, bid=batch.bid,
+                       workload=batch.workload, size=batch.size,
+                       worker=self.name, device=self.device.name,
+                       rids=[r.rid for r in batch.requests],
+                       traces=[r.trace.trace_id
+                               for r in batch.requests
+                               if r.trace is not None]):
+                outcome = self.runner.run_workload(
+                    batch.workload, seed=batch.seed,
+                    fault_plan=fault_plan,
+                    plan=self.cache.plan(batch.key), **batch.params)
         wall = perf_s() - start
         kept = (fault_plan is None and outcome.ok
                 and outcome.attempts == 1 and outcome.replay != REPLAYED
-                and self.cache.offer(key, outcome.report.trace))
-        self.batches_executed += 1
+                and self.cache.offer(batch.key, outcome.report.trace))
         return BatchResult(
             batch=batch, status=outcome.status, worker=self.name,
             device=self.device.name, attempts=outcome.attempts,

@@ -3,10 +3,12 @@
 The service's front door.  :meth:`RequestQueue.offer` is the only way
 in and **never blocks**: under pressure the queue sheds load instead
 of wedging producers, returning a classified rejection reason
-(``queue_full`` past the depth bound, ``stale_deadline`` for requests
-whose SLO budget is already spent at admission, ``shutdown`` once the
-queue is closed).  Every rejection is counted per reason — load is
-never dropped silently.
+(``queue_full`` past the ``max_depth`` bound, ``stale_deadline`` for
+requests whose SLO budget is already spent at admission, ``shutdown``
+once the queue is closed).  Every rejection is counted per reason —
+load is never dropped silently.  :func:`admission_reason` is the one
+admission rule: the virtual-time planner
+(:func:`~repro.serve.batcher.plan_batches`) applies it too.
 
 Consumers use :meth:`take_batch`, which hands out the head request
 by ``(priority, arrival, rid)`` — so urgent traffic overtakes bulk
@@ -22,7 +24,6 @@ from __future__ import annotations
 
 import heapq
 import threading
-from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.serve.request import Request
@@ -36,23 +37,27 @@ REJECT_REASONS = (REJECT_QUEUE_FULL, REJECT_STALE_DEADLINE,
                   REJECT_SHUTDOWN)
 
 
-@dataclass(frozen=True)
-class AdmissionPolicy:
-    """Load-shedding rules applied at :meth:`RequestQueue.offer`."""
+def admission_reason(request: Request, depth: int,
+                     max_depth: int) -> Optional[str]:
+    """Why ``request`` is shed with ``depth`` requests queued, or ``None``.
 
-    max_depth: int = 256       #: queued requests beyond this are shed
-    reject_stale: bool = True  #: shed requests with no deadline budget left
-
-    def __post_init__(self) -> None:
-        if self.max_depth < 1:
-            raise ValueError("admission max_depth must be >= 1")
+    Staleness is the request's own fault, so it is classified first:
+    a full queue does not mask an already-spent SLO budget.
+    """
+    if request.deadline is not None and request.deadline <= 0:
+        return REJECT_STALE_DEADLINE
+    if depth >= max_depth:
+        return REJECT_QUEUE_FULL
+    return None
 
 
 class RequestQueue:
     """Bounded, priority-ordered, thread-safe request queue."""
 
-    def __init__(self, policy: Optional[AdmissionPolicy] = None):
-        self.policy = policy or AdmissionPolicy()
+    def __init__(self, max_depth: int = 256):
+        if max_depth < 1:
+            raise ValueError("max_depth must be >= 1")
+        self.max_depth = max_depth
         self._lock = threading.Lock()
         self._not_empty = threading.Condition(self._lock)
         self._heap: List[tuple] = []
@@ -69,7 +74,9 @@ class RequestQueue:
         :data:`REJECT_REASONS`.  Never blocks.
         """
         with self._not_empty:
-            reason = self._admission_reason(request)
+            reason = (REJECT_SHUTDOWN if self._closed else
+                      admission_reason(request, len(self._heap),
+                                       self.max_depth))
             if reason is not None:
                 self.rejected[reason] = self.rejected.get(reason, 0) + 1
                 return reason
@@ -79,18 +86,6 @@ class RequestQueue:
                 self.peak_depth = len(self._heap)
             self._not_empty.notify()
             return None
-
-    def _admission_reason(self, request: Request) -> Optional[str]:
-        if self._closed:
-            return REJECT_SHUTDOWN
-        # staleness is the request's own fault — classify it first so
-        # a full queue doesn't mask an already-blown SLO budget
-        if (self.policy.reject_stale and request.deadline is not None
-                and request.deadline <= 0):
-            return REJECT_STALE_DEADLINE
-        if len(self._heap) >= self.policy.max_depth:
-            return REJECT_QUEUE_FULL
-        return None
 
     # -- consumer side -------------------------------------------------------
     def take_batch(self, max_size: int,
@@ -134,10 +129,6 @@ class RequestQueue:
         with self._not_empty:
             self._closed = True
             self._not_empty.notify_all()
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
 
     @property
     def depth(self) -> int:

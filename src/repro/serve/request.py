@@ -21,7 +21,7 @@ marks requests shed at admission with a classified reason.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.obs.tracectx import TraceContext
@@ -142,7 +142,6 @@ class Response:
     attempts: int = 0
     error: Optional[str] = None
     error_type: Optional[str] = None
-    result: Dict[str, object] = field(default_factory=dict)
     trace_id: Optional[str] = None     # causal trace this request yields
     assemble_wait: float = 0.0         # batch open -> batch close
     dispatch_wait: float = 0.0         # batch close -> service start

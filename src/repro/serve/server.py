@@ -28,6 +28,13 @@ worker is busy, and an idle worker takes the head request together
 with its queued same-key followers (up to ``max_batch_size``) and
 runs them at once; ``max_wait`` plays no part.  Live figures are
 measured, not deterministic.
+
+Both modes admit with the same rule
+(:func:`~repro.serve.queue.admission_reason` against
+``ServeConfig.max_depth``) and build every executed request's
+:class:`~repro.serve.request.Response` in one place
+(:meth:`InferenceServer._response_for`), which also demotes an ``ok``
+past its deadline to ``degraded``.
 """
 
 from __future__ import annotations
@@ -43,13 +50,11 @@ from repro.hwsim.device import DeviceSpec
 from repro.hwsim.devices import RTX_2080TI
 from repro.obs.clock import perf_s
 from repro.resilience.faults import FaultPlan
-from repro.resilience.runner import (STATUS_DEGRADED, STATUS_OK,
-                                     RetryPolicy)
+from repro.resilience.runner import STATUS_DEGRADED, STATUS_OK
 from repro.serve.batcher import Batch, BatchPolicy, plan_batches
 from repro.serve.cache import ArtifactCache
 from repro.serve.pool import BatchResult, Worker, WorkerPool
-from repro.serve.queue import (REJECT_SHUTDOWN, AdmissionPolicy,
-                               RequestQueue)
+from repro.serve.queue import REJECT_SHUTDOWN, RequestQueue
 from repro.serve.request import (Request, Response, make_request,
                                  rejection)
 from repro.serve.stats import ServerStats
@@ -64,7 +69,7 @@ class ServeConfig:
 
     workers: int = 2
     devices: Tuple[DeviceSpec, ...] = (RTX_2080TI,)
-    admission: AdmissionPolicy = field(default_factory=AdmissionPolicy)
+    max_depth: int = 256              # queued requests beyond this are shed
     batch: BatchPolicy = field(default_factory=BatchPolicy)
     cache_capacity: int = 32
     timeout: Optional[float] = None   # per-attempt wall budget
@@ -75,6 +80,8 @@ class ServeConfig:
             raise ValueError("need at least one worker")
         if not self.devices:
             raise ValueError("need at least one device")
+        if self.max_depth < 1:
+            raise ValueError("max_depth must be >= 1")
 
     def device_for(self, index: int) -> DeviceSpec:
         """Worker ``index`` binds ``devices[index % len(devices)]``."""
@@ -93,9 +100,6 @@ class ServeReport:
 
     def summary(self) -> Dict[str, object]:
         return self.stats.summary()
-
-    def render(self) -> str:
-        return self.stats.render()
 
     def report_trace(self):
         """A representative batch trace with serving spans attached.
@@ -124,10 +128,6 @@ class ServeReport:
         spans.extend(request_span_trees(self.responses, sid_base=sid_base))
         trace.spans = spans
         return trace
-
-    def request_spans(self):
-        """Synthesized lifecycle span trees for every response."""
-        return request_span_trees(self.responses)
 
 
 class PendingResponse:
@@ -161,11 +161,10 @@ class InferenceServer:
         self.config = config or ServeConfig()
         self.cache = ArtifactCache(capacity=self.config.cache_capacity)
         self.stats = ServerStats()
-        retry = RetryPolicy(max_retries=self.config.max_retries)
         self.workers = [
             Worker(index=i, device=self.config.device_for(i),
                    cache=self.cache, timeout=self.config.timeout,
-                   retry=retry,
+                   max_retries=self.config.max_retries,
                    # each worker gets private plan copies: FaultPlan is
                    # stateful and must not be shared across threads
                    fault_plans=copy.deepcopy(fault_plans or {}))
@@ -229,7 +228,7 @@ class InferenceServer:
         # request carries its TraceContext from here on
         schedule = mint_schedule(schedule)
         batches, rejections = plan_batches(
-            schedule, self.config.batch, self.config.admission)
+            schedule, self.config.batch, self.config.max_depth)
         start = perf_s()
         results = self.pool.execute(batches)
         wall = perf_s() - start
@@ -283,13 +282,21 @@ class InferenceServer:
                     request, batch, result,
                     worker=f"worker-{widx}", device=device.name,
                     service_start=service_start, service=service,
-                    completion=completion))
+                    completion=completion,
+                    dispatch_wait=max(0.0, service_start
+                                      - batch.close_time)))
         return responses
 
     def _response_for(self, request: Request, batch: Batch,
                       result: BatchResult, *, worker: str, device: str,
                       service_start: float, service: float,
-                      completion: float) -> Response:
+                      completion: float,
+                      dispatch_wait: float) -> Response:
+        """The response of ``request``, executed in ``batch``.
+
+        A request completing past its deadline is a degradation: an
+        ``ok`` batch outcome becomes ``degraded`` for that request.
+        """
         status = result.status
         exceeded = (request.deadline is not None
                     and completion - request.arrival > request.deadline)
@@ -309,7 +316,7 @@ class InferenceServer:
                       if request.trace is not None else None),
             assemble_wait=max(0.0, batch.close_time
                               - max(request.arrival, batch.open_time)),
-            dispatch_wait=max(0.0, service_start - batch.close_time))
+            dispatch_wait=dispatch_wait)
 
     @staticmethod
     def _virtual_peak_depth(schedule: Sequence[Request],
@@ -346,7 +353,7 @@ class InferenceServer:
         if self._threads:
             raise RuntimeError("server already started")
         self._epoch = perf_s()
-        self._queue = RequestQueue(self.config.admission)
+        self._queue = RequestQueue(self.config.max_depth)
         self._threads = self.pool.execute_live(
             functools.partial(self._take_batch, self._queue),
             self._on_batch_result)
@@ -401,32 +408,17 @@ class InferenceServer:
         completion = self.clock()
         batch = result.batch
         widx = int(result.worker.rsplit("-", 1)[-1]) if result.worker else 0
-        device = self.config.device_for(widx)
-        service = self._modeled_latency(result, device)
+        service = self._modeled_latency(result, self.config.device_for(widx))
+        # the batch ran from close; what its wall leaves of close ->
+        # completion is dispatch
+        dispatch_wait = max(0.0, completion - batch.close_time - result.wall)
         self.stats.record_batch(result)
         for request in batch.requests:
-            status = result.status
-            exceeded = (request.deadline is not None
-                        and completion - request.arrival > request.deadline)
-            if exceeded and status == STATUS_OK:
-                status = STATUS_DEGRADED
-            response = Response(
-                rid=request.rid, workload=request.workload, status=status,
-                bid=batch.bid, batch_size=batch.size,
-                worker=result.worker, device=result.device,
-                arrival=request.arrival,
-                queue_wait=batch.queue_wait(request),
-                service_start=batch.close_time, modeled_latency=service,
-                completion=completion, deadline=request.deadline,
-                deadline_exceeded=exceeded, measured_wall=result.wall,
-                attempts=result.attempts, error=result.error,
-                error_type=result.error_type,
-                trace_id=(request.trace.trace_id
-                          if request.trace is not None else None),
-                assemble_wait=max(0.0, batch.close_time
-                                  - max(request.arrival, batch.open_time)),
-                dispatch_wait=max(0.0, completion - batch.close_time
-                                  - result.wall))
+            response = self._response_for(
+                request, batch, result, worker=result.worker,
+                device=result.device, service_start=batch.close_time,
+                service=service, completion=completion,
+                dispatch_wait=dispatch_wait)
             self.stats.record_response(response)
             self._publish(response)
             with self._pending_lock:

@@ -29,7 +29,6 @@ from typing import Dict, List, Optional
 
 from repro.core.report import format_time, render_table
 from repro.obs.metrics import Histogram, MetricsRegistry
-from repro.obs.prom import render_registry
 from repro.resilience.runner import FALLBACK, REPLAYED
 from repro.serve.pool import BatchResult
 from repro.serve.queue import REJECT_REASONS
@@ -40,6 +39,9 @@ from repro.serve.request import (REQUEST_STATUSES, STATUS_REJECTED,
 SERVE_LATENCY_BUCKETS = tuple(10.0 ** (-5 + 0.25 * i) for i in range(29))
 
 _QUANTILES = (50.0, 95.0, 99.0)
+#: the all-workload block of a histogram nothing was observed in
+_EMPTY_BLOCK = {"count": 0, "sum": 0.0, "mean": 0.0,
+                "p50": 0.0, "p95": 0.0, "p99": 0.0}
 
 
 class ServerStats:
@@ -164,28 +166,10 @@ class ServerStats:
 
     def _quantile_block(self, hist: Histogram,
                         workload: Optional[str] = None) -> Dict[str, float]:
-        if workload is None:
-            per = [hist.summary(_QUANTILES, workload=w)
-                   for w in self._workloads()]
-            per = [s for s in per if s["count"]]
-            if not per:
-                return {"count": 0, "sum": 0.0, "mean": 0.0,
-                        "p50": 0.0, "p95": 0.0, "p99": 0.0}
-            # Cross-label percentiles come from the merged buckets.
-            counts = [0] * len(hist.buckets)
-            with hist._lock:
-                for per_key in hist._counts.values():
-                    for i, c in enumerate(per_key):
-                        counts[i] += c
-            total = sum(s["count"] for s in per)
-            overall = {"count": total,
-                       "sum": sum(s["sum"] for s in per)}
-            overall["mean"] = overall["sum"] / total
-            for q in _QUANTILES:
-                overall[f"p{int(q)}"] = _percentile_of(
-                    hist.buckets, counts, total, q)
-            return overall
-        return hist.summary(_QUANTILES, workload=workload)
+        if workload is not None:
+            return hist.summary(_QUANTILES, workload=workload)
+        block = hist.merged_summary(_QUANTILES)
+        return block if block["count"] else dict(_EMPTY_BLOCK)
 
     def summary(self) -> Dict[str, object]:
         """Two-section stats dump; see module docstring for the split."""
@@ -293,22 +277,3 @@ class ServerStats:
             f"replays={replay['replays']} fallbacks={replay['fallbacks']} "
             f"plans_kept={replay['plans_kept']}")
         return "\n\n".join(lines)
-
-    def render_prometheus(self) -> str:
-        """Prometheus exposition of the private serving registry."""
-        return render_registry(self.registry)
-
-
-def _percentile_of(buckets, counts, total: int, q: float) -> float:
-    """Interpolated percentile over merged cumulative-style counts."""
-    target = q / 100.0 * total
-    seen = 0
-    prev_bound = 0.0
-    for bound, count in zip(buckets, counts):
-        if count:
-            if seen + count >= target:
-                frac = (target - seen) / count
-                return prev_bound + frac * (bound - prev_bound)
-            seen += count
-        prev_bound = bound
-    return float("inf") if total else 0.0

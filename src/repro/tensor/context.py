@@ -42,19 +42,22 @@ lookup per op.
 
 Fault hooks: a hook (in practice a
 :class:`repro.resilience.faults.FaultPlan`) is consulted by the
-dispatcher once per recorded operation and may answer with an injection
-— poisoned counters, simulated latency, an allocation blowup, or a
-raised :class:`InjectedFaultError`.  The tensor layer only defines the
-protocol; all fault policy lives in :mod:`repro.resilience`.
+dispatcher once per recorded operation through its
+``consider(name, phase, stage)`` method and may answer with an
+injection — poisoned counters, simulated latency, an allocation
+blowup, or a raised :class:`InjectedFaultError`.  The tensor layer
+only defines the protocol; all fault policy lives in
+:mod:`repro.resilience`.
 
 Op observers: *op observers* are objects with an
 ``observe_op(event, inputs, output)`` method that the
 dispatcher calls once per recorded tensor op, passing the freshly
 recorded :class:`~repro.core.profiler.TraceEvent` together with the
-raw input values and output array.  Observers see what the trace
-cannot: dtypes and exact input byte counts.  The fuzzing harvester
-(:mod:`repro.fuzz.harvest`) is the canonical observer; install one
-with the :func:`op_observer` context manager.
+raw input values and output array; observers must not mutate any of
+the three.  Observers see what the trace cannot: dtypes and exact
+input byte counts.  The fuzzing harvester (:mod:`repro.fuzz.harvest`)
+is the canonical observer; install one with the :func:`op_observer`
+context manager.
 
 Plan sessions: :func:`repro.compile.executor.plan_session` pushes a
 session; while it is open the dispatcher replays each op against the
@@ -141,17 +144,6 @@ class InjectedFaultError(RuntimeError):
         self.transient = transient
 
 
-def active_fault_hook() -> Optional[object]:
-    """The innermost installed fault hook, or ``None``.
-
-    A hook exposes ``consider(name, phase, stage)`` returning either
-    ``None`` or an injection object understood by the dispatcher
-    (``raises``/``poison``/``extra_latency``/``blocking``/
-    ``extra_live_bytes`` attributes).
-    """
-    return thread_local.dispatch.fault_hook
-
-
 def push_fault_hook(hook: object) -> None:
     """Install ``hook`` as the active fault hook for this thread."""
     thread_local.dispatch.push("fault_hook", hook)
@@ -160,18 +152,6 @@ def push_fault_hook(hook: object) -> None:
 def pop_fault_hook(hook: object) -> None:
     """Remove ``hook``; it must be the innermost installed hook."""
     thread_local.dispatch.pop("fault_hook", hook)
-
-
-def active_op_observer() -> Optional[object]:
-    """The innermost installed op observer, or ``None``.
-
-    An observer exposes ``observe_op(event, inputs, output)`` where
-    ``event`` is the just-recorded trace event, ``inputs`` the raw
-    values the kernel consumed (numpy arrays or python scalars, in
-    call order) and ``output`` the raw output array.  Observers must
-    not mutate any of the three.
-    """
-    return thread_local.dispatch.observer
 
 
 def push_op_observer(observer: object) -> None:

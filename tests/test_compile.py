@@ -30,7 +30,7 @@ from repro.resilience.faults import FaultPlan, FaultSpec
 from repro.resilience.runner import (DETERMINISTIC, FALLBACK, REPLAYED,
                                      ResilientRunner, classify_error)
 from repro.serve.batcher import Batch
-from repro.serve.cache import ArtifactCache, ArtifactKey
+from repro.serve.cache import ArtifactCache
 from repro.serve.pool import Worker
 from repro.serve.request import make_request
 from repro.serve.server import InferenceServer, ServeConfig
@@ -284,7 +284,7 @@ class TestServePlanPolicy:
     def test_second_run_keeps_and_third_replays(self):
         cache = ArtifactCache(capacity=4)
         worker = Worker(0, RTX_2080TI, cache)
-        key = ArtifactKey("nlm", 0)
+        key = ("nlm", 0, ())
         first = worker.execute_batch(_batch(0))
         assert (first.outcome.replay, first.kept_plan) == (None, False)
         assert cache.plan(key) is None
@@ -299,7 +299,7 @@ class TestServePlanPolicy:
     def test_fault_batches_and_retries_neither_keep_nor_replay(self):
         cache = ArtifactCache(capacity=4)
         worker = Worker(0, RTX_2080TI, cache)
-        key = ArtifactKey("nlm", 0)
+        key = ("nlm", 0, ())
         worker.execute_batch(_batch(0))
         worker.execute_batch(_batch(1))
         plan = cache.plan(key)
@@ -330,16 +330,16 @@ class TestServePlanPolicy:
         assert seeds == [0, 1]
         assert (result.outcome.replay, result.kept_plan) == (None, False)
         assert cache.plan(key) is plan
-        assert cache.plan(ArtifactKey("nlm", 1)) is None
+        assert cache.plan(("nlm", 1, ())) is None
 
     def test_kept_plan_leaves_with_its_entry(self):
         cache = ArtifactCache(capacity=1)
         worker = Worker(0, RTX_2080TI, cache)
-        key = ArtifactKey("nlm", 0)
+        key = ("nlm", 0, ())
         worker.execute_batch(_batch(0))
         worker.execute_batch(_batch(1))
         assert cache.plan(key) is not None
-        cache.checkout(ArtifactKey("nlm", 1))       # evicts the key
+        cache.checkout(("nlm", 1, ()))       # evicts the key
         assert cache.stats()["evictions"] == 1
         assert cache.plan(key) is None
         # the rebuilt entry starts over: its first run keeps nothing
@@ -357,7 +357,7 @@ class TestServePlanPolicy:
         rounds, threads_n = 200, 8
         cache = ArtifactCache(capacity=rounds,
                               builder=lambda name, seed=0, **kw: Built())
-        keys = [ArtifactKey("x", seed) for seed in range(rounds)]
+        keys = [("x", seed, ()) for seed in range(rounds)]
         for key in keys:
             cache.checkout(key)
         traces = [Trace("x") for _ in range(threads_n)]
@@ -388,7 +388,7 @@ class TestServePlanPolicy:
         # LTN's op graph depends on its seed, so a seed-1 trace kept as
         # the seed-0 key's plan diverges
         server = InferenceServer(ServeConfig(workers=1))
-        key = ArtifactKey("ltn", 0)
+        key = ("ltn", 0, ())
         wrong = create("ltn", seed=1).profile()
         server.cache.checkout(key)
         server.cache.offer(key, wrong)
@@ -465,6 +465,7 @@ class TestCompileCLI:
         ["compile", "run", "abl"],
         ["compile", "diff", "abl", "--plan", "abl.json"],
         ["serve", "bench", "--compiled"],
+        ["fuzz", "run", "--compiled"],
     ])
     def test_removed_commands_and_options_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as info:
@@ -482,9 +483,24 @@ class TestCompiledFuzzDifferential:
         from repro.fuzz.oracle import check_program
         for offset in range(4):
             program = generate_program(770000 + offset, max_ops=8)
-            result = check_program(program, rules=None, compiled=True)
+            result = check_program(program, rules=None)
             assert result.status in ("ok", "classified"), (
                 offset, [d.to_dict() for d in result.divergences])
+
+    def test_replay_differential_always_runs(self, monkeypatch):
+        from repro.fuzz import oracle
+        from repro.fuzz.generate import generate_program
+        replay = oracle.execute_program_compiled
+
+        def diverging(program, plan):
+            result = replay(program, plan)
+            result.status, result.error = "plan_divergence", "skewed"
+            return result
+
+        monkeypatch.setattr(oracle, "execute_program_compiled", diverging)
+        result = oracle.check_program(generate_program(770000, max_ops=8))
+        assert "compiled_divergence" in {d.kind
+                                         for d in result.divergences}
 
     def test_classified_stop_reproduced_compiled(self):
         from repro.fuzz.generate import generate_program

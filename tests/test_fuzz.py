@@ -113,6 +113,30 @@ class TestRuleInference:
         assert stats["non_finite"] == 1
 
 
+#: generated programs whose ops broke a rule that the campaign seed's
+#: calibration had wrongly inferred (``fuzz run --seed S --count 100``):
+#: a flattening ``reshape`` against last_dim_preserved, a ``take``
+#: with more indices than its axis against size_le_inputs, a
+#: vector-vector ``matmul`` against rank_preserved, and a float64
+#: ``rfft`` against a constant complex64 output dtype
+_ONCE_FALSE_VIOLATIONS = {
+    1: (1000018,),
+    2: (2000010, 2000012, 2000021, 2000036, 2000075, 2000081, 2000085,
+        2000086, 2000088),
+    6: (6000054, 6000067, 6000098),
+}
+
+
+class TestCalibration:
+    @pytest.mark.parametrize("campaign", sorted(_ONCE_FALSE_VIOLATIONS))
+    def test_no_false_rule_violations(self, campaign):
+        rules = build_ruleset(seed=campaign)
+        for program_seed in _ONCE_FALSE_VIOLATIONS[campaign]:
+            result = check_program(generate_program(program_seed), rules)
+            assert not [d.to_dict() for d in result.divergences
+                        if d.kind == "rule_violation"], program_seed
+
+
 class TestDivergenceDetection:
     def test_classified_stop_is_not_a_divergence(self, rules):
         b = ProgramBuilder(seed=0)

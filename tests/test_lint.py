@@ -460,41 +460,45 @@ class TestServeZoneCoverage:
         from repro.lint.engine import DEFAULT_ZONES
         assert "serve" in DEFAULT_ZONES
 
-    def test_unbalanced_worker_context_flagged(self, tmp_path):
+    def test_unbalanced_trace_context_flagged(self, tmp_path):
+        # the serve path's request/batch trace contexts ride a
+        # thread-local stack: an unpaired push re-parents every later
+        # span on the thread
         result = lint_snippet(tmp_path, """\
-            from repro.serve.pool import push_worker
+            from repro.obs.tracectx import push_trace_context
 
-            def hijack(worker):
-                push_worker(worker)
-            """, relpath="core/sneaky.py")
+            def hijack(ctx):
+                push_trace_context(ctx)
+            """, relpath="serve/sneaky.py")
         found = by_check(result, "RL005")
         assert [f.line for f in found] == [4]
-        assert "push_worker" in found[0].message
+        assert "push_trace_context" in found[0].message
 
-    def test_private_worker_stack_access_flagged(self, tmp_path):
+    def test_private_trace_stack_access_flagged(self, tmp_path):
         result = lint_snippet(tmp_path, """\
-            from repro.serve.pool import _worker_stack
+            from repro.obs.tracectx import _trace_stack
 
             def peek():
-                return _worker_stack()[-1]
-            """, relpath="core/sneaky.py")
+                return _trace_stack()[-1]
+            """, relpath="serve/sneaky.py")
         found = by_check(result, "RL005")
         assert found and found[0].line == 1
 
-    def test_balanced_context_manager_clean(self, tmp_path):
+    def test_balanced_trace_context_manager_clean(self, tmp_path):
         result = lint_snippet(tmp_path, """\
             from contextlib import contextmanager
 
-            from repro.serve.pool import pop_worker, push_worker
+            from repro.obs.tracectx import (pop_trace_context,
+                                            push_trace_context)
 
             @contextmanager
-            def bound(worker):
-                push_worker(worker)
+            def bound(ctx):
+                push_trace_context(ctx)
                 try:
-                    yield worker
+                    yield ctx
                 finally:
-                    pop_worker()
-            """, relpath="core/wrapper.py")
+                    pop_trace_context(ctx)
+            """, relpath="serve/wrapper.py")
         assert not by_check(result, "RL005")
 
 

@@ -20,7 +20,7 @@ from repro.obs.prom import render_runtime
 from repro.obs.runrec import counters_digest
 from repro.obs.spans import (SpanCollector, span, span_roots,
                              tracing_active)
-from repro.resilience.runner import ResilientRunner, RetryPolicy
+from repro.resilience.runner import ResilientRunner
 from repro.workloads import PAPER_ORDER, create
 from repro.workloads.base import Workload, WorkloadInfo
 from tests.conftest import cached_trace
@@ -550,7 +550,7 @@ class TestRunnerObservability:
     def test_retry_emits_backoff_spans_and_metrics(self):
         flaky = ObsFlakyWorkload(failures=2)
         runner = _runner(factory=lambda name, **kw: flaky,
-                         retry=RetryPolicy(max_retries=3))
+                         max_retries=3)
         with obs_metrics.scoped_runtime() as runtime:
             outcome = runner.run_workload("toy", seed=0)
         assert outcome.status == "ok"

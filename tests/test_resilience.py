@@ -9,6 +9,7 @@ bugfixes (roster abort, non-finite validation, zero-latency render).
 from __future__ import annotations
 
 import math
+import random
 import threading
 import time
 from typing import Any, Dict
@@ -26,10 +27,13 @@ from repro.hwsim.devices import RTX_2080TI
 from repro.resilience import (FAULT_ALLOC, FAULT_INF, FAULT_LATENCY,
                               FAULT_NAN, FAULT_RAISE, CircuitBreaker,
                               FaultPlan, FaultSpec, InjectedFaultError,
-                              ResilientRunner, RetryPolicy,
+                              ResilientRunner, backoff_delay,
                               check_trace_health, classify_error,
                               run_roster)
-from repro.resilience.runner import WorkloadTimeout
+from repro.resilience.runner import (BACKOFF_BASE, BACKOFF_FACTOR,
+                                     BACKOFF_JITTER, BACKOFF_MAX,
+                                     BREAKER_COOLDOWN, BREAKER_THRESHOLD,
+                                     WorkloadTimeout)
 from repro.workloads import create
 from repro.workloads.base import Workload, WorkloadInfo
 
@@ -227,35 +231,63 @@ def test_alloc_fault_breaks_live_bytes_balance():
 # retry policy / circuit breaker
 # ---------------------------------------------------------------------------
 
+def _backoff_schedule(seed: int, retries: int) -> list:
+    rng = random.Random(seed)
+    return [backoff_delay(i, rng) for i in range(retries)]
+
+
 def test_retry_schedule_is_exponential_with_bounded_jitter():
-    policy = RetryPolicy(max_retries=4, base_delay=0.1, factor=2.0,
-                         max_delay=0.5, jitter=0.1)
-    schedule = policy.schedule(seed=0)
-    assert schedule == policy.schedule(seed=0)  # deterministic
-    assert len(schedule) == 4
+    schedule = _backoff_schedule(0, 8)
+    assert schedule == _backoff_schedule(0, 8)  # deterministic
     for i, delay in enumerate(schedule):
-        base = min(0.1 * 2.0 ** i, 0.5)
-        assert base <= delay <= base * 1.1
+        base = min(BACKOFF_BASE * BACKOFF_FACTOR ** i, BACKOFF_MAX)
+        assert base <= delay <= base * (1 + BACKOFF_JITTER)
+
+
+#: a default runner's backoff sleeps per run seed (base 0.1 s, factor
+#: 2, cap 5 s, jitter 0.1, two retries), as literals so that a change
+#: to the constants or to the jitter stream shows
+_PINNED_BACKOFF = {
+    0: [0.10844421851525049, 0.21515908805880604],
+    1: [0.10134364244112402, 0.21694867473874468],
+    2: [0.1095603427188925, 0.218956549741187],
+    3: [0.10237964627091892, 0.21088458450591904],
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_PINNED_BACKOFF))
+def test_runner_backoff_delays_are_pinned(seed):
+    sleeps = []
+    runner = quick_runner(
+        factory=lambda name, **kw: FlakyWorkload(failures=10 ** 9,
+                                                 exc=TimeoutError),
+        sleep=sleeps.append, clock=lambda: 0.0)
+    outcome = runner.run_workload("flaky", seed=seed)
+    assert outcome.status == "failed"
+    assert outcome.attempts == 3
+    assert sleeps == _PINNED_BACKOFF[seed]
 
 
 def test_circuit_breaker_transitions():
     clock = [0.0]
-    breaker = CircuitBreaker(failure_threshold=2, cooldown=10.0,
-                             clock=lambda: clock[0])
+    breaker = CircuitBreaker(clock=lambda: clock[0])
     assert breaker.allow() and breaker.state == CircuitBreaker.CLOSED
-    breaker.record_failure()
-    assert breaker.allow()
+    for _ in range(BREAKER_THRESHOLD - 1):
+        breaker.record_failure()
+        assert breaker.allow()
     breaker.record_failure()
     assert breaker.state == CircuitBreaker.OPEN
     assert not breaker.allow()
 
-    clock[0] = 11.0
+    clock[0] = BREAKER_COOLDOWN - 0.5
+    assert not breaker.allow()                 # still cooling down
+    clock[0] = BREAKER_COOLDOWN
     assert breaker.allow()                     # cooldown elapsed: trial
     assert breaker.state == CircuitBreaker.HALF_OPEN
     breaker.record_failure()                   # trial failed: reopen
     assert breaker.state == CircuitBreaker.OPEN
 
-    clock[0] = 22.0
+    clock[0] = 2 * BREAKER_COOLDOWN
     assert breaker.allow()
     breaker.record_success()
     assert breaker.state == CircuitBreaker.CLOSED
@@ -280,18 +312,16 @@ def test_runner_retries_transient_errors_with_backoff():
     sleeps = []
     runner = ResilientRunner(
         factory=lambda name, **kw: FlakyWorkload(failures=2),
-        retry=RetryPolicy(max_retries=3, base_delay=0.1, jitter=0.0),
-        sleep=sleeps.append, timeout=None)
+        max_retries=3, sleep=sleeps.append, timeout=None)
     outcome = runner.run_workload("flaky", seed=0)
     assert outcome.status == "ok"
     assert outcome.attempts == 3
-    assert sleeps == pytest.approx([0.1, 0.2])
+    assert sleeps == _backoff_schedule(0, 2)
 
 
 def test_runner_fails_fast_on_deterministic_errors():
     sleeps = []
-    runner = quick_runner(retry=RetryPolicy(max_retries=5),
-                          sleep=sleeps.append)
+    runner = quick_runner(max_retries=5, sleep=sleeps.append)
     outcome = runner.run_workload("boom")
     assert outcome.status == "failed"
     assert outcome.attempts == 1
@@ -301,8 +331,7 @@ def test_runner_fails_fast_on_deterministic_errors():
 
 
 def test_runner_times_out_hung_workloads():
-    runner = quick_runner(timeout=0.05,
-                          retry=RetryPolicy(max_retries=0))
+    runner = quick_runner(timeout=0.05, max_retries=0)
     outcome = runner.run_workload("hang")
     assert outcome.status == "failed"
     assert outcome.error_type == "WorkloadTimeout"
@@ -318,15 +347,16 @@ def test_runner_times_out_hung_workloads():
 
 
 def test_runner_breaker_opens_and_short_circuits():
+    # a frozen clock: the open breaker never cools down
     runner = quick_runner(
         factory=lambda name, **kw: FlakyWorkload(failures=10 ** 9,
                                                  exc=TimeoutError),
-        retry=RetryPolicy(max_retries=6), breaker_threshold=2,
-        breaker_cooldown=1000.0)
+        max_retries=6, clock=lambda: 0.0)
     FlakyWorkload._calls = 0
     outcome = runner.run_workload("flaky")
     assert outcome.status == "failed"
-    assert outcome.attempts == 2              # threshold, not max_retries
+    # threshold, not max_retries
+    assert outcome.attempts == BREAKER_THRESHOLD
     assert outcome.error_type == "CircuitOpenError"
     assert runner.breaker("flaky").state == CircuitBreaker.OPEN
     # while open, nothing runs at all
@@ -367,8 +397,7 @@ def test_run_roster_degrades_instead_of_aborting():
 
 def test_run_roster_real_workload_with_injected_exception():
     """ISSUE acceptance: one faulted roster entry, the rest complete."""
-    runner = ResilientRunner(timeout=None,
-                             retry=RetryPolicy(max_retries=0),
+    runner = ResilientRunner(timeout=None, max_retries=0,
                              sleep=lambda s: None)
     plan = FaultPlan.single(FAULT_RAISE, op_index=3)
     report = run_roster(names=["lnn", "nvsa"], runner=runner,

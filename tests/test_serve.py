@@ -8,15 +8,14 @@ import time
 import pytest
 
 from repro.cli import main
+from repro.obs.prom import render_registry
 from repro.resilience.faults import FaultPlan, FaultSpec
-from repro.serve import (AdmissionPolicy, ArtifactCache, ArtifactKey,
-                         BatchPolicy, InferenceServer, LoadSpec,
-                         REJECT_QUEUE_FULL, REJECT_SHUTDOWN,
+from repro.serve import (ArtifactCache, BatchPolicy, InferenceServer,
+                         LoadSpec, REJECT_QUEUE_FULL, REJECT_SHUTDOWN,
                          REJECT_STALE_DEADLINE, Request, RequestQueue,
                          Response, ServeConfig, ServerStats, load_schedule,
                          make_request, open_loop, parse_mix, plan_batches,
                          rejection, run_closed_loop, save_schedule)
-from repro.serve.pool import current_worker
 
 
 def lnn_schedule(n=12, gap=0.01, deadline=None, seed=0):
@@ -82,7 +81,7 @@ class TestRequestQueue:
         assert take() == []
 
     def test_classified_rejections_never_silent(self):
-        queue = RequestQueue(AdmissionPolicy(max_depth=2))
+        queue = RequestQueue(max_depth=2)
         reasons = [queue.offer(make_request(i, "lnn")) for i in range(4)]
         assert reasons == [None, None, REJECT_QUEUE_FULL,
                            REJECT_QUEUE_FULL]
@@ -96,6 +95,24 @@ class TestRequestQueue:
                                       REJECT_STALE_DEADLINE: 1,
                                       REJECT_SHUTDOWN: 1}
         assert counts["accepted"] + sum(counts["rejected"].values()) == 6
+
+    def test_planner_and_queue_share_one_admission_rule(self):
+        # the same arrivals, none leaving: the live queue and the
+        # virtual-time planner shed the same requests for the same
+        # reasons, stale deadlines first
+        schedule = [make_request(i, "lnn", arrival=0.0,
+                                 deadline=(0.0 if i % 3 == 0 else None))
+                    for i in range(8)]
+        queue = RequestQueue(max_depth=3)
+        live = {r.rid: queue.offer(r) for r in schedule}
+        _, rejections = plan_batches(
+            schedule, BatchPolicy(max_batch_size=16, max_wait=1.0),
+            max_depth=3)
+        planned = {r.rid: None for r in schedule}
+        planned.update({r.rid: reason for r, reason in rejections})
+        assert planned == live
+        assert live[0] == REJECT_STALE_DEADLINE
+        assert live[7] == REJECT_QUEUE_FULL
 
     def test_close_wakes_blocked_consumers(self):
         queue = RequestQueue()
@@ -113,7 +130,7 @@ class TestRequestQueue:
         assert taken == [[]]
 
     def test_concurrent_producers_consumers(self):
-        queue = RequestQueue(AdmissionPolicy(max_depth=10_000))
+        queue = RequestQueue(max_depth=10_000)
         taken = []
         lock = threading.Lock()
 
@@ -156,11 +173,10 @@ class TestPlanBatches:
         spec = LoadSpec.make(parse_mix("nvsa=3,lnn=1"), rate=200,
                              duration=2.0, seed=11, seed_pool=2)
         policy = BatchPolicy(max_batch_size=8, max_wait=0.05)
-        admission = AdmissionPolicy(max_depth=64)
 
         def plan():
             batches, rejections = plan_batches(open_loop(spec), policy,
-                                               admission)
+                                               max_depth=64)
             return ([(b.bid, b.key, tuple(r.rid for r in b.requests),
                       b.close_time) for b in batches],
                     [(r.rid, reason) for r, reason in rejections])
@@ -200,7 +216,7 @@ class TestPlanBatches:
                     for i in range(10)]
         batches, rejections = plan_batches(
             schedule, BatchPolicy(max_batch_size=16, max_wait=0.05),
-            AdmissionPolicy(max_depth=4))
+            max_depth=4)
         batched = sum(b.size for b in batches)
         assert batched == 4
         assert all(reason == REJECT_QUEUE_FULL
@@ -221,11 +237,11 @@ class TestArtifactCache:
 
         cache = ArtifactCache(capacity=2,
                               builder=lambda n, seed=0, **kw: Fake(n, seed))
-        k1 = ArtifactKey("a", 0)
+        k1 = ("a", 0, ())
         cache.checkout(k1)
         cache.checkout(k1)
-        cache.checkout(ArtifactKey("b", 0))
-        cache.checkout(ArtifactKey("c", 0))   # evicts "a" (LRU)
+        cache.checkout(("b", 0, ()))
+        cache.checkout(("c", 0, ()))          # evicts "a" (LRU)
         cache.checkout(k1)                    # rebuild
         stats = cache.stats()
         assert stats == {"hits": 1, "misses": 4, "evictions": 2,
@@ -234,7 +250,7 @@ class TestArtifactCache:
 
     def test_checkout_returns_fresh_copies(self):
         cache = ArtifactCache(capacity=4)
-        key = ArtifactKey("lnn", 0)
+        key = ("lnn", 0, ())
         first, second = cache.checkout(key), cache.checkout(key)
         assert first is not second
         assert cache.stats()["misses"] == 1
@@ -257,7 +273,7 @@ class TestArtifactCache:
 
         cache = ArtifactCache(capacity=2,
                               builder=lambda n, seed=0, **kw: Flaky(n, seed))
-        key = ArtifactKey("a", 0)
+        key = ("a", 0, ())
         with pytest.raises(RuntimeError):
             cache.checkout(key)
         assert cache.stats()["build_errors"] == 1
@@ -265,6 +281,17 @@ class TestArtifactCache:
         assert artifact.name == "a"
         assert len(calls) == 2
         assert cache.stats()["build_errors"] == 1
+
+    def test_factory_keys_entries_by_the_request_batch_key(self):
+        built = []
+        cache = ArtifactCache(
+            capacity=4,
+            builder=lambda n, seed=0, **kw: built.append((n, seed, kw)))
+        cache.factory()("a", seed=1, y=2, x=1)
+        request = make_request(0, "a", seed=1, params={"x": 1, "y": 2})
+        cache.checkout(request.key)          # the factory's entry
+        assert built == [("a", 1, {"x": 1, "y": 2})]
+        assert cache.stats()["hits"] == 1
 
     def test_cached_execution_is_deterministic(self):
         # lnn mutates its KB while profiling; a cached instance must
@@ -337,7 +364,7 @@ class TestInferenceServer:
         schedule = [make_request(i, "lnn", arrival=0.0)
                     for i in range(8)]
         report = _serve(schedule,
-                        admission=AdmissionPolicy(max_depth=3),
+                        max_depth=3,
                         batch=BatchPolicy(max_batch_size=16,
                                           max_wait=0.01))
         det = report.summary()["deterministic"]
@@ -345,6 +372,17 @@ class TestInferenceServer:
         assert det["rejections"] == {REJECT_QUEUE_FULL: 5}
         assert det["statuses"]["ok"] == 3
         assert len(report.responses) == len(schedule)
+
+    def test_worker_characterizes_on_its_own_device(self):
+        from repro.hwsim.devices import XEON_4114
+        report = _serve([make_request(0, "lnn")], workers=1,
+                        devices=(XEON_4114,))
+        response = report.responses[0]
+        outcome = report.batch_results[response.bid].outcome
+        assert response.device == XEON_4114.name
+        assert outcome.report.device == XEON_4114.name
+        assert outcome.report.latency.total_time == \
+            response.modeled_latency
 
     def test_report_trace_carries_serving_spans(self):
         report = _serve(lnn_schedule(4, gap=0.001))
@@ -411,6 +449,24 @@ class TestLiveServer:
         assert response.ok
         assert response.queue_wait < 0.05
 
+    def test_live_deadline_miss_marks_degraded_not_ok(self):
+        # a deadline shorter than the batch's run: the batch succeeds,
+        # but the request completes past its budget
+        server = InferenceServer(ServeConfig(workers=1))
+        server.start()
+        try:
+            response = server.submit("lnn", seed=0,
+                                     deadline=1e-6).result(timeout=60.0)
+        finally:
+            server.stop(drain=True)
+        assert response.status == "degraded"
+        assert response.deadline_exceeded
+        assert response.attempts == 1 and response.error is None
+        assert response.latency > response.deadline
+        det = server.stats.summary()["deterministic"]
+        assert det["deadline_exceeded"] == 1
+        assert det["statuses"]["degraded"] == 1
+
     def test_live_admission_is_bounded(self):
         # while the only worker is held inside a batch, admitted
         # requests wait in the bounded queue, so its depth bound sheds
@@ -432,7 +488,7 @@ class TestLiveServer:
                 return create("lnn", seed=0).profile()
 
         server = InferenceServer(ServeConfig(
-            workers=1, admission=AdmissionPolicy(max_depth=4),
+            workers=1, max_depth=4,
             batch=BatchPolicy(max_batch_size=3, max_wait=0.01)))
         server.cache._builder = lambda n, seed=0, **kw: Gated(n)
         server.start()
@@ -456,28 +512,6 @@ class TestLiveServer:
         det = server.stats.summary()["deterministic"]
         assert det["queue_depth_peak"] == 4
         assert det["batch_size_hist"] == {"1": 2, "3": 1}
-
-    def test_worker_context_visible_inside_batch(self):
-        seen = []
-
-        class Probe:
-            def __init__(self, name, seed=0):
-                self.name = name
-
-            def build(self):
-                return self
-
-            def profile(self):
-                seen.append(current_worker())
-                from repro.workloads import create
-                return create("lnn", seed=0).profile()
-
-        server = InferenceServer(ServeConfig(workers=1))
-        server.cache._builder = lambda n, seed=0, **kw: Probe(n, seed)
-        server.run_schedule([make_request(0, "probe")])
-        assert len(seen) == 1 and seen[0] is server.workers[0]
-        assert current_worker() is None  # balanced enter/exit
-
 
 class TestServerStats:
     def _response(self, rid, latency, status="ok", workload="lnn"):
@@ -503,12 +537,30 @@ class TestServerStats:
         assert 0.09 < latency["p99"] <= 0.11
         assert det["per_workload"]["lnn"]["requests"] == 100
 
+    def test_all_workload_block_merges_buckets(self):
+        # the all-workload percentiles interpolate over the summed
+        # buckets: the same as one workload holding every observation
+        values = [0.0004 * (i + 1) ** 1.5 for i in range(60)]
+        split, single = ServerStats(), ServerStats()
+        for i, value in enumerate(values):
+            split.record_response(self._response(
+                i, value, workload=("lnn", "nvsa", "ltn")[i % 3]))
+            single.record_response(self._response(i, value))
+        merged = split.summary()["deterministic"]["latency"]
+        whole = single.summary()["deterministic"]["latency"]
+        assert merged == pytest.approx(whole)
+        assert [merged[q] for q in ("p50", "p95", "p99")] == \
+            [whole[q] for q in ("p50", "p95", "p99")]
+        assert ServerStats().summary()["deterministic"]["latency"] == {
+            "count": 0, "sum": 0.0, "mean": 0.0,
+            "p50": 0.0, "p95": 0.0, "p99": 0.0}
+
     def test_render_and_prometheus(self):
         stats = ServerStats()
         stats.record_response(self._response(0, 0.01))
         text = stats.render()
         assert "Request outcomes" in text and "p99" in text
-        prom = stats.render_prometheus()
+        prom = render_registry(stats.registry)
         assert "repro_serve_requests_total" in prom
         assert 'quantile="0.99"' in prom
 

@@ -21,9 +21,8 @@ from repro.cli import main
 from repro.lint import LintConfig, default_scan_root, run_lint
 from repro.obs.jsonl import read_jsonl, write_jsonl
 from repro.obs.live import LiveTelemetry, TailSamplingPolicy
-from repro.serve import (AdmissionPolicy, BatchPolicy, InferenceServer,
-                         LoadSpec, ServeConfig, make_request, open_loop,
-                         parse_mix)
+from repro.serve import (BatchPolicy, InferenceServer, LoadSpec,
+                         ServeConfig, make_request, open_loop, parse_mix)
 from repro.serve.tracing import (REQUEST_SPAN_NAMES, request_span_trees,
                                  serve_trace, span_tree_digest,
                                  spans_by_trace, verify_span_trees)
@@ -78,8 +77,7 @@ class TestAcceptance:
 
     def test_rejected_request_carries_classified_admit(self):
         schedule = _schedule(rate=400.0, duration=0.5)
-        result = _serve(schedule, workers=1,
-                        admission=AdmissionPolicy(max_depth=2))
+        result = _serve(schedule, workers=1, max_depth=2)
         rejected = [r for r in result.responses if r.status == "rejected"]
         assert rejected, "tiny queue must shed under 400 rps"
         spans = request_span_trees(result.responses)
