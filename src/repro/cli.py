@@ -5,14 +5,15 @@ Usage (``python -m repro ...``):
     python -m repro list
     python -m repro characterize nvsa --device tx2
     python -m repro functions nvsa --phase symbolic --top 10
-    python -m repro roster --device rtx
-    python -m repro roster --resilient --timeout 60 --max-retries 2
+    python -m repro roster --device rtx --timeout 60 --max-retries 2
     python -m repro faults nvsa --fault nan --seed 0
     python -m repro chrome nvsa -o nvsa_trace.json
     python -m repro energy nvsa
     python -m repro lint --strict --format json
     python -m repro trace export nvsa --format chrome -o nvsa.json
     python -m repro trace export nvsa --format flame --weight flops
+    python -m repro trace export ltn --format jsonl -o ltn.jsonl
+    python -m repro analyze-trace ltn.jsonl --device tx2
     python -m repro metrics nvsa --format prom
     python -m repro report nvsa --device rtx2080ti -o report.html
     python -m repro obs history record --label local
@@ -24,10 +25,12 @@ Usage (``python -m repro ...``):
     python -m repro fuzz rules --harvest lnn,nvsa -o rules.json
 
 Everything routes through the same public API the benchmarks use.
-``faults`` runs an injection experiment and exits nonzero (2 degraded,
-3 failed) with a quarantine report instead of a traceback; ``obs
-history gate`` exits 6 when the newest history entry's pins differ
-from the previous pinned entry's.
+``roster`` runs the paper's roster under the resilient runner and
+exits 1 unless every workload is healthy; ``faults`` runs an
+injection experiment and exits nonzero (2 degraded, 3 failed) with a
+quarantine report instead of a traceback; ``obs history gate`` exits
+6 when the newest history entry's pins differ from the previous
+pinned entry's.
 """
 
 from __future__ import annotations
@@ -60,7 +63,6 @@ def _build_parser() -> argparse.ArgumentParser:
             ("functions", "function-level statistics table"),
             ("chrome", "export a chrome://tracing timeline"),
             ("energy", "energy estimate on a device"),
-            ("save-trace", "profile a workload and archive its trace"),
     ):
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("workload", help="registered workload name")
@@ -74,29 +76,26 @@ def _build_parser() -> argparse.ArgumentParser:
         if name == "chrome":
             cmd.add_argument("-o", "--output", default=None,
                              help="output path (default stdout)")
-        if name == "save-trace":
-            cmd.add_argument("-o", "--output", required=True,
-                             help="trace JSON output path")
 
     analyze = sub.add_parser(
         "analyze-trace",
-        help="re-run the latency/operator analyses on an archived trace")
-    analyze.add_argument("path", help="trace JSON written by save-trace")
+        help="re-run the latency/operator analyses on a JSONL trace log")
+    analyze.add_argument("path",
+                         help="JSONL trace log (repro trace export W "
+                              "--format jsonl -o PATH)")
     analyze.add_argument("--device", default="rtx")
 
-    roster = sub.add_parser("roster",
-                            help="latency split of the paper's roster")
+    roster = sub.add_parser(
+        "roster",
+        help="latency split of the paper's roster, each workload under "
+             "timeouts/retries/health checks (exit 1 unless all are "
+             "healthy)")
     roster.add_argument("--device", default="rtx")
     roster.add_argument("--seed", type=int, default=0)
-    roster.add_argument("--resilient", action="store_true",
-                        help="run with timeouts/retries/health checks; "
-                             "degrade instead of aborting")
     roster.add_argument("--timeout", type=float, default=120.0,
-                        help="per-workload wall-clock budget in seconds "
-                             "(resilient mode)")
+                        help="per-workload wall-clock budget in seconds")
     roster.add_argument("--max-retries", type=int, default=2,
-                        help="retries per workload on transient errors "
-                             "(resilient mode)")
+                        help="retries per workload on transient errors")
 
     faults = sub.add_parser(
         "faults",
@@ -183,9 +182,9 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.command == "analyze-trace":
         from repro.core.report import render_shares
-        from repro.core.serialize import load_trace
+        from repro.obs.jsonl import read_jsonl
         device = get_device(args.device)
-        trace = load_trace(args.path)
+        trace = read_jsonl(args.path)
         lb = latency_breakdown(trace, device)
         print(f"{trace.workload or args.path} on {device.name}: "
               f"{format_time(lb.total_time)}")
@@ -243,7 +242,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("status: ok — the plan did not compromise this run")
         return 0
 
-    if args.command == "roster" and args.resilient:
+    if args.command == "roster":
         from repro.resilience.runner import ResilientRunner, run_roster
         device = get_device(args.device)
         runner = ResilientRunner(device=device, timeout=args.timeout,
@@ -252,20 +251,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                             seed=args.seed)
         print(report.render())
         return 0 if report.healthy else 1
-
-    if args.command == "roster":
-        device = get_device(args.device)
-        rows = []
-        for name in PAPER_ORDER:
-            trace = create(name, seed=args.seed).profile()
-            lb = latency_breakdown(trace, device)
-            rows.append([name.upper(), format_time(lb.total_time),
-                         f"{lb.neural_fraction * 100:.1f}%",
-                         f"{lb.symbolic_fraction * 100:.1f}%"])
-        print(render_table(
-            ["workload", "total", "neural %", "symbolic %"], rows,
-            title=f"latency split on {device.name}"))
-        return 0
 
     _require_workload(args.workload)
     device = get_device(args.device)
@@ -294,13 +279,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                   f"(open in chrome://tracing or Perfetto)")
         else:
             print(payload)
-        return 0
-
-    if args.command == "save-trace":
-        from repro.core.serialize import save_trace
-        save_trace(trace, args.output)
-        print(f"wrote {args.output} ({len(trace)} events); re-analyze "
-              f"with: python -m repro analyze-trace {args.output}")
         return 0
 
     if args.command == "energy":

@@ -13,7 +13,7 @@ from typing import Dict
 
 _SUBMODULES = (
     "analysis", "functions", "inefficiency", "memory", "opgraph",
-    "profiler", "report", "rooflineplot", "scaling", "serialize",
+    "profiler", "report", "rooflineplot", "scaling",
     "sparsity", "suite", "taxonomy", "validate",
 )
 
@@ -37,14 +37,11 @@ _EXPORTS: Dict[str, str] = {
     "roofline_figure": "rooflineplot",
     "ScalePoint": "scaling", "ScalingStudy": "scaling",
     "nvsa_task_size_study": "scaling", "sweep": "scaling",
-    "load_trace": "serialize", "save_trace": "serialize",
-    "trace_from_dict": "serialize", "trace_to_dict": "serialize",
     "phase_compute_utilization": "analysis",
     "StageSparsity": "sparsity", "nvsa_attribute_sweep": "sparsity",
     "overall_sparsity": "sparsity", "stage_sparsity": "sparsity",
     "WorkloadReport": "suite", "characterize": "suite",
-    "characterize_all": "suite", "characterize_trace": "suite",
-    "RosterError": "suite",
+    "characterize_trace": "suite",
     "ALGORITHM_REGISTRY": "taxonomy", "CATEGORY_ORDER": "taxonomy",
     "OPERATION_EXAMPLES": "taxonomy", "AlgorithmEntry": "taxonomy",
     "NSParadigm": "taxonomy", "OpCategory": "taxonomy",

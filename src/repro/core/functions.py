@@ -41,9 +41,8 @@ class FunctionStats:
 
 
 def function_table(trace: Trace, device: DeviceSpec,
-                   phase: Optional[str] = None,
-                   sort_by: str = "total_time") -> List[FunctionStats]:
-    """Aggregate the trace per op name, sorted by ``sort_by``."""
+                   phase: Optional[str] = None) -> List[FunctionStats]:
+    """Aggregate the trace per op name, by descending total time."""
     projected = project_trace(trace, device)
     buckets: Dict[str, FunctionStats] = {}
     for cost in projected.costs:
@@ -70,11 +69,8 @@ def function_table(trace: Trace, device: DeviceSpec,
                                             elements)
             stats.mean_sparsity = (stats.mean_sparsity * n
                                    + event.output_sparsity) / (n + 1)
-    if not hasattr(FunctionStats, sort_by) and sort_by not in (
-            "calls", "total_time", "total_flops", "total_bytes"):
-        raise ValueError(f"unknown sort key {sort_by!r}")
-    return sorted(buckets.values(),
-                  key=lambda s: getattr(s, sort_by), reverse=True)
+    return sorted(buckets.values(), key=lambda s: s.total_time,
+                  reverse=True)
 
 
 def render_function_table(stats: List[FunctionStats],

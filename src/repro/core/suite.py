@@ -4,14 +4,15 @@
 the trace, and produces every per-workload view the paper reports:
 latency split, operator-category split, memory profile, roofline
 boundedness, operation-graph structure, sparsity, and hardware
-inefficiency context.  ``characterize_all()`` does it for the whole
-Table III roster.
+inefficiency context.  For the whole Table III roster, use
+:func:`repro.resilience.run_roster`, which degrades instead of
+aborting when one workload breaks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
 from repro.core.analysis import (LatencyBreakdown, OperatorBreakdown,
                                  flops_breakdown, latency_breakdown,
@@ -124,52 +125,3 @@ def characterize(workload: "Workload",
                  validate: bool = True) -> WorkloadReport:
     """Profile one workload and derive every analysis view."""
     return characterize_trace(workload.profile(), device, validate=validate)
-
-
-class RosterError(RuntimeError):
-    """One or more roster workloads failed; the rest still completed.
-
-    Raised by :func:`characterize_all` *after* the full roster has been
-    attempted, so callers keep every successful
-    :class:`WorkloadReport` (``.reports``) alongside the per-workload
-    failures (``.failures``, a list of ``(name, exception)`` pairs).
-    For execution that degrades instead of raising, use
-    :func:`repro.resilience.run_roster`.
-    """
-
-    def __init__(self, failures: List[tuple], reports: List[WorkloadReport]):
-        self.failures = failures
-        self.reports = reports
-        succeeded = ", ".join(r.workload for r in reports) or "none"
-        detail = "; ".join(
-            f"{name}: {type(exc).__name__}: {exc}"
-            for name, exc in failures)
-        super().__init__(
-            f"{len(failures)} of {len(failures) + len(reports)} roster "
-            f"workloads failed ({detail}); succeeded: {succeeded}")
-
-
-def characterize_all(device: DeviceSpec = RTX_2080TI,
-                     names: Optional[Sequence[str]] = None,
-                     **workload_params: object) -> List[WorkloadReport]:
-    """Characterize every registered workload (the paper's roster).
-
-    A raising workload no longer aborts the run: every workload is
-    attempted, and failures are collected and re-raised at the end as
-    one :class:`RosterError` summarizing who succeeded and who failed.
-    """
-    from repro.workloads import available, create  # deferred (cycle)
-
-    if names is None:
-        names = available()
-    reports: List[WorkloadReport] = []
-    failures: List[tuple] = []
-    for name in names:
-        try:
-            reports.append(characterize(create(name, **workload_params),
-                                        device))
-        except Exception as exc:  # noqa: BLE001 - collected, re-raised below
-            failures.append((name, exc))
-    if failures:
-        raise RosterError(failures, reports)
-    return reports

@@ -17,11 +17,12 @@ counters can silently go wrong:
 * **RL004** — legacy global RNG calls and ``time.time()`` make traces
   non-reproducible / non-monotonic; use ``np.random.default_rng`` and
   ``time.perf_counter``.
-* **RL005** — mutating the thread-local profile/fault-hook stacks —
-  or the observability layer's span/collector/metrics-runtime/
-  trace-context stacks — outside the approved context managers
-  corrupts phase labels, span parent links, and hook pairing for
-  every event that follows.
+* **RL005** — mutating the thread's dispatch state (the profile,
+  fault-hook, op-observer and plan-session stacks of
+  ``tensor.context.DispatchState``) — or the observability layer's
+  span/collector/trace-context stacks — outside the approved context
+  managers corrupts phase labels, span parent links, and hook pairing
+  for every event that follows.
 """
 
 from __future__ import annotations
@@ -490,25 +491,45 @@ class Determinism(LintCheck):
 # RL005 — thread-local context stacks stay behind their managers
 # ---------------------------------------------------------------------------
 
-_PRIVATE_CONTEXT_NAMES: Set[str] = {"_ctx_stack", "_fault_stack",
-                                    "_observer_stack",
-                                    "_span_stack", "_collector_stack",
-                                    "_runtime_stack", "_trace_stack"}
+#: the private stack accessors of the span and trace-context modules
+_PRIVATE_CONTEXT_NAMES: Set[str] = {"_span_stack", "_collector_stack",
+                                    "_trace_stack"}
 #: modules that legitimately own a thread-local stack (exempt)
 _CONTEXT_MODULES: Tuple[str, ...] = ("tensor/context.py",
-                                     "obs/spans.py", "obs/metrics.py",
-                                     "obs/tracectx.py")
+                                     "obs/spans.py", "obs/tracectx.py")
 #: ``from <module ending here> import _private`` is also a violation
 _PRIVATE_IMPORT_SOURCES: Tuple[str, ...] = ("tensor.context",
-                                            "obs.spans", "obs.metrics",
-                                            "obs.tracectx")
+                                            "obs.spans", "obs.tracectx")
 _PHASE_ATTRS: Set[str] = {"current_phase", "current_stage"}
 _HOOK_FUNCS: Set[str] = {"push_fault_hook", "pop_fault_hook",
                          "push_op_observer", "pop_op_observer",
                          "push_span", "pop_span",
                          "install_collector", "uninstall_collector",
-                         "push_runtime", "pop_runtime",
                          "push_trace_context", "pop_trace_context"}
+#: the slots of ``tensor.context.DispatchState``: ``state.push(slot,
+#: value)`` / ``state.pop(slot, value)`` move one of its stacks
+_DISPATCH_SLOTS: Set[str] = {"context", "fault_hook", "observer",
+                             "session"}
+
+
+def _dispatch_stack_call(node: ast.Call) -> Optional[str]:
+    """``push``/``pop`` when ``node`` moves a ``DispatchState`` stack.
+
+    Recognized by its receiver (``<x>.dispatch.push(...)``) or by its
+    first argument naming a dispatch slot (``state.pop("session",
+    s)``); a list's ``pop()`` or ``pop(0)`` matches neither.
+    """
+    func = node.func
+    if not (isinstance(func, ast.Attribute)
+            and func.attr in ("push", "pop")):
+        return None
+    receiver = func.value
+    if isinstance(receiver, ast.Attribute) and receiver.attr == "dispatch":
+        return func.attr
+    if (node.args and isinstance(node.args[0], ast.Constant)
+            and node.args[0].value in _DISPATCH_SLOTS):
+        return func.attr
+    return None
 
 
 class _ContextSafetyVisitor(ast.NodeVisitor):
@@ -519,6 +540,8 @@ class _ContextSafetyVisitor(ast.NodeVisitor):
         self.module = module
         self.ctx = ctx
         self._approved_depth = 0
+        #: local names bound to private internals of a stack owner
+        self._private_names: Set[str] = set()
 
     # -- scope tracking -------------------------------------------------------
     def _is_approved(self, node: ast.AST) -> bool:
@@ -544,26 +567,36 @@ class _ContextSafetyVisitor(ast.NodeVisitor):
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
         if node.module and node.module.endswith(_PRIVATE_IMPORT_SOURCES):
             for alias in node.names:
-                if (alias.name in _PRIVATE_CONTEXT_NAMES
-                        or alias.name == "_state"):
+                if alias.name.startswith("_"):
+                    self._private_names.add(alias.asname or alias.name)
                     self.ctx.report(
                         self.check, self.module.relpath, node.lineno,
                         node.col_offset,
                         f"importing private context internal "
                         f"{alias.name!r}; use the ProfileContext / "
                         f"phase() / stage() / span() / SpanCollector / "
-                        f"scoped_runtime / fault-hook context managers "
-                        f"instead")
+                        f"fault-hook context managers instead")
         self.generic_visit(node)
 
     def visit_Call(self, node: ast.Call) -> None:
         name = _call_name(node.func)
-        if name in _PRIVATE_CONTEXT_NAMES:
+        moved = _dispatch_stack_call(node)
+        if name in _PRIVATE_CONTEXT_NAMES or (
+                isinstance(node.func, ast.Name)
+                and name in self._private_names):
             self.ctx.report(
                 self.check, self.module.relpath, node.lineno,
                 node.col_offset,
                 f"direct access to the thread-local stack via {name}(); "
-                f"only tensor/context.py may touch it")
+                f"only the module that owns it may touch it")
+        elif moved is not None and not self._approved_depth:
+            self.ctx.report(
+                self.check, self.module.relpath, node.lineno,
+                node.col_offset,
+                f"DispatchState.{moved}() outside an __enter__/__exit__ "
+                f"pair or @contextmanager; an unbalanced dispatch stack "
+                f"re-routes every later op of the thread — wrap it in a "
+                f"context manager")
         elif name in _HOOK_FUNCS and not self._approved_depth:
             self.ctx.report(
                 self.check, self.module.relpath, node.lineno,
@@ -598,8 +631,8 @@ class _ContextSafetyVisitor(ast.NodeVisitor):
 class ContextSafety(LintCheck):
     check_id = "RL005"
     name = "context-safety"
-    description = ("profile/fault-hook/span/metrics stacks are mutated "
-                   "only through the approved context managers")
+    description = ("dispatch-state/span/trace-context stacks are "
+                   "mutated only through the approved context managers")
     severity = SEVERITY_ERROR
 
     def visit_module(self, module, ctx) -> None:

@@ -5,10 +5,11 @@ Three altitudes of visibility over the characterization suite:
 * **within a run** — :mod:`repro.obs.spans` collects a hierarchical
   span timeline (profile / phase / stage / runner attempts) on top of
   the flat op trace;
-* **across components** — :mod:`repro.obs.metrics` keeps a
-  process-wide Prometheus-style instrument registry that closing
-  profiles, the fault layer and the resilient runner update (rendered
-  by :mod:`repro.obs.prom`);
+* **over a closed run** — :mod:`repro.obs.metrics` folds a closed
+  trace into Prometheus-style op instruments when asked for
+  (``repro metrics W``, rendered by :mod:`repro.obs.prom`); there is
+  no process-wide registry, so nothing is collected while a run
+  executes;
 * **between runs** — :mod:`repro.obs.history` appends one entry per
   recording into the committed ``benchmarks/history.jsonl``: exact
   pins (counters, plan and device-model digests of a fixed roster,
@@ -19,20 +20,21 @@ Two cross-cutting additions serve the serving layer:
 :mod:`repro.obs.tracectx` mints picklable request-scoped
 :class:`~repro.obs.tracectx.TraceContext` objects that stamp every
 span opened in their scope with a ``trace_id`` (causal trees across
-queue → batcher → pool → dispatcher), and :mod:`repro.obs.live` is a
-bounded ring-buffer event bus with rolling snapshot aggregation,
-deterministic tail-based trace sampling, and an SLO burn-rate monitor
-— live telemetry that never blocks the hot path.
+queue → batcher → pool → dispatcher), and :mod:`repro.obs.live`
+turns served responses into rolling snapshots, deterministic
+tail-based trace samples and SLO burn-rate alerts without blocking
+the hot path.
 
 Exporters (:mod:`repro.obs.chrome`, :mod:`repro.obs.jsonl`,
 :mod:`repro.obs.flame`) serialize traces + spans to Chrome Trace Event
-JSON, a re-importable JSONL event log, and collapsed-stack flamegraph
-input.  Every op event carries the span id (``sid``) of its enclosing
-span, so :mod:`repro.obs.kstats` can synthesize Nsight-style kernel
-counters per span / per category and :mod:`repro.obs.report` can fold
-everything into one self-contained HTML run report.  All collection is
-off by default and adds <5% overhead when enabled
-(``benchmarks/bench_obs_overhead.py``).
+JSON, the JSONL event log (the one on-disk trace format: lossless for
+events and spans, re-read by ``repro analyze-trace``), and
+collapsed-stack flamegraph input.  Every op event carries the span id
+(``sid``) of its enclosing span, so :mod:`repro.obs.kstats` can
+synthesize Nsight-style kernel counters per span / per category and
+:mod:`repro.obs.report` can fold everything into one self-contained
+HTML run report.  Folding a trace into the op metrics costs <5% of
+profiling it (``benchmarks/bench_obs_overhead.py``).
 """
 
 from repro.obs.chrome import (CATEGORY_COLORS, export_chrome,
@@ -42,18 +44,14 @@ from repro.obs.flame import (FLAME_WEIGHTS, collapsed_stacks,
 from repro.obs.jsonl import (read_jsonl, trace_from_jsonl_lines,
                              trace_to_jsonl, write_jsonl)
 from repro.obs.live import (BurnRateMonitor, LiveTelemetry,
-                            RingBufferBus, SLOPolicy,
-                            SnapshotAggregator, Subscriber,
-                            TailSamplingPolicy)
+                            SnapshotAggregator, TailSamplingPolicy)
 from repro.obs.kstats import (CATEGORY_MIX, KernelStats,
                               archetype_kstats, kstats_by_category,
                               kstats_by_span, render_kstats,
                               synthesize_kstats)
 from repro.obs.metrics import (Counter, Gauge, Histogram,
-                               MetricsRegistry, RuntimeMetrics,
-                               active_runtime, disable, enable,
-                               scoped_runtime)
-from repro.obs.prom import render_registry, render_runtime
+                               MetricsRegistry, RuntimeMetrics)
+from repro.obs.prom import render_registry
 from repro.obs.report import render_report, write_report
 from repro.obs.runrec import counters_digest
 from repro.obs.spans import (SpanCollector, SpanRecord, children_of,
@@ -66,16 +64,15 @@ from repro.obs.tracectx import (TraceContext, current_trace_context,
 __all__ = [
     "BurnRateMonitor", "CATEGORY_COLORS", "CATEGORY_MIX", "Counter",
     "FLAME_WEIGHTS", "Gauge", "Histogram", "KernelStats",
-    "LiveTelemetry", "MetricsRegistry", "RingBufferBus",
-    "RuntimeMetrics", "SLOPolicy", "SnapshotAggregator",
-    "SpanCollector", "SpanRecord", "Subscriber", "TailSamplingPolicy",
-    "TraceContext", "active_runtime", "archetype_kstats",
+    "LiveTelemetry", "MetricsRegistry", "RuntimeMetrics",
+    "SnapshotAggregator", "SpanCollector", "SpanRecord",
+    "TailSamplingPolicy", "TraceContext", "archetype_kstats",
     "children_of", "collapsed_stacks",
     "counters_digest", "current_span", "current_trace_context",
-    "disable", "enable", "export_chrome", "kstats_by_category",
+    "export_chrome", "kstats_by_category",
     "kstats_by_span", "mint_batch_trace_id", "mint_trace_context",
     "now", "read_jsonl", "render_kstats", "render_registry",
-    "render_report", "render_runtime", "render_spans", "scoped_runtime",
+    "render_report", "render_spans",
     "span", "span_roots", "synthesize_kstats", "trace_from_jsonl_lines",
     "trace_scope", "trace_to_chrome", "trace_to_chrome_events",
     "trace_to_flame", "trace_to_jsonl", "tracing_active", "write_flame",

@@ -71,7 +71,8 @@ def add_obs_subcommands(sub: "argparse._SubParsersAction") -> None:
 
     metrics = sub.add_parser(
         "metrics",
-        help="profile a workload and print its runtime metrics")
+        help="profile a workload and print the op metrics folded "
+             "from its trace")
     metrics.add_argument("workload", help="registered workload name")
     metrics.add_argument("--format", default="prom",
                          choices=("prom", "json"),
@@ -173,7 +174,7 @@ def _run_trace(args: argparse.Namespace) -> int:
         hint = "open in chrome://tracing or Perfetto"
     elif args.format == "jsonl":
         payload = trace_to_jsonl(trace)
-        hint = "re-import with repro.obs.jsonl.read_jsonl"
+        hint = "re-analyze with repro analyze-trace"
     else:
         payload = trace_to_flame(trace, weight=args.weight,
                                  device=get_device(args.device))
@@ -210,15 +211,15 @@ def _run_report(args: argparse.Namespace) -> int:
 
 
 def _run_metrics(args: argparse.Namespace) -> int:
-    from repro.obs import metrics as obs_metrics
-    from repro.obs.prom import render_runtime
-    with obs_metrics.scoped_runtime() as runtime:
-        _profile(args.workload, args.seed)
-        if args.format == "json":
-            print(json.dumps(runtime.registry.snapshot(), indent=1,
-                             sort_keys=True))
-        else:
-            print(render_runtime(runtime), end="")
+    from repro.obs.metrics import RuntimeMetrics
+    from repro.obs.prom import render_registry
+    runtime = RuntimeMetrics()
+    runtime.observe_trace(_profile(args.workload, args.seed).events)
+    if args.format == "json":
+        print(json.dumps(runtime.registry.snapshot(), indent=1,
+                         sort_keys=True))
+    else:
+        print(render_registry(runtime.registry), end="")
     return 0
 
 

@@ -1,19 +1,20 @@
-"""JSONL structured event log: durable, streamable, re-importable.
+"""JSONL structured event log: the suite's one on-disk trace format.
 
 One JSON object per line:
 
 * a ``meta`` header (workload, trace metadata, format version),
-* one ``op`` line per :class:`~repro.core.profiler.TraceEvent`
-  (the same field layout as :mod:`repro.core.serialize`),
+* one ``op`` line per :class:`~repro.core.profiler.TraceEvent`,
+  every field stored losslessly (:func:`event_to_dict`),
 * one ``span`` line per collected
   :class:`~repro.obs.spans.SpanRecord`.
 
-Unlike the single-document trace archive, a JSONL log can be appended
-while a run is in flight, tailed by external collectors, and
-truncated without losing every earlier record — the shape log
-shippers (fluentd, vector, Loki) expect.  :func:`read_jsonl`
+A log can be appended while a run is in flight, tailed by external
+collectors, and truncated without losing every earlier record — the
+shape log shippers (fluentd, vector, Loki) expect.  :func:`read_jsonl`
 reconstructs an equivalent :class:`Trace` (identical per-phase and
-per-category totals) including its span tree.
+per-category totals) including its span tree, so ``repro
+analyze-trace`` re-runs the latency and operator analyses on a log
+without re-executing the workload.
 """
 
 from __future__ import annotations
@@ -21,9 +22,8 @@ from __future__ import annotations
 import json
 from typing import Dict, Iterator, List
 
-from repro.core.profiler import Trace
-from repro.core.serialize import (event_from_dict, event_to_dict,
-                                  safe_json_value)
+from repro.core.profiler import Trace, TraceEvent
+from repro.core.taxonomy import OpCategory
 from repro.obs.spans import SpanRecord
 
 #: bump when the line layout changes
@@ -33,6 +33,60 @@ JSONL_VERSION = 2
 #: logs predate per-span counter attribution; their op lines load with
 #: ``sid=None`` (handled by ``event_from_dict``).
 SUPPORTED_JSONL_VERSIONS = (1, 2)
+
+
+def safe_json_value(value):
+    """``value`` if JSON-serializable, else its ``repr``."""
+    try:
+        json.dumps(value)
+        return value
+    except (TypeError, ValueError):
+        return repr(value)
+
+
+def event_to_dict(e: TraceEvent) -> Dict:
+    """One event as plain JSON-safe structures."""
+    return {
+        "eid": e.eid,
+        "name": e.name,
+        "category": e.category.value,
+        "phase": e.phase,
+        "stage": e.stage,
+        "flops": e.flops,
+        "bytes_read": e.bytes_read,
+        "bytes_written": e.bytes_written,
+        "input_shapes": [list(s) for s in e.input_shapes],
+        "output_shape": list(e.output_shape),
+        "output_sparsity": e.output_sparsity,
+        "wall_time": e.wall_time,
+        "parents": list(e.parents),
+        "live_bytes": e.live_bytes,
+        "t_start": e.t_start,
+        "sid": e.sid,
+    }
+
+
+def event_from_dict(raw: Dict) -> TraceEvent:
+    """Inverse of :func:`event_to_dict` (missing keys default)."""
+    return TraceEvent(
+        eid=int(raw["eid"]),
+        name=raw["name"],
+        category=OpCategory(raw["category"]),
+        phase=raw.get("phase", ""),
+        stage=raw.get("stage", ""),
+        flops=float(raw.get("flops", 0.0)),
+        bytes_read=int(raw.get("bytes_read", 0)),
+        bytes_written=int(raw.get("bytes_written", 0)),
+        input_shapes=tuple(tuple(s)
+                           for s in raw.get("input_shapes", [])),
+        output_shape=tuple(raw.get("output_shape", [])),
+        output_sparsity=float(raw.get("output_sparsity", 0.0)),
+        wall_time=float(raw.get("wall_time", 0.0)),
+        parents=tuple(raw.get("parents", [])),
+        live_bytes=int(raw.get("live_bytes", 0)),
+        t_start=float(raw.get("t_start", 0.0)),
+        sid=(None if raw.get("sid") is None else int(raw["sid"])),
+    )
 
 
 def trace_to_jsonl_lines(trace: Trace) -> Iterator[str]:

@@ -1,32 +1,30 @@
-"""Live telemetry: ring-buffer bus, snapshots, tail sampling, SLO burn.
+"""Live telemetry: rolling snapshots, tail sampling, SLO burn.
 
 The serving layer characterizes itself *after* a run (``ServerStats``
 summaries); this module is the *while it runs* counterpart — the
 pieces a production operator watches:
 
-* :class:`RingBufferBus` — a bounded, lock-protected event bus the
-  hot path publishes into.  Publishing is O(1), never blocks, and
-  never grows: when the ring is full the oldest event is overwritten
-  and slow subscribers observe the loss as a **drop count** computed
-  from sequence-number gaps.  Losing telemetry under overload is the
-  deliberate trade — the serving path must never wait on an observer.
 * :class:`SnapshotAggregator` — rolling-window aggregation emitted as
   periodic snapshots: p50/p95/p99 end-to-end latency, throughput,
   status counts, and the rejection mix per classified reason.
 * :class:`TailSamplingPolicy` — head sampling wastes retention on
   healthy traffic; tail sampling decides *after* the outcome is
-  known.  Failed / degraded / rejected / deadline-missed / slow
-  requests always keep their full span trees; healthy requests are
-  kept at a small deterministic ratio (a seeded hash draw over the
-  trace id, so two runs of one seeded schedule retain identical
-  trace sets — the property CI asserts).
+  known.  Failed / degraded / rejected / deadline-missed requests
+  always keep their full span trees; healthy requests are kept at a
+  small deterministic ratio (a seeded hash draw over the trace id, so
+  two runs of one seeded schedule retain identical trace sets — the
+  property CI asserts).
 * :class:`BurnRateMonitor` — multi-window SLO burn-rate alerting in
   the SRE-workbook style: the error-budget burn rate over a fast and
   a slow window, with edge-triggered ``page`` / ``ticket`` alerts.
 * :class:`LiveTelemetry` — the facade the server publishes into
   (``InferenceServer.attach_telemetry``), fanning one response event
-  out to all four, and serializing snapshots/alerts/samples as JSONL
-  (``repro serve bench --live-snapshots``).
+  out to the other three, and serializing snapshots/alerts/samples as
+  JSONL (``repro serve bench --live-snapshots``).
+
+The snapshot window, the SLO objective and the burn windows and
+thresholds are module constants; only the sampling seed and ratio
+and the snapshot interval are settable, because the CLI sets them.
 
 Everything is clocked by the *event* timestamps, not the wall clock,
 so the same pipeline serves both live wall-clock mode and the
@@ -38,95 +36,36 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.obs.spans import SpanRecord
 
 __all__ = [
-    "BurnRateMonitor", "LiveTelemetry", "RingBufferBus", "SLOPolicy",
-    "SnapshotAggregator", "Subscriber", "TailSamplingPolicy",
+    "BurnRateMonitor", "LiveTelemetry", "SnapshotAggregator",
+    "TailSamplingPolicy",
 ]
 
 #: statuses counted against the SLO error budget
 _ERROR_STATUSES = ("failed", "rejected")
 
+#: seconds of service clock a snapshot aggregates over
+SNAPSHOT_WINDOW = 5.0
+#: latency / queue-wait percentiles every snapshot reports
+SNAPSHOT_PERCENTILES: Tuple[int, ...] = (50, 95, 99)
 
-# -- event bus ---------------------------------------------------------------
-
-class Subscriber:
-    """One reader's cursor into a :class:`RingBufferBus`.
-
-    ``poll()`` returns everything published since the last poll plus
-    the number of events this subscriber lost to ring overwrites.
-    """
-
-    def __init__(self, bus: "RingBufferBus"):
-        self._bus = bus
-        self._next_seq = bus.seq
-        self.dropped = 0
-
-    def poll(self) -> Tuple[List[Dict[str, object]], int]:
-        """(new events, events dropped since the last poll)."""
-        events, dropped, self._next_seq = self._bus.read_from(self._next_seq)
-        self.dropped += dropped
-        return events, dropped
-
-
-class RingBufferBus:
-    """Bounded single-lock event ring; publishing never blocks.
-
-    Every event gets a monotonically increasing sequence number.  The
-    ring holds the last ``capacity`` events; readers that fall more
-    than ``capacity`` behind lose the overwritten prefix and are told
-    exactly how much they lost.
-    """
-
-    def __init__(self, capacity: int = 4096):
-        if capacity < 1:
-            raise ValueError("ring capacity must be >= 1")
-        self.capacity = capacity
-        self._ring: List[Optional[Dict[str, object]]] = [None] * capacity
-        self._lock = threading.Lock()
-        self._seq = 0          # next sequence number to assign
-
-    @property
-    def seq(self) -> int:
-        with self._lock:
-            return self._seq
-
-    @property
-    def published(self) -> int:
-        """Total events ever published."""
-        return self.seq
-
-    def publish(self, event: Dict[str, object]) -> int:
-        """Append ``event``; O(1), overwrites the oldest when full."""
-        with self._lock:
-            seq = self._seq
-            self._ring[seq % self.capacity] = event
-            self._seq = seq + 1
-            return seq
-
-    def read_from(self, start_seq: int) -> Tuple[List[Dict[str, object]],
-                                                 int, int]:
-        """Events with seq >= ``start_seq`` still in the ring.
-
-        Returns ``(events, dropped, next_seq)`` where ``dropped``
-        counts events already overwritten (the gap between
-        ``start_seq`` and the oldest retained sequence number).
-        """
-        with self._lock:
-            seq = self._seq
-            oldest = max(0, seq - self.capacity)
-            dropped = max(0, oldest - start_seq)
-            first = max(start_seq, oldest)
-            events = [self._ring[i % self.capacity]  # type: ignore[misc]
-                      for i in range(first, seq)]
-            return list(events), dropped, seq
-
-    def subscribe(self) -> Subscriber:
-        return Subscriber(self)
+#: availability objective: the target good-request fraction.  Burn
+#: rate is (observed error rate) / (error budget): burning at 1.0
+#: exhausts the budget exactly at the period's end.
+SLO_OBJECTIVE = 0.99
+ERROR_BUDGET = 1.0 - SLO_OBJECTIVE
+#: the SRE-workbook pairing: a fast window catching sudden cliffs
+#: (page: budget gone in hours) and a slow window catching sustained
+#: leaks (ticket: budget gone in a day); windows in seconds of service
+#: clock
+FAST_WINDOW = 5.0
+SLOW_WINDOW = 60.0
+FAST_BURN = 14.4
+SLOW_BURN = 6.0
 
 
 # -- rolling aggregation -----------------------------------------------------
@@ -144,25 +83,20 @@ class SnapshotAggregator:
     """Rolling-window aggregation emitted as periodic snapshots.
 
     ``observe`` accumulates one response event; ``snapshot`` rolls
-    the window (dropping events older than ``window`` seconds before
-    ``at``) and returns the aggregate: latency percentiles over
-    *completed* requests, throughput, status counts, and the
-    per-class rejection mix.
+    the window (dropping events older than :data:`SNAPSHOT_WINDOW`
+    seconds before ``at``) and returns the aggregate: latency
+    percentiles over *completed* requests, throughput, status counts,
+    and the per-class rejection mix.
     """
 
-    def __init__(self, window: float = 5.0,
-                 percentiles: Tuple[int, ...] = (50, 95, 99)):
-        if window <= 0:
-            raise ValueError("window must be positive")
-        self.window = window
-        self.percentiles = percentiles
+    def __init__(self) -> None:
         self._events: List[Dict[str, object]] = []
 
     def observe(self, event: Dict[str, object]) -> None:
         self._events.append(event)
 
     def _roll(self, at: float) -> None:
-        horizon = at - self.window
+        horizon = at - SNAPSHOT_WINDOW
         self._events = [e for e in self._events
                         if float(e.get("t", 0.0)) > horizon]
 
@@ -184,17 +118,17 @@ class SnapshotAggregator:
                 queue_waits.append(float(event.get("queue_wait", 0.0)))
         latencies.sort()
         queue_waits.sort()
-        span = min(self.window, at) or self.window
+        span = min(SNAPSHOT_WINDOW, at) or SNAPSHOT_WINDOW
         return {
             "type": "snapshot",
             "t": round(at, 9),
-            "window": self.window,
+            "window": SNAPSHOT_WINDOW,
             "count": len(self._events),
-            "throughput_rps": round(len(latencies) / span, 6) if span else 0.0,
+            "throughput_rps": round(len(latencies) / span, 6),
             "latency": {f"p{p}": round(_percentile(latencies, p), 9)
-                        for p in self.percentiles},
+                        for p in SNAPSHOT_PERCENTILES},
             "queue_wait": {f"p{p}": round(_percentile(queue_waits, p), 9)
-                           for p in self.percentiles},
+                           for p in SNAPSHOT_PERCENTILES},
             "statuses": dict(sorted(statuses.items())),
             "rejections": dict(sorted(rejections.items())),
         }
@@ -205,23 +139,18 @@ class SnapshotAggregator:
 class TailSamplingPolicy:
     """Decide *after* the outcome which traces keep full span trees.
 
-    Interesting requests (non-ok status, deadline misses, latency
-    above ``slow_threshold``) are always retained.  Healthy requests
-    are retained at ``healthy_ratio`` via a deterministic seeded hash
-    draw over the trace id — no RNG state, so the decision for a
-    given (seed, trace_id) never varies across runs or threads.
+    Interesting requests (non-ok status, deadline misses) are always
+    retained.  Healthy requests are retained at ``healthy_ratio`` via
+    a deterministic seeded hash draw over the trace id — no RNG
+    state, so the decision for a given (seed, trace_id) never varies
+    across runs or threads.
     """
 
-    KEEP_REASONS = ("failed", "degraded", "rejected", "deadline", "slow",
-                    "healthy_sample")
-
-    def __init__(self, seed: int = 0, healthy_ratio: float = 0.05,
-                 slow_threshold: Optional[float] = None):
+    def __init__(self, seed: int = 0, healthy_ratio: float = 0.05):
         if not 0.0 <= healthy_ratio <= 1.0:
             raise ValueError("healthy_ratio must be within [0, 1]")
         self.seed = seed
         self.healthy_ratio = healthy_ratio
-        self.slow_threshold = slow_threshold
 
     def _draw(self, trace_id: str) -> float:
         digest = hashlib.blake2s(f"{self.seed}:{trace_id}".encode(),
@@ -235,10 +164,6 @@ class TailSamplingPolicy:
             return status
         if event.get("deadline_exceeded"):
             return "deadline"
-        latency = float(event.get("latency", 0.0))
-        if (self.slow_threshold is not None
-                and latency > self.slow_threshold):
-            return "slow"
         trace_id = event.get("trace_id")
         if trace_id is not None and \
                 self._draw(str(trace_id)) < self.healthy_ratio:
@@ -248,33 +173,6 @@ class TailSamplingPolicy:
 
 # -- SLO burn-rate monitoring ------------------------------------------------
 
-@dataclass(frozen=True)
-class SLOPolicy:
-    """An availability objective and the burn windows that guard it.
-
-    ``objective`` is the target good-request fraction (e.g. 0.99 → a
-    1% error budget).  Burn rate is (observed error rate) / (budget):
-    burning at 1.0 exhausts the budget exactly at the period's end.
-    The default thresholds are the SRE-workbook pairing: a fast
-    window catching sudden cliffs (page) and a slow window catching
-    sustained leaks (ticket).
-    """
-
-    objective: float = 0.99
-    fast_window: float = 5.0          # seconds (service clock)
-    slow_window: float = 60.0
-    fast_burn: float = 14.4           # page: budget gone in hours
-    slow_burn: float = 6.0            # ticket: budget gone in a day
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.objective < 1.0:
-            raise ValueError("objective must be within (0, 1)")
-
-    @property
-    def budget(self) -> float:
-        return 1.0 - self.objective
-
-
 class BurnRateMonitor:
     """Edge-triggered burn-rate alerts over a stream of events.
 
@@ -283,8 +181,7 @@ class BurnRateMonitor:
     it falls back below — no alert storms while a condition holds.
     """
 
-    def __init__(self, policy: Optional[SLOPolicy] = None):
-        self.policy = policy or SLOPolicy()
+    def __init__(self) -> None:
         self._events: List[Tuple[float, bool]] = []   # (t, is_error)
         self._active: Dict[str, bool] = {"page": False, "ticket": False}
         self.alerts: List[Dict[str, object]] = []
@@ -302,24 +199,24 @@ class BurnRateMonitor:
                 errors += is_error
         if total == 0:
             return 0.0
-        return (errors / total) / self.policy.budget
+        return (errors / total) / ERROR_BUDGET
 
     def observe(self, event: Dict[str, object]) -> List[Dict[str, object]]:
         at = float(event.get("t", 0.0))
         self._events.append((at, self._is_error(event)))
-        horizon = at - max(self.policy.fast_window, self.policy.slow_window)
+        horizon = at - max(FAST_WINDOW, SLOW_WINDOW)
         self._events = [(t, e) for t, e in self._events if t > horizon]
         raised: List[Dict[str, object]] = []
         for severity, window, threshold in (
-                ("page", self.policy.fast_window, self.policy.fast_burn),
-                ("ticket", self.policy.slow_window, self.policy.slow_burn)):
+                ("page", FAST_WINDOW, FAST_BURN),
+                ("ticket", SLOW_WINDOW, SLOW_BURN)):
             burn = self._burn(at, window)
             breached = burn >= threshold
             if breached and not self._active[severity]:
                 alert = {"type": "alert", "severity": severity,
                          "t": round(at, 9), "burn_rate": round(burn, 6),
                          "threshold": threshold, "window": window,
-                         "objective": self.policy.objective}
+                         "objective": SLO_OBJECTIVE}
                 raised.append(alert)
                 self.alerts.append(alert)
             self._active[severity] = breached
@@ -331,27 +228,24 @@ class BurnRateMonitor:
 class LiveTelemetry:
     """One sink the server publishes response events into.
 
-    Fans each event out to the ring bus, the rolling aggregator (with
-    interval-aligned snapshot emission), the tail sampler (retaining
-    the event's span tree when the policy keeps it), and the burn-rate
-    monitor.  ``flush()`` closes the final snapshot window;
+    Fans each event out to the rolling aggregator (with
+    interval-aligned snapshot emission), the tail sampler (seeded by
+    ``seed``, keeping ``healthy_ratio`` of healthy requests, and
+    retaining the event's span tree when it keeps one), and the
+    burn-rate monitor.  ``flush()`` closes the final snapshot window;
     ``write_jsonl`` serializes snapshots + alerts + samples.
 
     Thread-safe: live-mode workers publish concurrently.  All clocks
     are event timestamps, so schedule-mode output is deterministic.
     """
 
-    def __init__(self, bus: Optional[RingBufferBus] = None,
-                 aggregator: Optional[SnapshotAggregator] = None,
-                 sampler: Optional[TailSamplingPolicy] = None,
-                 monitor: Optional[BurnRateMonitor] = None,
+    def __init__(self, seed: int = 0, healthy_ratio: float = 0.05,
                  snapshot_interval: float = 1.0):
         if snapshot_interval <= 0:
             raise ValueError("snapshot_interval must be positive")
-        self.bus = bus or RingBufferBus()
-        self.aggregator = aggregator or SnapshotAggregator()
-        self.sampler = sampler or TailSamplingPolicy()
-        self.monitor = monitor or BurnRateMonitor()
+        self.aggregator = SnapshotAggregator()
+        self.sampler = TailSamplingPolicy(seed, healthy_ratio)
+        self.monitor = BurnRateMonitor()
         self.snapshot_interval = snapshot_interval
         self.snapshots: List[Dict[str, object]] = []
         self.samples: List[Dict[str, object]] = []
@@ -374,7 +268,6 @@ class LiveTelemetry:
                 self.snapshots.append(
                     self.aggregator.snapshot(self._window_end))
                 self._window_end += self.snapshot_interval
-            self.bus.publish(event)
             self.aggregator.observe(event)
             self.monitor.observe(event)
             reason = self.sampler.decide(event)

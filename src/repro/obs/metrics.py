@@ -1,37 +1,22 @@
-"""Process-wide metrics registry: counters, gauges, histograms.
+"""Metrics instruments: counters, gauges, histograms.
 
-A Prometheus-flavoured instrument set the runtime layers update as
-they execute:
-
-* a profiling context folds its trace into the op instruments when it
-  closes (:func:`observe_trace` -> ``repro_ops_total``,
-  ``repro_flops_total``, ``repro_bytes_total``, per-category latency
-  histograms, live-byte gauges), so they are a view of the trace, not
-  a second copy of it kept op by op;
-* the fault layer reports injections (:func:`observe_fault` ->
-  ``repro_faults_injected_total``);
-* the resilient runner reports attempts, retries, and outcomes
-  (:func:`observe_attempt` / :func:`observe_retry` /
-  :func:`observe_run`).
-
-Collection is **off by default**: callers check the module-level
-:data:`ENABLED` flag first, so a disabled run pays one attribute load
-and branch per closing profile, not per op.  Enable with
-:func:`enable` (process-wide) or :func:`scoped_runtime` (isolated
-registry for one block — what tests and the CLI use).
-
-The thread-local runtime-override stack is private: ``push_runtime``
-/ ``pop_runtime`` may only be called from ``__enter__``/``__exit__``
-pairs or ``@contextmanager`` functions (lint check RL005), because an
-unbalanced stack silently re-routes every later observation.
+Prometheus-flavoured instruments over a :class:`MetricsRegistry`.
+:class:`RuntimeMetrics` is the suite's op instrument set, built fresh
+by whoever asks and filled by folding closed traces
+(:meth:`RuntimeMetrics.observe_trace` -> ``repro_ops_total``,
+``repro_flops_total``, ``repro_bytes_total``, per-category latency
+histograms, live-byte gauges), so the op metrics are a view of the
+trace, computed when asked for (``repro metrics W``), not a second
+copy of it kept while the run executes.  The serving layer's
+:class:`~repro.serve.stats.ServerStats` builds its own registry from
+the same instruments.
 """
 
 from __future__ import annotations
 
 import threading
 from bisect import bisect_left
-from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core.profiler import TraceEvent
 
@@ -59,9 +44,6 @@ class Metric:
 
     def samples(self) -> List[Tuple[LabelKey, float]]:
         """(label values, value) pairs, sorted for deterministic output."""
-        raise NotImplementedError
-
-    def clear(self) -> None:
         raise NotImplementedError
 
 
@@ -96,10 +78,6 @@ class Counter(Metric):
     def samples(self) -> List[Tuple[LabelKey, float]]:
         return sorted(self._values.items())
 
-    def clear(self) -> None:
-        with self._lock:
-            self._values.clear()
-
 
 class Gauge(Metric):
     """Point-in-time value that can move both ways."""
@@ -115,11 +93,6 @@ class Gauge(Metric):
         with self._lock:
             self._values[self._key(labels)] = float(value)
 
-    def set_key(self, key: LabelKey, value: float) -> None:
-        """Pre-validated fast path for hot loops."""
-        with self._lock:
-            self._values[key] = value
-
     def set_max(self, value: float, **labels: object) -> None:
         """Keep the high-water mark (peak gauges)."""
         self.set_max_key(self._key(labels), float(value))
@@ -130,20 +103,11 @@ class Gauge(Metric):
             if value > self._values.get(key, float("-inf")):
                 self._values[key] = value
 
-    def inc(self, amount: float = 1.0, **labels: object) -> None:
-        key = self._key(labels)
-        with self._lock:
-            self._values[key] = self._values.get(key, 0.0) + amount
-
     def value(self, **labels: object) -> float:
         return self._values.get(self._key(labels), 0.0)
 
     def samples(self) -> List[Tuple[LabelKey, float]]:
         return sorted(self._values.items())
-
-    def clear(self) -> None:
-        with self._lock:
-            self._values.clear()
 
 
 #: Default latency buckets: 1µs .. 10s, decade-and-half steps.
@@ -262,12 +226,6 @@ class Histogram(Metric):
         return sorted((key, float(total))
                       for key, total in self._totals.items())
 
-    def clear(self) -> None:
-        with self._lock:
-            self._counts.clear()
-            self._sums.clear()
-            self._totals.clear()
-
 
 def _interpolate(buckets: Sequence[float], counts: Sequence[int],
                  total: int, q: float) -> float:
@@ -292,7 +250,7 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._metrics: Dict[str, Metric] = {}
-        # registries are shared (the process registry, a runtime's):
+        # a registry can be shared across threads (a server's stats):
         # the name-uniqueness check-then-insert must be atomic
         self._reg_lock = threading.Lock()
 
@@ -324,11 +282,6 @@ class MetricsRegistry:
     def metrics(self) -> List[Metric]:
         return list(self._metrics.values())
 
-    def reset(self) -> None:
-        """Zero every metric (registrations are kept)."""
-        for metric in self._metrics.values():
-            metric.clear()
-
     def snapshot(self) -> Dict[str, object]:
         """JSON-safe dump: metric -> {labels repr -> value}."""
         out: Dict[str, object] = {}
@@ -342,11 +295,10 @@ class MetricsRegistry:
 
 
 class RuntimeMetrics:
-    """The suite's built-in instruments over one registry."""
+    """The suite's op instruments over one registry."""
 
     def __init__(self) -> None:
         self.registry = MetricsRegistry()
-        self.enabled = False
         reg = self.registry
         self.ops_total = reg.counter(
             "repro_ops_total", "recorded tensor ops", ("category",))
@@ -361,18 +313,6 @@ class RuntimeMetrics:
         self.op_latency = reg.histogram(
             "repro_op_latency_seconds",
             "measured wall time per recorded op", ("category",))
-        self.faults_injected_total = reg.counter(
-            "repro_faults_injected_total", "fault injections applied",
-            ("kind",))
-        self.attempts_total = reg.counter(
-            "repro_attempts_total", "resilient-runner attempts",
-            ("workload",))
-        self.retries_total = reg.counter(
-            "repro_retries_total", "resilient-runner retries",
-            ("workload",))
-        self.runs_total = reg.counter(
-            "repro_runs_total", "resilient-runner outcomes",
-            ("workload", "status"))
         # one lock for a whole fold: per-instrument locks would cost
         # more than the arithmetic they protect
         self._fold_lock = threading.Lock()
@@ -421,126 +361,3 @@ class RuntimeMetrics:
                     peak[()] = event.live_bytes
             self.flops_total._values[()] = flops
             self.bytes_total._values[()] = nbytes
-
-
-#: Process-default runtime (disabled until :func:`enable`).
-_RUNTIME = RuntimeMetrics()
-
-#: Flag callers check before any call into this module's bookkeeping
-#: (a closing profile, an injected fault, the resilient runner).  True
-#: whenever *any* runtime (default or scoped) is currently enabled.
-ENABLED = False
-
-_enabled_count = 0
-_enabled_lock = threading.Lock()
-
-_state = threading.local()
-
-
-def _runtime_stack() -> List[RuntimeMetrics]:
-    if not hasattr(_state, "stack"):
-        _state.stack = []
-    return _state.stack
-
-
-def active_runtime() -> RuntimeMetrics:
-    """The innermost scoped runtime, or the process default."""
-    stack = _runtime_stack()
-    return stack[-1] if stack else _RUNTIME
-
-
-def _count_enabled(delta: int) -> None:
-    global ENABLED, _enabled_count
-    with _enabled_lock:
-        _enabled_count = max(0, _enabled_count + delta)
-        ENABLED = _enabled_count > 0
-
-
-def enable() -> None:
-    """Turn on collection for the process-default runtime."""
-    if not _RUNTIME.enabled:
-        _RUNTIME.enabled = True
-        _count_enabled(+1)
-
-
-def disable() -> None:
-    """Turn collection back off for the process-default runtime."""
-    if _RUNTIME.enabled:
-        _RUNTIME.enabled = False
-        _count_enabled(-1)
-
-
-def reset() -> None:
-    """Zero the process-default runtime's metrics."""
-    _RUNTIME.registry.reset()
-
-
-def push_runtime(runtime: RuntimeMetrics) -> None:
-    """Install a runtime override for this thread."""
-    _runtime_stack().append(runtime)
-    if runtime.enabled:
-        _count_enabled(+1)
-
-
-def pop_runtime(runtime: RuntimeMetrics) -> None:
-    """Remove ``runtime``; it must be the innermost override."""
-    stack = _runtime_stack()
-    if not stack or stack[-1] is not runtime:  # pragma: no cover - misuse
-        raise RuntimeError("metrics runtimes exited out of order")
-    stack.pop()
-    if runtime.enabled:
-        _count_enabled(-1)
-
-
-@contextmanager
-def scoped_runtime(enabled: bool = True) -> Iterator[RuntimeMetrics]:
-    """Fresh, isolated :class:`RuntimeMetrics` for the block.
-
-    The CLI and tests use this so one measurement never leaks into
-    another (or into the process-default registry).
-
-    Isolation is **thread-local**: a worker thread spawned inside the
-    scope does not inherit the override, so the profiles it closes
-    fold into the process default.
-    """
-    runtime = RuntimeMetrics()
-    runtime.enabled = enabled
-    push_runtime(runtime)
-    try:
-        yield runtime
-    finally:
-        pop_runtime(runtime)
-
-
-# -- observation helpers (called by runtime layers) -------------------------
-
-def observe_trace(events: Sequence[TraceEvent]) -> None:
-    """Fold a closed profile's events into this thread's runtime."""
-    runtime = active_runtime()
-    if runtime.enabled:
-        runtime.observe_trace(events)
-
-
-def observe_fault(kind: str) -> None:
-    """Record one applied fault injection."""
-    runtime = active_runtime()
-    if runtime.enabled:
-        runtime.faults_injected_total.inc(1.0, kind=kind)
-
-
-def observe_attempt(workload: str) -> None:
-    runtime = active_runtime()
-    if runtime.enabled:
-        runtime.attempts_total.inc(1.0, workload=workload)
-
-
-def observe_retry(workload: str) -> None:
-    runtime = active_runtime()
-    if runtime.enabled:
-        runtime.retries_total.inc(1.0, workload=workload)
-
-
-def observe_run(workload: str, status: str) -> None:
-    runtime = active_runtime()
-    if runtime.enabled:
-        runtime.runs_total.inc(1.0, workload=workload, status=status)

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-from repro.obs.metrics import (Histogram, Metric, MetricsRegistry,
-                               RuntimeMetrics)
+from repro.obs.metrics import Histogram, Metric, MetricsRegistry
 
 #: quantiles exported for every histogram label set
 QUANTILES: Tuple[float, ...] = (50.0, 95.0, 99.0)
@@ -84,8 +83,3 @@ def render_registry(registry: MetricsRegistry) -> str:
                 for metric in sorted(registry.metrics(),
                                      key=lambda m: m.name)]
     return "\n".join(families) + ("\n" if families else "")
-
-
-def render_runtime(runtime: RuntimeMetrics) -> str:
-    """Exposition snapshot of one :class:`RuntimeMetrics`."""
-    return render_registry(runtime.registry)

@@ -28,10 +28,9 @@ returns a :class:`RosterReport` in which every workload is ``ok``,
 
 The runner is also an observability source: each ``run_workload`` call
 collects a span timeline (``run:<name>`` / ``attempt#N`` /
-``health_check`` / ``backoff``) onto the outcome's ``spans`` and, when
-metrics collection is enabled, bumps the ``repro_attempts_total`` /
-``repro_retries_total`` / ``repro_runs_total`` counters
-(:mod:`repro.obs.metrics`).
+``health_check`` / ``backoff``) onto the outcome's ``spans``.  The
+outcome itself records how the run went: ``status``, ``attempts``,
+and the health report that quarantined it, if any.
 
 A caller holding a *plan*, an earlier eager trace of the same run
 (:mod:`repro.compile`), passes it to
@@ -57,7 +56,6 @@ from repro.core.report import format_time, render_table
 from repro.core.suite import WorkloadReport, characterize_trace
 from repro.hwsim.device import DeviceSpec
 from repro.hwsim.devices import RTX_2080TI
-from repro.obs import metrics as _metrics
 from repro.obs.spans import SpanCollector, SpanRecord
 from repro.obs.spans import span as _span
 from repro.resilience.faults import FaultPlan
@@ -208,21 +206,27 @@ class RosterReport:
         return out
 
     def render(self) -> str:
+        """Status table with the Fig. 2a latency split per workload."""
         rows = []
         for o in self.outcomes:
-            latency = (format_time(o.report.latency.total_time)
-                       if o.report is not None
-                       and o.report.latency.total_time > 0 else "n/a")
+            latency = neural = symbolic = "n/a"
+            if o.report is not None and o.report.latency.total_time > 0:
+                split = o.report.latency
+                latency = format_time(split.total_time)
+                neural = f"{split.neural_fraction * 100:.1f}%"
+                symbolic = f"{split.symbolic_fraction * 100:.1f}%"
             note = ""
             if o.status == STATUS_DEGRADED and o.health is not None:
                 note = "failed checks: " + ", ".join(o.health.failing())
             elif o.status == STATUS_FAILED and o.error is not None:
                 note = f"{o.error_type}: {o.error}"
             rows.append([o.name.upper(), o.status, o.attempts,
-                         format_time(o.elapsed), latency, note[:60]])
+                         format_time(o.elapsed), latency, neural,
+                         symbolic, note[:60]])
         counts = self.counts()
         table = render_table(
-            ["workload", "status", "attempts", "wall", "projected", "note"],
+            ["workload", "status", "attempts", "wall", "projected",
+             "neural %", "symbolic %", "note"],
             rows,
             title=(f"resilient roster: {counts[STATUS_OK]} ok, "
                    f"{counts[STATUS_DEGRADED]} degraded, "
@@ -302,8 +306,6 @@ class ResilientRunner:
                     run_span.attrs["status"] = outcome.status
                     run_span.attrs["attempts"] = outcome.attempts
         outcome.spans = collector.spans
-        if _metrics.ENABLED:
-            _metrics.observe_run(name, outcome.status)
         return outcome
 
     def _run_protected(self, name: str, seed: int,
@@ -326,8 +328,6 @@ class ResilientRunner:
                     f"failures)")
                 break
             attempts += 1
-            if _metrics.ENABLED:
-                _metrics.observe_attempt(name)
             run_seed = seed + attempt
             error: Optional[BaseException] = None
             with _span(f"attempt#{attempts}", seed=run_seed) as att_span:
@@ -349,8 +349,6 @@ class ResilientRunner:
                 if (classify_error(error) == DETERMINISTIC
                         or attempt + 1 >= max_attempts):
                     break
-                if _metrics.ENABLED:
-                    _metrics.observe_retry(name)
                 with _span("backoff", attempt=attempt):
                     self.sleep(backoff_delay(attempt, rng))
                 continue
@@ -451,9 +449,8 @@ def run_roster(names: Optional[Sequence[str]] = None,
                **params: object) -> RosterReport:
     """Characterize the roster, degrading instead of aborting.
 
-    Drop-in resilient counterpart of
-    :func:`repro.core.suite.characterize_all`: every workload ends in
-    exactly one outcome and a broken entry never takes down its peers.
+    Every workload ends in exactly one outcome and a broken entry
+    never takes down its peers.
     """
     if runner is None:
         runner = ResilientRunner(device=device)

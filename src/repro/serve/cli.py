@@ -149,11 +149,10 @@ def _telemetry_from_args(args: "argparse.Namespace"):
     """A LiveTelemetry sink when ``--live-snapshots`` asked for one."""
     if not args.live_snapshots:
         return None
-    from repro.obs.live import LiveTelemetry, TailSamplingPolicy
-    return LiveTelemetry(
-        sampler=TailSamplingPolicy(seed=getattr(args, "seed", 0),
-                                   healthy_ratio=args.sample_ratio),
-        snapshot_interval=args.snapshot_interval)
+    from repro.obs.live import LiveTelemetry
+    return LiveTelemetry(seed=getattr(args, "seed", 0),
+                         healthy_ratio=args.sample_ratio,
+                         snapshot_interval=args.snapshot_interval)
 
 
 def _emit_telemetry(args: "argparse.Namespace", telemetry) -> None:

@@ -4,8 +4,8 @@ Each :class:`Worker` binds one :class:`~repro.hwsim.device.DeviceSpec`
 and owns a :class:`~repro.resilience.runner.ResilientRunner` on that
 device, whose factory is the shared
 :class:`~repro.serve.cache.ArtifactCache`: the runner characterizes
-each batch's trace on the worker's device, and the server turns the
-trace into a *modeled* per-device latency on it.  A batch's key is
+each batch's trace on the worker's device, and that report's latency
+is the batch's *modeled* service time there.  A batch's key is
 its cache key.  Faults degrade individual batches (the runner's
 contract) instead of killing the worker thread, so the pool survives
 hostile load.
@@ -77,8 +77,9 @@ class Worker:
         self.device = device
         self.cache = cache
         self.fault_plans = fault_plans or {}
-        # timeout=None keeps attempts on this thread, which preserves
-        # thread-local metric/span bindings for the whole batch.
+        # timeout=None keeps attempts on this thread, which keeps the
+        # batch's thread-local span and trace-context bindings in force
+        # for the whole batch.
         self.runner = ResilientRunner(
             device=device, timeout=timeout, max_retries=max_retries,
             factory=cache.factory())

@@ -16,9 +16,10 @@ execution still exercises real threads:
   status, attempts, trace);
 * *dispatch* — a virtual-time simulation assigns batches to virtual
   workers in close order (earliest-available wins, index breaks
-  ties) with the **modeled** per-device service time from
-  :func:`repro.core.analysis.latency_breakdown`, producing
-  deterministic queue waits, completions, and deadline verdicts.
+  ties) with the **modeled** per-device service time (the
+  :func:`repro.core.analysis.latency_breakdown` total of the batch's
+  trace), producing deterministic queue waits, completions, and
+  deadline verdicts.
 
 **Live mode** (:meth:`start` / :meth:`submit` / :meth:`stop`) serves
 on the wall clock — used by closed-loop load and
@@ -171,8 +172,6 @@ class InferenceServer:
             for i in range(self.config.workers)
         ]
         self.pool = WorkerPool(self.workers)
-        self._modeled: Dict[Tuple[object, str], float] = {}
-        self._modeled_lock = threading.Lock()
         # live-mode machinery (built by start())
         self._queue: Optional[RequestQueue] = None
         self._threads: List[threading.Thread] = []
@@ -185,27 +184,21 @@ class InferenceServer:
         self._telemetry = None
 
     # -- modeled latency -----------------------------------------------------
-    def _modeled_latency(self, result: BatchResult,
-                         device: DeviceSpec) -> float:
+    @staticmethod
+    def _modeled_latency(result: BatchResult, device: DeviceSpec) -> float:
         """Analytic service time of the batch's trace on ``device``.
 
-        Cached per (batch key, device): identical keys replay
-        identical traces (the cache hands out pristine copies), so
-        the memoization is an optimization, never a semantic change.
+        The worker's runner already characterized the trace on the
+        device that ran the batch, so that report's latency is the
+        answer there.  Only a schedule-mode virtual worker bound to a
+        different device projects the trace again.
         """
         trace = result.trace
         if trace is None:
             return 0.0
-        key = (result.batch.key, device.name)
-        with self._modeled_lock:
-            cached = self._modeled.get(key)
-        if cached is not None:
-            return cached
-        # compute outside the lock: identical keys yield identical
-        # values, so a racing double-compute is wasted work, not a bug
-        value = latency_breakdown(trace, device).total_time
-        with self._modeled_lock:
-            return self._modeled.setdefault(key, value)
+        if device.name == result.device:
+            return result.outcome.report.latency.total_time
+        return latency_breakdown(trace, device).total_time
 
     # -- telemetry -----------------------------------------------------------
     def attach_telemetry(self, telemetry) -> None:

@@ -1,8 +1,7 @@
 """Server-side SLO accounting: latency percentiles, throughput, shed load.
 
 :class:`ServerStats` owns a private
-:class:`~repro.obs.metrics.MetricsRegistry` (the process registry is
-untouched unless the caller exports into it) and splits every figure
+:class:`~repro.obs.metrics.MetricsRegistry` and splits every figure
 into two strictly separated sections:
 
 * ``deterministic`` — everything derived from virtual time and

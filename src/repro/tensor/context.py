@@ -24,9 +24,8 @@ free deltas propagate up the whole context stack: an outer
 in its own ``live_bytes``/``peak_live_bytes``, so nested profiling
 never under-reports memory.
 
-Runtime metrics: when collection is on (:mod:`repro.obs.metrics`),
-a closing context folds its events into the runtime active on its
-thread, so the op metrics are read off the trace.
+Runtime metrics are not collected here: the closed trace is the
+record, and :mod:`repro.obs.metrics` folds it when asked for.
 
 Span tracing: entering a :class:`ProfileContext` opens a root
 ``profile:<workload>`` span and installs the trace as a span
@@ -72,7 +71,6 @@ from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional
 
 from repro.core.profiler import Trace, TraceEvent
-from repro.obs import metrics as _metrics
 from repro.obs import spans as _spans
 
 
@@ -83,7 +81,10 @@ class DispatchState:
     session (``None`` when absent) are kept as plain attributes, so the
     dispatcher reads them all through one thread-local lookup per op.
     Each slot is a stack: :meth:`push` and :meth:`pop` keep the
-    attribute equal to its top.
+    attribute equal to its top.  Outside this module they may only be
+    called from ``__enter__``/``__exit__`` pairs or ``@contextmanager``
+    functions (lint check RL005): an unbalanced stack re-routes every
+    later op of the thread.
     """
 
     __slots__ = ("context", "fault_hook", "observer", "session",
@@ -247,8 +248,6 @@ class ProfileContext:
             self._span = None
         _spans.uninstall_collector(self.trace.spans)
         self._parent = None
-        if _metrics.ENABLED:
-            _metrics.observe_trace(self.trace.events)
 
 
 def profile(workload: str = "") -> ProfileContext:

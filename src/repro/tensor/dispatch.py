@@ -34,7 +34,6 @@ import numpy as np
 
 from repro.core.profiler import TraceEvent
 from repro.core.taxonomy import OpCategory, category_for
-from repro.obs import metrics as _metrics
 from repro.obs import selfprof as _selfprof
 from repro.obs.clock import perf_ns as _perf_ns
 from repro.obs.spans import current_span as _current_span
@@ -81,19 +80,6 @@ def _split_inputs(inputs: Sequence[InputLike]) -> Tuple[List[np.ndarray], int,
     return arrays, bytes_read, tuple(shapes), tuple(parents)
 
 
-def _injection_kind(injection: object) -> str:
-    """Metric label for an injection's dominant effect."""
-    if getattr(injection, "raises", False):
-        return "error"
-    if getattr(injection, "poison", None) is not None:
-        return "poison"
-    if float(getattr(injection, "extra_latency", 0.0)) > 0.0:
-        return "latency"
-    if int(getattr(injection, "extra_live_bytes", 0)) > 0:
-        return "alloc"
-    return "other"
-
-
 def _consider_fault(hook: object, ctx: Optional[ProfileContext],
                     name: str) -> Optional[object]:
     """Ask the fault hook about this op; raise if it says so.
@@ -107,8 +93,6 @@ def _consider_fault(hook: object, ctx: Optional[ProfileContext],
     injection = hook.consider(name, phase, stage)
     if injection is None:
         return None
-    if _metrics.ENABLED:
-        _metrics.observe_fault(_injection_kind(injection))
     if getattr(injection, "raises", False):
         raise InjectedFaultError(
             f"injected fault in op {name!r} "

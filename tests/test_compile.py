@@ -23,8 +23,8 @@ from repro.compile import (PlanDivergenceError, PlanError,
 from repro.core.profiler import Trace
 from repro.core.taxonomy import category_for
 from repro.hwsim.devices import RTX_2080TI
-from repro.obs import metrics as obs_metrics
 from repro.obs import selfprof
+from repro.obs.metrics import RuntimeMetrics
 from repro.obs.runrec import counters_digest
 from repro.resilience.faults import FaultPlan, FaultSpec
 from repro.resilience.runner import (DETERMINISTIC, FALLBACK, REPLAYED,
@@ -223,10 +223,11 @@ class TestExecutorSessions:
 
     def test_bulk_metrics_match_eager_totals(self):
         plan = cached_trace("abl", seed=0)
-        with obs_metrics.scoped_runtime() as eager_runtime:
-            create("abl", seed=0).profile()
-        with obs_metrics.scoped_runtime() as replay_runtime:
-            replay(create("abl", seed=0), plan)
+        eager_runtime = RuntimeMetrics()
+        eager_runtime.observe_trace(create("abl", seed=0).profile().events)
+        replay_runtime = RuntimeMetrics()
+        replay_runtime.observe_trace(
+            replay(create("abl", seed=0), plan).events)
         assert dict(replay_runtime.ops_total.samples()) == \
             dict(eager_runtime.ops_total.samples())
         assert dict(replay_runtime.flops_total.samples()) == \

@@ -1,8 +1,8 @@
 """Regression tests for the races the RL100 analyzer surfaced.
 
 Each test hammers one of the fixed sites (`ServerStats` aggregation
-counters, `InferenceServer._modeled` memo, `RuntimeMetrics` trace
-folds, `MetricsRegistry` registration) from many threads and asserts
+counters, `RuntimeMetrics` trace folds, `MetricsRegistry`
+registration) from many threads and asserts
 exact totals — the lost-update symptom each fix removed.  A barrier
 lines the threads up so the window is as hot as a unit test can make
 it; the static analyzer, not this timing, is the soundness guarantee.
@@ -10,7 +10,6 @@ it; the static analyzer, not this timing, is the soundness guarantee.
 
 import sys
 import threading
-from types import SimpleNamespace
 
 import pytest
 
@@ -20,7 +19,6 @@ from repro.obs.metrics import Counter, MetricsRegistry, RuntimeMetrics
 from repro.serve.batcher import Batch
 from repro.serve.pool import BatchResult
 from repro.serve.request import STATUS_OK, Response
-from repro.serve.server import InferenceServer
 from repro.serve.stats import ServerStats
 
 THREADS = 8
@@ -82,38 +80,6 @@ class TestServerStatsAggregation:
             size = str((i % 3) + 1)
             expected[size] = expected.get(size, 0) + THREADS
         assert hist == expected
-
-
-class TestModeledLatencyMemo:
-    def test_concurrent_first_touch_agrees(self, monkeypatch):
-        server = InferenceServer()
-        computed = []
-
-        def fake_breakdown(trace, device):
-            computed.append(device.name)
-            return SimpleNamespace(total_time=0.125)
-
-        monkeypatch.setattr("repro.serve.server.latency_breakdown",
-                            fake_breakdown)
-        result = SimpleNamespace(
-            trace=object(),
-            batch=SimpleNamespace(key=("sudoku", 0, ())))
-        device = SimpleNamespace(name="cpu")
-        values = []
-
-        def worker(index):
-            for _ in range(ROUNDS):
-                values.append(
-                    server._modeled_latency(result, device))
-
-        hammer(worker)
-        # every caller sees the single setdefault winner, and the memo
-        # holds exactly one entry for the key
-        assert set(values) == {0.125}
-        assert len(server._modeled) == 1
-        # after the first round settles, hits never recompute
-        assert server._modeled_latency(result, device) == 0.125
-        assert len(server._modeled) == 1
 
 
 class TestRuntimeMetricsFold:

@@ -312,22 +312,28 @@ class TestRL005ContextSafety:
             from contextlib import contextmanager
 
             from repro.tensor.context import (pop_fault_hook,
-                                              push_fault_hook)
+                                              push_fault_hook,
+                                              thread_local)
 
             class Plan:
                 def __enter__(self):
                     push_fault_hook(self._hook)
+                    thread_local.dispatch.push("session", self)
                     return self
 
                 def __exit__(self, *exc):
+                    thread_local.dispatch.pop("session", self)
                     pop_fault_hook()
 
             @contextmanager
             def armed(hook):
+                state = thread_local.dispatch
                 push_fault_hook(hook)
+                state.push("observer", hook)
                 try:
                     yield
                 finally:
+                    state.pop("observer", hook)
                     pop_fault_hook()
             """, relpath="core/faulty.py")
         assert not by_check(result, "RL005")
@@ -382,15 +388,27 @@ class TestRL005ContextSafety:
         assert [f.line for f in found] == [4]
         assert "push_op_observer" in found[0].message
 
-    def test_unpaired_metrics_runtime_push(self, tmp_path):
+    def test_unpaired_dispatch_state_push(self, tmp_path):
+        # the dispatch state's stacks (context, fault hook, observer,
+        # plan session) move only inside an enter/exit scope
         result = lint_snippet(tmp_path, """\
-            from repro.obs.metrics import push_runtime
+            from repro.tensor.context import thread_local
 
-            def hijack(runtime):
-                push_runtime(runtime)
+            def hijack(ctx):
+                thread_local.dispatch.push("context", ctx)
+
+            def leak(session):
+                state = thread_local.dispatch
+                state.pop("session", session)
+
+            def unrelated(items):
+                items.pop()
+                items.pop(0)
             """, relpath="core/sneaky.py")
         found = by_check(result, "RL005")
-        assert [f.line for f in found] == [4]
+        assert [f.line for f in found] == [4, 8]
+        assert "DispatchState.push()" in found[0].message
+        assert "DispatchState.pop()" in found[1].message
 
     def test_collector_inside_enter_exit_allowed(self, tmp_path):
         result = lint_snippet(tmp_path, """\

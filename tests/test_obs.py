@@ -16,12 +16,12 @@ from repro.core.profiler import Trace
 from repro.core.taxonomy import CATEGORY_ORDER, NSParadigm
 from repro.obs import metrics as obs_metrics
 from repro.obs.chrome import CATEGORY_COLORS
-from repro.obs.prom import render_runtime
+from repro.obs.prom import render_registry
 from repro.obs.runrec import counters_digest
 from repro.obs.spans import (SpanCollector, span, span_roots,
                              tracing_active)
 from repro.resilience.runner import ResilientRunner
-from repro.workloads import PAPER_ORDER, create
+from repro.workloads import PAPER_ORDER, available, create
 from repro.workloads.base import Workload, WorkloadInfo
 from tests.conftest import cached_trace
 
@@ -92,13 +92,13 @@ class TestSpans:
 # ---------------------------------------------------------------------------
 
 class TestMetrics:
-    @pytest.mark.parametrize("name", ["lnn", "nvsa"])
-    def test_scoped_runtime_matches_trace_totals(self, name):
-        # LNN sets its kb_forward_chain region's counters inside the
-        # region, so the fold must see the final event
-        with obs_metrics.scoped_runtime() as runtime:
-            trace = create(name, seed=0).profile()
-        events = trace.events
+    @pytest.mark.parametrize("name", available())
+    def test_fold_matches_trace_totals(self, name):
+        # the op metrics are a view of the closed trace: one fold of
+        # it reproduces the trace's own totals
+        events = cached_trace(name, seed=0).events
+        runtime = obs_metrics.RuntimeMetrics()
+        runtime.observe_trace(events)
         flops = 0.0
         for event in events:      # poison-clamped, left to right
             if event.flops == event.flops and event.flops > 0.0:
@@ -127,34 +127,6 @@ class TestMetrics:
                 T.add(x, 1.0)
         return prof.trace
 
-    def test_disabled_by_default(self):
-        assert not obs_metrics.ENABLED
-        self._profile_toy()
-        assert obs_metrics._RUNTIME.ops_total.total() == 0
-
-    def test_scoped_runtimes_isolate(self):
-        with obs_metrics.scoped_runtime() as outer:
-            self._profile_toy()
-            outer_ops = outer.ops_total.total()
-            with obs_metrics.scoped_runtime() as inner:
-                self._profile_toy()
-            # inner observations never leak into the outer runtime
-            assert outer.ops_total.total() == outer_ops
-            assert inner.ops_total.total() == outer_ops
-        assert not obs_metrics.ENABLED
-
-    def test_enable_disable_process_default(self):
-        obs_metrics.enable()
-        try:
-            assert obs_metrics.ENABLED
-            self._profile_toy()
-            assert obs_metrics._RUNTIME.ops_total.total() > 0
-        finally:
-            obs_metrics.disable()
-            obs_metrics.reset()
-        assert not obs_metrics.ENABLED
-        assert obs_metrics._RUNTIME.ops_total.total() == 0
-
     def test_counter_rejects_negative_and_bad_labels(self):
         counter = obs_metrics.Counter("c", labelnames=("a",))
         with pytest.raises(ValueError):
@@ -177,19 +149,10 @@ class TestMetrics:
         assert hist.count() == 3
         assert hist.sum() == pytest.approx(5.55)
 
-    def test_fault_metrics_from_injection(self):
-        from repro.resilience.faults import FaultPlan, FaultSpec
-        with obs_metrics.scoped_runtime() as runtime:
-            plan = FaultPlan([FaultSpec(kind="latency", rate=1.0,
-                                        latency=0.0001)], seed=0)
-            with T.profile("w"), plan:
-                T.add(T.tensor(np.ones(2)), 1.0)
-        assert runtime.faults_injected_total.value(kind="latency") >= 1
-
     def test_prom_rendering(self):
-        with obs_metrics.scoped_runtime() as runtime:
-            self._profile_toy()
-        text = render_runtime(runtime)
+        runtime = obs_metrics.RuntimeMetrics()
+        runtime.observe_trace(self._profile_toy().events)
+        text = render_registry(runtime.registry)
         assert "# HELP repro_ops_total recorded tensor ops" in text
         assert "# TYPE repro_ops_total counter" in text
         assert "# TYPE repro_op_latency_seconds histogram" in text
@@ -287,20 +250,22 @@ class TestWorkerThreadIsolation:
         assert sids() == sids()
 
     def test_unbound_worker_thread_does_not_see_scope(self):
+        # a profiling context is thread-local: ops a worker thread
+        # runs while this thread profiles land in the worker's own
+        # trace, so a fold of this thread's trace never counts them
         import threading
-        try:
-            with obs_metrics.scoped_runtime() as runtime:
-                def worker():
-                    TestMetrics._profile_toy()
-                thread = threading.Thread(target=worker)
-                thread.start()
-                thread.join(10.0)
-                # the override is thread-local: the scope never
-                # reaches the thread
-                assert runtime.ops_total.total() == 0
-        finally:
-            # the unbound thread reported to the process default instead
-            obs_metrics.reset()
+        traces = []
+        with T.profile("outer") as outer:
+            thread = threading.Thread(
+                target=lambda: traces.append(TestMetrics._profile_toy()))
+            thread.start()
+            thread.join(10.0)
+        assert outer.trace.events == []
+        runtime = obs_metrics.RuntimeMetrics()
+        runtime.observe_trace(outer.trace.events)
+        assert runtime.ops_total.total() == 0
+        runtime.observe_trace(traces[0].events)
+        assert runtime.ops_total.total() == len(traces[0].events) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +448,7 @@ class TestCountersDigest:
 
 
 # ---------------------------------------------------------------------------
-# resilient-runner spans + metrics
+# resilient-runner spans
 # ---------------------------------------------------------------------------
 
 def _toy_info(name: str) -> WorkloadInfo:
@@ -548,20 +513,20 @@ class TestRunnerObservability:
         assert [r.name for r in roots] == ["run:toy"]
 
     def test_retry_emits_backoff_spans_and_metrics(self):
+        # attempts, retries and the outcome are read off the run's
+        # own record: its outcome and its span timeline
         flaky = ObsFlakyWorkload(failures=2)
         runner = _runner(factory=lambda name, **kw: flaky,
                          max_retries=3)
-        with obs_metrics.scoped_runtime() as runtime:
-            outcome = runner.run_workload("toy", seed=0)
+        outcome = runner.run_workload("toy", seed=0)
         assert outcome.status == "ok"
         assert outcome.attempts == 3
         names = [s.name for s in outcome.spans]
         assert names.count("backoff") == 2
         assert "attempt#3" in names
-        assert runtime.attempts_total.value(workload="toy") == 3
-        assert runtime.retries_total.value(workload="toy") == 2
-        assert runtime.runs_total.value(workload="toy",
-                                        status="ok") == 1
+        run = next(s for s in outcome.spans if s.name == "run:toy")
+        assert run.attrs["attempts"] == 3
+        assert run.attrs["status"] == "ok"
 
     def test_worker_thread_attempt_still_produces_runner_spans(self):
         outcome = _runner(timeout=30.0).run_workload("toy", seed=0)
@@ -615,7 +580,14 @@ class TestObsCli:
         assert "# TYPE repro_ops_total counter" in text
         assert cli_main(["metrics", "lnn", "--format", "json"]) == 0
         snapshot = json.loads(capsys.readouterr().out)
-        assert "repro_ops_total" in snapshot
+        # the snapshot is a fold of the workload's trace: its op count
+        # is the trace's, and only the op families are there
+        ops = snapshot["repro_ops_total"]["values"]
+        assert sum(ops.values()) == len(cached_trace("lnn", seed=0))
+        assert sorted(snapshot) == [
+            "repro_bytes_total", "repro_flops_total", "repro_live_bytes",
+            "repro_op_latency_seconds", "repro_ops_total",
+            "repro_peak_live_bytes"]
 
 
 def test_paper_order_unchanged():

@@ -2,20 +2,20 @@
 
 Covers :mod:`repro.obs.tracectx` (deterministic minting, pickling —
 the cross-process wire-format contract — and ambient propagation) and
-:mod:`repro.obs.live` (ring-buffer overflow/drop accounting, rolling
-snapshot aggregation, tail-sampling determinism, burn-rate alert
-thresholds, and the LiveTelemetry facade's JSONL output).
+:mod:`repro.obs.live` (rolling snapshot aggregation, tail-sampling
+determinism, burn-rate alert thresholds, and the LiveTelemetry
+facade's JSONL output).
 """
 
 import json
 import pickle
-import threading
 
 import pytest
 
-from repro.obs.live import (BurnRateMonitor, LiveTelemetry, RingBufferBus,
-                            SLOPolicy, SnapshotAggregator,
-                            TailSamplingPolicy)
+from repro.obs.live import (ERROR_BUDGET, FAST_WINDOW, SLO_OBJECTIVE,
+                            SLOW_WINDOW, SNAPSHOT_WINDOW,
+                            BurnRateMonitor, LiveTelemetry,
+                            SnapshotAggregator, TailSamplingPolicy)
 from repro.obs.spans import SpanCollector, span
 from repro.obs.tracectx import (TraceContext, current_trace_context,
                                 mint_batch_trace_id, mint_trace_context,
@@ -94,82 +94,34 @@ class TestTraceContext:
                    for record in collector.spans)
 
 
-# -- ring buffer -------------------------------------------------------------
-
-class TestRingBufferBus:
-    def test_publish_and_poll(self):
-        bus = RingBufferBus(capacity=8)
-        sub = bus.subscribe()
-        for i in range(3):
-            bus.publish({"i": i})
-        events, dropped = sub.poll()
-        assert [e["i"] for e in events] == [0, 1, 2]
-        assert dropped == 0
-        assert sub.poll() == ([], 0)
-
-    def test_overflow_drop_accounting(self):
-        bus = RingBufferBus(capacity=4)
-        sub = bus.subscribe()
-        for i in range(10):
-            bus.publish({"i": i})
-        events, dropped = sub.poll()
-        # ring holds the last 4 of 10; the 6 overwritten are reported
-        assert [e["i"] for e in events] == [6, 7, 8, 9]
-        assert dropped == 6
-        assert sub.dropped == 6
-        assert bus.published == 10
-
-    def test_late_subscriber_sees_only_the_future(self):
-        bus = RingBufferBus(capacity=4)
-        bus.publish({"i": 0})
-        sub = bus.subscribe()
-        bus.publish({"i": 1})
-        events, dropped = sub.poll()
-        assert [e["i"] for e in events] == [1]
-        assert dropped == 0
-
-    def test_publish_never_blocks_under_concurrency(self):
-        bus = RingBufferBus(capacity=16)
-        def worker(base):
-            for i in range(200):
-                bus.publish({"i": base + i})
-        threads = [threading.Thread(target=worker, args=(k * 1000,))
-                   for k in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert bus.published == 800
-
-    def test_capacity_validation(self):
-        with pytest.raises(ValueError):
-            RingBufferBus(capacity=0)
-
-
 # -- snapshots ---------------------------------------------------------------
 
 class TestSnapshotAggregator:
     def test_percentiles_and_counts(self):
-        agg = SnapshotAggregator(window=10.0)
+        # 100 events spread over exactly one window
+        agg = SnapshotAggregator()
+        step = SNAPSHOT_WINDOW / 100
         for i in range(100):
-            agg.observe(_event(t=0.1 * (i + 1), latency=0.001 * (i + 1)))
-        snap = agg.snapshot(at=10.0)
+            agg.observe(_event(t=step * (i + 1), latency=0.001 * (i + 1)))
+        snap = agg.snapshot(at=SNAPSHOT_WINDOW)
         assert snap["type"] == "snapshot"
+        assert snap["window"] == SNAPSHOT_WINDOW
         assert snap["count"] == 100
         assert snap["statuses"] == {"ok": 100}
         assert snap["latency"]["p50"] == pytest.approx(0.050, abs=0.002)
         assert snap["latency"]["p99"] == pytest.approx(0.099, abs=0.002)
-        assert snap["throughput_rps"] == pytest.approx(10.0)
+        assert snap["throughput_rps"] == pytest.approx(
+            100 / SNAPSHOT_WINDOW)
 
     def test_window_rolls_off_old_events(self):
-        agg = SnapshotAggregator(window=1.0)
+        agg = SnapshotAggregator()
         agg.observe(_event(t=0.1))
-        agg.observe(_event(t=5.0))
-        snap = agg.snapshot(at=5.5)
+        agg.observe(_event(t=SNAPSHOT_WINDOW + 3.0))
+        snap = agg.snapshot(at=SNAPSHOT_WINDOW + 3.5)
         assert snap["count"] == 1
 
     def test_rejection_mix(self):
-        agg = SnapshotAggregator(window=10.0)
+        agg = SnapshotAggregator()
         agg.observe(_event(t=1.0))
         agg.observe(_event(t=2.0, status="rejected",
                            reject_reason="queue_full"))
@@ -182,8 +134,10 @@ class TestSnapshotAggregator:
         assert snap["statuses"] == {"ok": 1, "rejected": 3}
 
     def test_window_validation(self):
-        with pytest.raises(ValueError):
-            SnapshotAggregator(window=0.0)
+        # throughput divides by the window: it must stay positive
+        assert SNAPSHOT_WINDOW > 0
+        assert SnapshotAggregator().snapshot(at=0.0)["throughput_rps"] \
+            == 0.0
 
 
 # -- tail sampling -----------------------------------------------------------
@@ -196,12 +150,6 @@ class TestTailSampling:
         assert policy.decide(_event(0.0, status="rejected")) == "rejected"
         assert policy.decide(
             _event(0.0, deadline_exceeded=True)) == "deadline"
-
-    def test_slow_threshold(self):
-        policy = TailSamplingPolicy(seed=0, healthy_ratio=0.0,
-                                    slow_threshold=0.1)
-        assert policy.decide(_event(0.0, latency=0.5)) == "slow"
-        assert policy.decide(_event(0.0, latency=0.05)) is None
 
     def test_healthy_draw_is_deterministic(self):
         # the CI determinism assertion depends on this: same seed →
@@ -231,7 +179,7 @@ class TestBurnRateMonitor:
     def test_page_fires_on_fast_burn(self):
         # objective 0.99 → 1% budget; fast threshold 14.4 → a window
         # error rate >= 14.4% pages.  20 events, 4 errors = 20%.
-        monitor = BurnRateMonitor(SLOPolicy(objective=0.99))
+        monitor = BurnRateMonitor()
         raised = []
         for i in range(20):
             status = "failed" if i % 5 == 0 else "ok"
@@ -240,39 +188,45 @@ class TestBurnRateMonitor:
         assert "page" in severities
         page = next(a for a in raised if a["severity"] == "page")
         assert page["burn_rate"] >= page["threshold"]
-        assert page["window"] == 5.0
+        assert page["window"] == FAST_WINDOW
+        assert page["objective"] == SLO_OBJECTIVE
 
     def test_no_alert_below_threshold(self):
-        monitor = BurnRateMonitor(SLOPolicy(objective=0.99))
+        monitor = BurnRateMonitor()
         for i in range(100):
             status = "failed" if i == 50 else "ok"   # 1% ≈ burn 1.0
             monitor.observe(_event(t=0.01 * i, status=status))
         assert monitor.alerts == []
 
     def test_edge_triggered_no_storm(self):
-        monitor = BurnRateMonitor(SLOPolicy(objective=0.99))
+        monitor = BurnRateMonitor()
         for i in range(50):
             monitor.observe(_event(t=0.01 * i, status="failed"))
         pages = [a for a in monitor.alerts if a["severity"] == "page"]
         assert len(pages) == 1   # condition held for 50 events: 1 alert
 
     def test_rearm_after_recovery(self):
-        policy = SLOPolicy(objective=0.99, fast_window=1.0, slow_window=2.0)
-        monitor = BurnRateMonitor(policy)
+        monitor = BurnRateMonitor()
         for i in range(10):
             monitor.observe(_event(t=0.05 * i, status="failed"))
-        for i in range(100):                     # > both windows of calm
-            monitor.observe(_event(t=1.0 + 0.05 * i, status="ok"))
+        calm = SLOW_WINDOW + 1.0                 # > both windows of calm
+        for i in range(int(calm / 0.5)):
+            monitor.observe(_event(t=1.0 + 0.5 * i, status="ok"))
         before = len([a for a in monitor.alerts
                       if a["severity"] == "page"])
+        assert before == 1
         for i in range(10):
-            monitor.observe(_event(t=10.0 + 0.05 * i, status="failed"))
+            monitor.observe(_event(t=calm + 5.0 + 0.05 * i,
+                                   status="failed"))
         after = len([a for a in monitor.alerts if a["severity"] == "page"])
         assert after == before + 1               # re-armed, re-fired
 
     def test_objective_validation(self):
-        with pytest.raises(ValueError):
-            SLOPolicy(objective=1.0)
+        # burn rate divides by the budget: the objective must leave one
+        assert 0.0 < SLO_OBJECTIVE < 1.0
+        assert ERROR_BUDGET == pytest.approx(1.0 - SLO_OBJECTIVE)
+        assert ERROR_BUDGET > 0.0
+        assert FAST_WINDOW < SLOW_WINDOW
 
 
 # -- facade ------------------------------------------------------------------
@@ -288,8 +242,7 @@ class TestLiveTelemetry:
         assert [s["t"] for s in telemetry.snapshots[:3]] == [1.0, 2.0, 3.0]
 
     def test_tail_samples_and_span_retention(self):
-        telemetry = LiveTelemetry(
-            sampler=TailSamplingPolicy(seed=0, healthy_ratio=0.0))
+        telemetry = LiveTelemetry(seed=0, healthy_ratio=0.0)
         with SpanCollector() as collector:
             with span("serve:request"):
                 pass
@@ -303,8 +256,7 @@ class TestLiveTelemetry:
         assert telemetry.sampled_spans("fine") == []
 
     def test_jsonl_lines_are_valid_and_typed(self, tmp_path):
-        telemetry = LiveTelemetry(
-            sampler=TailSamplingPolicy(seed=0, healthy_ratio=1.0))
+        telemetry = LiveTelemetry(seed=0, healthy_ratio=1.0)
         for i in range(12):
             status = "failed" if i % 2 else "ok"
             telemetry.record(_event(t=0.2 * i, status=status,

@@ -19,8 +19,7 @@ import pytest
 
 from repro import tensor as T
 from repro.core.profiler import Trace, TraceEvent
-from repro.core.suite import (RosterError, characterize_all,
-                              characterize_trace)
+from repro.core.suite import characterize_trace
 from repro.core.taxonomy import NSParadigm, OpCategory
 from repro.core.validate import validate_trace
 from repro.hwsim.devices import RTX_2080TI
@@ -449,19 +448,3 @@ def test_render_zero_latency_trace_does_not_crash():
     assert report.latency.total_time == 0.0
     rendered = report.render()   # seed behaviour: ZeroDivisionError
     assert "n/a" in rendered
-
-
-def test_characterize_all_collects_failures(monkeypatch):
-    from repro.workloads.nvsa import NVSAWorkload
-
-    def explode(self):
-        raise RuntimeError("intentionally broken workload")
-
-    monkeypatch.setattr(NVSAWorkload, "profile", explode)
-    with pytest.raises(RosterError) as excinfo:
-        characterize_all(names=["nvsa", "lnn"], seed=0)
-    error = excinfo.value
-    assert [name for name, _ in error.failures] == ["nvsa"]
-    assert [r.workload for r in error.reports] == ["lnn"]
-    assert "intentionally broken" in str(error)
-    assert "succeeded: lnn" in str(error)

@@ -1,6 +1,7 @@
-"""Tests for the schedule simulator, trace serialization, and the FHRR
-hypervector space."""
+"""Tests for the schedule simulator, trace serialization (the JSONL
+event log), and the FHRR hypervector space."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -9,12 +10,13 @@ import pytest
 from repro import tensor as T
 from repro.core.analysis import phase_compute_utilization
 from repro.core.profiler import PHASE_NEURAL, PHASE_SYMBOLIC, Trace, TraceEvent
-from repro.core.serialize import (FORMAT_VERSION, load_trace, save_trace,
-                                  trace_from_dict, trace_to_dict)
 from repro.core.taxonomy import OpCategory
 from repro.core.validate import validate_trace
 from repro.hwsim import RTX_2080TI
 from repro.hwsim.schedule import simulate_schedule
+from repro.obs.jsonl import (event_from_dict, read_jsonl,
+                             trace_from_jsonl_lines, trace_to_jsonl,
+                             write_jsonl)
 from repro.vsa import FHRRSpace, make_space
 from tests.conftest import cached_trace
 
@@ -83,65 +85,61 @@ class TestScheduleSimulator:
         assert utilization[PHASE_NEURAL] > utilization[PHASE_SYMBOLIC]
 
 
+def _round_trip(trace: Trace) -> Trace:
+    return trace_from_jsonl_lines(trace_to_jsonl(trace).splitlines())
+
+
 class TestTraceSerialization:
+    """The JSONL log stores every event field losslessly."""
+
     def test_round_trip_preserves_everything(self, ltn_trace):
-        payload = trace_to_dict(ltn_trace)
-        restored = trace_from_dict(payload)
+        restored = _round_trip(ltn_trace)
         assert len(restored) == len(ltn_trace)
         assert restored.workload == ltn_trace.workload
         for before, after in zip(ltn_trace, restored):
-            assert after.eid == before.eid
-            assert after.name == before.name
+            for field in dataclasses.fields(before):
+                assert getattr(after, field.name) == \
+                    getattr(before, field.name), field.name
             assert after.category is before.category
-            assert after.phase == before.phase
-            assert after.flops == before.flops
-            assert after.parents == before.parents
-            assert after.output_shape == before.output_shape
 
     def test_round_trip_is_json_safe(self, ltn_trace):
-        json.dumps(trace_to_dict(ltn_trace))  # must not raise
+        for line in trace_to_jsonl(ltn_trace).splitlines():
+            json.loads(line)  # one JSON document per line
 
     def test_restored_trace_validates_and_analyzes(self, ltn_trace):
-        restored = trace_from_dict(trace_to_dict(ltn_trace))
+        restored = _round_trip(ltn_trace)
         assert validate_trace(restored).ok
         from repro.core.analysis import latency_breakdown
         lb_a = latency_breakdown(ltn_trace, RTX_2080TI)
         lb_b = latency_breakdown(restored, RTX_2080TI)
-        assert lb_b.total_time == pytest.approx(lb_a.total_time)
+        assert lb_b.total_time == lb_a.total_time
 
     def test_file_round_trip(self, tmp_path, ltn_trace):
-        target = tmp_path / "trace.json"
-        save_trace(ltn_trace, str(target))
-        restored = load_trace(str(target))
+        target = tmp_path / "trace.jsonl"
+        write_jsonl(ltn_trace, str(target))
+        restored = read_jsonl(str(target))
         assert len(restored) == len(ltn_trace)
 
-    def test_version_check(self):
-        with pytest.raises(ValueError):
-            trace_from_dict({"format_version": FORMAT_VERSION + 1,
-                             "events": []})
-
     def test_round_trip_preserves_sid(self, nvsa_trace):
-        restored = trace_from_dict(trace_to_dict(nvsa_trace))
+        restored = _round_trip(nvsa_trace)
         assert [e.sid for e in restored] == [e.sid for e in nvsa_trace]
         assert any(e.sid is not None for e in restored)
 
     def test_v1_archive_loads_with_sid_none(self):
-        # archives written before per-span attribution carry no "sid"
-        restored = trace_from_dict({
-            "format_version": 1,
-            "workload": "old",
-            "events": [{"eid": 0, "name": "add",
-                        "category": "elementwise"}],
-        })
-        assert restored.events[0].sid is None
+        # events written before per-span attribution carry no "sid"
+        event = event_from_dict({"eid": 0, "name": "add",
+                                 "category": "elementwise"})
+        assert event.sid is None
 
     def test_non_json_metadata_stringified(self):
         trace = Trace("t")
         trace.metadata["obj"] = object()
         trace.append(TraceEvent(eid=0, name="x",
                                 category=OpCategory.OTHER))
-        payload = trace_to_dict(trace)
-        assert isinstance(payload["metadata"]["obj"], str)
+        meta = json.loads(trace_to_jsonl(trace).splitlines()[0])
+        assert isinstance(meta["metadata"]["obj"], str)
+        assert _round_trip(trace).metadata["obj"] == \
+            repr(trace.metadata["obj"])
 
 
 class TestFHRRSpace:

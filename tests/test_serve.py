@@ -384,6 +384,23 @@ class TestInferenceServer:
         assert outcome.report.latency.total_time == \
             response.modeled_latency
 
+    def test_virtual_worker_on_another_device_projects_again(self):
+        # schedule mode may dispatch a batch to a virtual worker whose
+        # device differs from the one that ran it: its service time is
+        # the trace projected on the virtual worker's device
+        from repro.core.analysis import latency_breakdown
+        from repro.hwsim.devices import RTX_2080TI, XEON_4114, get_device
+        report = _serve(lnn_schedule(6, gap=0.0005, seed=3), workers=3,
+                        devices=(RTX_2080TI, XEON_4114),
+                        batch=BatchPolicy(max_batch_size=1))
+        moved = 0
+        for response in report.responses:
+            result = report.batch_results[response.bid]
+            moved += response.device != result.device
+            assert response.modeled_latency == latency_breakdown(
+                result.trace, get_device(response.device)).total_time
+        assert moved
+
     def test_report_trace_carries_serving_spans(self):
         report = _serve(lnn_schedule(4, gap=0.001))
         trace = report.report_trace()
@@ -434,6 +451,30 @@ class TestLiveServer:
             assert all(p.result(timeout=0.0).status == "ok"
                        for p in pending)
         assert not server._pending
+
+    def test_modeled_latency_reads_the_batch_report(self, monkeypatch):
+        # each worker's runner already characterized its batch on the
+        # worker's device, so live serving projects no trace again,
+        # however many distinct keys it serves
+        import repro.serve.server as server_module
+        project = server_module.latency_breakdown
+        calls = []
+
+        def counted(trace, device):
+            calls.append(device.name)
+            return project(trace, device)
+
+        monkeypatch.setattr(server_module, "latency_breakdown", counted)
+        server = InferenceServer(ServeConfig(workers=2, cache_capacity=2))
+        server.start()
+        try:
+            pending = [server.submit("lnn", seed=seed) for seed in range(6)]
+            responses = [p.result(timeout=60.0) for p in pending]
+        finally:
+            server.stop(drain=True)
+        assert {r.status for r in responses} == {"ok"}
+        assert all(r.modeled_latency > 0 for r in responses)
+        assert calls == []
 
     def test_idle_worker_takes_a_lone_request_at_once(self):
         # max_wait only shapes virtual-time plans: an idle live worker

@@ -20,7 +20,7 @@ import pytest
 from repro.cli import main
 from repro.lint import LintConfig, default_scan_root, run_lint
 from repro.obs.jsonl import read_jsonl, write_jsonl
-from repro.obs.live import LiveTelemetry, TailSamplingPolicy
+from repro.obs.live import LiveTelemetry
 from repro.serve import (BatchPolicy, InferenceServer, LoadSpec,
                          ServeConfig, make_request, open_loop, parse_mix)
 from repro.serve.tracing import (REQUEST_SPAN_NAMES, request_span_trees,
@@ -172,9 +172,8 @@ class TestLintRL106:
 class TestTelemetryIntegration:
     def test_attached_telemetry_sees_every_response(self):
         schedule = _schedule(duration=0.5)
-        telemetry = LiveTelemetry(
-            sampler=TailSamplingPolicy(seed=0, healthy_ratio=1.0),
-            snapshot_interval=0.25)
+        telemetry = LiveTelemetry(seed=0, healthy_ratio=1.0,
+                                  snapshot_interval=0.25)
         server = InferenceServer(ServeConfig(
             workers=2, batch=BatchPolicy(max_batch_size=8, max_wait=0.03)))
         server.attach_telemetry(telemetry)
@@ -188,8 +187,7 @@ class TestTelemetryIntegration:
 
     def test_sampled_trace_ids_deterministic_across_runs(self):
         def sampled():
-            telemetry = LiveTelemetry(
-                sampler=TailSamplingPolicy(seed=5, healthy_ratio=0.2))
+            telemetry = LiveTelemetry(seed=5, healthy_ratio=0.2)
             server = InferenceServer(ServeConfig(
                 workers=2,
                 batch=BatchPolicy(max_batch_size=8, max_wait=0.03)))

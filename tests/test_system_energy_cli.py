@@ -9,9 +9,11 @@ import pytest
 
 from repro import tensor as T
 from repro.cli import main as cli_main
+from repro.core.analysis import latency_breakdown
 from repro.core.functions import (function_table, render_function_table,
                                   to_chrome_trace)
 from repro.core.profiler import PHASE_NEURAL, PHASE_SYMBOLIC
+from repro.core.report import format_time
 from repro.hwsim import (JETSON_TX2, RTX_2080TI, XEON_4114,
                          HeterogeneousSystem, default_placement,
                          estimate_energy, gpu_only_placement)
@@ -115,10 +117,6 @@ class TestFunctionTable:
                                   phase=PHASE_SYMBOLIC)
         assert all(s.name != "conv2d" for s in symbolic)
 
-    def test_bad_sort_key(self, nvsa_trace):
-        with pytest.raises(ValueError):
-            function_table(nvsa_trace, RTX_2080TI, sort_by="vibes")
-
     def test_render_contains_top_op(self, nvsa_trace):
         stats = function_table(nvsa_trace, RTX_2080TI)
         text = render_function_table(stats, top=5)
@@ -176,6 +174,27 @@ class TestCLI:
         assert cli_main(["roster", "--device", "rtx"]) == 0
         out = capsys.readouterr().out
         assert "NVSA" in out
+        assert "7 ok, 0 degraded, 0 failed" in out
+        # the Fig. 2a split rides along each healthy row
+        assert "neural %" in out and "symbolic %" in out
+        nvsa = next(line for line in out.splitlines()
+                    if line.startswith("NVSA"))
+        split = latency_breakdown(cached_trace("nvsa", seed=0),
+                                  RTX_2080TI)
+        assert f"{split.neural_fraction * 100:.1f}%" in nvsa
+        assert f"{split.symbolic_fraction * 100:.1f}%" in nvsa
+
+    def test_roster_exits_1_unless_all_healthy(self, monkeypatch, capsys):
+        from repro.workloads.nvsa import NVSAWorkload
+
+        def explode(self):
+            raise RuntimeError("intentionally broken workload")
+
+        monkeypatch.setattr(NVSAWorkload, "profile", explode)
+        assert cli_main(["roster", "--max-retries", "0"]) == 1
+        out = capsys.readouterr().out
+        assert "6 ok, 0 degraded, 1 failed" in out
+        assert "intentionally broken" in out
 
     def test_unknown_workload_exits(self):
         with pytest.raises(SystemExit):
@@ -183,18 +202,28 @@ class TestCLI:
 
 
 class TestCLITraceArchive:
+    """A JSONL log from ``trace export`` is what ``analyze-trace`` reads."""
+
     def test_save_and_analyze_round_trip(self, tmp_path, capsys):
-        target = tmp_path / "ltn.json"
-        assert cli_main(["save-trace", "ltn", "-o", str(target)]) == 0
+        target = tmp_path / "ltn.jsonl"
+        assert cli_main(["trace", "export", "ltn", "--format", "jsonl",
+                         "-o", str(target)]) == 0
         capsys.readouterr()
         assert cli_main(["analyze-trace", str(target)]) == 0
         out = capsys.readouterr().out
         assert "latency by phase" in out
         assert "function-level statistics" in out
+        # the same analyses as on the live trace
+        trace = cached_trace("ltn", seed=0)
+        split = latency_breakdown(trace, RTX_2080TI)
+        assert f"ltn on RTX 2080 Ti: {format_time(split.total_time)}" in out
+        assert render_function_table(function_table(trace, RTX_2080TI),
+                                     top=10) in out
 
     def test_analyze_trace_device_option(self, tmp_path, capsys):
-        target = tmp_path / "ltn.json"
-        cli_main(["save-trace", "ltn", "-o", str(target)])
+        target = tmp_path / "ltn.jsonl"
+        cli_main(["trace", "export", "ltn", "--format", "jsonl",
+                  "-o", str(target)])
         capsys.readouterr()
         assert cli_main(["analyze-trace", str(target),
                          "--device", "tx2"]) == 0
