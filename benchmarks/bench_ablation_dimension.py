@@ -11,7 +11,7 @@ import numpy as np
 
 from repro.core.analysis import latency_breakdown
 from repro.core.report import format_bytes, format_time, render_table
-from repro.hwsim import RTX_2080TI
+from repro.hwsim import RTX_2080TI, project_trace
 from repro.workloads import create
 
 from conftest import emit
@@ -34,7 +34,8 @@ def reproduce_dimension_ablation():
             correct += int(trace.metadata["result"]["correct"])
             symbolic_bytes = trace.by_phase("symbolic").total_bytes
             codebook = trace.metadata["codebook_bytes"]
-            total_time = latency_breakdown(trace, RTX_2080TI).total_time
+            total_time = latency_breakdown(
+                project_trace(trace, RTX_2080TI)).total_time
         traffic[dim] = symbolic_bytes
         rows.append([dim, f"{correct}/{len(list(SEEDS))}",
                      format_bytes(codebook),

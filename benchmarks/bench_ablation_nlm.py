@@ -10,7 +10,7 @@ permutations), which is why the paper flags NLM's scalability.
 from repro.core.analysis import latency_breakdown
 from repro.core.profiler import PHASE_SYMBOLIC
 from repro.core.report import format_bytes, format_time, render_table
-from repro.hwsim import RTX_2080TI
+from repro.hwsim import RTX_2080TI, project_trace
 from repro.workloads import create
 
 from conftest import emit
@@ -22,7 +22,7 @@ def reproduce_nlm_ablation():
     for depth, breadth in ((2, 2), (4, 2), (2, 3), (4, 3), (6, 3)):
         workload = create("nlm", depth=depth, breadth=breadth, seed=0)
         trace = workload.profile()
-        lb = latency_breakdown(trace, RTX_2080TI)
+        lb = latency_breakdown(project_trace(trace, RTX_2080TI))
         symbolic_bytes = trace.by_phase(PHASE_SYMBOLIC).total_bytes
         accuracy = trace.metadata["result"]["grandparent_accuracy"]
         rows.append([depth, breadth, format_time(lb.total_time),

@@ -13,7 +13,7 @@ from repro.core.analysis import latency_breakdown
 from repro.core.opgraph import analyze_graph
 from repro.core.report import format_time, render_table
 from repro.core.taxonomy import NSParadigm
-from repro.hwsim import RTX_2080TI
+from repro.hwsim import RTX_2080TI, project_trace
 from repro.workloads import EXTENSION_ORDER, create
 
 from conftest import cached_trace, emit
@@ -25,8 +25,8 @@ def reproduce_extension_roster():
         trace = cached_trace(name, seed=0)
         results[name] = (
             create(name).info,
-            latency_breakdown(trace, RTX_2080TI),
-            analyze_graph(trace, RTX_2080TI),
+            latency_breakdown(project_trace(trace, RTX_2080TI)),
+            analyze_graph(project_trace(trace, RTX_2080TI)),
             trace.metadata["result"],
         )
     return results

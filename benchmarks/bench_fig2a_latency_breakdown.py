@@ -7,7 +7,7 @@ NLM 60.6%, VSAIT 83.7%, ZeroC 26.8%, PrAE 80.5%.
 
 from repro.core.analysis import latency_breakdown
 from repro.core.report import format_time, render_table
-from repro.hwsim import RTX_2080TI
+from repro.hwsim import RTX_2080TI, project_trace
 from repro.workloads import PAPER_ORDER
 
 from conftest import cached_trace, emit
@@ -22,7 +22,7 @@ def reproduce_fig2a():
     rows = []
     for name in PAPER_ORDER:
         trace = cached_trace(name, seed=0)
-        lb = latency_breakdown(trace, RTX_2080TI)
+        lb = latency_breakdown(project_trace(trace, RTX_2080TI))
         rows.append([
             name.upper(),
             format_time(lb.total_time),

@@ -9,7 +9,7 @@ share persists across platforms.
 
 from repro.core.analysis import latency_breakdown
 from repro.core.report import format_time, render_table
-from repro.hwsim import JETSON_TX2, RTX_2080TI, XAVIER_NX
+from repro.hwsim import JETSON_TX2, RTX_2080TI, XAVIER_NX, project_trace
 
 from conftest import cached_trace, emit
 
@@ -22,7 +22,7 @@ def reproduce_fig2b():
         trace = cached_trace(name, seed=0)
         rtx_time = None
         for device in DEVICES:
-            lb = latency_breakdown(trace, device)
+            lb = latency_breakdown(project_trace(trace, device))
             if device is RTX_2080TI:
                 rtx_time = lb.total_time
             rows.append([

@@ -12,7 +12,7 @@ from repro.core.analysis import operator_breakdown
 from repro.core.profiler import PHASE_NEURAL, PHASE_SYMBOLIC
 from repro.core.report import render_table
 from repro.core.taxonomy import CATEGORY_ORDER, OpCategory
-from repro.hwsim import RTX_2080TI
+from repro.hwsim import RTX_2080TI, project_trace
 from repro.workloads import PAPER_ORDER
 
 from conftest import cached_trace, emit
@@ -22,7 +22,7 @@ def reproduce_fig3a():
     table = {}
     for name in PAPER_ORDER:
         trace = cached_trace(name, seed=0)
-        for ob in operator_breakdown(trace, RTX_2080TI):
+        for ob in operator_breakdown(project_trace(trace, RTX_2080TI)):
             table[(name, ob.phase)] = ob
     return table
 

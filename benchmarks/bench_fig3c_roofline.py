@@ -9,7 +9,7 @@ the compute roof.
 from repro.core.rooflineplot import phase_boundedness, roofline_figure
 from repro.core.profiler import PHASE_NEURAL, PHASE_SYMBOLIC
 from repro.core.report import render_table
-from repro.hwsim import RTX_2080TI
+from repro.hwsim import RTX_2080TI, project_trace
 from repro.workloads import PAPER_ORDER
 
 from conftest import cached_trace, emit
@@ -18,8 +18,8 @@ from conftest import cached_trace, emit
 def reproduce_fig3c():
     traces = [cached_trace(name, seed=0) for name in PAPER_ORDER]
     figure = roofline_figure(traces, RTX_2080TI)
-    bounds = {name: phase_boundedness(cached_trace(name, seed=0),
-                                      RTX_2080TI)
+    bounds = {name: phase_boundedness(
+                  project_trace(cached_trace(name, seed=0), RTX_2080TI))
               for name in PAPER_ORDER}
     return figure, bounds
 

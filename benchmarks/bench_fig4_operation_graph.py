@@ -10,7 +10,7 @@ graph width during symbolic stages).
 
 from repro.core.opgraph import analyze_graph
 from repro.core.report import render_table
-from repro.hwsim import RTX_2080TI
+from repro.hwsim import RTX_2080TI, project_trace
 from repro.workloads import PAPER_ORDER
 
 from conftest import cached_trace, emit
@@ -19,7 +19,8 @@ PIPELINED = ("nvsa", "vsait", "prae")
 
 
 def reproduce_fig4():
-    return {name: analyze_graph(cached_trace(name, seed=0), RTX_2080TI)
+    return {name: analyze_graph(
+                project_trace(cached_trace(name, seed=0), RTX_2080TI))
             for name in PAPER_ORDER}
 
 

@@ -16,7 +16,7 @@ optimizations are complementary and workload-dependent.
 
 from repro.core.analysis import latency_breakdown
 from repro.core.report import format_time, render_table
-from repro.hwsim import RTX_2080TI
+from repro.hwsim import RTX_2080TI, project_trace
 from repro.hwsim.whatif import (compute_in_memory, parallel_schedule_bound,
                                 prune_trace, quantize_trace,
                                 scale_bandwidth, symbolic_accelerator)
@@ -28,11 +28,11 @@ def reproduce_recommendations():
     results = {}
     for name in ("nvsa", "vsait"):
         trace = cached_trace(name, seed=0)
-        baseline = latency_breakdown(trace, RTX_2080TI)
+        baseline = latency_breakdown(project_trace(trace, RTX_2080TI))
         scenarios = []
 
         def add(label, trace_, device):
-            lb = latency_breakdown(trace_, device)
+            lb = latency_breakdown(project_trace(trace_, device))
             scenarios.append((label, lb.total_time,
                               baseline.total_time / lb.total_time,
                               lb.symbolic_fraction))

@@ -11,7 +11,8 @@ Run:  python examples/edge_deployment.py
 
 from repro.core.analysis import latency_breakdown
 from repro.core.report import format_time, render_table
-from repro.hwsim import JETSON_TX2, RTX_2080TI, XAVIER_NX, analyze_transfers
+from repro.hwsim import (JETSON_TX2, RTX_2080TI, XAVIER_NX, analyze_transfers,
+                          project_trace)
 from repro.workloads import PAPER_ORDER, create
 
 REAL_TIME_BUDGET = 0.033  # 30 FPS
@@ -26,7 +27,7 @@ def main() -> None:
     for name, trace in traces.items():
         row = [name.upper()]
         for device in DEVICES:
-            lb = latency_breakdown(trace, device)
+            lb = latency_breakdown(project_trace(trace, device))
             marker = "" if lb.total_time <= REAL_TIME_BUDGET else " (!)"
             row.append(format_time(lb.total_time) + marker)
         rows.append(row)
@@ -42,7 +43,7 @@ def main() -> None:
     for name, trace in traces.items():
         row = [name.upper()]
         for device in DEVICES:
-            lb = latency_breakdown(trace, device)
+            lb = latency_breakdown(project_trace(trace, device))
             row.append(f"{lb.symbolic_fraction * 100:.0f}%")
         rows.append(row)
     print(render_table(

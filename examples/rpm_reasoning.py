@@ -12,7 +12,7 @@ Run:  python examples/rpm_reasoning.py
 from repro.core.analysis import latency_breakdown
 from repro.core.report import format_time, render_table
 from repro.datasets import rpm
-from repro.hwsim import RTX_2080TI
+from repro.hwsim import RTX_2080TI, project_trace
 from repro.workloads import create
 
 NUM_PROBLEMS = 5
@@ -32,7 +32,7 @@ def main() -> None:
             trace = workload.profile()
             result = trace.metadata["result"]
             score[name] += int(result["correct"])
-            lb = latency_breakdown(trace, RTX_2080TI)
+            lb = latency_breakdown(project_trace(trace, RTX_2080TI))
             rows.append([
                 seed, name.upper(),
                 "yes" if result["correct"] else "NO",
@@ -60,7 +60,7 @@ def main() -> None:
           "(answer", str(result["answer_index"]) + ")")
 
     # where does the time go? (the paper's Takeaway 1)
-    lb = latency_breakdown(trace, RTX_2080TI)
+    lb = latency_breakdown(project_trace(trace, RTX_2080TI))
     stage_rows = sorted(lb.stage_times.items(), key=lambda kv: -kv[1])
     print()
     print(render_table(

@@ -10,7 +10,7 @@ Run:  python examples/whatif_accelerator.py
 
 from repro.core.analysis import latency_breakdown
 from repro.core.report import format_time, render_table
-from repro.hwsim import RTX_2080TI
+from repro.hwsim import RTX_2080TI, project_trace
 from repro.hwsim.whatif import (compute_in_memory, parallel_schedule_bound,
                                 quantize_trace, symbolic_accelerator)
 from repro.workloads import PAPER_ORDER, create
@@ -23,10 +23,11 @@ def main() -> None:
     rows = []
     for name in PAPER_ORDER:
         trace = create(name, seed=0).profile()
-        base = latency_breakdown(trace, RTX_2080TI)
-        accel = latency_breakdown(trace, accel_device)
-        quant = latency_breakdown(quantize_trace(trace, 8), RTX_2080TI)
-        cim = latency_breakdown(trace, cim_device)
+        base = latency_breakdown(project_trace(trace, RTX_2080TI))
+        accel = latency_breakdown(project_trace(trace, accel_device))
+        quant = latency_breakdown(
+            project_trace(quantize_trace(trace, 8), RTX_2080TI))
+        cim = latency_breakdown(project_trace(trace, cim_device))
         parallel = parallel_schedule_bound(trace, RTX_2080TI)
         rows.append([
             name.upper(),

@@ -42,10 +42,13 @@ from typing import List, Optional
 from repro.core.analysis import latency_breakdown
 from repro.core.functions import (function_table, render_function_table,
                                   to_chrome_trace)
+from repro.core.profiler import PHASE_NEURAL, PHASE_SYMBOLIC, Trace
 from repro.core.report import format_time, render_table
 from repro.core.suite import characterize
+from repro.core.validate import validate_trace
 from repro.hwsim.devices import get_device
 from repro.hwsim.energy import estimate_energy
+from repro.hwsim.latency import project_trace
 from repro.resilience.faults import FAULT_KINDS, FaultPlan, FaultSpec
 from repro.workloads import PAPER_ORDER, available, create
 
@@ -153,6 +156,25 @@ def _require_workload(name: str) -> None:
             f"unknown workload {name!r}; available: {available()}")
 
 
+def _read_trace_log(path: str) -> Trace:
+    """Load and validate a JSONL trace log as ``characterize`` would;
+    any failure exits with one line on stderr, never a traceback."""
+    from repro.obs.jsonl import read_jsonl
+    try:
+        trace = read_jsonl(path)
+    except OSError as exc:
+        raise SystemExit(
+            f"repro analyze-trace: {path}: {exc.strerror or exc}")
+    except ValueError as exc:
+        raise SystemExit(f"repro analyze-trace: {path}: {exc}")
+    errors = validate_trace(
+        trace, expected_phases=(PHASE_NEURAL, PHASE_SYMBOLIC)).errors
+    if errors:
+        more = f" (+{len(errors) - 1} more)" if len(errors) > 1 else ""
+        raise SystemExit(f"repro analyze-trace: {path}: {errors[0]}{more}")
+    return trace
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
 
@@ -182,10 +204,9 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.command == "analyze-trace":
         from repro.core.report import render_shares
-        from repro.obs.jsonl import read_jsonl
         device = get_device(args.device)
-        trace = read_jsonl(args.path)
-        lb = latency_breakdown(trace, device)
+        trace = _read_trace_log(args.path)
+        lb = latency_breakdown(project_trace(trace, device))
         print(f"{trace.workload or args.path} on {device.name}: "
               f"{format_time(lb.total_time)}")
         print(render_shares(

@@ -29,7 +29,6 @@ _EXPORTS: Dict[str, str] = {
     "MemoryProfile": "memory", "live_bytes_series": "memory",
     "memory_profile": "memory",
     "OpGraphReport": "opgraph", "analyze_graph": "opgraph",
-    "build_graph": "opgraph",
     "PHASE_NEURAL": "profiler", "PHASE_SYMBOLIC": "profiler",
     "Trace": "profiler", "TraceEvent": "profiler",
     "merge_traces": "profiler",

@@ -1,8 +1,8 @@
 """Latency and operator-category breakdowns (Figs. 2a and 3a).
 
-These functions take a :class:`~repro.core.profiler.Trace` plus a
-:class:`~repro.hwsim.device.DeviceSpec` and produce the paper's two
-headline decompositions:
+These functions take one :class:`~repro.hwsim.latency.ProjectedTrace`
+(a trace projected onto a device, computed once by the caller) and
+produce the paper's two headline decompositions:
 
 * :func:`latency_breakdown` — projected end-to-end latency split into
   neural vs. symbolic phases (Fig. 2a) and into fine-grained stages;
@@ -43,15 +43,14 @@ class LatencyBreakdown:
             if self.total_time else 0.0
 
 
-def latency_breakdown(trace: Trace, device: DeviceSpec) -> LatencyBreakdown:
-    """Project ``trace`` onto ``device`` and decompose its latency."""
-    projected = project_trace(trace, device)
+def latency_breakdown(projected: ProjectedTrace) -> LatencyBreakdown:
+    """Decompose a projected trace's latency by phase and stage."""
     counts: Dict[str, int] = {}
-    for event in trace:
+    for event in projected.trace:
         counts[event.phase] = counts.get(event.phase, 0) + 1
     return LatencyBreakdown(
-        workload=trace.workload,
-        device=device.name,
+        workload=projected.trace.workload,
+        device=projected.device.name,
         total_time=projected.total_time,
         phase_times=projected.time_by_phase(),
         stage_times=projected.time_by_stage(),
@@ -81,11 +80,11 @@ class OperatorBreakdown:
         return max(CATEGORY_ORDER, key=self.share)
 
 
-def operator_breakdown(trace: Trace, device: DeviceSpec,
+def operator_breakdown(projected: ProjectedTrace,
                        phases: Optional[Sequence[str]] = None
                        ) -> List[OperatorBreakdown]:
     """Category runtime shares per phase (Fig. 3a)."""
-    projected = project_trace(trace, device)
+    trace = projected.trace
     if phases is None:
         phases = [p for p in trace.phases() if p]
     out: List[OperatorBreakdown] = []

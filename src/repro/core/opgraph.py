@@ -2,7 +2,8 @@
 
 Every trace carries producer links (each event knows which events
 produced its inputs), so the operation-dependency DAG needs no workload
-cooperation.  This module derives the paper's Fig. 4 observations:
+cooperation and no graph library: the trace *is* the graph.  This
+module derives the paper's Fig. 4 observations in one sweep over it:
 
 * whether the symbolic phase *depends on* neural results (pipelined
   Neuro|Symbolic systems: NVSA/VSAIT/PrAE) or the symbolic knowledge is
@@ -16,28 +17,12 @@ cooperation.  This module derives the paper's Fig. 4 observations:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-import networkx as nx
-
-from repro.core.profiler import PHASE_NEURAL, PHASE_SYMBOLIC, Trace
-from repro.hwsim.device import DeviceSpec
-from repro.hwsim.latency import project_trace
-
-
-def build_graph(trace: Trace) -> "nx.DiGraph":
-    """The operation-dependency DAG: nodes are event ids; an edge
-    u -> v means v consumed a tensor produced by u."""
-    graph = nx.DiGraph()
-    for event in trace:
-        graph.add_node(event.eid, name=event.name, phase=event.phase,
-                       stage=event.stage, category=event.category.value)
-    for event in trace:
-        for parent in event.parents:
-            if graph.has_node(parent):
-                graph.add_edge(parent, event.eid)
-    return graph
+from repro.core.profiler import PHASE_NEURAL, PHASE_SYMBOLIC
+from repro.hwsim.latency import ProjectedTrace
 
 
 @dataclass
@@ -72,68 +57,79 @@ class OpGraphReport:
                                                   0.0) / total
 
 
-def analyze_graph(trace: Trace, device: DeviceSpec) -> OpGraphReport:
-    """Build the DAG, weight it with projected latencies, and extract
-    the critical path and phase-dependency structure."""
-    graph = build_graph(trace)
-    projected = project_trace(trace, device)
-    latency: Dict[int, float] = {
-        cost.event.eid: cost.total for cost in projected.costs}
-    phase_of: Dict[int, str] = {e.eid: e.phase for e in trace}
+def analyze_graph(projected: ProjectedTrace) -> OpGraphReport:
+    """Sweep the trace's parent links once, in trace order, weighting
+    each event with its projected latency.
 
-    cross = 0
-    sym_on_neural = False
-    neural_on_sym = False
-    for u, v in graph.edges():
-        pu, pv = phase_of.get(u, ""), phase_of.get(v, "")
-        if pu != pv:
-            cross += 1
-            if pu == PHASE_NEURAL and pv == PHASE_SYMBOLIC:
-                sym_on_neural = True
-            elif pu == PHASE_SYMBOLIC and pv == PHASE_NEURAL:
-                neural_on_sym = True
+    An event's distinct parents are its in-edges.  Its longest
+    latency-weighted path extends its heaviest parent's (a tie goes to
+    the larger eid), and its generation, the longest chain of parents,
+    sets the widths.  The critical path ends at the first heaviest
+    event in trace order.  A parent absent from the trace (a
+    :meth:`Trace.by_phase` sub-trace) is skipped; a parent at or after
+    its child raises ``ValueError``
+    (:func:`~repro.core.validate.validate_trace` calls it non-causal).
+    """
+    costs = projected.costs
+    position = {cost.event.eid: i for i, cost in enumerate(costs)}
+    best_time: List[float] = []
+    best_pred: List[Optional[int]] = []
+    generation: List[int] = []
+    crossings: Set[Tuple[str, str]] = set()
+    edges = cross = 0
+    for i, cost in enumerate(costs):
+        event = cost.event
+        incoming: List[Tuple[float, int, int]] = []
+        gen = 0
+        for parent in dict.fromkeys(event.parents):
+            j = position.get(parent)
+            if j is None:
+                continue
+            if j >= i:
+                raise ValueError(
+                    f"event {event.eid} ({event.name}) has parent {parent} "
+                    f"at or after it in the trace")
+            edges += 1
+            pair = (costs[j].event.phase, event.phase)
+            if pair[0] != pair[1]:
+                cross += 1
+                crossings.add(pair)
+            incoming.append((best_time[j], parent, j))
+            gen = max(gen, generation[j] + 1)
+        base, _, pred = max(incoming, default=(0.0, None, None))
+        best_time.append(base + cost.total)
+        best_pred.append(pred)
+        generation.append(gen)
 
-    # longest (latency-weighted) path via one topological sweep
-    best_time: Dict[int, float] = {}
-    best_pred: Dict[int, Optional[int]] = {}
-    for node in nx.topological_sort(graph):
-        incoming = [(best_time[p], p) for p in graph.predecessors(node)
-                    if p in best_time]
-        base, pred = max(incoming, default=(0.0, None))
-        best_time[node] = base + latency.get(node, 0.0)
-        best_pred[node] = pred
-
-    if best_time:
-        end = max(best_time, key=best_time.get)
-        path: List[int] = []
-        cursor: Optional[int] = end
+    path: List[int] = []
+    cp_time = 0.0
+    if costs:
+        cursor: Optional[int] = max(range(len(costs)),
+                                    key=best_time.__getitem__)
+        cp_time = best_time[cursor]
         while cursor is not None:
             path.append(cursor)
             cursor = best_pred[cursor]
         path.reverse()
-        cp_time = best_time[end]
-    else:
-        path, cp_time = [], 0.0
 
     cp_phase_times: Dict[str, float] = {}
-    for node in path:
-        phase = phase_of.get(node, "")
+    for k in path:
+        phase = costs[k].event.phase
         cp_phase_times[phase] = cp_phase_times.get(phase, 0.0) \
-            + latency.get(node, 0.0)
-
-    # width: max antichain estimate via generation sizes
-    widths = [len(gen) for gen in nx.topological_generations(graph)]
+            + costs[k].total
 
     return OpGraphReport(
-        workload=trace.workload,
-        num_nodes=graph.number_of_nodes(),
-        num_edges=graph.number_of_edges(),
+        workload=projected.trace.workload,
+        num_nodes=len(costs),
+        num_edges=edges,
         cross_phase_edges=cross,
-        symbolic_depends_on_neural=sym_on_neural,
-        neural_depends_on_symbolic=neural_on_sym,
+        symbolic_depends_on_neural=(PHASE_NEURAL,
+                                    PHASE_SYMBOLIC) in crossings,
+        neural_depends_on_symbolic=(PHASE_SYMBOLIC,
+                                    PHASE_NEURAL) in crossings,
         critical_path_time=cp_time,
         critical_path_length=len(path),
         critical_path_phase_times=cp_phase_times,
         total_time=projected.total_time,
-        max_width=max(widths, default=0),
+        max_width=max(Counter(generation).values(), default=0),
     )

@@ -13,6 +13,7 @@ from typing import Dict, List, Sequence
 
 from repro.core.profiler import PHASE_NEURAL, PHASE_SYMBOLIC, Trace
 from repro.hwsim.device import DeviceSpec
+from repro.hwsim.latency import ProjectedTrace
 from repro.hwsim.roofline import RooflinePoint, roofline_points
 
 
@@ -26,9 +27,6 @@ class RooflineFigure:
 
     def by_label(self) -> Dict[str, RooflinePoint]:
         return {p.label: p for p in self.points}
-
-    def bound_of(self, label: str) -> str:
-        return self.by_label()[label].bound
 
 
 def roofline_figure(traces: Sequence[Trace],
@@ -44,7 +42,7 @@ def roofline_figure(traces: Sequence[Trace],
                           points=points)
 
 
-def phase_boundedness(trace: Trace, device: DeviceSpec) -> Dict[str, str]:
+def phase_boundedness(projected: ProjectedTrace) -> Dict[str, str]:
     """{phase: 'compute'|'memory'} for one workload (Takeaway 4).
 
     Time-weighted: a phase is memory-bound when more than half of its
@@ -52,10 +50,8 @@ def phase_boundedness(trace: Trace, device: DeviceSpec) -> Dict[str, str]:
     compute roof.  (A single aggregate OI point can misclassify a phase
     whose time is dominated by a few high-intensity kernels.)
     """
-    from repro.hwsim.latency import project_trace
-    projected = project_trace(trace, device)
     out: Dict[str, str] = {}
-    for phase in trace.phases():
+    for phase in projected.trace.phases():
         if not phase:
             continue
         fraction = projected.memory_bound_fraction(phase)

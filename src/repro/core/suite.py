@@ -27,6 +27,7 @@ from repro.core.taxonomy import CATEGORY_ORDER
 from repro.core.validate import validate_trace
 from repro.hwsim.device import DeviceSpec
 from repro.hwsim.devices import RTX_2080TI
+from repro.hwsim.latency import project_trace
 
 if False:  # typing-only import; runtime import is deferred (cycle)
     from repro.workloads.base import Workload  # pragma: no cover
@@ -99,21 +100,26 @@ class WorkloadReport:
 def characterize_trace(trace: Trace,
                        device: DeviceSpec = RTX_2080TI,
                        validate: bool = True) -> WorkloadReport:
-    """Derive every analysis view from an already-collected trace."""
+    """Derive every analysis view from an already-collected trace.
+
+    The trace is projected onto ``device`` once; the latency, operator,
+    boundedness and operation-graph views all read that projection.
+    """
     if validate:
         validate_trace(
             trace,
             expected_phases=(PHASE_NEURAL, PHASE_SYMBOLIC),
         ).raise_if_invalid()
+    projected = project_trace(trace, device)
     return WorkloadReport(
         workload=trace.workload,
         device=device.name,
         trace=trace,
-        latency=latency_breakdown(trace, device),
-        operators=operator_breakdown(trace, device),
+        latency=latency_breakdown(projected),
+        operators=operator_breakdown(projected),
         memory=memory_profile(trace),
-        boundedness=phase_boundedness(trace, device),
-        opgraph=analyze_graph(trace, device),
+        boundedness=phase_boundedness(projected),
+        opgraph=analyze_graph(projected),
         sparsity=stage_sparsity(trace),
         flops_shares=flops_breakdown(trace),
         result=dict(trace.metadata.get("result", {})),  # type: ignore[arg-type]

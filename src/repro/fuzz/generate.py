@@ -127,9 +127,6 @@ class OpProgram:
     leaves: List[LeafSpec] = field(default_factory=list)
     nodes: List[OpNode] = field(default_factory=list)
 
-    def op_names(self) -> List[str]:
-        return [node.op for node in self.nodes]
-
     def to_dict(self) -> Dict[str, object]:
         return {"seed": self.seed,
                 "leaves": [leaf.to_dict() for leaf in self.leaves],
@@ -762,23 +759,6 @@ def _t_fuzzy_not(rng: np.random.Generator,
 # ---------------------------------------------------------------------------
 # program generation
 # ---------------------------------------------------------------------------
-
-def op_universe(rule_ops: Optional[Sequence[str]] = None) -> List[str]:
-    """Generatable registry keys, optionally restricted to inferred ops.
-
-    When a rule set is supplied, only ops the harvest actually saw are
-    composed (their rules exist to be checked); with ``None`` every
-    template is in play.
-    """
-    keys = sorted(TEMPLATES)
-    if rule_ops is None:
-        return keys
-    known = set(rule_ops)
-    picked = [k for k in keys
-              if k in known or (k == "to_*" and any(
-                  op.startswith("to_") for op in known))]
-    return picked or keys
-
 
 def generate_program(seed: int, max_ops: int = 12,
                      ops: Optional[Sequence[str]] = None) -> OpProgram:

@@ -46,13 +46,6 @@ def _close(a: float, b: float) -> bool:
     return abs(a - b) <= _ATOL + _RTOL * max(abs(a), abs(b))
 
 
-def _shape_size(shape: Sequence[int]) -> int:
-    size = 1
-    for dim in shape:
-        size *= dim
-    return size
-
-
 def _itemsize(dtype: str) -> int:
     if dtype == SCALAR_DTYPE:
         return 8

@@ -10,8 +10,7 @@ kernels) and reports:
 * the makespan (vs. the serial sum — the co-scheduling headroom that
   bounds Recommendation 5);
 * a utilization timeline: how many execution slots are busy at each
-  instant, sampled into windows;
-* per-phase mean utilization (the Fig. 4 contrast).
+  instant, sampled into windows (the Fig. 4 contrast).
 
 The scheduler is a classic ready-list simulation: an event becomes
 ready when all its producers have finished; up to ``max_concurrency``
@@ -74,22 +73,6 @@ class ScheduleResult:
         return [(w * width,
                  busy[w] / (width * self.max_concurrency))
                 for w in range(windows)]
-
-    def phase_utilization(self) -> Dict[str, float]:
-        """Mean slot utilization while each phase has work in flight."""
-        spans: Dict[str, Tuple[float, float]] = {}
-        work: Dict[str, float] = {}
-        for event in self.events:
-            phase = event.phase or "<untagged>"
-            lo, hi = spans.get(phase, (event.start, event.finish))
-            spans[phase] = (min(lo, event.start), max(hi, event.finish))
-            work[phase] = work.get(phase, 0.0) + event.duration
-        out: Dict[str, float] = {}
-        for phase, (lo, hi) in spans.items():
-            wall = max(hi - lo, 1e-12)
-            out[phase] = min(1.0, work[phase]
-                             / (wall * self.max_concurrency))
-        return out
 
 
 def simulate_schedule(trace: Trace, device: DeviceSpec,

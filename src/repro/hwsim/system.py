@@ -82,11 +82,6 @@ class SystemReport:
         return sum(c.transfer_time for c in self.costs)
 
     @property
-    def transfer_fraction(self) -> float:
-        total = self.total_time
-        return self.transfer_time / total if total else 0.0
-
-    @property
     def h2d_bytes(self) -> int:
         return sum(c.transfer_bytes for c in self.costs
                    if c.device == "gpu" and c.transfer_bytes)

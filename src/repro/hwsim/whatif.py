@@ -32,6 +32,7 @@ from typing import Dict, Iterable, Optional
 from repro.core.profiler import Trace, TraceEvent
 from repro.core.taxonomy import OpCategory
 from repro.hwsim.device import DeviceSpec
+from repro.hwsim.latency import project_trace
 
 #: categories a symbolic processing unit accelerates
 SYMBOLIC_CATEGORIES = (OpCategory.ELEMENTWISE, OpCategory.TRANSFORM,
@@ -153,7 +154,7 @@ def parallel_schedule_bound(trace: Trace, device: DeviceSpec) -> float:
     co-scheduling — serial time over the operation graph's
     latency-weighted critical path."""
     from repro.core.opgraph import analyze_graph
-    report = analyze_graph(trace, device)
+    report = analyze_graph(project_trace(trace, device))
     if report.critical_path_time <= 0:
         return 1.0
     return report.total_time / report.critical_path_time

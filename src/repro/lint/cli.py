@@ -14,7 +14,8 @@ from typing import List, Optional, Set
 from repro.lint.baseline import (DEFAULT_BASELINE_NAME, BaselineError,
                                  load_baseline, split_baselined,
                                  write_baseline)
-from repro.lint.engine import LintConfig, default_scan_root, run_lint
+from repro.lint.engine import (LintConfig, default_scan_root,
+                               registered_checks, run_lint)
 from repro.lint.findings import SEVERITY_ERROR
 from repro.lint.report import render_json, render_text
 
@@ -49,11 +50,7 @@ def add_lint_arguments(cmd: argparse.ArgumentParser) -> None:
 
 
 def _registered_ids() -> List[str]:
-    import repro.lint.checks  # noqa: F401
-    import repro.lint.concurrency  # noqa: F401
-    import repro.lint.tracing  # noqa: F401
-    from repro.lint.registry import all_checks
-    return [cls.check_id for cls in all_checks()]
+    return [cls.check_id for cls in registered_checks()]
 
 
 def _expand_checks(spec: str) -> Set[str]:
@@ -75,12 +72,8 @@ def _expand_checks(spec: str) -> Set[str]:
 
 
 def _explain_command(check_id: str) -> int:
-    import repro.lint.checks  # noqa: F401
-    import repro.lint.concurrency  # noqa: F401
-    import repro.lint.tracing  # noqa: F401
-    from repro.lint.registry import all_checks
     wanted = check_id.strip().upper()
-    for cls in all_checks():
+    for cls in registered_checks():
         if cls.check_id != wanted:
             continue
         print(f"{cls.check_id} ({cls.name}) — severity: {cls.severity}")

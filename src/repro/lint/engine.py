@@ -17,7 +17,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Type
 
 from repro.lint.findings import SEVERITY_ERROR, Finding
 from repro.lint.pragmas import PragmaIndex
@@ -167,16 +167,20 @@ def discover_files(root: Path) -> List[Path]:
                   if "__pycache__" not in p.parts)
 
 
-def run_lint(config: LintConfig) -> LintResult:
-    """Run all (selected) checks over the configured tree."""
+def registered_checks() -> List[Type[LintCheck]]:
+    """Every check class, ordered by check id."""
     # importing the check modules populates the registry
     import repro.lint.checks  # noqa: F401
     import repro.lint.clocks  # noqa: F401
     import repro.lint.compiled  # noqa: F401
     import repro.lint.concurrency  # noqa: F401
     import repro.lint.tracing  # noqa: F401
+    return all_checks()
 
-    checks = [cls() for cls in all_checks()
+
+def run_lint(config: LintConfig) -> LintResult:
+    """Run all (selected) checks over the configured tree."""
+    checks = [cls() for cls in registered_checks()
               if (config.select is None or cls.check_id in config.select)
               and (config.ignore is None
                    or cls.check_id not in config.ignore)]

@@ -348,8 +348,9 @@ def event_facts(trace) -> Dict[str, Any]:
 def model_facts(trace, device) -> Dict[str, Any]:
     """The device-model view of one trace that the ``model`` pin digests."""
     from repro.core.analysis import latency_breakdown  # deferred (cycle)
+    from repro.hwsim.latency import project_trace
     from repro.obs.kstats import kstats_by_category  # deferred (cycle)
-    breakdown = latency_breakdown(trace, device)
+    breakdown = latency_breakdown(project_trace(trace, device))
     peak = trace.metadata.get("peak_live_bytes", trace.peak_live_bytes)
     return {
         "projected_latency_s": float(breakdown.total_time),

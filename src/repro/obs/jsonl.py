@@ -82,7 +82,7 @@ def event_from_dict(raw: Dict) -> TraceEvent:
         output_shape=tuple(raw.get("output_shape", [])),
         output_sparsity=float(raw.get("output_sparsity", 0.0)),
         wall_time=float(raw.get("wall_time", 0.0)),
-        parents=tuple(raw.get("parents", [])),
+        parents=tuple(int(p) for p in raw.get("parents", [])),
         live_bytes=int(raw.get("live_bytes", 0)),
         t_start=float(raw.get("t_start", 0.0)),
         sid=(None if raw.get("sid") is None else int(raw["sid"])),
@@ -122,30 +122,47 @@ def write_jsonl(trace: Trace, path: str) -> None:
 
 
 def trace_from_jsonl_lines(lines: List[str]) -> Trace:
-    """Rebuild a :class:`Trace` (events + spans) from log lines."""
+    """Rebuild a :class:`Trace` (events + spans) from log lines.
+
+    A log comes from outside the program: any malformed line raises
+    ``ValueError`` naming its line number.
+    """
     trace = Trace()
     for number, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
             continue
-        record = json.loads(line)
-        kind = record.get("type")
-        if kind == "meta":
-            version = record.get("version")
-            if version not in SUPPORTED_JSONL_VERSIONS:
-                raise ValueError(
-                    f"unsupported JSONL log version: {version!r} "
-                    f"(supported: {SUPPORTED_JSONL_VERSIONS})")
-            trace.workload = record.get("workload", "")
-            trace.metadata = dict(record.get("metadata", {}))
-        elif kind == "op":
-            trace.append(event_from_dict(record))
-        elif kind == "span":
-            trace.spans.append(SpanRecord.from_dict(record))
-        else:
-            raise ValueError(
-                f"line {number}: unknown record type {kind!r}")
+        try:
+            _load_record(trace, json.loads(line))
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"line {number}: not JSON ({exc.msg} at "
+                             f"column {exc.colno})") from exc
+        except KeyError as exc:
+            raise ValueError(f"line {number}: missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"line {number}: {exc}") from exc
     return trace
+
+
+def _load_record(trace: Trace, record: object) -> None:
+    """Add one decoded log line to ``trace``."""
+    if not isinstance(record, dict):
+        raise ValueError(f"not a JSON object: {record!r}")
+    kind = record.get("type")
+    if kind == "meta":
+        version = record.get("version")
+        if version not in SUPPORTED_JSONL_VERSIONS:
+            raise ValueError(
+                f"unsupported JSONL log version: {version!r} "
+                f"(supported: {SUPPORTED_JSONL_VERSIONS})")
+        trace.workload = record.get("workload", "")
+        trace.metadata = dict(record.get("metadata", {}))
+    elif kind == "op":
+        trace.append(event_from_dict(record))
+    elif kind == "span":
+        trace.spans.append(SpanRecord.from_dict(record))
+    else:
+        raise ValueError(f"unknown record type {kind!r}")
 
 
 def read_jsonl(path: str) -> Trace:

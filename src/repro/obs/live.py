@@ -10,7 +10,7 @@ pieces a production operator watches:
 * :class:`TailSamplingPolicy` — head sampling wastes retention on
   healthy traffic; tail sampling decides *after* the outcome is
   known.  Failed / degraded / rejected / deadline-missed requests
-  always keep their full span trees; healthy requests are kept at a
+  are always sampled; healthy requests are kept at a
   small deterministic ratio (a seeded hash draw over the trace id, so
   two runs of one seeded schedule retain identical trace sets — the
   property CI asserts).
@@ -137,7 +137,7 @@ class SnapshotAggregator:
 # -- tail-based sampling -----------------------------------------------------
 
 class TailSamplingPolicy:
-    """Decide *after* the outcome which traces keep full span trees.
+    """Decide *after* the outcome which requests keep a sample.
 
     Interesting requests (non-ok status, deadline misses) are always
     retained.  Healthy requests are retained at ``healthy_ratio`` via
@@ -230,9 +230,9 @@ class LiveTelemetry:
 
     Fans each event out to the rolling aggregator (with
     interval-aligned snapshot emission), the tail sampler (seeded by
-    ``seed``, keeping ``healthy_ratio`` of healthy requests, and
-    retaining the event's span tree when it keeps one), and the
-    burn-rate monitor.  ``flush()`` closes the final snapshot window;
+    ``seed``, keeping ``healthy_ratio`` of healthy requests and the
+    size of each kept request's span tree), and the burn-rate
+    monitor.  ``flush()`` closes the final snapshot window;
     ``write_jsonl`` serializes snapshots + alerts + samples.
 
     Thread-safe: live-mode workers publish concurrently.  All clocks
@@ -249,7 +249,6 @@ class LiveTelemetry:
         self.snapshot_interval = snapshot_interval
         self.snapshots: List[Dict[str, object]] = []
         self.samples: List[Dict[str, object]] = []
-        self._sampled_spans: Dict[str, List[SpanRecord]] = {}
         self._lock = threading.Lock()
         self._window_end: Optional[float] = None
         self._last_t = 0.0
@@ -279,8 +278,6 @@ class LiveTelemetry:
                           "reason": reason,
                           "spans": len(spans or ())}
                 self.samples.append(sample)
-                if spans and event.get("trace_id") is not None:
-                    self._sampled_spans[str(event["trace_id"])] = list(spans)
 
     def flush(self) -> None:
         """Emit the final (partial) snapshot window."""
@@ -302,10 +299,6 @@ class LiveTelemetry:
         with self._lock:
             return [str(s["trace_id"]) for s in self.samples
                     if s.get("trace_id") is not None]
-
-    def sampled_spans(self, trace_id: str) -> List[SpanRecord]:
-        with self._lock:
-            return list(self._sampled_spans.get(trace_id, ()))
 
     def jsonl_lines(self) -> Iterable[str]:
         """Snapshots, alerts, and tail samples as JSONL lines."""

@@ -211,7 +211,7 @@ class DispatchLedger:
 
 
 # ---------------------------------------------------------------------------
-# process-wide enable state (mirrors repro.obs.metrics)
+# process-wide enable state: at most one installed ledger at a time
 # ---------------------------------------------------------------------------
 
 #: Hot-path flag: the dispatcher reads this once per op and takes the

@@ -49,6 +49,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.analysis import latency_breakdown
 from repro.hwsim.device import DeviceSpec
 from repro.hwsim.devices import RTX_2080TI
+from repro.hwsim.latency import project_trace
 from repro.obs.clock import perf_s
 from repro.resilience.faults import FaultPlan
 from repro.resilience.runner import STATUS_DEGRADED, STATUS_OK
@@ -198,7 +199,7 @@ class InferenceServer:
             return 0.0
         if device.name == result.device:
             return result.outcome.report.latency.total_time
-        return latency_breakdown(trace, device).total_time
+        return latency_breakdown(project_trace(trace, device)).total_time
 
     # -- telemetry -----------------------------------------------------------
     def attach_telemetry(self, telemetry) -> None:

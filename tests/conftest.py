@@ -3,12 +3,27 @@ part, so each workload is profiled once per test session)."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.core.profiler import Trace
 from repro.workloads import PAPER_ORDER, create
 
 _TRACE_CACHE = {}
+
+
+def fresh_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter on this tree's ``repro``, so
+    nothing the test session already imported can mask the result."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-c", code, *args],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
 
 
 def cached_trace(name: str, **params) -> Trace:

@@ -6,7 +6,7 @@ import pytest
 
 from repro import tensor as T
 from repro.core import (CATEGORY_ORDER, OpCategory, analyze_graph,
-                        analyze_inefficiency, build_graph, flops_breakdown,
+                        analyze_inefficiency, flops_breakdown,
                         latency_breakdown, memory_profile,
                         operator_breakdown, overall_sparsity,
                         phase_boundedness, roofline_figure, stage_sparsity,
@@ -15,53 +15,54 @@ from repro.core.profiler import (PHASE_NEURAL, PHASE_SYMBOLIC, Trace,
                                  TraceEvent)
 from repro.core.scaling import nvsa_task_size_study, sweep
 from repro.core.suite import characterize
-from repro.hwsim import RTX_2080TI
+from repro.hwsim import RTX_2080TI, project_trace
+from repro.hwsim.latency import EventCost, ProjectedTrace
 from repro.workloads import create
-from tests.conftest import cached_trace
+from tests.conftest import cached_trace, fresh_python
 
 
 class TestLatencyBreakdown:
     def test_fractions_sum_to_one(self, nvsa_trace):
-        lb = latency_breakdown(nvsa_trace, RTX_2080TI)
+        lb = latency_breakdown(project_trace(nvsa_trace, RTX_2080TI))
         assert lb.neural_fraction + lb.symbolic_fraction == \
             pytest.approx(1.0, abs=1e-6)
 
     def test_nvsa_symbolic_dominant(self, nvsa_trace):
-        lb = latency_breakdown(nvsa_trace, RTX_2080TI)
+        lb = latency_breakdown(project_trace(nvsa_trace, RTX_2080TI))
         assert lb.symbolic_fraction > 0.8
 
     def test_stage_times_cover_total(self, nvsa_trace):
-        lb = latency_breakdown(nvsa_trace, RTX_2080TI)
+        lb = latency_breakdown(project_trace(nvsa_trace, RTX_2080TI))
         assert sum(lb.stage_times.values()) == pytest.approx(
             lb.total_time, rel=1e-6)
 
     def test_event_counts(self, nvsa_trace):
-        lb = latency_breakdown(nvsa_trace, RTX_2080TI)
+        lb = latency_breakdown(project_trace(nvsa_trace, RTX_2080TI))
         assert sum(lb.event_counts.values()) == len(nvsa_trace)
 
 
 class TestOperatorBreakdown:
     def test_shares_sum_to_one(self, nvsa_trace):
-        for ob in operator_breakdown(nvsa_trace, RTX_2080TI):
+        for ob in operator_breakdown(project_trace(nvsa_trace, RTX_2080TI)):
             assert sum(ob.shares().values()) == pytest.approx(1.0,
                                                               abs=1e-6)
 
     def test_neural_has_convolution(self, nvsa_trace):
-        obs = {ob.phase: ob
-               for ob in operator_breakdown(nvsa_trace, RTX_2080TI)}
+        projected = project_trace(nvsa_trace, RTX_2080TI)
+        obs = {ob.phase: ob for ob in operator_breakdown(projected)}
         assert obs[PHASE_NEURAL].share(OpCategory.CONVOLUTION) > 0.05
         assert obs[PHASE_SYMBOLIC].share(OpCategory.CONVOLUTION) == 0.0
 
     def test_symbolic_dominated_by_vector_ops(self, nvsa_trace):
-        obs = {ob.phase: ob
-               for ob in operator_breakdown(nvsa_trace, RTX_2080TI)}
+        projected = project_trace(nvsa_trace, RTX_2080TI)
+        obs = {ob.phase: ob for ob in operator_breakdown(projected)}
         symbolic = obs[PHASE_SYMBOLIC]
         assert symbolic.dominant_category in (
             OpCategory.ELEMENTWISE, OpCategory.TRANSFORM)
 
     def test_ltn_symbolic_has_others(self, ltn_trace):
-        obs = {ob.phase: ob
-               for ob in operator_breakdown(ltn_trace, RTX_2080TI)}
+        projected = project_trace(ltn_trace, RTX_2080TI)
+        obs = {ob.phase: ob for ob in operator_breakdown(projected)}
         assert obs[PHASE_SYMBOLIC].share(OpCategory.OTHER) > 0.0
 
     def test_flops_breakdown_nvsa(self, nvsa_trace):
@@ -90,7 +91,7 @@ class TestMemoryProfile:
 
 class TestBoundedness:
     def test_nvsa_phases(self, nvsa_trace):
-        bounds = phase_boundedness(nvsa_trace, RTX_2080TI)
+        bounds = phase_boundedness(project_trace(nvsa_trace, RTX_2080TI))
         assert bounds[PHASE_NEURAL] == "compute"
         assert bounds[PHASE_SYMBOLIC] == "memory"
 
@@ -102,27 +103,137 @@ class TestBoundedness:
 
 class TestOpGraph:
     def test_graph_structure(self, nvsa_trace):
-        graph = build_graph(nvsa_trace)
-        assert graph.number_of_nodes() == len(nvsa_trace)
-        assert graph.number_of_edges() > 0
+        report = analyze_graph(project_trace(nvsa_trace, RTX_2080TI))
+        assert report.num_nodes == len(nvsa_trace)
+        assert report.num_edges > 0
 
     def test_nvsa_symbolic_depends_on_neural(self, nvsa_trace):
-        report = analyze_graph(nvsa_trace, RTX_2080TI)
+        report = analyze_graph(project_trace(nvsa_trace, RTX_2080TI))
         assert report.symbolic_depends_on_neural
 
     def test_nlm_compiles_symbolic_into_neural(self, nlm_trace):
         """NLM interleaves: symbolic wiring feeds neural MLPs."""
-        report = analyze_graph(nlm_trace, RTX_2080TI)
+        report = analyze_graph(project_trace(nlm_trace, RTX_2080TI))
         assert report.neural_depends_on_symbolic
 
     def test_critical_path_bounded_by_total(self, nvsa_trace):
-        report = analyze_graph(nvsa_trace, RTX_2080TI)
+        report = analyze_graph(project_trace(nvsa_trace, RTX_2080TI))
         assert 0 < report.critical_path_time <= report.total_time
         assert 0 < report.serialization <= 1.0
 
     def test_symbolic_on_critical_path(self, nvsa_trace):
-        report = analyze_graph(nvsa_trace, RTX_2080TI)
+        report = analyze_graph(project_trace(nvsa_trace, RTX_2080TI))
         assert report.symbolic_on_critical_path > 0.2
+
+    def test_phase_sub_trace_skips_absent_parents(self, nvsa_trace):
+        symbolic = nvsa_trace.by_phase(PHASE_SYMBOLIC)
+        report = analyze_graph(project_trace(symbolic, RTX_2080TI))
+        assert report.num_nodes == len(symbolic)
+        assert report.cross_phase_edges == 0
+
+
+def _projected(*events):
+    """A hand-built projection: (eid, phase, parents, latency) tuples,
+    each event's latency exact as its compute time."""
+    trace = Trace("hand")
+    costs = []
+    for eid, phase, parents, latency in events:
+        event = TraceEvent(eid=eid, name=f"op{eid}", phase=phase,
+                           category=OpCategory.OTHER, parents=parents)
+        trace.append(event)
+        costs.append(EventCost(event, compute_time=latency,
+                               memory_time=0.0, overhead=0.0))
+    return ProjectedTrace(trace, RTX_2080TI, costs)
+
+
+class TestOpGraphSweep:
+    """``analyze_graph`` on hand-built traces with known answers."""
+
+    def test_known_dag(self):
+        report = analyze_graph(_projected(
+            (0, PHASE_NEURAL, (), 1.0),
+            (1, PHASE_NEURAL, (0, 0), 2.0),          # duplicated parent
+            (2, PHASE_NEURAL, (), 4.0),
+            (3, PHASE_SYMBOLIC, (1, 2, 99), 1.0),    # 99 is absent
+            (4, PHASE_SYMBOLIC, (3,), 1.0)))
+        assert report.num_nodes == 5
+        assert report.num_edges == 4                  # 0-1, 1-3, 2-3, 3-4
+        assert report.cross_phase_edges == 2
+        assert report.symbolic_depends_on_neural
+        assert not report.neural_depends_on_symbolic
+        # critical path 2 -> 3 -> 4 (4 + 1 + 1), not 0 -> 1 -> 3 -> 4
+        assert report.critical_path_time == 6.0
+        assert report.critical_path_length == 3
+        assert report.critical_path_phase_times == {PHASE_NEURAL: 4.0,
+                                                    PHASE_SYMBOLIC: 2.0}
+        assert report.total_time == 9.0
+        # generations {0, 2}, {1}, {3}, {4}
+        assert report.max_width == 2
+
+    def test_ties(self):
+        report = analyze_graph(_projected(
+            (0, PHASE_SYMBOLIC, (), 1.0),
+            (1, PHASE_NEURAL, (), 1.0),
+            (2, PHASE_NEURAL, (0, 1), 1.0),   # tied parents: larger eid
+            (3, PHASE_NEURAL, (), 2.0)))      # tied end: first in order
+        # 1 -> 2: neither 0 -> 2 nor 3 alone
+        assert report.critical_path_time == 2.0
+        assert report.critical_path_length == 2
+        assert report.critical_path_phase_times == {PHASE_NEURAL: 2.0}
+        assert report.max_width == 3
+
+    @pytest.mark.parametrize("parents", [(1,), (0,)])
+    def test_parent_at_or_after_its_child_raises(self, parents):
+        with pytest.raises(ValueError, match="event 0 "):
+            analyze_graph(_projected((0, PHASE_NEURAL, parents, 1.0),
+                                     (1, PHASE_NEURAL, (), 1.0)))
+
+    def test_empty_trace(self):
+        report = analyze_graph(_projected())
+        assert (report.num_nodes, report.critical_path_length,
+                report.critical_path_time, report.max_width) == (0, 0, 0.0, 0)
+
+
+class TestOneProjection:
+    """``characterize_trace`` projects once; the four views never do."""
+
+    def test_characterize_projects_once(self, nvsa_trace, monkeypatch):
+        import repro.core.suite as suite
+        import repro.hwsim.latency as latency
+        calls, events = [], []
+        project, project_event = suite.project_trace, latency.project_event
+
+        def counted(trace, device):
+            calls.append(device.name)
+            return project(trace, device)
+
+        def counted_event(event, device):
+            events.append(event.eid)
+            return project_event(event, device)
+
+        monkeypatch.setattr(suite, "project_trace", counted)
+        monkeypatch.setattr(latency, "project_event", counted_event)
+        suite.characterize_trace(nvsa_trace, RTX_2080TI)
+        assert calls == [RTX_2080TI.name]
+        assert len(events) == len(nvsa_trace)
+
+    def test_views_do_not_project(self, nvsa_trace, monkeypatch):
+        import repro.hwsim.latency as latency
+        projected = project_trace(nvsa_trace, RTX_2080TI)
+
+        def refuse(event, device):
+            raise AssertionError("a view projected the trace again")
+
+        monkeypatch.setattr(latency, "project_event", refuse)
+        latency_breakdown(projected)
+        operator_breakdown(projected)
+        phase_boundedness(projected)
+        analyze_graph(projected)
+
+    def test_suite_does_not_import_networkx(self):
+        done = fresh_python("import sys, repro.core.suite; "
+                            "assert 'networkx' not in sys.modules")
+        assert done.returncode == 0, done.stderr
 
 
 class TestSparsity:

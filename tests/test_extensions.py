@@ -55,13 +55,13 @@ class TestMCTSWorkload:
     def test_bidirectional_phase_dependencies(self, trace):
         """The Symbolic[Neuro] call structure: neural depends on
         symbolic search state AND backprop depends on neural values."""
-        report = analyze_graph(trace, RTX_2080TI)
+        report = analyze_graph(project_trace(trace, RTX_2080TI))
         assert report.neural_depends_on_symbolic
         assert report.symbolic_depends_on_neural
         assert report.cross_phase_edges > 10
 
     def test_search_is_fully_serial(self, trace):
-        report = analyze_graph(trace, RTX_2080TI)
+        report = analyze_graph(project_trace(trace, RTX_2080TI))
         assert report.serialization > 0.9
 
     def test_simulations_scale_events(self):
@@ -80,15 +80,16 @@ class TestWhatIf:
         return cached_trace("vsait", seed=0)
 
     def test_symbolic_accelerator_speeds_up(self, trace):
-        base = latency_breakdown(trace, RTX_2080TI).total_time
-        fast = latency_breakdown(trace,
-                                 symbolic_accelerator(RTX_2080TI)).total_time
+        base = latency_breakdown(project_trace(trace, RTX_2080TI)).total_time
+        fast = latency_breakdown(
+            project_trace(trace, symbolic_accelerator(RTX_2080TI))).total_time
         assert fast < base
 
     def test_accelerator_rebalances_nvsa(self):
         trace = cached_trace("nvsa", seed=0)
-        base = latency_breakdown(trace, RTX_2080TI)
-        accel = latency_breakdown(trace, symbolic_accelerator(RTX_2080TI))
+        base = latency_breakdown(project_trace(trace, RTX_2080TI))
+        accel = latency_breakdown(
+            project_trace(trace, symbolic_accelerator(RTX_2080TI)))
         assert accel.symbolic_fraction < base.symbolic_fraction
         assert base.total_time / accel.total_time > 2.0
 
@@ -110,9 +111,9 @@ class TestWhatIf:
             quantize_trace(trace, 64)
 
     def test_quantization_speeds_up_memory_bound(self, trace):
-        base = latency_breakdown(trace, RTX_2080TI).total_time
-        fast = latency_breakdown(quantize_trace(trace, 8),
-                                 RTX_2080TI).total_time
+        base = latency_breakdown(project_trace(trace, RTX_2080TI)).total_time
+        fast = latency_breakdown(
+            project_trace(quantize_trace(trace, 8), RTX_2080TI)).total_time
         assert fast < base
 
     def test_prune_reduces_sparse_event_work(self):
@@ -138,8 +139,8 @@ class TestWhatIf:
     def test_bandwidth_scaling(self, trace):
         double = scale_bandwidth(RTX_2080TI, 2.0)
         assert double.dram_bandwidth == RTX_2080TI.dram_bandwidth * 2
-        base = latency_breakdown(trace, RTX_2080TI).total_time
-        fast = latency_breakdown(trace, double).total_time
+        base = latency_breakdown(project_trace(trace, RTX_2080TI)).total_time
+        fast = latency_breakdown(project_trace(trace, double)).total_time
         assert fast < base
         with pytest.raises(ValueError):
             scale_bandwidth(RTX_2080TI, 0)

@@ -48,14 +48,15 @@ class TestTakeaway1_LatencySplits:
 
     @pytest.mark.parametrize("name", list(BANDS))
     def test_symbolic_share_band(self, name, all_traces):
-        lb = latency_breakdown(all_traces[name], RTX_2080TI)
+        lb = latency_breakdown(project_trace(all_traces[name], RTX_2080TI))
         lo, hi = self.BANDS[name]
         assert lo <= lb.symbolic_fraction <= hi, (
             f"{name}: symbolic {lb.symbolic_fraction:.2f} outside "
             f"[{lo}, {hi}]")
 
     def test_nvsa_symbolic_is_largest(self, all_traces):
-        shares = {name: latency_breakdown(t, RTX_2080TI).symbolic_fraction
+        shares = {name: latency_breakdown(
+                      project_trace(t, RTX_2080TI)).symbolic_fraction
                   for name, t in all_traces.items()}
         assert max(shares, key=shares.get) in ("nvsa", "prae")
         assert min(shares, key=shares.get) == "zeroc"
@@ -72,24 +73,24 @@ class TestTakeaway2_Scaling:
 class TestTakeaway4_Boundedness:
     @pytest.mark.parametrize("name", ["nvsa", "prae", "vsait"])
     def test_symbolic_memory_bound(self, name, all_traces):
-        bounds = phase_boundedness(all_traces[name], RTX_2080TI)
+        bounds = phase_boundedness(project_trace(all_traces[name], RTX_2080TI))
         assert bounds[PHASE_SYMBOLIC] == "memory"
 
     @pytest.mark.parametrize("name", ["nvsa", "prae", "zeroc", "vsait"])
     def test_neural_compute_bound(self, name, all_traces):
-        bounds = phase_boundedness(all_traces[name], RTX_2080TI)
+        bounds = phase_boundedness(project_trace(all_traces[name], RTX_2080TI))
         assert bounds[PHASE_NEURAL] == "compute"
 
 
 class TestTakeaway5_CriticalPath:
     @pytest.mark.parametrize("name", ["nvsa", "prae", "vsait"])
     def test_pipelined_symbolic_depends_on_neural(self, name, all_traces):
-        report = analyze_graph(all_traces[name], RTX_2080TI)
+        report = analyze_graph(project_trace(all_traces[name], RTX_2080TI))
         assert report.symbolic_depends_on_neural
 
     @pytest.mark.parametrize("name", ["nlm", "lnn"])
     def test_compiled_systems_feed_neural(self, name, all_traces):
-        report = analyze_graph(all_traces[name], RTX_2080TI)
+        report = analyze_graph(project_trace(all_traces[name], RTX_2080TI))
         assert report.neural_depends_on_symbolic or \
             report.symbolic_depends_on_neural
 

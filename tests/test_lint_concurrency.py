@@ -10,6 +10,7 @@ the analysis stays fast.
 """
 
 import ast
+import json
 import textwrap
 import time
 from pathlib import Path
@@ -21,6 +22,7 @@ from repro.lint import LintConfig, default_scan_root, run_lint
 from repro.lint.engine import ModuleSource, discover_files
 from repro.lint.program import (CLEAN, CONFINED, SHARED,
                                 build_program, module_dotted_name)
+from tests.conftest import fresh_python
 
 RL1XX = {"RL101", "RL102", "RL103", "RL104", "RL105"}
 
@@ -677,6 +679,31 @@ class TestCliPolish:
         payload = capsys.readouterr().out
         assert '"RL101"' not in payload
         assert '"RL001"' in payload
+
+    # a fresh interpreter: the CLI must know every check before any
+    # lint run has imported the check modules
+    def test_explain_knows_every_check_that_runs(self, tmp_path):
+        (tmp_path / "empty.py").write_text("X = 1\n")
+        ids = run_lint(LintConfig(root=tmp_path)).checks_run
+        done = fresh_python(
+            "import sys\n"
+            "from repro.cli import main\n"
+            "sys.exit(max(main(['lint', 'explain', i])\n"
+            "             for i in sys.argv[1:]))", *ids)
+        assert done.returncode == 0, done.stdout
+        for check_id in ids:
+            assert f"{check_id} (" in done.stdout
+
+    def test_family_ignore_runs_exactly_the_rest(self, tmp_path):
+        (tmp_path / "empty.py").write_text("X = 1\n")
+        done = fresh_python(
+            "import sys\n"
+            "from repro.cli import main\n"
+            "sys.exit(main(['lint', '--ignore', 'RL1xx', '--format', "
+            "'json', sys.argv[1]]))", str(tmp_path))
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["summary"]["checks_run"] == [
+            "RL001", "RL002", "RL003", "RL004", "RL005"]
 
 
 # -- meta ----------------------------------------------------------------------

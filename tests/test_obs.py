@@ -380,6 +380,25 @@ class TestJsonlExport:
             obs.trace_from_jsonl_lines(
                 ['{"type": "meta", "version": 99}'])
 
+    @pytest.mark.parametrize("line, reason", [
+        ('{"type": "op", "name": "add"', "not JSON"),
+        ('[1, 2]', "not a JSON object"),
+        ('{"type": "op", "name": "add", "category": "elementwise"}',
+         "missing field 'eid'"),
+        ('{"type": "op", "eid": 1, "name": "add", "category": "bogus"}',
+         "bogus"),
+        ('{"type": "op", "eid": 1, "name": "add", "category": "other",'
+         ' "flops": null}', "float"),
+        ('{"type": "span", "sid": 0}', "missing field 'name'"),
+        ('{"type": "meta", "version": 99}', "version"),
+    ], ids=["not-json", "not-object", "no-eid", "bad-category",
+            "null-flops", "span-no-name", "bad-version"])
+    def test_malformed_line_names_its_number(self, line, reason):
+        lines = ['{"type": "meta", "version": 2, "workload": "w"}', "",
+                 line]
+        with pytest.raises(ValueError, match=f"^line 3: .*{reason}"):
+            obs.trace_from_jsonl_lines(lines)
+
     def test_sid_roundtrip(self, nvsa_trace):
         rebuilt = obs.trace_from_jsonl_lines(
             obs.trace_to_jsonl(nvsa_trace).splitlines())

@@ -251,9 +251,8 @@ class TestLiveTelemetry:
         telemetry.record(_event(t=0.6, trace_id="fine"))
         telemetry.flush()
         assert telemetry.sampled_trace_ids() == ["bad"]
-        assert [s.name for s in telemetry.sampled_spans("bad")] \
-            == ["serve:request"]
-        assert telemetry.sampled_spans("fine") == []
+        # a sample keeps the size of its span tree, not a copy of it
+        assert [s["spans"] for s in telemetry.samples] == [1]
 
     def test_jsonl_lines_are_valid_and_typed(self, tmp_path):
         telemetry = LiveTelemetry(seed=0, healthy_ratio=1.0)

@@ -110,8 +110,9 @@ class TestTraceSerialization:
         restored = _round_trip(ltn_trace)
         assert validate_trace(restored).ok
         from repro.core.analysis import latency_breakdown
-        lb_a = latency_breakdown(ltn_trace, RTX_2080TI)
-        lb_b = latency_breakdown(restored, RTX_2080TI)
+        from repro.hwsim import project_trace
+        lb_a = latency_breakdown(project_trace(ltn_trace, RTX_2080TI))
+        lb_b = latency_breakdown(project_trace(restored, RTX_2080TI))
         assert lb_b.total_time == lb_a.total_time
 
     def test_file_round_trip(self, tmp_path, ltn_trace):

@@ -390,6 +390,7 @@ class TestInferenceServer:
         # the trace projected on the virtual worker's device
         from repro.core.analysis import latency_breakdown
         from repro.hwsim.devices import RTX_2080TI, XEON_4114, get_device
+        from repro.hwsim.latency import project_trace
         report = _serve(lnn_schedule(6, gap=0.0005, seed=3), workers=3,
                         devices=(RTX_2080TI, XEON_4114),
                         batch=BatchPolicy(max_batch_size=1))
@@ -397,8 +398,9 @@ class TestInferenceServer:
         for response in report.responses:
             result = report.batch_results[response.bid]
             moved += response.device != result.device
+            device = get_device(response.device)
             assert response.modeled_latency == latency_breakdown(
-                result.trace, get_device(response.device)).total_time
+                project_trace(result.trace, device)).total_time
         assert moved
 
     def test_report_trace_carries_serving_spans(self):
@@ -460,9 +462,9 @@ class TestLiveServer:
         project = server_module.latency_breakdown
         calls = []
 
-        def counted(trace, device):
-            calls.append(device.name)
-            return project(trace, device)
+        def counted(projected):
+            calls.append(projected.device.name)
+            return project(projected)
 
         monkeypatch.setattr(server_module, "latency_breakdown", counted)
         server = InferenceServer(ServeConfig(workers=2, cache_capacity=2))

@@ -16,9 +16,10 @@ from repro.core.profiler import PHASE_NEURAL, PHASE_SYMBOLIC
 from repro.core.report import format_time
 from repro.hwsim import (JETSON_TX2, RTX_2080TI, XEON_4114,
                          HeterogeneousSystem, default_placement,
-                         estimate_energy, gpu_only_placement)
+                         estimate_energy, gpu_only_placement, project_trace)
 from repro.core.taxonomy import OpCategory
-from tests.conftest import cached_trace
+from repro.obs.jsonl import trace_to_jsonl_lines
+from tests.conftest import cached_trace, fresh_python
 
 
 class TestHeterogeneousSystem:
@@ -179,8 +180,8 @@ class TestCLI:
         assert "neural %" in out and "symbolic %" in out
         nvsa = next(line for line in out.splitlines()
                     if line.startswith("NVSA"))
-        split = latency_breakdown(cached_trace("nvsa", seed=0),
-                                  RTX_2080TI)
+        split = latency_breakdown(
+            project_trace(cached_trace("nvsa", seed=0), RTX_2080TI))
         assert f"{split.neural_fraction * 100:.1f}%" in nvsa
         assert f"{split.symbolic_fraction * 100:.1f}%" in nvsa
 
@@ -215,10 +216,73 @@ class TestCLITraceArchive:
         assert "function-level statistics" in out
         # the same analyses as on the live trace
         trace = cached_trace("ltn", seed=0)
-        split = latency_breakdown(trace, RTX_2080TI)
+        split = latency_breakdown(project_trace(trace, RTX_2080TI))
         assert f"ltn on RTX 2080 Ti: {format_time(split.total_time)}" in out
         assert render_function_table(function_table(trace, RTX_2080TI),
                                      top=10) in out
+
+    @staticmethod
+    def _log(tmp_path, edit=None):
+        """ltn's JSONL log, with ``edit(records)`` applied."""
+        records = [json.loads(line) for line in
+                   trace_to_jsonl_lines(cached_trace("ltn", seed=0))]
+        if edit is not None:
+            edit(records)
+        target = tmp_path / "ltn.jsonl"
+        target.write_text("".join(json.dumps(r) + "\n" for r in records))
+        return target
+
+    @staticmethod
+    def _refused(path, capsys) -> str:
+        """analyze-trace's one-line exit message (status 1) for ``path``."""
+        with pytest.raises(SystemExit) as info:
+            cli_main(["analyze-trace", str(path)])
+        message = info.value.code
+        assert isinstance(message, str) and "\n" not in message
+        assert message.startswith(f"repro analyze-trace: {path}: ")
+        assert capsys.readouterr().out == ""
+        return message
+
+    def test_analyze_trace_missing_file(self, tmp_path, capsys):
+        message = self._refused(tmp_path / "nope.jsonl", capsys)
+        assert message.endswith("No such file or directory")
+
+    def test_analyze_trace_line_not_json(self, tmp_path, capsys):
+        path = self._log(tmp_path)
+        with open(path, "a") as handle:
+            handle.write("{truncated\n")
+        assert "not JSON" in self._refused(path, capsys)
+
+    def test_analyze_trace_op_without_eid(self, tmp_path, capsys):
+        path = self._log(tmp_path, lambda records: records[1].pop("eid"))
+        assert self._refused(path, capsys).endswith(
+            "line 2: missing field 'eid'")
+
+    def test_analyze_trace_unsupported_version(self, tmp_path, capsys):
+        path = self._log(tmp_path,
+                         lambda records: records[0].update(version=99))
+        assert "line 1: unsupported JSONL log version: 99" \
+            in self._refused(path, capsys)
+
+    def test_analyze_trace_nan_flops(self, tmp_path, capsys):
+        path = self._log(tmp_path,
+                         lambda records: records[1].update(flops="nan"))
+        assert "non-finite flops: nan" in self._refused(path, capsys)
+
+    def test_analyze_trace_missing_phase(self, tmp_path, capsys):
+        path = self._log(tmp_path, lambda records: [
+            r.update(phase="neural") for r in records if r["type"] == "op"])
+        assert "missing expected phases: ['symbolic']" \
+            in self._refused(path, capsys)
+
+    def test_analyze_trace_failure_is_one_stderr_line(self, tmp_path):
+        done = fresh_python(
+            "import sys\nfrom repro.cli import main\n"
+            "sys.exit(main(['analyze-trace', sys.argv[1]]))",
+            str(tmp_path / "nope.jsonl"))
+        assert done.returncode == 1
+        assert done.stderr.count("\n") == 1
+        assert done.stderr.startswith("repro analyze-trace: ")
 
     def test_analyze_trace_device_option(self, tmp_path, capsys):
         target = tmp_path / "ltn.jsonl"
