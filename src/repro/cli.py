@@ -7,7 +7,6 @@ Usage (``python -m repro ...``):
     python -m repro functions nvsa --phase symbolic --top 10
     python -m repro roster --device rtx --timeout 60 --max-retries 2
     python -m repro faults nvsa --fault nan --seed 0
-    python -m repro chrome nvsa -o nvsa_trace.json
     python -m repro energy nvsa
     python -m repro lint --strict --format json
     python -m repro trace export nvsa --format chrome -o nvsa.json
@@ -40,13 +39,12 @@ import sys
 from typing import List, Optional
 
 from repro.core.analysis import latency_breakdown
-from repro.core.functions import (function_table, render_function_table,
-                                  to_chrome_trace)
+from repro.core.functions import function_table, render_function_table
 from repro.core.profiler import PHASE_NEURAL, PHASE_SYMBOLIC, Trace
 from repro.core.report import format_time, render_table
 from repro.core.suite import characterize
 from repro.core.validate import validate_trace
-from repro.hwsim.devices import get_device
+from repro.hwsim.devices import device_arg, get_device
 from repro.hwsim.energy import estimate_energy
 from repro.hwsim.latency import project_trace
 from repro.resilience.faults import FAULT_KINDS, FaultPlan, FaultSpec
@@ -64,21 +62,17 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, help_text in (
             ("characterize", "full characterization of one workload"),
             ("functions", "function-level statistics table"),
-            ("chrome", "export a chrome://tracing timeline"),
             ("energy", "energy estimate on a device"),
     ):
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("workload", help="registered workload name")
-        cmd.add_argument("--device", default="rtx",
+        cmd.add_argument("--device", default="rtx", type=device_arg,
                          help="device name or alias (default rtx)")
         cmd.add_argument("--seed", type=int, default=0)
         if name == "functions":
             cmd.add_argument("--phase", default=None,
                              help="restrict to one phase")
             cmd.add_argument("--top", type=int, default=15)
-        if name == "chrome":
-            cmd.add_argument("-o", "--output", default=None,
-                             help="output path (default stdout)")
 
     analyze = sub.add_parser(
         "analyze-trace",
@@ -86,14 +80,14 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("path",
                          help="JSONL trace log (repro trace export W "
                               "--format jsonl -o PATH)")
-    analyze.add_argument("--device", default="rtx")
+    analyze.add_argument("--device", default="rtx", type=device_arg)
 
     roster = sub.add_parser(
         "roster",
         help="latency split of the paper's roster, each workload under "
              "timeouts/retries/health checks (exit 1 unless all are "
              "healthy)")
-    roster.add_argument("--device", default="rtx")
+    roster.add_argument("--device", default="rtx", type=device_arg)
     roster.add_argument("--seed", type=int, default=0)
     roster.add_argument("--timeout", type=float, default=120.0,
                         help="per-workload wall-clock budget in seconds")
@@ -108,7 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
     faults.add_argument("--fault", required=True,
                         choices=list(FAULT_KINDS),
                         help="fault kind to inject")
-    faults.add_argument("--device", default="rtx")
+    faults.add_argument("--device", default="rtx", type=device_arg)
     faults.add_argument("--seed", type=int, default=0,
                         help="fault-plan seed (also the workload seed)")
     faults.add_argument("--rate", type=float, default=1.0,
@@ -289,17 +283,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "functions":
         stats = function_table(trace, device, phase=args.phase)
         print(render_function_table(stats, top=args.top))
-        return 0
-
-    if args.command == "chrome":
-        payload = to_chrome_trace(trace, device)
-        if args.output:
-            with open(args.output, "w") as handle:
-                handle.write(payload)
-            print(f"wrote {args.output} "
-                  f"(open in chrome://tracing or Perfetto)")
-        else:
-            print(payload)
         return 0
 
     if args.command == "energy":

@@ -23,7 +23,7 @@ _EXPORTS: Dict[str, str] = {
     "flops_breakdown": "analysis", "latency_breakdown": "analysis",
     "operator_breakdown": "analysis",
     "FunctionStats": "functions", "function_table": "functions",
-    "render_function_table": "functions", "to_chrome_trace": "functions",
+    "render_function_table": "functions",
     "InefficiencyReport": "inefficiency",
     "analyze_inefficiency": "inefficiency",
     "MemoryProfile": "memory", "live_bytes_series": "memory",

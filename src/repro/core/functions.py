@@ -4,13 +4,13 @@ The paper's methodology starts with "function-level profiling to
 capture statistics such as runtime, memory, invocation counts, tensor
 sizes, and sparsity of each model".  This module renders exactly that:
 a per-op-name aggregation table (the PyTorch-Profiler ``key_averages``
-equivalent) plus a ``chrome://tracing`` exporter for timeline
-inspection.
+equivalent) over the trace's device projection; its times are
+modeled.  The measured timeline is ``repro trace export W --format
+chrome`` (:mod:`repro.obs.chrome`).
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -87,45 +87,3 @@ def render_function_table(stats: List[FunctionStats],
         ["op", "category", "calls", "total time", "mean time", "FLOPs",
          "bytes", "sparsity"],
         rows, title="function-level statistics")
-
-
-def to_chrome_trace(trace: Trace, device: DeviceSpec) -> str:
-    """Serialize to the chrome://tracing JSON format.
-
-    Events are laid out serially on a per-phase track using projected
-    durations; load the output in chrome://tracing or Perfetto.
-    """
-    projected = project_trace(trace, device)
-    tracks: Dict[str, int] = {}
-    cursors: Dict[str, float] = {}
-    events: List[dict] = []
-    for cost in projected.costs:
-        event = cost.event
-        phase = event.phase or "untagged"
-        tid = tracks.setdefault(phase, len(tracks) + 1)
-        start = cursors.get(phase, 0.0)
-        duration_us = cost.total * 1e6
-        events.append({
-            "name": event.name,
-            "cat": event.category.value,
-            "ph": "X",
-            "ts": start,
-            "dur": duration_us,
-            "pid": 1,
-            "tid": tid,
-            "args": {
-                "stage": event.stage,
-                "flops": event.flops,
-                "bytes": event.total_bytes,
-                "shape": list(event.output_shape),
-                "sparsity": round(event.output_sparsity, 4),
-            },
-        })
-        cursors[phase] = start + duration_us
-    metadata = [
-        {"name": "thread_name", "ph": "M", "pid": 1, "tid": tid,
-         "args": {"name": phase}}
-        for phase, tid in tracks.items()
-    ]
-    return json.dumps({"traceEvents": metadata + events,
-                       "displayTimeUnit": "ms"})

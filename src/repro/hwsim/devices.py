@@ -15,6 +15,7 @@ Published figures: peak FP32, memory bandwidth, cache geometry, TDP.
 
 from __future__ import annotations
 
+import argparse
 from typing import Dict, List, Tuple
 
 from repro.hwsim.device import (CacheSpec, DeviceSpec,
@@ -138,3 +139,22 @@ def parse_device_list(spec: str) -> List[DeviceSpec]:
     if not names:
         raise KeyError(f"no device names in {spec!r}")
     return [get_device(name) for name in names]
+
+
+def device_arg(value: str, many: bool = False) -> str:
+    """The argparse ``type=`` of every ``--device`` flag.
+
+    Returns ``value`` as given once it resolves: one device name or
+    alias, or with ``many`` a comma-separated list of them
+    (:func:`parse_device_list`).  Anything else is a usage error
+    (exit 2) naming the bad value and the known devices, not a
+    ``KeyError`` traceback.
+    """
+    try:
+        if many:
+            parse_device_list(value)
+        else:
+            get_device(value)
+    except KeyError as exc:
+        raise argparse.ArgumentTypeError(exc.args[0]) from None
+    return value

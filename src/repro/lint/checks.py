@@ -20,9 +20,9 @@ counters can silently go wrong:
 * **RL005** — mutating the thread's dispatch state (the profile,
   fault-hook, op-observer and plan-session stacks of
   ``tensor.context.DispatchState``) — or the observability layer's
-  span/collector/trace-context stacks — outside the approved context
-  managers corrupts phase labels, span parent links, and hook pairing
-  for every event that follows.
+  span/collector stacks — outside the approved context managers
+  corrupts phase labels, span parent links, and hook pairing for
+  every event that follows.
 """
 
 from __future__ import annotations
@@ -491,21 +491,17 @@ class Determinism(LintCheck):
 # RL005 — thread-local context stacks stay behind their managers
 # ---------------------------------------------------------------------------
 
-#: the private stack accessors of the span and trace-context modules
-_PRIVATE_CONTEXT_NAMES: Set[str] = {"_span_stack", "_collector_stack",
-                                    "_trace_stack"}
+#: the private stack accessors of the span module
+_PRIVATE_CONTEXT_NAMES: Set[str] = {"_span_stack", "_collector_stack"}
 #: modules that legitimately own a thread-local stack (exempt)
-_CONTEXT_MODULES: Tuple[str, ...] = ("tensor/context.py",
-                                     "obs/spans.py", "obs/tracectx.py")
+_CONTEXT_MODULES: Tuple[str, ...] = ("tensor/context.py", "obs/spans.py")
 #: ``from <module ending here> import _private`` is also a violation
-_PRIVATE_IMPORT_SOURCES: Tuple[str, ...] = ("tensor.context",
-                                            "obs.spans", "obs.tracectx")
+_PRIVATE_IMPORT_SOURCES: Tuple[str, ...] = ("tensor.context", "obs.spans")
 _PHASE_ATTRS: Set[str] = {"current_phase", "current_stage"}
 _HOOK_FUNCS: Set[str] = {"push_fault_hook", "pop_fault_hook",
                          "push_op_observer", "pop_op_observer",
                          "push_span", "pop_span",
-                         "install_collector", "uninstall_collector",
-                         "push_trace_context", "pop_trace_context"}
+                         "install_collector", "uninstall_collector"}
 #: the slots of ``tensor.context.DispatchState``: ``state.push(slot,
 #: value)`` / ``state.pop(slot, value)`` move one of its stacks
 _DISPATCH_SLOTS: Set[str] = {"context", "fault_hook", "observer",
@@ -631,8 +627,8 @@ class _ContextSafetyVisitor(ast.NodeVisitor):
 class ContextSafety(LintCheck):
     check_id = "RL005"
     name = "context-safety"
-    description = ("dispatch-state/span/trace-context stacks are "
-                   "mutated only through the approved context managers")
+    description = ("dispatch-state/span/collector stacks are mutated "
+                   "only through the approved context managers")
     severity = SEVERITY_ERROR
 
     def visit_module(self, module, ctx) -> None:

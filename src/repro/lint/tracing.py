@@ -1,16 +1,17 @@
-"""RL106: serve-path spans must carry a TraceContext (no orphan spans).
+"""RL106: serve-path spans must name their trace (no orphan spans).
 
 The request-scoped tracing contract says every span opened on the
-serving path is attributable to the trace that caused it: a
-``serve:*`` span opened without a ``ctx=`` keyword is an *orphan* —
-it renders in the timeline but can never be grouped under a request,
-which silently breaks waterfall reports, tail sampling, and the
-cross-process trace reconstruction ROADMAP item 2 depends on.
+serving path is attributable to the trace that caused it.  A span
+that names no ``trace_id`` inherits its parent's, so the root of a
+serve-path tree must name one: a ``serve:*`` span opened without a
+``trace_id=`` keyword is an *orphan* — it renders in the timeline but
+can never be grouped under a request, which silently breaks waterfall
+reports, tail sampling, and trace reconstruction across processes.
 
 The check is syntactic and module-path independent: any call to a
 function named ``span`` (or the conventional ``_span`` import alias)
 whose first argument is a string literal — or an f-string with a
-literal head — starting with ``serve:`` must pass ``ctx=``.  The
+literal head — starting with ``serve:`` must pass ``trace_id=``.  The
 synthesizer in ``serve/tracing.py`` is exempt: it *constructs*
 ``SpanRecord`` objects with explicit trace ids rather than opening
 live spans.
@@ -53,7 +54,7 @@ def _literal_head(node: ast.expr) -> Optional[str]:
 
 
 class _ServeSpanVisitor(ast.NodeVisitor):
-    def __init__(self, check: "ServeSpanContext", module: ModuleSource,
+    def __init__(self, check: "ServeSpanTrace", module: ModuleSource,
                  ctx: LintContext):
         self.check = check
         self.module = module
@@ -64,30 +65,29 @@ class _ServeSpanVisitor(ast.NodeVisitor):
         if name in _SPAN_FUNCS and node.args:
             head = _literal_head(node.args[0])
             if head is not None and head.startswith(_SERVE_PREFIX):
-                has_ctx = any(kw.arg == "ctx" for kw in node.keywords)
-                if not has_ctx:
+                if not any(kw.arg == "trace_id" for kw in node.keywords):
                     self.ctx.report(
                         self.check, self.module.relpath, node.lineno,
                         node.col_offset,
                         f"serve-path span {head!r} opened without a "
-                        f"TraceContext; pass ctx=<TraceContext> so the "
-                        f"span (and everything beneath it) is "
-                        f"attributable to the request trace it serves")
+                        f"trace id; pass trace_id=... so the span (and "
+                        f"everything beneath it) is attributable to the "
+                        f"request trace it serves")
         self.generic_visit(node)
 
 
 @register_check
-class ServeSpanContext(LintCheck):
+class ServeSpanTrace(LintCheck):
     check_id = "RL106"
-    name = "serve-span-trace-context"
-    description = ("spans opened on the serve request path must carry "
-                   "a TraceContext (ctx=...) — no orphan serve spans")
+    name = "serve-span-trace-id"
+    description = ("spans opened on the serve request path must name "
+                   "their trace (trace_id=...) — no orphan serve spans")
     severity = SEVERITY_ERROR
     example = (
         "with span('serve:batch', bid=batch.bid):   # RL106: orphan\n"
         "    run(batch)\n"
         "# fix:\n"
-        "with span('serve:batch', ctx=batch_trace_context(batch),\n"
+        "with span('serve:batch', trace_id=batch_trace_id(batch),\n"
         "          bid=batch.bid):\n"
         "    run(batch)\n")
 

@@ -16,14 +16,12 @@ Three altitudes of visibility over the characterization suite:
   plus the pinned serve schedule's stats) that ``repro obs
   history gate`` compares, and trend-only metrics.
 
-Two cross-cutting additions serve the serving layer:
-:mod:`repro.obs.tracectx` mints picklable request-scoped
-:class:`~repro.obs.tracectx.TraceContext` objects that stamp every
-span opened in their scope with a ``trace_id`` (causal trees across
-queue → batcher → pool → dispatcher), and :mod:`repro.obs.live`
-turns served responses into rolling snapshots, deterministic
-tail-based trace samples and SLO burn-rate alerts without blocking
-the hot path.
+Two additions serve the serving layer: a span may carry a
+``trace_id`` (given when it opens, else its parent's), so every span
+under one served batch names that batch's trace; and
+:mod:`repro.obs.live` turns served responses into rolling snapshots,
+deterministic tail-based trace samples and SLO burn-rate alerts
+without blocking the hot path.
 
 Exporters (:mod:`repro.obs.chrome`, :mod:`repro.obs.jsonl`,
 :mod:`repro.obs.flame`) serialize traces + spans to Chrome Trace Event
@@ -37,8 +35,8 @@ HTML run report.  Folding a trace into the op metrics costs <5% of
 profiling it (``benchmarks/bench_obs_overhead.py``).
 """
 
-from repro.obs.chrome import (CATEGORY_COLORS, export_chrome,
-                              trace_to_chrome, trace_to_chrome_events)
+from repro.obs.chrome import (CATEGORY_COLORS, trace_to_chrome,
+                              trace_to_chrome_events)
 from repro.obs.flame import (FLAME_WEIGHTS, collapsed_stacks,
                              trace_to_flame, write_flame)
 from repro.obs.jsonl import (read_jsonl, trace_from_jsonl_lines,
@@ -57,24 +55,18 @@ from repro.obs.runrec import counters_digest
 from repro.obs.spans import (SpanCollector, SpanRecord, children_of,
                              current_span, now, render_spans, span,
                              span_roots, tracing_active)
-from repro.obs.tracectx import (TraceContext, current_trace_context,
-                                mint_batch_trace_id,
-                                mint_trace_context, trace_scope)
 
 __all__ = [
     "BurnRateMonitor", "CATEGORY_COLORS", "CATEGORY_MIX", "Counter",
     "FLAME_WEIGHTS", "Gauge", "Histogram", "KernelStats",
     "LiveTelemetry", "MetricsRegistry", "RuntimeMetrics",
     "SnapshotAggregator", "SpanCollector", "SpanRecord",
-    "TailSamplingPolicy", "TraceContext", "archetype_kstats",
-    "children_of", "collapsed_stacks",
-    "counters_digest", "current_span", "current_trace_context",
-    "export_chrome", "kstats_by_category",
-    "kstats_by_span", "mint_batch_trace_id", "mint_trace_context",
-    "now", "read_jsonl", "render_kstats", "render_registry",
-    "render_report", "render_spans",
+    "TailSamplingPolicy", "archetype_kstats", "children_of",
+    "collapsed_stacks", "counters_digest", "current_span",
+    "kstats_by_category", "kstats_by_span", "now", "read_jsonl",
+    "render_kstats", "render_registry", "render_report", "render_spans",
     "span", "span_roots", "synthesize_kstats", "trace_from_jsonl_lines",
-    "trace_scope", "trace_to_chrome", "trace_to_chrome_events",
+    "trace_to_chrome", "trace_to_chrome_events",
     "trace_to_flame", "trace_to_jsonl", "tracing_active", "write_flame",
     "write_report",
 ]

@@ -144,9 +144,3 @@ def trace_to_chrome(trace: Trace, group_by_request: bool = False) -> str:
                       "events": len(trace.events),
                       "spans": len(trace.spans)},
     })
-
-
-def export_chrome(trace: Trace, path: str) -> None:
-    """Write the Chrome trace JSON for ``trace`` to ``path``."""
-    with open(path, "w") as handle:
-        handle.write(trace_to_chrome(trace))

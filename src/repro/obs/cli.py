@@ -45,6 +45,7 @@ def add_obs_subcommands(sub: "argparse._SubParsersAction") -> None:
     export = trace_sub.add_parser(
         "export", help="profile a workload (or load a .jsonl trace "
                        "log) and export its timeline")
+    from repro.hwsim.devices import device_arg
     from repro.obs.flame import FLAME_WEIGHTS
     export.add_argument("workload",
                         help="registered workload name, or a path to "
@@ -59,7 +60,7 @@ def add_obs_subcommands(sub: "argparse._SubParsersAction") -> None:
                         choices=FLAME_WEIGHTS,
                         help="flame stack weight lens (flame format "
                              "only; default wall)")
-    export.add_argument("--device", default="rtx",
+    export.add_argument("--device", default="rtx", type=device_arg,
                         help="device for the 'latency' flame weight "
                              "(default rtx)")
     export.add_argument("--group-by-request", action="store_true",
@@ -84,7 +85,7 @@ def add_obs_subcommands(sub: "argparse._SubParsersAction") -> None:
         help="profile a workload and write a self-contained HTML "
              "run report")
     report.add_argument("workload", help="registered workload name")
-    report.add_argument("--device", default="rtx",
+    report.add_argument("--device", default="rtx", type=device_arg,
                         help="device name or alias (default rtx)")
     report.add_argument("-o", "--output", default=None,
                         help="HTML output path "

@@ -36,7 +36,8 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from collections import deque
+from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.obs.spans import SpanRecord
 
@@ -173,53 +174,67 @@ class TailSamplingPolicy:
 
 # -- SLO burn-rate monitoring ------------------------------------------------
 
+class _BurnWindow:
+    """One burn window: its events, oldest first, and their errors."""
+
+    def __init__(self, severity: str, length: float,
+                 threshold: float) -> None:
+        self.severity = severity
+        self.length = length
+        self.threshold = threshold
+        self.events: Deque[Tuple[float, bool]] = deque()  # (t, is_error)
+        self.errors = 0
+        self.active = False
+
+    def add(self, at: float, is_error: bool) -> float:
+        """Count one event at ``at``, the window's new end; the burn rate."""
+        self.events.append((at, is_error))
+        self.errors += is_error
+        horizon = at - self.length
+        while self.events[0][0] <= horizon:
+            self.errors -= self.events.popleft()[1]
+        return (self.errors / len(self.events)) / ERROR_BUDGET
+
+
 class BurnRateMonitor:
     """Edge-triggered burn-rate alerts over a stream of events.
 
     ``observe`` returns newly *raised* alerts only: an alert fires
     when a window's burn rate crosses its threshold and re-arms once
     it falls back below — no alert storms while a condition holds.
+
+    Both windows end at the newest event time seen, and each keeps a
+    running error count, so an event costs O(1) amortized.  An event
+    published late (live workers may publish a few ms out of order)
+    is counted as if it arrived at that newest time.
     """
 
     def __init__(self) -> None:
-        self._events: List[Tuple[float, bool]] = []   # (t, is_error)
-        self._active: Dict[str, bool] = {"page": False, "ticket": False}
+        self._windows = (_BurnWindow("page", FAST_WINDOW, FAST_BURN),
+                         _BurnWindow("ticket", SLOW_WINDOW, SLOW_BURN))
+        self._newest = float("-inf")
         self.alerts: List[Dict[str, object]] = []
 
     def _is_error(self, event: Dict[str, object]) -> bool:
         return (str(event.get("status")) in _ERROR_STATUSES
                 or bool(event.get("deadline_exceeded")))
 
-    def _burn(self, at: float, window: float) -> float:
-        horizon = at - window
-        total = errors = 0
-        for t, is_error in self._events:
-            if t > horizon:
-                total += 1
-                errors += is_error
-        if total == 0:
-            return 0.0
-        return (errors / total) / ERROR_BUDGET
-
     def observe(self, event: Dict[str, object]) -> List[Dict[str, object]]:
-        at = float(event.get("t", 0.0))
-        self._events.append((at, self._is_error(event)))
-        horizon = at - max(FAST_WINDOW, SLOW_WINDOW)
-        self._events = [(t, e) for t, e in self._events if t > horizon]
+        at = self._newest = max(self._newest, float(event.get("t", 0.0)))
+        is_error = self._is_error(event)
         raised: List[Dict[str, object]] = []
-        for severity, window, threshold in (
-                ("page", FAST_WINDOW, FAST_BURN),
-                ("ticket", SLOW_WINDOW, SLOW_BURN)):
-            burn = self._burn(at, window)
-            breached = burn >= threshold
-            if breached and not self._active[severity]:
-                alert = {"type": "alert", "severity": severity,
+        for window in self._windows:
+            burn = window.add(at, is_error)
+            breached = burn >= window.threshold
+            if breached and not window.active:
+                alert = {"type": "alert", "severity": window.severity,
                          "t": round(at, 9), "burn_rate": round(burn, 6),
-                         "threshold": threshold, "window": window,
+                         "threshold": window.threshold,
+                         "window": window.length,
                          "objective": SLO_OBJECTIVE}
                 raised.append(alert)
                 self.alerts.append(alert)
-            self._active[severity] = breached
+            window.active = breached
         return raised
 
 

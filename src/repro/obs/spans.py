@@ -18,6 +18,13 @@ All timestamps are offsets from one process-wide monotonic epoch
 inside a profiled workload share a single timeline and can be merged
 by the exporters in :mod:`repro.obs.chrome` / :mod:`repro.obs.jsonl`.
 
+A span may belong to a trace (``trace_id``): one opened with an
+explicit id carries it, and any other span takes the id of its
+parent, the innermost open span on its thread.  The serving worker
+opens ``serve:batch`` with its batch's trace id, so every runner,
+profile, phase and stage span beneath it carries that id without
+any layer knowing about requests.
+
 When no collector is installed, :func:`span` is a no-op that never
 touches the stacks — library code stays usable untraced, mirroring
 how ops dispatched outside a profiling context skip bookkeeping.
@@ -38,8 +45,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional
 
 from repro.obs.clock import perf_s
-from repro.obs.tracectx import (TraceContext, current_trace_context,
-                                trace_scope)
 
 #: Process-wide monotonic epoch.  Every span and op timestamp in this
 #: process is a ``perf_counter`` offset from this origin (read through
@@ -62,8 +67,8 @@ class SpanRecord:
     start: float
     end: float = 0.0
     attrs: Dict[str, object] = field(default_factory=dict)
-    #: Trace this span belongs to (ambient TraceContext at open time);
-    #: ``None`` for spans opened outside any request scope.
+    #: Trace this span belongs to: given at open, else its parent's;
+    #: ``None`` for spans outside any traced tree.
     trace_id: Optional[str] = None
 
     @property
@@ -154,22 +159,20 @@ def _next_sid() -> int:
         return sid
 
 
-def push_span(name: str,
-              attrs: Optional[Dict[str, object]] = None) -> SpanRecord:
+def push_span(name: str, attrs: Optional[Dict[str, object]] = None,
+              trace_id: Optional[str] = None) -> SpanRecord:
     """Open a span (internal; use :func:`span` or the tensor contexts).
 
-    The span is stamped with the ambient :class:`TraceContext`'s
-    trace id (if one is in scope on this thread), which is how every
-    span under a ``serve:batch`` execution — runner attempts, profile
-    phases, op stages — becomes linkable to the request that caused
-    it without any explicit plumbing.
+    The span carries ``trace_id`` when given, else its parent's.
     """
     stack = _span_stack()
-    parent = stack[-1].sid if stack else None
-    ctx = current_trace_context()
-    record = SpanRecord(sid=_next_sid(), parent=parent, name=name,
-                        start=now(), attrs=dict(attrs or {}),
-                        trace_id=(ctx.trace_id if ctx is not None else None))
+    parent = stack[-1] if stack else None
+    if trace_id is None and parent is not None:
+        trace_id = parent.trace_id
+    record = SpanRecord(sid=_next_sid(),
+                        parent=parent.sid if parent is not None else None,
+                        name=name, start=now(), attrs=dict(attrs or {}),
+                        trace_id=trace_id)
     stack.append(record)
     _adjust_counts(open_delta=+1)
     return record
@@ -233,7 +236,7 @@ class SpanCollector:
 
 
 @contextmanager
-def span(name: str, ctx: Optional[TraceContext] = None,
+def span(name: str, trace_id: Optional[str] = None,
          **attrs: object) -> Iterator[Optional[SpanRecord]]:
     """Open a child span for the block; no-op when tracing is inactive.
 
@@ -245,20 +248,14 @@ def span(name: str, ctx: Optional[TraceContext] = None,
             if rec is not None:
                 rec.attrs["status"] = "ok"
 
-    Passing ``ctx=`` additionally makes that :class:`TraceContext`
-    ambient for the block (even when tracing is inactive), so this
-    span *and every span opened inside the block* carry its trace id.
-    Serve-path spans are required to pass it (lint check RL106).
+    Passing ``trace_id=`` puts this span in that trace, and with it
+    every span opened inside the block that names no trace of its
+    own.  Serve-path spans are required to pass it (lint check RL106).
     """
-    if ctx is not None:
-        with trace_scope(ctx):
-            with span(name, **attrs) as record:
-                yield record
-        return
     if not tracing_active():
         yield None
         return
-    record = push_span(name, attrs)
+    record = push_span(name, attrs, trace_id)
     try:
         yield record
     finally:

@@ -48,8 +48,7 @@ from repro.serve.request import (REQUEST_STATUSES, STATUS_REJECTED,
 from repro.serve.server import (InferenceServer, PendingResponse,
                                 ServeConfig, ServeReport)
 from repro.serve.stats import SERVE_LATENCY_BUCKETS, ServerStats
-from repro.serve.tracing import (REQUEST_SPAN_NAMES, batch_trace_context,
-                                 mint_request_trace, mint_schedule,
+from repro.serve.tracing import (REQUEST_SPAN_NAMES, batch_trace_id,
                                  request_span_trees, serve_trace,
                                  span_tree_digest, spans_by_trace,
                                  synthesize_response_spans,
@@ -62,10 +61,9 @@ __all__ = [
     "REJECT_STALE_DEADLINE", "REQUEST_SPAN_NAMES", "REQUEST_STATUSES",
     "Request", "RequestQueue", "Response", "SERVE_LATENCY_BUCKETS",
     "STATUS_REJECTED", "ServeConfig", "ServeReport", "ServerStats",
-    "Worker", "WorkerPool", "admission_reason", "batch_trace_context",
-    "freeze_params", "load_schedule", "make_request",
-    "mint_request_trace", "mint_schedule", "open_loop", "parse_mix",
-    "plan_batches", "rejection", "request_span_trees",
+    "Worker", "WorkerPool", "admission_reason", "batch_trace_id",
+    "freeze_params", "load_schedule", "make_request", "open_loop",
+    "parse_mix", "plan_batches", "rejection", "request_span_trees",
     "run_closed_loop", "save_schedule", "serve_trace",
     "span_tree_digest", "spans_by_trace", "synthesize_response_spans",
     "verify_span_trees",

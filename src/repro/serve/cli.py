@@ -23,12 +23,13 @@ rejected requests are expected under load and do not fail the verb).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
 from typing import Dict, Optional
 
-from repro.hwsim.devices import get_device, parse_device_list
+from repro.hwsim.devices import device_arg, get_device, parse_device_list
 from repro.obs.clock import perf_s
 from repro.serve.batcher import BatchPolicy
 from repro.serve.loadgen import (LoadSpec, load_schedule, open_loop,
@@ -45,6 +46,7 @@ def _add_server_flags(cmd: "argparse.ArgumentParser") -> None:
     cmd.add_argument("--workers", type=int, default=2,
                      help="worker threads (default 2)")
     cmd.add_argument("--device", default="rtx",
+                     type=functools.partial(device_arg, many=True),
                      help="comma-separated devices, cycled across "
                           "workers (default rtx)")
     cmd.add_argument("--max-batch", type=int, default=16,

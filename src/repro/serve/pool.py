@@ -38,7 +38,7 @@ from repro.resilience.runner import (REPLAYED, STATUS_FAILED,
                                      ResilientRunner, WorkloadOutcome)
 from repro.serve.batcher import Batch
 from repro.serve.cache import ArtifactCache
-from repro.serve.tracing import batch_trace_context
+from repro.serve.tracing import batch_trace_id
 
 @dataclass
 class BatchResult:
@@ -77,9 +77,8 @@ class Worker:
         self.device = device
         self.cache = cache
         self.fault_plans = fault_plans or {}
-        # timeout=None keeps attempts on this thread, which keeps the
-        # batch's thread-local span and trace-context bindings in force
-        # for the whole batch.
+        # timeout=None keeps attempts on this thread, under the batch's
+        # span, so every span of the batch inherits its trace id.
         self.runner = ResilientRunner(
             device=device, timeout=timeout, max_retries=max_retries,
             factory=cache.factory())
@@ -99,18 +98,16 @@ class Worker:
             fault_plan = copy.deepcopy(fault_plan)
         collector = SpanCollector()
         start = perf_s()
-        # the batch's trace context becomes ambient for the whole
-        # execution, so runner attempts and profile spans all carry
-        # the batch trace id and stay linkable to the member requests
-        ctx = batch_trace_context(batch)
+        # runner attempts and profile spans open beneath serve:batch
+        # and inherit the batch trace id, which stays linkable to the
+        # member requests through the span's rids/traces attributes
         with collector:
-            with _span("serve:batch", ctx=ctx, bid=batch.bid,
-                       workload=batch.workload, size=batch.size,
-                       worker=self.name, device=self.device.name,
+            with _span("serve:batch", trace_id=batch_trace_id(batch),
+                       bid=batch.bid, workload=batch.workload,
+                       size=batch.size, worker=self.name,
+                       device=self.device.name,
                        rids=[r.rid for r in batch.requests],
-                       traces=[r.trace.trace_id
-                               for r in batch.requests
-                               if r.trace is not None]):
+                       traces=[r.trace_id for r in batch.requests]):
                 outcome = self.runner.run_workload(
                     batch.workload, seed=batch.seed,
                     fault_plan=fault_plan,

@@ -21,10 +21,10 @@ marks requests shed at admission with a classified reason.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from repro.obs.tracectx import TraceContext
 from repro.resilience.runner import (STATUS_DEGRADED, STATUS_FAILED,
                                      STATUS_OK)
 
@@ -54,10 +54,18 @@ class Request:
     params: Tuple[Tuple[str, object], ...] = ()
     priority: int = 1
     deadline: Optional[float] = None  # relative SLO budget, seconds
-    #: distributed-tracing identity minted at admission; excluded from
-    #: the batch key and from equality-relevant serialization so
-    #: schedule save/replay round-trips are unchanged
-    trace: Optional[TraceContext] = None
+
+    @property
+    def trace_id(self) -> str:
+        """The id of the causal trace this request starts.
+
+        A pure function of ``(rid, workload, seed)`` (a 16-hex-digit
+        blake2s digest), so a replayed schedule, or a shard handed the
+        request's plain fields, recomputes the same id.
+        """
+        return hashlib.blake2s(
+            f"req:{self.rid}:{self.workload}:{self.seed}".encode(),
+            digest_size=8).hexdigest()
 
     @property
     def key(self) -> BatchKey:
@@ -72,17 +80,7 @@ class Request:
     def param_dict(self) -> Dict[str, object]:
         return dict(self.params)
 
-    def with_trace(self, trace: TraceContext) -> "Request":
-        """An identical request carrying ``trace`` (frozen-safe copy)."""
-        return Request(rid=self.rid, workload=self.workload,
-                       arrival=self.arrival, seed=self.seed,
-                       params=self.params, priority=self.priority,
-                       deadline=self.deadline, trace=trace)
-
     def to_dict(self) -> Dict[str, object]:
-        # ``trace`` is deliberately omitted: contexts are re-minted
-        # deterministically at admission, so saved schedules stay
-        # byte-identical to pre-tracing archives.
         out: Dict[str, object] = {
             "rid": self.rid, "workload": self.workload,
             "arrival": self.arrival, "seed": self.seed,
@@ -193,5 +191,4 @@ def rejection(request: Request, reason: str) -> Response:
     return Response(rid=request.rid, workload=request.workload,
                     status=STATUS_REJECTED, reject_reason=reason,
                     arrival=request.arrival, deadline=request.deadline,
-                    trace_id=(request.trace.trace_id
-                              if request.trace is not None else None))
+                    trace_id=request.trace_id)

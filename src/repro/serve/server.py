@@ -60,8 +60,7 @@ from repro.serve.queue import REJECT_SHUTDOWN, RequestQueue
 from repro.serve.request import (Request, Response, make_request,
                                  rejection)
 from repro.serve.stats import ServerStats
-from repro.serve.tracing import (mint_request_trace, mint_schedule,
-                                 request_span_trees, response_event,
+from repro.serve.tracing import (request_span_trees, response_event,
                                  spans_by_trace)
 
 
@@ -218,9 +217,6 @@ class InferenceServer:
     # -- deterministic schedule mode -----------------------------------------
     def run_schedule(self, schedule: Sequence[Request]) -> ServeReport:
         """Serve a timestamped schedule; deterministic stats, real threads."""
-        # admission is where the tracing identity is born: every
-        # request carries its TraceContext from here on
-        schedule = mint_schedule(schedule)
         batches, rejections = plan_batches(
             schedule, self.config.batch, self.config.max_depth)
         start = perf_s()
@@ -305,9 +301,7 @@ class InferenceServer:
             completion=completion, deadline=request.deadline,
             deadline_exceeded=exceeded, measured_wall=result.wall,
             attempts=result.attempts, error=result.error,
-            error_type=result.error_type,
-            trace_id=(request.trace.trace_id
-                      if request.trace is not None else None),
+            error_type=result.error_type, trace_id=request.trace_id,
             assemble_wait=max(0.0, batch.close_time
                               - max(request.arrival, batch.open_time)),
             dispatch_wait=dispatch_wait)
@@ -381,10 +375,9 @@ class InferenceServer:
         with self._pending_lock:
             rid = self._rid
             self._rid += 1
-        request = mint_request_trace(
-            make_request(rid, workload, arrival=self.clock(),
-                         seed=seed, params=params,
-                         priority=priority, deadline=deadline))
+        request = make_request(rid, workload, arrival=self.clock(),
+                               seed=seed, params=params,
+                               priority=priority, deadline=deadline)
         pending = PendingResponse(request)
         with self._pending_lock:
             self._pending[rid] = pending

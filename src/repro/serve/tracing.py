@@ -1,20 +1,16 @@
 """Request-scoped tracing for the serve stack.
 
-Glue between :mod:`repro.obs.tracectx` and the serving pipeline:
+A request's trace id is its own (:attr:`~repro.serve.request.Request.trace_id`,
+a pure function of ``(rid, workload, seed)``), so nothing is minted at
+admission and nothing beyond the request's plain fields has to travel
+with it.  This module ties those ids to spans:
 
-* **Minting** — :func:`mint_schedule` stamps every admitted
-  :class:`~repro.serve.request.Request` with a deterministic
-  :class:`~repro.obs.tracectx.TraceContext` at admission time, so the
-  identity exists *before* queueing and travels with the request
-  through ``queue.py`` → ``batcher.py`` → ``pool.py`` (it is part of
-  the picklable request-path closure RL104 guards, i.e. it will cross
-  the ROADMAP item-2 process boundary unchanged).
-* **Batch propagation** — :func:`batch_trace_context` derives the
-  execution-side context for a closed batch.  The worker's
-  ``serve:batch`` span (and every runner/profile span beneath it)
-  carries the *batch* trace id, with member request ids and trace ids
-  in baggage/attrs, so one shared execution is linkable from each of
-  the requests that rode it.
+* **Batch ids** — :func:`batch_trace_id` names the execution one
+  closed batch shares.  The worker opens its ``serve:batch`` span with
+  that id and the member rids and trace ids as attributes; every span
+  beneath it (runner attempts, profile phases, op stages) inherits the
+  id from its parent, so one shared execution is linkable from each
+  of the requests that rode it.
 * **Span-tree synthesis** — the schedule-mode dispatcher is a
   virtual-time simulation, so per-request lifecycle spans are
   synthesized from the :class:`~repro.serve.request.Response` record
@@ -37,10 +33,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.profiler import Trace
 from repro.obs.spans import SpanRecord
-from repro.obs.tracectx import (TraceContext, mint_batch_trace_id,
-                                mint_trace_context)
 from repro.serve.batcher import Batch
-from repro.serve.request import Request, Response, STATUS_REJECTED
+from repro.serve.request import Response, STATUS_REJECTED
 
 #: synthesized per-request lifecycle span names, in causal order
 REQUEST_SPAN_NAMES = ("serve:request", "serve:admit", "serve:queue_wait",
@@ -51,38 +45,17 @@ REQUEST_SPAN_NAMES = ("serve:request", "serve:admit", "serve:queue_wait",
 _TILE_TOLERANCE = 1e-9
 
 
-# -- minting -----------------------------------------------------------------
+# -- batch ids ---------------------------------------------------------------
 
-def mint_request_trace(request: Request) -> Request:
-    """``request`` carrying its admission-time trace context."""
-    if request.trace is not None:
-        return request
-    return request.with_trace(
-        mint_trace_context(request.rid, request.workload, request.seed))
+def batch_trace_id(batch: Batch) -> str:
+    """The trace id shared by the worker spans of one batch execution.
 
-
-def mint_schedule(schedule: Sequence[Request]) -> List[Request]:
-    """Stamp every request in a schedule with its trace context."""
-    return [mint_request_trace(request) for request in schedule]
-
-
-def batch_trace_context(batch: Batch) -> TraceContext:
-    """The execution-side context shared by one batch's worker spans.
-
-    The batch id is its own deterministic trace (one execution serves
-    many requests); the member requests' ids and trace ids ride in
-    baggage so the shared execution stays linkable from each rider.
+    One execution serves many requests, so it is a trace of its own:
+    a digest of its members' trace ids, in batch order.
     """
-    member_ids = tuple(
-        request.trace.trace_id if request.trace is not None
-        else mint_trace_context(request.rid, request.workload,
-                                request.seed).trace_id
-        for request in batch.requests)
-    return TraceContext(
-        trace_id=mint_batch_trace_id(member_ids),
-        baggage=(("bid", str(batch.bid)),
-                 ("rids", ",".join(str(r.rid) for r in batch.requests)),
-                 ("traces", ",".join(member_ids))))
+    members = ",".join(request.trace_id for request in batch.requests)
+    return hashlib.blake2s(f"batch:{members}".encode(),
+                           digest_size=8).hexdigest()
 
 
 # -- span-tree synthesis -----------------------------------------------------

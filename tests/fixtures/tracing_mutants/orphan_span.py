@@ -1,11 +1,11 @@
-"""Mutant — a serve-path span opened without its TraceContext.
+"""Mutant — a serve-path span opened without its trace id.
 
-A miniature of ``Worker.execute_batch`` that drops the ``ctx=``
+A miniature of ``Worker.execute_batch`` that drops the ``trace_id=``
 keyword when opening the ``serve:batch`` span.  Every span produced
-under this execution is an orphan: it can never be grouped under the
-requests it served, so waterfalls, tail sampling, and cross-process
-reconstruction all silently lose the batch.  RL106 must flag both
-call sites.
+under this execution inherits no trace, so it is an orphan: it can
+never be grouped under the requests it served, and waterfalls, tail
+sampling, and cross-process reconstruction all silently lose the
+batch.  RL106 must flag both call sites.
 """
 
 from repro.obs.spans import span

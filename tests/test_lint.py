@@ -452,8 +452,7 @@ class TestRL005ContextSafety:
 
 
 class TestServeZoneCoverage:
-    """The serving layer is an instrumented zone (RL001) and its
-    worker-context stack is RL005-protected."""
+    """The serving layer is an instrumented zone (RL001)."""
 
     def test_raw_numpy_in_serve_zone_flagged(self, tmp_path):
         result = lint_snippet(tmp_path, """\
@@ -477,47 +476,6 @@ class TestServeZoneCoverage:
         # the zone is actually active, not silently skipped
         from repro.lint.engine import DEFAULT_ZONES
         assert "serve" in DEFAULT_ZONES
-
-    def test_unbalanced_trace_context_flagged(self, tmp_path):
-        # the serve path's request/batch trace contexts ride a
-        # thread-local stack: an unpaired push re-parents every later
-        # span on the thread
-        result = lint_snippet(tmp_path, """\
-            from repro.obs.tracectx import push_trace_context
-
-            def hijack(ctx):
-                push_trace_context(ctx)
-            """, relpath="serve/sneaky.py")
-        found = by_check(result, "RL005")
-        assert [f.line for f in found] == [4]
-        assert "push_trace_context" in found[0].message
-
-    def test_private_trace_stack_access_flagged(self, tmp_path):
-        result = lint_snippet(tmp_path, """\
-            from repro.obs.tracectx import _trace_stack
-
-            def peek():
-                return _trace_stack()[-1]
-            """, relpath="serve/sneaky.py")
-        found = by_check(result, "RL005")
-        assert found and found[0].line == 1
-
-    def test_balanced_trace_context_manager_clean(self, tmp_path):
-        result = lint_snippet(tmp_path, """\
-            from contextlib import contextmanager
-
-            from repro.obs.tracectx import (pop_trace_context,
-                                            push_trace_context)
-
-            @contextmanager
-            def bound(ctx):
-                push_trace_context(ctx)
-                try:
-                    yield ctx
-                finally:
-                    pop_trace_context(ctx)
-            """, relpath="serve/wrapper.py")
-        assert not by_check(result, "RL005")
 
 
 class TestSuppression:

@@ -329,9 +329,11 @@ class TestChromeExport:
                 assert event["ts"] >= cursor - 1e-9
                 cursor = event["ts"] + event["dur"]
 
-    def test_export_chrome_writes_file(self, tmp_path, lnn_trace):
+    def test_export_chrome_writes_file(self, tmp_path, capsys):
+        # `trace export --format chrome -o` is the one file writer
         path = tmp_path / "lnn.json"
-        obs.export_chrome(lnn_trace, str(path))
+        assert cli_main(["trace", "export", "lnn", "--format", "chrome",
+                         "-o", str(path)]) == 0
         doc = json.loads(path.read_text())
         assert doc["otherData"]["workload"] == "lnn"
 

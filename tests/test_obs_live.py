@@ -1,25 +1,26 @@
-"""Tests for trace contexts and the live telemetry layer (PR 8).
+"""Tests for trace ids and the live telemetry layer.
 
-Covers :mod:`repro.obs.tracectx` (deterministic minting, pickling —
-the cross-process wire-format contract — and ambient propagation) and
-:mod:`repro.obs.live` (rolling snapshot aggregation, tail-sampling
-determinism, burn-rate alert thresholds, and the LiveTelemetry
-facade's JSONL output).
+Covers trace identity (a request's trace id is a pure function of the
+request and survives pickling — the cross-process wire-format
+contract — a batch's depends on its members, and a span inherits its
+parent's) and :mod:`repro.obs.live` (rolling snapshot aggregation,
+tail-sampling determinism, burn-rate alert thresholds, and the
+LiveTelemetry facade's JSONL output).
 """
 
 import json
 import pickle
+import random
 
 import pytest
 
-from repro.obs.live import (ERROR_BUDGET, FAST_WINDOW, SLO_OBJECTIVE,
-                            SLOW_WINDOW, SNAPSHOT_WINDOW,
-                            BurnRateMonitor, LiveTelemetry,
-                            SnapshotAggregator, TailSamplingPolicy)
+from repro.obs.live import (ERROR_BUDGET, FAST_BURN, FAST_WINDOW,
+                            SLO_OBJECTIVE, SLOW_BURN, SLOW_WINDOW,
+                            SNAPSHOT_WINDOW, BurnRateMonitor,
+                            LiveTelemetry, SnapshotAggregator,
+                            TailSamplingPolicy)
 from repro.obs.spans import SpanCollector, span
-from repro.obs.tracectx import (TraceContext, current_trace_context,
-                                mint_batch_trace_id, mint_trace_context,
-                                trace_scope)
+from repro.serve import Batch, batch_trace_id, make_request
 
 
 def _event(t, status="ok", latency=0.01, queue_wait=0.002,
@@ -30,68 +31,59 @@ def _event(t, status="ok", latency=0.01, queue_wait=0.002,
     return event
 
 
-# -- trace contexts ----------------------------------------------------------
+# -- trace ids ---------------------------------------------------------------
 
 class TestTraceContext:
-    def test_minting_is_deterministic(self):
-        a = mint_trace_context(7, "nvsa", seed=3)
-        b = mint_trace_context(7, "nvsa", seed=3)
-        assert a == b
-        assert a.trace_id == b.trace_id
-        assert mint_trace_context(7, "nvsa", seed=4).trace_id != a.trace_id
-        assert mint_trace_context(8, "nvsa", seed=3).trace_id != a.trace_id
+    """A request names its own trace; a span names its parent's."""
 
-    def test_baggage_carries_request_identity(self):
-        ctx = mint_trace_context(42, "lnn", seed=0)
-        assert ctx.get("rid") == "42"
-        assert ctx.get("workload") == "lnn"
-        assert ctx.get("missing", "fallback") == "fallback"
+    def test_minting_is_deterministic(self):
+        a = make_request(7, "nvsa", seed=3)
+        b = make_request(7, "nvsa", arrival=1.5, seed=3, priority=0)
+        # pinned: exported traces and sampled-id sets keep their ids
+        assert a.trace_id == b.trace_id == "c173d9f917426e1e"
+        assert make_request(7, "nvsa", seed=4).trace_id != a.trace_id
+        assert make_request(8, "nvsa", seed=3).trace_id != a.trace_id
+        assert make_request(7, "lnn", seed=3).trace_id != a.trace_id
 
     def test_pickle_round_trip(self):
-        # the cross-process wire-format contract (ROADMAP item 2):
-        # a context must survive a queue hop byte-for-byte
-        ctx = mint_trace_context(3, "nvsa", seed=1).with_baggage(
-            hop="worker-2").with_parent(17)
-        clone = pickle.loads(pickle.dumps(ctx))
-        assert clone == ctx
-        assert clone.trace_id == ctx.trace_id
-        assert clone.parent_sid == 17
-        assert clone.get("hop") == "worker-2"
-
-    def test_dict_round_trip(self):
-        ctx = mint_trace_context(5, "lnn").with_baggage(k="v")
-        assert TraceContext.from_dict(ctx.to_dict()) == ctx
+        # the cross-process wire-format contract: a request must
+        # survive a queue hop with its trace id intact
+        request = make_request(3, "nvsa", seed=1, params={"k": 2},
+                               deadline=0.5)
+        clone = pickle.loads(pickle.dumps(request))
+        assert clone == request
+        assert clone.trace_id == request.trace_id
 
     def test_batch_trace_id_depends_on_membership(self):
-        members = ["aa", "bb", "cc"]
-        assert mint_batch_trace_id(members) == mint_batch_trace_id(members)
-        assert mint_batch_trace_id(members) != mint_batch_trace_id(["aa"])
+        def batch(*rids):
+            requests = [make_request(rid, "lnn") for rid in rids]
+            return Batch(bid=0, key=requests[0].key, requests=requests)
+        assert batch_trace_id(batch(0, 1, 2)) == "ae722e66e4ec1ef1"
+        assert batch_trace_id(batch(0, 1, 2)) != batch_trace_id(batch(0))
+        assert batch_trace_id(batch(0, 1)) != batch_trace_id(batch(1, 0))
 
-    def test_trace_scope_stamps_spans(self):
-        ctx = mint_trace_context(1, "nvsa")
+    def test_span_ctx_kwarg_scopes_descendants(self):
         with SpanCollector() as collector:
             with span("outside"):
                 pass
-            with trace_scope(ctx):
-                assert current_trace_context() is ctx
-                with span("inside") as outer:
-                    with span("nested"):
-                        pass
-            assert current_trace_context() is None
-        by_name = {record.name: record for record in collector.spans}
-        assert by_name["outside"].trace_id is None
-        assert by_name["inside"].trace_id == ctx.trace_id
-        assert by_name["nested"].trace_id == ctx.trace_id
-        assert outer.trace_id == ctx.trace_id
-
-    def test_span_ctx_kwarg_scopes_descendants(self):
-        ctx = mint_trace_context(2, "lnn")
-        with SpanCollector() as collector:
-            with span("serve:batch", ctx=ctx, bid=0):
+            with span("serve:batch", trace_id="b0", bid=0):
                 with span("child"):
-                    pass
-        assert all(record.trace_id == ctx.trace_id
-                   for record in collector.spans)
+                    with span("grandchild"):
+                        pass
+                with span("other", trace_id="b1"):
+                    with span("other-child"):
+                        pass
+            with span("sibling"):
+                pass
+        by_name = {record.name: record for record in collector.spans}
+        assert by_name["serve:batch"].trace_id == "b0"
+        assert by_name["child"].trace_id == "b0"
+        assert by_name["grandchild"].trace_id == "b0"
+        assert by_name["other"].trace_id == "b1"
+        assert by_name["other-child"].trace_id == "b1"
+        assert by_name["outside"].trace_id is None
+        assert by_name["sibling"].trace_id is None
+        assert "trace_id" not in by_name["serve:batch"].attrs
 
 
 # -- snapshots ---------------------------------------------------------------
@@ -175,6 +167,36 @@ class TestTailSampling:
 
 # -- burn rate ---------------------------------------------------------------
 
+class _RescanMonitor:
+    """Reference: the former monitor, rescanning its windows per event."""
+
+    def __init__(self):
+        self.events = []
+        self.active = {"page": False, "ticket": False}
+
+    def observe(self, event):
+        at = float(event["t"])
+        self.events.append((at, event["status"] in ("failed", "rejected")
+                            or bool(event.get("deadline_exceeded"))))
+        horizon = at - max(FAST_WINDOW, SLOW_WINDOW)
+        self.events = [(t, e) for t, e in self.events if t > horizon]
+        raised = []
+        for severity, window, threshold in (
+                ("page", FAST_WINDOW, FAST_BURN),
+                ("ticket", SLOW_WINDOW, SLOW_BURN)):
+            inside = [e for t, e in self.events if t > at - window]
+            burn = (sum(inside) / len(inside)) / ERROR_BUDGET
+            breached = burn >= threshold
+            if breached and not self.active[severity]:
+                raised.append({"type": "alert", "severity": severity,
+                               "t": round(at, 9),
+                               "burn_rate": round(burn, 6),
+                               "threshold": threshold, "window": window,
+                               "objective": SLO_OBJECTIVE})
+            self.active[severity] = breached
+        return raised
+
+
 class TestBurnRateMonitor:
     def test_page_fires_on_fast_burn(self):
         # objective 0.99 → 1% budget; fast threshold 14.4 → a window
@@ -220,6 +242,53 @@ class TestBurnRateMonitor:
                                    status="failed"))
         after = len([a for a in monitor.alerts if a["severity"] == "page"])
         assert after == before + 1               # re-armed, re-fired
+
+    def test_matches_full_rescan_on_in_order_streams(self):
+        # seeded streams in non-decreasing t: rates 1-1000 events/s,
+        # error rates 0-0.9, equal timestamps, gaps past both windows,
+        # and timestamps on a grid, so events land exactly on a
+        # window's start
+        raised = {"page": 0, "ticket": 0}
+        for seed in range(100):
+            rng = random.Random(seed)
+            rate = 10 ** rng.uniform(0.0, 3.0)
+            error_rate = rng.choice((0.0, 0.01, 0.1, 0.3, 0.9))
+            grid = rng.choice((None, 0.125, 1.0))
+            monitor, reference = BurnRateMonitor(), _RescanMonitor()
+            clock = rng.uniform(0.0, 100.0)
+            for _ in range(250):
+                draw = rng.random()
+                if draw < 0.02:
+                    clock += rng.uniform(SLOW_WINDOW, 3 * SLOW_WINDOW)
+                elif draw > 0.1:                  # else: equal timestamp
+                    clock += rng.expovariate(rate)
+                t = clock if grid is None else round(clock / grid) * grid
+                bad = rng.random() < error_rate
+                status = (rng.choice(("failed", "rejected", "degraded"))
+                          if bad else "ok")
+                event = _event(t=t, status=status,
+                               deadline_exceeded=bad and rng.random() < 0.5)
+                alerts = monitor.observe(event)
+                assert alerts == reference.observe(event), (seed, t)
+                for alert in alerts:
+                    raised[alert["severity"]] += 1
+        assert raised["page"] > 1 and raised["ticket"] > 1
+
+    def test_late_event_counts_at_newest_time(self):
+        monitor = BurnRateMonitor()
+        assert monitor.observe(_event(t=10.0)) == []
+        # published late, and older than the fast window's start: it
+        # still counts, as if it arrived at the newest time, t=10
+        raised = monitor.observe(_event(t=1.0, status="failed"))
+        assert [(a["severity"], a["t"]) for a in raised] \
+            == [("page", 10.0), ("ticket", 10.0)]
+        # 1 error in 3 events: still burning, nothing new raised
+        assert monitor.observe(_event(t=10.0 + FAST_WINDOW - 0.5)) == []
+        # the fast window drops both t=10 events together: page re-arms
+        assert monitor.observe(_event(t=10.0 + FAST_WINDOW)) == []
+        raised = monitor.observe(_event(t=10.0 + FAST_WINDOW,
+                                        status="failed"))
+        assert [a["severity"] for a in raised] == ["page"]
 
     def test_objective_validation(self):
         # burn rate divides by the budget: the objective must leave one

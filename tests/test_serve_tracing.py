@@ -5,11 +5,12 @@ the serving trace as JSONL, and reconstruct **every** request — 100%
 of non-rejected requests as complete, gap-free causal span trees
 (admit → queue_wait/assemble → dispatch → execute tiling the
 ``serve:request`` root) and every rejected request as an admission
-span carrying its classified reason.  Plus: ambient propagation onto
-live ``serve:batch`` worker spans, the latency decomposition in
-``ServerStats``, the RL106 lint check against its seeded mutant, and
-the CLI/report surfaces (``--live-snapshots``, ``--trace-jsonl``,
-``trace export --group-by-request``, waterfall section).
+span carrying its classified reason.  Plus: trace ids on the
+``serve:batch`` worker spans and everything beneath them, in schedule
+and live mode, the latency decomposition in ``ServerStats``, the RL106
+lint check against its seeded mutant, and the CLI/report surfaces
+(``--live-snapshots``, ``--trace-jsonl``, ``trace export
+--group-by-request``, waterfall section).
 """
 
 import json
@@ -22,7 +23,8 @@ from repro.lint import LintConfig, default_scan_root, run_lint
 from repro.obs.jsonl import read_jsonl, write_jsonl
 from repro.obs.live import LiveTelemetry
 from repro.serve import (BatchPolicy, InferenceServer, LoadSpec,
-                         ServeConfig, make_request, open_loop, parse_mix)
+                         ServeConfig, batch_trace_id, make_request,
+                         open_loop, parse_mix)
 from repro.serve.tracing import (REQUEST_SPAN_NAMES, request_span_trees,
                                  serve_trace, span_tree_digest,
                                  spans_by_trace, verify_span_trees)
@@ -114,13 +116,50 @@ class TestPropagation:
             if not batch:
                 continue
             tid = batch[0].trace_id
+            assert tid is not None
             assert all(s.trace_id == tid for s in br.spans)
 
+    def test_live_path_links_responses_and_batch_spans(self):
+        # submit -> take_batch -> Worker.execute_batch on live threads
+        results = []
+
+        class Recording(InferenceServer):
+            def _on_batch_result(self, result):
+                results.append(result)
+                super()._on_batch_result(result)
+
+        server = Recording(ServeConfig(workers=2))
+        server.start()
+        try:
+            pendings = [server.submit("lnn", seed=i % 2) for i in range(8)]
+            responses = [p.result(timeout=60.0) for p in pendings]
+        finally:
+            server.stop(drain=True)
+        for pending, response in zip(pendings, responses):
+            assert response.status == "ok"
+            assert response.trace_id == pending.request.trace_id
+        assert sum(r.batch.size for r in results) == len(pendings)
+        for result in results:
+            batch, = [s for s in result.spans if s.name == "serve:batch"]
+            assert batch.trace_id == batch_trace_id(result.batch)
+            assert batch.attrs["traces"] == [r.trace_id
+                                             for r in result.batch.requests]
+            by_sid = {s.sid: s for s in result.spans}
+            for record in result.spans:
+                if record is batch:
+                    continue
+                parent = by_sid[record.parent]
+                while parent is not batch:
+                    parent = by_sid[parent.parent]
+                assert record.trace_id == batch.trace_id, record.name
+            assert len(result.spans) > 1
+
     def test_schedule_serialization_unchanged_by_tracing(self):
-        # trace contexts are re-minted at admission; the wire format
-        # of a saved schedule must not grow a trace field
+        # a trace id is recomputed from the request's own fields; the
+        # wire format of a saved schedule must not grow a trace field
         request = make_request(0, "lnn", arrival=0.0)
         assert "trace" not in request.to_dict()
+        assert "trace_id" not in request.to_dict()
 
     def test_response_exposes_decomposition(self):
         result = _serve(_schedule(duration=0.5))
@@ -150,8 +189,7 @@ class TestLintRL106:
         findings = [f for f in result.findings if f.check_id == "RL106"]
         assert {f.path for f in findings} == {"orphan_span.py"}
         assert len(findings) == 2          # _span(...) and span(f"...")
-        assert all("ctx=" in f.message or "TraceContext" in f.message
-                   for f in findings)
+        assert all("trace_id=" in f.message for f in findings)
 
     def test_shipped_tree_is_clean(self):
         result = run_lint(LintConfig(root=default_scan_root(),

@@ -1,5 +1,5 @@
 """Tests for the heterogeneous system model, energy estimation,
-function-level profiling, chrome export, and the CLI."""
+function-level profiling, and the CLI."""
 
 import dataclasses
 import json
@@ -10,8 +10,7 @@ import pytest
 from repro import tensor as T
 from repro.cli import main as cli_main
 from repro.core.analysis import latency_breakdown
-from repro.core.functions import (function_table, render_function_table,
-                                  to_chrome_trace)
+from repro.core.functions import function_table, render_function_table
 from repro.core.profiler import PHASE_NEURAL, PHASE_SYMBOLIC
 from repro.core.report import format_time
 from repro.hwsim import (JETSON_TX2, RTX_2080TI, XEON_4114,
@@ -123,26 +122,6 @@ class TestFunctionTable:
         text = render_function_table(stats, top=5)
         assert stats[0].name in text
 
-    def test_chrome_export_is_valid_json(self, ltn_trace):
-        payload = json.loads(to_chrome_trace(ltn_trace, RTX_2080TI))
-        events = [e for e in payload["traceEvents"] if e["ph"] == "X"]
-        assert len(events) == len(ltn_trace)
-        tracks = {e["tid"] for e in events}
-        assert len(tracks) >= 2  # neural + symbolic lanes
-
-    def test_chrome_events_non_overlapping_per_track(self, ltn_trace):
-        payload = json.loads(to_chrome_trace(ltn_trace, RTX_2080TI))
-        by_track = {}
-        for event in payload["traceEvents"]:
-            if event["ph"] != "X":
-                continue
-            by_track.setdefault(event["tid"], []).append(event)
-        for events in by_track.values():
-            cursor = 0.0
-            for event in events:
-                assert event["ts"] >= cursor - 1e-9
-                cursor = event["ts"] + event["dur"]
-
 
 class TestCLI:
     def test_list(self, capsys):
@@ -165,11 +144,33 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "average power" in out
 
-    def test_chrome_to_file(self, tmp_path, capsys):
-        target = tmp_path / "trace.json"
-        assert cli_main(["chrome", "ltn", "-o", str(target)]) == 0
-        payload = json.loads(target.read_text())
-        assert payload["traceEvents"]
+    @pytest.mark.parametrize("argv", [
+        ["characterize", "lnn"], ["functions", "lnn"], ["energy", "lnn"],
+        ["analyze-trace", "missing.jsonl"], ["roster"],
+        ["faults", "lnn", "--fault", "nan"],
+        ["trace", "export", "lnn", "--format", "flame",
+         "--weight", "latency"],
+        ["report", "lnn"], ["serve", "bench"],
+        ["serve", "replay", "missing.jsonl"],
+    ], ids=lambda argv: "-".join(argv[:2]))
+    @pytest.mark.parametrize("device", ["bogus", "rtx,bogus"])
+    def test_unknown_device_is_a_usage_error(self, argv, device, capsys):
+        # resolved while parsing: exit 2 naming the bad name and the
+        # known devices, before any work and never a traceback
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv + ["--device", device])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --device: unknown device: '" in err
+        assert "bogus" in err and "Jetson TX2" in err
+        assert "Traceback" not in err
+
+    def test_chrome_verb_is_gone(self, capsys):
+        # `repro trace export W --format chrome` is the one exporter
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["chrome", "ltn"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'chrome'" in capsys.readouterr().err
 
     def test_roster(self, capsys):
         assert cli_main(["roster", "--device", "rtx"]) == 0
