@@ -9,13 +9,13 @@ Two budgets guard the selfprof layer (ISSUE 9):
   workload wall time, so the off path carries no assertion beyond the
   determinism check.
 * **on path** — with a scoped ledger active every op pays nine
-  ``perf_ns`` probes plus one ``DispatchLedger.record``.  Wall-clock
-  A/B deltas of that size are noise-dominated (same argument as
-  ``bench_obs_overhead``), so the asserted overhead is de-noised: the
-  per-op probe+record cost is micro-timed in one block per round,
-  interleaved with the profiling rounds so host drift hits both, and
-  the best block times the workload's op count is divided by the
-  best-of-N plain profiling wall.  Budget: <5%.
+  ``perf_counter_ns`` probes plus one ``DispatchLedger.record``.
+  Wall-clock A/B deltas of that size are noise-dominated (same
+  argument as ``bench_obs_overhead``), so the asserted overhead is
+  de-noised: the per-op probe+record cost is micro-timed in one block
+  per round, interleaved with the profiling rounds so host drift hits
+  both, and the best block times the workload's op count is divided
+  by the best-of-N plain profiling wall.  Budget: <5%.
 
 The ledger's op counts are not checked here: the ``counters`` and
 ``plan`` pins in ``benchmarks/history.jsonl`` already cover every
@@ -49,11 +49,11 @@ def _timed(fn) -> float:
 def _probe_cost(calls: int) -> float:
     """Per-op cost of the instrumented path's additions, in seconds.
 
-    One ledgered op adds exactly nine ``perf_ns`` reads, one parts-dict
-    construction, and one ``DispatchLedger.record``; everything else
-    is shared with the plain path by construction.
+    One ledgered op adds exactly nine ``perf_counter_ns`` reads, one
+    parts-dict construction, and one ``DispatchLedger.record``;
+    everything else is shared with the plain path by construction.
     """
-    from repro.obs.clock import perf_ns
+    from time import perf_counter_ns as perf_ns
     ledger = selfprof.DispatchLedger()
     start = time.perf_counter()
     for _ in range(calls):

@@ -194,6 +194,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.command == "compile":
         from repro.compile.cli import run_compile_command
+        _require_workload(args.workload)
         return run_compile_command(args)
 
     if args.command == "analyze-trace":

@@ -17,35 +17,33 @@ unsynchronized shared state, RL102 lock-order cycles, RL103 thread
 escapes without a defensive copy, RL104 process-boundary pickle
 readiness, RL105 blocking calls under a lock.
 
+Nothing suppresses or grandfathers a finding: each one fails until
+the code or the check is fixed.
+
 Programmatic entry point::
 
-    from repro.lint import LintConfig, run_lint
-    result = run_lint(LintConfig.for_package())
+    from repro.lint import LintConfig, default_scan_root, run_lint
+    result = run_lint(LintConfig(root=default_scan_root()))
     assert not result.errors
 
 CLI::
 
-    python -m repro lint [--format json] [--baseline PATH] [--strict]
+    python -m repro lint [--format json] [--strict] [--select IDS]
 """
 
-from repro.lint.baseline import (DEFAULT_BASELINE_NAME, BaselineError,
-                                 load_baseline, split_baselined,
-                                 write_baseline)
 from repro.lint.engine import (DEFAULT_ZONES, LintConfig, LintContext,
-                               LintResult, ModuleSource, default_scan_root,
+                               LintResult, ModuleSource,
+                               UnknownCheckError, default_scan_root,
                                discover_files, run_lint)
 from repro.lint.findings import (SEVERITY_ERROR, SEVERITY_WARNING, Finding)
-from repro.lint.pragmas import PragmaIndex
 from repro.lint.program import Program, build_program
 from repro.lint.registry import LintCheck, all_checks, register_check
 from repro.lint.report import render_json, render_text
 
 __all__ = [
-    "DEFAULT_BASELINE_NAME", "DEFAULT_ZONES",
-    "BaselineError", "Finding", "LintCheck", "LintConfig", "LintContext",
-    "LintResult", "ModuleSource", "PragmaIndex", "Program",
-    "SEVERITY_ERROR", "SEVERITY_WARNING",
+    "DEFAULT_ZONES", "Finding", "LintCheck", "LintConfig", "LintContext",
+    "LintResult", "ModuleSource", "Program",
+    "SEVERITY_ERROR", "SEVERITY_WARNING", "UnknownCheckError",
     "all_checks", "build_program", "default_scan_root", "discover_files",
-    "load_baseline", "register_check", "render_json", "render_text",
-    "run_lint", "split_baselined", "write_baseline",
+    "register_check", "render_json", "render_text", "run_lint",
 ]

@@ -14,9 +14,9 @@ counters can silently go wrong:
 * **RL003** — a registered workload whose ``run()`` never enters both
   ``phase("neural")`` and ``phase("symbolic")`` produces traces the
   Fig. 2a neural/symbolic split cannot attribute.
-* **RL004** — legacy global RNG calls and ``time.time()`` make traces
-  non-reproducible / non-monotonic; use ``np.random.default_rng`` and
-  ``time.perf_counter``.
+* **RL004** — legacy global RNG calls and ``time.time()`` /
+  ``time.time_ns()`` make traces non-reproducible / non-monotonic; use
+  ``np.random.default_rng`` and ``time.perf_counter[_ns]``.
 * **RL005** — mutating the thread's dispatch state (the profile,
   fault-hook, op-observer and plan-session stacks of
   ``tensor.context.DispatchState``) — or the observability layer's
@@ -39,8 +39,8 @@ from repro.lint.registry import LintCheck, register_check
 
 #: numpy functions that do material FLOP work.  Cheap host-side helpers
 #: (``np.argmax`` over eight candidate scores, scalar ``np.sqrt``) are
-#: deliberately absent: flagging them would bury the real bypasses in
-#: pragma noise.
+#: deliberately absent: flagging them would bury the real bypasses
+#: under findings that matter to no figure.
 _NUMPY_COMPUTE: Set[str] = {
     "exp", "expm1", "log", "log2", "log10", "log1p",
     "tanh", "sinh", "cosh",
@@ -59,7 +59,7 @@ class RawNumpyBypass(LintCheck):
     severity = SEVERITY_ERROR
 
     def visit_module(self, module, ctx) -> None:
-        if module.zone(ctx.config.zones) is None:
+        if module.zone() is None:
             return
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
@@ -73,8 +73,7 @@ class RawNumpyBypass(LintCheck):
                     self, module.relpath, node.lineno, node.col_offset,
                     f"raw numpy compute np.{dotted} bypasses the "
                     f"instrumented tensor runtime; its FLOPs/bytes never "
-                    f"reach the trace — route it through repro.tensor "
-                    f"ops (or pragma it with a reason)")
+                    f"reach the trace — route it through repro.tensor ops")
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +361,7 @@ class PhaseCoverage(LintCheck):
     severity = SEVERITY_ERROR
 
     def visit_module(self, module, ctx) -> None:
-        if module.zone(ctx.config.zones) != "workloads":
+        if module.zone() != "workloads":
             return
         for node in module.tree.body:
             if not isinstance(node, ast.ClassDef):
@@ -445,6 +444,11 @@ _GLOBAL_STDLIB_RANDOM: Set[str] = {
 }
 
 
+#: non-monotonic ``time`` wall-clock reads -> the monotonic clock to use
+_WALL_CLOCKS: Dict[str, str] = {"time": "perf_counter",
+                                "time_ns": "perf_counter_ns"}
+
+
 @register_check
 class Determinism(LintCheck):
     check_id = "RL004"
@@ -479,12 +483,12 @@ class Determinism(LintCheck):
                     f"np.random.default_rng(seed) instead")
                 continue
             clock = module.resolve_call("time", node.func)
-            if clock == "time":
+            if clock in _WALL_CLOCKS:
                 ctx.report(
                     self, module.relpath, node.lineno, node.col_offset,
-                    "time.time() is not monotonic and skews measured "
-                    "wall times; use time.perf_counter() in measurement "
-                    "paths")
+                    f"time.{clock}() is not monotonic and skews measured "
+                    f"wall times; use time.{_WALL_CLOCKS[clock]}() in "
+                    f"measurement paths")
 
 
 # ---------------------------------------------------------------------------

@@ -1,21 +1,19 @@
 """``python -m repro lint`` command handler.
 
 Exit codes follow the ``faults`` convention: 0 clean, 2 findings
-(errors, or warnings under ``--strict``), 3 internal error (bad
-baseline, unreadable scan root).
+(errors, or warnings under ``--strict``), 3 internal error (unknown
+check id, unreadable scan root).
 """
 
 from __future__ import annotations
 
 import argparse
 from pathlib import Path
-from typing import List, Optional, Set
+from typing import Optional, Set
 
-from repro.lint.baseline import (DEFAULT_BASELINE_NAME, BaselineError,
-                                 load_baseline, split_baselined,
-                                 write_baseline)
-from repro.lint.engine import (LintConfig, default_scan_root,
-                               registered_checks, run_lint)
+from repro.lint.engine import (LintConfig, UnknownCheckError,
+                               default_scan_root, registered_checks,
+                               run_lint)
 from repro.lint.findings import SEVERITY_ERROR
 from repro.lint.report import render_json, render_text
 
@@ -32,12 +30,6 @@ def add_lint_arguments(cmd: argparse.ArgumentParser) -> None:
     cmd.add_argument("--format", choices=("text", "json"), default="text",
                      dest="output_format",
                      help="report format (default text)")
-    cmd.add_argument("--baseline", default=None,
-                     help=f"baseline JSON (default ./{DEFAULT_BASELINE_NAME} "
-                          f"when present)")
-    cmd.add_argument("--update-baseline", action="store_true",
-                     help="rewrite the baseline from current findings "
-                          "and exit 0")
     cmd.add_argument("--strict", action="store_true",
                      help="treat warnings as errors (CI mode)")
     cmd.add_argument("--select", default=None,
@@ -49,31 +41,17 @@ def add_lint_arguments(cmd: argparse.ArgumentParser) -> None:
                           "families) to skip")
 
 
-def _registered_ids() -> List[str]:
-    return [cls.check_id for cls in registered_checks()]
-
-
-def _expand_checks(spec: str) -> Set[str]:
-    """Parse a --select/--ignore spec, expanding RL1xx-style families."""
-    out: Set[str] = set()
-    known = _registered_ids()
-    for part in spec.split(","):
-        part = part.strip().upper()
-        if not part:
-            continue
-        if part.endswith("X"):
-            prefix = part.rstrip("X")
-            matches = [cid for cid in known
-                       if cid.startswith(prefix) and len(cid) == len(part)]
-            out.update(matches or (part,))
-        else:
-            out.add(part)
-    return out
+def _split_ids(spec: Optional[str]) -> Optional[Set[str]]:
+    """A --select/--ignore spec as a set of ids/families (None if unset)."""
+    if not spec:
+        return None
+    return {part.strip() for part in spec.split(",") if part.strip()}
 
 
 def _explain_command(check_id: str) -> int:
     wanted = check_id.strip().upper()
-    for cls in registered_checks():
+    checks = registered_checks()
+    for cls in checks:
         if cls.check_id != wanted:
             continue
         print(f"{cls.check_id} ({cls.name}) — severity: {cls.severity}")
@@ -85,16 +63,9 @@ def _explain_command(check_id: str) -> int:
             for line in cls.example.rstrip().splitlines():
                 print(f"    {line}")
         return EXIT_CLEAN
-    known = ", ".join(_registered_ids())
+    known = ", ".join(cls.check_id for cls in checks)
     print(f"repro lint explain: unknown check {wanted!r} (known: {known})")
     return EXIT_INTERNAL
-
-
-def _resolve_baseline(args: argparse.Namespace) -> Optional[Path]:
-    if args.baseline is not None:
-        return Path(args.baseline)
-    default = Path.cwd() / DEFAULT_BASELINE_NAME
-    return default if default.exists() else None
 
 
 def run_lint_command(args: argparse.Namespace) -> int:
@@ -104,13 +75,6 @@ def run_lint_command(args: argparse.Namespace) -> int:
             return EXIT_INTERNAL
         return _explain_command(args.paths[1])
 
-    select: Optional[Set[str]] = None
-    if args.select:
-        select = _expand_checks(args.select)
-    ignore: Optional[Set[str]] = None
-    if getattr(args, "ignore", None):
-        ignore = _expand_checks(args.ignore)
-
     roots = [Path(p) for p in args.paths] if args.paths else [
         default_scan_root()]
     missing = [str(r) for r in roots if not r.exists()]
@@ -118,38 +82,24 @@ def run_lint_command(args: argparse.Namespace) -> int:
         print(f"repro lint: no such path: {', '.join(missing)}")
         return EXIT_INTERNAL
 
-    result = run_lint(LintConfig(root=roots[0], select=select,
-                                 ignore=ignore))
-    for root in roots[1:]:
-        extra = run_lint(LintConfig(root=root, select=select,
-                                    ignore=ignore))
+    select, ignore = _split_ids(args.select), _split_ids(args.ignore)
+    try:
+        results = [run_lint(LintConfig(root=root, select=select,
+                                       ignore=ignore))
+                   for root in roots]
+    except UnknownCheckError as exc:
+        print(f"repro lint: {exc}")
+        return EXIT_INTERNAL
+    result = results[0]
+    for extra in results[1:]:
         result.findings.extend(extra.findings)
-        result.suppressed.extend(extra.suppressed)
         result.files_scanned += extra.files_scanned
-    findings = result.findings
-
-    baseline_path = _resolve_baseline(args)
-    if args.update_baseline:
-        target = baseline_path or Path.cwd() / DEFAULT_BASELINE_NAME
-        write_baseline(target, findings)
-        print(f"repro lint: wrote {len(findings)} finding(s) to {target}")
-        return EXIT_CLEAN
-
-    grandfathered: List = []
-    if baseline_path is not None:
-        try:
-            baseline = load_baseline(baseline_path)
-        except BaselineError as exc:
-            print(f"repro lint: {exc}")
-            return EXIT_INTERNAL
-        findings, grandfathered = split_baselined(findings, baseline)
 
     if args.output_format == "json":
-        print(render_json(result, findings, grandfathered,
-                          strict=args.strict))
+        print(render_json(result, strict=args.strict))
     else:
-        print(render_text(result, findings, grandfathered))
+        print(render_text(result))
 
-    failing = [f for f in findings
+    failing = [f for f in result.findings
                if args.strict or f.severity == SEVERITY_ERROR]
     return EXIT_FINDINGS if failing else EXIT_CLEAN

@@ -1,15 +1,12 @@
-"""Lint engine: file discovery, parsing, check execution, suppression.
+"""Lint engine: file discovery, parsing and check execution.
 
 The engine is deliberately self-contained (stdlib ``ast`` only).  It
 walks every ``*.py`` file under the scan root (by default the installed
 ``repro`` package), parses each into a :class:`ModuleSource` — source,
 AST, import-alias tables, zone membership — and feeds them to the
-registered checks.  Findings then pass through two suppression layers:
-
-1. inline pragmas (``# repro-lint: disable=RL001 -- reason``), counted
-   but dropped;
-2. the committed baseline (handled by the CLI, not here, so callers
-   can distinguish new from grandfathered findings).
+registered checks.  Every finding a check reports is in the result:
+nothing suppresses one, so a finding fails until the code or the check
+is fixed.
 """
 
 from __future__ import annotations
@@ -20,7 +17,6 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Type
 
 from repro.lint.findings import SEVERITY_ERROR, Finding
-from repro.lint.pragmas import PragmaIndex
 from repro.lint.registry import LintCheck, all_checks
 
 #: Package sub-trees whose compute must route through ``repro.tensor``
@@ -32,6 +28,10 @@ DEFAULT_ZONES: Tuple[str, ...] = ("workloads", "vsa", "nn", "logic",
 PARSE_ERROR_ID = "RL000"
 
 
+class UnknownCheckError(ValueError):
+    """A ``select`` or ``ignore`` entry matches no registered check."""
+
+
 def default_scan_root() -> Path:
     """The installed ``repro`` package directory."""
     import repro
@@ -40,17 +40,15 @@ def default_scan_root() -> Path:
 
 @dataclass
 class LintConfig:
-    """What to scan and which checks to run."""
+    """What to scan and which checks to run.
+
+    ``select`` and ``ignore`` hold check ids (``RL001``) or families
+    (``RL1xx``: every registered id with that prefix and length).
+    """
 
     root: Path
-    zones: Tuple[str, ...] = DEFAULT_ZONES
-    select: Optional[Set[str]] = None  #: check ids; None = all
-    ignore: Optional[Set[str]] = None  #: check ids dropped after select
-
-    @classmethod
-    def for_package(cls, select: Optional[Set[str]] = None,
-                    ignore: Optional[Set[str]] = None) -> "LintConfig":
-        return cls(root=default_scan_root(), select=select, ignore=ignore)
+    select: Optional[Set[str]] = None  #: None = every registered check
+    ignore: Optional[Set[str]] = None  #: dropped after select
 
 
 class ModuleSource:
@@ -62,7 +60,6 @@ class ModuleSource:
         self.relpath = relpath
         self.source = source
         self.tree = tree
-        self.pragmas = PragmaIndex.from_source(source)
         #: alias -> dotted sub-module path inside the aliased package,
         #: e.g. ``import numpy as np`` -> {"np": ""}; ``import
         #: numpy.fft as nf`` -> {"nf": "fft"}.  Keyed per package.
@@ -118,10 +115,11 @@ class ModuleSource:
                 return ".".join([funcs[node.id]] + chain)
         return None
 
-    def zone(self, zones: Sequence[str]) -> Optional[str]:
-        """The instrumented zone this module belongs to, if any."""
+    def zone(self) -> Optional[str]:
+        """The instrumented zone (:data:`DEFAULT_ZONES`) this module
+        belongs to, if any."""
         head = self.relpath.split("/", 1)[0]
-        return head if head in zones else None
+        return head if head in DEFAULT_ZONES else None
 
 
 @dataclass
@@ -143,10 +141,9 @@ class LintContext:
 
 @dataclass
 class LintResult:
-    """Outcome of one engine run (before baseline filtering)."""
+    """Outcome of one engine run."""
 
     findings: List[Finding]
-    suppressed: List[Finding]     #: dropped by inline pragmas
     files_scanned: int
     checks_run: Tuple[str, ...]
 
@@ -171,19 +168,45 @@ def registered_checks() -> List[Type[LintCheck]]:
     """Every check class, ordered by check id."""
     # importing the check modules populates the registry
     import repro.lint.checks  # noqa: F401
-    import repro.lint.clocks  # noqa: F401
-    import repro.lint.compiled  # noqa: F401
     import repro.lint.concurrency  # noqa: F401
     import repro.lint.tracing  # noqa: F401
     return all_checks()
 
 
+def _expand_ids(entries: Optional[Set[str]],
+                known: Sequence[str]) -> Optional[Set[str]]:
+    """The registered ids ``entries`` name, expanding ``RL1xx``-style
+    families; raises :class:`UnknownCheckError` for an entry that
+    names none."""
+    if entries is None:
+        return None
+    ids: Set[str] = set()
+    for entry in entries:
+        wanted = entry.strip().upper()
+        prefix = wanted.rstrip("X")
+        matches = [cid for cid in known
+                   if cid.startswith(prefix) and len(cid) == len(wanted)]
+        if not matches:
+            raise UnknownCheckError(
+                f"unknown check {entry!r} (known: {', '.join(known)})")
+        ids.update(matches)
+    return ids
+
+
 def run_lint(config: LintConfig) -> LintResult:
-    """Run all (selected) checks over the configured tree."""
-    checks = [cls() for cls in registered_checks()
-              if (config.select is None or cls.check_id in config.select)
-              and (config.ignore is None
-                   or cls.check_id not in config.ignore)]
+    """Run all (selected) checks over the configured tree.
+
+    Raises :class:`UnknownCheckError` when ``config.select`` or
+    ``config.ignore`` names no registered check, so a mistyped id
+    cannot lint nothing and pass.
+    """
+    registered = registered_checks()
+    known = [cls.check_id for cls in registered]
+    select = _expand_ids(config.select, known)
+    ignore = _expand_ids(config.ignore, known) or set()
+    checks = [cls() for cls in registered
+              if (select is None or cls.check_id in select)
+              and cls.check_id not in ignore]
     ctx = LintContext(config=config)
     modules: List[ModuleSource] = []
     root = config.root.resolve()
@@ -209,16 +232,6 @@ def run_lint(config: LintConfig) -> LintResult:
     for check in checks:
         check.finalize(ctx)
 
-    pragma_index = {m.relpath: m.pragmas for m in modules}
-    kept: List[Finding] = []
-    suppressed: List[Finding] = []
-    for finding in sorted(ctx.findings, key=lambda f: f.sort_key):
-        pragmas = pragma_index.get(finding.path)
-        if pragmas is not None and pragmas.suppresses(finding.check_id,
-                                                      finding.line):
-            suppressed.append(finding)
-        else:
-            kept.append(finding)
-    return LintResult(findings=kept, suppressed=suppressed,
-                      files_scanned=len(files),
+    findings = sorted(ctx.findings, key=lambda f: f.sort_key)
+    return LintResult(findings=findings, files_scanned=len(files),
                       checks_run=tuple(c.check_id for c in checks))

@@ -3,13 +3,12 @@
 A :class:`Finding` pinpoints one violation: file (relative to the scan
 root), 1-based line, 0-based column, check id (``RL001``...), severity
 (``error`` | ``warning``), and a human-readable message.  Findings are
-value objects — the engine sorts, suppresses (pragmas), and filters
-(baseline) them without the checks' involvement.
+value objects; the engine sorts them without the checks' involvement.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Tuple
 
 SEVERITY_ERROR = "error"
@@ -35,11 +34,6 @@ class Finding:
     @property
     def sort_key(self) -> Tuple[str, int, int, str]:
         return (self.path, self.line, self.col, self.check_id)
-
-    @property
-    def fingerprint(self) -> Tuple[str, str, str]:
-        """Baseline identity: stable across unrelated line shifts."""
-        return (self.path, self.check_id, self.message)
 
     def render(self) -> str:
         return (f"{self.path}:{self.line}:{self.col}: "

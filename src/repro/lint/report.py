@@ -3,50 +3,33 @@
 from __future__ import annotations
 
 import json
-from typing import List, Optional
 
 from repro.lint.engine import LintResult
-from repro.lint.findings import Finding
 
-REPORT_VERSION = 1
+REPORT_VERSION = 2
 
 
-def render_text(result: LintResult, new: List[Finding],
-                grandfathered: List[Finding]) -> str:
-    """Human-readable report: one line per new finding plus a summary."""
-    lines = [finding.render() for finding in new]
-    errors = sum(1 for f in new if f.severity == "error")
-    warnings = len(new) - errors
-    summary = (f"repro-lint: {result.files_scanned} files, "
-               f"{len(result.checks_run)} checks: "
-               f"{errors} error(s), {warnings} warning(s)")
-    extras = []
-    if grandfathered:
-        extras.append(f"{len(grandfathered)} baselined")
-    if result.suppressed:
-        extras.append(f"{len(result.suppressed)} pragma-suppressed")
-    if extras:
-        summary += f" ({', '.join(extras)})"
-    lines.append(summary)
+def render_text(result: LintResult) -> str:
+    """Human-readable report: one line per finding plus a summary."""
+    lines = [finding.render() for finding in result.findings]
+    lines.append(f"repro-lint: {result.files_scanned} files, "
+                 f"{len(result.checks_run)} checks: "
+                 f"{len(result.errors)} error(s), "
+                 f"{len(result.warnings)} warning(s)")
     return "\n".join(lines)
 
 
-def render_json(result: LintResult, new: List[Finding],
-                grandfathered: List[Finding],
-                strict: bool = False) -> str:
+def render_json(result: LintResult, strict: bool = False) -> str:
     """Machine-readable report (stable schema, versioned)."""
-    errors = sum(1 for f in new if f.severity == "error")
     payload = {
         "version": REPORT_VERSION,
         "strict": strict,
-        "findings": [f.to_dict() for f in new],
+        "findings": [f.to_dict() for f in result.findings],
         "summary": {
             "files_scanned": result.files_scanned,
             "checks_run": list(result.checks_run),
-            "errors": errors,
-            "warnings": len(new) - errors,
-            "baselined": len(grandfathered),
-            "suppressed": len(result.suppressed),
+            "errors": len(result.errors),
+            "warnings": len(result.warnings),
         },
     }
     return json.dumps(payload, indent=2)

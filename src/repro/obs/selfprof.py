@@ -9,7 +9,7 @@ top of the numpy kernel.  The ledger measures that overhead.
 
 When :data:`ENABLED` is on (off by default; use
 :func:`scoped_ledger`), the dispatcher brackets each named component
-with paired :func:`repro.obs.clock.perf_ns` probes and feeds the
+with paired ``time.perf_counter_ns`` probes and feeds the
 integer-ns deltas into the active :class:`DispatchLedger`.  Probes are
 placed at *segment boundaries*, so the component times of one op
 telescope — they tile the op's instrumented wall time exactly, by

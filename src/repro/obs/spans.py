@@ -42,19 +42,17 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from time import perf_counter
 from typing import Dict, Iterator, List, Optional
 
-from repro.obs.clock import perf_s
-
 #: Process-wide monotonic epoch.  Every span and op timestamp in this
-#: process is a ``perf_counter`` offset from this origin (read through
-#: the approved clock helpers in :mod:`repro.obs.clock`; RL107).
-_EPOCH = perf_s()
+#: process is a ``perf_counter`` offset from this origin.
+_EPOCH = perf_counter()
 
 
 def now() -> float:
     """Seconds since the process-wide tracing epoch (monotonic)."""
-    return perf_s() - _EPOCH
+    return perf_counter() - _EPOCH
 
 
 @dataclass

@@ -18,6 +18,7 @@ after the previous response lands.  Being wall-clock driven it is
 from __future__ import annotations
 
 import json
+import math
 import random
 import threading
 from dataclasses import dataclass, field
@@ -32,21 +33,24 @@ SCHEDULE_VERSION = 1
 def parse_mix(text: str) -> Dict[str, float]:
     """``"nvsa=3,lnn=1"`` -> ``{"nvsa": 3.0, "lnn": 1.0}``.
 
-    Bare names get weight 1 (``"nvsa,lnn"`` is a uniform mix).
+    Bare names get weight 1 (``"nvsa,lnn"`` is a uniform mix).  A
+    weight that is not a finite number > 0 is a ``ValueError``.
     """
     mix: Dict[str, float] = {}
     for part in text.split(","):
         part = part.strip()
         if not part:
             continue
-        if "=" in part:
-            name, raw = part.split("=", 1)
+        name, raw = part.split("=", 1) if "=" in part else (part, "1")
+        name = name.strip()
+        try:
             weight = float(raw)
-        else:
-            name, weight = part, 1.0
-        if weight <= 0:
-            raise ValueError(f"mix weight for {name!r} must be > 0")
-        mix[name.strip()] = mix.get(name.strip(), 0.0) + weight
+        except ValueError:
+            weight = math.nan
+        if not (math.isfinite(weight) and weight > 0):
+            raise ValueError(f"mix weight for {name!r} must be a finite "
+                             f"number > 0, got {raw!r}")
+        mix[name] = mix.get(name, 0.0) + weight
     if not mix:
         raise ValueError(f"empty workload mix: {text!r}")
     return mix
@@ -64,10 +68,11 @@ class LoadSpec:
     seed_pool: int = 1         #: workload seeds 0..seed_pool-1 (batch keys)
 
     def __post_init__(self) -> None:
-        if self.rate <= 0:
-            raise ValueError("rate must be > 0")
-        if self.duration <= 0:
-            raise ValueError("duration must be > 0")
+        # a NaN or infinite rate or horizon would never end open_loop
+        if not (math.isfinite(self.rate) and self.rate > 0):
+            raise ValueError("rate must be a finite number > 0")
+        if not (math.isfinite(self.duration) and self.duration > 0):
+            raise ValueError("duration must be a finite number > 0")
         if self.seed_pool < 1:
             raise ValueError("seed_pool must be >= 1")
 

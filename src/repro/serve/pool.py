@@ -27,10 +27,10 @@ from __future__ import annotations
 import copy
 import threading
 from dataclasses import dataclass, field
+from time import perf_counter
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.hwsim.device import DeviceSpec
-from repro.obs.clock import perf_s
 from repro.obs.spans import SpanCollector, SpanRecord
 from repro.obs.spans import span as _span
 from repro.resilience.faults import FaultPlan
@@ -97,7 +97,7 @@ class Worker:
             # op counters mid-run; each batch gets a private copy.
             fault_plan = copy.deepcopy(fault_plan)
         collector = SpanCollector()
-        start = perf_s()
+        start = perf_counter()
         # runner attempts and profile spans open beneath serve:batch
         # and inherit the batch trace id, which stays linkable to the
         # member requests through the span's rids/traces attributes
@@ -112,7 +112,7 @@ class Worker:
                     batch.workload, seed=batch.seed,
                     fault_plan=fault_plan,
                     plan=self.cache.plan(batch.key), **batch.params)
-        wall = perf_s() - start
+        wall = perf_counter() - start
         kept = (fault_plan is None and outcome.ok
                 and outcome.attempts == 1 and outcome.replay != REPLAYED
                 and self.cache.offer(batch.key, outcome.report.trace))

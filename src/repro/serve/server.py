@@ -44,13 +44,13 @@ import copy
 import functools
 import threading
 from dataclasses import dataclass, field
+from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.analysis import latency_breakdown
 from repro.hwsim.device import DeviceSpec
 from repro.hwsim.devices import RTX_2080TI
 from repro.hwsim.latency import project_trace
-from repro.obs.clock import perf_s
 from repro.resilience.faults import FaultPlan
 from repro.resilience.runner import STATUS_DEGRADED, STATUS_OK
 from repro.serve.batcher import Batch, BatchPolicy, plan_batches
@@ -219,9 +219,9 @@ class InferenceServer:
         """Serve a timestamped schedule; deterministic stats, real threads."""
         batches, rejections = plan_batches(
             schedule, self.config.batch, self.config.max_depth)
-        start = perf_s()
+        start = perf_counter()
         results = self.pool.execute(batches)
-        wall = perf_s() - start
+        wall = perf_counter() - start
 
         responses = [rejection(request, reason)
                      for request, reason in rejections]
@@ -334,13 +334,13 @@ class InferenceServer:
     # -- live mode -----------------------------------------------------------
     def clock(self) -> float:
         """Seconds on the live service clock (0 at :meth:`start`)."""
-        return perf_s() - self._epoch
+        return perf_counter() - self._epoch
 
     def start(self) -> None:
         """Bring up the live queue → pool pipeline."""
         if self._threads:
             raise RuntimeError("server already started")
-        self._epoch = perf_s()
+        self._epoch = perf_counter()
         self._queue = RequestQueue(self.config.max_depth)
         self._threads = self.pool.execute_live(
             functools.partial(self._take_batch, self._queue),

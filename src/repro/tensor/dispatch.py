@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
+from time import perf_counter_ns as _perf_ns
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -35,7 +36,6 @@ import numpy as np
 from repro.core.profiler import TraceEvent
 from repro.core.taxonomy import OpCategory, category_for
 from repro.obs import selfprof as _selfprof
-from repro.obs.clock import perf_ns as _perf_ns
 from repro.obs.spans import current_span as _current_span
 from repro.obs.spans import now as _now
 from repro.tensor.context import InjectedFaultError, ProfileContext
@@ -217,7 +217,7 @@ def run_op(name: str,
     phase/stage, span id, timing, observer, ledger — is the eager path.
 
     With self-profiling on (:func:`repro.obs.selfprof.scoped_ledger`),
-    nine :func:`repro.obs.clock.perf_ns` probes at shared segment
+    nine ``time.perf_counter_ns`` probes at shared segment
     boundaries split the op into the eight
     :data:`~repro.obs.selfprof.COMPONENTS`, whose integer-ns deltas
     telescope to the op's instrumented wall time; the parts go to the

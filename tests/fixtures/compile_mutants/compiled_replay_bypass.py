@@ -1,30 +1,18 @@
-"""Seeded RL108 mutant: a compiled replayer that cheats.
+"""Seeded RL001 mutant: a replayer on the compile path that cheats.
 
-This fixture is linted explicitly by CI (and ``tests/test_lint.py``)
-to prove the RL108 gate actually fires.  It commits both violations:
-
-* replaying an op by calling raw numpy compute instead of the
-  captured instrumented kernel closure;
-* swallowing the ``KeyError`` that ``category_for`` raises for op
-  templates missing from ``OP_CATEGORIES``.
+Linted from a ``compile/`` directory (an instrumented zone) by
+``tests/test_compile.py`` to prove RL001 fires on the replay path: it
+replays an op by calling raw numpy compute instead of the instrumented
+kernel the eager trace recorded, so the op's FLOPs/bytes never reach
+the replayed trace.
 
 It is never imported by the suite.
 """
 
 import numpy as np
 
-from repro.core.taxonomy import category_for
-
 
 def replay_matmul(a, b):
-    # RL108: the kernel must be the captured instrumented closure,
-    # not a raw numpy call whose FLOPs never reach the bulk counters
+    # RL001: the kernel must be the instrumented op, not a raw numpy
+    # call whose FLOPs never reach the replayed trace's counters
     return np.matmul(a, b)
-
-
-def category_or_none(name):
-    try:
-        return category_for(name)
-    except KeyError:
-        # RL108: an unknown template must abort the plan, not slip in
-        return None

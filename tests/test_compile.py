@@ -521,24 +521,21 @@ class TestCompiledFuzzDifferential:
         pytest.skip("no classified program in the probe window")
 
 
-class TestRL108Gate:
-    def test_mutant_fixture_is_caught(self):
+class TestCompileZoneLint:
+    def test_mutant_fixture_is_caught(self, tmp_path):
+        # compile/ is an instrumented zone, so RL001 polices the replay
+        # path: the mutant's raw np.matmul must trip it there
+        import shutil
         from pathlib import Path
         from repro.lint.engine import LintConfig, run_lint
-        fixture = Path(__file__).parent / "fixtures" / "compile_mutants"
-        result = run_lint(LintConfig(root=fixture,
-                                     select=frozenset({"RL108"})))
-        findings = [f for f in result.findings
-                    if f.check_id == "RL108"]
-        assert len(findings) == 2
-        assert {f.path for f in findings} == \
-            {"compiled_replay_bypass.py"}
-
-    def test_compile_package_is_clean(self):
-        from pathlib import Path
-        from repro.lint.engine import LintConfig, run_lint
-        root = Path(__file__).parent.parent / "src" / "repro"
-        result = run_lint(LintConfig(root=root))
-        assert [f for f in result.findings
-                if f.check_id == "RL108"] == []
-        assert "RL108" in result.checks_run
+        fixture = (Path(__file__).parent / "fixtures" / "compile_mutants"
+                   / "compiled_replay_bypass.py")
+        (tmp_path / "compile").mkdir()
+        shutil.copy(fixture, tmp_path / "compile")
+        result = run_lint(LintConfig(root=tmp_path))
+        line = next(n for n, text in enumerate(
+            fixture.read_text().splitlines(), start=1)
+            if "np.matmul(" in text)
+        assert [(f.check_id, f.path, f.line) for f in result.findings] \
+            == [("RL001", "compile/compiled_replay_bypass.py", line)]
+        assert "np.matmul" in result.findings[0].message

@@ -1,19 +1,16 @@
 """Tests for repro.lint: one seeded violation per check (asserting the
-check id AND the line it fires on), pragma suppression, baseline
-filtering, CLI exit codes, and the meta-test that the shipped tree is
-strict-clean."""
+check id AND the line it fires on), check selection (nothing
+suppresses a finding; an unknown check id is an error), CLI exit
+codes, and the meta-test that the shipped tree is strict-clean."""
 
 import json
 import textwrap
-from collections import Counter
-from pathlib import Path
 
 import pytest
 
 from repro.cli import main as cli_main
-from repro.lint import (Finding, LintConfig, default_scan_root,
-                        load_baseline, run_lint, split_baselined,
-                        write_baseline)
+from repro.lint import (LintConfig, UnknownCheckError, default_scan_root,
+                        run_lint)
 
 
 def lint_snippet(tmp_path, source, relpath="workloads/snippet.py",
@@ -284,6 +281,37 @@ class TestRL004Determinism:
             """, relpath="core/sampling.py")
         assert not by_check(result, "RL004")
 
+    def test_wall_clock_under_every_import_spelling(self, tmp_path):
+        result = lint_snippet(tmp_path, """\
+            import time
+            import time as t
+            from time import time as wall, time_ns
+
+            def stamp():
+                a = time.time(), time.time_ns()
+                b = t.time(), t.time_ns()
+                return a, b, wall(), time_ns()
+            """, relpath="core/stamps.py")
+        found = by_check(result, "RL004")
+        assert [(f.line, f.message.split("(")[0]) for f in found] == [
+            (6, "time.time"), (6, "time.time_ns"),
+            (7, "time.time"), (7, "time.time_ns"),
+            (8, "time.time"), (8, "time.time_ns")]
+        assert all("use time.perf_counter_ns()" in f.message
+                   for f in found if "time_ns" in f.message)
+
+    def test_sleep_is_not_a_clock_read(self, tmp_path):
+        result = lint_snippet(tmp_path, """\
+            import time
+            from time import perf_counter_ns, sleep
+
+            def nap():
+                time.sleep(0.1)
+                sleep(0.1)
+                return time.perf_counter(), perf_counter_ns()
+            """, relpath="core/sleeper.py")
+        assert not by_check(result, "RL004")
+
 
 class TestRL005ContextSafety:
     def test_private_stack_access(self, tmp_path):
@@ -479,26 +507,19 @@ class TestServeZoneCoverage:
 
 
 class TestSuppression:
-    SOURCE = """\
-        import numpy as np
+    """Only check selection narrows a run: no comment or file waves a
+    finding of a check that runs through."""
 
-        def encode(x):
-            y = np.exp(x)  # repro-lint: disable=RL001 -- calibration only
-            return np.tanh(y)
-        """
+    def test_disable_comments_suppress_nothing(self, tmp_path):
+        result = lint_snippet(tmp_path, """\
+            # repro-lint: disable-file=RL001 -- ported as-is
+            import numpy as np
 
-    def test_line_pragma_suppresses_only_its_line(self, tmp_path):
-        result = lint_snippet(tmp_path, self.SOURCE)
-        assert [f.line for f in by_check(result, "RL001")] == [5]
-        assert len(result.suppressed) == 1
-        assert result.suppressed[0].line == 4
-
-    def test_file_pragma_suppresses_module(self, tmp_path):
-        source = "# repro-lint: disable-file=RL001 -- ported as-is\n" + \
-            textwrap.dedent(self.SOURCE)
-        result = lint_snippet(tmp_path, source)
-        assert not by_check(result, "RL001")
-        assert len(result.suppressed) == 2
+            def encode(x):
+                y = np.exp(x)  # repro-lint: disable=RL001 -- calibration
+                return np.tanh(y)
+            """)
+        assert [f.line for f in by_check(result, "RL001")] == [5, 6]
 
     def test_select_limits_checks(self, tmp_path):
         result = lint_snippet(tmp_path, """\
@@ -512,42 +533,15 @@ class TestSuppression:
         assert not by_check(result, "RL001")
         assert len(by_check(result, "RL004")) == 1
 
-
-class TestBaseline:
-    def _findings(self):
-        return [
-            Finding(path="workloads/a.py", line=4, col=0,
-                    check_id="RL001", severity="error", message="m1"),
-            Finding(path="workloads/a.py", line=9, col=0,
-                    check_id="RL001", severity="error", message="m1"),
-            Finding(path="workloads/b.py", line=2, col=0,
-                    check_id="RL004", severity="warning", message="m2"),
-        ]
-
-    def test_round_trip_and_multiplicity(self, tmp_path):
-        findings = self._findings()
-        path = tmp_path / "baseline.json"
-        write_baseline(path, findings[:2])
-        baseline = load_baseline(path)
-        assert baseline == Counter(
-            {("workloads/a.py", "RL001", "m1"): 2})
-        new, old = split_baselined(findings, baseline)
-        assert [f.path for f in new] == ["workloads/b.py"]
-        assert len(old) == 2
-
-    def test_multiplicity_is_consumed(self, tmp_path):
-        findings = self._findings()
-        path = tmp_path / "baseline.json"
-        write_baseline(path, findings[:1])  # one entry, two occurrences
-        new, old = split_baselined(findings[:2], load_baseline(path))
-        assert len(old) == 1 and len(new) == 1
-
-    def test_malformed_baseline_raises(self, tmp_path):
-        from repro.lint import BaselineError
-        path = tmp_path / "baseline.json"
-        path.write_text("[]")
-        with pytest.raises(BaselineError):
-            load_baseline(path)
+    @pytest.mark.parametrize("field", ["select", "ignore"])
+    @pytest.mark.parametrize("entry", ["RL999", "RL9xx", "RL107"])
+    def test_unknown_check_id_raises(self, tmp_path, field, entry):
+        (tmp_path / "empty.py").write_text("X = 1\n")
+        config = LintConfig(root=tmp_path, **{field: {"RL001", entry}})
+        with pytest.raises(UnknownCheckError) as exc:
+            run_lint(config)
+        assert repr(entry) in str(exc.value)
+        assert "RL001, RL002" in str(exc.value)
 
 
 class TestCli:
@@ -581,46 +575,36 @@ class TestCli:
         self._write(tmp_path)
         assert cli_main(["lint", "--format", "json", str(tmp_path)]) == 2
         payload = json.loads(capsys.readouterr().out)
-        assert payload["version"] == 1
+        assert payload["version"] == 2
+        assert set(payload["summary"]) == {
+            "files_scanned", "checks_run", "errors", "warnings"}
         assert payload["summary"]["errors"] == 1
         finding = payload["findings"][0]
         assert finding["check_id"] == "RL001"
         assert finding["path"] == "workloads/bad.py"
         assert finding["line"] == 4
 
-    def test_baseline_grandfathers_findings(self, tmp_path, capsys):
+    @pytest.mark.parametrize("flag", ["--select", "--ignore"])
+    @pytest.mark.parametrize("entry", ["RL999", "RL9xx", "RL107,RL001"])
+    def test_unknown_check_id_exits_3(self, tmp_path, capsys, flag,
+                                      entry):
+        # a mistyped id must not lint nothing and pass
         self._write(tmp_path)
-        baseline = tmp_path / "baseline.json"
-        assert cli_main(["lint", "--update-baseline",
-                         "--baseline", str(baseline), str(tmp_path)]) == 0
-        assert cli_main(["lint", "--baseline", str(baseline),
-                         str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "1 baselined" in out
-
-    def test_bad_baseline_is_internal_error(self, tmp_path, capsys):
-        self._write(tmp_path)
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text("not json")
-        assert cli_main(["lint", "--baseline", str(baseline),
-                         str(tmp_path)]) == 3
-        capsys.readouterr()
+        assert cli_main(["lint", flag, entry, str(tmp_path)]) == 3
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 1
+        assert "unknown check" in out[0]
+        assert repr(entry.split(",")[0]) in out[0]
+        assert "known: RL001, RL002" in out[0]
 
 
 class TestShippedTreeIsClean:
     def test_strict_lint_clean_on_package(self):
         """python -m repro lint --strict must pass on the shipped tree
-        with every check active and no baseline entries."""
+        with every check active (nothing can be suppressed)."""
         result = run_lint(LintConfig(root=default_scan_root()))
         assert result.checks_run == ("RL001", "RL002", "RL003",
                                      "RL004", "RL005", "RL101",
                                      "RL102", "RL103", "RL104",
-                                     "RL105", "RL106", "RL107",
-                                     "RL108")
+                                     "RL105", "RL106")
         assert result.findings == []
-
-    def test_shipped_baseline_is_empty(self):
-        repo_root = Path(__file__).resolve().parent.parent
-        baseline = repo_root / "lint-baseline.json"
-        assert baseline.exists()
-        assert load_baseline(baseline) == Counter()

@@ -1,5 +1,5 @@
-"""Self-profiling ledger and the RL107 clock lint: the
-dispatch-overhead observatory's invariants.
+"""Self-profiling ledger: the dispatch-overhead observatory's
+invariants.
 
 * attribution exactness — the ledgered dispatcher places probes at
   shared segment boundaries, so one op's component deltas telescope:
@@ -9,9 +9,7 @@ dispatch-overhead observatory's invariants.
   without the ledger (counters digest equality), and the scoped flag
   always restores;
 * determinism — the deterministic ledger view (op counts per
-  category) is bit-identical across two seeded runs;
-* RL107 — raw ``time.*`` clock reads are banned from the shipped
-  tree (zero pragmas) and the seeded mutant fixture keeps tripping.
+  category) is bit-identical across two seeded runs.
 """
 
 from __future__ import annotations
@@ -19,17 +17,13 @@ from __future__ import annotations
 import itertools
 import sys
 import threading
-from pathlib import Path
 
 import pytest
 
-from repro.lint.engine import LintConfig, default_scan_root, run_lint
 from repro.obs import selfprof
 from repro.obs.runrec import counters_digest
 from repro.tensor import dispatch
 from repro.workloads import create
-
-MUTANTS = Path(__file__).resolve().parent / "fixtures" / "clock_mutants"
 
 
 def _profile_with_ledger(name="lnn", seed=0):
@@ -181,35 +175,3 @@ class TestDeterminism:
     def test_render_smoke(self):
         _, ledger = _profile_with_ledger("nvsa")
         assert "dispatch-overhead ledger" in ledger.render()
-
-
-class TestLintRL107:
-    def test_mutants_are_flagged(self):
-        result = run_lint(LintConfig(root=MUTANTS, select={"RL107"}))
-        findings = [f for f in result.findings
-                    if f.check_id == "RL107"]
-        assert [f.path for f in findings] == ["raw_clock.py"] * 5
-        flagged = {f.message.split(";")[0] for f in findings}
-        assert any("perf_counter" in m for m in flagged)
-        assert any("time.time" in m for m in flagged)
-        assert any("monotonic" in m for m in flagged)
-
-    def test_shipped_tree_is_clean_without_pragmas(self):
-        result = run_lint(LintConfig(root=default_scan_root(),
-                                     select={"RL107"}))
-        assert [f for f in result.findings
-                if f.check_id == "RL107"] == []
-        assert [f for f in result.suppressed
-                if f.check_id == "RL107"] == []
-
-    def test_approved_helpers_are_exempt(self):
-        clock = default_scan_root() / "obs" / "clock.py"
-        assert clock.exists()
-        source = clock.read_text()
-        assert "perf_counter" in source  # the one place raw clocks live
-
-    def test_sleep_is_not_a_clock_read(self, tmp_path):
-        (tmp_path / "sleeper.py").write_text(
-            "import time\n\ndef nap():\n    time.sleep(0.1)\n")
-        result = run_lint(LintConfig(root=tmp_path, select={"RL107"}))
-        assert result.findings == []

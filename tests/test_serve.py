@@ -628,11 +628,17 @@ class TestLoadgenAndCli:
             assert load_schedule(fh) == schedule
 
     def test_parse_mix_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            parse_mix("")
-        with pytest.raises(ValueError):
-            parse_mix("lnn=0")
+        for bad in ("", "lnn=0", "lnn=abc", "lnn=nan", "lnn=inf"):
+            with pytest.raises(ValueError):
+                parse_mix(bad)
         assert parse_mix("lnn,nvsa") == {"lnn": 1.0, "nvsa": 1.0}
+
+    @pytest.mark.parametrize("field", ["rate", "duration"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_load_spec_rejects_an_endless_schedule(self, field, value):
+        # open_loop would never reach a NaN or infinite horizon
+        with pytest.raises(ValueError, match=field):
+            LoadSpec.make({"lnn": 1.0}, **{field: value})
 
     def test_closed_loop_counts_every_request(self):
         server = InferenceServer(ServeConfig(workers=2))
@@ -677,3 +683,95 @@ class TestLoadgenAndCli:
                      "-o", str(replay_out)]) == 0
         replay = json.loads(replay_out.read_text())
         assert replay["deterministic"] == one["deterministic"]
+
+
+def _serve_cli(argv):
+    """Exit status of ``repro serve ARGV`` (a parse error's included)."""
+    try:
+        return main(["serve"] + argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestCliUsageErrors:
+    """A bad flag value or an output a run cannot write is a usage
+    error: exit 2, one stderr line naming the flag and its value, no
+    work done and never a traceback."""
+
+    BAD_FLAGS = [
+        (["bench", "--mix", "nvsa=abc"], "--mix", "abc"),
+        (["bench", "--mix", "nvsa=0"], "--mix", "0"),
+        (["bench", "--mix", "bogus=1", "--duration", "0.1"],
+         "--mix", "bogus"),
+        (["bench", "--workers", "0"], "--workers", "0"),
+        (["bench", "--queue-depth", "0"], "--queue-depth", "0"),
+        (["bench", "--max-batch", "0"], "--max-batch", "0"),
+        (["bench", "--cache-capacity", "0"], "--cache-capacity", "0"),
+        (["bench", "--seed-pool", "0"], "--seed-pool", "0"),
+        (["bench", "--rate", "0"], "--rate", "0"),
+        (["bench", "--duration", "-1"], "--duration", "-1"),
+        (["bench", "--live-snapshots", "F", "--snapshot-interval", "0"],
+         "--snapshot-interval", "0"),
+        (["bench", "--live-snapshots", "F", "--sample-ratio", "2"],
+         "--sample-ratio", "2"),
+        (["replay", "missing.jsonl"], "schedule", "missing.jsonl"),
+        (["bench", "--loop", "closed", "--clients", "0"],
+         "--clients", "0"),
+        (["bench", "--max-wait-ms", "-1"], "--max-wait-ms", "-1"),
+        (["bench", "--max-retries", "-1"], "--max-retries", "-1"),
+        (["bench", "--timeout", "0"], "--timeout", "0"),
+        (["bench", "--deadline-ms", "-5"], "--deadline-ms", "-5"),
+    ]
+
+    @pytest.mark.parametrize("argv,flag,value", BAD_FLAGS,
+                             ids=[" ".join(case[0]) for case in BAD_FLAGS])
+    def test_bad_flag_value(self, argv, flag, value, tmp_path,
+                            monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert _serve_cli(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1, err
+        assert f"argument {flag}: " in err and value in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("live,flag", [
+        ("bench", "--report"), ("bench", "--trace-jsonl"),
+        ("bench", "--save-schedule"),
+        ("replay", "--report"), ("replay", "--trace-jsonl")])
+    def test_live_run_refuses_outputs_it_cannot_write(self, live, flag,
+                                                      tmp_path, capsys):
+        if live == "bench":
+            argv = ["bench", "--loop", "closed", "--mix", "lnn=1",
+                    "--clients", "1", "--requests-per-client", "1"]
+        else:
+            sched = tmp_path / "sched.jsonl"
+            with open(sched, "w") as fh:
+                save_schedule(lnn_schedule(n=2), fh)
+            argv = ["replay", str(sched), "--realtime"]
+        target = tmp_path / "out"
+        assert _serve_cli(argv + [flag, str(target)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1, err
+        assert f"argument {flag}: " in err and str(target) in err
+        assert not target.exists()
+
+    def test_realtime_replay_accounts_for_every_request(self, tmp_path,
+                                                        capsys):
+        sched, out = tmp_path / "sched.jsonl", tmp_path / "live.json"
+        assert _serve_cli(["bench", "--mix", "lnn=1", "--rate", "20",
+                       "--duration", "0.5", "--seed", "0",
+                       "--save-schedule", str(sched)]) == 0
+        with open(sched) as fh:
+            requests = len(load_schedule(fh))
+        assert requests > 0
+        assert _serve_cli(["replay", str(sched), "--realtime",
+                       "-o", str(out)]) == 0
+        capsys.readouterr()
+        payload = json.loads(out.read_text())
+        det = payload["deterministic"]
+        assert payload["meta"]["mode"] == "replay-realtime"
+        assert det["requests"] == requests
+        assert sum(det["statuses"].values()) == requests
+        assert det["statuses"].get("failed", 0) == 0

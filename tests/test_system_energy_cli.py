@@ -18,6 +18,7 @@ from repro.hwsim import (JETSON_TX2, RTX_2080TI, XEON_4114,
                          estimate_energy, gpu_only_placement, project_trace)
 from repro.core.taxonomy import OpCategory
 from repro.obs.jsonl import trace_to_jsonl_lines
+from repro.workloads import available
 from tests.conftest import cached_trace, fresh_python
 
 
@@ -164,6 +165,21 @@ class TestCLI:
         assert "argument --device: unknown device: '" in err
         assert "bogus" in err and "Jetson TX2" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["characterize", "bogus"], ["functions", "bogus"],
+        ["energy", "bogus"], ["faults", "bogus", "--fault", "nan"],
+        ["trace", "export", "bogus"], ["metrics", "bogus"],
+        ["report", "bogus"], ["obs", "selfprof", "bogus"],
+        ["compile", "diff", "bogus"],
+    ], ids=lambda argv: " ".join(argv[:argv.index("bogus")]))
+    def test_unknown_workload_lists_the_registry(self, argv, capsys):
+        # every verb that takes a workload name: one line naming the
+        # registered workloads (exit 1), never a KeyError traceback
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == (
+            f"unknown workload 'bogus'; available: {available()}")
 
     def test_chrome_verb_is_gone(self, capsys):
         # `repro trace export W --format chrome` is the one exporter
