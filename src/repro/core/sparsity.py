@@ -13,6 +13,7 @@ fraction of every op's output, so this module just aggregates it:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -50,23 +51,25 @@ def stage_sparsity(trace: Trace,
     if stages is None:
         stages = trace.stages()
     allowed = set(last_dim_in) if last_dim_in is not None else None
+    # one pass over the trace, each stage's values in trace order
+    grouped: Dict[str, Tuple[List[float], List[float]]] = {
+        stage: ([], []) for stage in stages}
+    for event in trace:
+        group = grouped.get(event.stage)
+        if group is None:
+            continue
+        elements = math.prod(event.output_shape)
+        if elements < min_elements:
+            continue
+        if allowed is not None:
+            if not event.output_shape or \
+                    event.output_shape[-1] not in allowed:
+                continue
+        group[0].append(event.output_sparsity)
+        group[1].append(float(elements))
     out: List[StageSparsity] = []
     for stage in stages:
-        values: List[float] = []
-        weights: List[float] = []
-        for event in trace:
-            if event.stage != stage:
-                continue
-            elements = int(np.prod(event.output_shape)) \
-                if event.output_shape else 1
-            if elements < min_elements:
-                continue
-            if allowed is not None:
-                if not event.output_shape or \
-                        event.output_shape[-1] not in allowed:
-                    continue
-            values.append(event.output_sparsity)
-            weights.append(float(elements))
+        values, weights = grouped[stage]
         if not values:
             continue
         arr = np.asarray(values)
@@ -89,8 +92,7 @@ def overall_sparsity(trace: Trace, phase: Optional[str] = None) -> float:
     for event in trace:
         if phase is not None and event.phase != phase:
             continue
-        elements = float(np.prod(event.output_shape)) \
-            if event.output_shape else 1.0
+        elements = float(math.prod(event.output_shape))
         num += event.output_sparsity * elements
         den += elements
     return num / den if den else 0.0

@@ -20,7 +20,7 @@ are compute-dominated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.profiler import Trace, TraceEvent
@@ -30,16 +30,20 @@ from repro.hwsim.device import DeviceSpec
 
 @dataclass
 class EventCost:
-    """Projected execution cost of one event on one device."""
+    """Projected execution cost of one event on one device.
+
+    ``total`` is computed once, when the cost is built: every view of
+    a :class:`ProjectedTrace` reads it, several times per event.
+    """
 
     event: TraceEvent
     compute_time: float
     memory_time: float
     overhead: float
+    total: float = field(init=False)
 
-    @property
-    def total(self) -> float:
-        return max(self.compute_time, self.memory_time) + self.overhead
+    def __post_init__(self) -> None:
+        self.total = max(self.compute_time, self.memory_time) + self.overhead
 
     @property
     def bound(self) -> str:
@@ -120,9 +124,8 @@ def project_event(event: TraceEvent, device: DeviceSpec) -> EventCost:
         memory_time = (event.total_bytes / (device.dram_bandwidth * eff_m)
                        if event.total_bytes > 0 and eff_m > 0 else 0.0)
 
-    return EventCost(event=event, compute_time=compute_time,
-                     memory_time=memory_time,
-                     overhead=device.kernel_launch_overhead)
+    return EventCost(event, compute_time, memory_time,
+                     device.kernel_launch_overhead)
 
 
 def project_trace(trace: Trace, device: DeviceSpec) -> ProjectedTrace:

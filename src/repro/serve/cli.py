@@ -18,9 +18,10 @@ schedule, optionally in live wall-clock mode (``--realtime``).
 
 Exit codes: 0 on success, 2 if any request *failed* (degraded and
 rejected requests are expected under load and do not fail the verb).
-A bad flag value, an unreadable schedule, or an output a live run
-cannot write is a usage error: exit 2 with one stderr line naming the
-flag and its value.
+A bad flag value, an unreadable schedule, an output a live run cannot
+write, or a flag a live run would ignore (``--rate`` and
+``--duration`` on ``--loop closed``, ``--max-wait-ms`` on either live
+run) is a usage error: exit 2 with one stderr line naming the flag.
 """
 
 from __future__ import annotations
@@ -76,6 +77,18 @@ _POSITIVE = _checked(float, lambda v: v > 0, "a finite number > 0")
 _WAIT = _checked(float, lambda v: v >= 0, "a finite number >= 0")
 _RATIO = _checked(float, lambda v: 0 <= v <= 1, "a number in [0, 1]")
 
+#: Flags only a planned (virtual-time) run reads: each one's default and
+#: why a live run has no use for it.  They parse to ``None`` when not
+#: given, so a live run can refuse them when they are.
+_BACK_TO_BACK = "its clients send --requests-per-client requests each, " \
+                "back to back"
+_PLANNED_ONLY = {
+    "rate": (100.0, _BACK_TO_BACK),
+    "duration": (10.0, _BACK_TO_BACK),
+    "max_wait_ms": (50.0, "its workers batch whatever is queued when "
+                          "they go idle"),
+}
+
 
 def _mix_arg(text: str) -> str:
     """The argparse ``type=`` of ``--mix``: ``text`` once
@@ -101,12 +114,12 @@ def _add_server_flags(cmd: "argparse.ArgumentParser") -> None:
                           "workers (default rtx)")
     cmd.add_argument("--max-batch", type=_COUNT, default=16,
                      help="dynamic batching size cap (default 16)")
-    cmd.add_argument("--max-wait-ms", type=_WAIT, default=50.0,
+    cmd.add_argument("--max-wait-ms", type=_WAIT, default=None,
                      help="max ms a planned batch stays open (default "
                           "50); virtual-time planning only (bench "
                           "--loop open, replay without --realtime): "
                           "live workers batch whatever is queued "
-                          "when they go idle")
+                          "when they go idle, so a live run refuses it")
     cmd.add_argument("--queue-depth", type=_COUNT, default=256,
                      help="admission bound; excess load is shed "
                           "(default 256)")
@@ -151,11 +164,12 @@ def add_serve_subcommands(sub: "argparse._SubParsersAction") -> None:
     bench.add_argument("--mix", default="nvsa=3,lnn=1", type=_mix_arg,
                        help="workload mix, e.g. nvsa=3,lnn=1 "
                             "(default nvsa=3,lnn=1)")
-    bench.add_argument("--rate", type=_POSITIVE, default=100.0,
-                       help="mean arrivals/second (default 100)")
-    bench.add_argument("--duration", type=_POSITIVE, default=10.0,
+    bench.add_argument("--rate", type=_POSITIVE, default=None,
+                       help="mean arrivals/second (default 100); "
+                            "--loop open only")
+    bench.add_argument("--duration", type=_POSITIVE, default=None,
                        help="schedule horizon in virtual seconds "
-                            "(default 10)")
+                            "(default 10); --loop open only")
     bench.add_argument("--seed", type=int, default=0,
                        help="arrival-process seed (default 0)")
     bench.add_argument("--deadline-ms", type=_POSITIVE, default=None,
@@ -277,6 +291,15 @@ def run_serve_command(args: "argparse.Namespace") -> Optional[int]:
                 args, f"argument --{dest.replace('_', '-')}: nothing to "
                       f"write to {value!r}: a {live} run keeps no batch "
                       f"results or schedule")
+    for dest, (default, why) in _PLANNED_ONLY.items():
+        if not hasattr(args, dest):     # replay takes no --rate
+            continue
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
+        elif live:
+            return _usage_error(
+                args, f"argument --{dest.replace('_', '-')}: a {live} "
+                      f"run ignores it: {why}")
     config = _config_from_args(args)
 
     if args.serve_command == "bench":

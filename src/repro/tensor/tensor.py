@@ -64,13 +64,6 @@ class Tensor:
     def tolist(self) -> list:
         return self.data.tolist()
 
-    @property
-    def sparsity(self) -> float:
-        """Fraction of exactly-zero elements."""
-        if self.data.size == 0:
-            return 0.0
-        return 1.0 - np.count_nonzero(self.data) / self.data.size
-
     def __len__(self) -> int:
         return len(self.data)
 

@@ -25,17 +25,32 @@ from repro.vsa.hypervector import VSASpace
 
 
 class Codebook:
-    """Named hypervectors stored as a (num_symbols, dim) matrix."""
+    """Named hypervectors stored as a (num_symbols, dim) matrix.
+
+    The rows are drawn from ``space.random`` (with ``rng``, else a
+    generator seeded with ``seed``), unless ``matrix`` gives the
+    finished real ``(num_symbols, dim)`` rows; those are stored as
+    float32 and nothing is drawn.
+    """
 
     def __init__(self, space: VSASpace, symbols: Sequence[str],
-                 rng: Optional[np.random.Generator] = None, seed: int = 0):
+                 rng: Optional[np.random.Generator] = None, seed: int = 0,
+                 *, matrix: Optional[np.ndarray] = None):
         if len(set(symbols)) != len(symbols):
             raise ValueError("codebook symbols must be unique")
         self.space = space
         self.symbols: List[str] = list(symbols)
         self._index: Dict[str, int] = {s: i for i, s in enumerate(self.symbols)}
-        rng = rng if rng is not None else np.random.default_rng(seed)
-        self.matrix = space.random(rng, len(self.symbols))
+        if matrix is None:
+            rng = rng if rng is not None else np.random.default_rng(seed)
+            self.matrix = space.random(rng, len(self.symbols))
+        elif np.shape(matrix) != (len(self.symbols), space.dim):
+            raise ValueError(
+                f"codebook matrix has shape {np.shape(matrix)}, expected "
+                f"{(len(self.symbols), space.dim)}")
+        else:
+            self.matrix = T.tensor(np.array(matrix, dtype=np.float32,
+                                            order="C"))
 
     def __len__(self) -> int:
         return len(self.symbols)

@@ -22,6 +22,7 @@ fixpoint, proving derived relations (e.g. ``taught_by``).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -33,6 +34,20 @@ from repro.datasets.kb_gen import university_kb
 from repro.tensor.dispatch import record_region, run_op
 from repro.tensor.tensor import Tensor
 from repro.workloads.base import Workload, WorkloadInfo, register
+
+
+#: Each predicate's argument domains, position by position.  A table's
+#: keys are the row-major product of its position domains, so the row
+#: of one grounding is its per-position domain indices ravelled over
+#: the domain sizes.
+PREDICATE_DOMAINS: Dict[str, Tuple[str, ...]] = {
+    "takes": ("stud", "course"),
+    "teaches": ("prof", "course"),
+    "advises": ("prof", "stud"),
+    "taught_by": ("stud", "prof"),
+    "classmate": ("stud", "stud"),
+    "academic_contact": ("stud", "prof"),
+}
 
 
 @dataclass
@@ -131,17 +146,10 @@ class LNNWorkload(Workload):
         crses = sorted({f[1][0] for f in self.kb.facts("course")})
         self.domains = {"prof": profs, "stud": studs, "course": crses}
 
-        def pairs(a: Sequence[str], b: Sequence[str]) -> List[Tuple[str, ...]]:
-            return [(x, y) for x in a for y in b]
-
         self.tables: Dict[str, PredicateTable] = {
-            "takes": PredicateTable("takes", pairs(studs, crses)),
-            "teaches": PredicateTable("teaches", pairs(profs, crses)),
-            "advises": PredicateTable("advises", pairs(profs, studs)),
-            "taught_by": PredicateTable("taught_by", pairs(studs, profs)),
-            "classmate": PredicateTable("classmate", pairs(studs, studs)),
-            "academic_contact": PredicateTable(
-                "academic_contact", pairs(studs, profs)),
+            pred: PredicateTable(pred, list(itertools.product(
+                *[self.domains[d] for d in domains])))
+            for pred, domains in PREDICATE_DOMAINS.items()
         }
         for pred in ("takes", "teaches", "advises"):
             table = self.tables[pred]
@@ -154,22 +162,22 @@ class LNNWorkload(Workload):
                 "taught_by_rule",
                 body=[("takes", ("x", "z")), ("teaches", ("y", "z"))],
                 head=("taught_by", ("x", "y")),
-                variables={"x": studs, "y": profs, "z": crses}),
+                variables={"x": "stud", "y": "prof", "z": "course"}),
             self._compile_rule(
                 "classmate_rule",
                 body=[("takes", ("x", "z")), ("takes", ("y", "z"))],
                 head=("classmate", ("x", "y")),
-                variables={"x": studs, "y": studs, "z": crses}),
+                variables={"x": "stud", "y": "stud", "z": "course"}),
             self._compile_rule(
                 "contact_taught",
                 body=[("taught_by", ("x", "y"))],
                 head=("academic_contact", ("x", "y")),
-                variables={"x": studs, "y": profs}),
+                variables={"x": "stud", "y": "prof"}),
             self._compile_rule(
                 "contact_advised",
                 body=[("advises", ("y", "x"))],
                 head=("academic_contact", ("x", "y")),
-                variables={"x": studs, "y": profs}),
+                variables={"x": "stud", "y": "prof"}),
         ]
         # near-logical neuron weights (w == 1 is exact logic)
         rng = np.random.default_rng(self.seed)
@@ -182,28 +190,39 @@ class LNNWorkload(Workload):
     def _compile_rule(self, name: str,
                       body: List[Tuple[str, Tuple[str, ...]]],
                       head: Tuple[str, Tuple[str, ...]],
-                      variables: Dict[str, List[str]]) -> CompiledRule:
-        """Ground a rule over the cartesian grid of its typed variables."""
+                      variables: Dict[str, str]) -> CompiledRule:
+        """Ground a rule over the cartesian grid of its typed variables.
+
+        ``variables`` maps each variable to its domain's name.  An
+        atom's rows are index arithmetic: each argument's grid index is
+        mapped onto the table's domain at that position, and the
+        positions are ravelled row-major over the table's domain sizes
+        (:data:`PREDICATE_DOMAINS`).  A constant missing from the
+        table's domain raises ``KeyError``.
+        """
         var_names = list(variables)
-        grids = np.meshgrid(*[np.arange(len(variables[v]))
+        grids = np.meshgrid(*[np.arange(len(self.domains[variables[v]]))
                               for v in var_names], indexing="ij")
         flat = {v: g.reshape(-1) for v, g in zip(var_names, grids)}
-        num = flat[var_names[0]].size
 
         def gather_for(pred: str, args: Tuple[str, ...]) -> GroundAtomRef:
-            table = self.tables[pred]
-            idx = np.empty(num, dtype=np.int64)
-            names = {v: variables[v] for v in args}
-            for g in range(num):
-                key = tuple(names[v][flat[v][g]] for v in args)
-                idx[g] = table.index[key]
-            return GroundAtomRef(pred, idx)
+            positions: List[np.ndarray] = []
+            sizes: List[int] = []
+            for v, domain in zip(args, PREDICATE_DOMAINS[pred]):
+                table_keys = self.domains[domain]
+                where = {key: i for i, key in enumerate(table_keys)}
+                onto = np.array([where[key]
+                                 for key in self.domains[variables[v]]],
+                                dtype=np.int64)
+                positions.append(onto[flat[v]])
+                sizes.append(len(table_keys))
+            return GroundAtomRef(pred, np.ravel_multi_index(positions, sizes))
 
         return CompiledRule(
             name=name,
             body=[gather_for(p, a) for p, a in body],
             head=gather_for(*head),
-            num_groundings=num,
+            num_groundings=flat[var_names[0]].size,
         )
 
     def parameter_bytes(self) -> int:

@@ -84,10 +84,8 @@ def fpe_codebook(space: HolographicSpace, num_values: int,
     matrix = T.astype(T.div(T.mul(rows, d), np.sqrt(d)), np.float32)
     # normalize rows to unit L2 norm so similarities are cosines
     matrix = T.div(matrix, T.norm(matrix, axis=1, keepdims=True))
-    codebook = Codebook(space, [f"v{v}" for v in range(num_values)],
-                        rng=rng)
-    codebook.matrix.data[:] = T.mul(matrix, np.sqrt(d)).numpy()  # dot/d == cosine
-    return codebook
+    return Codebook(space, [f"v{v}" for v in range(num_values)],
+                    matrix=T.mul(matrix, np.sqrt(d)).numpy())  # dot/d == cosine
 
 
 @register("nvsa")
@@ -155,8 +153,6 @@ class NVSAWorkload(Workload):
                   for s in range(domains[0])
                   for z in range(domains[1])
                   for c in range(domains[2])]
-        codebook = Codebook(self.space, combos,
-                            rng=np.random.default_rng(self.seed + 99))
         mats = [self.codebooks[a].matrix.numpy() for a in attrs]
         # bind all (shape, size, color) triples in one broadcast sweep:
         # multiply the three attribute spectra pairwise, C-contiguous
@@ -171,9 +167,9 @@ class NVSAWorkload(Workload):
         # renormalize so dot/d behaves like a cosine against bound
         # query vectors
         norms = T.norm(bound, axis=1, keepdims=True)
-        codebook.matrix.data[:] = T.mul(T.div(bound, norms),
-                                        np.sqrt(self.dim)).numpy()
-        return codebook
+        return Codebook(self.space, combos,
+                        matrix=T.mul(T.div(bound, norms),
+                                     np.sqrt(self.dim)).numpy())
 
     def parameter_bytes(self) -> int:
         return self.frontend.parameter_bytes

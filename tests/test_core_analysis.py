@@ -254,6 +254,33 @@ class TestSparsity:
     def test_missing_stage_yields_nothing(self, nvsa_trace):
         assert stage_sparsity(nvsa_trace, ["nonexistent"]) == []
 
+    @pytest.mark.parametrize("last_dim_in", [None, [5, 6, 10, 300]])
+    def test_one_pass_equals_a_rescan_per_stage(self, nvsa_trace,
+                                                last_dim_in):
+        """Each stage aggregates its events in trace order, exactly as
+        a rescan of the whole trace per stage would."""
+        stages = nvsa_trace.stages() + ["pmf_to_vsa", "nonexistent"]
+        want = []
+        for stage in stages:
+            kept = [e for e in nvsa_trace if e.stage == stage
+                    and int(np.prod(e.output_shape)) >= 2
+                    and (last_dim_in is None or (
+                        e.output_shape and e.output_shape[-1] in last_dim_in))]
+            if not kept:
+                continue
+            values = np.asarray([e.output_sparsity for e in kept])
+            weights = np.asarray([float(np.prod(e.output_shape))
+                                  for e in kept])
+            want.append((stage, float(values.mean()), float(values.max()),
+                         float(values.min()),
+                         float((values * weights).sum() / weights.sum()),
+                         len(kept)))
+        got = [(s.stage, s.mean, s.maximum, s.minimum, s.weighted_mean,
+                s.num_events)
+               for s in stage_sparsity(nvsa_trace, stages,
+                                       last_dim_in=last_dim_in)]
+        assert got == want
+
 
 class TestScaling:
     def test_nvsa_scaling_study(self):

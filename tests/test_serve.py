@@ -757,6 +757,48 @@ class TestCliUsageErrors:
         assert f"argument {flag}: " in err and str(target) in err
         assert not target.exists()
 
+    @pytest.mark.parametrize("live,flag,value", [
+        ("bench", "--rate", "100"), ("bench", "--duration", "1"),
+        ("bench", "--max-wait-ms", "10"),
+        ("replay", "--max-wait-ms", "10")])
+    def test_live_run_refuses_flags_it_would_ignore(self, live, flag, value,
+                                                    tmp_path, monkeypatch,
+                                                    capsys):
+        def refuse(server):
+            raise AssertionError("a refused run started serving")
+
+        monkeypatch.setattr(InferenceServer, "start", refuse)
+        if live == "bench":
+            argv = ["bench", "--loop", "closed", "--mix", "lnn=1",
+                    "--clients", "1", "--requests-per-client", "1"]
+        else:
+            sched = tmp_path / "sched.jsonl"
+            with open(sched, "w") as fh:
+                save_schedule(lnn_schedule(n=2), fh)
+            argv = ["replay", str(sched), "--realtime"]
+        target = tmp_path / "stats.json"
+        assert _serve_cli(argv + [flag, value, "-o", str(target)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1, err
+        assert f"argument {flag}: " in err and "ignores it" in err
+        assert not target.exists()
+
+    def test_planned_runs_keep_their_defaults(self, tmp_path, monkeypatch,
+                                              capsys):
+        import repro.serve.cli as serve_cli
+        full = serve_cli.open_loop
+        # serve the schedule's first requests only: the meta is checked
+        monkeypatch.setattr(serve_cli, "open_loop",
+                            lambda spec: full(spec)[:4])
+        out = tmp_path / "open.json"
+        assert _serve_cli(["bench", "--mix", "lnn=1", "--seed", "0",
+                           "-o", str(out)]) == 0
+        capsys.readouterr()
+        meta = json.loads(out.read_text())["meta"]
+        assert (meta["rate"], meta["duration"], meta["max_wait_ms"]) == \
+            (100.0, 10.0, 50.0)
+
     def test_realtime_replay_accounts_for_every_request(self, tmp_path,
                                                         capsys):
         sched, out = tmp_path / "sched.jsonl", tmp_path / "live.json"

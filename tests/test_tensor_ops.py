@@ -366,6 +366,49 @@ class TestEventAccounting:
         assert event.flops == 0
 
 
+class TestSparsityCount:
+    """The dispatcher's sparsity equals the plain ``count_nonzero``
+    zero fraction bit for bit, whichever count it picks."""
+
+    @staticmethod
+    def _values(dtype, size):
+        rng = np.random.default_rng(size)
+        if dtype == np.bool_:
+            return rng.random(size) < 0.4
+        if np.issubdtype(dtype, np.integer):
+            return rng.integers(-2, 3, size).astype(dtype)
+        arr = rng.standard_normal(size).astype(dtype)
+        arr[rng.random(size) < 0.5] = 0.0
+        specials = [np.nan, -0.0, 0.0, np.inf, -np.inf, -0.0, np.nan]
+        arr[:len(specials)] = specials
+        return arr
+
+    @staticmethod
+    def _plain(arr):
+        return 1.0 - np.count_nonzero(arr) / arr.size
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64,
+                                       np.bool_, np.int8, np.int64])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_equals_plain_count_around_threshold(self, dtype, offset):
+        from repro.tensor.dispatch import (_SPARSITY_COMPARE_MIN,
+                                           _measure_sparsity)
+        arr = self._values(dtype, _SPARSITY_COMPARE_MIN + offset)
+        assert _measure_sparsity(arr).hex() == self._plain(arr).hex()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_non_contiguous_and_0d(self, dtype):
+        from repro.tensor.dispatch import (_SPARSITY_COMPARE_MIN,
+                                           _measure_sparsity)
+        base = self._values(dtype, 6 * _SPARSITY_COMPARE_MIN)
+        views = [base[::3], base.reshape(-1, 6)[:, ::2].T,
+                 np.asarray(base[3]), np.asarray(dtype(-0.0))]
+        assert not views[0].flags.c_contiguous
+        assert views[2].ndim == 0
+        for view in views:
+            assert _measure_sparsity(view).hex() == self._plain(view).hex()
+
+
 class TestClassifiedErrors:
     """Degenerate/boundary inputs must fail as TensorOpError (the
     classified terminal state the fuzzer's oracle distinguishes from a

@@ -132,6 +132,20 @@ class TestCodebook:
         with pytest.raises(ValueError):
             Codebook(BipolarSpace(64), ["a", "a"])
 
+    def test_finished_matrix_is_stored_as_float32(self):
+        rows = np.random.default_rng(0).normal(size=(3, 64))
+        cb = Codebook(BipolarSpace(64), ["a", "b", "c"], matrix=rows)
+        assert cb.matrix.dtype == np.float32
+        assert cb.matrix.numpy().flags.c_contiguous
+        np.testing.assert_array_equal(cb.matrix.numpy(),
+                                      rows.astype(np.float32))
+        rows[:] = 0.0           # the codebook keeps its own copy
+        assert np.count_nonzero(cb.matrix.numpy()) == 3 * 64
+
+    def test_finished_matrix_shape_checked(self):
+        with pytest.raises(ValueError, match="shape"):
+            Codebook(BipolarSpace(64), ["a", "b"], matrix=np.zeros((3, 64)))
+
     def test_vectors_stacking(self):
         cb = Codebook(BipolarSpace(256), ["a", "b", "c"], seed=2)
         stacked = cb.vectors(["c", "a"])

@@ -56,6 +56,75 @@ class TestLNN:
         assert "scatter_min" in names
 
 
+def _lookup_gathers(workload, body, head, variables):
+    """Reference grounding: one key tuple and one ``PredicateTable.index``
+    lookup per grounding, for every body atom and then the head."""
+    names = {v: workload.domains[d] for v, d in variables.items()}
+    var_names = list(names)
+    grids = np.meshgrid(*[np.arange(len(names[v])) for v in var_names],
+                        indexing="ij")
+    flat = {v: g.reshape(-1) for v, g in zip(var_names, grids)}
+    num = flat[var_names[0]].size
+
+    def gather_for(pred, args):
+        table = workload.tables[pred]
+        idx = np.empty(num, dtype=np.int64)
+        for g in range(num):
+            key = tuple(names[v][flat[v][g]] for v in args)
+            idx[g] = table.index[key]
+        return idx
+
+    return [gather_for(p, a) for p, a in body] + [gather_for(*head)]
+
+
+class TestLNNGrounding:
+    """Index-arithmetic grounding equals the per-grounding dict lookup."""
+
+    SIZES = [
+        {},                                        # the default KB
+        {"professors_per_dept": 1},                # one professor each
+        {"num_departments": 3, "professors_per_dept": 3,
+         "students_per_dept": 11, "courses_per_dept": 4},  # stud0_10 < stud0_2
+    ]
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("size", SIZES, ids=["default", "one-prof",
+                                                 "three-dept"])
+    def test_gathers_equal_dict_lookup(self, size, seed, monkeypatch):
+        compiled = []
+        ground = LNNWorkload._compile_rule
+
+        def capture(self, name, body, head, variables):
+            rule = ground(self, name, body, head, variables)
+            compiled.append((rule, body, head, variables))
+            return rule
+
+        monkeypatch.setattr(LNNWorkload, "_compile_rule", capture)
+        w = LNNWorkload(seed=seed, **size)
+        w.build()
+        assert [r.name for r, *_ in compiled] == [r.name for r in w.rules]
+        atoms = set()
+        for rule, body, head, variables in compiled:
+            want = _lookup_gathers(w, body, head, variables)
+            got = [atom.gather for atom in rule.body + [rule.head]]
+            assert len(got) == len(want)
+            for g, x in zip(got, want):
+                assert g.dtype == np.int64
+                np.testing.assert_array_equal(g, x)
+            atoms.update((p, a) for p, a in body + [head])
+        # an atom whose argument order is not the grid's variable order
+        assert ("advises", ("y", "x")) in atoms
+
+    def test_constant_missing_from_table_raises_key_error(self):
+        w = LNNWorkload(seed=0)
+        w.build()
+        # takes/2 holds students first: a professor is not among them
+        with pytest.raises(KeyError):
+            w._compile_rule("mistyped", body=[("takes", ("x", "z"))],
+                            head=("taught_by", ("x", "x")),
+                            variables={"x": "prof", "z": "course"})
+
+
 class TestLTN:
     @pytest.fixture(scope="class")
     def trace(self):

@@ -39,6 +39,85 @@ class TestFPECodebook:
         np.testing.assert_allclose(np.diag(gram), np.ones(10), atol=0.01)
 
 
+def _drawn_then_overwritten_fpe(space, num_values, seed):
+    """Reference FPE codebook: draw random rows, then overwrite them."""
+    import repro.tensor as T
+    from repro.vsa.codebook import Codebook
+    d = space.dim
+    rng = np.random.default_rng(seed)
+    half = d // 2 + 1
+    phases = (2.0 * np.pi / num_values) * rng.integers(0, num_values, half)
+    phases[0] = 0.0
+    if d % 2 == 0:
+        phases[-1] = 0.0
+    spectra = T.exp(T.mul(1j, T.outer(np.arange(num_values), phases)))
+    rows = T.irfft(spectra, n=d)
+    matrix = T.astype(T.div(T.mul(rows, d), np.sqrt(d)), np.float32)
+    matrix = T.div(matrix, T.norm(matrix, axis=1, keepdims=True))
+    codebook = Codebook(space, [f"v{v}" for v in range(num_values)],
+                        rng=rng)
+    codebook.matrix.data[:] = T.mul(matrix, np.sqrt(d)).numpy()
+    return codebook
+
+
+def _drawn_then_overwritten_combination(workload):
+    """Reference combination codebook: draw random rows, then overwrite
+    them with the bound (shape, size, color) triples."""
+    import repro.tensor as T
+    from repro.vsa.codebook import Codebook
+    attrs = list(rpm.ATTRIBUTES)
+    domains = [rpm.ATTRIBUTES[a] for a in attrs]
+    combos = [f"{s}|{z}|{c}" for s in range(domains[0])
+              for z in range(domains[1]) for c in range(domains[2])]
+    codebook = Codebook(workload.space, combos,
+                        rng=np.random.default_rng(workload.seed + 99))
+    mats = [workload.codebooks[a].matrix.numpy() for a in attrs]
+    half = workload.dim // 2 + 1
+    fs = T.reshape(T.rfft(mats[0]), (domains[0], 1, 1, half))
+    fz = T.reshape(T.rfft(mats[1]), (1, domains[1], 1, half))
+    fc = T.reshape(T.rfft(mats[2]), (1, 1, domains[2], half))
+    spectra = T.reshape(T.mul(T.mul(fs, fz), fc), (len(combos), half))
+    bound = T.astype(T.irfft(spectra, n=workload.dim), np.float32)
+    norms = T.norm(bound, axis=1, keepdims=True)
+    codebook.matrix.data[:] = T.mul(T.div(bound, norms),
+                                    np.sqrt(workload.dim)).numpy()
+    return codebook
+
+
+class TestNVSABuild:
+    """The NVSA build draws no random rows that it then overwrites."""
+
+    def test_build_draws_no_random_rows(self, monkeypatch):
+        draws = []
+        draw = HolographicSpace.random
+
+        def counted(self, rng, n=1):
+            draws.append(n)
+            return draw(self, rng, n)
+
+        monkeypatch.setattr(HolographicSpace, "random", counted)
+        NVSAWorkload(seed=0).build()
+        assert draws == []
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_codebooks_equal_draw_then_overwrite(self, seed):
+        w = NVSAWorkload(seed=seed)
+        w.build()
+        for i, (attr, domain) in enumerate(rpm.ATTRIBUTES.items()):
+            want = _drawn_then_overwritten_fpe(w.space, domain,
+                                               seed + 13 * i)
+            got = w.codebooks[attr]
+            assert got.symbols == want.symbols
+            assert got.matrix.dtype == np.float32
+            assert got.matrix.numpy().tobytes() == \
+                want.matrix.numpy().tobytes()
+        want = _drawn_then_overwritten_combination(w)
+        got = w.combination_codebook
+        assert got.symbols == want.symbols
+        assert got.matrix.dtype == np.float32
+        assert got.matrix.numpy().tobytes() == want.matrix.numpy().tobytes()
+
+
 class TestTemplateDecoder:
     def test_exact_decode(self):
         templates = decode_panel_templates(32)
