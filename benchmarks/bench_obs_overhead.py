@@ -3,8 +3,8 @@
 The budget: what ``repro metrics`` adds on top of a profile must cost
 <5% of the profile.  A profile records nothing for metrics while it
 runs; the only added work is one
-:meth:`repro.obs.metrics.RuntimeMetrics.observe_trace`, which folds
-the closed trace into the op instruments.
+:func:`repro.obs.metrics.fold_trace`, which folds the closed trace
+into the op metric families.
 
 The fold of the workload's real trace is micro-timed (``FOLDS`` folds
 per round, best round), and its cost per profile is divided by the
@@ -18,7 +18,7 @@ from __future__ import annotations
 import time
 
 from repro.core.report import format_time, render_table
-from repro.obs.metrics import RuntimeMetrics
+from repro.obs.metrics import fold_trace
 from repro.workloads import create
 
 from conftest import emit
@@ -42,11 +42,10 @@ def _timed(fn) -> float:
 
 
 def _fold_cost(events) -> float:
-    """Seconds per event of folding ``events`` into a live runtime."""
-    runtime = RuntimeMetrics()
+    """Seconds per event of folding ``events`` into the op metrics."""
     start = time.perf_counter()
     for _ in range(FOLDS):
-        runtime.observe_trace(events)
+        fold_trace(events)
     return (time.perf_counter() - start) / (FOLDS * len(events))
 
 
@@ -102,7 +101,7 @@ def test_obs_overhead(benchmark):
         ["workload", "events", "plain profile", "fold per event",
          "fold overhead"], rows,
         title="metrics fold on top of a profile "
-              f"(budget {OVERHEAD_BUDGET:.0%}; observe_trace folds the "
+              f"(budget {OVERHEAD_BUDGET:.0%}; fold_trace folds the "
               f"closed trace, sid attribution = {per_sid * 1e6:.2f} "
               f"us/op, best of {ROUNDS})"),
         rows=rows,
@@ -116,7 +115,7 @@ def test_obs_overhead(benchmark):
         assert overhead < OVERHEAD_BUDGET, (
             f"{name}: metrics fold overhead {overhead:.1%} exceeds "
             f"{OVERHEAD_BUDGET:.0%} budget "
-            f"(observe_trace {per_event[name]:.2f} us/event)")
+            f"(fold_trace {per_event[name]:.2f} us/event)")
 
 
 # -- live telemetry (PR 8) ---------------------------------------------------

@@ -48,11 +48,19 @@ from repro.hwsim.devices import device_arg, get_device
 from repro.hwsim.energy import estimate_energy
 from repro.hwsim.latency import project_trace
 from repro.resilience.faults import FAULT_KINDS, FaultPlan, FaultSpec
-from repro.workloads import PAPER_ORDER, available, create
+from repro.workloads import PAPER_ORDER, available, create, workload_arg
+
+
+class _OneLineErrors(argparse.ArgumentParser):
+    """A usage error is one stderr line (exit 2), without the verb's
+    long usage block; every verb's parser inherits this class."""
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {message}\n")
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _OneLineErrors(
         prog="repro",
         description="Neuro-symbolic workload characterization suite")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -65,7 +73,8 @@ def _build_parser() -> argparse.ArgumentParser:
             ("energy", "energy estimate on a device"),
     ):
         cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("workload", help="registered workload name")
+        cmd.add_argument("workload", type=workload_arg,
+                         help="registered workload name")
         cmd.add_argument("--device", default="rtx", type=device_arg,
                          help="device name or alias (default rtx)")
         cmd.add_argument("--seed", type=int, default=0)
@@ -98,7 +107,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "faults",
         help="run one workload under a deterministic fault-injection "
              "plan and report its health")
-    faults.add_argument("workload", help="registered workload name")
+    faults.add_argument("workload", type=workload_arg,
+                        help="registered workload name")
     faults.add_argument("--fault", required=True,
                         choices=list(FAULT_KINDS),
                         help="fault kind to inject")
@@ -144,23 +154,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _require_workload(name: str) -> None:
-    if name not in available():
-        raise SystemExit(
-            f"unknown workload {name!r}; available: {available()}")
-
-
 def _read_trace_log(path: str) -> Trace:
     """Load and validate a JSONL trace log as ``characterize`` would;
     any failure exits with one line on stderr, never a traceback."""
-    from repro.obs.jsonl import read_jsonl
-    try:
-        trace = read_jsonl(path)
-    except OSError as exc:
-        raise SystemExit(
-            f"repro analyze-trace: {path}: {exc.strerror or exc}")
-    except ValueError as exc:
-        raise SystemExit(f"repro analyze-trace: {path}: {exc}")
+    from repro.obs.cli import read_trace_log
+    trace = read_trace_log(path, "analyze-trace")
     errors = validate_trace(
         trace, expected_phases=(PHASE_NEURAL, PHASE_SYMBOLIC)).errors
     if errors:
@@ -194,7 +192,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.command == "compile":
         from repro.compile.cli import run_compile_command
-        _require_workload(args.workload)
         return run_compile_command(args)
 
     if args.command == "analyze-trace":
@@ -225,7 +222,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     if args.command == "faults":
-        _require_workload(args.workload)
         from repro.resilience.runner import ResilientRunner
         device = get_device(args.device)
         try:
@@ -268,7 +264,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(report.render())
         return 0 if report.healthy else 1
 
-    _require_workload(args.workload)
     device = get_device(args.device)
 
     if args.command == "characterize":

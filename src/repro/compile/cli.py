@@ -31,7 +31,9 @@ def add_compile_subcommands(sub: "argparse._SubParsersAction") -> None:
                                        required=True)
     diff = inner.add_parser(
         "diff", help="bit-exactness check: eager vs replay of its trace")
-    diff.add_argument("workload", help="registered workload name")
+    from repro.workloads import workload_arg
+    diff.add_argument("workload", type=workload_arg,
+                      help="registered workload name")
     diff.add_argument("--seed", type=int, default=0)
     diff.add_argument("--json", action="store_true",
                       help="print the comparison as JSON")

@@ -24,8 +24,7 @@ event at each op's eid:
 3. eid, phase/stage, span id and timing are taken fresh, and the op
    goes through the same record, observer and ledger code as an
    eager op, so the replayed trace folds into the same op metrics
-   (:meth:`repro.obs.metrics.RuntimeMetrics.observe_trace`) as the
-   eager one.
+   (:func:`repro.obs.metrics.fold_trace`) as the eager one.
 
 Events recorded through ``record_event`` / ``record_region`` re-record
 eagerly at their own position; only their live bytes come from the

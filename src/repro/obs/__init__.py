@@ -5,10 +5,10 @@ Three altitudes of visibility over the characterization suite:
 * **within a run** — :mod:`repro.obs.spans` collects a hierarchical
   span timeline (profile / phase / stage / runner attempts) on top of
   the flat op trace;
-* **over a closed run** — :mod:`repro.obs.metrics` folds a closed
-  trace into Prometheus-style op instruments when asked for
-  (``repro metrics W``, rendered by :mod:`repro.obs.prom`); there is
-  no process-wide registry, so nothing is collected while a run
+* **over a closed run** — :func:`repro.obs.metrics.fold_trace` folds
+  a closed trace into the op metric families when asked for
+  (``repro metrics W`` prints them as Prometheus text or JSON); there
+  is no process-wide registry, so nothing is collected while a run
   executes;
 * **between runs** — :mod:`repro.obs.history` appends one entry per
   recording into the committed ``benchmarks/history.jsonl``: exact
@@ -47,9 +47,8 @@ from repro.obs.kstats import (CATEGORY_MIX, KernelStats,
                               archetype_kstats, kstats_by_category,
                               kstats_by_span, render_kstats,
                               synthesize_kstats)
-from repro.obs.metrics import (Counter, Gauge, Histogram,
-                               MetricsRegistry, RuntimeMetrics)
-from repro.obs.prom import render_registry
+from repro.obs.metrics import (Distribution, fold_trace, render_json,
+                               render_prometheus)
 from repro.obs.report import render_report, write_report
 from repro.obs.runrec import counters_digest
 from repro.obs.spans import (SpanCollector, SpanRecord, children_of,
@@ -57,15 +56,15 @@ from repro.obs.spans import (SpanCollector, SpanRecord, children_of,
                              span_roots, tracing_active)
 
 __all__ = [
-    "BurnRateMonitor", "CATEGORY_COLORS", "CATEGORY_MIX", "Counter",
-    "FLAME_WEIGHTS", "Gauge", "Histogram", "KernelStats",
-    "LiveTelemetry", "MetricsRegistry", "RuntimeMetrics",
+    "BurnRateMonitor", "CATEGORY_COLORS", "CATEGORY_MIX", "Distribution",
+    "FLAME_WEIGHTS", "KernelStats", "LiveTelemetry",
     "SnapshotAggregator", "SpanCollector", "SpanRecord",
     "TailSamplingPolicy", "archetype_kstats", "children_of",
-    "collapsed_stacks", "counters_digest", "current_span",
+    "collapsed_stacks", "counters_digest", "current_span", "fold_trace",
     "kstats_by_category", "kstats_by_span", "now", "read_jsonl",
-    "render_kstats", "render_registry", "render_report", "render_spans",
-    "span", "span_roots", "synthesize_kstats", "trace_from_jsonl_lines",
+    "render_json", "render_kstats", "render_prometheus", "render_report",
+    "render_spans", "span", "span_roots",
+    "synthesize_kstats", "trace_from_jsonl_lines",
     "trace_to_chrome", "trace_to_chrome_events",
     "trace_to_flame", "trace_to_jsonl", "tracing_active", "write_flame",
     "write_report",

@@ -34,7 +34,30 @@ import argparse
 import json
 from typing import Optional
 
+from repro.core.profiler import Trace
+from repro.workloads import create, workload_arg
+
 OBS_COMMANDS = ("trace", "metrics", "report", "obs")
+
+
+def _trace_source(value: str) -> str:
+    """``trace export``'s positional: a ``.jsonl`` trace log path (read
+    when the verb runs), else a registered workload
+    (:func:`workload_arg`)."""
+    return value if value.endswith(".jsonl") else workload_arg(value)
+
+
+def read_trace_log(path: str, verb: str) -> Trace:
+    """Load a JSONL trace log for ``repro VERB``: an unreadable or
+    malformed log exits 1 with one line naming the path (and the bad
+    line), never a traceback."""
+    from repro.obs.jsonl import read_jsonl
+    try:
+        return read_jsonl(path)
+    except OSError as exc:
+        raise SystemExit(f"repro {verb}: {path}: {exc.strerror or exc}")
+    except ValueError as exc:
+        raise SystemExit(f"repro {verb}: {path}: {exc}")
 
 
 def add_obs_subcommands(sub: "argparse._SubParsersAction") -> None:
@@ -47,7 +70,7 @@ def add_obs_subcommands(sub: "argparse._SubParsersAction") -> None:
                        "log) and export its timeline")
     from repro.hwsim.devices import device_arg
     from repro.obs.flame import FLAME_WEIGHTS
-    export.add_argument("workload",
+    export.add_argument("workload", type=_trace_source,
                         help="registered workload name, or a path to "
                              "an existing .jsonl trace log (e.g. from "
                              "repro serve bench --trace-jsonl)")
@@ -74,7 +97,8 @@ def add_obs_subcommands(sub: "argparse._SubParsersAction") -> None:
         "metrics",
         help="profile a workload and print the op metrics folded "
              "from its trace")
-    metrics.add_argument("workload", help="registered workload name")
+    metrics.add_argument("workload", type=workload_arg,
+                         help="registered workload name")
     metrics.add_argument("--format", default="prom",
                          choices=("prom", "json"),
                          help="Prometheus text or JSON snapshot")
@@ -84,7 +108,8 @@ def add_obs_subcommands(sub: "argparse._SubParsersAction") -> None:
         "report",
         help="profile a workload and write a self-contained HTML "
              "run report")
-    report.add_argument("workload", help="registered workload name")
+    report.add_argument("workload", type=workload_arg,
+                        help="registered workload name")
     report.add_argument("--device", default="rtx", type=device_arg,
                         help="device name or alias (default rtx)")
     report.add_argument("-o", "--output", default=None,
@@ -107,7 +132,8 @@ def add_obs_subcommands(sub: "argparse._SubParsersAction") -> None:
         "selfprof",
         help="profile a workload under the self-profiling ledger and "
              "print the per-component dispatch-overhead rollup")
-    selfprof.add_argument("workload", help="registered workload name")
+    selfprof.add_argument("workload", type=workload_arg,
+                          help="registered workload name")
     selfprof.add_argument("--seed", type=int, default=0)
     selfprof.add_argument("--json", action="store_true",
                           help="print the full ledger as JSON "
@@ -146,27 +172,18 @@ def add_obs_subcommands(sub: "argparse._SubParsersAction") -> None:
     h_gate.add_argument("--db", default=DEFAULT_HISTORY)
 
 
-def _profile(workload: str, seed: int):
-    from repro.workloads import available, create
-    if workload not in available():
-        raise SystemExit(
-            f"unknown workload {workload!r}; available: {available()}")
-    return create(workload, seed=seed).profile()
-
-
 def _run_trace(args: argparse.Namespace) -> int:
-    import os
     from repro.hwsim.devices import get_device
     from repro.obs.chrome import trace_to_chrome
     from repro.obs.flame import trace_to_flame
-    from repro.obs.jsonl import read_jsonl, trace_to_jsonl
+    from repro.obs.jsonl import trace_to_jsonl
     group = getattr(args, "group_by_request", False)
-    if args.workload.endswith(".jsonl") and os.path.exists(args.workload):
+    if args.workload.endswith(".jsonl"):
         # re-export an existing log (e.g. a serving trace) instead of
         # profiling — the path is the trace source
-        trace = read_jsonl(args.workload)
+        trace = read_trace_log(args.workload, "trace export")
     else:
-        trace = _profile(args.workload, args.seed)
+        trace = create(args.workload, seed=args.seed).profile()
     if group:
         trace.spans = sorted(
             trace.spans, key=lambda s: (s.trace_id or "", s.start, s.sid))
@@ -202,7 +219,7 @@ def _run_report(args: argparse.Namespace) -> int:
             history = load_history(args.history)
         except (OSError, HistoryError) as exc:
             raise SystemExit(f"repro report: {exc}")
-    trace = _profile(args.workload, args.seed)
+    trace = create(args.workload, seed=args.seed).profile()
     output = args.output or f"{args.workload}_report.html"
     write_report(trace, output, device=device, history=history)
     print(f"wrote {output} ({len(trace)} events, "
@@ -212,22 +229,18 @@ def _run_report(args: argparse.Namespace) -> int:
 
 
 def _run_metrics(args: argparse.Namespace) -> int:
-    from repro.obs.metrics import RuntimeMetrics
-    from repro.obs.prom import render_registry
-    runtime = RuntimeMetrics()
-    runtime.observe_trace(_profile(args.workload, args.seed).events)
-    if args.format == "json":
-        print(json.dumps(runtime.registry.snapshot(), indent=1,
-                         sort_keys=True))
-    else:
-        print(render_registry(runtime.registry), end="")
+    from repro.obs.metrics import fold_trace, render_json, render_prometheus
+    render = render_json if args.format == "json" else render_prometheus
+    families = fold_trace(create(args.workload, seed=args.seed)
+                          .profile().events)
+    print(render(families), end="")
     return 0
 
 
 def _run_selfprof(args: argparse.Namespace) -> int:
     from repro.obs import selfprof
     with selfprof.scoped_ledger() as ledger:
-        _profile(args.workload, args.seed)
+        create(args.workload, seed=args.seed).profile()
     if args.json:
         print(json.dumps(ledger.to_dict(), indent=1, sort_keys=True))
     else:

@@ -42,17 +42,9 @@ from repro.serve.loadgen import (LoadSpec, load_schedule, open_loop,
 from repro.serve.request import STATUS_FAILED
 from repro.serve.server import InferenceServer, ServeConfig
 from repro.serve.stats import ServerStats
-from repro.workloads import available
+from repro.workloads import workload_arg
 
 SERVE_COMMANDS = ("serve",)
-
-
-class _OneLineErrors(argparse.ArgumentParser):
-    """A serve verb's parser: a usage error is one stderr line (exit 2),
-    without the verb's long usage block."""
-
-    def error(self, message: str):
-        self.exit(2, f"{self.prog}: error: {message}\n")
 
 
 def _checked(kind: Callable[[str], float], accept: Callable[[float], bool],
@@ -93,15 +85,13 @@ _PLANNED_ONLY = {
 def _mix_arg(text: str) -> str:
     """The argparse ``type=`` of ``--mix``: ``text`` once
     :func:`parse_mix` accepts it and it names only registered
-    workloads."""
+    workloads (:func:`workload_arg`)."""
     try:
         names = parse_mix(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-    unknown = [name for name in names if name not in available()]
-    if unknown:
-        raise argparse.ArgumentTypeError(
-            f"unknown workload {unknown[0]!r}; available: {available()}")
+    for name in names:
+        workload_arg(name)
     return text
 
 
@@ -156,8 +146,7 @@ def add_serve_subcommands(sub: "argparse._SubParsersAction") -> None:
         "serve",
         help="batched concurrent inference serving: bench a seeded "
              "load or replay a saved schedule")
-    inner = serve.add_subparsers(dest="serve_command", required=True,
-                                 parser_class=_OneLineErrors)
+    inner = serve.add_subparsers(dest="serve_command", required=True)
 
     bench = inner.add_parser(
         "bench", help="serve a deterministic seeded open-loop load")
@@ -264,9 +253,8 @@ def _emit(args: "argparse.Namespace", stats: ServerStats,
 
 
 def _exit_code(stats: ServerStats) -> int:
-    failed = sum(int(v) for key, v in stats.requests.samples()
-                 if key[1] == STATUS_FAILED)
-    return 2 if failed else 0
+    statuses = stats.summary()["deterministic"]["statuses"]  # type: ignore[index]
+    return 2 if statuses[STATUS_FAILED] else 0
 
 
 def _usage_error(args: "argparse.Namespace", message: str) -> int:

@@ -1,8 +1,9 @@
 """Server-side SLO accounting: latency percentiles, throughput, shed load.
 
-:class:`ServerStats` owns a private
-:class:`~repro.obs.metrics.MetricsRegistry` and splits every figure
-into two strictly separated sections:
+:class:`ServerStats` keeps plain status, rejection-reason and
+per-workload counts and per-workload latency
+:class:`~repro.obs.metrics.Distribution` s under one lock, and splits
+every figure into two strictly separated sections:
 
 * ``deterministic`` — everything derived from virtual time and
   modeled device latency: request/batch/rejection counts, queue-wait
@@ -16,218 +17,171 @@ into two strictly separated sections:
   earlier batch of the key, perhaps still running on another worker,
   has already kept its plan.
 
-Latency histograms use quarter-decade buckets from 10 µs to ~100 s so
-p50/p95/p99 interpolation stays tight across the whole range a
-batched symbolic workload can span.
+Latency distributions use quarter-decade buckets from 10 µs to ~100 s
+so p50/p95/p99 interpolation stays tight across the whole range a
+batched symbolic workload can span.  An all-workload block merges the
+per-workload distributions in sorted workload order.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Optional
+from collections import defaultdict
+from typing import DefaultDict, Dict, List
 
 from repro.core.report import format_time, render_table
-from repro.obs.metrics import Histogram, MetricsRegistry
+from repro.obs.metrics import Distribution
 from repro.resilience.runner import FALLBACK, REPLAYED
 from repro.serve.pool import BatchResult
-from repro.serve.queue import REJECT_REASONS
 from repro.serve.request import (REQUEST_STATUSES, STATUS_REJECTED,
                                  Response)
 
 #: quarter-decade log buckets, 1e-5 s .. ~178 s
 SERVE_LATENCY_BUCKETS = tuple(10.0 ** (-5 + 0.25 * i) for i in range(29))
 
-_QUANTILES = (50.0, 95.0, 99.0)
-#: the all-workload block of a histogram nothing was observed in
+#: the distributions kept per workload: five virtual-clock stages of
+#: each response, then the measured execution wall of each batch
+_STAGES = ("queue_wait", "latency", "service", "assemble_wait",
+           "dispatch_wait", "execute_wall")
+#: the all-workload block of a stage nothing was observed in
 _EMPTY_BLOCK = {"count": 0, "sum": 0.0, "mean": 0.0,
                 "p50": 0.0, "p95": 0.0, "p99": 0.0}
+
+
+class _WorkloadStats:
+    """One workload's counts and its latency distribution per stage."""
+
+    __slots__ = ("requests", "batches", "deadline_exceeded", "stages")
+
+    def __init__(self) -> None:
+        self.requests = 0               # not rejected
+        self.batches = 0
+        self.deadline_exceeded = 0
+        self.stages = {stage: Distribution(SERVE_LATENCY_BUCKETS)
+                       for stage in _STAGES}
 
 
 class ServerStats:
     """Aggregates responses + batch results into an SLO report."""
 
     def __init__(self) -> None:
-        self.registry = MetricsRegistry()
-        reg = self.registry
-        self.requests = reg.counter(
-            "repro_serve_requests_total",
-            "terminal request statuses", ("workload", "status"))
-        self.rejections = reg.counter(
-            "repro_serve_rejections_total",
-            "requests shed at admission, by reason", ("reason",))
-        self.deadline_misses = reg.counter(
-            "repro_serve_deadline_exceeded_total",
-            "requests completing past their SLO budget", ("workload",))
-        self.batches = reg.counter(
-            "repro_serve_batches_total",
-            "batches executed", ("workload",))
-        self.batched_requests = reg.counter(
-            "repro_serve_batched_requests_total",
-            "requests riding executed batches", ("workload",))
-        self.queue_wait = reg.histogram(
-            "repro_serve_queue_wait_seconds",
-            "virtual admission -> batch close", ("workload",),
-            SERVE_LATENCY_BUCKETS)
-        self.e2e_latency = reg.histogram(
-            "repro_serve_latency_seconds",
-            "virtual end-to-end request latency", ("workload",),
-            SERVE_LATENCY_BUCKETS)
-        self.service_latency = reg.histogram(
-            "repro_serve_service_seconds",
-            "modeled per-device batch service time", ("workload",),
-            SERVE_LATENCY_BUCKETS)
-        self.assemble_wait = reg.histogram(
-            "repro_serve_assemble_wait_seconds",
-            "time spent inside a forming batch (open/join -> close)",
-            ("workload",), SERVE_LATENCY_BUCKETS)
-        self.dispatch_wait = reg.histogram(
-            "repro_serve_dispatch_wait_seconds",
-            "batch close -> service start (virtual worker contention)",
-            ("workload",), SERVE_LATENCY_BUCKETS)
-        self.execute_wall = reg.histogram(
-            "repro_serve_execute_wall_seconds",
-            "measured batch execution wall (non-deterministic)",
-            ("workload",), SERVE_LATENCY_BUCKETS)
-        self.queue_peak = reg.gauge(
-            "repro_serve_queue_depth_peak", "max queued depth observed")
-        self.cache_hits = reg.gauge(
-            "repro_serve_cache_hits", "artifact cache hits")
-        self.cache_misses = reg.gauge(
-            "repro_serve_cache_misses", "artifact cache misses")
-        self.cache_evictions = reg.gauge(
-            "repro_serve_cache_evictions", "artifact cache evictions")
-        self.plan_batches = reg.counter(
-            "repro_serve_plan_batches_total",
-            "batches that replayed their key's plan, fell back to eager "
-            "from it, or kept their trace as it (measured)", ("event",))
-        # plain counters shared between worker threads (record_*) and
-        # the main thread (summary); metric instruments lock internally
-        self._agg_lock = threading.Lock()
+        # worker threads record, the main thread summarizes: every
+        # count below is read and written under this one lock
+        self._lock = threading.Lock()
+        self._statuses: Dict[str, int] = {}
+        self._rejections: Dict[str, int] = {}
+        self._workloads: DefaultDict[str, _WorkloadStats] = \
+            defaultdict(_WorkloadStats)
         self._batch_sizes: Dict[int, int] = {}
-        self._responses = 0
+        self._replay = {REPLAYED: 0, FALLBACK: 0, "kept": 0}
+        self._queue_peak = 0
+        self._cache = {"hits": 0, "misses": 0, "evictions": 0}
         self.wall_elapsed = 0.0   # measured section only
 
     # -- recording -----------------------------------------------------------
     def record_response(self, response: Response) -> None:
-        with self._agg_lock:
-            self._responses += 1
-        self.requests.inc(workload=response.workload,
-                          status=response.status)
-        if response.status == STATUS_REJECTED:
-            self.rejections.inc(reason=response.reject_reason or "unknown")
-            return
-        if response.deadline_exceeded:
-            self.deadline_misses.inc(workload=response.workload)
-        self.queue_wait.observe(response.queue_wait,
-                                workload=response.workload)
-        self.e2e_latency.observe(response.latency,
-                                 workload=response.workload)
-        self.service_latency.observe(response.modeled_latency,
-                                     workload=response.workload)
-        self.assemble_wait.observe(response.assemble_wait,
-                                   workload=response.workload)
-        self.dispatch_wait.observe(response.dispatch_wait,
-                                   workload=response.workload)
+        with self._lock:
+            self._statuses[response.status] = \
+                self._statuses.get(response.status, 0) + 1
+            if response.status == STATUS_REJECTED:
+                reason = response.reject_reason or "unknown"
+                self._rejections[reason] = \
+                    self._rejections.get(reason, 0) + 1
+                return
+            stats = self._workloads[response.workload]
+            stats.requests += 1
+            if response.deadline_exceeded:
+                stats.deadline_exceeded += 1
+            stages = stats.stages
+            stages["queue_wait"].add(response.queue_wait)
+            stages["latency"].add(response.latency)
+            stages["service"].add(response.modeled_latency)
+            stages["assemble_wait"].add(response.assemble_wait)
+            stages["dispatch_wait"].add(response.dispatch_wait)
 
     def record_batch(self, result: BatchResult) -> None:
         batch = result.batch
-        self.batches.inc(workload=batch.workload)
-        self.batched_requests.inc(batch.size, workload=batch.workload)
-        with self._agg_lock:
+        replay = result.outcome.replay if result.outcome else None
+        with self._lock:
+            stats = self._workloads[batch.workload]
+            stats.batches += 1
+            stats.stages["execute_wall"].add(result.wall)
             self._batch_sizes[batch.size] = \
                 self._batch_sizes.get(batch.size, 0) + 1
-        self.execute_wall.observe(result.wall, workload=batch.workload)
-        replay = result.outcome.replay if result.outcome else None
-        if replay is not None:
-            self.plan_batches.inc(event=replay)
-        if result.kept_plan:
-            self.plan_batches.inc(event="kept")
+            if replay is not None:
+                self._replay[replay] += 1
+            if result.kept_plan:
+                self._replay["kept"] += 1
 
     def record_queue(self, peak_depth: int) -> None:
-        self.queue_peak.set_max(float(peak_depth))
+        with self._lock:
+            self._queue_peak = max(self._queue_peak, int(peak_depth))
 
     def record_cache(self, cache_stats: Dict[str, int]) -> None:
-        self.cache_hits.set(float(cache_stats.get("hits", 0)))
-        self.cache_misses.set(float(cache_stats.get("misses", 0)))
-        self.cache_evictions.set(float(cache_stats.get("evictions", 0)))
+        with self._lock:
+            self._cache = {name: int(cache_stats.get(name, 0))
+                           for name in self._cache}
 
     # -- derived figures -----------------------------------------------------
-    def _status_counts(self) -> Dict[str, int]:
-        counts = {status: 0 for status in REQUEST_STATUSES}
-        for key, value in self.requests.samples():
-            counts[key[1]] = counts.get(key[1], 0) + int(value)
-        return counts
-
-    def _workloads(self) -> List[str]:
-        return sorted({key[0] for key, _ in self.requests.samples()
-                       if key[1] != STATUS_REJECTED}
-                      | {key[0] for key, _ in self.batches.samples()})
-
-    def _quantile_block(self, hist: Histogram,
-                        workload: Optional[str] = None) -> Dict[str, float]:
-        if workload is not None:
-            return hist.summary(_QUANTILES, workload=workload)
-        block = hist.merged_summary(_QUANTILES)
-        return block if block["count"] else dict(_EMPTY_BLOCK)
+    def _merged_block(self, stage: str) -> Dict[str, float]:
+        """``stage`` over every workload; the caller holds the lock."""
+        merged = Distribution(SERVE_LATENCY_BUCKETS)
+        for name in sorted(self._workloads):
+            merged.merge(self._workloads[name].stages[stage])
+        return merged.summary() if merged.count else dict(_EMPTY_BLOCK)
 
     def summary(self) -> Dict[str, object]:
         """Two-section stats dump; see module docstring for the split."""
-        counts = self._status_counts()
-        with self._agg_lock:
-            responses = self._responses
-            batch_sizes = dict(self._batch_sizes)
-        processed = responses - counts[STATUS_REJECTED]
-        rejections = {key[0]: int(value)
-                      for key, value in self.rejections.samples()}
-        deterministic: Dict[str, object] = {
-            "requests": responses,
-            "statuses": counts,
-            "rejection_rate": (counts[STATUS_REJECTED] / responses
-                               if responses else 0.0),
-            "rejections": rejections,
-            "deadline_exceeded": int(self.deadline_misses.total()),
-            "batches": int(self.batches.total()),
-            "mean_batch_size": (processed / self.batches.total()
-                                if self.batches.total() else 0.0),
-            "batch_size_hist": {str(size): count for size, count
-                                in sorted(batch_sizes.items())},
-            "queue_depth_peak": int(self.queue_peak.value()),
-            "queue_wait": self._quantile_block(self.queue_wait),
-            "latency": self._quantile_block(self.e2e_latency),
-            "service": self._quantile_block(self.service_latency),
-            # end-to-end latency decomposed into its causal stages
-            # (queue_wait above covers arrival -> batch close; the
-            # assemble tail and the dispatch gap split the rest out)
-            "breakdown": {
-                "assemble_wait": self._quantile_block(self.assemble_wait),
-                "dispatch_wait": self._quantile_block(self.dispatch_wait),
-            },
-            "cache": {"hits": int(self.cache_hits.value()),
-                      "misses": int(self.cache_misses.value()),
-                      "evictions": int(self.cache_evictions.value())},
-            "per_workload": {
-                w: {
-                    "requests": sum(
-                        int(v) for key, v in self.requests.samples()
-                        if key[0] == w and key[1] != STATUS_REJECTED),
-                    "batches": int(self.batches.value(workload=w)),
-                    "latency": self._quantile_block(self.e2e_latency, w),
-                    "queue_wait": self._quantile_block(self.queue_wait, w),
-                    "deadline_exceeded": int(
-                        self.deadline_misses.value(workload=w)),
-                } for w in self._workloads()},
-        }
-        measured: Dict[str, object] = {
-            "wall_elapsed": self.wall_elapsed,
-            "throughput_rps": (processed / self.wall_elapsed
-                               if self.wall_elapsed > 0 else 0.0),
-            "execute_wall": self._quantile_block(self.execute_wall),
-            "replay": {
-                "replays": int(self.plan_batches.value(event=REPLAYED)),
-                "fallbacks": int(self.plan_batches.value(event=FALLBACK)),
-                "plans_kept": int(self.plan_batches.value(event="kept")),
-            },
-        }
+        with self._lock:
+            statuses = dict.fromkeys(REQUEST_STATUSES, 0)
+            statuses.update(self._statuses)
+            responses = sum(statuses.values())
+            processed = responses - statuses[STATUS_REJECTED]
+            workloads = sorted(self._workloads.items())
+            batches = sum(stats.batches for _, stats in workloads)
+            deterministic: Dict[str, object] = {
+                "requests": responses,
+                "statuses": statuses,
+                "rejection_rate": (statuses[STATUS_REJECTED] / responses
+                                   if responses else 0.0),
+                "rejections": dict(sorted(self._rejections.items())),
+                "deadline_exceeded": sum(stats.deadline_exceeded
+                                         for _, stats in workloads),
+                "batches": batches,
+                "mean_batch_size": (processed / batches
+                                    if batches else 0.0),
+                "batch_size_hist": {str(size): count for size, count
+                                    in sorted(self._batch_sizes.items())},
+                "queue_depth_peak": self._queue_peak,
+                "queue_wait": self._merged_block("queue_wait"),
+                "latency": self._merged_block("latency"),
+                "service": self._merged_block("service"),
+                # end-to-end latency decomposed into its causal stages
+                # (queue_wait above covers arrival -> batch close; the
+                # assemble tail and the dispatch gap split the rest out)
+                "breakdown": {
+                    "assemble_wait": self._merged_block("assemble_wait"),
+                    "dispatch_wait": self._merged_block("dispatch_wait"),
+                },
+                "cache": dict(self._cache),
+                "per_workload": {
+                    name: {
+                        "requests": stats.requests,
+                        "batches": stats.batches,
+                        "latency": stats.stages["latency"].summary(),
+                        "queue_wait": stats.stages["queue_wait"].summary(),
+                        "deadline_exceeded": stats.deadline_exceeded,
+                    } for name, stats in workloads},
+            }
+            measured: Dict[str, object] = {
+                "wall_elapsed": self.wall_elapsed,
+                "throughput_rps": (processed / self.wall_elapsed
+                                   if self.wall_elapsed > 0 else 0.0),
+                "execute_wall": self._merged_block("execute_wall"),
+                "replay": {"replays": self._replay[REPLAYED],
+                           "fallbacks": self._replay[FALLBACK],
+                           "plans_kept": self._replay["kept"]},
+            }
         return {"deterministic": deterministic, "measured": measured}
 
     # -- presentation --------------------------------------------------------

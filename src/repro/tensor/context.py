@@ -25,7 +25,8 @@ in its own ``live_bytes``/``peak_live_bytes``, so nested profiling
 never under-reports memory.
 
 Runtime metrics are not collected here: the closed trace is the
-record, and :mod:`repro.obs.metrics` folds it when asked for.
+record, and :func:`repro.obs.metrics.fold_trace` folds it when asked
+for.
 
 Span tracing: entering a :class:`ProfileContext` opens a root
 ``profile:<workload>`` span and installs the trace as a span

@@ -5,7 +5,8 @@ Importing this package registers every workload; use
 """
 
 from repro.workloads.base import (Workload, WorkloadInfo, all_infos,
-                                  available, create, register)
+                                  available, create, register,
+                                  workload_arg)
 from repro.workloads.abl import ABLWorkload
 from repro.workloads.gnn_attn import GNNAttentionWorkload
 from repro.workloads.lnn import LNNWorkload
@@ -26,7 +27,7 @@ EXTENSION_ORDER = ("mcts", "gnn", "nsvqa", "abl")
 
 __all__ = [
     "Workload", "WorkloadInfo", "all_infos", "available", "create",
-    "register", "PAPER_ORDER",
+    "register", "workload_arg", "PAPER_ORDER",
     "EXTENSION_ORDER",
     "ABLWorkload", "GNNAttentionWorkload", "LNNWorkload", "LTNWorkload",
     "MCTSWorkload", "NLMWorkload", "NSVQAWorkload", "NVSAWorkload",

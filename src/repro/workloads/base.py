@@ -17,6 +17,7 @@ suite and benchmarks can instantiate the full roster generically.
 from __future__ import annotations
 
 import abc
+import argparse
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -149,6 +150,19 @@ def create(name: str, **params: Any) -> Workload:
 def available() -> List[str]:
     """Registered workload names, in registration order."""
     return list(_REGISTRY)
+
+
+def workload_arg(value: str) -> str:
+    """The argparse ``type=`` of every workload positional.
+
+    Returns ``value`` as given when it names a registered workload;
+    anything else is a usage error (exit 2) naming the bad value and
+    the registry, before any work and never a ``KeyError`` traceback.
+    """
+    if value not in _REGISTRY:
+        raise argparse.ArgumentTypeError(
+            f"unknown workload {value!r}; available: {available()}")
+    return value
 
 
 def all_infos() -> List[WorkloadInfo]:

@@ -24,7 +24,7 @@ from repro.core.profiler import Trace
 from repro.core.taxonomy import category_for
 from repro.hwsim.devices import RTX_2080TI
 from repro.obs import selfprof
-from repro.obs.metrics import RuntimeMetrics
+from repro.obs.metrics import fold_trace
 from repro.obs.runrec import counters_digest
 from repro.resilience.faults import FaultPlan, FaultSpec
 from repro.resilience.runner import (DETERMINISTIC, FALLBACK, REPLAYED,
@@ -223,19 +223,11 @@ class TestExecutorSessions:
 
     def test_bulk_metrics_match_eager_totals(self):
         plan = cached_trace("abl", seed=0)
-        eager_runtime = RuntimeMetrics()
-        eager_runtime.observe_trace(create("abl", seed=0).profile().events)
-        replay_runtime = RuntimeMetrics()
-        replay_runtime.observe_trace(
-            replay(create("abl", seed=0), plan).events)
-        assert dict(replay_runtime.ops_total.samples()) == \
-            dict(eager_runtime.ops_total.samples())
-        assert dict(replay_runtime.flops_total.samples()) == \
-            dict(eager_runtime.flops_total.samples())
-        assert dict(replay_runtime.bytes_total.samples()) == \
-            dict(eager_runtime.bytes_total.samples())
-        assert dict(replay_runtime.peak_live_bytes.samples()) == \
-            dict(eager_runtime.peak_live_bytes.samples())
+        eager = fold_trace(create("abl", seed=0).profile().events)
+        replayed = fold_trace(replay(create("abl", seed=0), plan).events)
+        for family in ("repro_ops_total", "repro_flops_total",
+                       "repro_bytes_total", "repro_peak_live_bytes"):
+            assert replayed[family] == eager[family], family
 
 
 # ---------------------------------------------------------------------------

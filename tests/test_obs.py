@@ -16,7 +16,6 @@ from repro.core.profiler import Trace
 from repro.core.taxonomy import CATEGORY_ORDER, NSParadigm
 from repro.obs import metrics as obs_metrics
 from repro.obs.chrome import CATEGORY_COLORS
-from repro.obs.prom import render_registry
 from repro.obs.runrec import counters_digest
 from repro.obs.spans import (SpanCollector, span, span_roots,
                              tracing_active)
@@ -97,25 +96,25 @@ class TestMetrics:
         # the op metrics are a view of the closed trace: one fold of
         # it reproduces the trace's own totals
         events = cached_trace(name, seed=0).events
-        runtime = obs_metrics.RuntimeMetrics()
-        runtime.observe_trace(events)
+        families = obs_metrics.fold_trace(events)
         flops = 0.0
         for event in events:      # poison-clamped, left to right
             if event.flops == event.flops and event.flops > 0.0:
                 flops += event.flops
-        assert runtime.ops_total.total() == len(events)
-        assert runtime.flops_total.value() == flops
-        assert runtime.bytes_total.value() == sum(
-            e.bytes_read + e.bytes_written for e in events)
-        assert runtime.live_bytes.value() == events[-1].live_bytes
-        assert runtime.peak_live_bytes.value() == max(
-            e.live_bytes for e in events)
+        ops = families["repro_ops_total"]
+        latency = families["repro_op_latency_seconds"]
+        assert sum(ops.values()) == len(events)
+        assert families["repro_flops_total"] == {"": flops}
+        assert families["repro_bytes_total"] == {"": sum(
+            e.bytes_read + e.bytes_written for e in events)}
+        assert families["repro_live_bytes"] == {"": events[-1].live_bytes}
+        assert families["repro_peak_live_bytes"] == {"": max(
+            e.live_bytes for e in events)}
         for category in CATEGORY_ORDER:
             count = sum(e.category is category for e in events)
-            assert runtime.ops_total.value(category=category.value) \
-                == count
-            assert runtime.op_latency.count(category=category.value) \
-                == count
+            assert ops.get(category.value, 0) == count
+            dist = latency.get(category.value)
+            assert (dist.count if dist else 0) == count
 
     @staticmethod
     def _profile_toy() -> Trace:
@@ -127,32 +126,18 @@ class TestMetrics:
                 T.add(x, 1.0)
         return prof.trace
 
-    def test_counter_rejects_negative_and_bad_labels(self):
-        counter = obs_metrics.Counter("c", labelnames=("a",))
-        with pytest.raises(ValueError):
-            counter.inc(-1.0, a="x")
-        with pytest.raises(ValueError):
-            counter.inc(1.0, wrong="x")
-
-    def test_registry_rejects_duplicates(self):
-        registry = obs_metrics.MetricsRegistry()
-        registry.counter("dup")
-        with pytest.raises(ValueError):
-            registry.counter("dup")
-
     def test_histogram_cumulative_buckets(self):
-        hist = obs_metrics.Histogram("h", buckets=(0.1, 1.0))
-        hist.observe(0.05)
-        hist.observe(0.5)
-        hist.observe(5.0)  # above the top bucket: only in +Inf/_count
-        assert hist.cumulative_counts(()) == [1, 2]
-        assert hist.count() == 3
-        assert hist.sum() == pytest.approx(5.55)
+        dist = obs_metrics.Distribution((0.1, 1.0))
+        dist.add(0.05)
+        dist.add(0.5)
+        dist.add(5.0)  # above the top bucket: only in +Inf/_count
+        assert dist.counts == [1, 1]
+        assert dist.count == 3
+        assert dist.sum == pytest.approx(5.55)
 
     def test_prom_rendering(self):
-        runtime = obs_metrics.RuntimeMetrics()
-        runtime.observe_trace(self._profile_toy().events)
-        text = render_registry(runtime.registry)
+        families = obs_metrics.fold_trace(self._profile_toy().events)
+        text = obs_metrics.render_prometheus(families)
         assert "# HELP repro_ops_total recorded tensor ops" in text
         assert "# TYPE repro_ops_total counter" in text
         assert "# TYPE repro_op_latency_seconds histogram" in text
@@ -160,58 +145,188 @@ class TestMetrics:
         assert 'le="+Inf"' in text
         assert "repro_op_latency_seconds_count" in text
         assert "repro_op_latency_seconds_sum" in text
-        # snapshot is JSON-serializable
-        json.dumps(runtime.registry.snapshot())
+        # the JSON rendering parses
+        json.loads(obs_metrics.render_json(families))
+
+
+#: ``repro metrics`` of ``TestMetricsOutput``'s trace, byte for byte
+_PINNED_PROM = """\
+# HELP repro_bytes_total recorded memory traffic (read+written)
+# TYPE repro_bytes_total counter
+repro_bytes_total 92
+# HELP repro_flops_total recorded floating-point operations
+# TYPE repro_flops_total counter
+repro_flops_total 7.5
+# HELP repro_live_bytes live tensor bytes after the last op
+# TYPE repro_live_bytes gauge
+repro_live_bytes 32
+# HELP repro_op_latency_seconds measured wall time per recorded op
+# TYPE repro_op_latency_seconds histogram
+repro_op_latency_seconds_bucket{category="elementwise",le="1e-06"} 0
+repro_op_latency_seconds_bucket{category="elementwise",le="1e-05"} 0
+repro_op_latency_seconds_bucket{category="elementwise",le="0.0001"} 0
+repro_op_latency_seconds_bucket{category="elementwise",le="0.001"} 1
+repro_op_latency_seconds_bucket{category="elementwise",le="0.01"} 1
+repro_op_latency_seconds_bucket{category="elementwise",le="0.1"} 2
+repro_op_latency_seconds_bucket{category="elementwise",le="1"} 2
+repro_op_latency_seconds_bucket{category="elementwise",le="10"} 2
+repro_op_latency_seconds_bucket{category="elementwise",le="+Inf"} 2
+repro_op_latency_seconds_sum{category="elementwise"} 0.04025
+repro_op_latency_seconds_count{category="elementwise"} 2
+repro_op_latency_seconds{category="elementwise",quantile="0.5"} 0.001
+repro_op_latency_seconds{category="elementwise",quantile="0.95"} 0.091
+repro_op_latency_seconds{category="elementwise",quantile="0.99"} \
+0.09820000000000001
+repro_op_latency_seconds_bucket{category="matmul",le="1e-06"} 0
+repro_op_latency_seconds_bucket{category="matmul",le="1e-05"} 1
+repro_op_latency_seconds_bucket{category="matmul",le="0.0001"} 1
+repro_op_latency_seconds_bucket{category="matmul",le="0.001"} 1
+repro_op_latency_seconds_bucket{category="matmul",le="0.01"} 1
+repro_op_latency_seconds_bucket{category="matmul",le="0.1"} 1
+repro_op_latency_seconds_bucket{category="matmul",le="1"} 1
+repro_op_latency_seconds_bucket{category="matmul",le="10"} 1
+repro_op_latency_seconds_bucket{category="matmul",le="+Inf"} 2
+repro_op_latency_seconds_sum{category="matmul"} 12.500003
+repro_op_latency_seconds_count{category="matmul"} 2
+repro_op_latency_seconds{category="matmul",quantile="0.5"} 1e-05
+repro_op_latency_seconds{category="matmul",quantile="0.95"} +Inf
+repro_op_latency_seconds{category="matmul",quantile="0.99"} +Inf
+# HELP repro_ops_total recorded tensor ops
+# TYPE repro_ops_total counter
+repro_ops_total{category="elementwise"} 2
+repro_ops_total{category="matmul"} 2
+# HELP repro_peak_live_bytes high-water mark of live bytes
+# TYPE repro_peak_live_bytes gauge
+repro_peak_live_bytes 160
+"""
+
+_PINNED_JSON = """\
+{
+ "repro_bytes_total": {
+  "help": "recorded memory traffic (read+written)",
+  "kind": "counter",
+  "values": {
+   "": 92.0
+  }
+ },
+ "repro_flops_total": {
+  "help": "recorded floating-point operations",
+  "kind": "counter",
+  "values": {
+   "": 7.5
+  }
+ },
+ "repro_live_bytes": {
+  "help": "live tensor bytes after the last op",
+  "kind": "gauge",
+  "values": {
+   "": 32
+  }
+ },
+ "repro_op_latency_seconds": {
+  "help": "measured wall time per recorded op",
+  "kind": "histogram",
+  "values": {
+   "elementwise": 2.0,
+   "matmul": 2.0
+  }
+ },
+ "repro_ops_total": {
+  "help": "recorded tensor ops",
+  "kind": "counter",
+  "values": {
+   "elementwise": 2.0,
+   "matmul": 2.0
+  }
+ },
+ "repro_peak_live_bytes": {
+  "help": "high-water mark of live bytes",
+  "kind": "gauge",
+  "values": {
+   "": 160
+  }
+ }
+}
+"""
+
+
+class TestMetricsOutput:
+    """``repro metrics`` prints exactly what it printed when these
+    literals were captured: two categories, a NaN-FLOPs event (not
+    counted) and a matmul slower than the top latency bucket (in the
+    +Inf bucket, the sum and the count only)."""
+
+    @pytest.fixture
+    def pinned_trace(self, monkeypatch):
+        from repro.core.taxonomy import OpCategory
+        from repro.core.profiler import TraceEvent
+        from repro.workloads.lnn import LNNWorkload
+        trace = Trace("lnn", [
+            TraceEvent(0, "matmul", OpCategory.MATMUL, flops=2.0,
+                       bytes_read=8, bytes_written=4, wall_time=3e-06,
+                       live_bytes=64),
+            TraceEvent(1, "add", OpCategory.ELEMENTWISE,
+                       flops=float("nan"), bytes_read=16,
+                       bytes_written=16, wall_time=0.00025,
+                       live_bytes=160),
+            TraceEvent(2, "matmul", OpCategory.MATMUL, flops=1.5,
+                       bytes_read=24, bytes_written=8, wall_time=12.5,
+                       live_bytes=96),
+            TraceEvent(3, "relu", OpCategory.ELEMENTWISE, flops=4.0,
+                       bytes_read=8, bytes_written=8, wall_time=0.04,
+                       live_bytes=32),
+        ])
+        monkeypatch.setattr(LNNWorkload, "profile", lambda self: trace)
+
+    @pytest.mark.parametrize("fmt, expected", [
+        ("prom", _PINNED_PROM), ("json", _PINNED_JSON)])
+    def test_output_is_pinned(self, pinned_trace, capsys, fmt, expected):
+        assert cli_main(["metrics", "lnn", "--format", fmt]) == 0
+        assert capsys.readouterr().out == expected
 
 
 class TestHistogramPercentiles:
     def _loaded(self):
-        hist = obs_metrics.Histogram("h", labelnames=("wl",),
-                                     buckets=tuple(
-                                         0.01 * i for i in range(1, 101)))
+        dist = obs_metrics.Distribution(
+            tuple(0.01 * i for i in range(1, 101)))
         for i in range(100):
-            hist.observe(0.01 * (i + 1) - 0.005, wl="a")
-        return hist
+            dist.add(0.01 * (i + 1) - 0.005)
+        return dist
 
     def test_interpolated_quantiles(self):
-        hist = self._loaded()
-        assert hist.percentile(50.0, wl="a") == pytest.approx(0.50, abs=0.02)
-        assert hist.percentile(95.0, wl="a") == pytest.approx(0.95, abs=0.02)
-        assert hist.percentile(99.0, wl="a") == pytest.approx(0.99, abs=0.02)
-        assert hist.percentile(100.0, wl="a") <= 1.0
+        dist = self._loaded()
+        assert dist.percentile(50.0) == pytest.approx(0.50, abs=0.02)
+        assert dist.percentile(95.0) == pytest.approx(0.95, abs=0.02)
+        assert dist.percentile(99.0) == pytest.approx(0.99, abs=0.02)
+        assert dist.percentile(100.0) <= 1.0
 
     def test_empty_and_overflow(self):
-        hist = obs_metrics.Histogram("h", buckets=(0.1, 1.0))
-        assert hist.percentile(99.0) == 0.0
-        hist.observe(5.0)  # above every bucket bound
-        assert hist.percentile(99.0) == float("inf")
+        dist = obs_metrics.Distribution((0.1, 1.0))
+        assert dist.percentile(99.0) == 0.0
+        dist.add(5.0)  # above every bucket bound
+        assert dist.percentile(99.0) == float("inf")
 
     def test_quantile_domain_validated(self):
-        hist = obs_metrics.Histogram("h", buckets=(1.0,))
+        dist = obs_metrics.Distribution((1.0,))
         with pytest.raises(ValueError):
-            hist.percentile(0.0)
+            dist.percentile(0.0)
         with pytest.raises(ValueError):
-            hist.percentile(101.0)
+            dist.percentile(101.0)
 
     def test_summary_block(self):
-        hist = self._loaded()
-        summary = hist.summary(wl="a")
+        summary = self._loaded().summary()
         assert summary["count"] == 100
         assert summary["mean"] == pytest.approx(0.5, abs=0.01)
         assert set(summary) == {"count", "sum", "mean",
                                 "p50", "p95", "p99"}
 
     def test_prom_exposition_has_quantile_lines(self):
-        from repro.obs.prom import render_registry
-        registry = obs_metrics.MetricsRegistry()
-        hist = registry.histogram("lat_seconds", "x", ("wl",),
-                                  buckets=(0.1, 1.0, 10.0))
-        for value in (0.05, 0.5, 0.7, 5.0):
-            hist.observe(value, wl="a")
-        text = render_registry(registry)
+        text = obs_metrics.render_prometheus(obs_metrics.fold_trace(
+            TestMetrics._profile_toy().events))
         for q in ("0.5", "0.95", "0.99"):
             assert f'quantile="{q}"' in text
-        assert 'lat_seconds{wl="a",quantile="0.5"}' in text
+        assert ('repro_op_latency_seconds{category="matmul",'
+                'quantile="0.5"}') in text
 
 
 class TestWorkerThreadIsolation:
@@ -261,11 +376,10 @@ class TestWorkerThreadIsolation:
             thread.start()
             thread.join(10.0)
         assert outer.trace.events == []
-        runtime = obs_metrics.RuntimeMetrics()
-        runtime.observe_trace(outer.trace.events)
-        assert runtime.ops_total.total() == 0
-        runtime.observe_trace(traces[0].events)
-        assert runtime.ops_total.total() == len(traces[0].events) > 0
+        assert all(samples == {} for samples in
+                   obs_metrics.fold_trace(outer.trace.events).values())
+        ops = obs_metrics.fold_trace(traces[0].events)["repro_ops_total"]
+        assert sum(ops.values()) == len(traces[0].events) > 0
 
 
 # ---------------------------------------------------------------------------

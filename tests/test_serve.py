@@ -8,7 +8,6 @@ import time
 import pytest
 
 from repro.cli import main
-from repro.obs.prom import render_registry
 from repro.resilience.faults import FaultPlan, FaultSpec
 from repro.serve import (ArtifactCache, BatchPolicy, InferenceServer,
                          LoadSpec, REJECT_QUEUE_FULL, REJECT_SHUTDOWN,
@@ -598,14 +597,11 @@ class TestServerStats:
             "count": 0, "sum": 0.0, "mean": 0.0,
             "p50": 0.0, "p95": 0.0, "p99": 0.0}
 
-    def test_render_and_prometheus(self):
+    def test_render(self):
         stats = ServerStats()
         stats.record_response(self._response(0, 0.01))
         text = stats.render()
         assert "Request outcomes" in text and "p99" in text
-        prom = render_registry(stats.registry)
-        assert "repro_serve_requests_total" in prom
-        assert 'quantile="0.99"' in prom
 
 
 class TestLoadgenAndCli:

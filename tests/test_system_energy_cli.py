@@ -174,12 +174,16 @@ class TestCLI:
         ["compile", "diff", "bogus"],
     ], ids=lambda argv: " ".join(argv[:argv.index("bogus")]))
     def test_unknown_workload_lists_the_registry(self, argv, capsys):
-        # every verb that takes a workload name: one line naming the
-        # registered workloads (exit 1), never a KeyError traceback
+        # every verb that takes a workload name checks it while
+        # parsing: exit 2 with one stderr line naming the registered
+        # workloads, never a KeyError traceback
         with pytest.raises(SystemExit) as exc:
             cli_main(argv)
-        assert exc.value.code == (
-            f"unknown workload 'bogus'; available: {available()}")
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.endswith(": error: argument workload: unknown workload "
+                            f"'bogus'; available: {available()}\n")
 
     def test_chrome_verb_is_gone(self, capsys):
         # `repro trace export W --format chrome` is the one exporter
@@ -300,6 +304,23 @@ class TestCLITraceArchive:
         assert done.returncode == 1
         assert done.stderr.count("\n") == 1
         assert done.stderr.startswith("repro analyze-trace: ")
+
+    @pytest.mark.parametrize("content, reason", [
+        ("not json\n", "line 1: not JSON (Expecting value at column 1)"),
+        ('{"type":"op"}\n', "line 1: missing field 'eid'"),
+        (None, "No such file or directory"),
+    ], ids=["not-json", "op-without-eid", "missing"])
+    def test_trace_export_refuses_a_malformed_log(self, tmp_path, capsys,
+                                                  content, reason):
+        # a .jsonl source is read like analyze-trace reads one: one
+        # line naming the path and the bad line (exit 1)
+        path = tmp_path / "bad.jsonl"
+        if content is not None:
+            path.write_text(content)
+        with pytest.raises(SystemExit) as info:
+            cli_main(["trace", "export", str(path)])
+        assert info.value.code == f"repro trace export: {path}: {reason}"
+        assert capsys.readouterr().out == ""
 
     def test_analyze_trace_device_option(self, tmp_path, capsys):
         target = tmp_path / "ltn.jsonl"
