@@ -11,10 +11,17 @@ Correctness requires one subtlety: several workloads mutate state
 while profiling (the LNN tightens knowledge-base bounds across
 passes), so executing a cached instance twice is *not* deterministic.
 :meth:`ArtifactCache.checkout` therefore keeps the built instance
-pristine and hands out a :func:`copy.deepcopy` per execution —
-deep-copying a built workload is 5-10x cheaper than rebuilding it,
-and every checkout starts from identical state, which is what makes
-repeated ``repro serve bench`` runs bit-identical.
+pristine and hands out a :func:`copy.deepcopy` per execution; every
+checkout starts from identical state, which is what makes repeated
+``repro serve bench`` runs bit-identical.  A copy is cheaper than a
+build for every workload, by a factor from 1.2 (lnn) to 19 (vsait).
+Median ms of 15 (build of a fresh seed, then a copy of it; warm dataset
+caches, one core of a 2-vCPU shared Xeon, BLAS pinned to one thread),
+build / copy: abl 1.55 / 0.22, gnn 1.04 / 0.75, lnn 0.93 / 0.70, ltn
+6.6 / 0.62, mcts 0.13 / 0.09, nlm 0.70 / 0.29, nsvqa 3.2 / 0.32, nvsa
+8.3 / 0.85, prae 7.2 / 0.42, vsait 12.8 / 0.64, zeroc 1.08 / 0.48.  A
+second run on a busier host read every time 1.6-2x higher, with the
+same ratios.
 
 Entries are keyed by the request's batch key, the
 ``(workload, seed, params)`` tuple of

@@ -29,8 +29,10 @@ class Codebook:
 
     The rows are drawn from ``space.random`` (with ``rng``, else a
     generator seeded with ``seed``), unless ``matrix`` gives the
-    finished real ``(num_symbols, dim)`` rows; those are stored as
-    float32 and nothing is drawn.
+    finished ``(num_symbols, dim)`` rows; those are stored as the
+    space's element type (``space.dtype``: complex64 for FHRR, float32
+    otherwise) and nothing is drawn.  A complex matrix for a real space
+    raises ``ValueError``: the cast would drop its imaginary parts.
     """
 
     def __init__(self, space: VSASpace, symbols: Sequence[str],
@@ -48,8 +50,12 @@ class Codebook:
             raise ValueError(
                 f"codebook matrix has shape {np.shape(matrix)}, expected "
                 f"{(len(self.symbols), space.dim)}")
+        elif np.iscomplexobj(matrix) and space.dtype.kind != "c":
+            raise ValueError(
+                f"codebook matrix is complex, but a {type(space).__name__} "
+                f"holds {space.dtype} hypervectors")
         else:
-            self.matrix = T.tensor(np.array(matrix, dtype=np.float32,
+            self.matrix = T.tensor(np.array(matrix, dtype=space.dtype,
                                             order="C"))
 
     def __len__(self) -> int:
@@ -139,13 +145,15 @@ def product_codebook(space: VSASpace,
         combos = [f"{prefix}|{v}" if prefix else v
                   for prefix in combos for v in attribute_values[attr]]
 
-    combined = Codebook(space, combos, rng=rng)
-    # overwrite the random rows with actual bound products so cleanup
+    # each row is the bound product of its attribute values, so cleanup
     # of a bound query resolves to the right combination symbol
-    for i, combo in enumerate(combos):
+    rows = []
+    for combo in combos:
         values = combo.split("|")
         vec = basis[attrs[0]].vector(values[0])
         for attr, value in zip(attrs[1:], values[1:]):
             vec = space.bind(vec, basis[attr].vector(value))
-        combined.matrix.data[i] = vec.numpy().reshape(-1)
+        rows.append(vec.numpy().reshape(-1))
+    combined = Codebook(space, combos,
+                        matrix=np.reshape(rows, (len(combos), space.dim)))
     return combined, basis

@@ -30,6 +30,9 @@ from repro.tensor.tensor import Tensor
 class VSASpace:
     """Interface: a d-dimensional hypervector algebra."""
 
+    #: element type of the space's hypervectors
+    dtype = np.dtype(np.float32)
+
     def __init__(self, dim: int):
         if dim <= 0:
             raise ValueError("hypervector dimension must be positive")
@@ -149,6 +152,8 @@ class FHRRSpace(VSASpace):
     convolution becomes a Hadamard product — and the fourth classic
     family in Schlegel et al.'s comparison.
     """
+
+    dtype = np.dtype(np.complex64)
 
     def random(self, rng: np.random.Generator, n: int = 1) -> Tensor:
         phases = rng.uniform(-np.pi, np.pi, size=(n, self.dim))

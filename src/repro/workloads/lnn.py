@@ -22,7 +22,7 @@ fixpoint, proving derived relations (e.g. ``taught_by``).
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -72,11 +72,8 @@ class CompiledRule:
 class PredicateTable:
     """Truth bounds of every grounding of one predicate."""
 
-    def __init__(self, name: str, keys: Sequence[Tuple[str, ...]]):
+    def __init__(self, name: str, size: int):
         self.name = name
-        self.index: Dict[Tuple[str, ...], int] = {
-            key: i for i, key in enumerate(keys)}
-        size = len(keys)
         self.lower = np.zeros(size, dtype=np.float32)
         self.upper = np.ones(size, dtype=np.float32)
         # tensor handles carrying trace provenance across inference
@@ -84,10 +81,10 @@ class PredicateTable:
         self.lower_t: Optional[Tensor] = None
         self.upper_t: Optional[Tensor] = None
 
-    def assert_fact(self, key: Tuple[str, ...], truth: float = 1.0) -> None:
-        i = self.index[key]
-        self.lower[i] = truth
-        self.upper[i] = truth
+    def assert_facts(self, rows: np.ndarray) -> None:
+        """Make the groundings at ``rows`` exactly true."""
+        self.lower[rows] = 1.0
+        self.upper[rows] = 1.0
 
     def close_world(self) -> None:
         """Unknowns default to false-ish upper bounds except asserted."""
@@ -96,7 +93,7 @@ class PredicateTable:
 
     @property
     def size(self) -> int:
-        return len(self.index)
+        return self.lower.size
 
 
 @register("lnn")
@@ -147,14 +144,17 @@ class LNNWorkload(Workload):
         self.domains = {"prof": profs, "stud": studs, "course": crses}
 
         self.tables: Dict[str, PredicateTable] = {
-            pred: PredicateTable(pred, list(itertools.product(
-                *[self.domains[d] for d in domains])))
-            for pred, domains in PREDICATE_DOMAINS.items()
+            pred: PredicateTable(pred, math.prod(self._shape(pred)))
+            for pred in PREDICATE_DOMAINS
         }
+        # assert the facts at their rows, by grounding's index arithmetic
         for pred in ("takes", "teaches", "advises"):
+            facts = [args for _, args in self.kb.facts(pred)]
+            positions = [self._positions(domain, [args[i] for args in facts])
+                         for i, domain in enumerate(PREDICATE_DOMAINS[pred])]
             table = self.tables[pred]
-            for _, args in self.kb.facts(pred):
-                table.assert_fact(args)
+            table.assert_facts(np.ravel_multi_index(positions,
+                                                    self._shape(pred)))
             table.close_world()
 
         self.rules = [
@@ -206,17 +206,11 @@ class LNNWorkload(Workload):
         flat = {v: g.reshape(-1) for v, g in zip(var_names, grids)}
 
         def gather_for(pred: str, args: Tuple[str, ...]) -> GroundAtomRef:
-            positions: List[np.ndarray] = []
-            sizes: List[int] = []
-            for v, domain in zip(args, PREDICATE_DOMAINS[pred]):
-                table_keys = self.domains[domain]
-                where = {key: i for i, key in enumerate(table_keys)}
-                onto = np.array([where[key]
-                                 for key in self.domains[variables[v]]],
-                                dtype=np.int64)
-                positions.append(onto[flat[v]])
-                sizes.append(len(table_keys))
-            return GroundAtomRef(pred, np.ravel_multi_index(positions, sizes))
+            positions = [
+                self._positions(domain, self.domains[variables[v]])[flat[v]]
+                for v, domain in zip(args, PREDICATE_DOMAINS[pred])]
+            return GroundAtomRef(pred, np.ravel_multi_index(
+                positions, self._shape(pred)))
 
         return CompiledRule(
             name=name,
@@ -224,6 +218,15 @@ class LNNWorkload(Workload):
             head=gather_for(*head),
             num_groundings=flat[var_names[0]].size,
         )
+
+    def _shape(self, pred: str) -> Tuple[int, ...]:
+        """The sizes of ``pred``'s position domains: its table's shape."""
+        return tuple(len(self.domains[d]) for d in PREDICATE_DOMAINS[pred])
+
+    def _positions(self, domain: str, names: Sequence[str]) -> np.ndarray:
+        """Each name's index in ``domain`` (``KeyError`` outside it)."""
+        where = {key: i for i, key in enumerate(self.domains[domain])}
+        return np.array([where[key] for key in names], dtype=np.int64)
 
     def parameter_bytes(self) -> int:
         return sum(w.nbytes for w in self.weights.values())

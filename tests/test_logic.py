@@ -1,11 +1,16 @@
 """Tests for the symbolic-logic substrate: fuzzy semantics, FOL AST,
 truth bounds, knowledge-base chaining."""
 
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.logic import (And, Atom, Bounds, Constant, Exists, ForAll,
-                         HornRule, Implies, KnowledgeBase, Not, Or,
+from repro.logic import (And, Atom, Bounds, ChainStats, Constant, Exists,
+                         ForAll, HornRule, Implies, KnowledgeBase, Not, Or,
                          Predicate, Variable, count_connectives, fuzzy)
 from repro.logic import bounds as B
 
@@ -250,3 +255,156 @@ class TestKnowledgeBase:
         stats = kb.forward_chain()
         assert stats.total_work >= stats.rule_applications
         assert stats.bindings_tried > 0
+
+
+# -- the nested-loop join, kept as the hash join's reference ---------------
+
+def _nested_loop_bindings(kb, rule, stats):
+    """Every binding of ``rule``'s body: each (binding, fact) pair tried."""
+    partial = [{}]
+    for atom in rule.body:
+        candidates = kb._facts.get(atom.predicate.name, set())
+        next_partial = []
+        for binding in partial:
+            for args in candidates:
+                stats.bindings_tried += 1
+                extended = _unify(atom, args, binding)
+                if extended is not None:
+                    next_partial.append(extended)
+        partial = next_partial
+        if not partial:
+            return []
+    return partial
+
+
+def _unify(atom, args, binding):
+    out = dict(binding)
+    for term, value in zip(atom.terms, args):
+        if isinstance(term, Constant):
+            if term.name != value:
+                return None
+        else:
+            bound = out.get(term)
+            if bound is None:
+                out[term] = value
+            elif bound != value:
+                return None
+    return out
+
+
+def _nested_loop_forward_chain(kb, max_iterations=50):
+    stats = ChainStats()
+    for _ in range(max_iterations):
+        stats.iterations += 1
+        new_facts = []
+        for rule in kb.rules:
+            stats.rule_applications += 1
+            for binding in _nested_loop_bindings(kb, rule, stats):
+                head_args = tuple(
+                    binding[t] if isinstance(t, Variable) else t.name
+                    for t in rule.head.terms)
+                pred = rule.head.predicate.name
+                if not kb.has_fact(pred, *head_args):
+                    new_facts.append((pred, head_args))
+        if not new_facts:
+            break
+        for pred, args in new_facts:
+            if not kb.has_fact(pred, *args):
+                kb.add_fact(pred, *args)
+                stats.facts_derived += 1
+    return stats
+
+
+def _nested_loop_query(kb, atom):
+    rule = HornRule(head=atom, body=(atom,))
+    return _nested_loop_bindings(kb, rule, ChainStats())
+
+
+# "e" never holds a fact; "d" holds only derived ones
+ARITY = {"p": 2, "q": 2, "r": 1, "e": 2, "d": 2}
+NAMES = ("a", "b", "c")
+X, Y, Z = Variable("x"), Variable("y"), Variable("z")
+
+
+@st.composite
+def _random_kb(draw):
+    """Facts over three constants and 1-3 rules of 1-3 body atoms each."""
+    ground = [(pred, args) for pred in ("p", "q", "r")
+              for args in itertools.product(NAMES, repeat=ARITY[pred])]
+    facts = draw(st.lists(st.sampled_from(ground), max_size=14))
+    term = st.one_of(st.sampled_from([X, Y, Z]),
+                     st.sampled_from(NAMES).map(Constant))
+    rules = []
+    for _ in range(draw(st.integers(1, 3))):
+        body = []
+        for _ in range(draw(st.integers(1, 3))):
+            pred = draw(st.sampled_from(sorted(ARITY)))
+            body.append(Predicate(pred, ARITY[pred])(
+                *[draw(term) for _ in range(ARITY[pred])]))
+        bound = sorted({t for atom in body for t in atom.terms
+                        if isinstance(t, Variable)}, key=str)
+        head_term = st.sampled_from(NAMES).map(Constant)
+        if bound:
+            head_term = st.one_of(st.sampled_from(bound), head_term)
+        pred = draw(st.sampled_from(["p", "q", "r", "d"]))
+        head = Predicate(pred, ARITY[pred])(
+            *[draw(head_term) for _ in range(ARITY[pred])])
+        rules.append(HornRule(head, tuple(body)))
+    return facts, rules
+
+
+def _kb(facts, rules):
+    kb = KnowledgeBase()
+    for pred, args in facts:
+        kb.add_fact(pred, *args)
+    for rule in rules:
+        kb.add_rule(rule)
+    return kb
+
+
+def _sorted_bindings(bindings):
+    return sorted(sorted((v.name, c) for v, c in b.items()) for b in bindings)
+
+
+class TestHashJoin:
+    """The hash join counts, derives and answers as the nested loop."""
+
+    P, Q, E, D = (Predicate(n, ARITY[n]) for n in "pqed")
+
+    @settings(max_examples=300, deadline=None)
+    @given(_random_kb(), st.sampled_from([1, 2, 3, None]))
+    @example(   # a repeated variable: only p(a, a) joins p(x, x)
+        ([("p", ("a", "a")), ("p", ("a", "b")), ("q", ("b", "b"))],
+         [HornRule(D(X, Y), (P(X, X), Q(Y, Y))),
+          HornRule(D(Y, X), (Q(X, Y), P(Y, Y)))]), None)
+    @example(   # a body predicate with no facts, first and last
+        ([("p", ("a", "b")), ("q", ("b", "c"))],
+         [HornRule(D(X, Y), (E(X, Y), P(X, Y))),
+          HornRule(D(X, Z), (P(X, Y), Q(Y, Z), E(Z, X)))]), 2)
+    @example(   # constants in the body and the head, a ground body
+        ([("p", ("a", "b")), ("p", ("c", "b")), ("q", ("b", "c"))],
+         [HornRule(D(X, Constant("a")), (P(X, Constant("b")),)),
+          HornRule(P(Constant("a"), Constant("a")),
+                   (Q(Constant("b"), Constant("c")),))]), 1)
+    def test_matches_nested_loop(self, spec, max_iterations):
+        facts, rules = spec
+        kw = {} if max_iterations is None else {
+            "max_iterations": max_iterations}
+        kb, ref = _kb(facts, rules), _kb(facts, rules)
+        for _ in range(2):      # a second run on the same, grown KB
+            got = kb.forward_chain(**kw)
+            want = _nested_loop_forward_chain(ref, **kw)
+            assert dataclasses.astuple(got) == dataclasses.astuple(want)
+            assert kb.facts() == ref.facts()
+        for atom in {a for rule in rules for a in (rule.head, *rule.body)}:
+            assert _sorted_bindings(kb.query(atom)) == \
+                _sorted_bindings(_nested_loop_query(ref, atom))
+
+    def test_university_kb_counters(self):
+        """The LNN knowledge base at its own scale, to fixpoint."""
+        from repro.datasets.kb_gen import university_kb
+        kb, ref = university_kb(seed=3), university_kb(seed=3)
+        got, want = kb.forward_chain(), _nested_loop_forward_chain(ref)
+        assert dataclasses.astuple(got) == dataclasses.astuple(want)
+        assert got.bindings_tried > 10 * got.facts_derived
+        assert kb.facts() == ref.facts()

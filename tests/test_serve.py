@@ -5,6 +5,7 @@ import sys
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.cli import main
@@ -248,12 +249,37 @@ class TestArtifactCache:
         assert built == ["a", "b", "c", "a"]
 
     def test_checkout_returns_fresh_copies(self):
-        cache = ArtifactCache(capacity=4)
-        key = ("lnn", 0, ())
-        first, second = cache.checkout(key), cache.checkout(key)
-        assert first is not second
-        assert cache.stats()["misses"] == 1
-        assert cache.stats()["hits"] == 1
+        # each copy profiles as a fresh build does, and profiling a copy
+        # (LNN grows its KB and tightens its bounds) leaves the master
+        from repro.obs.runrec import counters_digest
+        from repro.workloads import create
+        masters = []
+
+        def build(name, seed=0, **params):
+            masters.append(create(name, seed=seed, **params))
+            return masters[-1]
+
+        cache = ArtifactCache(capacity=4, builder=build)
+        for seed in (0, 2):
+            want = counters_digest(create("lnn", seed=seed).profile())
+            key = ("lnn", seed, ())
+            first = cache.checkout(key)
+            master = masters[-1]
+            facts = master.kb.num_facts
+            bounds = {name: (t.lower.copy(), t.upper.copy())
+                      for name, t in master.tables.items()}
+            assert counters_digest(first.profile()) == want
+            second = cache.checkout(key)
+            assert second is not first and second is not master
+            assert counters_digest(second.profile()) == want
+            assert first.kb.num_facts == second.kb.num_facts > facts
+            assert master.kb.num_facts == facts
+            for name, table in master.tables.items():
+                np.testing.assert_array_equal(table.lower, bounds[name][0])
+                np.testing.assert_array_equal(table.upper, bounds[name][1])
+        assert len(masters) == 2
+        assert cache.stats()["misses"] == 2
+        assert cache.stats()["hits"] == 2
 
     def test_failed_build_does_not_poison_the_gate(self):
         # first checkout dies mid-build; the key's build gate must be

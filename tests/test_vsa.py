@@ -1,13 +1,16 @@
 """Tests for the vector-symbolic substrate: spaces, codebooks, cleanup
 memory, PMF transforms, LSH encoding."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro import tensor as T
 from repro.vsa import (BinarySpace, BipolarSpace, CleanupMemory, Codebook,
-                       HolographicSpace, LSHEncoder, make_space, pmf_entropy,
-                       pmf_to_vsa, product_codebook, sparsify_pmf, vsa_to_pmf)
+                       FHRRSpace, HolographicSpace, LSHEncoder, make_space,
+                       pmf_entropy, pmf_to_vsa, product_codebook,
+                       sparsify_pmf, vsa_to_pmf)
 
 RNG = np.random.default_rng(42)
 
@@ -142,6 +145,21 @@ class TestCodebook:
         rows[:] = 0.0           # the codebook keeps its own copy
         assert np.count_nonzero(cb.matrix.numpy()) == 3 * 64
 
+    def test_finished_matrix_keeps_the_space_element_type(self):
+        space = FHRRSpace(8)
+        rows = space.random(np.random.default_rng(0), 2).numpy()
+        cb = Codebook(space, ["a", "b"], matrix=rows)
+        assert cb.matrix.dtype == np.complex64
+        np.testing.assert_array_equal(cb.matrix.numpy(), rows)
+        assert Codebook(HolographicSpace(8), ["a", "b"],
+                        matrix=rows.real).matrix.dtype == np.float32
+
+    def test_complex_matrix_for_a_real_space_rejected(self):
+        rows = FHRRSpace(8).random(np.random.default_rng(0), 2).numpy()
+        for space in (HolographicSpace(8), BipolarSpace(8)):
+            with pytest.raises(ValueError, match="complex"):
+                Codebook(space, ["a", "b"], matrix=rows)
+
     def test_finished_matrix_shape_checked(self):
         with pytest.raises(ValueError, match="shape"):
             Codebook(BipolarSpace(64), ["a", "b"], matrix=np.zeros((3, 64)))
@@ -185,6 +203,26 @@ class TestCodebook:
                            basis["shape"].vector("tri"))
         names, _ = CleanupMemory(combined).cleanup(query)
         assert names == ["blue|tri"]
+
+    @pytest.mark.parametrize("kind, digest", [
+        ("holographic",
+         "c49bb0e87a50e892815262e978f4f5028fc73181736ee5a51a81abf4a673a9a2"),
+        ("fhrr",
+         "2432d162b68a0928c6403ea5aa2db8d93df8267356e2598e795009d01e69f0fc"),
+    ])
+    def test_product_codebook_output_is_pinned(self, kind, digest):
+        # digests of the rows product_codebook built when it overwrote a
+        # random draw in place; the bound rows must be exactly those
+        combined, basis = product_codebook(
+            make_space(kind, 16),
+            {"shape": ["circle", "square", "triangle"],
+             "color": ["red", "blue"]}, seed=7)
+        assert combined.symbols[:2] == ["circle|red", "circle|blue"]
+        h = hashlib.sha256()
+        for cb in (combined, *basis.values()):
+            h.update(cb.matrix.numpy().dtype.str.encode())
+            h.update(cb.matrix.numpy().tobytes())
+        assert h.hexdigest() == digest
 
 
 class TestPMFTransforms:

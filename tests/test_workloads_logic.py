@@ -1,10 +1,12 @@
 """Tests for the logic-centric workloads: LNN, LTN, NLM."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from repro.core.profiler import PHASE_NEURAL, PHASE_SYMBOLIC
-from repro.workloads.lnn import LNNWorkload
+from repro.workloads.lnn import PREDICATE_DOMAINS, LNNWorkload
 from repro.workloads.ltn import LTNWorkload
 from repro.workloads.nlm import NLMWorkload
 from tests.conftest import cached_trace
@@ -56,9 +58,17 @@ class TestLNN:
         assert "scatter_min" in names
 
 
+def _key_rows(workload, pred):
+    """Reference table layout: a key->row dict over the row-major
+    product of the predicate's position domains."""
+    keys = itertools.product(*[workload.domains[d]
+                               for d in PREDICATE_DOMAINS[pred]])
+    return {key: i for i, key in enumerate(keys)}
+
+
 def _lookup_gathers(workload, body, head, variables):
-    """Reference grounding: one key tuple and one ``PredicateTable.index``
-    lookup per grounding, for every body atom and then the head."""
+    """Reference grounding: one key tuple and one key->row lookup per
+    grounding, for every body atom and then the head."""
     names = {v: workload.domains[d] for v, d in variables.items()}
     var_names = list(names)
     grids = np.meshgrid(*[np.arange(len(names[v])) for v in var_names],
@@ -67,11 +77,11 @@ def _lookup_gathers(workload, body, head, variables):
     num = flat[var_names[0]].size
 
     def gather_for(pred, args):
-        table = workload.tables[pred]
+        rows = _key_rows(workload, pred)
         idx = np.empty(num, dtype=np.int64)
         for g in range(num):
             key = tuple(names[v][flat[v][g]] for v in args)
-            idx[g] = table.index[key]
+            idx[g] = rows[key]
         return idx
 
     return [gather_for(p, a) for p, a in body] + [gather_for(*head)]
@@ -114,6 +124,26 @@ class TestLNNGrounding:
             atoms.update((p, a) for p, a in body + [head])
         # an atom whose argument order is not the grid's variable order
         assert ("advises", ("y", "x")) in atoms
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("size", SIZES, ids=["default", "one-prof",
+                                                 "three-dept"])
+    def test_asserted_facts_equal_dict_lookup(self, size, seed):
+        w = LNNWorkload(seed=seed, **size)
+        w.build()
+        for pred, table in w.tables.items():
+            rows = _key_rows(w, pred)
+            assert table.size == len(rows)
+            true = np.zeros(table.size, dtype=np.float32)
+            for _, args in w.kb.facts(pred):
+                true[rows[args]] = 1.0
+            np.testing.assert_array_equal(table.lower, true)
+            if pred in ("takes", "teaches", "advises"):   # closed world
+                assert true.any()
+                np.testing.assert_array_equal(table.upper, true)
+            else:                                        # nothing derived yet
+                assert not true.any()
+                np.testing.assert_array_equal(table.upper, 1.0)
 
     def test_constant_missing_from_table_raises_key_error(self):
         w = LNNWorkload(seed=0)
