@@ -15,7 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.core.profiler import PHASE_NEURAL, PHASE_SYMBOLIC, Trace
+import numpy as np
+
+from repro.core.columns import TraceLike, sums_by, trace_columns
+from repro.core.profiler import PHASE_NEURAL, PHASE_SYMBOLIC
 from repro.core.taxonomy import CATEGORY_ORDER, OpCategory
 from repro.hwsim.device import DeviceSpec
 from repro.hwsim.latency import ProjectedTrace, project_trace
@@ -45,16 +48,15 @@ class LatencyBreakdown:
 
 def latency_breakdown(projected: ProjectedTrace) -> LatencyBreakdown:
     """Decompose a projected trace's latency by phase and stage."""
-    counts: Dict[str, int] = {}
-    for event in projected.trace:
-        counts[event.phase] = counts.get(event.phase, 0) + 1
+    cols = projected.columns
+    counts = np.bincount(cols.phase, minlength=len(cols.phases)).tolist()
     return LatencyBreakdown(
         workload=projected.trace.workload,
         device=projected.device.name,
         total_time=projected.total_time,
         phase_times=projected.time_by_phase(),
         stage_times=projected.time_by_stage(),
-        event_counts=counts,
+        event_counts=dict(zip(cols.phases, counts)),
     )
 
 
@@ -86,7 +88,7 @@ def operator_breakdown(projected: ProjectedTrace,
     """Category runtime shares per phase (Fig. 3a)."""
     trace = projected.trace
     if phases is None:
-        phases = [p for p in trace.phases() if p]
+        phases = [p for p in projected.columns.phases if p]
     out: List[OperatorBreakdown] = []
     for phase in phases:
         cat_times = projected.time_by_category(phase)
@@ -97,29 +99,29 @@ def operator_breakdown(projected: ProjectedTrace,
     return out
 
 
-def phase_compute_utilization(trace: Trace,
+def phase_compute_utilization(trace: TraceLike,
                               device: DeviceSpec) -> Dict[str, float]:
     """Achieved FLOP rate over device peak, per phase (Fig. 4's
     utilization contrast: neural windows keep the ALUs busy, symbolic
     windows leave them nearly idle)."""
     projected = project_trace(trace, device)
-    flops: Dict[str, float] = {}
-    time: Dict[str, float] = {}
-    for cost in projected.costs:
-        phase = cost.event.phase
-        flops[phase] = flops.get(phase, 0.0) + cost.event.flops
-        time[phase] = time.get(phase, 0.0) + cost.total
+    cols = projected.columns
+    k = len(cols.phases)
+    flops = sums_by(cols.phase, cols.flops, k)
+    time = sums_by(cols.phase, projected.total, k)
     return {
-        phase: (flops[phase] / (time[phase] * device.peak_flops)
-                if time[phase] > 0 else 0.0)
-        for phase in flops
+        phase: (flops[i] / (time[i] * device.peak_flops)
+                if time[i] > 0 else 0.0)
+        for i, phase in enumerate(cols.phases)
     }
 
 
-def flops_breakdown(trace: Trace) -> Dict[str, float]:
+def flops_breakdown(trace: TraceLike) -> Dict[str, float]:
     """FLOP share per phase — the paper's observation that NVSA's
     symbolic phase takes 92% of time but only ~19% of FLOPs."""
-    per_phase = trace.flops_by_phase()
+    cols = trace_columns(trace)
+    per_phase = dict(zip(cols.phases, sums_by(cols.phase, cols.flops,
+                                              len(cols.phases))))
     total = sum(per_phase.values())
     if total <= 0:
         return {phase: 0.0 for phase in per_phase}

@@ -43,10 +43,9 @@ class FunctionStats:
 def function_table(trace: Trace, device: DeviceSpec,
                    phase: Optional[str] = None) -> List[FunctionStats]:
     """Aggregate the trace per op name, by descending total time."""
-    projected = project_trace(trace, device)
+    totals = project_trace(trace, device).total.tolist()
     buckets: Dict[str, FunctionStats] = {}
-    for cost in projected.costs:
-        event = cost.event
+    for event, total in zip(trace.events, totals):
         if phase is not None and event.phase != phase:
             continue
         stats = buckets.get(event.name)
@@ -55,14 +54,14 @@ def function_table(trace: Trace, device: DeviceSpec,
         if stats is None:
             buckets[event.name] = FunctionStats(
                 name=event.name, category=event.category, calls=1,
-                total_time=cost.total, total_flops=event.flops,
+                total_time=total, total_flops=event.flops,
                 total_bytes=event.total_bytes,
                 max_output_elements=elements,
                 mean_sparsity=event.output_sparsity)
         else:
             n = stats.calls
             stats.calls += 1
-            stats.total_time += cost.total
+            stats.total_time += total
             stats.total_flops += event.flops
             stats.total_bytes += event.total_bytes
             stats.max_output_elements = max(stats.max_output_elements,

@@ -16,6 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
+from repro.core.columns import TraceLike, sums_by, trace_columns
 from repro.core.profiler import Trace
 
 
@@ -54,23 +57,37 @@ class MemoryProfile:
         return self.peak_live_by_phase.get(phase, 0) / peak
 
 
-def memory_profile(trace: Trace) -> MemoryProfile:
+def memory_profile(trace: TraceLike) -> MemoryProfile:
     """Extract the memory view from a trace (uses the live-bytes
     samples each event carries plus the workload's static accounting
-    stored in trace metadata)."""
-    peak_by_phase: Dict[str, int] = {}
-    traffic: Dict[str, int] = {}
-    for event in trace:
-        if event.live_bytes > peak_by_phase.get(event.phase, 0):
-            peak_by_phase[event.phase] = event.live_bytes
-        traffic[event.phase] = traffic.get(event.phase, 0) + event.total_bytes
+    stored in trace metadata).
+
+    A phase's peak is its first largest positive sample, and phases
+    appear in the order their first positive sample does; a phase
+    without one has no peak entry.  Traffic is summed per phase in
+    event order.
+    """
+    cols = trace_columns(trace)
+    live = cols.live_bytes
+    positive = live > 0
+    firsts: List[Tuple[int, str, int]] = []
+    for code, phase in enumerate(cols.phases):
+        at = (positive & (cols.phase == code)).nonzero()[0]
+        if at.size:
+            firsts.append((int(at[0]), phase,
+                           int(at[np.argmax(live[at])])))
+    events = cols.events
+    peak_by_phase = {phase: events[i].live_bytes
+                     for _, phase, i in sorted(firsts)}
+    metadata = cols.trace.metadata
     return MemoryProfile(
-        workload=trace.workload,
+        workload=cols.trace.workload,
         peak_live_bytes=max(peak_by_phase.values(), default=0),
         peak_live_by_phase=peak_by_phase,
-        traffic_by_phase=traffic,
-        parameter_bytes=int(trace.metadata.get("parameter_bytes", 0)),
-        codebook_bytes=int(trace.metadata.get("codebook_bytes", 0)),
+        traffic_by_phase=dict(zip(cols.phases, sums_by(
+            cols.phase, cols.total_bytes, len(cols.phases)))),
+        parameter_bytes=int(metadata.get("parameter_bytes", 0)),
+        codebook_bytes=int(metadata.get("codebook_bytes", 0)),
     )
 
 

@@ -51,7 +51,7 @@ def phase_boundedness(projected: ProjectedTrace) -> Dict[str, str]:
     whose time is dominated by a few high-intensity kernels.)
     """
     out: Dict[str, str] = {}
-    for phase in projected.trace.phases():
+    for phase in projected.columns.phases:
         if not phase:
             continue
         fraction = projected.memory_bound_fraction(phase)

@@ -14,8 +14,7 @@ from repro.hwsim.system import (HeterogeneousSystem, SystemCost,
                                 gpu_only_placement, phase_placement)
 from repro.hwsim.kernels import (KernelCounters, KernelProfile,
                                  nvsa_table4_kernels, simulate_kernel)
-from repro.hwsim.latency import (EventCost, ProjectedTrace, project_event,
-                                 project_trace)
+from repro.hwsim.latency import ProjectedTrace, project_trace
 from repro.hwsim.roofline import RooflinePoint, roofline_curve, roofline_points
 from repro.hwsim.transfer import TransferReport, analyze_transfers
 
@@ -26,7 +25,7 @@ __all__ = [
     "get_device", "parse_device_list",
     "KernelCounters", "KernelProfile", "nvsa_table4_kernels",
     "simulate_kernel",
-    "EventCost", "ProjectedTrace", "project_event", "project_trace",
+    "ProjectedTrace", "project_trace",
     "RooflinePoint", "roofline_curve", "roofline_points",
     "TransferReport", "analyze_transfers",
     "EnergyReport", "estimate_energy",

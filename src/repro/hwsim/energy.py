@@ -20,7 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from repro.core.profiler import Trace
+import numpy as np
+
+from repro.core.columns import TraceLike, first_seen, seq_sum, sums_by
 from repro.hwsim.device import DeviceSpec
 from repro.hwsim.latency import project_trace
 
@@ -50,37 +52,40 @@ class EnergyReport:
             else 0.0
 
 
-def estimate_energy(trace: Trace, device: DeviceSpec) -> EnergyReport:
-    """Project ``trace`` and integrate the power model."""
+def estimate_energy(trace: TraceLike, device: DeviceSpec) -> EnergyReport:
+    """Project ``trace`` and integrate the power model.
+
+    Elementwise over the projection; each phase's energy and the
+    dynamic total are summed in event order over the events whose
+    projected time is not <= 0, and phases appear in the order such an
+    event first does.
+    """
     if device.tdp_watts <= 0:
         raise ValueError(f"device {device.name} has no TDP configured")
     projected = project_trace(trace, device)
+    cols = projected.columns
     static_power = STATIC_FRACTION * device.tdp_watts
     dynamic_peak = DYNAMIC_FRACTION * device.tdp_watts
 
-    dynamic = 0.0
-    by_phase: Dict[str, float] = {}
-    for cost in projected.costs:
-        event = cost.event
-        duration = cost.total
-        if duration <= 0:
-            continue
-        if cost.bound == "compute":
-            utilization = min(1.0, cost.achieved_flops_rate
-                              / device.peak_flops)
-        else:
-            achieved_bw = event.total_bytes / duration
-            utilization = min(1.0, achieved_bw / device.dram_bandwidth)
-        event_energy = (static_power + dynamic_peak * utilization) \
-            * duration
-        dynamic += dynamic_peak * utilization * duration
-        by_phase[event.phase] = by_phase.get(event.phase, 0.0) \
-            + event_energy
+    busy = ~(projected.total <= 0)
+    duration = projected.total[busy]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        achieved = np.where(
+            projected.memory_bound[busy],
+            cols.total_bytes[busy] / duration / device.dram_bandwidth,
+            cols.flops[busy] / duration / device.peak_flops)
+    # min(1.0, achieved) as the builtin picks: achieved only when smaller
+    utilization = np.where(achieved < 1.0, achieved, 1.0)
+    event_energy = (static_power + dynamic_peak * utilization) * duration
+    phase = cols.phase[busy]
+    sums = sums_by(phase, event_energy, len(cols.phases))
+    by_phase = {cols.phases[code]: sums[code] for code in first_seen(phase)}
 
     return EnergyReport(
         device=device.name,
         total_time=projected.total_time,
         static_energy=static_power * projected.total_time,
-        dynamic_energy=dynamic,
+        dynamic_energy=float(seq_sum(dynamic_peak * utilization
+                                     * duration)),
         energy_by_phase=by_phase,
     )

@@ -81,8 +81,8 @@ def simulate_schedule(trace: Trace, device: DeviceSpec,
     if max_concurrency < 1:
         raise ValueError("max_concurrency must be >= 1")
     projected = project_trace(trace, device)
-    latency: Dict[int, float] = {
-        cost.event.eid: cost.total for cost in projected.costs}
+    latency: Dict[int, float] = dict(zip(projected.columns.eid.tolist(),
+                                         projected.total.tolist()))
 
     # dependency bookkeeping; also serialize by *program order* within
     # untracked side effects: an event with no parents still cannot

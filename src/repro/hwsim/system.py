@@ -18,10 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.core.columns import trace_columns
 from repro.core.profiler import Trace, TraceEvent
 from repro.core.taxonomy import OpCategory
 from repro.hwsim.device import DeviceSpec
-from repro.hwsim.latency import EventCost, project_event
+from repro.hwsim.latency import project_trace
 
 Placement = Callable[[TraceEvent], str]   # -> "cpu" | "gpu"
 
@@ -57,13 +58,14 @@ class SystemCost:
 
     event: TraceEvent
     device: str
-    execution: EventCost
+    #: projected seconds of the event on its device
+    execution: float
     transfer_bytes: int
     transfer_time: float
 
     @property
     def total(self) -> float:
-        return self.execution.total + self.transfer_time
+        return self.execution + self.transfer_time
 
 
 @dataclass
@@ -100,7 +102,7 @@ class SystemReport:
         out: Dict[str, float] = {}
         for cost in self.costs:
             out[cost.device] = out.get(cost.device, 0.0) \
-                + cost.execution.total
+                + cost.execution
         out["pcie"] = self.transfer_time
         return out
 
@@ -124,10 +126,12 @@ class HeterogeneousSystem:
         costs: List[SystemCost] = []
         bytes_of: Dict[int, int] = {
             e.eid: e.bytes_written for e in trace}
-        for event in trace:
+        columns = trace_columns(trace)
+        on_gpu = project_trace(columns, self.gpu).total.tolist()
+        on_cpu = project_trace(columns, self.cpu).total.tolist()
+        for i, event in enumerate(trace):
             device_name = self.placement(event)
-            device = self.gpu if device_name == "gpu" else self.cpu
-            execution = project_event(event, device)
+            execution = on_gpu[i] if device_name == "gpu" else on_cpu[i]
             moved = 0
             for parent in event.parents:
                 parent_side = side_of.get(parent, device_name)

@@ -16,7 +16,7 @@ choice of lens rather than a sample count:
 * ``wall`` — measured host microseconds (the default; what a sampling
   profiler would approximate),
 * ``latency`` — modeled device microseconds from
-  :func:`repro.hwsim.latency.project_event` (where would time go on
+  :func:`repro.hwsim.latency.project_trace` (where would time go on
   the target accelerator),
 * ``flops`` — floating-point work,
 * ``bytes`` — memory traffic (read + written).
@@ -34,7 +34,7 @@ from typing import Dict, List, Optional
 from repro.core.profiler import Trace, TraceEvent
 from repro.hwsim.device import DeviceSpec
 from repro.hwsim.devices import RTX_2080TI
-from repro.hwsim.latency import project_event
+from repro.hwsim.latency import project_trace
 from repro.obs.spans import SpanRecord
 
 #: weight lenses accepted by :func:`collapsed_stacks` (CLI choices)
@@ -80,16 +80,17 @@ def _fallback_chain(trace: Trace, event: TraceEvent) -> List[str]:
     return chain
 
 
-def _event_weight(event: TraceEvent, weight: str,
-                  device: DeviceSpec) -> float:
+def _event_weights(trace: Trace, weight: str,
+                   device: DeviceSpec) -> List[float]:
+    """Each event's weight under lens ``weight``, in trace order."""
     if weight == "wall":
-        return event.wall_time * _US
+        return [event.wall_time * _US for event in trace.events]
     if weight == "latency":
-        return project_event(event, device).total * _US
+        return (project_trace(trace, device).total * _US).tolist()
     if weight == "flops":
-        return event.flops
+        return [event.flops for event in trace.events]
     if weight == "bytes":
-        return float(event.total_bytes)
+        return [float(event.total_bytes) for event in trace.events]
     raise ValueError(
         f"unknown flame weight {weight!r} (choose from {FLAME_WEIGHTS})")
 
@@ -105,14 +106,14 @@ def collapsed_stacks(trace: Trace, weight: str = "wall",
     by_sid = {record.sid: record for record in trace.spans
               if isinstance(record, SpanRecord)}
     acc: Dict[str, float] = {}
-    for event in trace.events:
+    weights = _event_weights(trace, weight, device)
+    for event, value in zip(trace.events, weights):
         chain = _span_chain(event.sid, by_sid)
         if chain is None:
             chain = _fallback_chain(trace, event)
         chain.append(_frame(event.name))
         stack = ";".join(chain)
-        acc[stack] = acc.get(stack, 0.0) + _event_weight(
-            event, weight, device)
+        acc[stack] = acc.get(stack, 0.0) + value
     out: Dict[str, int] = {}
     for stack, value in acc.items():
         rounded = int(round(value))

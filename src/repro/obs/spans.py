@@ -143,6 +143,16 @@ def tracing_active() -> bool:
     return bool(_collector_stack())
 
 
+def open_spans() -> List[SpanRecord]:
+    """This thread's open spans, innermost last.
+
+    The stack itself, not a copy: the tensor dispatcher's per-thread
+    state holds it, so an op reads its span without a call.  Callers
+    must not change it.
+    """
+    return _span_stack()
+
+
 def current_span() -> Optional[SpanRecord]:
     """The innermost open span on this thread, or ``None``."""
     stack = _span_stack()

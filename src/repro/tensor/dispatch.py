@@ -36,9 +36,9 @@ import numpy as np
 from repro.core.profiler import TraceEvent
 from repro.core.taxonomy import OpCategory, category_for
 from repro.obs import selfprof as _selfprof
-from repro.obs.spans import current_span as _current_span
 from repro.obs.spans import now as _now
-from repro.tensor.context import InjectedFaultError, ProfileContext
+from repro.tensor.context import (DispatchState, InjectedFaultError,
+                                  ProfileContext)
 from repro.tensor.context import thread_local as _thread_local
 from repro.tensor.tensor import Tensor
 
@@ -60,10 +60,10 @@ _SPARSITY_COMPARE_DTYPES = frozenset((np.dtype(np.float32),
 InputLike = Union[Tensor, np.ndarray, float, int, bool]
 
 
-def _current_sid() -> Optional[int]:
-    """Span id of the innermost open span, or ``None`` untraced."""
-    record = _current_span()
-    return record.sid if record is not None else None
+def _current_sid(state: DispatchState) -> Optional[int]:
+    """Span id of the thread's innermost open span, ``None`` untraced."""
+    spans = state.spans
+    return spans[-1].sid if spans else None
 
 
 def _split_inputs(inputs: Sequence[InputLike]) -> Tuple[List[np.ndarray], int,
@@ -306,12 +306,12 @@ def run_op(name: str,
     if ledger is not None:
         p5 = _perf_ns()                                # counters
     eid = ctx.next_eid()
-    sid = _current_sid()
+    sid = _current_sid(state)
     if ledger is not None:
         p6 = _perf_ns()                                # span
     result = Tensor(out_arr, eid, False)    # untracked; tracked here
     if recorded is None:
-        ctx.track_allocation(result, out_arr.nbytes)
+        result._live = ctx.track_allocation(out_arr.nbytes)
         live_bytes = ctx.live_bytes + extra_live
     else:
         live_bytes = recorded.live_bytes + extra_live
@@ -362,7 +362,7 @@ def record_event(name: str,
         flops = poison
         output_sparsity = poison
     eid = ctx.next_eid()
-    event = _record(ctx, eid, _current_sid(), name, category,
+    event = _record(ctx, eid, _current_sid(state), name, category,
                     flops=flops, bytes_read=bytes_read,
                     bytes_written=bytes_written, wall_time=wall_time,
                     t_start=_now() - wall_time,
@@ -420,7 +420,7 @@ def record_region(name: str,
         elapsed = _now() - t_start
         elapsed, poison, extra_live = _apply_injection(injection, elapsed)
         eid = ctx.next_eid()
-        _record(ctx, eid, _current_sid(), name, category,
+        _record(ctx, eid, _current_sid(state), name, category,
                 flops=counters.flops if poison is None else poison,
                 bytes_read=counters.bytes_read,
                 bytes_written=counters.bytes_written, wall_time=elapsed,

@@ -27,23 +27,31 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.core.taxonomy import OpCategory
-from repro.tensor.context import active_context
+from repro.tensor.context import Tracked, active_context
 from repro.tensor.dispatch import run_op
 from repro.tensor.tensor import Tensor, as_tensor
 
 
-class CSRMatrix:
-    """A CSR sparse matrix participating in the instrumented runtime."""
+class CSRMatrix(Tracked):
+    """A CSR sparse matrix participating in the instrumented runtime.
+
+    Its bytes count as live while it exists, as a tensor's do.
+    """
 
     def __init__(self, matrix: "sp.csr_matrix",
-                 producer: Optional[int] = None):
+                 producer: Optional[int] = None, _track: bool = True):
+        self._live = None
         if not sp.isspmatrix_csr(matrix):
             matrix = sp.csr_matrix(matrix)
         self.matrix = matrix
         self.producer = producer
-        ctx = active_context()
+        ctx = active_context() if _track else None
         if ctx is not None:
-            ctx.track_allocation(self, self.nbytes)
+            self._live = ctx.track_allocation(self.nbytes)
+
+    def __reduce__(self) -> tuple:
+        # copies and unpickled matrices are untracked
+        return (CSRMatrix, (self.matrix, self.producer, False))
 
     # -- construction -----------------------------------------------------
     @classmethod

@@ -12,18 +12,24 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from repro.tensor.context import active_context
+from repro.tensor.context import Tracked, active_context
 
 ArrayLike = Union[np.ndarray, float, int, list, tuple, "Tensor"]
 
 
-class Tensor:
-    """Numpy array + provenance (the trace event id that produced it)."""
+class Tensor(Tracked):
+    """Numpy array + provenance (the trace event id that produced it).
 
-    __slots__ = ("data", "producer", "__weakref__")
+    Made under a profiling context, its bytes count as live until it
+    is freed (:class:`~repro.tensor.context.Tracked`); ``_track=False``
+    leaves that to the caller.
+    """
+
+    __slots__ = ("data", "producer", "_live")
 
     def __init__(self, data: np.ndarray, producer: Optional[int] = None,
                  _track: bool = True):
+        self._live = None
         if not isinstance(data, np.ndarray):
             data = np.asarray(data)
         self.data = data
@@ -31,7 +37,11 @@ class Tensor:
         if _track:
             ctx = active_context()
             if ctx is not None:
-                ctx.track_allocation(self, data.nbytes)
+                self._live = ctx.track_allocation(data.nbytes)
+
+    def __reduce__(self) -> tuple:
+        # copies and unpickled tensors are untracked
+        return (Tensor, (self.data, self.producer, False))
 
     # -- basic introspection ---------------------------------------------------
     @property

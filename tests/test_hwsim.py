@@ -1,6 +1,8 @@
 """Tests for the hardware-model substrate: devices, latency projection,
 roofline, cache simulation, kernel counters, transfers."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from repro.core.taxonomy import OpCategory
 from repro.hwsim import (ALL_DEVICES, CacheHierarchy, CacheSpec, DeviceSpec,
                          JETSON_TX2, RTX_2080TI, SetAssociativeCache,
                          XAVIER_NX, XEON_4114, analyze_transfers, get_device,
-                         nvsa_table4_kernels, project_event, project_trace,
+                         nvsa_table4_kernels, project_trace,
                          roofline_curve, roofline_points, simulate_kernel)
 
 
@@ -59,6 +61,16 @@ class TestDevices:
         with pytest.raises(ValueError):
             CacheSpec(size=1000, line_size=128, associativity=4,
                       bandwidth=1e12)
+
+
+def project_event(event, device):
+    """The projection of a one-event trace, as that event's roofs."""
+    projected = project_trace(Trace("one", [event]), device)
+    return SimpleNamespace(
+        compute_time=float(projected.compute[0]),
+        memory_time=float(projected.memory[0]),
+        total=float(projected.total[0]),
+        bound="memory" if projected.memory_bound[0] else "compute")
 
 
 class TestLatencyProjection:
