@@ -74,6 +74,20 @@ class KnowledgeBase:
         self._facts: Dict[str, Set[Tuple[str, ...]]] = {}
         self.rules: List[HornRule] = []
 
+    def __deepcopy__(self, memo: Dict[int, object]) -> "KnowledgeBase":
+        """A copy whose facts and rules can grow apart from this one's.
+
+        Facts are tuples of strings and rules are frozen, so the copy
+        shares them and builds only new fact sets and a new rules list,
+        instead of rebuilding each rule atom by atom.
+        """
+        copy = KnowledgeBase()
+        copy._facts = {predicate: set(facts)
+                       for predicate, facts in self._facts.items()}
+        copy.rules = list(self.rules)
+        memo[id(self)] = copy
+        return copy
+
     # -- facts -----------------------------------------------------------
     def add_fact(self, predicate: str, *constants: str) -> None:
         self._facts.setdefault(predicate, set()).add(tuple(constants))

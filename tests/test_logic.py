@@ -1,6 +1,7 @@
 """Tests for the symbolic-logic substrate: fuzzy semantics, FOL AST,
 truth bounds, knowledge-base chaining."""
 
+import copy
 import dataclasses
 import itertools
 
@@ -255,6 +256,20 @@ class TestKnowledgeBase:
         stats = kb.forward_chain()
         assert stats.total_work >= stats.rule_applications
         assert stats.bindings_tried > 0
+
+    def test_deepcopy_shares_rules_not_facts(self):
+        kb = self._kb()
+        twin = copy.deepcopy(kb)
+        assert twin.facts() == kb.facts()
+        assert twin.rules == kb.rules and twin.rules is not kb.rules
+        assert all(a is b for a, b in zip(twin.rules, kb.rules))
+        twin.add_fact("parent", "carol", "dan")
+        twin.forward_chain()
+        assert twin.has_fact("grandparent", "bob", "dan")
+        assert kb.facts() == self._kb().facts()
+        # a structure holding the KB twice copies it once
+        pair = copy.deepcopy([kb, kb])
+        assert pair[0] is pair[1]
 
 
 # -- the nested-loop join, kept as the hash join's reference ---------------

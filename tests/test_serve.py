@@ -281,6 +281,26 @@ class TestArtifactCache:
         assert cache.stats()["misses"] == 2
         assert cache.stats()["hits"] == 2
 
+    def test_lnn_checkout_copies_facts_and_shares_rules(self):
+        built = []
+
+        def build(name, seed=0, **params):
+            from repro.workloads import create
+            built.append(create(name, seed=seed, **params))
+            return built[-1]
+
+        cache = ArtifactCache(capacity=2, builder=build)
+        twin = cache.checkout(("lnn", 0, ()))
+        master = built[0].kb
+        assert twin.kb is not master
+        assert twin.kb.facts() == master.facts()
+        assert all(a is b for a, b in zip(twin.kb.rules, master.rules))
+        before = master.num_facts
+        twin.kb.add_fact("student", "someone_new")
+        assert twin.kb.num_facts == before + 1
+        assert master.num_facts == before
+        assert not master.has_fact("student", "someone_new")
+
     def test_failed_build_does_not_poison_the_gate(self):
         # first checkout dies mid-build; the key's build gate must be
         # torn down so a retry rebuilds instead of deadlocking or
