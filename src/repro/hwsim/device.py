@@ -12,7 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict
 
-from repro.core.taxonomy import OpCategory
+import numpy as np
+
+from repro.core.taxonomy import CATEGORY_ORDER, OpCategory
 
 
 @dataclass(frozen=True)
@@ -66,12 +68,22 @@ class DeviceSpec:
 
     def compute_efficiency(self, category: OpCategory, flops: float) -> float:
         """Sustained fraction of peak for a kernel of ``category``/``flops``."""
-        base = self.category_efficiency.get(category, 0.3)
-        if flops <= 0:
-            return base
-        ramp = min(1.0, flops / self.saturation_flops)
-        # even tiny kernels keep a floor of 2% of the sustained rate
-        return base * max(ramp, 0.02)
+        return float(self.compute_efficiencies(
+            np.array([CATEGORY_ORDER.index(category)]),
+            np.array([flops], dtype=np.float64))[0])
+
+    def compute_efficiencies(self, categories: np.ndarray,
+                             flops: np.ndarray) -> np.ndarray:
+        """:meth:`compute_efficiency` of many kernels at once, given each
+        one's category code (an index into
+        :data:`~repro.core.taxonomy.CATEGORY_ORDER`) and FLOPs."""
+        base = np.array([self.category_efficiency.get(category, 0.3)
+                         for category in CATEGORY_ORDER])[categories]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ramp = np.minimum(1.0, flops / self.saturation_flops)
+            # even tiny kernels keep a floor of 2% of the sustained
+            # rate; a kernel without positive FLOPs keeps the base
+            return np.where(flops > 0, base * np.maximum(ramp, 0.02), base)
 
     def bandwidth_efficiency(self, category: OpCategory) -> float:
         return self.memory_efficiency.get(category, 0.6)
