@@ -507,8 +507,13 @@ class TestJsonlExport:
          ' "flops": null}', "float"),
         ('{"type": "span", "sid": 0}', "missing field 'name'"),
         ('{"type": "meta", "version": 99}', "version"),
+        ('{"type": "op", "eid": 1e30, "name": "add", "category": "other"}',
+         "does not fit in 64 bits"),
+        ('{"type": "op", "eid": 1, "name": "add", "category": "other",'
+         ' "parents": [9223372036854775808]}', "does not fit in 64 bits"),
     ], ids=["not-json", "not-object", "no-eid", "bad-category",
-            "null-flops", "span-no-name", "bad-version"])
+            "null-flops", "span-no-name", "bad-version", "huge-eid",
+            "huge-parent"])
     def test_malformed_line_names_its_number(self, line, reason):
         lines = ['{"type": "meta", "version": 2, "workload": "w"}', "",
                  line]

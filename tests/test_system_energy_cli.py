@@ -290,6 +290,14 @@ class TestCLITraceArchive:
                          lambda records: records[1].update(flops="nan"))
         assert "non-finite flops: nan" in self._refused(path, capsys)
 
+    def test_analyze_trace_huge_byte_count(self, tmp_path, capsys):
+        # a counter beyond int64 is analysed, not a traceback
+        path = self._log(tmp_path,
+                         lambda records: records[1].update(
+                             bytes_read=10 ** 30))
+        assert cli_main(["analyze-trace", str(path)]) == 0
+        assert "latency by phase" in capsys.readouterr().out
+
     def test_analyze_trace_missing_phase(self, tmp_path, capsys):
         path = self._log(tmp_path, lambda records: [
             r.update(phase="neural") for r in records if r["type"] == "op"])
