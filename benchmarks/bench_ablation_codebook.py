@@ -47,7 +47,8 @@ def reproduce_codebook_ablation():
         rows.append([size, format_bytes(codebook.nbytes),
                      f"{hits}/{QUERIES}",
                      f"{np.abs(off).max():.3f}",
-                     format_bytes(prof.trace.total_bytes // QUERIES)])
+                     format_bytes(sum(prof.trace.columns.total_bytes.tolist())
+                                  // QUERIES)])
     return rows, recovery
 
 

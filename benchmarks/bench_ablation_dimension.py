@@ -32,7 +32,9 @@ def reproduce_dimension_ablation():
             workload = create("nvsa", dim=dim, seed=seed)
             trace = workload.profile()
             correct += int(trace.metadata["result"]["correct"])
-            symbolic_bytes = trace.by_phase("symbolic").total_bytes
+            cols = trace.columns
+            symbolic_bytes = sum(
+                cols.total_bytes[cols.in_phase("symbolic")].tolist())
             codebook = trace.metadata["codebook_bytes"]
             total_time = latency_breakdown(
                 project_trace(trace, RTX_2080TI)).total_time

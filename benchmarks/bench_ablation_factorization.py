@@ -70,13 +70,13 @@ def reproduce_factorization_ablation():
 
             with T.profile("res") as prof:
                 result = network.factorize(composite)
-            res_bytes += prof.trace.total_bytes
+            res_bytes += sum(prof.trace.columns.total_bytes.tolist())
             res_hits += int(result.factors == picks)
 
             with T.profile("brute") as prof2:
                 sims = product_cb.similarities(composite)
                 best = int(np.argmax(sims.numpy()))
-            brute_bytes += prof2.trace.total_bytes
+            brute_bytes += sum(prof2.trace.columns.total_bytes.tolist())
             brute_hits += int(product_cb.symbols[best]
                               == "|".join(picks[n] for n in names))
 

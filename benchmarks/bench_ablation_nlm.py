@@ -23,7 +23,9 @@ def reproduce_nlm_ablation():
         workload = create("nlm", depth=depth, breadth=breadth, seed=0)
         trace = workload.profile()
         lb = latency_breakdown(project_trace(trace, RTX_2080TI))
-        symbolic_bytes = trace.by_phase(PHASE_SYMBOLIC).total_bytes
+        cols = trace.columns
+        symbolic_bytes = sum(
+            cols.total_bytes[cols.in_phase(PHASE_SYMBOLIC)].tolist())
         accuracy = trace.metadata["result"]["grandparent_accuracy"]
         rows.append([depth, breadth, format_time(lb.total_time),
                      f"{lb.symbolic_fraction * 100:.1f}%",

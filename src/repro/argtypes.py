@@ -1,0 +1,34 @@
+"""Checked argparse ``type=`` callables shared by the command lines.
+
+A value outside what the flag accepts is a usage error naming what was
+expected, so the command prints one line and exits 2 instead of
+starting work it cannot do.
+"""
+
+from __future__ import annotations
+
+import argparse
+import math
+from typing import Callable
+
+
+def checked(kind: Callable[[str], float], accept: Callable[[float], bool],
+            expected: str) -> Callable[[str], float]:
+    """An argparse ``type=``: ``kind(text)`` when it is finite and
+    ``accept`` holds, else a usage error naming ``expected``."""
+    def parse(text: str) -> float:
+        try:
+            value = kind(text)
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value) and accept(value)):
+            raise argparse.ArgumentTypeError(
+                f"must be {expected}, got {text!r}")
+        return value
+    return parse
+
+
+#: ``--max-retries``
+RETRIES = checked(int, lambda v: v >= 0, "an integer >= 0")
+#: ``--timeout`` and the other durations and rates
+POSITIVE = checked(float, lambda v: v > 0, "a finite number > 0")

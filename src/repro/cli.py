@@ -38,6 +38,7 @@ import argparse
 import sys
 from typing import List, Optional
 
+from repro.argtypes import POSITIVE, RETRIES
 from repro.core.analysis import latency_breakdown
 from repro.core.functions import function_table, render_function_table
 from repro.core.profiler import PHASE_NEURAL, PHASE_SYMBOLIC, Trace
@@ -98,9 +99,9 @@ def _build_parser() -> argparse.ArgumentParser:
              "healthy)")
     roster.add_argument("--device", default="rtx", type=device_arg)
     roster.add_argument("--seed", type=int, default=0)
-    roster.add_argument("--timeout", type=float, default=120.0,
+    roster.add_argument("--timeout", type=POSITIVE, default=120.0,
                         help="per-workload wall-clock budget in seconds")
-    roster.add_argument("--max-retries", type=int, default=2,
+    roster.add_argument("--max-retries", type=RETRIES, default=2,
                         help="retries per workload on transient errors")
 
     faults = sub.add_parser(
@@ -127,8 +128,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="seconds added per latency fault")
     faults.add_argument("--alloc-bytes", type=int, default=1 << 30,
                         help="live bytes added per alloc fault")
-    faults.add_argument("--timeout", type=float, default=120.0)
-    faults.add_argument("--max-retries", type=int, default=0,
+    faults.add_argument("--timeout", type=POSITIVE, default=120.0)
+    faults.add_argument("--max-retries", type=RETRIES, default=0,
                         help="retries (default 0: report first outcome)")
 
     lint = sub.add_parser(

@@ -26,8 +26,7 @@ _EXPORTS: Dict[str, str] = {
     "render_function_table": "functions",
     "InefficiencyReport": "inefficiency",
     "analyze_inefficiency": "inefficiency",
-    "MemoryProfile": "memory", "live_bytes_series": "memory",
-    "memory_profile": "memory",
+    "MemoryProfile": "memory", "memory_profile": "memory",
     "OpGraphReport": "opgraph", "analyze_graph": "opgraph",
     "PHASE_NEURAL": "profiler", "PHASE_SYMBOLIC": "profiler",
     "Trace": "profiler", "TraceEvent": "profiler",

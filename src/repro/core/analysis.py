@@ -17,8 +17,8 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.columns import TraceLike, sums_by, trace_columns
-from repro.core.profiler import PHASE_NEURAL, PHASE_SYMBOLIC
+from repro.core.columns import sums_by
+from repro.core.profiler import PHASE_NEURAL, PHASE_SYMBOLIC, Trace
 from repro.core.taxonomy import CATEGORY_ORDER, OpCategory
 from repro.hwsim.device import DeviceSpec
 from repro.hwsim.latency import ProjectedTrace, project_trace
@@ -99,7 +99,7 @@ def operator_breakdown(projected: ProjectedTrace,
     return out
 
 
-def phase_compute_utilization(trace: TraceLike,
+def phase_compute_utilization(trace: Trace,
                               device: DeviceSpec) -> Dict[str, float]:
     """Achieved FLOP rate over device peak, per phase (Fig. 4's
     utilization contrast: neural windows keep the ALUs busy, symbolic
@@ -116,10 +116,10 @@ def phase_compute_utilization(trace: TraceLike,
     }
 
 
-def flops_breakdown(trace: TraceLike) -> Dict[str, float]:
+def flops_breakdown(trace: Trace) -> Dict[str, float]:
     """FLOP share per phase — the paper's observation that NVSA's
     symbolic phase takes 92% of time but only ~19% of FLOPs."""
-    cols = trace_columns(trace)
+    cols = trace.columns
     per_phase = dict(zip(cols.phases, sums_by(cols.phase, cols.flops,
                                               len(cols.phases))))
     total = sum(per_phase.values())

@@ -1,10 +1,13 @@
 """A trace as columns: one numpy array per event field.
 
-Every analysis view (Figs. 2a, 3a–c, 4 and 5) and both trace checks
-read the same dozen event fields.  :class:`TraceColumns` reads them off
-the :class:`~repro.core.profiler.TraceEvent` objects once, so each view
-is a few numpy operations over the columns instead of a Python loop
-over the events.
+Every analysis view (Figs. 2a, 3a–c, 4 and 5), the counters digest and
+both trace checks read the same dozen event fields.
+:class:`TraceColumns` reads them off the
+:class:`~repro.core.profiler.TraceEvent` objects once, so each view is
+a few numpy operations over the columns instead of a Python loop over
+the events.  A trace's columns are :attr:`Trace.columns
+<repro.core.profiler.Trace.columns>`, the one place that decides when
+they are extracted.
 
 Sums stay bit-identical to the per-event loops they replace because
 they stay sequential in event order: :func:`sums_by` adds through
@@ -16,7 +19,8 @@ the same Python floats added the same way on every Python version
 (from 3.12 on, ``sum`` compensates float rounding).  Integer counters
 are int64 columns, and a column falls back to float64 when one of its
 values is not an integer (a poisoned NaN or inf, or a float a caller
-wrote) or does not fit in int64.  Event and parent ids are int64.
+wrote) or does not fit in int64, and so does the byte total when a
+read and a write count add past int64.  Event and parent ids are int64.
 Category, phase and stage labels are integer codes; the phase and stage
 labels are listed in first appearance, which is the order every
 per-label dict of a view keeps.
@@ -26,13 +30,15 @@ from __future__ import annotations
 
 import itertools
 import math
-from operator import attrgetter
-from typing import List, Optional, Sequence, Tuple, Union
+from operator import add, attrgetter
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.profiler import Trace
 from repro.core.taxonomy import CATEGORY_ORDER
+
+if TYPE_CHECKING:
+    from repro.core.profiler import TraceEvent
 
 _CATEGORY_CODE = {category.value: code
                   for code, category in enumerate(CATEGORY_ORDER)}
@@ -69,6 +75,10 @@ def _codes(labels: Sequence[str]) -> Tuple[List[str], np.ndarray]:
 class TraceColumns:
     """The event fields of one trace, one array per field, in trace order.
 
+    Built from the trace's events and holding no reference to the
+    trace, so a trace that keeps its columns stays out of reference
+    cycles and is freed as soon as its last reference goes.
+
     ``phase`` and ``stage`` are codes into ``phases`` and ``stages``
     (every label, ``""`` included, in first appearance); ``category``
     codes index :data:`~repro.core.taxonomy.CATEGORY_ORDER`.
@@ -77,16 +87,14 @@ class TraceColumns:
     ``parent_owner`` holds each one's event index.
     """
 
-    __slots__ = ("trace", "n", "eid", "phases", "phase", "stages", "stage",
+    __slots__ = ("n", "eid", "phases", "phase", "stages", "stage",
                  "category", "flops", "bytes_read", "bytes_written",
                  "total_bytes", "elements", "output_sparsity",
                  "wall_time", "live_bytes", "parents", "parent_start",
                  "parent_owner", "increasing")
 
-    def __init__(self, trace: Trace):
-        events = trace.events
+    def __init__(self, events: Sequence["TraceEvent"]):
         n = len(events)
-        self.trace = trace
         self.n = n
         # one pass over the events, transposed into one tuple per field
         (eid, phase, stage, category, flops, bytes_read, bytes_written,
@@ -103,6 +111,13 @@ class TraceColumns:
         self.bytes_read = _counts(bytes_read)
         self.bytes_written = _counts(bytes_written)
         self.total_bytes = self.bytes_read + self.bytes_written
+        if self.total_bytes.dtype == np.int64 and (
+                (self.bytes_read ^ self.total_bytes)
+                & (self.bytes_written ^ self.total_bytes) < 0).any():
+            # two int64 counts whose sum is past int64 wrapped: take
+            # each event's exact total, as its per-event field is
+            self.total_bytes = _counts(list(map(add, bytes_read,
+                                                bytes_written)))
         self.elements = _counts(list(map(math.prod, output_shape)))
         self.output_sparsity = np.fromiter(output_sparsity, np.float64, n)
         self.wall_time = np.fromiter(wall_time, np.float64, n)
@@ -115,10 +130,6 @@ class TraceColumns:
         self.parent_owner = np.repeat(np.arange(n), counts)
         #: eids strictly increase, as the profiler numbers them
         self.increasing = bool((self.eid[1:] > self.eid[:-1]).all())
-
-    @property
-    def events(self) -> List[object]:
-        return self.trace.events
 
     def in_phase(self, phase: Optional[str]) -> np.ndarray:
         """Mask of the events of ``phase`` (every event for ``None``)."""
@@ -150,16 +161,6 @@ class TraceColumns:
             np.minimum(at, n - 1, out=at)
         return np.where(ordered[at] == eids,
                         at if order is None else order[at], -1)
-
-
-TraceLike = Union[Trace, TraceColumns]
-
-
-def trace_columns(trace: TraceLike) -> TraceColumns:
-    """``trace``'s columns; columns already extracted pass through."""
-    if isinstance(trace, TraceColumns):
-        return trace
-    return TraceColumns(trace)
 
 
 def sums_by(codes: np.ndarray, values: np.ndarray, k: int) -> list:

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.columns import TraceLike, sums_by, trace_columns
+from repro.core.columns import sums_by
 from repro.core.profiler import Trace
 
 
@@ -57,7 +57,7 @@ class MemoryProfile:
         return self.peak_live_by_phase.get(phase, 0) / peak
 
 
-def memory_profile(trace: TraceLike) -> MemoryProfile:
+def memory_profile(trace: Trace) -> MemoryProfile:
     """Extract the memory view from a trace (uses the live-bytes
     samples each event carries plus the workload's static accounting
     stored in trace metadata).
@@ -67,7 +67,7 @@ def memory_profile(trace: TraceLike) -> MemoryProfile:
     without one has no peak entry.  Traffic is summed per phase in
     event order.
     """
-    cols = trace_columns(trace)
+    cols = trace.columns
     live = cols.live_bytes
     positive = live > 0
     firsts: List[Tuple[int, str, int]] = []
@@ -76,12 +76,12 @@ def memory_profile(trace: TraceLike) -> MemoryProfile:
         if at.size:
             firsts.append((int(at[0]), phase,
                            int(at[np.argmax(live[at])])))
-    events = cols.events
+    events = trace.events
     peak_by_phase = {phase: events[i].live_bytes
                      for _, phase, i in sorted(firsts)}
-    metadata = cols.trace.metadata
+    metadata = trace.metadata
     return MemoryProfile(
-        workload=cols.trace.workload,
+        workload=trace.workload,
         peak_live_bytes=max(peak_by_phase.values(), default=0),
         peak_live_by_phase=peak_by_phase,
         traffic_by_phase=dict(zip(cols.phases, sums_by(
@@ -89,8 +89,3 @@ def memory_profile(trace: TraceLike) -> MemoryProfile:
         parameter_bytes=int(metadata.get("parameter_bytes", 0)),
         codebook_bytes=int(metadata.get("codebook_bytes", 0)),
     )
-
-
-def live_bytes_series(trace: Trace) -> List[Tuple[int, str, int]]:
-    """(event id, phase, live bytes) samples for plotting usage curves."""
-    return [(e.eid, e.phase, e.live_bytes) for e in trace]

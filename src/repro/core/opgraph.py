@@ -66,8 +66,8 @@ def analyze_graph(projected: ProjectedTrace) -> OpGraphReport:
     latency-weighted path extends its heaviest parent's (a tie goes to
     the larger eid), and its generation, the longest chain of parents,
     sets the widths.  The critical path ends at the first heaviest
-    event in trace order.  A parent absent from the trace (a
-    :meth:`Trace.by_phase` sub-trace) is skipped, and a repeated eid
+    event in trace order.  A parent absent from the trace (in a
+    trace of one phase's events) is skipped, and a repeated eid
     names its last event; a parent at or after its child raises
     ``ValueError`` (:func:`~repro.core.validate.validate_trace` calls
     it non-causal).  The edges are found with numpy over the columns'
@@ -87,7 +87,7 @@ def analyze_graph(projected: ProjectedTrace) -> OpGraphReport:
     at, owner = at[link], owner[link]
     late = (at >= owner).nonzero()[0]
     if late.size:
-        event = cols.events[owner[late[0]]]
+        event = projected.trace.events[owner[late[0]]]
         raise ValueError(
             f"event {event.eid} ({event.name}) has parent "
             f"{cols.parents[link[late[0]]]} at or after it in the trace")

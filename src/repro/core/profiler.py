@@ -6,7 +6,8 @@ ordered collection of those events for one workload run, together with
 phase annotations (``neural`` / ``symbolic``) and fine-grained stage
 labels (e.g. ``rule_detection``).  All downstream analyses — latency
 breakdown, operator-category split, memory accounting, roofline
-placement, operation-graph extraction, sparsity — consume traces.
+placement, operation-graph extraction, sparsity — take a trace and
+read its :attr:`Trace.columns`.
 
 This module deliberately has no dependency on the tensor runtime so it
 can be imported from anywhere without cycles.
@@ -17,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+from repro.core.columns import TraceColumns
 from repro.core.taxonomy import OpCategory
 
 #: Phase labels used throughout the suite.
@@ -65,8 +67,8 @@ class TraceEvent:
         Span id of the innermost open span
         (:func:`repro.obs.spans.current_span`) when the op was
         dispatched — the attribution link that lets per-span analyses
-        (:meth:`Trace.by_span`, :mod:`repro.obs.kstats`,
-        :mod:`repro.obs.flame`) fold counters through the span tree.
+        (:mod:`repro.obs.kstats`, :mod:`repro.obs.flame`) fold
+        counters through the span tree.
         ``None`` for ops dispatched outside any span and in traces
         archived before counter attribution existed.
     """
@@ -109,7 +111,12 @@ class TraceEvent:
 
 
 class Trace:
-    """An ordered sequence of :class:`TraceEvent` for one workload run."""
+    """An ordered sequence of :class:`TraceEvent` for one workload run.
+
+    Events are append-only: once recorded, an event is never edited,
+    replaced or removed.  That is what lets :attr:`columns` key its
+    cache on the event count alone.
+    """
 
     def __init__(self, workload: str = "", events: Optional[Iterable[TraceEvent]] = None):
         self.workload = workload
@@ -120,6 +127,7 @@ class Trace:
         #: (:class:`repro.obs.spans.SpanRecord` instances); empty for
         #: traces built outside a profiling context.
         self.spans: List[object] = []
+        self._columns: Optional[TraceColumns] = None
 
     # -- collection protocol -------------------------------------------------
     def append(self, event: TraceEvent) -> None:
@@ -134,98 +142,20 @@ class Trace:
     def __getitem__(self, idx: int) -> TraceEvent:
         return self.events[idx]
 
-    # -- selection helpers ---------------------------------------------------
-    def by_phase(self, phase: str) -> "Trace":
-        """Sub-trace containing only events of ``phase``."""
-        sub = Trace(self.workload, (e for e in self.events if e.phase == phase))
-        sub.metadata = dict(self.metadata)
-        return sub
+    # -- analysis input ------------------------------------------------------
+    @property
+    def columns(self) -> TraceColumns:
+        """The events as :class:`~repro.core.columns.TraceColumns`, the
+        input of every analysis and check.
 
-    def by_stage(self, stage: str) -> "Trace":
-        """Sub-trace containing only events of a fine-grained ``stage``."""
-        sub = Trace(self.workload, (e for e in self.events if e.stage == stage))
-        sub.metadata = dict(self.metadata)
-        return sub
-
-    def by_category(self, category: OpCategory) -> "Trace":
-        """Sub-trace containing only events of one operator category."""
-        sub = Trace(self.workload,
-                    (e for e in self.events if e.category is category))
-        sub.metadata = dict(self.metadata)
-        return sub
-
-    def by_span(self, sid: Optional[int]) -> "Trace":
-        """Sub-trace of the events attributed to span ``sid``.
-
-        Only *direct* attribution counts: an event recorded inside a
-        child span belongs to the child, not to every ancestor.  Pass
-        ``None`` to select events dispatched outside any span
-        (including all events of pre-attribution archives).
+        Extracted on the first read and kept; a read after the event
+        count changed extracts them again.  :meth:`append` itself does
+        no extra work.
         """
-        sub = Trace(self.workload,
-                    (e for e in self.events if e.sid == sid))
-        sub.metadata = dict(self.metadata)
-        return sub
-
-    def span_rollup(self) -> Dict[Optional[int], Dict[str, float]]:
-        """Per-span aggregate counters, keyed by span id.
-
-        The single attribution path shared by :mod:`repro.obs.kstats`
-        and ad-hoc analyses: for every distinct ``sid`` (including
-        ``None`` for unattributed events) the rollup accumulates
-        ``events``, ``flops``, ``bytes_read``, ``bytes_written``, and
-        ``wall_time`` over the directly attributed events.
-        """
-        out: Dict[Optional[int], Dict[str, float]] = {}
-        for event in self.events:
-            bucket = out.setdefault(event.sid, {
-                "events": 0.0, "flops": 0.0, "bytes_read": 0.0,
-                "bytes_written": 0.0, "wall_time": 0.0})
-            bucket["events"] += 1
-            bucket["flops"] += event.flops
-            bucket["bytes_read"] += event.bytes_read
-            bucket["bytes_written"] += event.bytes_written
-            bucket["wall_time"] += event.wall_time
-        return out
-
-    def phases(self) -> List[str]:
-        """Distinct phase labels in first-appearance order."""
-        seen: List[str] = []
-        for event in self.events:
-            if event.phase not in seen:
-                seen.append(event.phase)
-        return seen
-
-    def stages(self) -> List[str]:
-        """Distinct stage labels in first-appearance order."""
-        seen: List[str] = []
-        for event in self.events:
-            if event.stage and event.stage not in seen:
-                seen.append(event.stage)
-        return seen
-
-    # -- aggregate statistics ------------------------------------------------
-    @property
-    def total_flops(self) -> float:
-        return sum(e.flops for e in self.events)
-
-    @property
-    def total_bytes(self) -> int:
-        return sum(e.total_bytes for e in self.events)
-
-    @property
-    def total_wall_time(self) -> float:
-        return sum(e.wall_time for e in self.events)
-
-    @property
-    def peak_live_bytes(self) -> int:
-        return max((e.live_bytes for e in self.events), default=0)
-
-    def flops_by_phase(self) -> Dict[str, float]:
-        out: Dict[str, float] = {}
-        for event in self.events:
-            out[event.phase] = out.get(event.phase, 0.0) + event.flops
-        return out
+        columns = self._columns
+        if columns is None or columns.n != len(self.events):
+            columns = self._columns = TraceColumns(self.events)
+        return columns
 
     def count_by_name(self) -> Dict[str, int]:
         """Invocation counts per op name (function-level statistics)."""
@@ -233,18 +163,6 @@ class Trace:
         for event in self.events:
             out[event.name] = out.get(event.name, 0) + 1
         return out
-
-    def summary(self) -> Dict[str, object]:
-        """Compact headline statistics for reports."""
-        return {
-            "workload": self.workload,
-            "events": len(self.events),
-            "total_flops": self.total_flops,
-            "total_bytes": self.total_bytes,
-            "wall_time_s": self.total_wall_time,
-            "peak_live_bytes": self.peak_live_bytes,
-            "phases": self.phases(),
-        }
 
 
 def merge_traces(traces: Sequence[Trace], workload: str = "") -> Trace:

@@ -70,8 +70,8 @@ def sweep(workload_name: str, parameter_name: str,
             total_time=total,
             symbolic_fraction=symbolic / total if total else 0.0,
             num_events=len(trace),
-            total_flops=trace.total_flops,
-            total_bytes=trace.total_bytes,
+            total_flops=sum(projected.columns.flops.tolist()),
+            total_bytes=sum(projected.columns.total_bytes.tolist()),
         ))
     return ScalingStudy(workload=workload_name,
                         parameter_name=parameter_name,

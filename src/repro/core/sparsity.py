@@ -18,7 +18,8 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.columns import TraceLike, seq_sum, trace_columns
+from repro.core.columns import seq_sum
+from repro.core.profiler import Trace
 
 
 @dataclass
@@ -33,7 +34,7 @@ class StageSparsity:
     num_events: int
 
 
-def stage_sparsity(trace: TraceLike,
+def stage_sparsity(trace: Trace,
                    stages: Optional[Sequence[str]] = None,
                    min_elements: int = 2,
                    last_dim_in: Optional[Sequence[int]] = None
@@ -47,7 +48,7 @@ def stage_sparsity(trace: TraceLike,
     how Fig. 5 isolates NVSA's sparse probabilistic representations
     from the (dense by construction) hypervectors flowing beside them.
     """
-    cols = trace_columns(trace)
+    cols = trace.columns
     if stages is None:
         stages = [stage for stage in cols.stages if stage]
     kept = cols.elements >= min_elements
@@ -55,7 +56,7 @@ def stage_sparsity(trace: TraceLike,
         allowed = set(last_dim_in)
         kept &= np.fromiter(
             (bool(e.output_shape) and e.output_shape[-1] in allowed
-             for e in cols.events), bool, cols.n)
+             for e in trace.events), bool, cols.n)
     # the kept events grouped by stage, each group in trace order
     order = kept.nonzero()[0]
     order = order[cols.stage[order].argsort(kind="stable")]
@@ -84,9 +85,9 @@ def stage_sparsity(trace: TraceLike,
     return out
 
 
-def overall_sparsity(trace: TraceLike, phase: Optional[str] = None) -> float:
+def overall_sparsity(trace: Trace, phase: Optional[str] = None) -> float:
     """Element-weighted mean output sparsity of a trace (or phase)."""
-    cols = trace_columns(trace)
+    cols = trace.columns
     selected = cols.in_phase(phase)
     elements = cols.elements[selected].astype(np.float64)
     num = seq_sum(cols.output_sparsity[selected] * elements)

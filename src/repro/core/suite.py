@@ -17,7 +17,6 @@ from typing import Dict, List
 from repro.core.analysis import (LatencyBreakdown, OperatorBreakdown,
                                  flops_breakdown, latency_breakdown,
                                  operator_breakdown)
-from repro.core.columns import TraceLike, trace_columns
 from repro.core.memory import MemoryProfile, memory_profile
 from repro.core.opgraph import OpGraphReport, analyze_graph
 from repro.core.profiler import PHASE_NEURAL, PHASE_SYMBOLIC, Trace
@@ -98,34 +97,31 @@ class WorkloadReport:
         return "\n".join(parts)
 
 
-def characterize_trace(trace: TraceLike,
+def characterize_trace(trace: Trace,
                        device: DeviceSpec = RTX_2080TI,
                        validate: bool = True) -> WorkloadReport:
     """Derive every analysis view from an already-collected trace.
 
-    The trace's columns are extracted once (or passed in as
-    :class:`~repro.core.columns.TraceColumns`) and projected onto
-    ``device`` once; validation and every view read them.
+    The trace is projected onto ``device`` once; validation and every
+    view read its :attr:`~repro.core.profiler.Trace.columns`.
     """
-    columns = trace_columns(trace)
     if validate:
         validate_trace(
-            columns,
+            trace,
             expected_phases=(PHASE_NEURAL, PHASE_SYMBOLIC),
         ).raise_if_invalid()
-    projected = project_trace(columns, device)
-    trace = columns.trace
+    projected = project_trace(trace, device)
     return WorkloadReport(
         workload=trace.workload,
         device=device.name,
         trace=trace,
         latency=latency_breakdown(projected),
         operators=operator_breakdown(projected),
-        memory=memory_profile(columns),
+        memory=memory_profile(trace),
         boundedness=phase_boundedness(projected),
         opgraph=analyze_graph(projected),
-        sparsity=stage_sparsity(columns),
-        flops_shares=flops_breakdown(columns),
+        sparsity=stage_sparsity(trace),
+        flops_shares=flops_breakdown(trace),
         result=dict(trace.metadata.get("result", {})),  # type: ignore[arg-type]
     )
 

@@ -15,8 +15,8 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.columns import (COUNTER_FIELDS, TraceColumns, TraceLike,
-                                trace_columns)
+from repro.core.columns import COUNTER_FIELDS, TraceColumns
+from repro.core.profiler import Trace, TraceEvent
 
 
 @dataclass
@@ -64,11 +64,10 @@ def _suspects(cols: TraceColumns) -> np.ndarray:
     return suspect.nonzero()[0]
 
 
-def _event_errors(cols: TraceColumns, i: int, first: Dict[int, int]
-                  ) -> List[str]:
+def _event_errors(events: Sequence[TraceEvent], i: int,
+                  first: Dict[int, int]) -> List[str]:
     """Every error of event ``i``, as a check of each event in turn
     states them; ``first`` maps each eid to its first event index."""
-    events = cols.events
     event = events[i]
     errors: List[str] = []
     err = errors.append
@@ -106,7 +105,7 @@ def _event_errors(cols: TraceColumns, i: int, first: Dict[int, int]
     return errors
 
 
-def validate_trace(trace: TraceLike,
+def validate_trace(trace: Trace,
                    expected_phases: Optional[Sequence[str]] = None,
                    require_flops: bool = True) -> ValidationResult:
     """Run all structural checks on ``trace``.
@@ -114,8 +113,8 @@ def validate_trace(trace: TraceLike,
     The checks run over the trace's columns; only events that fail
     one are visited, and their errors come out in trace order.
     """
-    cols = trace_columns(trace)
-    result = ValidationResult(workload=cols.trace.workload)
+    cols = trace.columns
+    result = ValidationResult(workload=trace.workload)
     err = result.errors.append
 
     if not cols.n:
@@ -127,7 +126,7 @@ def validate_trace(trace: TraceLike,
         eids = cols.eid.tolist()
         first = dict(zip(reversed(eids), range(cols.n - 1, -1, -1)))
         for i in suspects:
-            result.errors.extend(_event_errors(cols, i, first))
+            result.errors.extend(_event_errors(trace.events, i, first))
 
     if expected_phases is not None:
         actual = set(p for p in cols.phases if p)

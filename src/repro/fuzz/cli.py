@@ -12,6 +12,7 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
+import sys
 from typing import Optional
 
 EXIT_DIVERGENCE = 5
@@ -98,7 +99,13 @@ def run_fuzz_command(args: "argparse.Namespace") -> int:
 
     if args.fuzz_command == "replay":
         from repro.fuzz.corpus import KIND_PROGRAM, load_corpus, replay_entry
-        entries = load_corpus(args.corpus)
+        try:
+            entries = load_corpus(args.corpus)
+        except (OSError, ValueError) as exc:
+            reason = getattr(exc, "strerror", None) or exc
+            print(f"repro fuzz replay: error: argument corpus: cannot "
+                  f"load {args.corpus!r}: {reason}", file=sys.stderr)
+            return 2
         if args.entry is not None:
             if not 0 <= args.entry < len(entries):
                 raise SystemExit(

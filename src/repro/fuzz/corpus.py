@@ -64,12 +64,21 @@ def save_corpus(entries: Sequence[CrashEntry], path: str) -> None:
 
 
 def load_corpus(path: str) -> List[CrashEntry]:
+    """The entries of a corpus file; a malformed line raises
+    ``ValueError`` naming its line number."""
     out: List[CrashEntry] = []
     with open(path) as handle:
-        for line in handle:
+        for number, line in enumerate(handle, start=1):
             line = line.strip()
-            if line:
+            if not line:
+                continue
+            try:
                 out.append(CrashEntry.from_dict(json.loads(line)))
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"line {number}: not JSON ({exc.msg} at "
+                                 f"column {exc.colno})") from exc
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"line {number}: {exc!r}") from exc
     return out
 
 

@@ -22,7 +22,8 @@ from typing import Dict
 
 import numpy as np
 
-from repro.core.columns import TraceLike, first_seen, seq_sum, sums_by
+from repro.core.columns import first_seen, seq_sum, sums_by
+from repro.core.profiler import Trace
 from repro.hwsim.device import DeviceSpec
 from repro.hwsim.latency import project_trace
 
@@ -52,7 +53,7 @@ class EnergyReport:
             else 0.0
 
 
-def estimate_energy(trace: TraceLike, device: DeviceSpec) -> EnergyReport:
+def estimate_energy(trace: Trace, device: DeviceSpec) -> EnergyReport:
     """Project ``trace`` and integrate the power model.
 
     Elementwise over the projection; each phase's energy and the

@@ -13,7 +13,7 @@ category's access pattern.  Host<->device transfer ops (``to_gpu`` /
 ``to_host``) are charged to the PCIe link instead of DRAM.
 
 The model is one numpy formula over a trace's
-:class:`~repro.core.columns.TraceColumns`: every event's roofs are
+:attr:`~repro.core.profiler.Trace.columns`: every event's roofs are
 computed at once, with the same IEEE operations, in the same order,
 as the per-event model spelled out above, so each event's time is the
 same double.
@@ -30,8 +30,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.core.columns import (TraceColumns, TraceLike, first_seen,
-                                seq_sum, sums_by, trace_columns,
+from repro.core.columns import (first_seen, seq_sum, sums_by,
                                 untagged_as_label)
 from repro.core.profiler import Trace
 from repro.core.taxonomy import CATEGORY_ORDER, OpCategory
@@ -39,8 +38,7 @@ from repro.hwsim.device import DeviceSpec
 
 
 class ProjectedTrace:
-    """A trace's columns with per-event latency projections for one
-    device.
+    """A trace with per-event latency projections for one device.
 
     ``compute`` and ``memory`` are each event's compute-roof and
     memory-roof seconds, and ``total`` is ``max(compute, memory)``
@@ -48,18 +46,16 @@ class ProjectedTrace:
     event order and keep first-appearance order in their dicts.
     """
 
-    def __init__(self, columns: TraceColumns, device: DeviceSpec,
+    def __init__(self, trace: Trace, device: DeviceSpec,
                  compute: np.ndarray, memory: np.ndarray,
                  total: np.ndarray):
-        self.columns = columns
+        self.trace = trace
+        #: the columns the arrays were projected from
+        self.columns = trace.columns
         self.device = device
         self.compute = compute
         self.memory = memory
         self.total = total
-
-    @property
-    def trace(self) -> Trace:
-        return self.columns.trace
 
     @property
     def memory_bound(self) -> np.ndarray:
@@ -104,22 +100,19 @@ HOST_TRANSFER_PREFIXES = ("to_gpu", "to_host", "to_device")
 _MOVEMENT = CATEGORY_ORDER.index(OpCategory.MOVEMENT)
 
 
-def _host_transfers(cols: TraceColumns) -> np.ndarray:
+def _host_transfers(trace: Trace) -> np.ndarray:
     """Mask of the data-movement events that cross the host link."""
-    events = cols.events
+    cols = trace.columns
+    events = trace.events
     mask = np.zeros(cols.n, dtype=bool)
     for i in (cols.category == _MOVEMENT).nonzero()[0].tolist():
         mask[i] = events[i].name.startswith(HOST_TRANSFER_PREFIXES)
     return mask
 
 
-def project_trace(trace: TraceLike, device: DeviceSpec) -> ProjectedTrace:
-    """Project a whole trace onto ``device``.
-
-    ``trace`` may be a :class:`~repro.core.profiler.Trace` or its
-    already-extracted :class:`~repro.core.columns.TraceColumns`.
-    """
-    cols = trace_columns(trace)
+def project_trace(trace: Trace, device: DeviceSpec) -> ProjectedTrace:
+    """Project a whole trace onto ``device``."""
+    cols = trace.columns
     flops = cols.flops
     nbytes = cols.total_bytes
     eff_c = device.compute_efficiencies(cols.category, flops)
@@ -131,10 +124,10 @@ def project_trace(trace: TraceLike, device: DeviceSpec) -> ProjectedTrace:
         memory = np.where((nbytes > 0) & (eff_m > 0),
                           nbytes / (device.dram_bandwidth * eff_m), 0.0)
         if device.host_transfer_bandwidth > 0:
-            memory = np.where(_host_transfers(cols),
+            memory = np.where(_host_transfers(trace),
                               nbytes / device.host_transfer_bandwidth,
                               memory)
     # max(compute, memory) as the builtin picks: memory only when larger
     total = np.where(memory > compute, memory, compute) \
         + device.kernel_launch_overhead
-    return ProjectedTrace(cols, device, compute, memory, total)
+    return ProjectedTrace(trace, device, compute, memory, total)

@@ -15,8 +15,8 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro.core.columns import (TraceLike, first_seen, sums_by,
-                                untagged_as_label)
+from repro.core.columns import first_seen, sums_by, untagged_as_label
+from repro.core.profiler import Trace
 from repro.core.taxonomy import CATEGORY_ORDER
 from repro.hwsim.device import DeviceSpec
 from repro.hwsim.latency import project_trace
@@ -54,7 +54,7 @@ def roofline_curve(device: DeviceSpec,
     return [(float(oi), device.attainable_flops(float(oi))) for oi in ois]
 
 
-def roofline_points(trace: TraceLike, device: DeviceSpec,
+def roofline_points(trace: Trace, device: DeviceSpec,
                     group_by: str = "phase") -> List[RooflinePoint]:
     """Aggregate a trace into roofline points.
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.core.columns import trace_columns
 from repro.core.profiler import Trace, TraceEvent
 from repro.core.taxonomy import OpCategory
 from repro.hwsim.device import DeviceSpec
@@ -126,9 +125,8 @@ class HeterogeneousSystem:
         costs: List[SystemCost] = []
         bytes_of: Dict[int, int] = {
             e.eid: e.bytes_written for e in trace}
-        columns = trace_columns(trace)
-        on_gpu = project_trace(columns, self.gpu).total.tolist()
-        on_cpu = project_trace(columns, self.cpu).total.tolist()
+        on_gpu = project_trace(trace, self.gpu).total.tolist()
+        on_cpu = project_trace(trace, self.cpu).total.tolist()
         for i, event in enumerate(trace):
             device_name = self.placement(event)
             execution = on_gpu[i] if device_name == "gpu" else on_cpu[i]

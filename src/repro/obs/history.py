@@ -351,7 +351,9 @@ def model_facts(trace, device) -> Dict[str, Any]:
     from repro.hwsim.latency import project_trace
     from repro.obs.kstats import kstats_by_category  # deferred (cycle)
     breakdown = latency_breakdown(project_trace(trace, device))
-    peak = trace.metadata.get("peak_live_bytes", trace.peak_live_bytes)
+    peak = trace.metadata.get("peak_live_bytes",
+                              max(trace.columns.live_bytes.tolist(),
+                                  default=0))
     return {
         "projected_latency_s": float(breakdown.total_time),
         "phase_latency_s": {phase or "untagged": float(seconds)

@@ -149,7 +149,7 @@ def trace_from_jsonl_lines(lines: List[str]) -> Trace:
                              f"column {exc.colno})") from exc
         except KeyError as exc:
             raise ValueError(f"line {number}: missing field {exc}") from exc
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"line {number}: {exc}") from exc
     return trace
 

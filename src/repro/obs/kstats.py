@@ -250,20 +250,22 @@ def kstats_by_span(trace: Trace,
     :class:`~repro.hwsim.roofline.RooflinePoint` and memory- vs
     compute-bound verdict.
     """
-    rollup = trace.span_rollup()
+    # each span's directly attributed events: one inside a child
+    # span belongs to the child, not to every ancestor
+    groups: Dict[Optional[int], List[TraceEvent]] = {}
+    for event in trace.events:
+        groups.setdefault(event.sid, []).append(event)
     spans = sorted((s for s in trace.spans
-                    if isinstance(s, SpanRecord) and s.sid in rollup),
+                    if isinstance(s, SpanRecord) and s.sid in groups),
                    key=lambda s: s.sid)
     out: List[KernelStats] = []
     for record in spans:
-        stats = synthesize_kstats(
-            f"{record.name}#{record.sid}",
-            trace.by_span(record.sid).events, device)
+        stats = synthesize_kstats(f"{record.name}#{record.sid}",
+                                  groups[record.sid], device)
         if stats is not None:
             out.append(stats)
-    if None in rollup:
-        stats = synthesize_kstats("<unattributed>",
-                                  trace.by_span(None).events, device)
+    if None in groups:
+        stats = synthesize_kstats("<unattributed>", groups[None], device)
         if stats is not None:
             out.append(stats)
     return out
@@ -277,11 +279,14 @@ def kstats_by_category(trace: Trace,
     ``phase`` restricts the fold to one phase's events, so the
     neural/symbolic counter contrast can be read per category.
     """
-    source = trace if phase is None else trace.by_phase(phase)
+    groups: Dict[OpCategory, List[TraceEvent]] = {}
+    for event in trace.events:
+        if phase is None or event.phase == phase:
+            groups.setdefault(event.category, []).append(event)
     out: List[KernelStats] = []
     for category in CATEGORY_ORDER:
         stats = synthesize_kstats(
-            category.value, source.by_category(category).events, device,
+            category.value, groups.get(category, ()), device,
             kind=CATEGORY_MIX[category.value].kind)
         if stats is not None:
             out.append(stats)

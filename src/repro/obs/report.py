@@ -96,15 +96,15 @@ def _color(name: str) -> str:
 
 
 def _section_header(trace: Trace, device: DeviceSpec) -> str:
-    summary = trace.summary()
+    cols = trace.columns
     rows = [
-        ("events", f"{summary['events']}"),
-        ("total FLOPs", f"{trace.total_flops:.4g}"),
-        ("total traffic", format_bytes(trace.total_bytes)),
-        ("measured wall time", format_time(trace.total_wall_time)),
-        ("peak live bytes", format_bytes(trace.peak_live_bytes)),
-        ("phases", ", ".join(p or "untagged"
-                             for p in trace.phases()) or "-"),
+        ("events", f"{cols.n}"),
+        ("total FLOPs", f"{sum(cols.flops.tolist()):.4g}"),
+        ("total traffic", format_bytes(sum(cols.total_bytes.tolist()))),
+        ("measured wall time", format_time(sum(cols.wall_time.tolist()))),
+        ("peak live bytes",
+         format_bytes(max(cols.live_bytes.tolist(), default=0))),
+        ("phases", ", ".join(p or "untagged" for p in cols.phases) or "-"),
         ("spans collected", f"{len(trace.spans)}"),
     ]
     cells = "".join(f"<tr><td>{escape(k)}</td><td>{escape(v)}</td></tr>"

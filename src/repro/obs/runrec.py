@@ -12,9 +12,12 @@ from __future__ import annotations
 import hashlib
 import json
 import subprocess
-from typing import Dict, List
 
+import numpy as np
+
+from repro.core.columns import sums_by
 from repro.core.profiler import Trace
+from repro.core.taxonomy import CATEGORY_ORDER
 
 
 def git_sha(short: bool = True) -> str:
@@ -34,14 +37,20 @@ def counters_digest(trace: Trace) -> str:
     Covers per-(phase, category) event counts, FLOPs, and bytes — the
     exact quantities every figure is computed from — so two traces
     with the same digest produce identical characterization results.
+    Each is a float sum from 0.0 in event order, per
+    ``"<phase>/<category>"`` key.
     """
-    buckets: Dict[str, List[float]] = {}
-    for event in trace.events:
-        key = f"{event.phase}/{event.category.value}"
-        bucket = buckets.setdefault(key, [0.0, 0.0, 0.0])
-        bucket[0] += 1
-        bucket[1] += event.flops
-        bucket[2] += event.total_bytes
+    cols = trace.columns
+    k = len(CATEGORY_ORDER)
+    codes = cols.phase * k + cols.category
+    size = len(cols.phases) * k
+    counts, flops, nbytes = (
+        sums_by(codes, values, size)
+        for values in (np.ones(cols.n), cols.flops,
+                       cols.total_bytes.astype(np.float64)))
+    buckets = {f"{cols.phases[code // k]}/{CATEGORY_ORDER[code % k].value}":
+               [counts[code], flops[code], nbytes[code]]
+               for code in set(codes.tolist())}
     canonical = json.dumps(
         {key: buckets[key] for key in sorted(buckets)},
         separators=(",", ":"))

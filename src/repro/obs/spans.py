@@ -244,6 +244,39 @@ class SpanCollector:
 
 
 @contextmanager
+def adopted(parent: Optional[SpanRecord],
+            sink: List[SpanRecord]) -> Iterator[None]:
+    """Run the block on this thread inside ``parent``, a span open on
+    another thread, collecting every span finished here into ``sink``.
+
+    For work handed to a pool thread: spans it opens are ``parent``'s
+    children and carry its trace id, and the ops it dispatches are
+    attributed as they would be on ``parent``'s thread, because
+    ``parent`` is pushed onto this thread's own stack (the list the
+    tensor dispatcher holds).  The spans reach the other thread's
+    collectors only when that thread hands ``sink`` on with
+    :func:`deliver`.
+    """
+    stack = _span_stack()
+    if parent is not None:
+        stack.append(parent)
+    install_collector(sink)
+    try:
+        yield
+    finally:
+        uninstall_collector(sink)
+        if parent is not None:
+            stack.pop()
+
+
+def deliver(records: List[SpanRecord]) -> None:
+    """Give ``records``, spans finished on another thread, to every
+    collector of this thread, as if they had finished here."""
+    for sink in _collector_stack():
+        sink.extend(records)
+
+
+@contextmanager
 def span(name: str, trace_id: Optional[str] = None,
          **attrs: object) -> Iterator[Optional[SpanRecord]]:
     """Open a child span for the block; no-op when tracing is inactive.

@@ -24,7 +24,8 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.columns import COUNTER_FIELDS, TraceLike, trace_columns
+from repro.core.columns import COUNTER_FIELDS
+from repro.core.profiler import Trace
 from repro.core.validate import validate_trace
 
 #: Cap on per-check detail lines so a fully-poisoned trace stays readable.
@@ -85,22 +86,21 @@ def _max_index(values: np.ndarray) -> int:
     return int(values.argmax())
 
 
-def check_trace_health(trace: TraceLike,
+def check_trace_health(trace: Trace,
                        expected_phases: Optional[Sequence[str]] = None,
                        ) -> HealthReport:
     """Run every named health check on ``trace``.
 
-    The checks run over the trace's columns (pass
-    :class:`~repro.core.columns.TraceColumns` to reuse an extraction);
-    only the events that fail one are visited to word its details.
+    The checks run over the trace's columns; only the events that
+    fail one are visited to word its details.
     """
-    cols = trace_columns(trace)
-    events = cols.events
-    report = HealthReport(workload=cols.trace.workload)
+    cols = trace.columns
+    events = trace.events
+    report = HealthReport(workload=trace.workload)
     add = report.checks.append
 
     # structure: the core validator's verdict, as one named check.
-    validation = validate_trace(cols, expected_phases=expected_phases)
+    validation = validate_trace(trace, expected_phases=expected_phases)
     add(HealthCheck("structure", validation.ok, _clip(validation.errors)))
 
     # finite_counters: NaN/Inf anywhere makes every aggregate a lie.
@@ -143,7 +143,7 @@ def check_trace_health(trace: TraceLike,
         event = events[i]
         problems.append(f"event {event.eid} live_bytes "
                         f"{event.live_bytes} < 0")
-    runtime_peak = cols.trace.metadata.get("peak_live_bytes")
+    runtime_peak = trace.metadata.get("peak_live_bytes")
     if isinstance(runtime_peak, (int, float)) and cols.n:
         observed = events[_max_index(cols.live_bytes)].live_bytes
         if observed > runtime_peak:

@@ -51,13 +51,13 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.compile.executor import replay as _replay
 from repro.compile.plan import PlanError
-from repro.core.columns import TraceColumns, trace_columns
 from repro.core.profiler import PHASE_NEURAL, PHASE_SYMBOLIC, Trace
 from repro.core.report import format_time, render_table
 from repro.core.suite import WorkloadReport, characterize_trace
 from repro.hwsim.device import DeviceSpec
 from repro.hwsim.devices import RTX_2080TI
-from repro.obs.spans import SpanCollector, SpanRecord
+from repro.obs.spans import (SpanCollector, SpanRecord, adopted,
+                             current_span, deliver)
 from repro.obs.spans import span as _span
 from repro.resilience.faults import FaultPlan
 from repro.resilience.health import HealthReport, check_trace_health
@@ -249,10 +249,12 @@ class RosterReport:
 class ResilientRunner:
     """Executes workloads with timeouts, retries, and circuit breaking.
 
-    Each run makes at most ``max_retries + 1`` attempts; retry *i*
-    runs with seed ``seed + i``.  ``sleep`` and ``clock`` are
-    injectable for tests; ``factory`` defaults to the workload
-    registry's ``create``.
+    Each run makes at most ``max_retries + 1`` attempts (``max_retries
+    >= 0``); retry *i* runs with seed ``seed + i``.  ``timeout`` is
+    each attempt's budget in seconds (> 0), or ``None`` to run
+    attempts on the calling thread without one.  ``sleep`` and
+    ``clock`` are injectable for tests; ``factory`` defaults to the
+    workload registry's ``create``.
     """
 
     def __init__(self,
@@ -262,6 +264,10 @@ class ResilientRunner:
                  factory: Optional[Callable[..., object]] = None,
                  sleep: Callable[[float], None] = time.sleep,
                  clock: Callable[[], float] = time.monotonic):
+        if max_retries < 0:
+            raise ValueError(f"max_retries must be >= 0, got {max_retries}")
+        if timeout is not None and not timeout > 0:
+            raise ValueError(f"timeout must be > 0 or None, got {timeout}")
         if factory is None:
             from repro.workloads import create as factory  # deferred (cycle)
         self.device = device
@@ -354,15 +360,12 @@ class ResilientRunner:
                     self.sleep(backoff_delay(attempt, rng))
                 continue
 
-            # one column extraction serves the health check and the
-            # characterization
-            columns = trace_columns(trace)
             with _span("health_check", workload=name) as hc_span:
                 health = check_trace_health(
-                    columns, expected_phases=EXPECTED_PHASES)
+                    trace, expected_phases=EXPECTED_PHASES)
                 if hc_span is not None:
                     hc_span.attrs["ok"] = health.ok
-            report = self._safe_characterize(columns)
+            report = self._safe_characterize(trace)
             if health.ok and report is not None:
                 breaker.record_success()
                 return WorkloadOutcome(
@@ -396,7 +399,11 @@ class ResilientRunner:
         Returns the trace and what became of ``plan``
         (:attr:`WorkloadOutcome.replay`).  The fault plan is installed
         *inside* the worker callable: the fault-hook stack is
-        thread-local, and the attempt may run on a pool thread.
+        thread-local, and the attempt may run on a pool thread.  There
+        it runs inside this thread's open span, so its spans and ops
+        attribute as they would here; its spans join this thread's
+        collectors once it finishes within the budget, and an
+        abandoned attempt's never do.
 
         With a ``plan`` the attempt replays it.  Only replay errors
         (:class:`~repro.compile.plan.PlanError`, which includes
@@ -421,27 +428,32 @@ class ResilientRunner:
 
         if self.timeout is None:
             return work()
+        parent = current_span()
+        finished: List[SpanRecord] = []
+
+        def work_inside_parent() -> Tuple[Trace, Optional[str]]:
+            with adopted(parent, finished):
+                return work()
+
         pool = concurrent.futures.ThreadPoolExecutor(
             max_workers=1, thread_name_prefix=f"resilient-{name}")
-        future = pool.submit(work)
-        try:
-            result = future.result(timeout=self.timeout)
-        except concurrent.futures.TimeoutError:
+        future = pool.submit(work_inside_parent)
+        if not concurrent.futures.wait([future], self.timeout).done:
             # The worker thread cannot be killed; abandon it.  It will
             # finish (or hang) in the background while the roster
             # continues — bounded progress beats a wedged run.
             pool.shutdown(wait=False, cancel_futures=True)
             raise WorkloadTimeout(
                 f"{name!r} exceeded {self.timeout:.1f}s wall-clock "
-                f"budget") from None
+                f"budget")
         pool.shutdown(wait=True)
-        return result
+        deliver(finished)
+        return future.result()
 
-    def _safe_characterize(self, columns: TraceColumns
-                           ) -> Optional[WorkloadReport]:
+    def _safe_characterize(self, trace: Trace) -> Optional[WorkloadReport]:
         """Analyses on a possibly-poisoned trace; ``None`` if they die."""
         try:
-            return characterize_trace(columns, self.device, validate=False)
+            return characterize_trace(trace, self.device, validate=False)
         except Exception:
             return None
 

@@ -29,11 +29,11 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 import time
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
+from repro.argtypes import POSITIVE, RETRIES, checked
 from repro.hwsim.devices import device_arg, get_device, parse_device_list
 from repro.serve.batcher import BatchPolicy
 from repro.serve.loadgen import (LoadSpec, load_schedule, open_loop,
@@ -46,28 +46,9 @@ from repro.workloads import workload_arg
 
 SERVE_COMMANDS = ("serve",)
 
-
-def _checked(kind: Callable[[str], float], accept: Callable[[float], bool],
-             expected: str) -> Callable[[str], float]:
-    """An argparse ``type=``: ``kind(text)`` when it is finite and
-    ``accept`` holds, else a usage error naming ``expected``."""
-    def parse(text: str) -> float:
-        try:
-            value = kind(text)
-        except ValueError:
-            value = math.nan
-        if not (math.isfinite(value) and accept(value)):
-            raise argparse.ArgumentTypeError(
-                f"must be {expected}, got {text!r}")
-        return value
-    return parse
-
-
-_COUNT = _checked(int, lambda v: v >= 1, "an integer >= 1")
-_RETRIES = _checked(int, lambda v: v >= 0, "an integer >= 0")
-_POSITIVE = _checked(float, lambda v: v > 0, "a finite number > 0")
-_WAIT = _checked(float, lambda v: v >= 0, "a finite number >= 0")
-_RATIO = _checked(float, lambda v: 0 <= v <= 1, "a number in [0, 1]")
+_COUNT = checked(int, lambda v: v >= 1, "an integer >= 1")
+_WAIT = checked(float, lambda v: v >= 0, "a finite number >= 0")
+_RATIO = checked(float, lambda v: 0 <= v <= 1, "a number in [0, 1]")
 
 #: Flags only a planned (virtual-time) run reads: each one's default and
 #: why a live run has no use for it.  They parse to ``None`` when not
@@ -115,10 +96,10 @@ def _add_server_flags(cmd: "argparse.ArgumentParser") -> None:
                           "(default 256)")
     cmd.add_argument("--cache-capacity", type=_COUNT, default=32,
                      help="artifact cache entries (default 32)")
-    cmd.add_argument("--timeout", type=_POSITIVE, default=None,
+    cmd.add_argument("--timeout", type=POSITIVE, default=None,
                      help="per-attempt wall budget in seconds "
                           "(default none)")
-    cmd.add_argument("--max-retries", type=_RETRIES, default=1,
+    cmd.add_argument("--max-retries", type=RETRIES, default=1,
                      help="retries per batch on transient errors "
                           "(default 1)")
     cmd.add_argument("-o", "--output", default=None,
@@ -129,7 +110,7 @@ def _add_server_flags(cmd: "argparse.ArgumentParser") -> None:
     cmd.add_argument("--live-snapshots", default=None,
                      help="attach live telemetry and write its "
                           "snapshots/alerts/tail-samples JSONL here")
-    cmd.add_argument("--snapshot-interval", type=_POSITIVE, default=1.0,
+    cmd.add_argument("--snapshot-interval", type=POSITIVE, default=1.0,
                      help="live-telemetry snapshot period in seconds "
                           "(default 1.0)")
     cmd.add_argument("--sample-ratio", type=_RATIO, default=0.05,
@@ -153,15 +134,15 @@ def add_serve_subcommands(sub: "argparse._SubParsersAction") -> None:
     bench.add_argument("--mix", default="nvsa=3,lnn=1", type=_mix_arg,
                        help="workload mix, e.g. nvsa=3,lnn=1 "
                             "(default nvsa=3,lnn=1)")
-    bench.add_argument("--rate", type=_POSITIVE, default=None,
+    bench.add_argument("--rate", type=POSITIVE, default=None,
                        help="mean arrivals/second (default 100); "
                             "--loop open only")
-    bench.add_argument("--duration", type=_POSITIVE, default=None,
+    bench.add_argument("--duration", type=POSITIVE, default=None,
                        help="schedule horizon in virtual seconds "
                             "(default 10); --loop open only")
     bench.add_argument("--seed", type=int, default=0,
                        help="arrival-process seed (default 0)")
-    bench.add_argument("--deadline-ms", type=_POSITIVE, default=None,
+    bench.add_argument("--deadline-ms", type=POSITIVE, default=None,
                        help="per-request SLO budget in ms (default none)")
     bench.add_argument("--seed-pool", type=_COUNT, default=1,
                        help="distinct workload seeds -> batch keys per "

@@ -14,7 +14,8 @@ Typical usage::
             y = T.relu(T.matmul(x, w))
         with T.phase("symbolic"):
             bound = T.circular_conv(a, b)
-    print(prof.trace.summary())
+    from repro.core.suite import characterize_trace
+    print(characterize_trace(prof.trace).render())
 """
 
 from repro.tensor.context import ProfileContext, active_context, phase, profile, stage

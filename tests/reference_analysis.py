@@ -1,15 +1,18 @@
 """Per-event reference for the columnar analyses.
 
-The characterization views, the structural validation and the health
-checks used to walk :class:`~repro.core.profiler.TraceEvent` objects one
-at a time, projecting each with ``project_event``.  The library now
-computes them over :class:`~repro.core.columns.TraceColumns`; this
-module keeps the per-event formulation as the oracle the differential
-tests compare against, with exact floats and the same dict orders.
+The characterization views, the structural validation, the health
+checks and the counters digest used to walk
+:class:`~repro.core.profiler.TraceEvent` objects one at a time,
+projecting each with ``project_event``.  The library now computes them
+over :class:`~repro.core.columns.TraceColumns`; this module keeps the
+per-event formulation as the oracle the differential tests compare
+against, with exact floats and the same dict orders.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -26,6 +29,39 @@ from repro.core.sparsity import StageSparsity
 from repro.core.taxonomy import OpCategory
 from repro.hwsim.device import DeviceSpec
 from repro.resilience.health import HealthCheck, HealthReport, _clip
+
+
+def phase_labels(trace: Trace) -> List[str]:
+    """Distinct phase labels in first-appearance order."""
+    return list(dict.fromkeys(event.phase for event in trace))
+
+
+def stage_labels(trace: Trace) -> List[str]:
+    """Distinct non-empty stage labels in first-appearance order."""
+    return [stage for stage in dict.fromkeys(event.stage for event in trace)
+            if stage]
+
+
+def flops_by_phase(trace: Trace) -> Dict[str, float]:
+    out: Dict[str, float] = {}
+    for event in trace:
+        out[event.phase] = out.get(event.phase, 0.0) + event.flops
+    return out
+
+
+def counters_digest(trace: Trace) -> str:
+    """``repro.obs.runrec.counters_digest``, one event at a time."""
+    buckets: Dict[str, List[float]] = {}
+    for event in trace:
+        key = f"{event.phase}/{event.category.value}"
+        bucket = buckets.setdefault(key, [0.0, 0.0, 0.0])
+        bucket[0] += 1
+        bucket[1] += event.flops
+        bucket[2] += event.total_bytes
+    canonical = json.dumps(
+        {key: buckets[key] for key in sorted(buckets)},
+        separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()
 
 
 @dataclass
@@ -141,7 +177,7 @@ def latency_breakdown(projected: ProjectedTrace) -> LatencyBreakdown:
 def operator_breakdown(projected: ProjectedTrace) -> List[OperatorBreakdown]:
     trace = projected.trace
     out: List[OperatorBreakdown] = []
-    for phase in [p for p in trace.phases() if p]:
+    for phase in [p for p in phase_labels(trace) if p]:
         cat_times = projected.time_by_category(phase)
         out.append(OperatorBreakdown(
             workload=trace.workload, phase=phase,
@@ -151,7 +187,7 @@ def operator_breakdown(projected: ProjectedTrace) -> List[OperatorBreakdown]:
 
 def phase_boundedness(projected: ProjectedTrace) -> Dict[str, str]:
     out: Dict[str, str] = {}
-    for phase in projected.trace.phases():
+    for phase in phase_labels(projected.trace):
         if not phase:
             continue
         fraction = projected.memory_bound_fraction(phase)
@@ -245,7 +281,7 @@ def analyze_graph(projected: ProjectedTrace) -> OpGraphReport:
 def stage_sparsity(trace: Trace, stages: Optional[Sequence[str]] = None,
                    min_elements: int = 2) -> List[StageSparsity]:
     if stages is None:
-        stages = trace.stages()
+        stages = stage_labels(trace)
     grouped: Dict[str, Tuple[List[float], List[float]]] = {
         stage: ([], []) for stage in stages}
     for event in trace:
@@ -273,7 +309,7 @@ def stage_sparsity(trace: Trace, stages: Optional[Sequence[str]] = None,
 
 
 def flops_breakdown(trace: Trace) -> Dict[str, float]:
-    per_phase = trace.flops_by_phase()
+    per_phase = flops_by_phase(trace)
     total = sum(per_phase.values())
     if total <= 0:
         return {phase: 0.0 for phase in per_phase}
@@ -326,12 +362,12 @@ def validate_errors(trace: Trace,
             err(f"event {event.eid} has negative live bytes")
 
     if expected_phases is not None:
-        actual = set(p for p in trace.phases() if p)
+        actual = set(p for p in phase_labels(trace) if p)
         missing = set(expected_phases) - actual
         if missing:
             err(f"missing expected phases: {sorted(missing)}")
 
-    if require_flops and trace.total_flops <= 0:
+    if require_flops and sum(e.flops for e in trace) <= 0:
         err("trace performed no floating-point work")
     return errors
 
@@ -365,7 +401,7 @@ def check_trace_health(trace: Trace,
                 problems.append(f"phase {phase!r} recorded no work")
     add(HealthCheck("nonempty_phases", not problems, _clip(problems)))
 
-    total = trace.total_wall_time
+    total = sum(e.wall_time for e in trace)
     ok = math.isfinite(total) and total > 0.0
     add(HealthCheck("nonzero_latency", ok,
                     "" if ok else f"total wall time is {total}"))
@@ -377,7 +413,7 @@ def check_trace_health(trace: Trace,
                             f"{event.live_bytes} < 0")
     runtime_peak = trace.metadata.get("peak_live_bytes")
     if isinstance(runtime_peak, (int, float)) and trace.events:
-        observed = trace.peak_live_bytes
+        observed = max(e.live_bytes for e in trace)
         if observed > runtime_peak:
             problems.append(f"event live-bytes peak {observed} exceeds "
                             f"runtime-tracked peak {runtime_peak}")

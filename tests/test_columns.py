@@ -1,7 +1,8 @@
 """The columnar analyses against the per-event reference.
 
-Every view, the projection, ``validate_trace`` and ``check_trace_health``
-read a trace's :class:`~repro.core.columns.TraceColumns`.  The
+Every view, the projection, ``validate_trace``, ``check_trace_health``
+and ``counters_digest`` read a trace's
+:class:`~repro.core.columns.TraceColumns`.  The
 per-event formulation they replace lives on in
 :mod:`tests.reference_analysis`; here both run on random traces, healthy
 and broken, on all four devices, and must agree with exact floats and
@@ -12,7 +13,6 @@ import copy
 import functools
 import math
 import operator
-import pickle
 
 import numpy as np
 import pytest
@@ -27,13 +27,18 @@ from repro.core.opgraph import analyze_graph
 from repro.core.profiler import Trace, TraceEvent
 from repro.core.rooflineplot import phase_boundedness
 from repro.core.sparsity import stage_sparsity
-from repro.core.suite import characterize_trace
 from repro.core.taxonomy import OpCategory
 from repro.core.validate import validate_trace
-from repro.hwsim import ALL_DEVICES, project_trace
+from repro.hwsim import ALL_DEVICES, RTX_2080TI, project_trace
 from repro.hwsim.latency import ProjectedTrace
+from repro.obs.runrec import counters_digest
 from repro.resilience.health import check_trace_health
+from repro.serve import ArtifactCache, make_request
+from repro.serve.batcher import Batch
+from repro.serve.pool import Worker
+from repro.workloads import available
 from tests import reference_analysis as ref
+from tests.conftest import cached_trace
 
 
 def canon(value):
@@ -117,9 +122,8 @@ class TestAgainstPerEventReference:
     @settings(max_examples=150, deadline=None)
     @given(trace=traces())
     def test_views_and_checks_match(self, trace):
-        columns = TraceColumns(trace)
         for device in ALL_DEVICES:
-            projected = project_trace(columns, device)
+            projected = project_trace(trace, device)
             reference = ref.ProjectedTrace(trace, device)
             assert canon([(c.compute_time, c.memory_time, c.total)
                           for c in reference.costs]) == canon(list(zip(
@@ -139,24 +143,27 @@ class TestAgainstPerEventReference:
                                  (phase_boundedness, ref.phase_boundedness),
                                  (analyze_graph, ref.analyze_graph)):
                 assert outcome(view, projected) == outcome(oracle, reference)
-        assert canon(memory_profile(columns)) == \
+        assert canon(memory_profile(trace)) == \
             canon(ref.memory_profile(trace))
-        assert canon(flops_breakdown(columns)) == \
+        assert canon(flops_breakdown(trace)) == \
             canon(ref.flops_breakdown(trace))
         for min_elements in (1, 2):
-            assert canon(stage_sparsity(columns, min_elements=min_elements)) \
+            assert canon(stage_sparsity(trace, min_elements=min_elements)) \
                 == canon(ref.stage_sparsity(trace, min_elements=min_elements))
         for phases in (None, ("neural", "symbolic")):
             for require_flops in (True, False):
-                assert validate_trace(columns, phases, require_flops).errors \
+                assert validate_trace(trace, phases, require_flops).errors \
                     == ref.validate_errors(trace, phases, require_flops)
-            assert canon(check_trace_health(columns, phases)) == \
+            assert canon(check_trace_health(trace, phases)) == \
                 canon(ref.check_trace_health(trace, phases))
+        assert counters_digest(trace) == ref.counters_digest(trace)
 
 
-def _poisoned(trace, how):
-    """A copy of ``trace`` broken in one of six ways."""
-    trace = copy.deepcopy(trace)
+def _poisoned(source, how):
+    """A new trace of copies of ``source``'s events, broken in one of
+    six ways before its columns are read."""
+    trace = Trace(source.workload, copy.deepcopy(source.events))
+    trace.metadata = dict(source.metadata)
     events = trace.events
     n = len(events)
     if how == 0:
@@ -186,14 +193,13 @@ def _poisoned(trace, how):
 @pytest.mark.parametrize("how", range(6))
 def test_poisoned_workload_trace_checks_match(lnn_trace, how):
     trace = _poisoned(lnn_trace, how)
-    columns = TraceColumns(trace)
     for phases in (None, ("neural", "symbolic")):
-        assert validate_trace(columns, phases).errors == \
+        assert validate_trace(trace, phases).errors == \
             ref.validate_errors(trace, phases)
-        assert canon(check_trace_health(columns, phases)) == \
+        assert canon(check_trace_health(trace, phases)) == \
             canon(ref.check_trace_health(trace, phases))
     for device in ALL_DEVICES:
-        projected = project_trace(columns, device)
+        projected = project_trace(trace, device)
         reference = ref.ProjectedTrace(trace, device)
         assert canon(projected.total.tolist()) == \
             canon([c.total for c in reference.costs])
@@ -242,7 +248,7 @@ class TestColumns:
                   for i, value in enumerate(values)]
         trace = Trace("w", events)
         totals = np.array(values)
-        projected = ProjectedTrace(TraceColumns(trace), ALL_DEVICES[0],
+        projected = ProjectedTrace(trace, ALL_DEVICES[0],
                                    totals, totals, totals)
         assert canon(projected.total_time) == canon(sum(values))
         assert validate_trace(trace).errors == ref.validate_errors(trace)
@@ -255,7 +261,7 @@ class TestColumns:
                        bytes_read=8, live_bytes=8),
             TraceEvent(eid=1, name="add", category=OpCategory.ELEMENTWISE,
                        bytes_read=math.inf, live_bytes=math.nan)])
-        columns = TraceColumns(trace)
+        columns = trace.columns
         assert columns.bytes_written.dtype == np.int64
         assert columns.bytes_read.dtype == np.float64
         assert math.isnan(columns.live_bytes[1])
@@ -273,23 +279,57 @@ class TestColumns:
                              parents=(i - 1,) if i else ())
                   for i, phase in enumerate(("neural", "symbolic"))]
         trace = Trace("w", events)
-        columns = TraceColumns(trace)
+        columns = trace.columns
         assert {columns.bytes_read.dtype, columns.live_bytes.dtype,
                 columns.elements.dtype} == {np.dtype(np.float64)}
-        assert validate_trace(columns).errors == ref.validate_errors(trace)
-        assert canon(check_trace_health(columns)) == \
+        assert validate_trace(trace).errors == ref.validate_errors(trace)
+        assert canon(check_trace_health(trace)) == \
             canon(ref.check_trace_health(trace))
-        assert canon(stage_sparsity(columns, min_elements=1)) == \
+        assert canon(stage_sparsity(trace, min_elements=1)) == \
             canon(ref.stage_sparsity(trace, min_elements=1))
         for device in ALL_DEVICES:
-            projected = project_trace(columns, device)
+            projected = project_trace(trace, device)
             reference = ref.ProjectedTrace(trace, device)
             assert canon(projected.total.tolist()) == \
                 canon([c.total for c in reference.costs])
             assert outcome(latency_breakdown, projected) == \
                 outcome(ref.latency_breakdown, reference)
+        # each byte count fits in int64, their sum does not
+        wide = Trace("w", [TraceEvent(
+            eid=0, name="add", category=OpCategory.ELEMENTWISE,
+            phase="neural", flops=1e6, bytes_read=2 ** 62,
+            bytes_written=2 ** 62)])
+        assert wide.columns.total_bytes.tolist() == [2.0 ** 63]
+        assert counters_digest(wide) == ref.counters_digest(wide)
+        for device in ALL_DEVICES:
+            assert canon(project_trace(wide, device).total.tolist()) == \
+                canon([c.total for c in ref.ProjectedTrace(wide, device).costs])
 
-    def test_characterize_accepts_columns(self, lnn_trace):
-        columns = TraceColumns(lnn_trace)
-        assert pickle.dumps(characterize_trace(columns).opgraph) == \
-            pickle.dumps(characterize_trace(lnn_trace).opgraph)
+
+@pytest.mark.parametrize("name", available())
+def test_counters_digest_matches_per_event_digest(name):
+    trace = cached_trace(name, seed=0)
+    assert counters_digest(trace) == ref.counters_digest(trace)
+    for how in range(6):
+        poisoned = _poisoned(trace, how)
+        assert counters_digest(poisoned) == ref.counters_digest(poisoned)
+
+
+def test_served_batch_extracts_its_columns_once(monkeypatch):
+    # the runner's health check, its characterization and the digest
+    # a caller takes afterwards all read the one extraction
+    extractions = []
+    extract = TraceColumns.__init__
+
+    def counted_extract(self, events):
+        extractions.append(len(events))
+        extract(self, events)
+
+    monkeypatch.setattr(TraceColumns, "__init__", counted_extract)
+    worker = Worker(0, RTX_2080TI, ArtifactCache(capacity=4))
+    request = make_request(0, "lnn", seed=0)
+    result = worker.execute_batch(
+        Batch(bid=0, key=request.key, requests=[request]))
+    assert result.status == "ok"
+    assert counters_digest(result.trace) == ref.counters_digest(result.trace)
+    assert extractions == [len(result.trace)]

@@ -351,6 +351,21 @@ class TestFuzzCLI:
                          "--rules", rules_path]) == 1
         assert "REPRODUCED" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("content", [None, "garbage\n",
+                                         '{"kind": "program"}\n', "[1]\n"],
+                             ids=["missing", "not-json", "no-seed",
+                                  "not-object"])
+    def test_replay_of_a_bad_corpus_is_one_line(self, tmp_path, capsys,
+                                               content):
+        path = tmp_path / "corpus.jsonl"
+        if content is not None:
+            path.write_text(content)
+        assert cli_main(["fuzz", "replay", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"repro fuzz replay: error: argument corpus: "
+                              f"cannot load {str(path)!r}: ")
+
     def test_rules_command_writes_json(self, tmp_path, capsys):
         out_path = str(tmp_path / "rules.json")
         code = cli_main(["fuzz", "rules", "--no-calibrate",

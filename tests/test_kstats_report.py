@@ -13,7 +13,7 @@ from repro.cli import main as cli_main
 from repro.core.inefficiency import (COUNTER_ROWS, analyze_inefficiency,
                                      analyze_trace_inefficiency)
 from repro.core.profiler import Trace, TraceEvent, merge_traces
-from repro.core.taxonomy import OpCategory
+from repro.core.taxonomy import CATEGORY_ORDER, OpCategory
 from repro.hwsim.devices import ALL_DEVICES, RTX_2080TI
 from repro.obs.flame import (FLAME_WEIGHTS, collapsed_stacks,
                              trace_to_flame)
@@ -38,6 +38,11 @@ def _toy_trace() -> Trace:
     return prof.trace
 
 
+def _in_span(trace: Trace, sid):
+    """The events attributed directly to span ``sid``."""
+    return [e for e in trace.events if e.sid == sid]
+
+
 def _legacy_trace() -> Trace:
     """A trace shaped like a pre-attribution archive: no spans, no sids."""
     trace = Trace(workload="legacy")
@@ -60,13 +65,13 @@ class TestSpanAttribution:
     def test_events_attribute_to_innermost_span(self):
         trace = _toy_trace()
         by_name = {s.name: s for s in trace.spans}
-        mlp_events = trace.by_span(by_name["stage:mlp"].sid).events
+        mlp_events = _in_span(trace, by_name["stage:mlp"].sid)
         assert {e.name for e in mlp_events} >= {"matmul", "relu"}
-        rules_events = trace.by_span(by_name["stage:rules"].sid).events
+        rules_events = _in_span(trace, by_name["stage:rules"].sid)
         assert "add" in {e.name for e in rules_events}
         # direct attribution only: the profile root holds no op that
         # was dispatched inside a stage
-        root_events = trace.by_span(by_name["profile:toy"].sid).events
+        root_events = _in_span(trace, by_name["profile:toy"].sid)
         assert not {e.name for e in root_events} & {"matmul", "relu"}
 
     def test_every_nvsa_event_is_attributed(self, nvsa_trace):
@@ -77,20 +82,15 @@ class TestSpanAttribution:
         assert sids <= span_sids
 
     def test_span_rollup_partitions_the_trace(self, nvsa_trace):
-        rollup = nvsa_trace.span_rollup()
-        assert sum(b["events"] for b in rollup.values()) \
-            == len(nvsa_trace.events)
-        assert sum(b["flops"] for b in rollup.values()) \
-            == pytest.approx(nvsa_trace.total_flops)
-        for sid, bucket in rollup.items():
-            sub = nvsa_trace.by_span(sid)
-            assert len(sub.events) == bucket["events"]
-            assert sub.total_flops == pytest.approx(bucket["flops"])
-
-    def test_by_span_none_selects_unattributed(self):
-        trace = _legacy_trace()
-        assert len(trace.by_span(None).events) == 2
-        assert trace.span_rollup() == {None: trace.span_rollup()[None]}
+        rollup = kstats_by_span(nvsa_trace)
+        assert sum(s.events for s in rollup) == len(nvsa_trace.events)
+        assert sum(s.flops for s in rollup) == pytest.approx(
+            sum(nvsa_trace.columns.flops.tolist()))
+        # each row folds exactly the events attributed to its span
+        for s in rollup:
+            events = _in_span(nvsa_trace, int(s.label.rsplit("#", 1)[1]))
+            assert s.events == len(events)
+            assert s.flops == pytest.approx(sum(e.flops for e in events))
 
     def test_merge_drops_cross_run_sids(self):
         merged = merge_traces([_toy_trace(), _toy_trace()], "both")
@@ -142,7 +142,7 @@ class TestKstats:
         assert len(labels) == len(set(labels))
         assert all(re.fullmatch(r".+#\d+", label) for label in labels)
         assert sum(s.flops for s in stats) == pytest.approx(
-            nvsa_trace.total_flops)
+            sum(nvsa_trace.columns.flops.tolist()))
         assert sum(s.events for s in stats) == len(nvsa_trace.events)
 
     def test_unattributed_events_get_their_own_row(self):
@@ -156,9 +156,10 @@ class TestKstats:
         assert {s.label for s in neural} <= whole
         for s in neural:
             assert s.kind == CATEGORY_MIX[s.label].kind
-            assert s.events == len(nvsa_trace.by_phase("neural")
-                                   .by_category(OpCategory(s.label))
-                                   .events)
+            cols = nvsa_trace.columns
+            category = CATEGORY_ORDER.index(OpCategory(s.label))
+            assert s.events == ((cols.phase == cols.phases.index("neural"))
+                                & (cols.category == category)).sum()
 
     def test_neural_symbolic_contrast(self, nvsa_trace):
         """Table IV's headline: symbolic kernels leave ALUs idle."""

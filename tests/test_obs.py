@@ -407,7 +407,7 @@ class TestChromeExport:
             # phases appear as named tracks
             thread_names = {e["args"]["name"] for e in metadata
                             if e["name"] == "thread_name"}
-            for phase in trace.phases():
+            for phase in trace.columns.phases:
                 assert f"ops:{phase}" in thread_names, name
             assert "spans" in thread_names, name
 
@@ -476,8 +476,8 @@ class TestJsonlExport:
             # json float serialization round-trips exactly
             assert (_phase_category_totals(rebuilt)
                     == _phase_category_totals(trace)), name
-            assert rebuilt.total_flops == pytest.approx(
-                trace.total_flops), name
+            assert sum(rebuilt.columns.flops.tolist()) == pytest.approx(
+                sum(trace.columns.flops.tolist())), name
             assert len(rebuilt.spans) == len(trace.spans), name
             assert ([s.name for s in rebuilt.spans]
                     == [s.name for s in trace.spans]), name
@@ -511,9 +511,11 @@ class TestJsonlExport:
          "does not fit in 64 bits"),
         ('{"type": "op", "eid": 1, "name": "add", "category": "other",'
          ' "parents": [9223372036854775808]}', "does not fit in 64 bits"),
+        ('{"type": "op", "eid": 1, "name": "add", "category": "other",'
+         ' "bytes_read": Infinity}', "cannot convert float infinity"),
     ], ids=["not-json", "not-object", "no-eid", "bad-category",
             "null-flops", "span-no-name", "bad-version", "huge-eid",
-            "huge-parent"])
+            "huge-parent", "inf-bytes"])
     def test_malformed_line_names_its_number(self, line, reason):
         lines = ['{"type": "meta", "version": 2, "workload": "w"}', "",
                  line]

@@ -234,7 +234,7 @@ class TestPinSensitivity:
     def test_model_facts_cover_latency_peak_and_kstats(self, nvsa_trace):
         facts = model_facts(nvsa_trace, RTX_2080TI)
         assert facts["projected_latency_s"] > 0
-        assert set(facts["phase_latency_s"]) == set(nvsa_trace.phases())
+        assert set(facts["phase_latency_s"]) == set(nvsa_trace.columns.phases)
         assert facts["peak_live_bytes"] > 0
         assert sum(len(counters) for counters
                    in facts["category_kstats"].values()) == 35

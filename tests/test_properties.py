@@ -241,5 +241,5 @@ class TestTraceProperties:
         assert validate_trace(trace).ok
         assert len(trace) >= len(ops)
         # flops are additive over events
-        assert trace.total_flops == pytest.approx(
+        assert sum(trace.columns.flops.tolist()) == pytest.approx(
             sum(e.flops for e in trace))

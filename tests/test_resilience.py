@@ -336,6 +336,8 @@ def test_runner_times_out_hung_workloads():
     assert outcome.error_type == "WorkloadTimeout"
     assert outcome.error_class == "transient"
     assert classify_error(WorkloadTimeout("x")) == "transient"
+    spans = [s.name for s in outcome.spans]
+    assert spans == ["attempt#1", "run:hang"]
     # the abandoned attempt wakes up after the timeout and dispatches
     # ops; let it finish here, not inside a later test's profiling or
     # self-profiling scope
@@ -343,6 +345,16 @@ def test_runner_times_out_hung_workloads():
         if thread.name.startswith("resilient-hang"):
             thread.join(timeout=5.0)
             assert not thread.is_alive()
+    # and the spans it finished late never reach the returned outcome
+    assert [s.name for s in outcome.spans] == spans
+
+
+@pytest.mark.parametrize("budget", [{"max_retries": -1}, {"timeout": 0.0},
+                                    {"timeout": -1.0}, {"timeout": math.nan}],
+                         ids=str)
+def test_runner_refuses_a_budget_that_runs_nothing(budget):
+    with pytest.raises(ValueError):
+        quick_runner(**budget)
 
 
 def test_runner_breaker_opens_and_short_circuits():

@@ -86,7 +86,7 @@ class TestResonator:
         composite = bind_symbols(codebooks, picks)
         with T.profile("resonator") as prof:
             network.factorize(composite)
-        resonator_bytes = prof.trace.total_bytes
+        resonator_bytes = sum(prof.trace.columns.total_bytes.tolist())
 
         # brute-force: cleanup against the full 300-row product codebook
         dim = 1024
@@ -95,7 +95,7 @@ class TestResonator:
         with T.profile("bruteforce") as prof2:
             for _ in range(20):   # amortized over repeated queries
                 product.similarities(composite)
-        brute_bytes = prof2.trace.total_bytes / 20
+        brute_bytes = sum(prof2.trace.columns.total_bytes.tolist()) / 20
 
         # per-factorization traffic stays within a small multiple of a
         # single brute-force sweep despite iterating (and would win

@@ -19,12 +19,15 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
+from repro.hwsim.devices import RTX_2080TI
 from repro.lint import LintConfig, default_scan_root, run_lint
 from repro.obs.jsonl import read_jsonl, write_jsonl
 from repro.obs.live import LiveTelemetry
-from repro.serve import (BatchPolicy, InferenceServer, LoadSpec,
-                         ServeConfig, batch_trace_id, make_request,
-                         open_loop, parse_mix)
+from repro.serve import (ArtifactCache, BatchPolicy, InferenceServer,
+                         LoadSpec, ServeConfig, batch_trace_id,
+                         make_request, open_loop, parse_mix)
+from repro.serve.batcher import Batch
+from repro.serve.pool import Worker
 from repro.serve.tracing import (REQUEST_SPAN_NAMES, request_span_trees,
                                  serve_trace, span_tree_digest,
                                  spans_by_trace, verify_span_trees)
@@ -108,6 +111,31 @@ class TestPropagation:
             assert record.attrs["traces"]
             seen.update(record.attrs["traces"])
         assert seen == member_ids
+
+    def test_timed_attempt_keeps_the_batch_spans(self):
+        # with a timeout the attempt runs on a pool thread; its spans,
+        # their parents and trace ids, and its events' spans must be
+        # those of the same batch run on the worker's own thread
+        def run(timeout):
+            worker = Worker(0, RTX_2080TI, ArtifactCache(capacity=4),
+                            timeout=timeout)
+            request = make_request(0, "lnn", seed=0)
+            result = worker.execute_batch(
+                Batch(bid=0, key=request.key, requests=[request]))
+            assert result.status == "ok"
+            index = {s.sid: i for i, s in enumerate(result.spans)}
+            return ([(s.name, index.get(s.parent), s.trace_id)
+                     for s in result.spans],
+                    [index[e.sid] for e in result.trace.events])
+
+        untimed = run(None)
+        assert run(30.0) == untimed
+        spans, _ = untimed
+        assert len(spans) == 20
+        name, parent, trace_id = next(s for s in spans
+                                      if s[0] == "profile:lnn")
+        assert spans[parent][0] == "attempt#1"
+        assert trace_id == spans[-1][2] is not None
 
     def test_descendant_worker_spans_inherit_batch_trace(self):
         result = _serve(_schedule(duration=0.3))

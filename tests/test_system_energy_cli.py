@@ -185,6 +185,22 @@ class TestCLI:
         assert err.endswith(": error: argument workload: unknown workload "
                             f"'bogus'; available: {available()}\n")
 
+    @pytest.mark.parametrize("argv", [
+        ["roster", "--max-retries", "-2"], ["roster", "--timeout", "-1"],
+        ["roster", "--timeout", "0"],
+        ["faults", "lnn", "--fault", "raise", "--max-retries", "-1"],
+        ["faults", "lnn", "--fault", "raise", "--timeout", "nan"],
+    ], ids=" ".join)
+    def test_bad_budget_is_a_usage_error(self, argv, capsys):
+        # a negative retry count ran no attempt at all and a timeout
+        # <= 0 failed every workload; both are refused while parsing
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"error: argument {argv[-2]}: must be " in err
+
     def test_chrome_verb_is_gone(self, capsys):
         # `repro trace export W --format chrome` is the one exporter
         with pytest.raises(SystemExit) as exc:

@@ -2,13 +2,16 @@
 tracking, and the trace data model."""
 
 import gc
+import weakref
 
 import numpy as np
 import pytest
 
 from repro import tensor as T
+from repro.core.columns import sums_by
 from repro.core.profiler import Trace, TraceEvent, merge_traces
-from repro.core.taxonomy import OpCategory
+from repro.core.suite import characterize_trace
+from repro.core.taxonomy import CATEGORY_ORDER, OpCategory
 
 
 class TestPhasesAndStages:
@@ -20,7 +23,7 @@ class TestPhasesAndStages:
                 T.mul(T.tensor(np.ones(2)), 2.0)
         assert prof.trace.events[0].phase == "neural"
         assert prof.trace.events[1].phase == "symbolic"
-        assert prof.trace.phases() == ["neural", "symbolic"]
+        assert prof.trace.columns.phases == ["neural", "symbolic"]
 
     def test_stage_nesting_restores(self):
         with T.profile("w") as prof:
@@ -69,7 +72,6 @@ class TestLiveMemory:
             assert prof.live_bytes < before
 
     def test_finished_context_is_freed_without_the_collector(self):
-        import weakref
         gc.disable()
         try:
             with T.profile("w") as prof:
@@ -237,17 +239,45 @@ class TestTraceModel:
         return prof.trace
 
     def test_selection_helpers(self):
-        trace = self._simple_trace()
-        assert len(trace.by_phase("neural")) == 1
-        assert len(trace.by_phase("symbolic")) == 1
-        assert len(trace.by_category(OpCategory.ELEMENTWISE)) == 2
+        cols = self._simple_trace().columns
+        assert cols.in_phase("neural").sum() == 1
+        assert cols.in_phase("symbolic").sum() == 1
+        elementwise = CATEGORY_ORDER.index(OpCategory.ELEMENTWISE)
+        assert (cols.category == elementwise).sum() == 2
 
     def test_aggregates(self):
+        cols = self._simple_trace().columns
+        assert sum(cols.flops.tolist()) == pytest.approx(8.0)
+        assert sum(cols.total_bytes.tolist()) > 0
+        flops = dict(zip(cols.phases, sums_by(cols.phase, cols.flops,
+                                              len(cols.phases))))
+        assert flops["neural"] == pytest.approx(4.0)
+
+    def test_columns_are_kept_until_an_append(self):
         trace = self._simple_trace()
-        assert trace.total_flops == pytest.approx(8.0)
-        assert trace.total_bytes > 0
-        shares = trace.flops_by_phase()
-        assert shares["neural"] == pytest.approx(4.0)
+        columns = trace.columns
+        assert trace.columns is columns and columns.n == 2
+        trace.append(TraceEvent(eid=2, name="add",
+                                category=OpCategory.ELEMENTWISE,
+                                phase="other", flops=3.0))
+        assert trace.columns is not columns
+        assert trace.columns.n == 3
+        assert trace.columns.flops.tolist()[-1] == 3.0
+        assert trace.columns.phases == ["neural", "symbolic", "other"]
+
+    def test_trace_with_read_columns_is_freed_without_the_collector(self):
+        # a trace and its columns form no reference cycle: with the
+        # cycle collector off, dropping the last reference frees it
+        gc.disable()
+        try:
+            trace = self._simple_trace()
+            characterize_trace(trace)
+            assert trace.columns.n == 2
+            alive = weakref.ref(trace)
+            del trace
+            assert alive() is None
+        finally:
+            gc.enable()
 
     def test_count_by_name(self):
         trace = self._simple_trace()
@@ -255,10 +285,10 @@ class TestTraceModel:
         assert counts == {"add": 1, "mul": 1}
 
     def test_summary_fields(self):
-        summary = self._simple_trace().summary()
-        assert summary["workload"] == "w"
-        assert summary["events"] == 2
-        assert summary["phases"] == ["neural", "symbolic"]
+        trace = self._simple_trace()
+        assert trace.workload == "w"
+        assert trace.columns.n == 2
+        assert trace.columns.phases == ["neural", "symbolic"]
 
     def test_merge_traces_renumbers(self):
         t1 = self._simple_trace()

@@ -12,6 +12,11 @@ from repro.workloads.nlm import NLMWorkload
 from tests.conftest import cached_trace
 
 
+def _traffic(trace):
+    """Bytes read and written by all of ``trace``'s events."""
+    return sum(trace.columns.total_bytes.tolist())
+
+
 class TestLNN:
     @pytest.fixture(scope="class")
     def trace(self):
@@ -30,7 +35,7 @@ class TestLNN:
         assert trace.metadata["result"]["passes"] <= 6
 
     def test_bidirectional_phases(self, trace):
-        stages = set(trace.stages())
+        stages = set(trace.columns.stages)
         assert "upward" in stages
         assert "downward" in stages
 
@@ -49,7 +54,7 @@ class TestLNN:
     def test_scales_with_kb_size(self):
         small = cached_trace("lnn", students_per_dept=6, seed=0)
         large = cached_trace("lnn", students_per_dept=16, seed=0)
-        assert large.total_bytes > small.total_bytes
+        assert _traffic(large) > _traffic(small)
 
     def test_logic_rule_events_recorded(self, trace):
         names = trace.count_by_name()
@@ -202,7 +207,7 @@ class TestNLM:
             NLMWorkload(breadth=1)
 
     def test_layer_wiring_stages(self, trace):
-        stages = set(trace.stages())
+        stages = set(trace.columns.stages)
         assert "wiring_layer0" in stages
         assert "mlp_layer0" in stages
         assert "readout" in stages
@@ -226,4 +231,4 @@ class TestNLM:
     def test_num_objects_scales_bytes(self):
         small = cached_trace("nlm", num_objects=10, seed=0)
         large = cached_trace("nlm", num_objects=24, seed=0)
-        assert large.total_bytes > small.total_bytes
+        assert _traffic(large) > _traffic(small)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.analysis import flops_breakdown
 from repro.core.profiler import PHASE_NEURAL, PHASE_SYMBOLIC
 from repro.datasets import rpm
 from repro.vsa.hypervector import HolographicSpace
@@ -129,17 +130,23 @@ class TestTemplateDecoder:
                     assert decoded == (shape, size, color)
 
 
+def _stage_events(trace, stage):
+    """How many of ``trace``'s events belong to ``stage``."""
+    cols = trace.columns
+    return int((cols.stage == cols.stages.index(stage)).sum())
+
+
 class TestNVSA:
     @pytest.fixture(scope="class")
     def trace(self):
         return cached_trace("nvsa", seed=0)
 
     def test_phases_present(self, trace):
-        assert set(p for p in trace.phases() if p) == \
+        assert set(p for p in trace.columns.phases if p) == \
             {PHASE_NEURAL, PHASE_SYMBOLIC}
 
     def test_stages_cover_pipeline(self, trace):
-        stages = set(trace.stages())
+        stages = set(trace.columns.stages)
         for stage in ("perception", "pmf_to_vsa", "rule_detection",
                       "rule_execution", "vsa_to_pmf", "answer_selection"):
             assert stage in stages
@@ -169,9 +176,7 @@ class TestNVSA:
 
     def test_symbolic_flops_minority(self, trace):
         """Paper: NVSA symbolic is ~92% of time but only ~19% of FLOPs."""
-        shares = trace.flops_by_phase()
-        total = sum(shares.values())
-        assert shares[PHASE_SYMBOLIC] / total < 0.5
+        assert flops_breakdown(trace)[PHASE_SYMBOLIC] < 0.5
 
     def test_invalid_rule_raises(self):
         w = NVSAWorkload(seed=0)
@@ -191,7 +196,7 @@ class TestPrAE:
         assert correct >= 5
 
     def test_stages_cover_pipeline(self, trace):
-        stages = set(trace.stages())
+        stages = set(trace.columns.stages)
         for stage in ("scene_inference", "abduction", "execution",
                       "answer_selection"):
             assert stage in stages
@@ -301,6 +306,6 @@ class TestMixedOrientation:
     def test_orientation_search_doubles_rule_work(self):
         row = cached_trace("nvsa", seed=0)
         mixed = cached_trace("nvsa", orientation_mode="mixed", seed=0)
-        row_detection = len(row.by_stage("rule_detection"))
-        mixed_detection = len(mixed.by_stage("rule_detection"))
+        row_detection = _stage_events(row, "rule_detection")
+        mixed_detection = _stage_events(mixed, "rule_detection")
         assert mixed_detection > row_detection * 1.5

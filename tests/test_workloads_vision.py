@@ -40,7 +40,7 @@ class TestVSAIT:
         assert traffic[PHASE_SYMBOLIC] > traffic[PHASE_NEURAL]
 
     def test_stage_structure(self, trace):
-        stages = set(trace.stages())
+        stages = set(trace.columns.stages)
         for stage in ("translation", "feature_extraction",
                       "hyperspace_encoding", "binding", "similarity"):
             assert stage in stages
@@ -122,5 +122,7 @@ class TestZeroC:
     def test_ensemble_size_scales_neural_flops(self):
         small = cached_trace("zeroc", ensemble_size=4, seed=0)
         large = cached_trace("zeroc", ensemble_size=12, seed=0)
-        assert large.by_phase(PHASE_NEURAL).total_flops > \
-            small.by_phase(PHASE_NEURAL).total_flops
+        def neural_flops(trace):
+            cols = trace.columns
+            return sum(cols.flops[cols.in_phase(PHASE_NEURAL)].tolist())
+        assert neural_flops(large) > neural_flops(small)
