@@ -14,7 +14,7 @@ import numpy as np
 
 from repro import tensor as T
 from repro.core.suite import characterize
-from repro.core.taxonomy import NSParadigm, OpCategory
+from repro.core.taxonomy import NSParadigm
 from repro.logic import HornRule, KnowledgeBase, Predicate, Variable
 from repro.nn import small_convnet
 from repro.tensor.dispatch import record_region
@@ -86,7 +86,7 @@ class DigitSumWorkload(Workload):
         with T.phase("symbolic"), T.stage("verification"):
             for (pa, pb), (ta, tb) in zip(predicted, self.digits):
                 claimed = int(ta) + int(tb)  # the label to verify
-                with record_region("sum_rule_check", OpCategory.OTHER,
+                with record_region("sum_rule_check",
                                    flops=100.0, bytes_read=2400):
                     holds = self.kb.has_fact("sum", str(int(pa)),
                                              str(int(pb)), str(claimed))

@@ -21,14 +21,21 @@ def checked(kind: Callable[[str], float], accept: Callable[[float], bool],
             value = kind(text)
         except ValueError:
             value = math.nan
-        if not (math.isfinite(value) and accept(value)):
+        # an int is finite however large (math.isfinite would overflow)
+        if not ((isinstance(value, int) or math.isfinite(value))
+                and accept(value)):
             raise argparse.ArgumentTypeError(
                 f"must be {expected}, got {text!r}")
         return value
     return parse
 
 
-#: ``--max-retries``
-RETRIES = checked(int, lambda v: v >= 0, "an integer >= 0")
+#: every ``--seed`` that seeds a workload or a numpy generator,
+#: ``--max-retries``, and ``faults --alloc-bytes``/``--op-index``
+NON_NEGATIVE_INT = checked(int, lambda v: v >= 0, "an integer >= 0")
 #: ``--timeout`` and the other durations and rates
 POSITIVE = checked(float, lambda v: v > 0, "a finite number > 0")
+#: ``--max-wait-ms`` and ``faults --latency``
+NON_NEGATIVE = checked(float, lambda v: v >= 0, "a finite number >= 0")
+#: ``--sample-ratio`` and ``faults --rate``
+RATIO = checked(float, lambda v: 0 <= v <= 1, "a number in [0, 1]")

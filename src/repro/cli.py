@@ -38,7 +38,7 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.argtypes import POSITIVE, RETRIES
+from repro.argtypes import NON_NEGATIVE, NON_NEGATIVE_INT, POSITIVE, RATIO
 from repro.core.analysis import latency_breakdown
 from repro.core.functions import function_table, render_function_table
 from repro.core.profiler import PHASE_NEURAL, PHASE_SYMBOLIC, Trace
@@ -78,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="registered workload name")
         cmd.add_argument("--device", default="rtx", type=device_arg,
                          help="device name or alias (default rtx)")
-        cmd.add_argument("--seed", type=int, default=0)
+        cmd.add_argument("--seed", type=NON_NEGATIVE_INT, default=0)
         if name == "functions":
             cmd.add_argument("--phase", default=None,
                              help="restrict to one phase")
@@ -98,10 +98,10 @@ def _build_parser() -> argparse.ArgumentParser:
              "timeouts/retries/health checks (exit 1 unless all are "
              "healthy)")
     roster.add_argument("--device", default="rtx", type=device_arg)
-    roster.add_argument("--seed", type=int, default=0)
+    roster.add_argument("--seed", type=NON_NEGATIVE_INT, default=0)
     roster.add_argument("--timeout", type=POSITIVE, default=120.0,
                         help="per-workload wall-clock budget in seconds")
-    roster.add_argument("--max-retries", type=RETRIES, default=2,
+    roster.add_argument("--max-retries", type=NON_NEGATIVE_INT, default=2,
                         help="retries per workload on transient errors")
 
     faults = sub.add_parser(
@@ -114,22 +114,23 @@ def _build_parser() -> argparse.ArgumentParser:
                         choices=list(FAULT_KINDS),
                         help="fault kind to inject")
     faults.add_argument("--device", default="rtx", type=device_arg)
-    faults.add_argument("--seed", type=int, default=0,
+    faults.add_argument("--seed", type=NON_NEGATIVE_INT, default=0,
                         help="fault-plan seed (also the workload seed)")
-    faults.add_argument("--rate", type=float, default=1.0,
+    faults.add_argument("--rate", type=RATIO, default=1.0,
                         help="per-op injection probability")
     faults.add_argument("--op-name", default=None,
                         help="restrict injection to one op name")
-    faults.add_argument("--op-index", type=int, default=None,
+    faults.add_argument("--op-index", type=NON_NEGATIVE_INT, default=None,
                         help="inject at exactly this dispatch index")
     faults.add_argument("--phase", default=None,
                         help="restrict injection to one phase")
-    faults.add_argument("--latency", type=float, default=0.05,
+    faults.add_argument("--latency", type=NON_NEGATIVE, default=0.05,
                         help="seconds added per latency fault")
-    faults.add_argument("--alloc-bytes", type=int, default=1 << 30,
+    faults.add_argument("--alloc-bytes", type=NON_NEGATIVE_INT,
+                        default=1 << 30,
                         help="live bytes added per alloc fault")
     faults.add_argument("--timeout", type=POSITIVE, default=120.0)
-    faults.add_argument("--max-retries", type=RETRIES, default=0,
+    faults.add_argument("--max-retries", type=NON_NEGATIVE_INT, default=0,
                         help="retries (default 0: report first outcome)")
 
     lint = sub.add_parser(
@@ -225,14 +226,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "faults":
         from repro.resilience.runner import ResilientRunner
         device = get_device(args.device)
-        try:
-            plan = FaultPlan([FaultSpec(
-                kind=args.fault, rate=args.rate, op_name=args.op_name,
-                phase=args.phase, op_index=args.op_index,
-                latency=args.latency, alloc_bytes=args.alloc_bytes,
-            )], seed=args.seed)
-        except ValueError as exc:
-            raise SystemExit(f"repro faults: {exc}")
+        # every value FaultSpec refuses was refused while parsing
+        plan = FaultPlan([FaultSpec(
+            kind=args.fault, rate=args.rate, op_name=args.op_name,
+            phase=args.phase, op_index=args.op_index,
+            latency=args.latency, alloc_bytes=args.alloc_bytes,
+        )], seed=args.seed)
         runner = ResilientRunner(device=device, timeout=args.timeout,
                                  max_retries=args.max_retries)
         outcome = runner.run_workload(args.workload, seed=args.seed,

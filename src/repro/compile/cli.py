@@ -19,6 +19,8 @@ import argparse
 import json
 import sys
 
+from repro.argtypes import NON_NEGATIVE_INT
+
 EXIT_PLAN_DIVERGENCE = 7
 
 
@@ -34,7 +36,7 @@ def add_compile_subcommands(sub: "argparse._SubParsersAction") -> None:
     from repro.workloads import workload_arg
     diff.add_argument("workload", type=workload_arg,
                       help="registered workload name")
-    diff.add_argument("--seed", type=int, default=0)
+    diff.add_argument("--seed", type=NON_NEGATIVE_INT, default=0)
     diff.add_argument("--json", action="store_true",
                       help="print the comparison as JSON")
 

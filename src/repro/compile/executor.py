@@ -26,9 +26,9 @@ event at each op's eid:
    eager op, so the replayed trace folds into the same op metrics
    (:func:`repro.obs.metrics.fold_trace`) as the eager one.
 
-Events recorded through ``record_event`` / ``record_region`` re-record
-eagerly at their own position; only their live bytes come from the
-plan, since replayed ops are not allocation-tracked.
+Events recorded through ``record_region`` re-record eagerly at their
+own position; only their live bytes come from the plan, since
+replayed ops are not allocation-tracked.
 
 The bit-exactness contract (asserted across the full workload roster
 in ``tests/test_compile.py``): identical outputs, identical counter

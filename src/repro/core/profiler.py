@@ -95,13 +95,6 @@ class TraceEvent:
         """Total memory traffic (read + written)."""
         return self.bytes_read + self.bytes_written
 
-    @property
-    def operational_intensity(self) -> float:
-        """FLOPs per byte of traffic; 0 when the op moves no data."""
-        if self.total_bytes == 0:
-            return 0.0
-        return self.flops / self.total_bytes
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"TraceEvent(eid={self.eid}, name={self.name!r}, "
@@ -156,13 +149,6 @@ class Trace:
         if columns is None or columns.n != len(self.events):
             columns = self._columns = TraceColumns(self.events)
         return columns
-
-    def count_by_name(self) -> Dict[str, int]:
-        """Invocation counts per op name (function-level statistics)."""
-        out: Dict[str, int] = {}
-        for event in self.events:
-            out[event.name] = out.get(event.name, 0) + 1
-        return out
 
 
 def merge_traces(traces: Sequence[Trace], workload: str = "") -> Trace:

@@ -60,9 +60,9 @@ CATEGORY_ORDER: Tuple[OpCategory, ...] = (
 #: Parameterized op names are registered by their canonical stem — the
 #: text before the ``[...]`` variant suffix (``fuzzy_and[lukasiewicz]``
 #: -> ``fuzzy_and``) — and dynamic families by a ``*`` suffix wildcard
-#: (``to_*`` covers ``to_gpu``/``to_tx2``/...).  ``run_op`` falls back
-#: to this registry when a call site does not pass a category, and the
-#: RL002 lint check cross-validates every explicit call site against it.
+#: (``to_*`` covers ``to_gpu``/``to_tx2``/...).  ``run_op`` takes every
+#: op's category from here (call sites pass none), and the RL002 lint
+#: check keeps the recorded op names and the entries in step.
 OP_CATEGORIES: Dict[str, OpCategory] = {
     # -- convolution ---------------------------------------------------------
     "conv2d": OpCategory.CONVOLUTION,

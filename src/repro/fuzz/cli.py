@@ -13,15 +13,19 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional
+from typing import Tuple
+
+from repro.argtypes import NON_NEGATIVE_INT
+from repro.workloads import workload_arg
 
 EXIT_DIVERGENCE = 5
 
 
-def _parse_harvest(raw: Optional[str]):
-    if not raw:
-        return None
-    return tuple(name.strip() for name in raw.split(",") if name.strip())
+def _harvest_arg(text: str) -> Tuple[str, ...]:
+    """The argparse ``type=`` of ``--harvest``: its comma-separated
+    names, each a registered workload (:func:`workload_arg`)."""
+    return tuple(workload_arg(name.strip()) for name in text.split(",")
+                 if name.strip())
 
 
 def add_fuzz_subcommands(sub: "argparse._SubParsersAction") -> None:
@@ -33,12 +37,12 @@ def add_fuzz_subcommands(sub: "argparse._SubParsersAction") -> None:
 
     run = fsub.add_parser(
         "run", help="infer rules, then fuzz programs/chaos/configs")
-    run.add_argument("--seed", type=int, default=0)
+    run.add_argument("--seed", type=NON_NEGATIVE_INT, default=0)
     run.add_argument("--count", type=int, default=50,
                      help="generated op programs to check (default 50)")
     run.add_argument("--max-ops", type=int, default=12,
                      help="max ops per generated program")
-    run.add_argument("--harvest", default=None,
+    run.add_argument("--harvest", type=_harvest_arg, default=None,
                      help="comma-separated workloads to harvest "
                           "(default: lnn,nvsa)")
     run.add_argument("--chaos", type=int, default=0,
@@ -64,10 +68,10 @@ def add_fuzz_subcommands(sub: "argparse._SubParsersAction") -> None:
 
     rules_cmd = fsub.add_parser(
         "rules", help="infer transfer rules and print/save them")
-    rules_cmd.add_argument("--harvest", default=None,
+    rules_cmd.add_argument("--harvest", type=_harvest_arg, default=None,
                            help="comma-separated workloads "
                                 "(default: lnn,nvsa)")
-    rules_cmd.add_argument("--seed", type=int, default=0)
+    rules_cmd.add_argument("--seed", type=NON_NEGATIVE_INT, default=0)
     rules_cmd.add_argument("--no-calibrate", action="store_true",
                            help="infer from the workload harvest only")
     rules_cmd.add_argument("--format", choices=("text", "json"),
@@ -86,7 +90,7 @@ def run_fuzz_command(args: "argparse.Namespace") -> int:
         rules = RuleSet.load(args.rules) if args.rules else None
         report = fuzz_run(
             seed=args.seed, count=args.count, max_ops=args.max_ops,
-            harvest=_parse_harvest(args.harvest), chaos=args.chaos,
+            harvest=args.harvest or None, chaos=args.chaos,
             configs=args.configs, rules=rules,
             minimize=not args.no_minimize)
         print(report.render())
@@ -129,7 +133,7 @@ def run_fuzz_command(args: "argparse.Namespace") -> int:
         return 0 if stale == 0 else 1
 
     if args.fuzz_command == "rules":
-        ruleset = build_ruleset(_parse_harvest(args.harvest),
+        ruleset = build_ruleset(args.harvest or None,
                                 seed=args.seed,
                                 calibrate=not args.no_calibrate)
         if args.output:

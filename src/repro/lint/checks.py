@@ -6,9 +6,11 @@ counters can silently go wrong:
 
 * **RL001** — raw numpy compute inside the instrumented zones bypasses
   ``repro.tensor.dispatch``; its FLOPs/bytes never reach the trace.
-* **RL002** — op names recorded by ``run_op`` must agree with the
-  public :data:`repro.core.taxonomy.OP_CATEGORIES` registry (both
-  directions), or Fig. 3a's six-way category split misclassifies work;
+* **RL002** — an op's category is its name's entry in
+  :data:`repro.core.taxonomy.OP_CATEGORIES` and nowhere else: every
+  op name recorded by ``run_op`` must have an entry (a traced op
+  without one fails to dispatch) and every entry must name a recorded
+  op, or Fig. 3a's six-way category split misclassifies work;
   category-keyed model tables (``obs/kstats.CATEGORY_MIX``) must key
   exactly the ``OpCategory`` values for the same reason.
 * **RL003** — a registered workload whose ``run()`` never enters both
@@ -124,8 +126,8 @@ _CATEGORY_TABLE_NAMES: Tuple[str, ...] = ("CATEGORY_MIX",)
 class TaxonomyCoverage(LintCheck):
     check_id = "RL002"
     name = "taxonomy-coverage"
-    description = ("run_op names and OP_CATEGORIES must agree in both "
-                   "directions")
+    description = ("run_op names and OP_CATEGORIES, the only source of "
+                   "an op's category, must agree in both directions")
     severity = SEVERITY_ERROR
 
     def _state(self, ctx) -> Dict[str, object]:
@@ -151,48 +153,32 @@ class TaxonomyCoverage(LintCheck):
 
         self._check_category_tables(module, ctx)
 
-        category_aliases = self._category_aliases(module.tree)
         forwarders = self._forwarders(module.tree)
         for node in ast.walk(module.tree):
             if not (isinstance(node, ast.Call) and node.args):
                 continue
             callee = _call_name(node.func)
-            if callee == "run_op":
-                name_arg = node.args[0]
-                explicit = self._explicit_category(node, category_aliases)
-            elif callee in forwarders:
-                index, explicit = forwarders[callee]
-                if index >= len(node.args):
-                    continue
-                name_arg = node.args[index]
-            else:
+            index = 0 if callee == "run_op" else forwarders.get(callee)
+            if index is None or index >= len(node.args):
                 continue
-            parsed = _static_op_name(name_arg)
+            parsed = _static_op_name(node.args[index])
             if parsed is None:
                 continue
             raw, is_prefix = parsed
             stem = canonical_op_name(raw)
-            matched = self._match_registry(
+            key = self._match_registry(
                 OP_CATEGORIES, stem,
                 is_prefix and "[" not in raw)
-            if matched is None:
+            if key is None:
                 ctx.report(
                     self, module.relpath, node.lineno, node.col_offset,
                     f"op name {raw!r} recorded by run_op has no entry in "
                     f"repro.core.taxonomy.OP_CATEGORIES; register it so "
                     f"the Fig. 3a category split stays exhaustive")
                 continue
-            key, registry_category = matched
             state["used_keys"].update(
                 k for k in OP_CATEGORIES
                 if k == key or k.startswith(stem))
-            if explicit is not None and explicit != registry_category.name:
-                ctx.report(
-                    self, module.relpath, node.lineno, node.col_offset,
-                    f"op {raw!r} passes OpCategory.{explicit} but "
-                    f"OP_CATEGORIES maps it to "
-                    f"OpCategory.{registry_category.name}; deduplicate "
-                    f"the drift (the registry is authoritative)")
 
     def _check_category_tables(self, module, ctx) -> None:
         """Category-keyed tables stay in lockstep with the taxonomy.
@@ -243,17 +229,17 @@ class TaxonomyCoverage(LintCheck):
                     f"{missing!r}; the per-category counter synthesis "
                     f"would KeyError on the first {missing} event")
 
-    def _forwarders(self, tree: ast.Module) -> Dict[str, Tuple[int, Optional[str]]]:
+    @staticmethod
+    def _forwarders(tree: ast.Module) -> Dict[str, int]:
         """Module-local helpers that forward a name parameter to run_op.
 
         ``ops.py`` builds most elementwise/reduction ops through
         factories like ``_binary(name, fn, a, b)``; the static op name
         lives at the factory's call sites.  This resolves one hop: a
         FunctionDef whose body calls ``run_op(<param>, ...)`` maps its
-        name to ``(param index, category passed by the helper)``.
+        name to that parameter's index.
         """
-        aliases = self._category_aliases(tree)
-        forwarders: Dict[str, Tuple[int, Optional[str]]] = {}
+        forwarders: Dict[str, int] = {}
         for node in ast.walk(tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
@@ -265,57 +251,22 @@ class TaxonomyCoverage(LintCheck):
                         and isinstance(call.args[0], ast.Name)
                         and call.args[0].id in params):
                     continue
-                forwarders[node.name] = (
-                    params.index(call.args[0].id),
-                    self._explicit_category(call, aliases))
+                forwarders[node.name] = params.index(call.args[0].id)
         return forwarders
 
     @staticmethod
-    def _match_registry(registry, stem: str, open_prefix: bool):
-        """Resolve a call-site stem against the registry, or None."""
+    def _match_registry(registry, stem: str,
+                        open_prefix: bool) -> Optional[str]:
+        """The registry key a call-site stem resolves to, or None."""
         if not open_prefix and stem in registry:
-            return stem, registry[stem]
-        for key, category in registry.items():
+            return stem
+        for key in registry:
             if not key.endswith("*"):
                 continue
             prefix = key[:-1]
             if stem.startswith(prefix) or (open_prefix
                                            and prefix.startswith(stem)):
-                return key, category
-        return None
-
-    @staticmethod
-    def _category_aliases(tree: ast.Module) -> Dict[str, str]:
-        """Module-level ``_MM = OpCategory.MATMUL``-style aliases."""
-        aliases: Dict[str, str] = {}
-        for node in tree.body:
-            if (isinstance(node, ast.Assign)
-                    and isinstance(node.value, ast.Attribute)
-                    and isinstance(node.value.value, ast.Name)
-                    and node.value.value.id == "OpCategory"):
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        aliases[target.id] = node.value.attr
-        return aliases
-
-    @staticmethod
-    def _explicit_category(node: ast.Call,
-                           aliases: Dict[str, str]) -> Optional[str]:
-        expr: Optional[ast.expr] = None
-        if len(node.args) >= 2:
-            expr = node.args[1]
-        else:
-            for keyword in node.keywords:
-                if keyword.arg == "category":
-                    expr = keyword.value
-        if expr is None:
-            return None
-        if (isinstance(expr, ast.Attribute)
-                and isinstance(expr.value, ast.Name)
-                and expr.value.id == "OpCategory"):
-            return expr.attr
-        if isinstance(expr, ast.Name):
-            return aliases.get(expr.id)
+                return key
         return None
 
     def finalize(self, ctx) -> None:
@@ -334,7 +285,7 @@ class TaxonomyCoverage(LintCheck):
                     self, relpath, line, 0,
                     f"OP_CATEGORIES entry {key!r} matches no run_op call "
                     f"site; delete it or name the op that should use it "
-                    f"(stale registry entries hide real drift)")
+                    f"(a stale entry reads as coverage no op has)")
         covered = set(OP_CATEGORIES.values())
         for category in OpCategory:
             if category not in covered:

@@ -15,7 +15,6 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import tensor as T
-from repro.core.taxonomy import OpCategory
 from repro.nn.init import kaiming, rng_for, xavier
 from repro.tensor.dispatch import run_op
 from repro.tensor.errors import TensorOpError
@@ -88,8 +87,7 @@ class Linear(Module):
                 out = out + b
             return out
 
-        return run_op("linear", OpCategory.MATMUL, _compute, inputs,
-                      flops=flops)
+        return run_op("linear", _compute, inputs, flops=flops)
 
 
 class Conv2d(Module):
@@ -159,7 +157,7 @@ class BatchNorm2d(Module):
             out += shift
             return out
 
-        return run_op("batchnorm2d", OpCategory.ELEMENTWISE, _compute, [x],
+        return run_op("batchnorm2d", _compute, [x],
                       flop_factor=2.0, extra_bytes_read=scale.nbytes + shift.nbytes)
 
 
@@ -206,7 +204,7 @@ class MaxPool2d(Module):
             return out
 
         out_elems = x.shape[0] * x.shape[1] * ho * wo
-        return run_op("maxpool2d", OpCategory.ELEMENTWISE, _compute, [x],
+        return run_op("maxpool2d", _compute, [x],
                       flops=float(out_elems * k * k))
 
 
@@ -227,7 +225,7 @@ class AvgPool2d(Module):
             return windows.mean(axis=(-2, -1))
 
         out_elems = x.shape[0] * x.shape[1] * ho * wo
-        return run_op("avgpool2d", OpCategory.ELEMENTWISE, _compute, [x],
+        return run_op("avgpool2d", _compute, [x],
                       flops=float(out_elems * k * k))
 
 
@@ -235,8 +233,7 @@ class GlobalAvgPool(Module):
     """Mean over spatial dims, producing (N, C)."""
 
     def forward(self, x: Tensor) -> Tensor:
-        return run_op("global_avgpool", OpCategory.ELEMENTWISE,
-                      lambda a: a.mean(axis=(2, 3)), [x],
+        return run_op("global_avgpool", lambda a: a.mean(axis=(2, 3)), [x],
                       flops=float(x.size))
 
 

@@ -34,6 +34,7 @@ import argparse
 import json
 from typing import Optional
 
+from repro.argtypes import NON_NEGATIVE_INT
 from repro.core.profiler import Trace
 from repro.workloads import create, workload_arg
 
@@ -91,7 +92,7 @@ def add_obs_subcommands(sub: "argparse._SubParsersAction") -> None:
                              "so serving exports read as per-request "
                              "waterfall lanes; jsonl format: spans "
                              "sorted by (trace id, start)")
-    export.add_argument("--seed", type=int, default=0)
+    export.add_argument("--seed", type=NON_NEGATIVE_INT, default=0)
 
     metrics = sub.add_parser(
         "metrics",
@@ -102,7 +103,7 @@ def add_obs_subcommands(sub: "argparse._SubParsersAction") -> None:
     metrics.add_argument("--format", default="prom",
                          choices=("prom", "json"),
                          help="Prometheus text or JSON snapshot")
-    metrics.add_argument("--seed", type=int, default=0)
+    metrics.add_argument("--seed", type=NON_NEGATIVE_INT, default=0)
 
     report = sub.add_parser(
         "report",
@@ -120,7 +121,7 @@ def add_obs_subcommands(sub: "argparse._SubParsersAction") -> None:
                              "perf-trend section from (pin verdict, "
                              "sparkline per metric, change points "
                              "marked)")
-    report.add_argument("--seed", type=int, default=0)
+    report.add_argument("--seed", type=NON_NEGATIVE_INT, default=0)
 
     obs = sub.add_parser(
         "obs",
@@ -134,7 +135,7 @@ def add_obs_subcommands(sub: "argparse._SubParsersAction") -> None:
              "print the per-component dispatch-overhead rollup")
     selfprof.add_argument("workload", type=workload_arg,
                           help="registered workload name")
-    selfprof.add_argument("--seed", type=int, default=0)
+    selfprof.add_argument("--seed", type=NON_NEGATIVE_INT, default=0)
     selfprof.add_argument("--json", action="store_true",
                           help="print the full ledger as JSON "
                                "(deterministic + measured splits)")
@@ -254,6 +255,10 @@ def _run_history(args: argparse.Namespace) -> int:
                                    entry_from_sources, load_history,
                                    render_history)
     if args.history_command == "record":
+        try:
+            open(args.db, "a").close()      # before the pinning work
+        except OSError as exc:
+            raise SystemExit(f"repro obs history: {exc}")
         entry = entry_from_sources(results_dir=args.results or None,
                                    label=args.label)
         append_entry(entry, args.db)

@@ -44,7 +44,7 @@ __all__ = [
 #: compute itself; everything else is dispatch overhead a replay
 #: could amortize or eliminate.
 COMPONENTS: Tuple[str, ...] = (
-    "taxonomy",   # thread-state read + category_for() (replay: step check)
+    "taxonomy",   # thread-state read + memoized category (replay: step check)
     "inputs",     # _split_inputs: coercion, byte counts, parent eids
     "fault",      # fault-hook consultation
     "kernel",     # the numpy kernel (compute(*arrays) + asarray)

@@ -84,6 +84,14 @@ class FaultSpec:
                 f"unknown fault kind {self.kind!r}; known: {FAULT_KINDS}")
         if not (0.0 <= self.rate <= 1.0):
             raise ValueError(f"rate must be in [0, 1], got {self.rate}")
+        if not (math.isfinite(self.latency) and self.latency >= 0.0):
+            raise ValueError(f"latency must be a finite number >= 0, "
+                             f"got {self.latency}")
+        if self.alloc_bytes < 0:
+            raise ValueError(
+                f"alloc_bytes must be >= 0, got {self.alloc_bytes}")
+        if self.op_index is not None and self.op_index < 0:
+            raise ValueError(f"op_index must be >= 0, got {self.op_index}")
 
     def matches(self, op_index: int, name: str, phase: str) -> bool:
         if self.op_name is not None and self.op_name != name:

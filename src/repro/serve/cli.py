@@ -33,7 +33,8 @@ import sys
 import time
 from typing import Dict, Optional
 
-from repro.argtypes import POSITIVE, RETRIES, checked
+from repro.argtypes import (NON_NEGATIVE, NON_NEGATIVE_INT, POSITIVE,
+                            RATIO, checked)
 from repro.hwsim.devices import device_arg, get_device, parse_device_list
 from repro.serve.batcher import BatchPolicy
 from repro.serve.loadgen import (LoadSpec, load_schedule, open_loop,
@@ -47,8 +48,6 @@ from repro.workloads import workload_arg
 SERVE_COMMANDS = ("serve",)
 
 _COUNT = checked(int, lambda v: v >= 1, "an integer >= 1")
-_WAIT = checked(float, lambda v: v >= 0, "a finite number >= 0")
-_RATIO = checked(float, lambda v: 0 <= v <= 1, "a number in [0, 1]")
 
 #: Flags only a planned (virtual-time) run reads: each one's default and
 #: why a live run has no use for it.  They parse to ``None`` when not
@@ -85,7 +84,7 @@ def _add_server_flags(cmd: "argparse.ArgumentParser") -> None:
                           "workers (default rtx)")
     cmd.add_argument("--max-batch", type=_COUNT, default=16,
                      help="dynamic batching size cap (default 16)")
-    cmd.add_argument("--max-wait-ms", type=_WAIT, default=None,
+    cmd.add_argument("--max-wait-ms", type=NON_NEGATIVE, default=None,
                      help="max ms a planned batch stays open (default "
                           "50); virtual-time planning only (bench "
                           "--loop open, replay without --realtime): "
@@ -99,7 +98,7 @@ def _add_server_flags(cmd: "argparse.ArgumentParser") -> None:
     cmd.add_argument("--timeout", type=POSITIVE, default=None,
                      help="per-attempt wall budget in seconds "
                           "(default none)")
-    cmd.add_argument("--max-retries", type=RETRIES, default=1,
+    cmd.add_argument("--max-retries", type=NON_NEGATIVE_INT, default=1,
                      help="retries per batch on transient errors "
                           "(default 1)")
     cmd.add_argument("-o", "--output", default=None,
@@ -113,7 +112,7 @@ def _add_server_flags(cmd: "argparse.ArgumentParser") -> None:
     cmd.add_argument("--snapshot-interval", type=POSITIVE, default=1.0,
                      help="live-telemetry snapshot period in seconds "
                           "(default 1.0)")
-    cmd.add_argument("--sample-ratio", type=_RATIO, default=0.05,
+    cmd.add_argument("--sample-ratio", type=RATIO, default=0.05,
                      help="tail-sampling keep ratio for healthy "
                           "requests (default 0.05)")
     cmd.add_argument("--trace-jsonl", default=None,

@@ -19,7 +19,7 @@ Typical usage::
 """
 
 from repro.tensor.context import ProfileContext, active_context, phase, profile, stage
-from repro.tensor.dispatch import record_event, record_region, run_op
+from repro.tensor.dispatch import record_region, run_op
 from repro.tensor.ops import *  # noqa: F401,F403 - re-export the functional API
 from repro.tensor.ops import __all__ as _ops_all
 from repro.tensor.sparse import (CSRMatrix, csr_mask, csr_row_softmax,
@@ -29,6 +29,6 @@ from repro.tensor.tensor import Tensor, as_tensor
 __all__ = [
     "Tensor", "as_tensor",
     "ProfileContext", "active_context", "profile", "phase", "stage",
-    "run_op", "record_event", "record_region",
+    "run_op", "record_region",
     "CSRMatrix", "csr_mask", "csr_row_softmax", "sddmm", "spmm",
 ] + list(_ops_all)

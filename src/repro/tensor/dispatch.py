@@ -12,13 +12,16 @@ Every public op in :mod:`repro.tensor.ops` funnels through
 6. returns a :class:`~repro.tensor.tensor.Tensor` whose ``producer``
    points at the new event.
 
+An op's category is its name's entry in
+:data:`repro.core.taxonomy.OP_CATEGORIES`, looked up once per name.
+
 There is also :func:`record_region` for control-flow-heavy symbolic
 code (rule search loops, theorem-prover traversals) that does not map
 onto a single tensor kernel: it wraps a Python block, measures its wall
-time, and records one aggregate event — mirroring how the paper's
-"Others" operator category captures fuzzy-logic and logic-rule work.
+time, and records one aggregate event in the paper's "Others" operator
+category, which captures fuzzy-logic and logic-rule work.
 
-All three entry points build their event in one place (:func:`_record`)
+Both entry points build their event in one place (:func:`_record`)
 and read the thread's context, fault hook, observer and plan session
 from one :class:`~repro.tensor.context.DispatchState`.  Replay
 and self-profiling are branches of :func:`run_op`, not separate paths.
@@ -29,7 +32,8 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from time import perf_counter_ns as _perf_ns
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
+                    Tuple, Union)
 
 import numpy as np
 
@@ -58,6 +62,12 @@ _SPARSITY_COMPARE_DTYPES = frozenset((np.dtype(np.float32),
                                       np.dtype(np.float64)))
 
 InputLike = Union[Tensor, np.ndarray, float, int, bool]
+
+#: op name -> its registry category, filled by the first traced op of
+#: each name (the registry is constant, so an entry never goes stale).
+#: A hit is one dict lookup; ``category_for`` takes about 0.2 µs for an
+#: exact name and 9 µs for a ``to_*`` wildcard one (one Xeon core).
+_CATEGORIES: Dict[str, OpCategory] = {}
 
 
 def _current_sid(state: DispatchState) -> Optional[int]:
@@ -197,9 +207,8 @@ def _record(ctx: ProfileContext, eid: int, sid: Optional[int], name: str,
 
 
 def run_op(name: str,
-           category: Optional[OpCategory] = None,
-           compute: Callable[..., np.ndarray] = None,  # type: ignore[assignment]
-           inputs: Sequence[InputLike] = (),
+           compute: Callable[..., np.ndarray],
+           inputs: Sequence[InputLike],
            *,
            flops: Optional[float] = None,
            flop_factor: float = 1.0,
@@ -208,14 +217,14 @@ def run_op(name: str,
            measure_sparsity: bool = True) -> Tensor:
     """Execute ``compute`` on raw arrays and record one trace event.
 
+    The event's operator-taxonomy category is ``name``'s entry in the
+    :data:`repro.core.taxonomy.OP_CATEGORIES` registry
+    (:func:`~repro.core.taxonomy.category_for`, memoized per name); an
+    unregistered name raises ``KeyError`` when traced.  An untraced op
+    resolves nothing.
+
     Parameters
     ----------
-    category:
-        Operator-taxonomy category.  When ``None``, it is resolved from
-        the :data:`repro.core.taxonomy.OP_CATEGORIES` registry (the
-        authoritative op-name -> category mapping); explicit values at
-        call sites are cross-checked against that registry by
-        ``repro lint`` (RL002).
     flops:
         Explicit FLOP count.  When ``None``, the count defaults to
         ``flop_factor * output.size`` (the convention for element-wise
@@ -246,11 +255,16 @@ def run_op(name: str,
     state = _thread_local.dispatch
     ctx = state.context
     recorded = None
-    if ctx is not None and state.session is not None:
+    if ctx is None:
+        category = None
+    elif state.session is not None:
         recorded = state.session.expect(ctx.pending_eid, name)
         category = recorded.category
-    elif category is None:
-        category = category_for(name)
+    else:
+        try:
+            category = _CATEGORIES[name]
+        except KeyError:
+            category = _CATEGORIES[name] = category_for(name)
     if ledger is not None:
         p1 = _perf_ns()                                # taxonomy
     if recorded is None:
@@ -339,40 +353,6 @@ def run_op(name: str,
     return result
 
 
-def record_event(name: str,
-                 category: OpCategory,
-                 *,
-                 flops: float = 0.0,
-                 bytes_read: int = 0,
-                 bytes_written: int = 0,
-                 wall_time: float = 0.0,
-                 parents: Tuple[int, ...] = (),
-                 input_shapes: Tuple[Tuple[int, ...], ...] = (),
-                 output_shape: Tuple[int, ...] = (),
-                 output_sparsity: float = 0.0) -> Optional[int]:
-    """Record a standalone event (no tensor output); returns its eid."""
-    state = _thread_local.dispatch
-    ctx = state.context
-    if ctx is None:
-        return None
-    hook = state.fault_hook
-    injection = None if hook is None else _consider_fault(hook, ctx, name)
-    wall_time, poison, extra_live = _apply_injection(injection, wall_time)
-    if poison is not None:
-        flops = poison
-        output_sparsity = poison
-    eid = ctx.next_eid()
-    event = _record(ctx, eid, _current_sid(state), name, category,
-                    flops=flops, bytes_read=bytes_read,
-                    bytes_written=bytes_written, wall_time=wall_time,
-                    t_start=_now() - wall_time,
-                    live_bytes=_live_bytes(state, ctx, eid) + extra_live,
-                    parents=parents, input_shapes=input_shapes,
-                    output_shape=output_shape,
-                    output_sparsity=output_sparsity)
-    return event.eid
-
-
 class RegionCounters:
     """The work counters of one :func:`record_region` event.
 
@@ -390,7 +370,6 @@ class RegionCounters:
 
 @contextmanager
 def record_region(name: str,
-                  category: OpCategory = OpCategory.OTHER,
                   *,
                   flops: float = 0.0,
                   bytes_read: int = 0,
@@ -398,9 +377,12 @@ def record_region(name: str,
                   parents: Tuple[int, ...] = ()) -> Iterator[RegionCounters]:
     """Record a Python region (e.g. a logic-rule search loop) as one event.
 
-    The supplied ``flops``/``bytes`` describe the aggregate work done by
-    the region; wall time is measured.  Use for symbolic computations
-    that execute as host-side control flow rather than tensor kernels.
+    The event's category is always ``OpCategory.OTHER``, and ``name``
+    must have no taxonomy-registry entry: replay tells a region from an
+    op by that.  The supplied ``flops``/``bytes`` describe the
+    aggregate work done by the region; wall time is measured.  Use for
+    symbolic computations that execute as host-side control flow
+    rather than tensor kernels.
     The block receives the region's :class:`RegionCounters` and may set
     them; a poisoning fault still overrides the FLOPs.
     """
@@ -420,7 +402,7 @@ def record_region(name: str,
         elapsed = _now() - t_start
         elapsed, poison, extra_live = _apply_injection(injection, elapsed)
         eid = ctx.next_eid()
-        _record(ctx, eid, _current_sid(state), name, category,
+        _record(ctx, eid, _current_sid(state), name, OpCategory.OTHER,
                 flops=counters.flops if poison is None else poison,
                 bytes_read=counters.bytes_read,
                 bytes_written=counters.bytes_written, wall_time=elapsed,

@@ -23,8 +23,7 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.taxonomy import OpCategory
-from repro.tensor.dispatch import run_op, record_event, record_region
+from repro.tensor.dispatch import record_region, run_op
 from repro.tensor.errors import TensorOpError
 from repro.tensor.tensor import Tensor, as_tensor
 
@@ -43,15 +42,8 @@ __all__ = [
     "argsort", "coalesce", "one_hot",
     "copy", "astype", "to_device", "to_host", "assign",
     "fuzzy_and", "fuzzy_or", "fuzzy_not", "fuzzy_implies",
-    "record_event", "record_region",
+    "record_region",
 ]
-
-_EW = OpCategory.ELEMENTWISE
-_TR = OpCategory.TRANSFORM
-_MV = OpCategory.MOVEMENT
-_MM = OpCategory.MATMUL
-_CV = OpCategory.CONVOLUTION
-_OT = OpCategory.OTHER
 
 #: FLOP weight of transcendental functions relative to an add/mul.
 _TRANSCENDENTAL_COST = 4.0
@@ -133,7 +125,7 @@ def matmul(a: object, b: object) -> Tensor:
         k = a_arr.shape[-1]
         out_elems = _matmul_out_elems(a_arr.shape, b_arr.shape)
         flops = 2.0 * k * out_elems
-    return run_op("matmul", _MM, np.matmul, [ta, tb], flops=flops)
+    return run_op("matmul", np.matmul, [ta, tb], flops=flops)
 
 
 def _matmul_out_elems(sa: Tuple[int, ...], sb: Tuple[int, ...]) -> int:
@@ -148,7 +140,7 @@ def _matmul_out_elems(sa: Tuple[int, ...], sb: Tuple[int, ...]) -> int:
 def outer(a: object, b: object) -> Tensor:
     ta, tb = as_tensor(a), as_tensor(b)
     flops = 1.0 * ta.size * tb.size
-    return run_op("outer", _MM, np.outer, [ta, tb], flops=flops)
+    return run_op("outer", np.outer, [ta, tb], flops=flops)
 
 
 def einsum(spec: str, *operands: object) -> Tensor:
@@ -167,7 +159,7 @@ def einsum(spec: str, *operands: object) -> Tensor:
     for dim in extents.values():
         loop *= dim
     flops = 2.0 * loop
-    return run_op(f"einsum[{spec}]", _MM,
+    return run_op(f"einsum[{spec}]",
                   lambda *arrs: np.einsum(spec, *arrs), tensors, flops=flops)
 
 
@@ -219,7 +211,7 @@ def conv2d(x: object, weight: object, bias: Optional[object] = None,
         out = _conv2d_gemm(xa, wa, ba, stride, padding)
         return out.reshape(n, c_out, h_out, w_out).astype(xa.dtype, copy=False)
 
-    return run_op("conv2d", _CV, _compute, inputs, flops=flops)
+    return run_op("conv2d", _compute, inputs, flops=flops)
 
 
 def _conv2d_gemm(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray],
@@ -259,7 +251,7 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int,
 
 def _binary(name: str, fn: object, a: object, b: object,
             flop_factor: float = 1.0) -> Tensor:
-    return run_op(name, _EW, fn, [as_tensor(a) if isinstance(a, (Tensor, np.ndarray, list)) else a,
+    return run_op(name, fn, [as_tensor(a) if isinstance(a, (Tensor, np.ndarray, list)) else a,
                                   as_tensor(b) if isinstance(b, (Tensor, np.ndarray, list)) else b],
                   flop_factor=flop_factor)
 
@@ -293,7 +285,7 @@ def minimum(a: object, b: object) -> Tensor:
 
 
 def _unary(name: str, fn: object, x: object, flop_factor: float = 1.0) -> Tensor:
-    return run_op(name, _EW, fn, [as_tensor(x)], flop_factor=flop_factor)
+    return run_op(name, fn, [as_tensor(x)], flop_factor=flop_factor)
 
 
 def neg(x: object) -> Tensor:
@@ -402,7 +394,7 @@ def logical_not(x: object) -> Tensor:
 
 
 def where(cond: object, a: object, b: object) -> Tensor:
-    return run_op("where", _EW, np.where,
+    return run_op("where", np.where,
                   [as_tensor(cond), as_tensor(a), as_tensor(b)])
 
 
@@ -416,7 +408,7 @@ def _reduction(name: str, fn: object, x: object, axis: Optional[int],
     if axis is not None:
         _norm_axis(name, axis, t.ndim)
     flops = flop_per_elem * t.size
-    return run_op(name, _EW,
+    return run_op(name,
                   lambda a: fn(a, axis=axis, keepdims=keepdims),
                   [t], flops=flops)
 
@@ -454,14 +446,14 @@ def cumsum(x: object, axis: int = -1) -> Tensor:
     t = as_tensor(x)
     if t.ndim:
         _norm_axis("cumsum", axis, t.ndim)
-    return run_op("cumsum", _EW, lambda a: np.cumsum(a, axis=axis), [t],
+    return run_op("cumsum", lambda a: np.cumsum(a, axis=axis), [t],
                   flops=float(t.size))
 
 
 def argmax(x: object, axis: Optional[int] = None) -> Tensor:
     t = as_tensor(x)
     _require_nonempty_reduction("argmax", t.shape, t.size, axis)
-    return run_op("argmax", _TR, lambda a: np.argmax(a, axis=axis), [t],
+    return run_op("argmax", lambda a: np.argmax(a, axis=axis), [t],
                   flops=float(t.size))
 
 
@@ -542,7 +534,7 @@ def circular_conv(a: object, b: object) -> Tensor:
         fy = np.fft.rfft(y, axis=-1)
         return np.fft.irfft(fx * fy, n=d, axis=-1).astype(x.dtype, copy=False)
 
-    return run_op("circular_conv", _EW, _compute, [ta, tb],
+    return run_op("circular_conv", _compute, [ta, tb],
                   flops=_fft_flops(d, batch))
 
 
@@ -558,7 +550,7 @@ def circular_corr(a: object, b: object) -> Tensor:
         fy = np.fft.rfft(y, axis=-1)
         return np.fft.irfft(np.conj(fx) * fy, n=d, axis=-1).astype(x.dtype, copy=False)
 
-    return run_op("circular_corr", _EW, _compute, [ta, tb],
+    return run_op("circular_corr", _compute, [ta, tb],
                   flops=_fft_flops(d, batch))
 
 
@@ -569,27 +561,27 @@ def circular_corr(a: object, b: object) -> Tensor:
 def reshape(x: object, shape: Tuple[int, ...]) -> Tensor:
     t = as_tensor(x)
     # reshape of a contiguous array is free: no bytes move
-    return run_op("reshape", _TR, lambda a: a.reshape(shape), [t],
+    return run_op("reshape", lambda a: a.reshape(shape), [t],
                   flops=0.0, bytes_written=0, measure_sparsity=False)
 
 
 def transpose(x: object, axes: Optional[Sequence[int]] = None) -> Tensor:
     t = as_tensor(x)
-    return run_op("transpose", _TR,
+    return run_op("transpose",
                   lambda a: np.ascontiguousarray(np.transpose(a, axes)),
                   [t], flops=0.0)
 
 
 def concat(parts: Sequence[object], axis: int = 0) -> Tensor:
     tensors = [as_tensor(p) for p in parts]
-    return run_op("concat", _TR,
+    return run_op("concat",
                   lambda *arrs: np.concatenate(arrs, axis=axis),
                   tensors, flops=0.0)
 
 
 def stack(parts: Sequence[object], axis: int = 0) -> Tensor:
     tensors = [as_tensor(p) for p in parts]
-    return run_op("stack", _TR, lambda *arrs: np.stack(arrs, axis=axis),
+    return run_op("stack", lambda *arrs: np.stack(arrs, axis=axis),
                   tensors, flops=0.0)
 
 
@@ -603,14 +595,14 @@ def split(x: object, sections: int, axis: int = 0) -> Tuple[Tensor, ...]:
     parts = np.split(t.data, sections, axis=axis)
     out = []
     for part in parts:
-        out.append(run_op("split", _TR, lambda a, p=part: p.copy(), [t],
+        out.append(run_op("split", lambda a, p=part: p.copy(), [t],
                           flops=0.0))
     return tuple(out)
 
 
 def pad(x: object, pad_width: object, value: float = 0.0) -> Tensor:
     t = as_tensor(x)
-    return run_op("pad", _TR,
+    return run_op("pad",
                   lambda a: np.pad(a, pad_width, constant_values=value),
                   [t], flops=0.0)
 
@@ -626,39 +618,39 @@ def take(x: object, indices: object, axis: int = 0) -> Tensor:
             raise TensorOpError(
                 f"take: index out of range for axis {axis} of extent "
                 f"{extent} (saw [{lo}, {hi}])", op_name="take")
-    return run_op("take", _TR,
+    return run_op("take",
                   lambda a, i: np.take(a, i.astype(np.int64), axis=axis),
                   [t, idx], flops=0.0)
 
 
 def index(x: object, key: object) -> Tensor:
     t = as_tensor(x)
-    return run_op("index", _TR, lambda a: np.asarray(a[key]).copy(), [t],
+    return run_op("index", lambda a: np.asarray(a[key]).copy(), [t],
                   flops=0.0)
 
 
 def masked_select(x: object, mask: object) -> Tensor:
     t, m = as_tensor(x), as_tensor(mask)
-    return run_op("masked_select", _TR,
+    return run_op("masked_select",
                   lambda a, mk: a[mk.astype(bool)], [t, m], flops=0.0)
 
 
 def broadcast_to(x: object, shape: Tuple[int, ...]) -> Tensor:
     t = as_tensor(x)
-    return run_op("broadcast_to", _TR,
+    return run_op("broadcast_to",
                   lambda a: np.ascontiguousarray(np.broadcast_to(a, shape)),
                   [t], flops=0.0)
 
 
 def roll(x: object, shift: int, axis: int = -1) -> Tensor:
     t = as_tensor(x)
-    return run_op("roll", _TR, lambda a: np.roll(a, shift, axis=axis), [t],
+    return run_op("roll", lambda a: np.roll(a, shift, axis=axis), [t],
                   flops=0.0)
 
 
 def flip(x: object, axis: int = -1) -> Tensor:
     t = as_tensor(x)
-    return run_op("flip", _TR, lambda a: np.ascontiguousarray(np.flip(a, axis=axis)),
+    return run_op("flip", lambda a: np.ascontiguousarray(np.flip(a, axis=axis)),
                   [t], flops=0.0)
 
 
@@ -666,7 +658,7 @@ def sort(x: object, axis: int = -1) -> Tensor:
     t = as_tensor(x)
     n = t.shape[axis] if t.ndim else 1
     flops = float(t.size) * np.log2(n if n > 1 else 2)
-    return run_op("sort", _TR, lambda a: np.sort(a, axis=axis), [t],
+    return run_op("sort", lambda a: np.sort(a, axis=axis), [t],
                   flops=flops)
 
 
@@ -674,7 +666,7 @@ def argsort(x: object, axis: int = -1) -> Tensor:
     t = as_tensor(x)
     n = t.shape[axis] if t.ndim else 1
     flops = float(t.size) * np.log2(n if n > 1 else 2)
-    return run_op("argsort", _TR, lambda a: np.argsort(a, axis=axis), [t],
+    return run_op("argsort", lambda a: np.argsort(a, axis=axis), [t],
                   flops=flops)
 
 
@@ -705,7 +697,7 @@ def coalesce(indices: object, values: object, size: int) -> Tensor:
         np.add.at(out, idx.astype(np.int64), val)
         return out
 
-    return run_op("coalesce", _TR, _compute, [ti, tv], flops=float(tv.size))
+    return run_op("coalesce", _compute, [ti, tv], flops=float(tv.size))
 
 
 def one_hot(indices: object, depth: int, dtype: object = np.float32) -> Tensor:
@@ -726,7 +718,7 @@ def one_hot(indices: object, depth: int, dtype: object = np.float32) -> Tensor:
         out[np.arange(flat.size), flat] = 1
         return out.reshape(idx.shape + (depth,))
 
-    return run_op("one_hot", _TR, _compute, [t], flops=0.0)
+    return run_op("one_hot", _compute, [t], flops=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -735,30 +727,30 @@ def one_hot(indices: object, depth: int, dtype: object = np.float32) -> Tensor:
 
 def copy(x: object) -> Tensor:
     t = as_tensor(x)
-    return run_op("copy", _MV, lambda a: a.copy(), [t], flops=0.0)
+    return run_op("copy", lambda a: a.copy(), [t], flops=0.0)
 
 
 def astype(x: object, dtype: object) -> Tensor:
     t = as_tensor(x)
-    return run_op("astype", _MV, lambda a: a.astype(dtype), [t], flops=0.0)
+    return run_op("astype", lambda a: a.astype(dtype), [t], flops=0.0)
 
 
 def to_device(x: object, device: str = "gpu") -> Tensor:
     """Model a host-to-device transfer (data crosses PCIe/NVLink)."""
     t = as_tensor(x)
-    return run_op(f"to_{device}", _MV, lambda a: a.copy(), [t], flops=0.0)
+    return run_op(f"to_{device}", lambda a: a.copy(), [t], flops=0.0)
 
 
 def to_host(x: object) -> Tensor:
     """Model a device-to-host transfer."""
     t = as_tensor(x)
-    return run_op("to_host", _MV, lambda a: a.copy(), [t], flops=0.0)
+    return run_op("to_host", lambda a: a.copy(), [t], flops=0.0)
 
 
 def assign(x: object) -> Tensor:
     """Tensor duplication/assignment (taxonomy: data movement)."""
     t = as_tensor(x)
-    return run_op("assign", _MV, lambda a: a.copy(), [t], flops=0.0)
+    return run_op("assign", lambda a: a.copy(), [t], flops=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -769,7 +761,7 @@ def fuzzy_and(a: object, b: object, kind: str = "lukasiewicz") -> Tensor:
     """T-norm conjunction over truth degrees in [0, 1]."""
     from repro.logic import fuzzy
     fn = fuzzy.t_norm(kind)
-    return run_op(f"fuzzy_and[{kind}]", _OT, fn,
+    return run_op(f"fuzzy_and[{kind}]", fn,
                   [as_tensor(a), as_tensor(b)], flop_factor=3.0)
 
 
@@ -777,13 +769,13 @@ def fuzzy_or(a: object, b: object, kind: str = "lukasiewicz") -> Tensor:
     """T-conorm disjunction over truth degrees in [0, 1]."""
     from repro.logic import fuzzy
     fn = fuzzy.t_conorm(kind)
-    return run_op(f"fuzzy_or[{kind}]", _OT, fn,
+    return run_op(f"fuzzy_or[{kind}]", fn,
                   [as_tensor(a), as_tensor(b)], flop_factor=3.0)
 
 
 def fuzzy_not(a: object) -> Tensor:
     """Standard fuzzy negation 1 - x."""
-    return run_op("fuzzy_not", _OT, lambda x: 1.0 - x, [as_tensor(a)],
+    return run_op("fuzzy_not", lambda x: 1.0 - x, [as_tensor(a)],
                   flop_factor=1.0)
 
 
@@ -791,5 +783,5 @@ def fuzzy_implies(a: object, b: object, kind: str = "lukasiewicz") -> Tensor:
     """Fuzzy residual implication."""
     from repro.logic import fuzzy
     fn = fuzzy.implication(kind)
-    return run_op(f"fuzzy_implies[{kind}]", _OT, fn,
+    return run_op(f"fuzzy_implies[{kind}]", fn,
                   [as_tensor(a), as_tensor(b)], flop_factor=3.0)

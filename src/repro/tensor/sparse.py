@@ -26,7 +26,6 @@ from typing import Optional, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from repro.core.taxonomy import OpCategory
 from repro.tensor.context import Tracked, active_context
 from repro.tensor.dispatch import run_op
 from repro.tensor.tensor import Tensor, as_tensor
@@ -91,7 +90,7 @@ class CSRMatrix(Tracked):
 
     def to_dense(self) -> Tensor:
         """Densify (a data-transformation op)."""
-        return run_op("csr_to_dense", OpCategory.TRANSFORM,
+        return run_op("csr_to_dense",
                       lambda: np.asarray(self.matrix.todense(),
                                          dtype=np.float32),
                       [], extra_bytes_read=self.nbytes)
@@ -121,7 +120,7 @@ def spmm(sparse: CSRMatrix, dense: object) -> Tensor:
     # index traffic: per non-zero, one column index + one value, plus
     # the gathered dense rows
     extra = sparse.nbytes + sparse.nnz * n_cols * 4
-    return run_op("spmm", OpCategory.MATMUL,
+    return run_op("spmm",
                   lambda arr: np.asarray(sparse.matrix @ arr,
                                          dtype=np.float32),
                   [d], flops=flops, extra_bytes_read=extra)
@@ -143,7 +142,7 @@ def sddmm(pattern: CSRMatrix, a: object, b: object) -> CSRMatrix:
     def _compute(a_arr: np.ndarray, b_arr: np.ndarray) -> np.ndarray:
         return np.einsum("ek,ek->e", a_arr[coo.row], b_arr[coo.col])
 
-    values = run_op("sddmm", OpCategory.MATMUL, _compute, [ta, tb],
+    values = run_op("sddmm", _compute, [ta, tb],
                     flops=flops, extra_bytes_read=extra)
     return pattern.with_values(values)
 
@@ -163,7 +162,7 @@ def csr_row_softmax(sparse: CSRMatrix) -> CSRMatrix:
             out[lo:hi] = seg / seg.sum()
         return out
 
-    values = run_op("csr_row_softmax", OpCategory.ELEMENTWISE, _compute,
+    values = run_op("csr_row_softmax", _compute,
                     [sparse.values()], flop_factor=6.0,
                     extra_bytes_read=indptr.nbytes)
     return sparse.with_values(values)
@@ -179,6 +178,6 @@ def csr_mask(sparse: CSRMatrix, mask: CSRMatrix,
     def _compute(data: np.ndarray, mask_data: np.ndarray) -> np.ndarray:
         return np.where(mask_data > 0, data, fill).astype(np.float32)
 
-    values = run_op("csr_mask", OpCategory.OTHER, _compute,
+    values = run_op("csr_mask", _compute,
                     [sparse.values(), mask.values()], flop_factor=1.0)
     return sparse.with_values(values)

@@ -26,7 +26,7 @@ from typing import Any, Dict, List, Tuple
 import numpy as np
 
 from repro import tensor as T
-from repro.core.taxonomy import NSParadigm, OpCategory
+from repro.core.taxonomy import NSParadigm
 from repro.datasets import rpm
 from repro.nn import Sequential, small_convnet
 from repro.tensor.dispatch import record_region
@@ -162,7 +162,7 @@ class ABLWorkload(Workload):
 
         with T.phase("symbolic"):
             with T.stage("consistency_check"):
-                with record_region("kb_consistency", OpCategory.OTHER,
+                with record_region("kb_consistency",
                                    flops=float(len(labels) * 4),
                                    bytes_read=len(labels) * 24):
                     violations = sum(
@@ -170,7 +170,7 @@ class ABLWorkload(Workload):
                         if not self._consistent(*eq))
             with T.stage("abduction"):
                 with record_region(
-                        "abductive_search", OpCategory.OTHER,
+                        "abductive_search",
                         flops=float(violations * 3 * NUM_DIGITS * 6),
                         bytes_read=violations * 3 * NUM_DIGITS * 44):
                     revised, repairs = self._abduce(labels, probs)

@@ -30,7 +30,7 @@ from typing import Any, Dict, List, Tuple
 import numpy as np
 
 from repro import tensor as T
-from repro.core.taxonomy import NSParadigm, OpCategory
+from repro.core.taxonomy import NSParadigm
 from repro.datasets.kb_gen import university_kb
 from repro.nn import Linear
 from repro.tensor.dispatch import record_region
@@ -155,7 +155,7 @@ class GNNAttentionWorkload(Workload):
     # -- run --------------------------------------------------------------------
     def run(self) -> Dict[str, Any]:
         with T.phase("symbolic"), T.stage("rule_compilation"):
-            with record_region("edge_type_rules", OpCategory.OTHER,
+            with record_region("edge_type_rules",
                                flops=float(self.kb.num_facts * 4),
                                bytes_read=self.kb.num_facts * 24):
                 adjacency, mask = self._compile_masks()

@@ -29,7 +29,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import tensor as T
-from repro.core.taxonomy import NSParadigm, OpCategory
+from repro.core.taxonomy import NSParadigm
 from repro.datasets.kb_gen import university_kb
 from repro.tensor.dispatch import record_region, run_op
 from repro.tensor.tensor import Tensor
@@ -275,8 +275,8 @@ class LNNWorkload(Workload):
                 np.maximum.at(out, idx, values)
                 return out
 
-            updated = run_op("scatter_max", OpCategory.TRANSFORM,
-                             _scatter, [new_lower, head_table.lower_t],
+            updated = run_op("scatter_max", _scatter,
+                             [new_lower, head_table.lower_t],
                              flops=float(new_lower.size))
             delta = float(np.max(np.abs(
                 updated.numpy() - head_table.lower)))
@@ -327,8 +327,7 @@ class LNNWorkload(Workload):
                 np.minimum.at(out, idx, values)
                 return out
 
-            updated = run_op("scatter_min", OpCategory.TRANSFORM,
-                             _scatter_min,
+            updated = run_op("scatter_min", _scatter_min,
                              [new_upper, atom_table.upper_t],
                              flops=float(new_upper.size))
             delta = float(np.max(np.abs(
@@ -357,8 +356,7 @@ class LNNWorkload(Workload):
                 # theorem-prover control: discrete rule chaining over
                 # the knowledge base (logic-rule work, Others category)
                 if pass_idx == 0:
-                    with record_region("kb_forward_chain",
-                                       OpCategory.OTHER) as region:
+                    with record_region("kb_forward_chain") as region:
                         stats = self.kb.forward_chain(max_iterations=3)
                         # the engine's actual work counters
                         region.flops = float(stats.total_work)

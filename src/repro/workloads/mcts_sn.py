@@ -28,7 +28,7 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro import tensor as T
-from repro.core.taxonomy import NSParadigm, OpCategory
+from repro.core.taxonomy import NSParadigm
 from repro.nn import MLP
 from repro.tensor.context import active_context
 from repro.tensor.dispatch import record_region
@@ -205,7 +205,7 @@ class MCTSWorkload(Workload):
             with T.phase("symbolic"), T.stage("tree_search"):
                 parents = () if self._backprop_eid is None \
                     else (self._backprop_eid,)
-                with record_region("select_expand", OpCategory.OTHER,
+                with record_region("select_expand",
                                    flops=50.0, bytes_read=720,
                                    parents=parents):
                     leaf = self._select(root)
@@ -221,7 +221,7 @@ class MCTSWorkload(Workload):
             with T.phase("symbolic"), T.stage("backprop"):
                 parents = () if self._value_eid is None \
                     else (self._value_eid,)
-                with record_region("backpropagate", OpCategory.OTHER,
+                with record_region("backpropagate",
                                    flops=float(10 * len(children)),
                                    bytes_read=48 * len(children),
                                    parents=parents):

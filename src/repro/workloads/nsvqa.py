@@ -25,7 +25,7 @@ from typing import Any, Dict, List
 import numpy as np
 
 from repro import tensor as T
-from repro.core.taxonomy import NSParadigm, OpCategory
+from repro.core.taxonomy import NSParadigm
 from repro.datasets import rpm, scenes
 from repro.nn import Sequential, small_convnet
 from repro.tensor.dispatch import record_region
@@ -111,7 +111,7 @@ class NSVQAWorkload(Workload):
                 for question in self.questions:
                     steps = sum(1 for _ in question.program)
                     with record_region(
-                            "program_exec", OpCategory.OTHER,
+                            "program_exec",
                             flops=float(steps * len(parsed) * 4),
                             bytes_read=steps * len(parsed) * 24):
                         answers.append(scenes.run_program(

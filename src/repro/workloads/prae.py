@@ -29,7 +29,7 @@ from typing import Any, Dict, List, Tuple
 import numpy as np
 
 from repro import tensor as T
-from repro.core.taxonomy import NSParadigm, OpCategory
+from repro.core.taxonomy import NSParadigm
 from repro.datasets import rpm
 from repro.nn import Sequential, small_convnet
 from repro.tensor.tensor import Tensor

@@ -31,7 +31,7 @@ import networkx as nx
 import numpy as np
 
 from repro import tensor as T
-from repro.core.taxonomy import NSParadigm, OpCategory
+from repro.core.taxonomy import NSParadigm
 from repro.datasets.concepts import (ConceptExample, Segment,
                                      concept_dataset, concept_graph,
                                      relation_of)
@@ -216,7 +216,7 @@ class ZeroCWorkload(Workload):
         # concept-template grounding substrate)
         all_segments: List[List[Segment]] = []
         with T.phase("symbolic"), T.stage("segment_parsing"):
-            with record_region("segment_parse", OpCategory.OTHER,
+            with record_region("segment_parse",
                                flops=float(num * self.grid * self.grid),
                                bytes_read=num * self.grid * self.grid * 4):
                 for i in range(num):
@@ -267,7 +267,6 @@ class ZeroCWorkload(Workload):
                     scored: Dict[str, float] = {}
                     for concept in self.hierarchical:
                         with record_region(f"ground_{concept}",
-                                           OpCategory.OTHER,
                                            flops=float(
                                                len(segments) ** 2 * 8),
                                            parents=tuple(energy_producers)):
@@ -285,7 +284,7 @@ class ZeroCWorkload(Workload):
         # concept acquisition: derive a new hierarchical concept graph
         # from the first demonstration and check it against the library
         with T.phase("symbolic"), T.stage("concept_acquisition"):
-            with record_region("acquire_concept", OpCategory.OTHER,
+            with record_region("acquire_concept",
                                flops=float(len(all_segments[0]) ** 2)):
                 acquired = self._acquire(all_segments[0])
             acquired_is_known = any(

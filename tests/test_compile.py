@@ -21,7 +21,7 @@ from repro.compile import (PlanDivergenceError, PlanError,
                            active_session, diff_against_eager,
                            plan_session, replay)
 from repro.core.profiler import Trace
-from repro.core.taxonomy import category_for
+from repro.core.taxonomy import OpCategory, category_for
 from repro.hwsim.devices import RTX_2080TI
 from repro.obs import selfprof
 from repro.obs.metrics import fold_trace
@@ -98,12 +98,14 @@ class TestBitExactness:
     @pytest.mark.parametrize("name", available())
     def test_region_names_never_resolve_and_op_names_do(self, name):
         # the replay's name check is also its op/region check: an op
-        # name can only equal the name of an op event
+        # name can only equal the name of an op event.  An op's
+        # category is its registry entry and a region's is Others.
         replayed, dispatched = cached_replay(name)
         for event in replayed.events:
             if event.eid in dispatched:
-                category_for(event.name)
+                assert event.category is category_for(event.name)
             else:
+                assert event.category is OpCategory.OTHER
                 with pytest.raises(KeyError):
                     category_for(event.name)
 

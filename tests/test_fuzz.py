@@ -377,5 +377,18 @@ class TestFuzzCLI:
         assert len(loaded) > 0
         assert "add" in loaded
 
+    @pytest.mark.parametrize("argv", [
+        ["fuzz", "rules", "--harvest", "bogus"],
+        ["fuzz", "run", "--harvest", "lnn,bogus", "--count", "1"],
+    ], ids=lambda argv: argv[1])
+    def test_unknown_harvest_workload_is_a_usage_error(self, argv, capsys):
+        # was a KeyError traceback once the harvest reached the name
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "error: argument --harvest: unknown workload 'bogus'" in err
+
     def test_divergence_exit_code_is_distinct(self):
         assert EXIT_DIVERGENCE == 5

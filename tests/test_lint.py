@@ -76,7 +76,7 @@ class TestRL002TaxonomyCoverage:
             from repro.tensor.dispatch import run_op
 
             def mystery(t):
-                return run_op("definitely_not_registered", None,
+                return run_op("definitely_not_registered",
                               lambda a: a, [t])
             """, relpath="tensor/extra.py")
         found = by_check(result, "RL002")
@@ -84,30 +84,12 @@ class TestRL002TaxonomyCoverage:
         assert found[0].line == 4
         assert "definitely_not_registered" in found[0].message
 
-    def test_category_drift_against_registry(self, tmp_path):
-        result = lint_snippet(tmp_path, """\
-            from repro.core.taxonomy import OpCategory
-            from repro.tensor.dispatch import run_op
-
-            def bad(t):
-                return run_op("matmul", OpCategory.ELEMENTWISE,
-                              lambda a: a, [t])
-            """, relpath="tensor/extra.py")
-        found = by_check(result, "RL002")
-        assert len(found) == 1
-        assert found[0].line == 5
-        assert "OpCategory.ELEMENTWISE" in found[0].message
-        assert "OpCategory.MATMUL" in found[0].message
-
     def test_forwarding_helper_resolved_one_hop(self, tmp_path):
         result = lint_snippet(tmp_path, """\
-            from repro.core.taxonomy import OpCategory
             from repro.tensor.dispatch import run_op
 
-            _EW = OpCategory.ELEMENTWISE
-
             def _unary(name, fn, x):
-                return run_op(name, _EW, fn, [x])
+                return run_op(name, fn, [x])
 
             def exp(x):
                 return _unary("exp", None, x)
@@ -116,7 +98,7 @@ class TestRL002TaxonomyCoverage:
                 return _unary("not_an_op", None, x)
             """, relpath="tensor/extra.py")
         found = by_check(result, "RL002")
-        assert [f.line for f in found] == [13]
+        assert [f.line for f in found] == [10]
         assert "not_an_op" in found[0].message
 
     def test_wildcard_and_suffix_names_match(self, tmp_path):
@@ -124,10 +106,10 @@ class TestRL002TaxonomyCoverage:
             from repro.tensor.dispatch import run_op
 
             def move(t, device):
-                return run_op(f"to_{device}", None, lambda a: a, [t])
+                return run_op(f"to_{device}", lambda a: a, [t])
 
             def blend(t, kind):
-                return run_op(f"fuzzy_and[{kind}]", None, lambda a: a, [t])
+                return run_op(f"fuzzy_and[{kind}]", lambda a: a, [t])
             """, relpath="tensor/extra.py")
         assert not by_check(result, "RL002")
 

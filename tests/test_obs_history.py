@@ -390,6 +390,20 @@ class TestCli:
         assert f"{db}:2: malformed history entry" in message
         assert "\n" not in message
 
+    def test_record_into_a_missing_directory_exits_with_one_line(
+            self, tmp_path, monkeypatch):
+        # the database is opened before any pinning work
+        monkeypatch.setattr(history, "entry_from_sources",
+                            lambda **_: pytest.fail("pinned first"))
+        db = str(tmp_path / "missing" / "h.jsonl")
+        with pytest.raises(SystemExit) as info:
+            cli_main(["obs", "history", "record", "--db", db,
+                      "--results", ""])
+        message = info.value.code
+        assert isinstance(message, str) and "\n" not in message
+        assert message.startswith("repro obs history: ")
+        assert db in message
+
     def test_record_and_show(self, tmp_path, capsys, monkeypatch):
         # one workload and a stub serve pin keep this CLI test quick;
         # the full roster is built by the ``pinned_entry`` fixture

@@ -165,6 +165,18 @@ def test_fault_spec_rejects_bad_kind_and_rate():
         FaultSpec(kind=FAULT_NAN, rate=1.5)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("latency", -1.0), ("latency", math.inf), ("latency", math.nan),
+    ("alloc_bytes", -5), ("op_index", -3),
+])
+def test_fault_spec_rejects_what_no_fault_can_mean(field, value):
+    # a negative latency was ignored, negative alloc bytes shrank the
+    # live bytes and a negative op index never matched: each plan ran
+    # and reported the run as ok
+    with pytest.raises(ValueError, match=field):
+        FaultSpec(kind=FAULT_LATENCY, **{field: value})
+
+
 # ---------------------------------------------------------------------------
 # dispatch integration
 # ---------------------------------------------------------------------------

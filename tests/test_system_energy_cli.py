@@ -1,6 +1,7 @@
 """Tests for the heterogeneous system model, energy estimation,
 function-level profiling, and the CLI."""
 
+import argparse
 import dataclasses
 import json
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro import tensor as T
+from repro.argtypes import NON_NEGATIVE_INT
 from repro.cli import main as cli_main
 from repro.core.analysis import latency_breakdown
 from repro.core.functions import function_table, render_function_table
@@ -200,6 +202,47 @@ class TestCLI:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert f"error: argument {argv[-2]}: must be " in err
+
+    @pytest.mark.parametrize("argv", [
+        ["characterize", "lnn"], ["functions", "lnn"], ["energy", "lnn"],
+        ["metrics", "lnn"], ["trace", "export", "lnn"], ["report", "lnn"],
+        ["obs", "selfprof", "lnn"], ["compile", "diff", "lnn"],
+        ["fuzz", "run"], ["fuzz", "rules"], ["roster"],
+        ["faults", "lnn", "--fault", "nan"],
+    ], ids=" ".join)
+    def test_negative_seed_is_a_usage_error(self, argv, capsys):
+        # numpy's seeding refused it with a traceback, and roster and
+        # faults reported every workload as a deterministic failure
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv + ["--seed", "-1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.endswith("error: argument --seed: must be an integer "
+                            ">= 0, got '-1'\n")
+
+    def test_an_integer_beyond_float_range_parses(self):
+        # math.isfinite overflowed on it: an OverflowError traceback
+        huge = "1" + "0" * 400
+        assert NON_NEGATIVE_INT(huge) == int(huge)
+        with pytest.raises(argparse.ArgumentTypeError):
+            NON_NEGATIVE_INT("-" + huge)
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--rate", "-1"), ("--rate", "1.5"), ("--latency", "-1"),
+        ("--latency", "inf"), ("--alloc-bytes", "-5"),
+        ("--op-index", "-3"),
+    ])
+    def test_fault_parameter_out_of_range_is_a_usage_error(
+            self, flag, value, capsys):
+        # each ran an experiment whose plan never fired (or shrank the
+        # live bytes) and reported the run as ok
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["faults", "lnn", "--fault", "latency", flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"error: argument {flag}: must be " in err
 
     def test_chrome_verb_is_gone(self, capsys):
         # `repro trace export W --format chrome` is the one exporter

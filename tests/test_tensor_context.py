@@ -12,6 +12,8 @@ from repro.core.columns import sums_by
 from repro.core.profiler import Trace, TraceEvent, merge_traces
 from repro.core.suite import characterize_trace
 from repro.core.taxonomy import CATEGORY_ORDER, OpCategory
+from repro.tensor import dispatch
+from repro.tensor.dispatch import run_op
 
 
 class TestPhasesAndStages:
@@ -195,12 +197,13 @@ class TestLiveBytesPinned:
 class TestRecordRegion:
     def test_region_records_one_event(self):
         with T.profile("w") as prof:
-            with T.record_region("logic_loop", OpCategory.OTHER,
-                                 flops=123.0, bytes_read=456):
+            with T.record_region("logic_loop", flops=123.0,
+                                 bytes_read=456):
                 total = sum(range(1000))
         assert len(prof.trace) == 1
         event = prof.trace.events[0]
         assert event.name == "logic_loop"
+        assert event.category is OpCategory.OTHER
         assert event.flops == 123.0
         assert event.bytes_read == 456
         assert event.wall_time > 0
@@ -218,14 +221,43 @@ class TestRecordRegion:
         with T.record_region("x") as region:
             region.flops = 1.0  # must not raise
 
-    def test_record_event_returns_eid(self):
-        with T.profile("w") as prof:
-            eid = T.record_event("marker", OpCategory.OTHER, flops=1.0)
-        assert eid == 0
-        assert prof.trace.events[0].name == "marker"
 
-    def test_record_event_without_context_returns_none(self):
-        assert T.record_event("marker", OpCategory.OTHER) is None
+class TestOpCategory:
+    def test_the_registry_decides_an_ops_category(self):
+        with T.profile("w") as prof:
+            x = T.tensor(_vec(4))
+            T.matmul(x, x)
+            T.to_device(x, "tx2")
+            T.to_device(x, "tx2")
+            with T.record_region("logic_loop"):
+                pass
+        assert [e.category for e in prof.trace] == [
+            OpCategory.MATMUL, OpCategory.MOVEMENT, OpCategory.MOVEMENT,
+            OpCategory.OTHER]
+
+    def test_each_op_name_resolves_once(self, monkeypatch):
+        # a wildcard name costs a scan of the registry; later ops of
+        # that name read the memo
+        resolved = []
+        resolve = dispatch.category_for
+        monkeypatch.setattr(dispatch, "category_for",
+                            lambda name: resolved.append(name)
+                            or resolve(name))
+        monkeypatch.delitem(dispatch._CATEGORIES, "to_probe",
+                            raising=False)
+        with T.profile("w") as prof:
+            for _ in range(3):
+                T.to_device(T.tensor(_vec(2)), "probe")
+        assert resolved == ["to_probe"]
+        assert {e.category for e in prof.trace} == {OpCategory.MOVEMENT}
+
+    def test_an_unregistered_op_fails_only_when_traced(self):
+        # untraced, there is no event to classify
+        out = run_op("not_registered", lambda a: a + 1.0, [_vec(2)])
+        assert out.numpy().tolist() == [2.0, 2.0]
+        with T.profile("w"):
+            with pytest.raises(KeyError, match="not_registered"):
+                run_op("not_registered", lambda a: a, [_vec(2)])
 
 
 class TestTraceModel:
@@ -279,11 +311,6 @@ class TestTraceModel:
         finally:
             gc.enable()
 
-    def test_count_by_name(self):
-        trace = self._simple_trace()
-        counts = trace.count_by_name()
-        assert counts == {"add": 1, "mul": 1}
-
     def test_summary_fields(self):
         trace = self._simple_trace()
         assert trace.workload == "w"
@@ -306,6 +333,3 @@ class TestTraceModel:
         event = TraceEvent(eid=0, name="x", category=OpCategory.MATMUL,
                            flops=100.0, bytes_read=40, bytes_written=10)
         assert event.total_bytes == 50
-        assert event.operational_intensity == pytest.approx(2.0)
-        zero = TraceEvent(eid=1, name="y", category=OpCategory.OTHER)
-        assert zero.operational_intensity == 0.0
