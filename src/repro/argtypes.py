@@ -31,8 +31,11 @@ def checked(kind: Callable[[str], float], accept: Callable[[float], bool],
 
 
 #: every ``--seed`` that seeds a workload or a numpy generator,
-#: ``--max-retries``, and ``faults --alloc-bytes``/``--op-index``
+#: ``--max-retries``, ``faults --alloc-bytes``/``--op-index`` and
+#: ``fuzz run --count``/``--chaos``/``--configs``
 NON_NEGATIVE_INT = checked(int, lambda v: v >= 0, "an integer >= 0")
+#: ``functions --top`` and the ``serve`` counts and sizes
+POSITIVE_INT = checked(int, lambda v: v >= 1, "an integer >= 1")
 #: ``--timeout`` and the other durations and rates
 POSITIVE = checked(float, lambda v: v > 0, "a finite number > 0")
 #: ``--max-wait-ms`` and ``faults --latency``

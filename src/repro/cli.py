@@ -38,7 +38,8 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.argtypes import NON_NEGATIVE, NON_NEGATIVE_INT, POSITIVE, RATIO
+from repro.argtypes import (NON_NEGATIVE, NON_NEGATIVE_INT, POSITIVE,
+                            POSITIVE_INT, RATIO)
 from repro.core.analysis import latency_breakdown
 from repro.core.functions import function_table, render_function_table
 from repro.core.profiler import PHASE_NEURAL, PHASE_SYMBOLIC, Trace
@@ -82,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if name == "functions":
             cmd.add_argument("--phase", default=None,
                              help="restrict to one phase")
-            cmd.add_argument("--top", type=int, default=15)
+            cmd.add_argument("--top", type=POSITIVE_INT, default=15)
 
     analyze = sub.add_parser(
         "analyze-trace",

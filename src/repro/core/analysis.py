@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.columns import sums_by
+from repro.core.columns import seq_sum, sums_by
 from repro.core.profiler import PHASE_NEURAL, PHASE_SYMBOLIC, Trace
 from repro.core.taxonomy import CATEGORY_ORDER, OpCategory
 from repro.hwsim.device import DeviceSpec
@@ -92,7 +92,7 @@ def operator_breakdown(projected: ProjectedTrace,
     out: List[OperatorBreakdown] = []
     for phase in phases:
         cat_times = projected.time_by_category(phase)
-        total = sum(cat_times.values())
+        total = seq_sum(np.fromiter(cat_times.values(), np.float64))
         out.append(OperatorBreakdown(
             workload=trace.workload, phase=phase,
             total_time=total, category_times=cat_times))
@@ -122,7 +122,7 @@ def flops_breakdown(trace: Trace) -> Dict[str, float]:
     cols = trace.columns
     per_phase = dict(zip(cols.phases, sums_by(cols.phase, cols.flops,
                                               len(cols.phases))))
-    total = sum(per_phase.values())
+    total = seq_sum(np.fromiter(per_phase.values(), np.float64))
     if total <= 0:
         return {phase: 0.0 for phase in per_phase}
     return {phase: flops / total for phase, flops in per_phase.items()}

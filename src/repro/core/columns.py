@@ -14,10 +14,10 @@ they stay sequential in event order: :func:`sums_by` adds through
 ``np.bincount(..., weights=)`` (or ``np.add.at`` for integer columns)
 and :func:`seq_sum` through ``np.cumsum``, both of which add one value
 at a time, whereas ``np.sum`` reduces pairwise and would move the low
-bits.  A total the builtin ``sum`` made stays ``sum(column.tolist())``,
-the same Python floats added the same way on every Python version
-(from 3.12 on, ``sum`` compensates float rounding).  Integer counters
-are int64 columns, and a column falls back to float64 when one of its
+bits.  A float column's total is :func:`seq_sum`, not the builtin
+``sum``, which from Python 3.12 on compensates float rounding and would
+make the total depend on the Python version.  Integer counters are
+int64 columns, and a column falls back to float64 when one of its
 values is not an integer (a poisoned NaN or inf, or a float a caller
 wrote) or does not fit in int64, and so does the byte total when a
 read and a write count add past int64.  Event and parent ids are int64.

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
+from repro.core.columns import seq_sum
 from repro.core.profiler import PHASE_SYMBOLIC, Trace
 from repro.hwsim.device import DeviceSpec
 from repro.hwsim.latency import project_trace
@@ -70,7 +71,7 @@ def sweep(workload_name: str, parameter_name: str,
             total_time=total,
             symbolic_fraction=symbolic / total if total else 0.0,
             num_events=len(trace),
-            total_flops=sum(projected.columns.flops.tolist()),
+            total_flops=seq_sum(projected.columns.flops),
             total_bytes=sum(projected.columns.total_bytes.tolist()),
         ))
     return ScalingStudy(workload=workload_name,

@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.columns import COUNTER_FIELDS, TraceColumns
+from repro.core.columns import COUNTER_FIELDS, TraceColumns, seq_sum
 from repro.core.profiler import Trace, TraceEvent
 
 
@@ -134,7 +134,7 @@ def validate_trace(trace: Trace,
         if missing:
             err(f"missing expected phases: {sorted(missing)}")
 
-    if require_flops and sum(cols.flops.tolist()) <= 0:
+    if require_flops and seq_sum(cols.flops) <= 0:
         err("trace performed no floating-point work")
 
     return result

@@ -15,10 +15,13 @@ import argparse
 import sys
 from typing import Tuple
 
-from repro.argtypes import NON_NEGATIVE_INT
+from repro.argtypes import NON_NEGATIVE_INT, checked
 from repro.workloads import workload_arg
 
 EXIT_DIVERGENCE = 5
+
+#: ``--max-ops``: a generated program has at least three ops
+_MAX_OPS = checked(int, lambda v: v >= 3, "an integer >= 3")
 
 
 def _harvest_arg(text: str) -> Tuple[str, ...]:
@@ -38,16 +41,16 @@ def add_fuzz_subcommands(sub: "argparse._SubParsersAction") -> None:
     run = fsub.add_parser(
         "run", help="infer rules, then fuzz programs/chaos/configs")
     run.add_argument("--seed", type=NON_NEGATIVE_INT, default=0)
-    run.add_argument("--count", type=int, default=50,
+    run.add_argument("--count", type=NON_NEGATIVE_INT, default=50,
                      help="generated op programs to check (default 50)")
-    run.add_argument("--max-ops", type=int, default=12,
+    run.add_argument("--max-ops", type=_MAX_OPS, default=12,
                      help="max ops per generated program")
     run.add_argument("--harvest", type=_harvest_arg, default=None,
                      help="comma-separated workloads to harvest "
                           "(default: lnn,nvsa)")
-    run.add_argument("--chaos", type=int, default=0,
+    run.add_argument("--chaos", type=NON_NEGATIVE_INT, default=0,
                      help="seeded serve chaos schedules to run")
-    run.add_argument("--configs", type=int, default=0,
+    run.add_argument("--configs", type=NON_NEGATIVE_INT, default=0,
                      help="boundary workload configs to harvest")
     run.add_argument("--rules", default=None,
                      help="load rules from this JSON instead of "

@@ -64,7 +64,7 @@ class ProjectedTrace:
 
     @property
     def total_time(self) -> float:
-        return sum(self.total.tolist())
+        return seq_sum(self.total)
 
     def time_by_phase(self) -> Dict[str, float]:
         cols = self.columns

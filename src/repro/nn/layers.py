@@ -84,7 +84,10 @@ class Linear(Module):
                      b: Optional[np.ndarray] = None) -> np.ndarray:
             out = a @ w
             if b is not None:
-                out = out + b
+                if np.result_type(out, b) == out.dtype:
+                    out += b
+                else:            # a wider bias widens the sum
+                    out = out + b
             return out
 
         return run_op("linear", _compute, inputs, flops=flops)

@@ -36,6 +36,7 @@ import math
 from html import escape
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.core.columns import seq_sum
 from repro.core.profiler import Trace
 from repro.core.report import format_bytes, format_time
 from repro.core.sparsity import stage_sparsity
@@ -99,9 +100,9 @@ def _section_header(trace: Trace, device: DeviceSpec) -> str:
     cols = trace.columns
     rows = [
         ("events", f"{cols.n}"),
-        ("total FLOPs", f"{sum(cols.flops.tolist()):.4g}"),
+        ("total FLOPs", f"{seq_sum(cols.flops):.4g}"),
         ("total traffic", format_bytes(sum(cols.total_bytes.tolist()))),
-        ("measured wall time", format_time(sum(cols.wall_time.tolist()))),
+        ("measured wall time", format_time(seq_sum(cols.wall_time))),
         ("peak live bytes",
          format_bytes(max(cols.live_bytes.tolist(), default=0))),
         ("phases", ", ".join(p or "untagged" for p in cols.phases) or "-"),

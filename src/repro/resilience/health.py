@@ -24,7 +24,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.columns import COUNTER_FIELDS
+from repro.core.columns import COUNTER_FIELDS, seq_sum
 from repro.core.profiler import Trace
 from repro.core.validate import validate_trace
 
@@ -130,7 +130,7 @@ def check_trace_health(trace: Trace,
     add(HealthCheck("nonempty_phases", not problems, _clip(problems)))
 
     # nonzero_latency: an all-zero-cost trace renders meaningless shares.
-    total = sum(cols.wall_time.tolist())
+    total = seq_sum(cols.wall_time)
     ok = math.isfinite(total) and total > 0.0
     add(HealthCheck("nonzero_latency", ok,
                     "" if ok else f"total wall time is {total}"))

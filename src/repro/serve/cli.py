@@ -34,7 +34,7 @@ import time
 from typing import Dict, Optional
 
 from repro.argtypes import (NON_NEGATIVE, NON_NEGATIVE_INT, POSITIVE,
-                            RATIO, checked)
+                            POSITIVE_INT, RATIO)
 from repro.hwsim.devices import device_arg, get_device, parse_device_list
 from repro.serve.batcher import BatchPolicy
 from repro.serve.loadgen import (LoadSpec, load_schedule, open_loop,
@@ -46,8 +46,6 @@ from repro.serve.stats import ServerStats
 from repro.workloads import workload_arg
 
 SERVE_COMMANDS = ("serve",)
-
-_COUNT = checked(int, lambda v: v >= 1, "an integer >= 1")
 
 #: Flags only a planned (virtual-time) run reads: each one's default and
 #: why a live run has no use for it.  They parse to ``None`` when not
@@ -76,13 +74,13 @@ def _mix_arg(text: str) -> str:
 
 
 def _add_server_flags(cmd: "argparse.ArgumentParser") -> None:
-    cmd.add_argument("--workers", type=_COUNT, default=2,
+    cmd.add_argument("--workers", type=POSITIVE_INT, default=2,
                      help="worker threads (default 2)")
     cmd.add_argument("--device", default="rtx",
                      type=functools.partial(device_arg, many=True),
                      help="comma-separated devices, cycled across "
                           "workers (default rtx)")
-    cmd.add_argument("--max-batch", type=_COUNT, default=16,
+    cmd.add_argument("--max-batch", type=POSITIVE_INT, default=16,
                      help="dynamic batching size cap (default 16)")
     cmd.add_argument("--max-wait-ms", type=NON_NEGATIVE, default=None,
                      help="max ms a planned batch stays open (default "
@@ -90,10 +88,10 @@ def _add_server_flags(cmd: "argparse.ArgumentParser") -> None:
                           "--loop open, replay without --realtime): "
                           "live workers batch whatever is queued "
                           "when they go idle, so a live run refuses it")
-    cmd.add_argument("--queue-depth", type=_COUNT, default=256,
+    cmd.add_argument("--queue-depth", type=POSITIVE_INT, default=256,
                      help="admission bound; excess load is shed "
                           "(default 256)")
-    cmd.add_argument("--cache-capacity", type=_COUNT, default=32,
+    cmd.add_argument("--cache-capacity", type=POSITIVE_INT, default=32,
                      help="artifact cache entries (default 32)")
     cmd.add_argument("--timeout", type=POSITIVE, default=None,
                      help="per-attempt wall budget in seconds "
@@ -143,7 +141,7 @@ def add_serve_subcommands(sub: "argparse._SubParsersAction") -> None:
                        help="arrival-process seed (default 0)")
     bench.add_argument("--deadline-ms", type=POSITIVE, default=None,
                        help="per-request SLO budget in ms (default none)")
-    bench.add_argument("--seed-pool", type=_COUNT, default=1,
+    bench.add_argument("--seed-pool", type=POSITIVE_INT, default=1,
                        help="distinct workload seeds -> batch keys per "
                             "workload (default 1)")
     bench.add_argument("--loop", choices=("open", "closed"),
@@ -151,9 +149,9 @@ def add_serve_subcommands(sub: "argparse._SubParsersAction") -> None:
                        help="open = deterministic schedule mode; "
                             "closed = live client threads (not "
                             "deterministic)")
-    bench.add_argument("--clients", type=_COUNT, default=4,
+    bench.add_argument("--clients", type=POSITIVE_INT, default=4,
                        help="closed-loop client threads (default 4)")
-    bench.add_argument("--requests-per-client", type=_COUNT, default=8,
+    bench.add_argument("--requests-per-client", type=POSITIVE_INT, default=8,
                        help="closed-loop requests per client (default 8)")
     bench.add_argument("--save-schedule", default=None,
                        help="also write the generated schedule JSONL")

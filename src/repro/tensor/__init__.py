@@ -20,6 +20,7 @@ Typical usage::
 
 from repro.tensor.context import ProfileContext, active_context, phase, profile, stage
 from repro.tensor.dispatch import record_region, run_op
+from repro.tensor.heap import keep_freed_memory_mapped
 from repro.tensor.ops import *  # noqa: F401,F403 - re-export the functional API
 from repro.tensor.ops import __all__ as _ops_all
 from repro.tensor.sparse import (CSRMatrix, csr_mask, csr_row_softmax,
@@ -32,3 +33,5 @@ __all__ = [
     "run_op", "record_region",
     "CSRMatrix", "csr_mask", "csr_row_softmax", "sddmm", "spmm",
 ] + list(_ops_all)
+
+keep_freed_memory_mapped()

@@ -11,9 +11,11 @@ against, with exact floats and the same dict orders.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -29,6 +31,12 @@ from repro.core.sparsity import StageSparsity
 from repro.core.taxonomy import OpCategory
 from repro.hwsim.device import DeviceSpec
 from repro.resilience.health import HealthCheck, HealthReport, _clip
+
+
+def running_total(values) -> float:
+    """``values`` added one at a time from 0.0, as a loop adds them
+    (the builtin ``sum`` compensates float rounding from Python 3.12)."""
+    return functools.reduce(operator.add, values, 0.0)
 
 
 def phase_labels(trace: Trace) -> List[str]:
@@ -122,7 +130,7 @@ class ProjectedTrace:
 
     @property
     def total_time(self) -> float:
-        return sum(c.total for c in self.costs)
+        return running_total(c.total for c in self.costs)
 
     def time_by_phase(self) -> Dict[str, float]:
         out: Dict[str, float] = {}
@@ -181,7 +189,8 @@ def operator_breakdown(projected: ProjectedTrace) -> List[OperatorBreakdown]:
         cat_times = projected.time_by_category(phase)
         out.append(OperatorBreakdown(
             workload=trace.workload, phase=phase,
-            total_time=sum(cat_times.values()), category_times=cat_times))
+            total_time=running_total(cat_times.values()),
+            category_times=cat_times))
     return out
 
 
@@ -310,7 +319,7 @@ def stage_sparsity(trace: Trace, stages: Optional[Sequence[str]] = None,
 
 def flops_breakdown(trace: Trace) -> Dict[str, float]:
     per_phase = flops_by_phase(trace)
-    total = sum(per_phase.values())
+    total = running_total(per_phase.values())
     if total <= 0:
         return {phase: 0.0 for phase in per_phase}
     return {phase: flops / total for phase, flops in per_phase.items()}
@@ -367,7 +376,7 @@ def validate_errors(trace: Trace,
         if missing:
             err(f"missing expected phases: {sorted(missing)}")
 
-    if require_flops and sum(e.flops for e in trace) <= 0:
+    if require_flops and running_total(e.flops for e in trace) <= 0:
         err("trace performed no floating-point work")
     return errors
 
@@ -401,7 +410,7 @@ def check_trace_health(trace: Trace,
                 problems.append(f"phase {phase!r} recorded no work")
     add(HealthCheck("nonempty_phases", not problems, _clip(problems)))
 
-    total = sum(e.wall_time for e in trace)
+    total = running_total(e.wall_time for e in trace)
     ok = math.isfinite(total) and total > 0.0
     add(HealthCheck("nonzero_latency", ok,
                     "" if ok else f"total wall time is {total}"))

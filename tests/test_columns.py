@@ -9,10 +9,9 @@ and broken, on all four devices, and must agree with exact floats and
 the same dict orders.
 """
 
+import builtins
 import copy
-import functools
 import math
-import operator
 
 import numpy as np
 import pytest
@@ -57,11 +56,6 @@ def canon(value):
                 [(name, canon(getattr(value, name)))
                  for name in value.__dataclass_fields__ if name != "trace"])
     return value
-
-
-def running_total(values):
-    """``values`` added one at a time from 0.0, as a loop adds them."""
-    return functools.reduce(operator.add, values, 0.0)
 
 
 def outcome(fn, *args):
@@ -223,7 +217,7 @@ class TestColumns:
         values = np.array([1e16] + [1.0] * 15 + [-1e16])
         codes = np.zeros(len(values), dtype=np.intp)
         assert sums_by(codes, values, 1) == [0.0]
-        assert seq_sum(values) == running_total(values.tolist()) == 0.0
+        assert seq_sum(values) == ref.running_total(values.tolist()) == 0.0
         assert np.sum(values) == 14.0
         # an integer column adds as integers: 2**53 + 1 survives
         assert sums_by(np.array([0, 1, 0]), np.array([2**53, 7, 1]), 2) \
@@ -235,25 +229,37 @@ class TestColumns:
         assert math.copysign(1.0, seq_sum(np.array([-0.0, -0.0]))) == 1.0
         values = np.array([0.1, -0.0, 1e16, 3.0, -1e16, 0.2])
         assert canon(seq_sum(values)) == \
-            canon(running_total(values.tolist()))
+            canon(ref.running_total(values.tolist()))
 
-    def test_builtin_totals_stay_the_builtin_sum(self):
-        # added one at a time from 0, each 1.0 is lost against 1e16;
-        # from Python 3.12 the builtin sum keeps them, and the totals
-        # the per-event code took with it must follow on every version
+    def test_float_totals_are_running_totals(self, monkeypatch):
+        # added one at a time from 0.0, each 1.0 is lost against 1e16;
+        # a compensated sum (the builtin from Python 3.12, here fsum)
+        # keeps them, and a total taken with it, with every pin that
+        # digests one, would depend on the Python version
         values = [1e16] + [1.0] * 15 + [-1e16]
-        events = [TraceEvent(eid=i, name="add",
-                             category=OpCategory.ELEMENTWISE,
+        monkeypatch.setattr(builtins, "sum", math.fsum)
+        assert sum(values) == 15.0 and ref.running_total(values) == 0.0
+        categories = ([OpCategory.MATMUL] + [OpCategory.ELEMENTWISE] * 15
+                      + [OpCategory.MOVEMENT])
+        events = [TraceEvent(eid=i, name="add", category=category,
                              phase="neural", flops=value, wall_time=value)
-                  for i, value in enumerate(values)]
+                  for i, (value, category)
+                  in enumerate(zip(values, categories))]
         trace = Trace("w", events)
         totals = np.array(values)
         projected = ProjectedTrace(trace, ALL_DEVICES[0],
                                    totals, totals, totals)
-        assert canon(projected.total_time) == canon(sum(values))
-        assert validate_trace(trace).errors == ref.validate_errors(trace)
-        assert canon(check_trace_health(trace)) == \
-            canon(ref.check_trace_health(trace))
+        assert canon(projected.total_time) == canon(0.0)
+        # by category 1e16, 15.0 and -1e16: 16.0 added in order
+        breakdown, = operator_breakdown(projected)
+        assert canon(breakdown.total_time) == canon(16.0)
+        errors = validate_trace(trace).errors
+        assert "trace performed no floating-point work" in errors
+        assert errors == ref.validate_errors(trace)
+        health = check_trace_health(trace)
+        latency, = [c for c in health.checks if c.name == "nonzero_latency"]
+        assert latency.detail == "total wall time is 0.0"
+        assert canon(health) == canon(ref.check_trace_health(trace))
 
     def test_integer_counters_fall_back_to_float(self):
         trace = Trace("w", [

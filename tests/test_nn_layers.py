@@ -32,6 +32,19 @@ class TestLinear:
             layer(T.tensor(np.ones((1, 4), dtype=np.float32)))
         assert prof.trace.events[0].category is OpCategory.MATMUL
 
+    @pytest.mark.parametrize("x_dtype, bias_dtype", [
+        (np.float32, np.float32), (np.float64, np.float32),
+        (np.float32, np.float64)])
+    def test_bias_sum_is_bit_identical(self, x_dtype, bias_dtype):
+        rng = np.random.default_rng(0)
+        layer = Linear(16, 8, seed=2)
+        layer.bias = rng.standard_normal(8).astype(bias_dtype)
+        x = rng.standard_normal((5, 16)).astype(x_dtype)
+        out = layer(T.tensor(x)).numpy()
+        expected = x @ layer.weight.T + layer.bias
+        assert out.dtype == expected.dtype
+        assert out.tobytes() == expected.tobytes()
+
     def test_parameter_accounting(self):
         layer = Linear(8, 4)
         assert layer.num_parameters == 8 * 4 + 4

@@ -221,6 +221,28 @@ class TestCLI:
         assert err.endswith("error: argument --seed: must be an integer "
                             ">= 0, got '-1'\n")
 
+    @pytest.mark.parametrize("case", [
+        (["fuzz", "run", "--count", "-1"], "an integer >= 0"),
+        (["fuzz", "run", "--chaos", "-1"], "an integer >= 0"),
+        (["fuzz", "run", "--configs", "-2"], "an integer >= 0"),
+        (["fuzz", "run", "--max-ops", "2"], "an integer >= 3"),
+        (["fuzz", "run", "--max-ops", "0"], "an integer >= 3"),
+        (["functions", "lnn", "--top", "0"], "an integer >= 1"),
+        (["functions", "lnn", "--top", "-2"], "an integer >= 1"),
+    ], ids=lambda case: " ".join(case[0]))
+    def test_count_out_of_range_is_a_usage_error(self, case, capsys):
+        # `fuzz run --count -1` reported a clean run of nothing,
+        # `--max-ops` below 3 was raised to 3 without a word, and
+        # `functions --top -2` printed all but the last two rows
+        argv, expected = case
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.endswith(f"error: argument {argv[-2]}: must be "
+                            f"{expected}, got {argv[-1]!r}\n")
+
     def test_an_integer_beyond_float_range_parses(self):
         # math.isfinite overflowed on it: an OverflowError traceback
         huge = "1" + "0" * 400
