@@ -144,8 +144,10 @@ def replay(workload, plan: Trace) -> Trace:
 def diff_against_eager(eager: Trace, replayed: Trace) -> Dict[str, object]:
     """Bit-exactness comparison between an eager and a replayed trace.
 
-    The contract surface: counter digests, event counts, per-event
-    deterministic fields, and result metadata.  Wall-clock fields are
+    The contract surface: counter digests, event counts, every event's
+    :meth:`~repro.core.profiler.TraceEvent.facts` (what the ``events``
+    history pin digests), and result metadata.  The measured
+    ``wall_time`` and ``t_start`` and the run-local ``sid`` are
     deliberately not compared.
     """
     from repro.obs.runrec import counters_digest  # deferred (cycle)
@@ -157,12 +159,11 @@ def diff_against_eager(eager: Trace, replayed: Trace) -> Dict[str, object]:
             f"event count: eager {len(eager.events)} vs replayed "
             f"{len(replayed.events)}")
     for a, b in zip(eager.events, replayed.events):
-        if (a.name, a.category, a.phase, a.stage, a.flops,
-                a.bytes_read, a.bytes_written, tuple(a.output_shape),
-                a.parents) != (b.name, b.category, b.phase, b.stage,
-                               b.flops, b.bytes_read, b.bytes_written,
-                               tuple(b.output_shape), b.parents):
-            mismatches.append(f"event {a.eid}: {a.name!r} fields differ")
+        facts, other = a.facts(), b.facts()
+        if facts != other:
+            differ = [name for name in facts if facts[name] != other[name]]
+            mismatches.append(f"event {a.eid} ({a.name!r}): "
+                              f"{', '.join(differ)} differ")
             if len(mismatches) >= 8:
                 break
     eager_result = eager.metadata.get("result")

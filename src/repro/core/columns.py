@@ -2,8 +2,8 @@
 
 Every analysis view (Figs. 2a, 3a–c, 4 and 5), the counters digest and
 both trace checks read the same dozen event fields.
-:class:`TraceColumns` reads them off the
-:class:`~repro.core.profiler.TraceEvent` objects once, so each view is
+:class:`TraceColumns` transposes the
+:class:`~repro.core.profiler.TraceEvent` tuples once, so each view is
 a few numpy operations over the columns instead of a Python loop over
 the events.  A trace's columns are :attr:`Trace.columns
 <repro.core.profiler.Trace.columns>`, the one place that decides when
@@ -31,14 +31,12 @@ from __future__ import annotations
 import itertools
 import math
 from operator import add, attrgetter
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.profiler import TraceEvent
 from repro.core.taxonomy import CATEGORY_ORDER
-
-if TYPE_CHECKING:
-    from repro.core.profiler import TraceEvent
 
 _CATEGORY_CODE = {category.value: code
                   for code, category in enumerate(CATEGORY_ORDER)}
@@ -47,12 +45,6 @@ _CATEGORY_CODE = {category.value: code
 #: them; each is also the name of its column
 COUNTER_FIELDS = ("flops", "bytes_read", "bytes_written", "wall_time",
                   "live_bytes", "output_sparsity")
-
-#: the event fields read, in the order the extraction unpacks them
-_NAMES = ("eid", "phase", "stage", "category", "flops", "bytes_read",
-          "bytes_written", "output_shape", "output_sparsity", "wall_time",
-          "live_bytes", "parents")
-_FIELDS = attrgetter(*_NAMES)
 
 
 def _counts(values: Sequence[object]) -> np.ndarray:
@@ -93,13 +85,13 @@ class TraceColumns:
                  "wall_time", "live_bytes", "parents", "parent_start",
                  "parent_owner", "increasing")
 
-    def __init__(self, events: Sequence["TraceEvent"]):
+    def __init__(self, events: Sequence[TraceEvent]):
         n = len(events)
         self.n = n
-        # one pass over the events, transposed into one tuple per field
-        (eid, phase, stage, category, flops, bytes_read, bytes_written,
-         output_shape, output_sparsity, wall_time, live_bytes, parents) = \
-            tuple(zip(*map(_FIELDS, events))) or ((),) * len(_NAMES)
+        # the event tuples transposed: one tuple per field, in field order
+        (eid, _, category, phase, stage, flops, bytes_read, bytes_written,
+         _, output_shape, output_sparsity, wall_time, parents, live_bytes,
+         _, _) = tuple(zip(*events)) or ((),) * len(TraceEvent._fields)
         self.eid = np.fromiter(eid, np.int64, n)
         self.phases, self.phase = _codes(phase)
         self.stages, self.stage = _codes(stage)

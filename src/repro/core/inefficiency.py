@@ -11,6 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
+import numpy as np
+
+from repro.core.columns import seq_sum
 from repro.hwsim.device import DeviceSpec
 from repro.hwsim.devices import RTX_2080TI
 from repro.hwsim.kernels import (KernelCounters, nvsa_table4_kernels,
@@ -46,7 +49,8 @@ class InefficiencyReport:
     def _mean(self, kind: str, metric: str) -> float:
         values = [getattr(k, metric) for k in self.counters
                   if k.kind == kind]
-        return sum(values) / len(values) if values else 0.0
+        return (seq_sum(np.array(values, dtype=np.float64)) / len(values)
+                if values else 0.0)
 
     @property
     def symbolic_alu_below_10pct(self) -> bool:

@@ -22,6 +22,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.core.columns import seq_sum
 from repro.core.profiler import PHASE_NEURAL, PHASE_SYMBOLIC
 from repro.hwsim.latency import ProjectedTrace
 
@@ -51,7 +52,8 @@ class OpGraphReport:
 
     @property
     def symbolic_on_critical_path(self) -> float:
-        total = sum(self.critical_path_phase_times.values())
+        total = seq_sum(np.fromiter(
+            self.critical_path_phase_times.values(), np.float64))
         if total <= 0:
             return 0.0
         return self.critical_path_phase_times.get(PHASE_SYMBOLIC,

@@ -15,20 +15,26 @@ can be imported from anywhere without cycles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Dict, Iterable, Iterator, List,
+                    NamedTuple, Optional, Sequence, Tuple)
 
-from repro.core.columns import TraceColumns
 from repro.core.taxonomy import OpCategory
+
+if TYPE_CHECKING:
+    from repro.core.columns import TraceColumns
 
 #: Phase labels used throughout the suite.
 PHASE_NEURAL = "neural"
 PHASE_SYMBOLIC = "symbolic"
 
 
-@dataclass
-class TraceEvent:
+class TraceEvent(NamedTuple):
     """A single executed tensor operation.
+
+    An immutable tuple of the fields below, in this order: assigning a
+    field raises ``AttributeError``, so a recorded event is never
+    edited.  A changed copy is ``event._replace(field=value)``, and
+    ``event._asdict()`` maps each field name to its value.
 
     Attributes
     ----------
@@ -95,6 +101,20 @@ class TraceEvent:
         """Total memory traffic (read + written)."""
         return self.bytes_read + self.bytes_written
 
+    def facts(self) -> Dict[str, object]:
+        """The fields a replay reproduces, by name: every field except
+        the measured ``wall_time`` and ``t_start`` and the run-local
+        ``sid``, with the category as its value.
+
+        The ``events`` history pin digests them
+        (:func:`repro.obs.history.event_facts`) and ``repro compile
+        diff`` compares them event by event.
+        """
+        facts = self._asdict()
+        del facts["wall_time"], facts["t_start"], facts["sid"]
+        facts["category"] = self.category.value
+        return facts
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"TraceEvent(eid={self.eid}, name={self.name!r}, "
@@ -106,9 +126,9 @@ class TraceEvent:
 class Trace:
     """An ordered sequence of :class:`TraceEvent` for one workload run.
 
-    Events are append-only: once recorded, an event is never edited,
-    replaced or removed.  That is what lets :attr:`columns` key its
-    cache on the event count alone.
+    Events are append-only: an event is an immutable tuple, and none
+    is replaced or removed once appended.  That is what lets
+    :attr:`columns` key its cache on the event count alone.
     """
 
     def __init__(self, workload: str = "", events: Optional[Iterable[TraceEvent]] = None):
@@ -120,7 +140,7 @@ class Trace:
         #: (:class:`repro.obs.spans.SpanRecord` instances); empty for
         #: traces built outside a profiling context.
         self.spans: List[object] = []
-        self._columns: Optional[TraceColumns] = None
+        self._columns: Optional["TraceColumns"] = None
 
     # -- collection protocol -------------------------------------------------
     def append(self, event: TraceEvent) -> None:
@@ -137,7 +157,7 @@ class Trace:
 
     # -- analysis input ------------------------------------------------------
     @property
-    def columns(self) -> TraceColumns:
+    def columns(self) -> "TraceColumns":
         """The events as :class:`~repro.core.columns.TraceColumns`, the
         input of every analysis and check.
 
@@ -147,6 +167,7 @@ class Trace:
         """
         columns = self._columns
         if columns is None or columns.n != len(self.events):
+            from repro.core.columns import TraceColumns  # deferred (cycle)
             columns = self._columns = TraceColumns(self.events)
         return columns
 
@@ -164,23 +185,10 @@ def merge_traces(traces: Sequence[Trace], workload: str = "") -> Trace:
     for trace in traces:
         id_map = {e.eid: e.eid + offset for e in trace.events}
         for event in trace.events:
-            merged.append(TraceEvent(
+            merged.append(event._replace(
                 eid=id_map[event.eid],
-                name=event.name,
-                category=event.category,
-                phase=event.phase,
-                stage=event.stage,
-                flops=event.flops,
-                bytes_read=event.bytes_read,
-                bytes_written=event.bytes_written,
-                input_shapes=event.input_shapes,
-                output_shape=event.output_shape,
-                output_sparsity=event.output_sparsity,
-                wall_time=event.wall_time,
                 parents=tuple(id_map[p] for p in event.parents if p in id_map),
-                live_bytes=event.live_bytes,
-                t_start=event.t_start,
-            ))
+                sid=None))
         if trace.events:
             offset = merged.events[-1].eid + 1
     return merged

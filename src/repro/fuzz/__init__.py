@@ -36,8 +36,7 @@ from repro.fuzz.oracle import (CheckResult, Divergence, ExecutionResult,
                                build_ruleset, check_program, counter_digest,
                                execute_program, materialize_leaf)
 from repro.fuzz.records import (OpInstance, dump_instances,
-                                filter_instances, load_instances,
-                                save_instances)
+                                filter_instances)
 from repro.fuzz.rules import OpRule, RuleSet, infer_rules
 from repro.fuzz.runner import FuzzReport, fuzz_run
 
@@ -51,8 +50,7 @@ __all__ = [
     "counter_digest", "deterministic_digest", "dump_instances",
     "execute_program", "filter_instances", "fuzz_chaos", "fuzz_run",
     "generate_program", "harvest_roster", "harvest_workload",
-    "infer_rules", "load_corpus", "load_instances", "materialize_leaf",
+    "infer_rules", "load_corpus", "materialize_leaf",
     "minimize_program", "perturb_configs", "replay_entry",
     "run_chaos_schedule", "run_live_chaos", "save_corpus",
-    "save_instances",
 ]

@@ -81,26 +81,6 @@ class OpInstance:
         out["output_shape"] = list(self.output_shape)
         return out
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "OpInstance":
-        return cls(
-            name=str(data["name"]),
-            raw_name=str(data.get("raw_name", data["name"])),
-            category=str(data["category"]),
-            input_shapes=tuple(tuple(int(d) for d in s)
-                               for s in data["input_shapes"]),  # type: ignore[union-attr]
-            input_dtypes=tuple(str(d) for d in data["input_dtypes"]),  # type: ignore[union-attr]
-            input_nbytes=int(data["input_nbytes"]),  # type: ignore[arg-type]
-            output_shape=tuple(int(d) for d in data["output_shape"]),  # type: ignore[union-attr]
-            output_dtype=str(data["output_dtype"]),
-            flops=float(data["flops"]),  # type: ignore[arg-type]
-            bytes_read=int(data["bytes_read"]),  # type: ignore[arg-type]
-            bytes_written=int(data["bytes_written"]),  # type: ignore[arg-type]
-            output_sparsity=float(data["output_sparsity"]),  # type: ignore[arg-type]
-            workload=str(data.get("workload", "")),
-            phase=str(data.get("phase", "")),
-        )
-
     def dedup_key(self) -> Tuple[object, ...]:
         """Identity under the duplicate filter (workload/phase ignored)."""
         return (self.name, self.raw_name, self.input_shapes,
@@ -148,18 +128,3 @@ def dump_instances(instances: Sequence[OpInstance]) -> str:
                         separators=(",", ":"))
              for inst in ordered]
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def save_instances(instances: Sequence[OpInstance], path: str) -> None:
-    with open(path, "w") as handle:
-        handle.write(dump_instances(instances))
-
-
-def load_instances(path: str) -> List[OpInstance]:
-    out: List[OpInstance] = []
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                out.append(OpInstance.from_dict(json.loads(line)))
-    return out

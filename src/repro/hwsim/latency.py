@@ -95,7 +95,8 @@ class ProjectedTrace:
 
 
 #: op-name prefixes of host<->device transfers, which the projection
-#: charges to the host link instead of DRAM
+#: charges to the host link instead of DRAM; ``to_host`` moves data
+#: device-to-host, the others host-to-device
 HOST_TRANSFER_PREFIXES = ("to_gpu", "to_host", "to_device")
 _MOVEMENT = CATEGORY_ORDER.index(OpCategory.MOVEMENT)
 

@@ -23,6 +23,9 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
+from repro.core.columns import seq_sum
 from repro.core.profiler import Trace
 from repro.hwsim.device import DeviceSpec
 from repro.hwsim.latency import project_trace
@@ -132,6 +135,7 @@ def simulate_schedule(trace: Trace, device: DeviceSpec,
     return ScheduleResult(
         events=scheduled,
         makespan=makespan,
-        serial_time=sum(latency.values()),
+        serial_time=seq_sum(np.fromiter(latency.values(), np.float64,
+                                        len(latency))),
         max_concurrency=max_concurrency,
     )

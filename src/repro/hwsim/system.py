@@ -18,6 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
+import numpy as np
+
+from repro.core.columns import seq_sum
 from repro.core.profiler import Trace, TraceEvent
 from repro.core.taxonomy import OpCategory
 from repro.hwsim.device import DeviceSpec
@@ -76,11 +79,13 @@ class SystemReport:
 
     @property
     def total_time(self) -> float:
-        return sum(c.total for c in self.costs)
+        return seq_sum(np.fromiter((c.total for c in self.costs),
+                                   np.float64, len(self.costs)))
 
     @property
     def transfer_time(self) -> float:
-        return sum(c.transfer_time for c in self.costs)
+        return seq_sum(np.fromiter((c.transfer_time for c in self.costs),
+                                   np.float64, len(self.costs)))
 
     @property
     def h2d_bytes(self) -> int:

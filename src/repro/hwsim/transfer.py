@@ -16,6 +16,7 @@ from typing import Dict, List
 from repro.core.profiler import Trace
 from repro.core.taxonomy import OpCategory
 from repro.hwsim.device import DeviceSpec
+from repro.hwsim.latency import HOST_TRANSFER_PREFIXES
 
 
 @dataclass
@@ -53,11 +54,11 @@ def analyze_transfers(trace: Trace, device: DeviceSpec) -> TransferReport:
     previous_phase = None
     for event in trace:
         if event.category is OpCategory.MOVEMENT and event.name.startswith(
-                ("to_gpu", "to_device")):
-            h2d_bytes += event.bytes_read
-            transfers += 1
-        elif event.category is OpCategory.MOVEMENT and event.name == "to_host":
-            d2h_bytes += event.bytes_read
+                HOST_TRANSFER_PREFIXES):
+            if event.name.startswith("to_host"):
+                d2h_bytes += event.bytes_read
+            else:
+                h2d_bytes += event.bytes_read
             transfers += 1
         elif previous_phase is not None and event.phase != previous_phase:
             # implicit boundary: inputs of the first op of the new phase

@@ -29,7 +29,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, Iterable, Optional
 
-from repro.core.profiler import Trace, TraceEvent
+from repro.core.profiler import Trace
 from repro.core.taxonomy import OpCategory
 from repro.hwsim.device import DeviceSpec
 from repro.hwsim.latency import project_trace
@@ -120,8 +120,7 @@ def quantize_trace(trace: Trace, bits: int = 8) -> Trace:
     out = Trace(f"{trace.workload}@int{bits}")
     out.metadata = dict(trace.metadata)
     for event in trace:
-        out.append(dataclasses.replace(
-            event,
+        out.append(event._replace(
             bytes_read=int(event.bytes_read * scale),
             bytes_written=int(event.bytes_written * scale),
         ))
@@ -139,13 +138,11 @@ def prune_trace(trace: Trace, min_sparsity: float = 0.5) -> Trace:
     for event in trace:
         if event.output_sparsity >= min_sparsity:
             dense = 1.0 - event.output_sparsity
-            out.append(dataclasses.replace(
-                event,
+            event = event._replace(
                 flops=event.flops * dense,
                 bytes_written=int(event.bytes_written * dense),
-            ))
-        else:
-            out.append(dataclasses.replace(event))
+            )
+        out.append(event)
     return out
 
 

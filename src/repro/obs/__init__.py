@@ -37,8 +37,7 @@ profiling it (``benchmarks/bench_obs_overhead.py``).
 
 from repro.obs.chrome import (CATEGORY_COLORS, trace_to_chrome,
                               trace_to_chrome_events)
-from repro.obs.flame import (FLAME_WEIGHTS, collapsed_stacks,
-                             trace_to_flame, write_flame)
+from repro.obs.flame import FLAME_WEIGHTS, collapsed_stacks, trace_to_flame
 from repro.obs.jsonl import (read_jsonl, trace_from_jsonl_lines,
                              trace_to_jsonl, write_jsonl)
 from repro.obs.live import (BurnRateMonitor, LiveTelemetry,
@@ -66,6 +65,5 @@ __all__ = [
     "render_spans", "span", "span_roots",
     "synthesize_kstats", "trace_from_jsonl_lines",
     "trace_to_chrome", "trace_to_chrome_events",
-    "trace_to_flame", "trace_to_jsonl", "tracing_active", "write_flame",
-    "write_report",
+    "trace_to_flame", "trace_to_jsonl", "tracing_active", "write_report",
 ]

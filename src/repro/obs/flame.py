@@ -129,10 +129,3 @@ def trace_to_flame(trace: Trace, weight: str = "wall",
     lines = [f"{stack} {value}"
              for stack, value in sorted(stacks.items())]
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def write_flame(trace: Trace, path: str, weight: str = "wall",
-                device: DeviceSpec = RTX_2080TI) -> None:
-    """Write the collapsed-stack flamegraph input file to ``path``."""
-    with open(path, "w") as handle:
-        handle.write(trace_to_flame(trace, weight=weight, device=device))

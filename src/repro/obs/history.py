@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -327,21 +327,10 @@ def ingest_results(results_dir: str) -> Dict[str, float]:
     return out
 
 
-#: trace-event fields the ``events`` pin leaves out: measured times and
-#: the run-local span id
-_UNPINNED_EVENT_FIELDS = ("wall_time", "t_start", "sid")
-
-
 def event_facts(trace) -> Dict[str, Any]:
-    """The per-event view of one trace that the ``events`` pin digests."""
-    events = []
-    for event in trace.events:
-        fields = asdict(event)
-        for name in _UNPINNED_EVENT_FIELDS:
-            del fields[name]
-        fields["category"] = event.category.value
-        events.append(fields)
-    return {"events": events,
+    """The per-event view of one trace that the ``events`` pin digests:
+    each event's :meth:`~repro.core.profiler.TraceEvent.facts`."""
+    return {"events": [event.facts() for event in trace.events],
             "peak_live_bytes": trace.metadata["peak_live_bytes"]}
 
 

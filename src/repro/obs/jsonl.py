@@ -45,25 +45,12 @@ def safe_json_value(value):
 
 
 def event_to_dict(e: TraceEvent) -> Dict:
-    """One event as plain JSON-safe structures."""
-    return {
-        "eid": e.eid,
-        "name": e.name,
-        "category": e.category.value,
-        "phase": e.phase,
-        "stage": e.stage,
-        "flops": e.flops,
-        "bytes_read": e.bytes_read,
-        "bytes_written": e.bytes_written,
-        "input_shapes": [list(s) for s in e.input_shapes],
-        "output_shape": list(e.output_shape),
-        "output_sparsity": e.output_sparsity,
-        "wall_time": e.wall_time,
-        "parents": list(e.parents),
-        "live_bytes": e.live_bytes,
-        "t_start": e.t_start,
-        "sid": e.sid,
-    }
+    """One event's fields by name, in field order, with the category as
+    its value: JSON-safe, since JSON writes the shape and parent tuples
+    as lists."""
+    fields = e._asdict()
+    fields["category"] = e.category.value
+    return fields
 
 
 def _id(value) -> int:

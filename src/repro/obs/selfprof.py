@@ -50,7 +50,7 @@ COMPONENTS: Tuple[str, ...] = (
     "kernel",     # the numpy kernel (compute(*arrays) + asarray)
     "counters",   # flops/bytes/sparsity (replay: captured) + injection
     "span",       # eid allocation + innermost-sid lookup
-    "record",     # allocation tracking + TraceEvent + ctx.record
+    "record",     # allocation tracking + TraceEvent + trace.append
     "observer",   # op-observer notification (repro.fuzz harvest)
 )
 

@@ -76,7 +76,7 @@ import threading
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.core.profiler import Trace, TraceEvent
+from repro.core.profiler import Trace
 from repro.obs import spans as _spans
 
 
@@ -236,9 +236,6 @@ class ProfileContext:
     def pending_eid(self) -> int:
         """The eid the next recorded event will get."""
         return self._next_eid
-
-    def record(self, event: TraceEvent) -> None:
-        self.trace.append(event)
 
     # -- live memory ---------------------------------------------------------
     def track_allocation(self, nbytes: int

@@ -189,7 +189,7 @@ def _record(ctx: ProfileContext, eid: int, sid: Optional[int], name: str,
             input_shapes: Tuple[Tuple[int, ...], ...] = (),
             output_shape: Tuple[int, ...] = (),
             output_sparsity: float = 0.0) -> TraceEvent:
-    """Build one trace event and append it to ``ctx``.
+    """Build one trace event and append it to ``ctx``'s trace.
 
     The only place an op or a region becomes a
     :class:`~repro.core.profiler.TraceEvent`; phase and stage are read
@@ -202,7 +202,7 @@ def _record(ctx: ProfileContext, eid: int, sid: Optional[int], name: str,
                        bytes_written, input_shapes, output_shape,
                        output_sparsity, wall_time, parents, live_bytes,
                        t_start, sid)
-    ctx.record(event)
+    ctx.trace.append(event)
     return event
 
 

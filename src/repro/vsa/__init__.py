@@ -2,8 +2,8 @@
 cleanup memory, PMF<->VSA transforms, and LSH encoding."""
 
 from repro.vsa.codebook import CleanupMemory, Codebook, product_codebook
-from repro.vsa.fractional import (expected_value_vector, pmf_entropy,
-                                  pmf_to_vsa, sparsify_pmf, vsa_to_pmf)
+from repro.vsa.fractional import (pmf_entropy, pmf_to_vsa, sparsify_pmf,
+                                  vsa_to_pmf)
 from repro.vsa.hypervector import (BinarySpace, BipolarSpace, FHRRSpace,
                                    HolographicSpace, VSASpace, make_space)
 from repro.vsa.lsh import LSHEncoder
@@ -11,8 +11,7 @@ from repro.vsa.resonator import ResonatorNetwork, ResonatorResult
 
 __all__ = [
     "CleanupMemory", "Codebook", "product_codebook",
-    "expected_value_vector", "pmf_entropy", "pmf_to_vsa", "sparsify_pmf",
-    "vsa_to_pmf",
+    "pmf_entropy", "pmf_to_vsa", "sparsify_pmf", "vsa_to_pmf",
     "BinarySpace", "BipolarSpace", "FHRRSpace", "HolographicSpace",
     "VSASpace",
     "make_space",

@@ -51,13 +51,6 @@ def vsa_to_pmf(vec: Tensor, codebook: Codebook, sharpen: float = 1.0) -> Tensor:
     return T.div(rect, T.maximum(total, 1e-12))
 
 
-def expected_value_vector(pmf: Tensor, codebook: Codebook) -> Tensor:
-    """Alias of :func:`pmf_to_vsa` with normalization applied first."""
-    total = T.sum(pmf, axis=-1, keepdims=True)
-    normalized = T.div(pmf, T.maximum(total, 1e-12))
-    return pmf_to_vsa(normalized, codebook)
-
-
 def pmf_entropy(pmf: Tensor) -> Tensor:
     """Shannon entropy per row (nats) — perceptual-uncertainty metric."""
     clipped = T.maximum(pmf, 1e-12)

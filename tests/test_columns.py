@@ -10,8 +10,8 @@ the same dict orders.
 """
 
 import builtins
-import copy
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,15 +21,18 @@ from hypothesis import strategies as st
 from repro.core.analysis import (flops_breakdown, latency_breakdown,
                                  operator_breakdown)
 from repro.core.columns import TraceColumns, seq_sum, sums_by
+from repro.core.inefficiency import InefficiencyReport
 from repro.core.memory import memory_profile
-from repro.core.opgraph import analyze_graph
+from repro.core.opgraph import OpGraphReport, analyze_graph
 from repro.core.profiler import Trace, TraceEvent
 from repro.core.rooflineplot import phase_boundedness
 from repro.core.sparsity import stage_sparsity
 from repro.core.taxonomy import OpCategory
 from repro.core.validate import validate_trace
-from repro.hwsim import ALL_DEVICES, RTX_2080TI, project_trace
+from repro.hwsim import ALL_DEVICES, RTX_2080TI, XEON_4114, project_trace
 from repro.hwsim.latency import ProjectedTrace
+from repro.hwsim.schedule import simulate_schedule
+from repro.hwsim.system import HeterogeneousSystem
 from repro.obs.runrec import counters_digest
 from repro.resilience.health import check_trace_health
 from repro.serve import ArtifactCache, make_request
@@ -154,33 +157,38 @@ class TestAgainstPerEventReference:
 
 
 def _poisoned(source, how):
-    """A new trace of copies of ``source``'s events, broken in one of
-    six ways before its columns are read."""
-    trace = Trace(source.workload, copy.deepcopy(source.events))
-    trace.metadata = dict(source.metadata)
-    events = trace.events
+    """A new trace of ``source``'s events, broken in one of six ways:
+    each broken event is a new event with the broken fields."""
+    events = list(source.events)
+    metadata = dict(source.metadata)
     n = len(events)
+
+    def edit(i, **fields):
+        events[i] = events[i]._replace(**fields)
+
     if how == 0:
-        events[n // 3].flops = math.nan
-        events[n // 2].output_sparsity = math.inf
+        edit(n // 3, flops=math.nan)
+        edit(n // 2, output_sparsity=math.inf)
     elif how == 1:
-        events[1].bytes_read = math.inf
-        events[2].live_bytes = -5
-        events[3].wall_time = -1.0
-        events[4].bytes_written = math.nan
+        edit(1, bytes_read=math.inf)
+        edit(2, live_bytes=-5)
+        edit(3, wall_time=-1.0)
+        edit(4, bytes_written=math.nan)
     elif how == 2:
-        events[4].eid = events[3].eid
-        events[5].parents = (10 ** 6, events[5].eid, 0)
+        edit(4, eid=events[3].eid)
+        edit(5, parents=(10 ** 6, events[5].eid, 0))
     elif how == 3:
-        events[0].live_bytes = math.nan
-        trace.metadata["peak_live_bytes"] = 1
-        for event in events[::7]:
-            event.flops = -1.0
+        edit(0, live_bytes=math.nan)
+        metadata["peak_live_bytes"] = 1
+        for i in range(0, n, 7):
+            edit(i, flops=-1.0)
     elif how == 4:
-        for event in events:
-            event.phase = "neural" if event.phase == "symbolic" else ""
+        for i, event in enumerate(events):
+            edit(i, phase="neural" if event.phase == "symbolic" else "")
     else:
         events.reverse()
+    trace = Trace(source.workload, events)
+    trace.metadata = metadata
     return trace
 
 
@@ -261,6 +269,24 @@ class TestColumns:
         assert latency.detail == "total wall time is 0.0"
         assert canon(health) == canon(ref.check_trace_health(trace))
 
+    def test_report_totals_are_running_totals(self, monkeypatch):
+        # 1e16, 1.0, -1e16 add to 0.0 one at a time and to 1.0 compensated
+        monkeypatch.setattr(builtins, "sum", math.fsum)
+        graph = OpGraphReport(
+            workload="w", num_nodes=3, num_edges=0, cross_phase_edges=0,
+            symbolic_depends_on_neural=False,
+            neural_depends_on_symbolic=False, critical_path_time=1.0,
+            critical_path_length=3,
+            critical_path_phase_times={"neural": 1e16, "symbolic": 1.0,
+                                       "": -1e16},
+            total_time=1.0, max_width=1)
+        assert graph.symbolic_on_critical_path == 0.0
+        kernels = [SimpleNamespace(kind="symbolic", alu_utilization_pct=value)
+                   for value in (1e16, 1.0, -1e16)]
+        report = InefficiencyReport(device="d", counters=kernels)
+        assert canon(report._mean("symbolic", "alu_utilization_pct")) == \
+            canon(0.0)
+
     def test_integer_counters_fall_back_to_float(self):
         trace = Trace("w", [
             TraceEvent(eid=0, name="add", category=OpCategory.ELEMENTWISE,
@@ -319,6 +345,22 @@ def test_counters_digest_matches_per_event_digest(name):
     for how in range(6):
         poisoned = _poisoned(trace, how)
         assert counters_digest(poisoned) == ref.counters_digest(poisoned)
+
+
+@pytest.mark.parametrize("name", ["ltn", "mcts"])
+def test_model_totals_are_running_totals(name, monkeypatch):
+    # each of these totals moves in its low bits when a compensated sum
+    # (the builtin from Python 3.12, here fsum) takes it
+    trace = cached_trace(name, seed=0)
+
+    def totals():
+        system = HeterogeneousSystem(XEON_4114, RTX_2080TI).project(trace)
+        return canon((system.total_time, system.transfer_time,
+                      simulate_schedule(trace, RTX_2080TI).serial_time))
+
+    expected = totals()
+    monkeypatch.setattr(builtins, "sum", math.fsum)
+    assert totals() == expected
 
 
 def test_served_batch_extracts_its_columns_once(monkeypatch):

@@ -8,7 +8,6 @@ serve plan policy, the resilience fallback, the CLI — is scaffolding
 for that contract and is tested against it.
 """
 
-import dataclasses
 import json
 import sys
 import threading
@@ -65,10 +64,10 @@ def cached_replay(name: str):
     return _REPLAY_CACHE[name]
 
 
-def _with_events(plan: Trace, events) -> Trace:
-    """``plan`` with its event list replaced."""
-    edited = Trace(plan.workload, events)
-    edited.metadata = dict(plan.metadata)
+def _with_events(trace: Trace, events) -> Trace:
+    """A new trace of ``events`` with ``trace``'s workload and metadata."""
+    edited = Trace(trace.workload, events)
+    edited.metadata = dict(trace.metadata)
     return edited
 
 
@@ -147,10 +146,10 @@ class TestExecutorSessions:
         cases = {
             "overran the plan": events[:op.eid],
             "plan recorded 'renamed'": [
-                dataclasses.replace(e, name="renamed") if e is op else e
+                e._replace(name="renamed") if e is op else e
                 for e in events],
             "output shape": [
-                dataclasses.replace(e, output_shape=(7, 7)) if e is op
+                e._replace(output_shape=(7, 7)) if e is op
                 else e for e in events],
             f"replay recorded {len(events)} events but the plan has "
             f"{len(events) + 1}": events + [events[-1]],
@@ -421,26 +420,52 @@ class TestCompileCLI:
         assert doc["eager_counters_digest"] == \
             doc["replayed_counters_digest"]
 
-    def test_diff_exit_code_on_divergence(self, monkeypatch, capsys):
-        # a replay that completes but differs from eager (one event's
-        # FLOPs moved) is a divergence: diff must exit 7, not 0
+    @staticmethod
+    def _skew_replay(monkeypatch, index, edit):
+        """Make ``replay`` return a new trace of its events, with event
+        ``index`` replaced by ``edit(event)``."""
         from repro.compile import executor
         real_replay = executor.replay
 
         def skewed_replay(workload, plan):
             trace = real_replay(workload, plan)
-            first = trace.events[0]
-            trace.events[0] = dataclasses.replace(first,
-                                                  flops=first.flops + 1.0)
-            return trace
+            events = list(trace.events)
+            events[index] = edit(events[index])
+            return _with_events(trace, events)
 
         monkeypatch.setattr(executor, "replay", skewed_replay)
+
+    def test_diff_exit_code_on_divergence(self, monkeypatch, capsys):
+        # a replay that completes but differs from eager (one event's
+        # FLOPs moved) is a divergence: diff must exit 7, not 0
+        self._skew_replay(monkeypatch, 0,
+                          lambda e: e._replace(flops=e.flops + 1.0))
         assert main(["compile", "diff", "abl", "--json"]) == 7
         doc = json.loads(capsys.readouterr().out)
         assert doc["bit_exact"] is False
         assert doc["mismatches"]
         assert doc["eager_counters_digest"] != \
             doc["replayed_counters_digest"]
+
+    @pytest.mark.parametrize("field, edit", [
+        ("live_bytes", lambda e: e._replace(live_bytes=e.live_bytes + 8)),
+        ("output_sparsity", lambda e: e._replace(
+            output_sparsity=0.25 if e.output_sparsity == 0.5 else 0.5)),
+    ])
+    def test_diff_checks_every_pinned_field(self, monkeypatch, capsys,
+                                           field, edit):
+        # no counters digest holds this field, but the events pin does,
+        # and the diff compares every field that pin covers
+        index = len(cached_trace("abl", seed=0).events) // 2
+        self._skew_replay(monkeypatch, index, edit)
+        assert main(["compile", "diff", "abl", "--json"]) == 7
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["bit_exact"] is False
+        assert doc["eager_counters_digest"] == \
+            doc["replayed_counters_digest"]
+        mismatch, = doc["mismatches"]
+        assert mismatch.startswith(f"event {index} ")
+        assert mismatch.endswith(f": {field} differ")
 
     def test_refused_replay_exits_with_one_line(self, monkeypatch, capsys):
         from repro.compile import executor

@@ -1,7 +1,6 @@
 """Tests for the observability layer: spans, metrics, exporters
 (Chrome / JSONL / Prometheus), and the counters digest."""
 
-import dataclasses
 import gc
 import json
 from typing import Any, Dict
@@ -428,7 +427,7 @@ class TestChromeExport:
         trace = cached_trace("lnn", seed=0)
         stripped = Trace(workload=trace.workload)
         for event in trace.events:
-            stripped.append(dataclasses.replace(event, t_start=0.0))
+            stripped.append(event._replace(t_start=0.0))
         doc = json.loads(obs.trace_to_chrome(stripped))
         ops = [e for e in doc["traceEvents"]
                if e["ph"] == "X" and e["cat"] != "span"]

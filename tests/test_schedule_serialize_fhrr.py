@@ -1,7 +1,6 @@
 """Tests for the schedule simulator, trace serialization (the JSONL
 event log), and the FHRR hypervector space."""
 
-import dataclasses
 import json
 
 import numpy as np
@@ -97,9 +96,8 @@ class TestTraceSerialization:
         assert len(restored) == len(ltn_trace)
         assert restored.workload == ltn_trace.workload
         for before, after in zip(ltn_trace, restored):
-            for field in dataclasses.fields(before):
-                assert getattr(after, field.name) == \
-                    getattr(before, field.name), field.name
+            for name in before._fields:
+                assert getattr(after, name) == getattr(before, name), name
             assert after.category is before.category
 
     def test_round_trip_is_json_safe(self, ltn_trace):

@@ -367,6 +367,33 @@ class TestTraceModel:
             for parent in event.parents:
                 assert parent < event.eid
 
+    def test_merge_keeps_every_field_but_ids_and_spans(self):
+        t1 = self._simple_trace()
+        t2 = self._simple_trace()
+        merged = merge_traces([t1, t2], workload="merged")
+        assert all(event.sid is not None for event in t1.events)
+        for source, event in zip(t1.events + t2.events, merged.events):
+            assert event.sid is None
+            assert event._replace(eid=source.eid, parents=source.parents,
+                                  sid=source.sid) == source
+
+    def test_recorded_events_are_immutable(self):
+        event = self._simple_trace().events[1]
+        for name in TraceEvent._fields:
+            with pytest.raises(AttributeError):
+                setattr(event, name, getattr(event, name))
+
+    def test_facts_are_every_field_but_the_measured_ones(self):
+        event = self._simple_trace().events[1]
+        facts = event.facts()
+        assert list(facts) == [
+            name for name in TraceEvent._fields
+            if name not in ("wall_time", "t_start", "sid")]
+        assert facts["category"] == "elementwise"
+        for name, value in facts.items():
+            if name != "category":
+                assert value == getattr(event, name), name
+
     def test_event_properties(self):
         event = TraceEvent(eid=0, name="x", category=OpCategory.MATMUL,
                            flops=100.0, bytes_read=40, bytes_written=10)
