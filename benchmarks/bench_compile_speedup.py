@@ -65,7 +65,7 @@ def measure_compile_speedup():
         replayed = statistics.median(walls["replay"])
         medians[name] = {"eager_s": eager, "replay_s": replayed}
         savings[name] = 1.0 - replayed / eager
-        rows.append([name.upper(), len(plan.events), format_time(eager),
+        rows.append([name.upper(), len(plan), format_time(eager),
                      format_time(replayed), f"{savings[name] * 100:.1f}%"])
     return rows, medians, savings
 

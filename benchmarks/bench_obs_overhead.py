@@ -41,12 +41,12 @@ def _timed(fn) -> float:
     return time.perf_counter() - start
 
 
-def _fold_cost(events) -> float:
-    """Seconds per event of folding ``events`` into the op metrics."""
+def _fold_cost(trace) -> float:
+    """Seconds per event of folding ``trace`` into the op metrics."""
     start = time.perf_counter()
     for _ in range(FOLDS):
-        fold_trace(events)
-    return (time.perf_counter() - start) / (FOLDS * len(events))
+        fold_trace(trace)
+    return (time.perf_counter() - start) / (FOLDS * len(trace))
 
 
 def _attribution_cost() -> float:
@@ -74,7 +74,7 @@ def measure_overhead():
     overheads = {}
     per_event = {}
     for name in WORKLOADS:
-        events = create(name, seed=0).profile().events  # also warms caches
+        trace = create(name, seed=0).profile()  # also warms caches
 
         def plain_run():
             create(name, seed=0).profile()
@@ -83,12 +83,12 @@ def measure_overhead():
         plain = fold = float("inf")
         for _ in range(ROUNDS):
             plain = min(plain, _timed(plain_run))
-            fold = min(fold, _fold_cost(events))
+            fold = min(fold, _fold_cost(trace))
 
-        overhead = len(events) * fold / plain
+        overhead = len(trace) * fold / plain
         overheads[name] = overhead
         per_event[name] = fold * 1e6
-        rows.append([name.upper(), len(events), format_time(plain),
+        rows.append([name.upper(), len(trace), format_time(plain),
                      f"{fold * 1e6:.2f} us",
                      f"{overhead * 100:+.2f}%"])
     return rows, overheads, per_event, per_sid

@@ -249,8 +249,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                   f"{outcome.error_type}: {outcome.error}")
             return 3
         if outcome.status == "degraded":
-            print(f"status: degraded (quarantined) — failing checks: "
-                  f"{', '.join(outcome.health.failing())}")
+            print(f"status: degraded (quarantined) — {outcome.note}")
             return 2
         print("status: ok — the plan did not compromise this run")
         return 0

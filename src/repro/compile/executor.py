@@ -59,11 +59,13 @@ class PlanSession:
     """One thread's replay of one plan (sessions never cross threads)."""
 
     def __init__(self, plan: Trace):
-        self.events = plan.events
+        # one snapshot when the session opens: each replayed op
+        # indexes a tuple, not the trace
+        self._events = tuple(plan)
 
     def expect(self, eid: int, name: str) -> TraceEvent:
         """The plan's event op ``name`` must reproduce as event ``eid``."""
-        events = self.events
+        events = self._events
         if eid >= len(events):
             raise PlanDivergenceError(
                 f"replay overran the plan: op {name!r} would be event "
@@ -81,7 +83,7 @@ class PlanSession:
         An overrun reads 0; the event-count check at the end of
         :func:`replay` reports it.
         """
-        events = self.events
+        events = self._events
         return events[eid].live_bytes if eid < len(events) else 0
 
     def diverged(self, recorded: TraceEvent,
@@ -132,10 +134,10 @@ def replay(workload, plan: Trace) -> Trace:
             f"refusing to replay {name!r}")
     with plan_session(plan):
         trace = workload.profile()
-    if len(trace.events) != len(plan.events):
+    if len(trace) != len(plan):
         raise PlanDivergenceError(
-            f"replay recorded {len(trace.events)} events but the plan "
-            f"has {len(plan.events)} — the op graph changed since the "
+            f"replay recorded {len(trace)} events but the plan "
+            f"has {len(plan)} — the op graph changed since the "
             "plan was recorded")
     trace.metadata["peak_live_bytes"] = plan.metadata["peak_live_bytes"]
     return trace
@@ -154,11 +156,11 @@ def diff_against_eager(eager: Trace, replayed: Trace) -> Dict[str, object]:
     eager_digest = counters_digest(eager)
     replayed_digest = counters_digest(replayed)
     mismatches: List[str] = []
-    if len(eager.events) != len(replayed.events):
+    if len(eager) != len(replayed):
         mismatches.append(
-            f"event count: eager {len(eager.events)} vs replayed "
-            f"{len(replayed.events)}")
-    for a, b in zip(eager.events, replayed.events):
+            f"event count: eager {len(eager)} vs replayed "
+            f"{len(replayed)}")
+    for a, b in zip(eager, replayed):
         facts, other = a.facts(), b.facts()
         if facts != other:
             differ = [name for name in facts if facts[name] != other[name]]
@@ -175,6 +177,6 @@ def diff_against_eager(eager: Trace, replayed: Trace) -> Dict[str, object]:
                       and not mismatches),
         "eager_counters_digest": eager_digest,
         "replayed_counters_digest": replayed_digest,
-        "events": len(eager.events),
+        "events": len(eager),
         "mismatches": mismatches,
     }

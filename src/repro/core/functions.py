@@ -45,7 +45,7 @@ def function_table(trace: Trace, device: DeviceSpec,
     """Aggregate the trace per op name, by descending total time."""
     totals = project_trace(trace, device).total.tolist()
     buckets: Dict[str, FunctionStats] = {}
-    for event, total in zip(trace.events, totals):
+    for event, total in zip(trace, totals):
         if phase is not None and event.phase != phase:
             continue
         stats = buckets.get(event.name)

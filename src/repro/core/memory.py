@@ -38,13 +38,6 @@ class MemoryProfile:
         return self.parameter_bytes + self.codebook_bytes
 
     @property
-    def static_fraction(self) -> float:
-        """Share of (static + peak dynamic) memory that is weights and
-        codebooks — the paper's '>90% of footprint' NVSA observation."""
-        total = self.static_footprint + self.peak_live_bytes
-        return self.static_footprint / total if total else 0.0
-
-    @property
     def codebook_fraction(self) -> float:
         if self.static_footprint == 0:
             return 0.0
@@ -76,8 +69,7 @@ def memory_profile(trace: Trace) -> MemoryProfile:
         if at.size:
             firsts.append((int(at[0]), phase,
                            int(at[np.argmax(live[at])])))
-    events = trace.events
-    peak_by_phase = {phase: events[i].live_bytes
+    peak_by_phase = {phase: trace[i].live_bytes
                      for _, phase, i in sorted(firsts)}
     metadata = trace.metadata
     return MemoryProfile(

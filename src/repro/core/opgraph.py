@@ -89,7 +89,7 @@ def analyze_graph(projected: ProjectedTrace) -> OpGraphReport:
     at, owner = at[link], owner[link]
     late = (at >= owner).nonzero()[0]
     if late.size:
-        event = projected.trace.events[owner[late[0]]]
+        event = projected.trace[owner[late[0]]]
         raise ValueError(
             f"event {event.eid} ({event.name}) has parent "
             f"{cols.parents[link[late[0]]]} at or after it in the trace")

@@ -124,16 +124,18 @@ class TraceEvent(NamedTuple):
 
 
 class Trace:
-    """An ordered sequence of :class:`TraceEvent` for one workload run.
+    """An ordered, read-only sequence of :class:`TraceEvent` for one
+    workload run.
 
-    Events are append-only: an event is an immutable tuple, and none
-    is replaced or removed once appended.  That is what lets
+    :meth:`append` is the only way to add an event, and ``len``,
+    iteration, indexing and slicing the only ways to read one: nothing
+    replaces or removes an appended event, which is what lets
     :attr:`columns` key its cache on the event count alone.
     """
 
     def __init__(self, workload: str = "", events: Optional[Iterable[TraceEvent]] = None):
         self.workload = workload
-        self.events: List[TraceEvent] = list(events) if events is not None else []
+        self._events: List[TraceEvent] = list(events) if events is not None else []
         #: free-form metadata recorded by workloads (task size, dims ...)
         self.metadata: Dict[str, object] = {}
         #: hierarchical timeline collected by the observability layer
@@ -144,16 +146,16 @@ class Trace:
 
     # -- collection protocol -------------------------------------------------
     def append(self, event: TraceEvent) -> None:
-        self.events.append(event)
+        self._events.append(event)
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self._events)
 
     def __iter__(self) -> Iterator[TraceEvent]:
-        return iter(self.events)
+        return iter(self._events)
 
     def __getitem__(self, idx: int) -> TraceEvent:
-        return self.events[idx]
+        return self._events[idx]
 
     # -- analysis input ------------------------------------------------------
     @property
@@ -166,9 +168,9 @@ class Trace:
         no extra work.
         """
         columns = self._columns
-        if columns is None or columns.n != len(self.events):
+        if columns is None or columns.n != len(self._events):
             from repro.core.columns import TraceColumns  # deferred (cycle)
-            columns = self._columns = TraceColumns(self.events)
+            columns = self._columns = TraceColumns(self._events)
         return columns
 
 
@@ -183,12 +185,12 @@ def merge_traces(traces: Sequence[Trace], workload: str = "") -> Trace:
     merged = Trace(workload)
     offset = 0
     for trace in traces:
-        id_map = {e.eid: e.eid + offset for e in trace.events}
-        for event in trace.events:
+        id_map = {e.eid: e.eid + offset for e in trace}
+        for event in trace:
             merged.append(event._replace(
                 eid=id_map[event.eid],
                 parents=tuple(id_map[p] for p in event.parents if p in id_map),
                 sid=None))
-        if trace.events:
-            offset = merged.events[-1].eid + 1
+        if trace:
+            offset = merged[-1].eid + 1
     return merged

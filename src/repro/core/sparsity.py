@@ -56,7 +56,7 @@ def stage_sparsity(trace: Trace,
         allowed = set(last_dim_in)
         kept &= np.fromiter(
             (bool(e.output_shape) and e.output_shape[-1] in allowed
-             for e in trace.events), bool, cols.n)
+             for e in trace), bool, cols.n)
     # the kept events grouped by stage, each group in trace order
     order = kept.nonzero()[0]
     order = order[cols.stage[order].argsort(kind="stable")]

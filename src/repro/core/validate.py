@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.core.columns import COUNTER_FIELDS, TraceColumns, seq_sum
-from repro.core.profiler import Trace, TraceEvent
+from repro.core.profiler import Trace
 
 
 @dataclass
@@ -64,16 +64,16 @@ def _suspects(cols: TraceColumns) -> np.ndarray:
     return suspect.nonzero()[0]
 
 
-def _event_errors(events: Sequence[TraceEvent], i: int,
+def _event_errors(trace: Trace, i: int,
                   first: Dict[int, int]) -> List[str]:
     """Every error of event ``i``, as a check of each event in turn
     states them; ``first`` maps each eid to its first event index."""
-    event = events[i]
+    event = trace[i]
     errors: List[str] = []
     err = errors.append
     if first[event.eid] < i:
         err(f"duplicate event id {event.eid}")
-    previous = events[i - 1].eid if i else -1
+    previous = trace[i - 1].eid if i else -1
     if event.eid <= previous:
         err(f"event ids not strictly increasing at {event.eid}")
 
@@ -126,7 +126,7 @@ def validate_trace(trace: Trace,
         eids = cols.eid.tolist()
         first = dict(zip(reversed(eids), range(cols.n - 1, -1, -1)))
         for i in suspects:
-            result.errors.extend(_event_errors(trace.events, i, first))
+            result.errors.extend(_event_errors(trace, i, first))
 
     if expected_phases is not None:
         actual = set(p for p in cols.phases if p)

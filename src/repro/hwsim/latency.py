@@ -104,10 +104,9 @@ _MOVEMENT = CATEGORY_ORDER.index(OpCategory.MOVEMENT)
 def _host_transfers(trace: Trace) -> np.ndarray:
     """Mask of the data-movement events that cross the host link."""
     cols = trace.columns
-    events = trace.events
     mask = np.zeros(cols.n, dtype=bool)
     for i in (cols.category == _MOVEMENT).nonzero()[0].tolist():
-        mask[i] = events[i].name.startswith(HOST_TRANSFER_PREFIXES)
+        mask[i] = trace[i].name.startswith(HOST_TRANSFER_PREFIXES)
     return mask
 
 

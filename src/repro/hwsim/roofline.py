@@ -30,20 +30,11 @@ class RooflinePoint:
     operational_intensity: float   # FLOP / DRAM byte
     achieved_flops: float          # FLOP/s under the latency projection
     attainable_flops: float        # roofline bound at this OI
+    ridge: float                   # the device's ridge point (FLOP / byte)
 
     @property
     def bound(self) -> str:
-        return "compute" if self.operational_intensity >= self._ridge else "memory"
-
-    # set by roofline_points(); kept as attribute to avoid re-deriving
-    _ridge: float = 0.0
-
-    @property
-    def efficiency(self) -> float:
-        """Achieved / attainable (<= 1 under a consistent projection)."""
-        if self.attainable_flops <= 0:
-            return 0.0
-        return self.achieved_flops / self.attainable_flops
+        return "compute" if self.operational_intensity >= self.ridge else "memory"
 
 
 def roofline_curve(device: DeviceSpec,
@@ -89,7 +80,7 @@ def roofline_points(trace: Trace, device: DeviceSpec,
             operational_intensity=oi,
             achieved_flops=achieved,
             attainable_flops=device.attainable_flops(oi),
+            ridge=device.ridge_point,
         )
-        point._ridge = device.ridge_point
         out.append(point)
     return out

@@ -87,21 +87,6 @@ class SystemReport:
         return seq_sum(np.fromiter((c.transfer_time for c in self.costs),
                                    np.float64, len(self.costs)))
 
-    @property
-    def h2d_bytes(self) -> int:
-        return sum(c.transfer_bytes for c in self.costs
-                   if c.device == "gpu" and c.transfer_bytes)
-
-    @property
-    def d2h_bytes(self) -> int:
-        return sum(c.transfer_bytes for c in self.costs
-                   if c.device == "cpu" and c.transfer_bytes)
-
-    @property
-    def h2d_fraction(self) -> float:
-        total = self.h2d_bytes + self.d2h_bytes
-        return self.h2d_bytes / total if total else 0.0
-
     def time_by_device(self) -> Dict[str, float]:
         out: Dict[str, float] = {}
         for cost in self.costs:

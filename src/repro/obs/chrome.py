@@ -44,7 +44,7 @@ _SPAN_TID = 0
 
 
 def _has_timestamps(trace: Trace) -> bool:
-    return any(e.t_start > 0.0 for e in trace.events)
+    return any(e.t_start > 0.0 for e in trace)
 
 
 def trace_to_chrome_events(trace: Trace,
@@ -60,7 +60,7 @@ def trace_to_chrome_events(trace: Trace,
     cursors: Dict[str, float] = {}
     measured = _has_timestamps(trace)
     op_events: List[dict] = []
-    for event in trace.events:
+    for event in trace:
         phase = event.phase or "untagged"
         tid = tracks.setdefault(phase, len(tracks) + 1)
         duration_us = event.wall_time * 1e6
@@ -141,6 +141,6 @@ def trace_to_chrome(trace: Trace, group_by_request: bool = False) -> str:
             trace, group_by_request=group_by_request),
         "displayTimeUnit": "ms",
         "otherData": {"workload": trace.workload,
-                      "events": len(trace.events),
+                      "events": len(trace),
                       "spans": len(trace.spans)},
     })

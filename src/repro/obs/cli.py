@@ -233,7 +233,7 @@ def _run_metrics(args: argparse.Namespace) -> int:
     from repro.obs.metrics import fold_trace, render_json, render_prometheus
     render = render_json if args.format == "json" else render_prometheus
     families = fold_trace(create(args.workload, seed=args.seed)
-                          .profile().events)
+                          .profile())
     print(render(families), end="")
     return 0
 

@@ -84,13 +84,13 @@ def _event_weights(trace: Trace, weight: str,
                    device: DeviceSpec) -> List[float]:
     """Each event's weight under lens ``weight``, in trace order."""
     if weight == "wall":
-        return [event.wall_time * _US for event in trace.events]
+        return [event.wall_time * _US for event in trace]
     if weight == "latency":
         return (project_trace(trace, device).total * _US).tolist()
     if weight == "flops":
-        return [event.flops for event in trace.events]
+        return [event.flops for event in trace]
     if weight == "bytes":
-        return [float(event.total_bytes) for event in trace.events]
+        return [float(event.total_bytes) for event in trace]
     raise ValueError(
         f"unknown flame weight {weight!r} (choose from {FLAME_WEIGHTS})")
 
@@ -107,7 +107,7 @@ def collapsed_stacks(trace: Trace, weight: str = "wall",
               if isinstance(record, SpanRecord)}
     acc: Dict[str, float] = {}
     weights = _event_weights(trace, weight, device)
-    for event, value in zip(trace.events, weights):
+    for event, value in zip(trace, weights):
         chain = _span_chain(event.sid, by_sid)
         if chain is None:
             chain = _fallback_chain(trace, event)

@@ -330,7 +330,7 @@ def ingest_results(results_dir: str) -> Dict[str, float]:
 def event_facts(trace) -> Dict[str, Any]:
     """The per-event view of one trace that the ``events`` pin digests:
     each event's :meth:`~repro.core.profiler.TraceEvent.facts`."""
-    return {"events": [event.facts() for event in trace.events],
+    return {"events": [event.facts() for event in trace],
             "peak_live_bytes": trace.metadata["peak_live_bytes"]}
 
 

@@ -94,7 +94,7 @@ def trace_to_jsonl_lines(trace: Trace) -> Iterator[str]:
         "metadata": {key: safe_json_value(value)
                      for key, value in trace.metadata.items()},
     })
-    for event in trace.events:
+    for event in trace:
         record: Dict[str, object] = {"type": "op"}
         record.update(event_to_dict(event))
         yield json.dumps(record)

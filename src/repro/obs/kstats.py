@@ -230,8 +230,8 @@ def synthesize_kstats(label: str, events: Sequence[TraceEvent],
             label=label,
             operational_intensity=oi,
             achieved_flops=flops / t_total,
-            attainable_flops=device.attainable_flops(oi))
-        roofline._ridge = device.ridge_point
+            attainable_flops=device.attainable_flops(oi),
+            ridge=device.ridge_point)
 
     return KernelStats(
         label=label, kind=counters.kind, events=len(events),
@@ -253,7 +253,7 @@ def kstats_by_span(trace: Trace,
     # each span's directly attributed events: one inside a child
     # span belongs to the child, not to every ancestor
     groups: Dict[Optional[int], List[TraceEvent]] = {}
-    for event in trace.events:
+    for event in trace:
         groups.setdefault(event.sid, []).append(event)
     spans = sorted((s for s in trace.spans
                     if isinstance(s, SpanRecord) and s.sid in groups),
@@ -280,7 +280,7 @@ def kstats_by_category(trace: Trace,
     neural/symbolic counter contrast can be read per category.
     """
     groups: Dict[OpCategory, List[TraceEvent]] = {}
-    for event in trace.events:
+    for event in trace:
         if phase is None or event.phase == phase:
             groups.setdefault(event.category, []).append(event)
     out: List[KernelStats] = []
@@ -310,8 +310,8 @@ def archetype_kstats(device: DeviceSpec = RTX_2080TI) -> List[KernelStats]:
             label=profile.name,
             operational_intensity=oi,
             achieved_flops=device.attainable_flops(oi),
-            attainable_flops=device.attainable_flops(oi))
-        point._ridge = device.ridge_point
+            attainable_flops=device.attainable_flops(oi),
+            ridge=device.ridge_point)
         out.append(KernelStats(
             label=profile.name, kind=profile.kind, events=1,
             flops=profile.flops, bytes=profile.global_bytes,

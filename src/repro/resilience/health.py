@@ -95,7 +95,6 @@ def check_trace_health(trace: Trace,
     fail one are visited to word its details.
     """
     cols = trace.columns
-    events = trace.events
     report = HealthReport(workload=trace.workload)
     add = report.checks.append
 
@@ -109,7 +108,7 @@ def check_trace_health(trace: Trace,
         finite &= np.isfinite(getattr(cols, fname))
     bad: List[str] = []
     for i in (~finite).nonzero()[0].tolist():
-        event = events[i]
+        event = trace[i]
         for fname in COUNTER_FIELDS:
             value = float(getattr(event, fname))
             if not math.isfinite(value):
@@ -140,12 +139,12 @@ def check_trace_health(trace: Trace,
     # snapshot was corrupted or the allocator blew up mid-op).
     problems = []
     for i in (cols.live_bytes < 0).nonzero()[0].tolist():
-        event = events[i]
+        event = trace[i]
         problems.append(f"event {event.eid} live_bytes "
                         f"{event.live_bytes} < 0")
     runtime_peak = trace.metadata.get("peak_live_bytes")
     if isinstance(runtime_peak, (int, float)) and cols.n:
-        observed = events[_max_index(cols.live_bytes)].live_bytes
+        observed = trace[_max_index(cols.live_bytes)].live_bytes
         if observed > runtime_peak:
             problems.append(f"event live-bytes peak {observed} exceeds "
                             f"runtime-tracked peak {runtime_peak}")

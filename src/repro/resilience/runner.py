@@ -114,6 +114,14 @@ def classify_error(exc: BaseException) -> str:
     return DETERMINISTIC
 
 
+def _error_fields(exc: Optional[BaseException]) -> Dict[str, str]:
+    """An outcome's ``error``, ``error_type`` and ``error_class``."""
+    if exc is None:
+        return {}
+    return {"error": str(exc), "error_type": type(exc).__name__,
+            "error_class": classify_error(exc)}
+
+
 def backoff_delay(attempt: int, rng: random.Random) -> float:
     """Seconds to sleep after failed attempt ``attempt`` (0-based).
 
@@ -174,6 +182,8 @@ class WorkloadOutcome:
     status: str
     report: Optional[WorkloadReport] = None
     health: Optional[HealthReport] = None
+    #: what failed the run, or what crashed the characterization of a
+    #: completed one (then ``degraded``)
     error: Optional[str] = None
     error_type: Optional[str] = None
     error_class: Optional[str] = None
@@ -188,6 +198,16 @@ class WorkloadOutcome:
     @property
     def ok(self) -> bool:
         return self.status == STATUS_OK
+
+    @property
+    def note(self) -> str:
+        """Why the run is not ok: its failed checks, then its error."""
+        notes = []
+        if self.health is not None and not self.health.ok:
+            notes.append("failed checks: " + ", ".join(self.health.failing()))
+        if self.error is not None:
+            notes.append(f"{self.error_type}: {self.error}")
+        return "; ".join(notes)
 
 
 @dataclass
@@ -216,14 +236,9 @@ class RosterReport:
                 latency = format_time(split.total_time)
                 neural = f"{split.neural_fraction * 100:.1f}%"
                 symbolic = f"{split.symbolic_fraction * 100:.1f}%"
-            note = ""
-            if o.status == STATUS_DEGRADED and o.health is not None:
-                note = "failed checks: " + ", ".join(o.health.failing())
-            elif o.status == STATUS_FAILED and o.error is not None:
-                note = f"{o.error_type}: {o.error}"
             rows.append([o.name.upper(), o.status, o.attempts,
                          format_time(o.elapsed), latency, neural,
-                         symbolic, note[:60]])
+                         symbolic, o.note[:60]])
         counts = self.counts()
         table = render_table(
             ["workload", "status", "attempts", "wall", "projected",
@@ -240,9 +255,11 @@ class RosterReport:
             if o.health is not None and not o.health.ok:
                 parts.append(o.health.render())
             if o.error is not None:
-                parts.append(f"{o.name}: {o.error_class} error "
-                             f"after {o.attempts} attempt(s) -> "
-                             f"{o.error_type}: {o.error}")
+                during = ("while characterizing"
+                          if o.status == STATUS_DEGRADED
+                          else f"after {o.attempts} attempt(s)")
+                parts.append(f"{o.name}: {o.error_class} error {during} "
+                             f"-> {o.error_type}: {o.error}")
         return "\n".join(parts)
 
 
@@ -365,8 +382,13 @@ class ResilientRunner:
                     trace, expected_phases=EXPECTED_PHASES)
                 if hc_span is not None:
                     hc_span.attrs["ok"] = health.ok
-            report = self._safe_characterize(trace)
-            if health.ok and report is not None:
+            report = error = None
+            try:    # the analyses may die on a poisoned trace
+                report = characterize_trace(trace, self.device,
+                                            validate=False)
+            except Exception as exc:  # noqa: BLE001 - kept on the outcome
+                error = exc
+            if health.ok and error is None:
                 breaker.record_success()
                 return WorkloadOutcome(
                     name=name, status=STATUS_OK, report=report,
@@ -379,15 +401,13 @@ class ResilientRunner:
             return WorkloadOutcome(
                 name=name, status=STATUS_DEGRADED, report=report,
                 health=health, attempts=attempts,
-                elapsed=self.clock() - started, replay=replay)
+                elapsed=self.clock() - started, replay=replay,
+                **_error_fields(error))
 
         assert last_error is not None
         return WorkloadOutcome(
-            name=name, status=STATUS_FAILED,
-            error=str(last_error),
-            error_type=type(last_error).__name__,
-            error_class=classify_error(last_error),
-            attempts=attempts, elapsed=self.clock() - started)
+            name=name, status=STATUS_FAILED, attempts=attempts,
+            elapsed=self.clock() - started, **_error_fields(last_error))
 
     # -- internals -----------------------------------------------------------
     def _attempt(self, name: str, seed: int,
@@ -449,13 +469,6 @@ class ResilientRunner:
         pool.shutdown(wait=True)
         deliver(finished)
         return future.result()
-
-    def _safe_characterize(self, trace: Trace) -> Optional[WorkloadReport]:
-        """Analyses on a possibly-poisoned trace; ``None`` if they die."""
-        try:
-            return characterize_trace(trace, self.device, validate=False)
-        except Exception:
-            return None
 
 
 def run_roster(names: Optional[Sequence[str]] = None,

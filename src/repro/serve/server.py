@@ -48,6 +48,7 @@ from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.analysis import latency_breakdown
+from repro.core.profiler import Trace
 from repro.hwsim.device import DeviceSpec
 from repro.hwsim.devices import RTX_2080TI
 from repro.hwsim.latency import project_trace
@@ -102,14 +103,15 @@ class ServeReport:
     def summary(self) -> Dict[str, object]:
         return self.stats.summary()
 
-    def report_trace(self):
+    def report_trace(self) -> Optional[Trace]:
         """A representative batch trace with serving spans attached.
 
-        Feeds :func:`repro.obs.report.write_report`: the largest
-        successfully executed batch's op trace, with the worker's
-        span timeline (``serve:batch`` → ``run:<wl>`` → attempts →
-        profile spans) grafted on so serving shows up in the HTML
-        span lane.
+        Feeds :func:`repro.obs.report.write_report`: a new trace over
+        the largest successfully executed batch's events, with the
+        worker's span timeline (``serve:batch`` → ``run:<wl>`` →
+        attempts → profile spans) grafted on so serving shows up in
+        the HTML span lane.  The batch's own trace is left as
+        recorded: its key may keep it as a replay plan.
         """
         best = None
         for result in self.batch_results.values():
@@ -120,13 +122,14 @@ class ServeReport:
                 best = result
         if best is None:
             return None
-        trace = best.trace
         spans = list(best.spans)
         # graft the synthesized per-request lifecycle trees on as well
         # (sids offset past the real worker spans) so the report's
         # waterfall section can render request causality
         sid_base = max((span.sid for span in spans), default=-1) + 1
         spans.extend(request_span_trees(self.responses, sid_base=sid_base))
+        trace = Trace(best.trace.workload, best.trace)
+        trace.metadata = dict(best.trace.metadata)
         trace.spans = spans
         return trace
 

@@ -39,9 +39,9 @@ from repro.workloads.base import Workload, WorkloadInfo, register
 def _last_eid() -> Optional[int]:
     """Event id of the most recently recorded trace event (or None)."""
     ctx = active_context()
-    if ctx is None or not ctx.trace.events:
+    if ctx is None or not ctx.trace:
         return None
-    return ctx.trace.events[-1].eid
+    return ctx.trace[-1].eid
 
 WIN_LINES = (
     (0, 1, 2), (3, 4, 5), (6, 7, 8),

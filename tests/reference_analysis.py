@@ -331,7 +331,7 @@ def validate_errors(trace: Trace,
     """``validate_trace(...).errors``, one event at a time."""
     errors: List[str] = []
     err = errors.append
-    if not trace.events:
+    if not trace:
         err("trace is empty")
         return errors
 
@@ -421,7 +421,7 @@ def check_trace_health(trace: Trace,
             problems.append(f"event {event.eid} live_bytes "
                             f"{event.live_bytes} < 0")
     runtime_peak = trace.metadata.get("peak_live_bytes")
-    if isinstance(runtime_peak, (int, float)) and trace.events:
+    if isinstance(runtime_peak, (int, float)) and trace:
         observed = max(e.live_bytes for e in trace)
         if observed > runtime_peak:
             problems.append(f"event live-bytes peak {observed} exceeds "

@@ -38,7 +38,7 @@ from repro.resilience.health import check_trace_health
 from repro.serve import ArtifactCache, make_request
 from repro.serve.batcher import Batch
 from repro.serve.pool import Worker
-from repro.workloads import available
+from repro.workloads import available, create
 from tests import reference_analysis as ref
 from tests.conftest import cached_trace
 
@@ -159,7 +159,7 @@ class TestAgainstPerEventReference:
 def _poisoned(source, how):
     """A new trace of ``source``'s events, broken in one of six ways:
     each broken event is a new event with the broken fields."""
-    events = list(source.events)
+    events = list(source)
     metadata = dict(source.metadata)
     n = len(events)
 
@@ -345,6 +345,25 @@ def test_counters_digest_matches_per_event_digest(name):
     for how in range(6):
         poisoned = _poisoned(trace, how)
         assert counters_digest(poisoned) == ref.counters_digest(poisoned)
+
+
+def test_no_event_is_edited_after_the_columns_are_read():
+    # the columns are cached on the event count alone: an event
+    # replaced or removed in place would leave them stale
+    trace = create("ltn", seed=0).profile()
+    columns = trace.columns
+    first = trace[0]
+    edited = first._replace(flops=first.flops + 1_000_000)
+    with pytest.raises(AttributeError):
+        trace.events[0] = edited
+    with pytest.raises(TypeError):
+        trace[0] = edited
+    with pytest.raises(TypeError):
+        del trace[0]
+    assert trace[0] is first and len(trace) == columns.n
+    assert trace.columns is columns
+    assert columns.flops.tolist() == [e.flops for e in trace]
+    assert counters_digest(trace) == ref.counters_digest(trace)
 
 
 @pytest.mark.parametrize("name", ["ltn", "mcts"])

@@ -100,7 +100,7 @@ class TestBitExactness:
         # name can only equal the name of an op event.  An op's
         # category is its registry entry and a region's is Others.
         replayed, dispatched = cached_replay(name)
-        for event in replayed.events:
+        for event in replayed:
             if event.eid in dispatched:
                 assert event.category is category_for(event.name)
             else:
@@ -121,10 +121,10 @@ class TestOptimizationPasses:
         # ops; they must consume their eids without session checks
         replayed, dispatched = cached_replay("mcts")
         plan = cached_trace("mcts", seed=0)
-        assert len(dispatched) < len(plan.events)
-        assert [e.eid for e in plan.events] == list(range(len(plan.events)))
-        assert [(e.name, e.live_bytes) for e in replayed.events] == \
-            [(e.name, e.live_bytes) for e in plan.events]
+        assert len(dispatched) < len(plan)
+        assert [e.eid for e in plan] == list(range(len(plan)))
+        assert [(e.name, e.live_bytes) for e in replayed] == \
+            [(e.name, e.live_bytes) for e in plan]
         assert counters_digest(replayed) == counters_digest(plan)
 
 
@@ -140,7 +140,7 @@ class TestExecutorSessions:
 
     def test_every_replay_check_fires(self):
         plan = cached_trace("lnn", seed=0)
-        events = plan.events
+        events = list(plan)
         _, dispatched = cached_replay("lnn")
         op = events[sorted(dispatched)[len(dispatched) // 2]]
         cases = {
@@ -157,6 +157,31 @@ class TestExecutorSessions:
         for message, edited in cases.items():
             with pytest.raises(PlanDivergenceError, match=message):
                 replay(create("lnn", seed=0), _with_events(plan, edited))
+
+    @pytest.mark.parametrize("case", ["extra event", "ten events",
+                                      "result"])
+    def test_diff_names_each_mismatch(self, case):
+        eager = cached_trace("abl", seed=0)
+        events = list(eager)
+        n = len(events)
+        if case == "extra event":
+            events.append(events[-1]._replace(eid=events[-1].eid + 1))
+            expected = [f"event count: eager {n} vs replayed {n + 1}"]
+        elif case == "ten events":
+            # only the first 8 differing events are listed
+            events[:10] = [e._replace(live_bytes=e.live_bytes + 8)
+                           for e in events[:10]]
+            expected = [f"event {e.eid} ({e.name!r}): live_bytes differ"
+                        for e in events[:8]]
+        else:
+            expected = ["result metadata differs"]
+        replayed = _with_events(eager, events)
+        if case == "result":
+            replayed.metadata["result"] = "a different result"
+        diff = diff_against_eager(eager, replayed)
+        assert diff["bit_exact"] is False
+        assert diff["events"] == n
+        assert diff["mismatches"] == expected
 
     def test_divergence_classifies_deterministic(self):
         error = PlanDivergenceError("replay diverged")
@@ -205,12 +230,12 @@ class TestExecutorSessions:
             thread.join(timeout=120)
         assert not any(thread.is_alive() for thread in threads)
         for trace in traces:
-            assert len(trace.events) == len(plan.events)
+            assert len(trace) == len(plan)
             sids = {span.sid for span in trace.spans}
             root = next(span for span in trace.spans
                         if span.name.startswith("profile:"))
-            assert [e.eid for e in trace.events if e.sid not in sids] == []
-            assert [e.eid for e in trace.events
+            assert [e.eid for e in trace if e.sid not in sids] == []
+            assert [e.eid for e in trace
                     if not root.start <= e.t_start <= root.end] == []
 
     def test_replayed_ops_reach_the_ledger(self):
@@ -224,8 +249,8 @@ class TestExecutorSessions:
 
     def test_bulk_metrics_match_eager_totals(self):
         plan = cached_trace("abl", seed=0)
-        eager = fold_trace(create("abl", seed=0).profile().events)
-        replayed = fold_trace(replay(create("abl", seed=0), plan).events)
+        eager = fold_trace(create("abl", seed=0).profile())
+        replayed = fold_trace(replay(create("abl", seed=0), plan))
         for family in ("repro_ops_total", "repro_flops_total",
                        "repro_bytes_total", "repro_peak_live_bytes"):
             assert replayed[family] == eager[family], family
@@ -429,7 +454,7 @@ class TestCompileCLI:
 
         def skewed_replay(workload, plan):
             trace = real_replay(workload, plan)
-            events = list(trace.events)
+            events = list(trace)
             events[index] = edit(events[index])
             return _with_events(trace, events)
 
@@ -456,7 +481,7 @@ class TestCompileCLI:
                                            field, edit):
         # no counters digest holds this field, but the events pin does,
         # and the diff compares every field that pin covers
-        index = len(cached_trace("abl", seed=0).events) // 2
+        index = len(cached_trace("abl", seed=0)) // 2
         self._skew_replay(monkeypatch, index, edit)
         assert main(["compile", "diff", "abl", "--json"]) == 7
         doc = json.loads(capsys.readouterr().out)

@@ -220,7 +220,7 @@ class TestOneProjection:
         monkeypatch.setattr(ProjectedTrace, "__init__", counted_project)
         monkeypatch.setattr(TraceColumns, "__init__", counted_extract)
         # a new trace of the same events, whose columns nobody read yet
-        trace = Trace(nvsa_trace.workload, nvsa_trace.events)
+        trace = Trace(nvsa_trace.workload, nvsa_trace)
         characterize_trace(trace, RTX_2080TI)
         assert projections == [RTX_2080TI.name]
         assert extractions == [len(trace)]

@@ -40,7 +40,7 @@ def _toy_trace() -> Trace:
 
 def _in_span(trace: Trace, sid):
     """The events attributed directly to span ``sid``."""
-    return [e for e in trace.events if e.sid == sid]
+    return [e for e in trace if e.sid == sid]
 
 
 def _legacy_trace() -> Trace:
@@ -75,15 +75,15 @@ class TestSpanAttribution:
         assert not {e.name for e in root_events} & {"matmul", "relu"}
 
     def test_every_nvsa_event_is_attributed(self, nvsa_trace):
-        assert nvsa_trace.events
-        sids = {e.sid for e in nvsa_trace.events}
+        assert len(nvsa_trace) > 0
+        sids = {e.sid for e in nvsa_trace}
         assert None not in sids
         span_sids = {s.sid for s in nvsa_trace.spans}
         assert sids <= span_sids
 
     def test_span_rollup_partitions_the_trace(self, nvsa_trace):
         rollup = kstats_by_span(nvsa_trace)
-        assert sum(s.events for s in rollup) == len(nvsa_trace.events)
+        assert sum(s.events for s in rollup) == len(nvsa_trace)
         assert sum(s.flops for s in rollup) == pytest.approx(
             sum(nvsa_trace.columns.flops.tolist()))
         # each row folds exactly the events attributed to its span
@@ -94,7 +94,7 @@ class TestSpanAttribution:
 
     def test_merge_drops_cross_run_sids(self):
         merged = merge_traces([_toy_trace(), _toy_trace()], "both")
-        assert all(e.sid is None for e in merged.events)
+        assert all(e.sid is None for e in merged)
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +143,7 @@ class TestKstats:
         assert all(re.fullmatch(r".+#\d+", label) for label in labels)
         assert sum(s.flops for s in stats) == pytest.approx(
             sum(nvsa_trace.columns.flops.tolist()))
-        assert sum(s.events for s in stats) == len(nvsa_trace.events)
+        assert sum(s.events for s in stats) == len(nvsa_trace)
 
     def test_unattributed_events_get_their_own_row(self):
         stats = kstats_by_span(_legacy_trace())

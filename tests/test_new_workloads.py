@@ -75,7 +75,7 @@ class TestGNNWorkload:
         assert trace.metadata["result"]["accuracy"] > 0.9
 
     def test_sparse_kernels_present(self, trace):
-        names = Counter(event.name for event in trace.events)
+        names = Counter(event.name for event in trace)
         assert names["spmm"] == 2
         assert names["sddmm"] == 2
         assert names["csr_row_softmax"] == 2

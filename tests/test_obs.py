@@ -94,7 +94,7 @@ class TestMetrics:
     def test_fold_matches_trace_totals(self, name):
         # the op metrics are a view of the closed trace: one fold of
         # it reproduces the trace's own totals
-        events = cached_trace(name, seed=0).events
+        events = list(cached_trace(name, seed=0))
         families = obs_metrics.fold_trace(events)
         flops = 0.0
         for event in events:      # poison-clamped, left to right
@@ -135,7 +135,7 @@ class TestMetrics:
         assert dist.sum == pytest.approx(5.55)
 
     def test_prom_rendering(self):
-        families = obs_metrics.fold_trace(self._profile_toy().events)
+        families = obs_metrics.fold_trace(self._profile_toy())
         text = obs_metrics.render_prometheus(families)
         assert "# HELP repro_ops_total recorded tensor ops" in text
         assert "# TYPE repro_ops_total counter" in text
@@ -321,7 +321,7 @@ class TestHistogramPercentiles:
 
     def test_prom_exposition_has_quantile_lines(self):
         text = obs_metrics.render_prometheus(obs_metrics.fold_trace(
-            TestMetrics._profile_toy().events))
+            TestMetrics._profile_toy()))
         for q in ("0.5", "0.95", "0.99"):
             assert f'quantile="{q}"' in text
         assert ('repro_op_latency_seconds{category="matmul",'
@@ -374,11 +374,11 @@ class TestWorkerThreadIsolation:
                 target=lambda: traces.append(TestMetrics._profile_toy()))
             thread.start()
             thread.join(10.0)
-        assert outer.trace.events == []
+        assert list(outer.trace) == []
         assert all(samples == {} for samples in
-                   obs_metrics.fold_trace(outer.trace.events).values())
-        ops = obs_metrics.fold_trace(traces[0].events)["repro_ops_total"]
-        assert sum(ops.values()) == len(traces[0].events) > 0
+                   obs_metrics.fold_trace(outer.trace).values())
+        ops = obs_metrics.fold_trace(traces[0])["repro_ops_total"]
+        assert sum(ops.values()) == len(traces[0]) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +401,7 @@ class TestChromeExport:
                 assert event["pid"] == 1, name
                 assert isinstance(event["tid"], int), name
             ops = [e for e in complete if e["cat"] != "span"]
-            assert len(ops) == len(trace.events), name
+            assert len(ops) == len(trace), name
             assert {e["cname"] for e in ops} <= valid_colors, name
             # phases appear as named tracks
             thread_names = {e["args"]["name"] for e in metadata
@@ -426,12 +426,12 @@ class TestChromeExport:
     def test_legacy_trace_without_timestamps_still_exports(self):
         trace = cached_trace("lnn", seed=0)
         stripped = Trace(workload=trace.workload)
-        for event in trace.events:
+        for event in trace:
             stripped.append(event._replace(t_start=0.0))
         doc = json.loads(obs.trace_to_chrome(stripped))
         ops = [e for e in doc["traceEvents"]
                if e["ph"] == "X" and e["cat"] != "span"]
-        assert len(ops) == len(trace.events)
+        assert len(ops) == len(trace)
         # serial cursor layout: events on one track never overlap
         by_tid: Dict[int, list] = {}
         for event in ops:
@@ -457,7 +457,7 @@ class TestChromeExport:
 
 def _phase_category_totals(trace: Trace) -> Dict[tuple, tuple]:
     out: Dict[tuple, tuple] = {}
-    for event in trace.events:
+    for event in trace:
         key = (event.phase, event.category.value)
         count, flops, nbytes = out.get(key, (0, 0.0, 0.0))
         out[key] = (count + 1, flops + event.flops,
@@ -471,7 +471,7 @@ class TestJsonlExport:
             rebuilt = obs.trace_from_jsonl_lines(
                 obs.trace_to_jsonl(trace).splitlines())
             assert rebuilt.workload == trace.workload, name
-            assert len(rebuilt.events) == len(trace.events), name
+            assert len(rebuilt) == len(trace), name
             # json float serialization round-trips exactly
             assert (_phase_category_totals(rebuilt)
                     == _phase_category_totals(trace)), name
@@ -485,7 +485,7 @@ class TestJsonlExport:
         path = tmp_path / "lnn.jsonl"
         obs.write_jsonl(lnn_trace, str(path))
         rebuilt = obs.read_jsonl(str(path))
-        assert len(rebuilt.events) == len(lnn_trace.events)
+        assert len(rebuilt) == len(lnn_trace)
         assert rebuilt.metadata["seed"] == 0
 
     def test_rejects_unknown_type_and_version(self):
@@ -524,9 +524,9 @@ class TestJsonlExport:
     def test_sid_roundtrip(self, nvsa_trace):
         rebuilt = obs.trace_from_jsonl_lines(
             obs.trace_to_jsonl(nvsa_trace).splitlines())
-        assert [e.sid for e in rebuilt.events] \
-            == [e.sid for e in nvsa_trace.events]
-        assert any(e.sid is not None for e in rebuilt.events)
+        assert [e.sid for e in rebuilt] \
+            == [e.sid for e in nvsa_trace]
+        assert any(e.sid is not None for e in rebuilt)
 
     def test_v1_log_loads_with_sid_none(self):
         # pre-attribution logs: version 1 meta, op lines without "sid"
@@ -536,7 +536,7 @@ class TestJsonlExport:
             ' "category": "elementwise", "flops": 4.0}',
         ])
         assert rebuilt.workload == "old"
-        assert rebuilt.events[0].sid is None
+        assert rebuilt[0].sid is None
 
     def test_span_attrs_roundtrip_non_string_values(self):
         from repro.obs.spans import SpanCollector, span
@@ -713,7 +713,7 @@ class TestObsCli:
                          "--format", "jsonl", "-o", str(out)]) == 0
         rebuilt = obs.read_jsonl(str(out))
         assert rebuilt.workload == "lnn"
-        assert len(rebuilt.events) > 0
+        assert len(rebuilt) > 0
 
     def test_metrics_prom_and_json(self, capsys):
         assert cli_main(["metrics", "lnn"]) == 0

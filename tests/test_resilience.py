@@ -431,6 +431,54 @@ def test_run_roster_real_workload_with_injected_exception():
     assert by_name["nvsa"].status == "ok"
 
 
+def test_characterization_crash_is_a_named_degradation(monkeypatch,
+                                                        capsys):
+    # the trace is healthy but its analyses die: the run degrades, is
+    # not retried, and its outcome, roster note, quarantine report,
+    # served responses and `repro faults` name the exception
+    from repro.cli import main
+    from repro.resilience import runner as runner_module
+    from repro.serve import InferenceServer, ServeConfig, make_request
+    real = runner_module.characterize_trace
+
+    def characterize(trace, *args, **kwargs):
+        if trace.workload == "lnn":
+            raise ZeroDivisionError("division by zero")
+        return real(trace, *args, **kwargs)
+
+    monkeypatch.setattr(runner_module, "characterize_trace", characterize)
+    runner = ResilientRunner(timeout=None, max_retries=2,
+                             sleep=lambda s: None)
+    report = run_roster(names=["lnn", "nlm"], runner=runner)
+    lnn, nlm = report.outcomes
+    assert (lnn.status, lnn.attempts, lnn.health.ok, lnn.report) \
+        == ("degraded", 1, True, None)
+    assert (lnn.error, lnn.error_type, lnn.error_class) \
+        == ("division by zero", "ZeroDivisionError", "deterministic")
+    assert (nlm.status, nlm.error) == ("ok", None)
+    rendered = report.render()
+    row = next(line for line in rendered.splitlines()
+               if line.startswith("LNN"))
+    assert "degraded" in row
+    assert "ZeroDivisionError: division by zero" in row
+    assert "failed checks" not in rendered
+    assert ("lnn: deterministic error while characterizing -> "
+            "ZeroDivisionError: division by zero") in rendered
+
+    served = InferenceServer(ServeConfig(workers=1)).run_schedule(
+        [make_request(0, "lnn", seed=0)])
+    response, = served.responses
+    assert (response.status, response.attempts, response.error_type,
+            response.error) \
+        == ("degraded", 1, "ZeroDivisionError", "division by zero")
+
+    capsys.readouterr()
+    assert main(["faults", "lnn", "--fault", "latency", "--rate", "0.01",
+                 "--latency", "0.0001"]) == 2
+    assert capsys.readouterr().out.splitlines()[-1] == \
+        "status: degraded (quarantined) — ZeroDivisionError: division by zero"
+
+
 # ---------------------------------------------------------------------------
 # satellite bugfixes
 # ---------------------------------------------------------------------------

@@ -69,7 +69,7 @@ class TestLedgerAttribution:
 
     def test_ops_match_dispatched_events(self):
         trace, ledger = _profile_with_ledger()
-        dispatched = [e for e in trace.events
+        dispatched = [e for e in trace
                       if e.name not in ("host_region",)]
         by_category = {}
         for event in dispatched:
@@ -78,9 +78,9 @@ class TestLedgerAttribution:
         ledger_by_category = ledger.ops_by_category()
         for category, count in ledger_by_category.items():
             assert by_category.get(category, 0) >= count
-        assert ledger.ops <= len(trace.events)
+        assert ledger.ops <= len(trace)
         # the overwhelming majority of events are real dispatches
-        assert ledger.ops >= len(trace.events) - 5
+        assert ledger.ops >= len(trace) - 5
 
     def test_headroom_bounds(self):
         _, ledger = _profile_with_ledger()

@@ -455,6 +455,20 @@ class TestInferenceServer:
         assert "serve:batch" in names
         assert any(name.startswith("run:") for name in names)
 
+    def test_report_trace_leaves_the_batch_traces_as_recorded(self):
+        # a batch's trace may be its key's replay plan: the report
+        # grafts the serving spans onto a new trace of its events
+        report = _serve(lnn_schedule(4, gap=0.001))
+        traces = [result.trace for result in report.batch_results.values()
+                  if result.trace is not None]
+        recorded = [list(trace.spans) for trace in traces]
+        grafted = report.report_trace()
+        assert [list(trace.spans) for trace in traces] == recorded
+        assert all(grafted is not trace for trace in traces)
+        assert any(list(grafted) == list(trace)
+                   and grafted.metadata == trace.metadata
+                   for trace in traces)
+
 
 class TestLiveServer:
     def test_submit_resolves_through_batches(self):

@@ -14,6 +14,7 @@ lint check against its seeded mutant, and the CLI/report surfaces
 """
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -23,14 +24,17 @@ from repro.hwsim.devices import RTX_2080TI
 from repro.lint import LintConfig, default_scan_root, run_lint
 from repro.obs.jsonl import read_jsonl, write_jsonl
 from repro.obs.live import LiveTelemetry
-from repro.serve import (ArtifactCache, BatchPolicy, InferenceServer,
+from repro.serve import (REJECT_QUEUE_FULL, REJECT_STALE_DEADLINE,
+                         ArtifactCache, BatchPolicy, InferenceServer,
                          LoadSpec, ServeConfig, batch_trace_id,
                          make_request, open_loop, parse_mix)
 from repro.serve.batcher import Batch
 from repro.serve.pool import Worker
+from repro.serve.request import Response
 from repro.serve.tracing import (REQUEST_SPAN_NAMES, request_span_trees,
                                  serve_trace, span_tree_digest,
-                                 spans_by_trace, verify_span_trees)
+                                 spans_by_trace, synthesize_response_spans,
+                                 verify_span_trees)
 
 MUTANTS = Path(__file__).resolve().parent / "fixtures" / "tracing_mutants"
 
@@ -96,6 +100,77 @@ class TestAcceptance:
                 == response.reject_reason
 
 
+def _span(spans, name):
+    return next(span for span in spans if span.name == name)
+
+
+def _swap_phase_names(spans, response):
+    dispatch = _span(spans, "serve:dispatch")
+    execute = _span(spans, "serve:execute")
+    dispatch.name, execute.name = execute.name, dispatch.name
+
+
+#: one way to break a synthesized lifecycle tree (or its response):
+#: the response's status, the edit, and the problem it must raise
+_BROKEN_TREES = {
+    "two roots": ("ok", lambda spans, response: spans.append(
+        replace(spans[0], sid=99)),
+        "rid 7: expected exactly one serve:request root, got 2"),
+    "duplicate sid": ("ok", lambda spans, response: setattr(
+        _span(spans, "serve:execute"), "sid",
+        _span(spans, "serve:dispatch").sid),
+        "rid 7: duplicate sids in trace tree"),
+    "orphaned span": ("ok", lambda spans, response: setattr(
+        _span(spans, "serve:batch_assemble"), "parent", 99),
+        "rid 7: span 'serve:batch_assemble' (sid 3) is orphaned"),
+    "span outside its parent": ("ok", lambda spans, response: setattr(
+        _span(spans, "serve:batch_assemble"), "start", 0.5),
+        "rid 7: span 'serve:batch_assemble' escapes its parent interval"),
+    "no admit span": ("ok", lambda spans, response: spans.remove(
+        _span(spans, "serve:admit")),
+        "rid 7: expected one serve:admit span, got 0"),
+    "wrong admit reason": ("rejected", lambda spans, response: _span(
+        spans, "serve:admit").attrs.update(
+            reject_reason=REJECT_STALE_DEADLINE),
+        f"rid 7: serve:admit carries reason {REJECT_STALE_DEADLINE!r}, "
+        f"response says {REJECT_QUEUE_FULL!r}"),
+    "wrong phase order": ("ok", _swap_phase_names,
+                          "rid 7: lifecycle phases are"),
+    "gap before a phase": ("ok", lambda spans, response: setattr(
+        _span(spans, "serve:dispatch"), "start", 1.25),
+        "rid 7: gap before serve:dispatch"),
+    "lifecycle ends off the root": ("ok", lambda spans, response: setattr(
+        _span(spans, "serve:execute"), "end", 1.4),
+        "rid 7: lifecycle ends at 1.400000000, root ends at 1.500000000"),
+    "no trace id": ("ok", lambda spans, response: setattr(
+        response, "trace_id", None),
+        "rid 7: response has no trace id"),
+    "no tree": ("ok", lambda spans, response: spans.clear(),
+                "rid 7: no spans for trace t7"),
+}
+
+
+@pytest.mark.parametrize("case", list(_BROKEN_TREES))
+def test_verify_span_trees_names_each_broken_tree(case):
+    status, edit, problem = _BROKEN_TREES[case]
+    if status == "rejected":
+        response = Response(rid=7, workload="lnn", status=status,
+                            reject_reason=REJECT_QUEUE_FULL, arrival=1.0,
+                            trace_id="t7")
+    else:
+        response = Response(rid=7, workload="lnn", status=status, bid=3,
+                            batch_size=2, worker="worker-0",
+                            device="RTX 2080 Ti", arrival=1.0,
+                            queue_wait=0.2, service_start=1.3,
+                            completion=1.5, attempts=1, trace_id="t7",
+                            assemble_wait=0.1, dispatch_wait=0.1)
+    spans = synthesize_response_spans(response)
+    assert verify_span_trees(spans, [response]) == []
+    edit(spans, response)
+    problems = verify_span_trees(spans, [response])
+    assert any(p.startswith(problem) for p in problems), problems
+
+
 class TestPropagation:
     def test_batch_spans_carry_batch_trace_and_members(self):
         result = _serve(_schedule(duration=0.5))
@@ -126,7 +201,7 @@ class TestPropagation:
             index = {s.sid: i for i, s in enumerate(result.spans)}
             return ([(s.name, index.get(s.parent), s.trace_id)
                      for s in result.spans],
-                    [index[e.sid] for e in result.trace.events])
+                    [index[e.sid] for e in result.trace])
 
         untimed = run(None)
         assert run(30.0) == untimed

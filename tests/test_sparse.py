@@ -67,7 +67,7 @@ class TestSpMM:
         csr = random_csr(6, 6)
         with T.profile("t") as prof:
             spmm(csr, T.tensor(np.ones((6, 4), dtype=np.float32)))
-        event = prof.trace.events[-1]
+        event = prof.trace[-1]
         assert event.category is OpCategory.MATMUL
         assert event.flops == pytest.approx(2 * csr.nnz * 4)
         # index-table traffic is charged

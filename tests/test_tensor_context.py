@@ -28,8 +28,8 @@ class TestPhasesAndStages:
                 T.add(T.tensor(np.ones(2)), 1.0)
             with T.phase("symbolic"):
                 T.mul(T.tensor(np.ones(2)), 2.0)
-        assert prof.trace.events[0].phase == "neural"
-        assert prof.trace.events[1].phase == "symbolic"
+        assert prof.trace[0].phase == "neural"
+        assert prof.trace[1].phase == "symbolic"
         assert prof.trace.columns.phases == ["neural", "symbolic"]
 
     def test_stage_nesting_restores(self):
@@ -51,7 +51,7 @@ class TestPhasesAndStages:
     def test_untagged_events_have_empty_phase(self):
         with T.profile("w") as prof:
             T.add(T.tensor(np.ones(2)), 1.0)
-        assert prof.trace.events[0].phase == ""
+        assert prof.trace[0].phase == ""
 
     def test_nested_contexts_record_to_innermost(self):
         with T.profile("outer") as outer:
@@ -94,7 +94,7 @@ class TestLiveMemory:
         with T.profile("w") as prof:
             big = T.tensor(np.ones((256, 256), dtype=np.float32))
             T.add(big, 1.0)
-        assert prof.trace.events[-1].live_bytes >= big.nbytes
+        assert prof.trace[-1].live_bytes >= big.nbytes
 
 
 def _vec(n):
@@ -239,7 +239,7 @@ class TestRecordRegion:
                                  bytes_read=456):
                 total = sum(range(1000))
         assert len(prof.trace) == 1
-        event = prof.trace.events[0]
+        event = prof.trace[0]
         assert event.name == "logic_loop"
         assert event.category is OpCategory.OTHER
         assert event.flops == 123.0
@@ -251,7 +251,7 @@ class TestRecordRegion:
             with T.record_region("logic_loop", flops=1.0) as region:
                 region.flops = 7.0
                 region.bytes_written = 24
-        event = prof.trace.events[0]
+        event = prof.trace[0]
         assert (event.flops, event.bytes_read, event.bytes_written) \
             == (7.0, 0, 24)
 
@@ -371,20 +371,20 @@ class TestTraceModel:
         t1 = self._simple_trace()
         t2 = self._simple_trace()
         merged = merge_traces([t1, t2], workload="merged")
-        assert all(event.sid is not None for event in t1.events)
-        for source, event in zip(t1.events + t2.events, merged.events):
+        assert all(event.sid is not None for event in t1)
+        for source, event in zip([*t1, *t2], merged):
             assert event.sid is None
             assert event._replace(eid=source.eid, parents=source.parents,
                                   sid=source.sid) == source
 
     def test_recorded_events_are_immutable(self):
-        event = self._simple_trace().events[1]
+        event = self._simple_trace()[1]
         for name in TraceEvent._fields:
             with pytest.raises(AttributeError):
                 setattr(event, name, getattr(event, name))
 
     def test_facts_are_every_field_but_the_measured_ones(self):
-        event = self._simple_trace().events[1]
+        event = self._simple_trace()[1]
         facts = event.facts()
         assert list(facts) == [
             name for name in TraceEvent._fields

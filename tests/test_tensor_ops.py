@@ -10,7 +10,7 @@ from repro.core.taxonomy import OpCategory
 
 
 def last_event(prof):
-    return prof.trace.events[-1]
+    return prof.trace[-1]
 
 
 class TestArithmetic:
@@ -223,7 +223,7 @@ class TestRealFFT:
         with T.profile("t") as prof:
             out = T.rfft(T.tensor(np.ones((2, 64))))
             T.irfft(out, n=64)
-        rfft_ev, irfft_ev = prof.trace.events[-2:]
+        rfft_ev, irfft_ev = prof.trace[-2:]
         assert rfft_ev.name == "rfft"
         assert irfft_ev.name == "irfft"
         # 5 * d * log2(d) per transform, batched over the leading axis
@@ -304,8 +304,8 @@ class TestMovementAndLogic:
             T.to_host(T.tensor(np.ones(50, dtype=np.float32)))
         cats = [e.category for e in prof.trace]
         assert all(c is OpCategory.MOVEMENT for c in cats)
-        assert prof.trace.events[0].name == "to_gpu"
-        assert prof.trace.events[1].name == "to_host"
+        assert prof.trace[0].name == "to_gpu"
+        assert prof.trace[1].name == "to_host"
 
     def test_fuzzy_ops_are_other_category(self):
         a = T.tensor(np.array([0.8], dtype=np.float32))
@@ -334,7 +334,7 @@ class TestEventAccounting:
         a = np.ones((10, 10), dtype=np.float32)
         with T.profile("t") as prof:
             T.add(T.tensor(a), T.tensor(a))
-        event = prof.trace.events[0]
+        event = prof.trace[0]
         assert event.bytes_read == 2 * a.nbytes
         assert event.bytes_written == a.nbytes
 
@@ -343,15 +343,15 @@ class TestEventAccounting:
             x = T.tensor(np.ones(4, dtype=np.float32))
             y = T.add(x, 1.0)
             z = T.mul(y, 2.0)
-        assert prof.trace.events[1].parents == (prof.trace.events[0].eid,)
-        assert z.producer == prof.trace.events[1].eid
+        assert prof.trace[1].parents == (prof.trace[0].eid,)
+        assert z.producer == prof.trace[1].eid
 
     def test_sparsity_measured(self):
         x = np.zeros(100, dtype=np.float32)
         x[:10] = 1.0
         with T.profile("t") as prof:
             T.copy(T.tensor(x))
-        assert prof.trace.events[0].output_sparsity == pytest.approx(0.9)
+        assert prof.trace[0].output_sparsity == pytest.approx(0.9)
 
     def test_no_context_no_recording(self):
         out = T.add(T.tensor(np.ones(3)), 1.0)
@@ -361,7 +361,7 @@ class TestEventAccounting:
     def test_reshape_is_free(self):
         with T.profile("t") as prof:
             T.reshape(T.tensor(np.ones((2, 3), dtype=np.float32)), (6,))
-        event = prof.trace.events[0]
+        event = prof.trace[0]
         assert event.bytes_written == 0
         assert event.flops == 0
 

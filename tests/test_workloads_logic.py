@@ -57,7 +57,7 @@ class TestLNN:
         assert _traffic(large) > _traffic(small)
 
     def test_logic_rule_events_recorded(self, trace):
-        names = {event.name for event in trace.events}
+        names = {event.name for event in trace}
         assert "kb_forward_chain" in names
         assert "scatter_max" in names
         assert "scatter_min" in names
@@ -182,7 +182,7 @@ class TestLTN:
         assert axioms["no_self_friendship"] > 0.8
 
     def test_fuzzy_ops_in_trace(self, trace):
-        names = {event.name for event in trace.events}
+        names = {event.name for event in trace}
         assert any(name.startswith("fuzzy_implies") for name in names)
         assert "fuzzy_not" in names
 
